@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro import obs
-from repro.obs import get_metrics
+from repro.obs import get_events, get_metrics
 from repro.serve import wire
 from repro.serve.artifact import artifact_info, load_oracle
 from repro.serve.http import HandlerContext
@@ -411,9 +411,14 @@ class _WorkerProcess:
                     return
                 self.ctx.handle_connection(conn, addr)
         except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception:  # pragma: no cover - defensive; connection dies
-            pass
+            pass  # the client hung up
+        except Exception as exc:
+            # The connection dies either way; say so instead of swallowing it.
+            name = type(exc).__name__
+            get_metrics().counter("serve.connection_errors_total", exc=name).inc()
+            events = get_events()
+            if events.enabled:
+                events.emit("serve.connection_error", exc=name, error=str(exc), worker=self.idx)
         finally:
             try:
                 conn.shutdown(socket.SHUT_RDWR)

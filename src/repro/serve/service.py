@@ -13,9 +13,11 @@ degrades gracefully under heavy traffic instead of falling over:
   element-wise kernels make the coalesced answers bit-identical to
   per-request calls.
 * **LRU result cache.**  Identical requests (same kind + same index
-  arrays) are answered from an ``OrderedDict`` LRU without touching
+  values) are answered from an ``OrderedDict`` LRU without touching
   the queue; hits and misses are counted both locally (:meth:`stats`)
-  and through :mod:`repro.obs`.
+  and through :mod:`repro.obs`.  The key is ``(kind, n, SHA-256 of the
+  index bytes)``, so an entry costs its answer plus ~250 bytes of key
+  and LRU bookkeeping, not a copy of the request.
 * **Bounded-queue backpressure.**  Past ``max_queue`` outstanding
   requests, :meth:`submit` sheds the request with a typed
   :class:`Overloaded` error (HTTP 503 upstream) instead of letting
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
+from hashlib import sha256
 from typing import Any, Optional
 
 import numpy as np
@@ -53,6 +56,11 @@ class Overloaded(RuntimeError):
     The typed load-shedding error -- callers should back off and retry;
     the HTTP layer maps it to 503 with a ``Retry-After`` hint.
     """
+
+
+def _entry_bytes(key: tuple, value: Any) -> int:
+    """Bytes one cache entry accounts for: answer array plus key digest."""
+    return getattr(value, "nbytes", 8) + len(key[2])
 
 
 class _Request:
@@ -131,6 +139,7 @@ class OracleService:
         self._threads: list[threading.Thread] = []
         self._stopped = False
         self._cache: "OrderedDict[tuple, Any]" = OrderedDict()
+        self._cache_bytes = 0
         self._global: Optional[int] = None
         # Local tallies (always on) + obs metrics (no-ops unless enabled).
         self._counts = {
@@ -202,6 +211,8 @@ class OracleService:
         arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 1:
             raise ValueError(f"{name} must be a flat index list, got shape {arr.shape}")
+        # Native byte order and C order: the cache key hashes the buffer.
+        arr = np.ascontiguousarray(arr)
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.oracle.bk.n):
             bad = arr[(arr < 0) | (arr >= self.oracle.bk.n)][0]
             raise IndexError(
@@ -211,12 +222,18 @@ class OracleService:
 
     def _validate(
         self, kind: str, ps: Any, qs: Any
-    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], tuple]:
-        """Shared request validation: ``(ps_arr, qs_arr, cache_key)``."""
+    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[tuple]]:
+        """Shared request validation: ``(ps_arr, qs_arr, cache_key)``.
+
+        The key is ``(kind, n, sha256(ps || qs))`` over the validated
+        int64 buffers; pair kinds enforce ``len(ps) == len(qs)``, so
+        ``n`` makes the concatenation unambiguous.  ``None`` when the
+        cache is off -- nothing is hashed then.
+        """
         if kind not in _KINDS:
             raise ValueError(f"unknown query kind {kind!r} (expected one of {_KINDS})")
         if kind == "global":
-            return None, None, ("global",)
+            return None, None, (("global", 0, b"") if self.cache_size else None)
         if ps is None:
             raise ValueError(f"{kind} queries need a ps index list")
         ps_arr = self._coerce(ps, "ps")
@@ -232,12 +249,12 @@ class OracleService:
             if qs is not None:
                 raise ValueError(f"{kind} queries take only ps, got a qs list too")
             qs_arr = None
-        key = (
-            kind,
-            ps_arr.tobytes(),
-            qs_arr.tobytes() if qs_arr is not None else b"",
-        )
-        return ps_arr, qs_arr, key
+        if not self.cache_size:
+            return ps_arr, qs_arr, None
+        digest = sha256(ps_arr)
+        if qs_arr is not None:
+            digest.update(qs_arr)
+        return ps_arr, qs_arr, (kind, ps_arr.size, digest.digest())
 
     def submit(self, kind: str, ps: Any = None, qs: Any = None) -> _Request:
         """Validate, cache-check, and enqueue one request.
@@ -315,8 +332,8 @@ class OracleService:
     # Cache
     # ------------------------------------------------------------------
 
-    def _cache_get(self, key: tuple) -> Any:
-        if not self.cache_size:
+    def _cache_get(self, key: Optional[tuple]) -> Any:
+        if key is None:
             self._counts["misses"] += 1
             self._m_misses.inc()
             return None
@@ -330,15 +347,18 @@ class OracleService:
         self._m_misses.inc()
         return None
 
-    def _cache_put(self, key: tuple, value: Any) -> None:
-        if not self.cache_size:
+    def _cache_put(self, key: Optional[tuple], value: Any) -> None:
+        if key is None:
             return
         evicted = 0
         with self._lock:
+            old = self._cache.pop(key, None)
+            if old is not None:
+                self._cache_bytes -= _entry_bytes(key, old)
             self._cache[key] = value
-            self._cache.move_to_end(key)
+            self._cache_bytes += _entry_bytes(key, value)
             while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+                self._cache_bytes -= _entry_bytes(*self._cache.popitem(last=False))
                 evicted += 1
         if evicted and self._events.enabled:
             self._events.emit(
@@ -414,7 +434,10 @@ class OracleService:
         out = self._compute(kind, ps, qs)
         offset = 0
         for req in reqs:
-            req.result = out[offset : offset + req.size]
+            answer = out[offset : offset + req.size]
+            # A split batch is copied, so a cached answer never pins the
+            # whole batch and ``cache_bytes`` counts what the cache holds.
+            req.result = answer.copy() if len(reqs) > 1 else answer
             offset += req.size
             self._store(req)
 
@@ -460,8 +483,10 @@ class OracleService:
 
     def stats(self) -> dict[str, int]:
         """Service tallies: requests/queries served, cache hits/misses,
-        shed requests, kernel batches, invalid (masked) slots."""
+        shed requests, kernel batches, invalid (masked) slots, and the
+        cache's size in entries and bytes (answers plus key digests)."""
         counts = dict(self._counts)
         counts["queue_depth"] = self.queue_depth()
         counts["cache_entries"] = len(self._cache)
+        counts["cache_bytes"] = self._cache_bytes
         return counts

@@ -40,12 +40,13 @@ frames (bad kind, bad index dtype, out-of-range vertices) answer
 :class:`WireClient` is the reference client: a small pool of persistent
 keep-alive connections, batched query methods mirroring
 :class:`~repro.serve.service.OracleService`, and a :meth:`WireClient.pipeline`
-helper that keeps many frames in flight for throughput work
-(``benchmarks/bench_serve.py`` drives it).
+helper that keeps a bounded window of frames in flight for throughput
+work (``benchmarks/bench_serve.py`` drives it).
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import threading
@@ -116,6 +117,11 @@ _CODE_FOR_KIND = {"clustering": 1}  # every other kind answers int64
 MAX_FRAME_ELEMENTS = 1 << 24
 
 _PAIR_KINDS = frozenset({"edge_squares", "clustering", "wings"})
+
+#: Frames :meth:`WireClient.pipeline` keeps in flight.  The client reads
+#: answers while it sends, so the window bounds buffered bytes on both
+#: ends; it never needs the socket buffers to hold a whole burst.
+PIPELINE_WINDOW = 32
 
 
 class WireError(Exception):
@@ -202,8 +208,8 @@ def _read_exact(stream: BinaryIO, n: int) -> Optional[bytes]:
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
-def _parse_header(raw: bytes) -> tuple[int, int, int, int]:
-    magic, version, code, aux, n_a, n_b = _HEADER.unpack(raw)
+def _parse_header(raw: Union[bytes, bytearray], offset: int = 0) -> tuple[int, int, int, int]:
+    magic, version, code, aux, n_a, n_b = _HEADER.unpack_from(raw, offset)
     if magic != MAGIC:
         raise WireProtocolError(f"bad magic {magic!r} (expected {MAGIC!r})")
     if version != WIRE_VERSION:
@@ -241,10 +247,16 @@ def read_response(stream: BinaryIO) -> np.ndarray:
     if raw is None:
         raise WireProtocolError("connection closed before the response frame")
     status, dtype_code, n_values, msg_len = _parse_header(raw)
-    payload = _read_exact(stream, 8 * n_values) if n_values else b""
-    message = _read_exact(stream, msg_len) if msg_len else b""
+    body = _read_exact(stream, 8 * n_values + msg_len)
+    if body is None:
+        raise WireProtocolError("stream truncated after the response header")
+    split = 8 * n_values
+    return _decode_answer(status, dtype_code, body[:split], body[split:])
+
+
+def _decode_answer(status: int, dtype_code: int, payload: bytes, message: bytes) -> np.ndarray:
     if status != STATUS_OK:
-        raise WireServerError(status, (message or b"").decode("utf-8", errors="replace"))
+        raise WireServerError(status, message.decode("utf-8", errors="replace"))
     dtype = _DTYPE_CODES.get(dtype_code)
     if dtype is None:
         raise WireProtocolError(f"unknown answer dtype code {dtype_code}")
@@ -333,21 +345,63 @@ class WireClient:
             self._checkin(sock, broken)
 
     def pipeline(self, frames: list[bytes]) -> list[np.ndarray]:
-        """Send every pre-encoded frame, then read all responses in order.
+        """Send pre-encoded frames and return their answers in order.
 
-        One connection, many frames in flight -- throughput is bounded
-        by server work, not by per-frame round-trip latency.  Raises on
-        the first error response (the remaining answers are discarded).
+        One connection, up to :data:`PIPELINE_WINDOW` frames in flight --
+        throughput is bounded by server work, not by per-frame
+        round-trip latency.  Answers are read as they arrive while the
+        next frames go out, so a burst whose answers outgrow the socket
+        buffers cannot leave client and server both blocked in a send.
+        Raises on the first error response (the remaining frames are
+        dropped with the connection) and :class:`TimeoutError` when the
+        socket makes no progress for ``timeout`` seconds.
         """
+        answers: list[np.ndarray] = []
+        out = bytearray()
+        inbuf = bytearray()
+        sent = 0
         sock = self._checkout()
         broken = True
         try:
-            sock.sendall(b"".join(frames))
-            with sock.makefile("rb") as rfile:
-                answers = [read_response(rfile) for _ in frames]
+            sock.setblocking(False)
+            while len(answers) < len(frames):
+                while sent < len(frames) and sent - len(answers) < PIPELINE_WINDOW:
+                    out += frames[sent]
+                    sent += 1
+                readable, writable, _ = select.select(
+                    [sock], [sock] if out else [], [], self.timeout
+                )
+                if not readable and not writable:
+                    in_flight = sent - len(answers)
+                    raise TimeoutError(
+                        f"no progress for {self.timeout}s with {in_flight} frames in flight"
+                    )
+                if writable:
+                    del out[: sock.send(out)]
+                if not readable:
+                    continue
+                chunk = sock.recv(1 << 20)
+                if not chunk:
+                    raise WireProtocolError(
+                        f"connection closed after {len(answers)}/{len(frames)} responses"
+                    )
+                inbuf += chunk
+                pos = 0
+                while len(inbuf) - pos >= HEADER_SIZE:
+                    status, dtype_code, n_values, msg_len = _parse_header(inbuf, pos)
+                    body = pos + HEADER_SIZE
+                    split = body + 8 * n_values
+                    end = split + msg_len
+                    if end > len(inbuf):
+                        break
+                    payload, message = bytes(inbuf[body:split]), bytes(inbuf[split:end])
+                    answers.append(_decode_answer(status, dtype_code, payload, message))
+                    pos = end
+                del inbuf[:pos]
             broken = False
             return answers
         finally:
+            sock.settimeout(self.timeout)
             self._checkin(sock, broken)
 
     # -- query conveniences ----------------------------------------------

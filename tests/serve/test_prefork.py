@@ -180,6 +180,9 @@ def test_stop_merges_worker_metrics_and_tallies(art_dir, oracle_i):
         counters = metrics.snapshot()["counters"]
         assert any(k.startswith("serve.wire.responses_total") for k in counters)
         assert any(k.startswith("serve.http.responses_total") for k in counters)
+        # Each worker's state file carries its cache footprint.
+        states = [json.loads(p.read_text()) for p in server.state_dir.glob("worker-*.json")]
+        assert sum(state["service"]["cache_bytes"] for state in states) > 0
 
 
 def test_prometheus_worker_labels_never_collide():
@@ -214,6 +217,40 @@ def test_live_prometheus_scrape_carries_worker_label(art_dir):
             text = resp.read().decode()
     assert lint_exposition(text) == []
     assert 'worker="0"' in text
+    assert re.search(r'^repro_serve_service_cache_bytes\{worker="0"\} [1-9]', text, re.M)
+
+
+@pytest.mark.parametrize("exc, counted", [(RuntimeError, True), (ConnectionResetError, False)])
+def test_connection_failures_are_counted_not_swallowed(art_dir, tmp_path, exc, counted):
+    """A connection that dies on an unexpected error bumps a labeled
+    counter and emits an event; a client hang-up stays silent."""
+    from repro.obs import events_to, read_events
+    from repro.obs.metrics import series_key
+    from repro.serve.prefork import _WorkerProcess
+
+    def explode(conn):
+        raise exc("boom")
+
+    worker = _WorkerProcess(PreforkServer(art_dir), idx=3, obs_enabled=True)
+    worker._serve_wire = explode
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        conn, _addr = listener.accept()
+    with instrument() as (_tracer, metrics), events_to(str(tmp_path / "ev.jsonl")):
+        with client:
+            client.sendall(encode_request("degree", [0]))
+            worker._serve_connection(conn, None)
+        counters = metrics.snapshot()["counters"]
+    key = series_key("serve.connection_errors_total", {"exc": exc.__name__})
+    events = [
+        e for e in read_events(tmp_path / "ev.jsonl") if e["kind"] == "serve.connection_error"
+    ]
+    if counted:
+        assert counters[key] == 1
+        assert [(e["exc"], e["worker"]) for e in events] == [("RuntimeError", 3)]
+    else:
+        assert not any(k.startswith("serve.connection_errors_total") for k in counters)
+        assert events == []
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,95 @@ def test_cache_disabled(oracle_i):
         assert stats["hits"] == 0 and stats["misses"] == 2
 
 
+def test_equal_values_share_one_cache_entry_across_layouts(oracle_i):
+    """The key hashes the validated int64 buffer, not the caller's object."""
+    values = [3, 1, 4, 1, 5, 9, 2, 6]
+    strided = np.zeros(2 * len(values), dtype=np.int64)
+    strided[::2] = values
+    readonly = np.frombuffer(np.asarray(values, dtype=np.int64).tobytes(), dtype=np.int64)
+    assert not readonly.flags.writeable
+    layouts = [
+        values,
+        np.asarray(values, dtype=np.int64),
+        np.asarray(values, dtype=">i8"),
+        strided[::2],
+        readonly,
+    ]
+    svc = OracleService(oracle_i, cache_size=8)
+    arr = np.asarray(values)
+    expected_deg = oracle_i.degrees(arr)
+    expected_sq = oracle_i.squares_at_edges(arr, arr[::-1], on_invalid="mask")
+    for ps in layouts:
+        assert np.array_equal(svc.answer("degree", ps), expected_deg)
+        assert np.array_equal(svc.answer("edge_squares", ps, ps[::-1]), expected_sq)
+    stats = svc.stats()
+    assert stats["cache_entries"] == 2
+    assert stats["misses"] == 2 and stats["hits"] == 2 * len(layouts) - 2
+
+
+def test_kinds_with_identical_indices_never_share_an_entry(oracle_i, edges_i):
+    ep, eq = edges_i
+    svc = OracleService(oracle_i, cache_size=16)
+    assert np.array_equal(svc.answer("degree", ep), oracle_i.degrees(ep))
+    assert np.array_equal(svc.answer("vertex_squares", ep), oracle_i.squares_at_vertices(ep))
+    assert np.array_equal(svc.answer("edge_squares", ep, eq), oracle_i.squares_at_edges(ep, eq))
+    assert np.array_equal(svc.answer("wings", ep, eq), oracle_i.wings_at_edges(ep, eq))
+    assert np.array_equal(
+        svc.answer("clustering", ep, eq), oracle_i.clustering_at_edges(ep, eq), equal_nan=True
+    )
+    stats = svc.stats()
+    assert stats["cache_entries"] == 5 and stats["hits"] == 0
+
+
+def test_cache_bytes_tracks_answers_not_requests(oracle_i):
+    """A cached 4,096-pair answer costs its 32 KiB plus a digest."""
+    n_entries, pairs = 4, 4096
+    rng = np.random.default_rng(7)
+    svc = OracleService(oracle_i, cache_size=n_entries)
+    for _ in range(n_entries):
+        ps, qs = rng.integers(0, oracle_i.bk.n, size=(2, pairs))
+        svc.answer("edge_squares", ps, qs)
+    full = svc.stats()
+    assert full["cache_entries"] == n_entries
+    assert n_entries * 8 * pairs < full["cache_bytes"] <= n_entries * (32 * 1024 + 256)
+    # A small answer evicts a large one: the tally drops without a rescan.
+    svc.answer("degree", [0, 1])
+    after = svc.stats()
+    assert after["cache_entries"] == n_entries
+    assert after["cache_bytes"] < full["cache_bytes"] - 8 * pairs + 256
+    assert after["cache_bytes"] == sum(v.nbytes + len(k[2]) for k, v in svc._cache.items())
+
+
+def test_coalesced_answers_are_cached_as_owned_copies(oracle_i):
+    """A split batch must not leave each cached slice pinning the whole
+    batch array, or ``cache_bytes`` would undercount what is held."""
+    svc = OracleService(oracle_i, max_queue=8, cache_size=8)
+    handles = [svc.submit("vertex_squares", [p, p + 1]) for p in range(3)]
+    with svc:
+        results = [handle.wait(5.0) for handle in handles]
+    for p, result in enumerate(results):
+        assert result.base is None
+        assert np.array_equal(result, oracle_i.squares_at_vertices(np.array([p, p + 1])))
+    assert svc.stats()["batches"] == 1
+    assert svc.stats()["cache_bytes"] == 3 * (2 * 8 + 32)
+
+
+def test_cache_off_hashes_nothing(oracle_i, edges_i, monkeypatch):
+    from repro.serve import service as service_module
+
+    def refuse(*_args):
+        raise AssertionError("a cache key was hashed with the cache off")
+
+    monkeypatch.setattr(service_module, "sha256", refuse)
+    ep, eq = edges_i
+    svc = OracleService(oracle_i, cache_size=0)
+    assert np.array_equal(svc.answer("edge_squares", ep, eq), oracle_i.squares_at_edges(ep, eq))
+    assert svc.answer("global") == oracle_i.global_squares()
+    with svc:
+        assert np.array_equal(svc.degrees(ep), oracle_i.degrees(ep))
+    assert svc.stats()["cache_bytes"] == 0
+
+
 def test_saturated_queue_sheds_with_counter(oracle_i):
     """Past max_queue depth, submissions shed with Overloaded + counter."""
     svc = OracleService(oracle_i, max_queue=2, cache_size=0)  # never started

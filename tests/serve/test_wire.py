@@ -197,6 +197,48 @@ def test_client_pipelining_preserves_order(wire_server):
     assert [int(a[0]) for a in answers] == [oracle.degree(i % n) for i in range(100)]
 
 
+def test_pipeline_burst_larger_than_socket_buffers(wire_server):
+    """Answers totalling tens of MiB: sending the whole burst before
+    reading would leave client and worker both blocked in a send."""
+    server, oracle = wire_server
+    ps = np.arange(4096, dtype=np.int64) % oracle.bk.n
+    frames = [encode_request("degree", ps)] * 1024  # 32 MiB each way
+    with wire.WireClient("127.0.0.1", server.port, timeout=20.0) as client:
+        answers = client.pipeline(frames)
+        # The connection went back to the pool and still frames cleanly.
+        assert client.degrees([0]).tolist() == [oracle.degree(0)]
+    expected = oracle.degrees(ps)
+    assert len(answers) == len(frames)
+    assert all(np.array_equal(a, expected) for a in answers)
+
+
+def test_pipeline_raises_on_error_frame(wire_server):
+    server, oracle = wire_server
+    frames = [encode_request("degree", [0]), encode_request("degree", [10**9])]
+    with wire.WireClient("127.0.0.1", server.port) as client:
+        with pytest.raises(WireServerError) as exc:
+            client.pipeline(frames)
+        assert exc.value.status == STATUS_BAD_REQUEST
+        assert client.pipeline(frames[:1])[0].tolist() == [oracle.degree(0)]
+
+
+def test_cached_wire_answers_match_the_oracle(wire_server):
+    """A repeated frame is a cache hit in the worker; its bytes must not
+    differ from the first (computed) answer or from the direct oracle."""
+    server, oracle = wire_server
+    from tests.serve.conftest import product_edges
+
+    ep, eq = product_edges(oracle)
+    with wire.WireClient("127.0.0.1", server.port) as client:
+        for _ in range(3):
+            assert np.array_equal(client.wings_at_edges(ep, eq), oracle.wings_at_edges(ep, eq))
+            assert np.array_equal(
+                client.clustering_at_edges(ep, eq),
+                oracle.clustering_at_edges(ep, eq),
+                equal_nan=True,
+            )
+
+
 def test_error_frame_keeps_connection_usable(wire_server):
     server, oracle = wire_server
     with wire.WireClient("127.0.0.1", server.port) as client:
