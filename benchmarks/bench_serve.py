@@ -1,7 +1,7 @@
 """Bench ``serve``: the oracle serving layer under concurrent load.
 
 A load generator drives the :class:`~repro.serve.service.OracleService`
-(and the HTTP front-end) with concurrent clients at increasing fan-in,
+(and the pre-fork HTTP front end) with concurrent clients at increasing fan-in,
 measuring throughput and p50/p99 request latency; a cache-on vs
 cache-off pass quantifies what the LRU buys on repeated traffic; an
 artifact pack/load pass quantifies the boot-time win over rebuilding
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.kronecker import GroundTruthOracle
 from repro.kronecker.sampling import sample_edges
-from repro.serve import OracleService, build_server, load_oracle, save_oracle
+from repro.serve import OracleService, load_oracle, save_oracle
 from repro.serve.prefork import PreforkServer
 from repro.serve.wire import WireClient, encode_request
 from repro.utils.timing import Timer
@@ -145,20 +145,18 @@ def test_serve_cache_on_vs_off(unicode_product, record_bench):
     assert stats_on["misses"] == len(hot), stats_on
 
 
-def test_serve_http_round_trip(unicode_product, record_bench):
+def test_serve_http_round_trip(unicode_product, tmp_path_factory, record_bench):
     """Full HTTP stack: concurrent JSON clients, answers vs direct oracle."""
+    art = tmp_path_factory.mktemp("bench_http") / "art"
     oracle = GroundTruthOracle(unicode_product)
+    save_oracle(oracle, art)
     n_edges = 64 if QUICK else 512
     ep, eq, expected_sq = sample_edges(unicode_product, n_edges, seed=3, oracle=oracle)
     concurrency = 2 if QUICK else 8
     reqs = 10 if QUICK else 50
     per_req = 16
-    with OracleService(oracle, max_queue=4096, cache_size=0) as service:
-        server = build_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        base = f"http://{host}:{port}"
+    with PreforkServer(art, workers=1, max_queue=4096, cache_size=0) as server:
+        base = f"http://127.0.0.1:{server.port}"
         latencies: list[list[float]] = [[] for _ in range(concurrency)]
         errors: list[str] = []
 
@@ -183,8 +181,6 @@ def test_serve_http_round_trip(unicode_product, record_bench):
                 th.start()
             for th in threads:
                 th.join()
-        server.shutdown()
-        server.server_close()
     assert not errors, errors[:3]
     total_requests = concurrency * reqs
     p50, p99 = _percentiles([lat for per in latencies for lat in per])
@@ -217,8 +213,8 @@ def test_serve_prefork_http_keepalive(unicode_product, tmp_path_factory, record_
 
     Same request shape as ``test_serve_http_round_trip`` (16 edge-square
     queries per request) but through the mmap-backed pre-fork server with
-    persistent connections -- the trajectory point between the naive
-    threaded row and the binary wire row.  Worker-count levels share one
+    persistent connections -- the trajectory point between the
+    connection-per-request row and the binary wire row.  Worker-count levels share one
     core here, so the axis shows protocol cost, not parallel speedup.
     """
     art = tmp_path_factory.mktemp("bench_prefork") / "art"
@@ -264,9 +260,9 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
     The top of the serving trajectory: the same 16-query edge-square
     requests as the HTTP rows, encoded as ``repro.wire/1`` frames and
     pipelined over one keep-alive connection.  The >=100x target is
-    asserted against a baseline measured in the *same run* exactly the
-    way the seed's 276 req/s row was: concurrent connection-per-request
-    JSON clients against the single-process threaded server.  Every
+    asserted against the seed's 276 req/s row; a baseline measured in the
+    *same run* the way that row was (concurrent connection-per-request
+    JSON clients against a one-worker server) is recorded too.  Every
     pipelined answer is checked bit-identical to the direct oracle
     before a row records.
     """
@@ -279,15 +275,12 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
     reps = 4 if QUICK else 100
     worker_levels = (1,) if QUICK else (1, 2)
 
-    # Baseline: the seed-row workload -- threaded server, concurrent
+    # Baseline: the seed-row workload -- a one-worker server, concurrent
     # naive urllib clients, one TCP connection per request.
     baseline_clients = 2 if QUICK else 8
     baseline_reqs = 5 if QUICK else 13
-    with OracleService(oracle, max_queue=4096, cache_size=0) as service:
-        server = build_server(service)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        host, port = server.server_address[:2]
-        base = f"http://{host}:{port}"
+    with PreforkServer(art, workers=1, max_queue=4096, cache_size=0) as server:
+        base = f"http://127.0.0.1:{server.port}"
         errors: list[str] = []
 
         def naive_client(slot: int) -> None:
@@ -310,8 +303,6 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
                 th.start()
             for th in threads:
                 th.join()
-        server.shutdown()
-        server.server_close()
     assert not errors, errors[:3]
     naive_requests_per_s = baseline_clients * baseline_reqs / max(t_naive.elapsed, 1e-9)
 
@@ -336,10 +327,10 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
     best = max(level["requests_per_s"] for level in levels.values())
     # The yardstick for the 100x target: the serving throughput recorded
     # before this front end existed -- the 276 req/s
-    # test_serve_http_round_trip row in BENCH_serve.json (threaded
-    # server, 400 concurrent connection-per-request JSON clients, this
-    # machine).  The in-run threaded baseline above is recorded too but
-    # is noisy at its small request count.
+    # test_serve_http_round_trip row of the seed's BENCH_serve.json (the
+    # since-deleted threaded server, 400 concurrent connection-per-request
+    # JSON clients, single-core container).  The in-run baseline above
+    # is recorded too but is noisy at its small request count.
     seed_http_requests_per_s = 276.0
     speedup = best / seed_http_requests_per_s
     record_bench(

@@ -23,9 +23,9 @@ Wraps the library's three workflows for shell users:
 * ``pack`` -- build a persistent, checksummed oracle artifact
   (``oracle.npz`` + ``artifact.json``, schema ``repro.serve/1``) from
   factor specs, so a server can boot without recomputing statistics.
-* ``serve`` -- boot the concurrent ground-truth query server over a
-  packed artifact: a JSON HTTP API with request micro-batching, an LRU
-  result cache, and bounded-queue load shedding (see docs/serving.md).
+* ``serve`` -- boot the pre-fork ground-truth query server over a
+  packed artifact: JSON HTTP and binary wire protocols on one port, an
+  LRU result cache, and per-worker load shedding (see docs/serving.md).
 * ``table1`` / ``fig5`` -- regenerate the §IV artifacts.
 * ``top`` -- live console dashboard over a ``--events-out`` JSONL log
   (shard progress, edges/sec, ETA, retry/shed counters) or a served
@@ -386,31 +386,26 @@ def _cmd_serve(args) -> int:
 
 
 def _serve_instrumented(args) -> int:
-    if args.workers_procs > 0:
-        return _serve_prefork(args)
-    return _serve_threaded(args)
-
-
-def _serve_prefork(args) -> int:
-    """The pre-fork multi-process front end (see repro.serve.prefork)."""
+    """The pre-fork front end (see repro.serve.prefork)."""
     import signal
 
     from repro.serve.prefork import PreforkServer
 
-    server = PreforkServer(
-        args.artifact,
-        host=args.host,
-        port=args.port,
-        workers=args.workers_procs,
-        protocol=args.protocol,
-        backend=args.backend,
-        max_queue=args.max_queue,
-        cache_size=args.cache_size,
-        batcher_threads=args.workers,
-        grace=args.grace,
-        mmap=not args.no_mmap,
-    ).start()
-    oracle = server.oracle
+    with get_tracer().span("serve.startup", artifact=str(args.artifact)) as sp:
+        server = PreforkServer(
+            args.artifact,
+            host=args.host,
+            port=args.port,
+            workers=args.workers_procs,
+            protocol=args.protocol,
+            backend=args.backend,
+            max_queue=args.max_queue,
+            cache_size=args.cache_size,
+            grace=args.grace,
+            mmap=not args.no_mmap,
+        ).start()
+        oracle = server.oracle
+        sp.set(n=oracle.bk.n, m=oracle.bk.m, port=server.port)
     print(
         f"serving ground-truth oracle on http://{server.host}:{server.port} "
         f"(n={oracle.bk.n:,}, m={oracle.bk.m:,}; {server.workers} pre-fork workers, "
@@ -420,6 +415,8 @@ def _serve_prefork(args) -> int:
         flush=True,
     )
 
+    # SIGTERM (CI teardown, process managers) gets the same graceful
+    # shutdown as Ctrl-C: drained workers, stats line, metrics-out record.
     def _terminate(signum, frame):
         raise KeyboardInterrupt
 
@@ -436,54 +433,6 @@ def _serve_prefork(args) -> int:
         f"({stats['queries']:,} queries, {stats['hits']:,} cache hits, "
         f"{stats['shed']:,} shed; {stats['workers_reported']}/{stats['workers']} "
         f"workers reported, {stats['respawns']} respawned)",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _serve_threaded(args) -> int:
-    from repro.serve import OracleService, artifact_info, build_server, load_oracle
-
-    tracer = get_tracer()
-    with tracer.span("serve.startup", artifact=str(args.artifact)) as sp:
-        info = artifact_info(args.artifact)
-        oracle = load_oracle(args.artifact, backend=args.backend)
-        service = OracleService(
-            oracle,
-            max_queue=args.max_queue,
-            cache_size=args.cache_size,
-            workers=args.workers,
-        ).start()
-        server = build_server(service, host=args.host, port=args.port, info=info)
-        sp.set(n=oracle.bk.n, m=oracle.bk.m, port=server.server_address[1])
-    host, port = server.server_address[:2]
-    print(
-        f"serving ground-truth oracle on http://{host}:{port} "
-        f"(n={oracle.bk.n:,}, m={oracle.bk.m:,}; Ctrl-C to stop)",
-        file=sys.stderr,
-        flush=True,
-    )
-    # SIGTERM (CI teardown, process managers) gets the same graceful
-    # shutdown as Ctrl-C: stats line, metrics-out record, closed sockets.
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.server_close()
-        service.stop()
-    stats = service.stats()
-    print(
-        f"serve: shut down after {stats['requests']:,} requests "
-        f"({stats['queries']:,} queries, {stats['hits']:,} cache hits, "
-        f"{stats['shed']:,} shed)",
         file=sys.stderr,
     )
     return 0
@@ -731,6 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve",
         help="serve ground-truth queries over HTTP from a packed artifact",
+        # No prefix matching: "--workers" must not resolve to "--workers-procs".
+        allow_abbrev=False,
     )
     sv.add_argument("--artifact", required=True, help="artifact directory written by pack")
     sv.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
@@ -738,53 +689,46 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8571, help="bind port (0 = ephemeral, printed at startup)"
     )
     sv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="batcher threads coalescing queued queries into fused kernel passes",
-    )
-    sv.add_argument(
         "--max-queue",
         type=int,
         default=1024,
-        help="outstanding-request bound; beyond it requests shed with HTTP 503",
+        help="per-worker cap on requests in progress; beyond it requests "
+        "shed with HTTP 503 / wire status OVERLOADED",
     )
     sv.add_argument(
         "--cache-size",
         type=int,
         default=4096,
-        help="LRU result-cache entries (0 disables caching)",
+        help="LRU result-cache entries per worker (0 disables caching)",
     )
     sv.add_argument(
         "--workers-procs",
         type=int,
-        default=0,
+        default=1,
         metavar="N",
-        help="pre-fork N serving processes sharing one mmap'd oracle and "
-        "one port (0 = single-process threaded server); size N to the "
-        "machine's cores",
+        help="pre-fork N serving processes (N >= 1) sharing one mmap'd "
+        "oracle and one port; size N to the machine's cores",
     )
     sv.add_argument(
         "--protocol",
         choices=["json", "wire", "both"],
         default="both",
-        help="protocols the pre-fork port speaks: JSON HTTP, the binary "
-        "wire protocol (repro.wire/1), or both via first-byte sniffing "
-        "(threaded mode is JSON-only)",
+        help="protocols the port speaks: JSON HTTP, the binary wire "
+        "protocol (repro.wire/1), or both via first-byte sniffing",
     )
     sv.add_argument(
         "--grace",
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="pre-fork graceful-drain window on SIGTERM: in-flight "
+        help="graceful-drain window on SIGTERM: in-flight "
         "requests get this long to complete before workers exit",
     )
     sv.add_argument(
         "--no-mmap",
         action="store_true",
         help="load the artifact eagerly instead of mmap zero-copy "
-        "(pre-fork mode; costs one artifact copy per worker)",
+        "(costs one artifact copy per worker)",
     )
     _add_backend_arg(sv)
     _add_obs_args(sv)

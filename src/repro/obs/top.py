@@ -250,6 +250,17 @@ def render_dashboard(state: TopState, source: str) -> str:
     return "\n".join(lines)
 
 
+#: Served series ``repro top --url`` lists: latency quantiles per
+#: front end, then response and failure counters.
+_LATENCY_SERIES = ("serve.http.latency", "serve.wire.latency")
+_COUNTER_SERIES = (
+    "serve.http.responses",
+    "serve.wire.responses",
+    "serve.connection_errors",
+    "serve.internal_errors",
+)
+
+
 def _poll_url(url: str) -> str:
     """One frame from a served /metrics JSON snapshot."""
     from urllib.request import urlopen
@@ -264,9 +275,7 @@ def _poll_url(url: str) -> str:
         + ", ".join(f"{k}={service[k]:,}" for k in sorted(service))
     )
     histograms = metrics.get("histograms", {})
-    latency = {
-        key: s for key, s in histograms.items() if key.startswith("serve.http.latency")
-    }
+    latency = {key: s for key, s in histograms.items() if key.startswith(_LATENCY_SERIES)}
     for key in sorted(latency):
         s = latency[key]
         if not s.get("count"):
@@ -280,11 +289,8 @@ def _poll_url(url: str) -> str:
         )
         lines.append(f"  {key:<56} n={s['count']}{quant}")
     counters = metrics.get("counters", {})
-    responses = {
-        key: v for key, v in counters.items() if key.startswith("serve.http.responses")
-    }
-    for key in sorted(responses):
-        lines.append(f"  {key:<56} {responses[key]:,}")
+    for key in sorted(k for k in counters if k.startswith(_COUNTER_SERIES)):
+        lines.append(f"  {key:<56} {counters[key]:,}")
     return "\n".join(lines)
 
 

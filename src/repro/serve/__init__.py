@@ -14,24 +14,25 @@ into infrastructure:
   ``load_oracle(..., mmap=True)`` maps the arrays zero-copy for
   multi-process sharing.
 * :mod:`repro.serve.service` -- :class:`OracleService`, an in-process
-  front-end over the batched oracle APIs with request micro-batching,
-  an LRU result cache, and bounded-queue backpressure (typed
-  :class:`Overloaded` load-shedding).
-* :mod:`repro.serve.http` -- a stdlib ``ThreadingHTTPServer`` JSON API
-  (``/v1/degree``, ``/v1/squares/vertex``, ``/v1/squares/edge``,
+  front-end over the batched oracle APIs: synchronous ``answer()``, an
+  LRU result cache, an in-flight cap with typed :class:`Overloaded`
+  load-shedding, and an optional micro-batching queue for in-process
+  callers.
+* :mod:`repro.serve.http` -- the JSON API (``/v1/degree``,
+  ``/v1/squares/vertex``, ``/v1/squares/edge``, ``/v1/wings``,
   ``/v1/clustering``, ``/v1/global``, ``/healthz``, ``/metrics``),
   fully instrumented through :mod:`repro.obs`.
 * :mod:`repro.serve.wire` -- the compact length-prefixed binary batch
   protocol (schema ``repro.wire/1``) plus the pooled
   :class:`~repro.serve.wire.WireClient`.
-* :mod:`repro.serve.prefork` -- the pre-fork multi-process front end:
-  N workers sharing one mmap'd oracle and one listening socket, JSON
-  and wire sniffed on the same port, SIGTERM drain, respawn-on-crash,
-  per-worker metrics merged on shutdown.
+* :mod:`repro.serve.prefork` -- the front end: N workers sharing one
+  mmap'd oracle and one listening socket, JSON and wire sniffed on the
+  same port, SIGTERM drain, respawn-on-crash, per-worker metrics
+  merged on shutdown.
 
 CLI: ``python -m repro pack`` builds artifacts from factor specs;
-``python -m repro serve`` boots the threaded HTTP server and
-``python -m repro serve --workers-procs N`` the pre-fork front end.
+``python -m repro serve [--workers-procs N]`` boots the pre-fork front
+end (one worker by default).
 See docs/serving.md for the artifact format, endpoint/wire reference,
 and capacity numbers.
 """
@@ -47,7 +48,7 @@ from repro.serve.artifact import (
     oracle_arrays,
     save_oracle,
 )
-from repro.serve.http import HandlerContext, OracleHTTPServer, build_server
+from repro.serve.http import HandlerContext
 from repro.serve.prefork import PreforkServer
 from repro.serve.service import INVALID_SQUARES, OracleService, Overloaded
 from repro.serve.wire import WireClient
@@ -66,8 +67,6 @@ __all__ = [
     "OracleService",
     "Overloaded",
     "HandlerContext",
-    "OracleHTTPServer",
-    "build_server",
     "PreforkServer",
     "WireClient",
 ]

@@ -1,7 +1,8 @@
-"""Stdlib HTTP JSON API over an :class:`~repro.serve.service.OracleService`.
+"""The HTTP JSON API of the pre-fork front end (:mod:`repro.serve.prefork`).
 
-A ``ThreadingHTTPServer`` (one thread per connection, daemon threads)
-whose handler speaks a small JSON protocol:
+Each pre-fork worker hands an accepted HTTP connection to
+:class:`HandlerContext`, which runs a stdlib ``BaseHTTPRequestHandler``
+keep-alive loop speaking a small JSON protocol:
 
 ===========================  ======  =====================================
 endpoint                     method  body / response
@@ -17,6 +18,8 @@ endpoint                     method  body / response
 ``/metrics?format=prometheus``  GET  text exposition with quantiles
 ===========================  ======  =====================================
 
+Queries are answered by :meth:`~repro.serve.service.OracleService.answer`
+on the connection's thread, the same call the wire protocol makes.
 Scalar sugar: ``{"p": 3}`` / ``{"q": 7}`` are accepted anywhere a
 one-element list would be.  Status mapping:
 
@@ -29,11 +32,14 @@ one-element list would be.  Status mapping:
   offending slots instead of poisoning the whole batch.
 * **503** -- load shed (:class:`~repro.serve.service.Overloaded`),
   with a ``Retry-After`` header.
+* **500** -- an unexpected error, counted in
+  ``serve.internal_errors_total{front="http",exc=...}``.
 
 Every request is instrumented through :mod:`repro.obs` with labeled
 series: a per-endpoint latency histogram
-(``serve.http.latency_seconds{endpoint=...}``) and a response counter
-by endpoint and status (``serve.http.responses_total{endpoint=...,
+(``serve.http.latency_seconds{endpoint=...}``, covering the whole
+request up to the last byte written) and a response counter by
+endpoint and status (``serve.http.responses_total{endpoint=...,
 status=...}``).  ``repro serve`` installs a live registry
 unconditionally, so these record in production — not only under
 ``--profile``.
@@ -43,18 +49,27 @@ from __future__ import annotations
 
 import json
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Any, Optional
 from urllib.parse import parse_qs
 
 import numpy as np
 
-from repro.obs import get_metrics, render_prometheus
+from repro.obs import get_events, get_metrics, render_prometheus
 from repro.serve.service import INVALID_SQUARES, OracleService, Overloaded
 
-__all__ = ["HandlerContext", "OracleHTTPServer", "build_server"]
+__all__ = ["HandlerContext", "count_internal_error"]
 
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: POST query routes: path -> (service query kind, body keys, answer key).
+_QUERY_ROUTES = {
+    "/v1/degree": ("degree", ("ps",), "degrees"),
+    "/v1/squares/vertex": ("vertex_squares", ("ps",), "squares"),
+    "/v1/squares/edge": ("edge_squares", ("ps", "qs"), "squares"),
+    "/v1/wings": ("wings", ("ps", "qs"), "wings"),
+    "/v1/clustering": ("clustering", ("ps", "qs"), "clustering"),
+}
 
 
 class _Raw:
@@ -80,39 +95,22 @@ def _endpoint_label(path: str) -> str:
     return path.strip("/").replace("/", "_") or "root"
 
 
-class OracleHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`OracleService`."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: OracleService,
-        info: Optional[dict[str, Any]] = None,
-        worker_label: str = "0",
-    ):
-        super().__init__(address, _OracleHandler)
-        self.service = service
-        self.info = info or {}
-        self.started_at = time.monotonic()
-        #: Serving-process identity stamped on every prometheus sample
-        #: (worker index under the pre-fork front end, "0" threaded) so
-        #: multi-process scrapes never collide series when aggregated.
-        self.worker_label = worker_label
-        #: Flipped during graceful shutdown: responses carry
-        #: ``Connection: close`` so keep-alive clients release promptly.
-        self.draining = False
+def count_internal_error(front: str, exc: Exception, worker: str) -> None:
+    """Record an unexpected error answered as HTTP 500 / wire ``STATUS_INTERNAL``."""
+    name = type(exc).__name__
+    get_metrics().counter("serve.internal_errors_total", front=front, exc=name).inc()
+    events = get_events()
+    if events.enabled:
+        events.emit("serve.internal_error", front=front, exc=name, error=str(exc), worker=worker)
 
 
 class HandlerContext:
-    """Duck-typed stand-in for :class:`OracleHTTPServer` per connection.
+    """What :class:`_OracleHandler` reads as its ``server``, one per worker.
 
-    :class:`_OracleHandler` only reads ``service`` / ``info`` /
-    ``started_at`` / ``worker_label`` / ``draining`` from its server, so
-    the pre-fork front end (:mod:`repro.serve.prefork`) handles accepted
-    sockets by instantiating the handler directly against one of these
-    -- same routing, same obs series, no ``ThreadingHTTPServer``.
+    Holds the worker's :class:`OracleService`, the artifact summary for
+    ``/healthz``, the ``worker_label`` stamped on every prometheus
+    sample (so multi-process scrapes never collide series), and the
+    ``draining`` flag flipped during graceful shutdown.
     """
 
     __slots__ = ("service", "info", "started_at", "worker_label", "draining")
@@ -127,6 +125,8 @@ class HandlerContext:
         self.info = info or {}
         self.started_at = time.monotonic()
         self.worker_label = worker_label
+        #: Flipped during graceful shutdown: responses carry
+        #: ``Connection: close`` so keep-alive clients release promptly.
         self.draining = False
 
     def handle_connection(self, conn, addr) -> None:
@@ -135,7 +135,7 @@ class HandlerContext:
 
 
 class _OracleHandler(BaseHTTPRequestHandler):
-    server: OracleHTTPServer
+    server: HandlerContext
     protocol_version = "HTTP/1.1"
     # The default handler logs every request to stderr; the obs layer
     # already counts and times them, so stay quiet.
@@ -155,7 +155,6 @@ class _OracleHandler(BaseHTTPRequestHandler):
     def _handle(self, method: str) -> None:
         t0 = time.perf_counter()
         path, _, raw_query = self.path.partition("?")
-        status = 500
         try:
             # Always drain the body first: with HTTP/1.1 keep-alive an
             # unread body would desync the next request on the socket.
@@ -167,22 +166,20 @@ class _OracleHandler(BaseHTTPRequestHandler):
             status, payload = 503, {"error": str(exc)}
         except (ValueError, IndexError) as exc:
             status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:  # defensive: a bug, not the client's fault
+            count_internal_error("http", exc, self.server.worker_label)
             status, payload = 500, {"error": f"internal error: {exc}"}
-        finally:
-            metrics = get_metrics()
-            label = _endpoint_label(path)
-            metrics.histogram("serve.http.latency_seconds", endpoint=label).observe(
-                time.perf_counter() - t0
-            )
-            metrics.counter(
-                "serve.http.responses_total", endpoint=label, status=str(status)
-            ).inc()
-        if getattr(self.server, "draining", False):
+        if self.server.draining:
             # Graceful shutdown: finish this response, then release the
             # keep-alive connection so the worker can exit.
             self.close_connection = True
         self._send(status, payload)
+        metrics = get_metrics()
+        label = _endpoint_label(path)
+        metrics.histogram("serve.http.latency_seconds", endpoint=label).observe(
+            time.perf_counter() - t0
+        )
+        metrics.counter("serve.http.responses_total", endpoint=label, status=str(status)).inc()
 
     def _route(
         self, method: str, path: str, query: dict[str, list[str]]
@@ -195,7 +192,7 @@ class _OracleHandler(BaseHTTPRequestHandler):
                 "uptime_s": round(time.monotonic() - self.server.started_at, 3),
                 "artifact": self.server.info,
                 "queue_depth": service.queue_depth(),
-                "worker": getattr(self.server, "worker_label", "0"),
+                "worker": self.server.worker_label,
             }
         if path == "/metrics":
             self._require_method(method, "GET")
@@ -205,7 +202,7 @@ class _OracleHandler(BaseHTTPRequestHandler):
                 text = render_prometheus(
                     get_metrics().snapshot(),
                     extra_gauges={f"serve.service.{k}": v for k, v in stats.items()},
-                    const_labels={"worker": getattr(self.server, "worker_label", "0")},
+                    const_labels={"worker": self.server.worker_label},
                 )
                 return 200, _Raw(text, PROM_CONTENT_TYPE)
             if fmt != "json":
@@ -215,39 +212,19 @@ class _OracleHandler(BaseHTTPRequestHandler):
             return 200, {"service": service.stats(), "metrics": get_metrics().snapshot()}
         if path == "/v1/global":
             self._require_method(method, "GET")
-            return 200, {"squares": service.global_squares()}
-        if path == "/v1/degree":
+            return 200, {"squares": service.answer("global")}
+        route = _QUERY_ROUTES.get(path)
+        if route is not None:
             self._require_method(method, "POST")
-            ps = self._read_indices(keys=("ps",))[0]
-            return 200, {"degrees": service.degrees(ps).tolist()}
-        if path == "/v1/squares/vertex":
-            self._require_method(method, "POST")
-            ps = self._read_indices(keys=("ps",))[0]
-            return 200, {"squares": service.squares_at_vertices(ps).tolist()}
-        if path == "/v1/squares/edge":
-            self._require_method(method, "POST")
-            ps, qs = self._read_indices(keys=("ps", "qs"))
-            values = service.squares_at_edges(ps, qs)
-            invalid = np.flatnonzero(values == INVALID_SQUARES)
-            if invalid.size:
-                raise _HTTPError(422, self._invalid_payload(ps, qs, invalid))
-            return 200, {"squares": values.tolist()}
-        if path == "/v1/wings":
-            self._require_method(method, "POST")
-            ps, qs = self._read_indices(keys=("ps", "qs"))
-            values = service.wings_at_edges(ps, qs)
-            invalid = np.flatnonzero(values == INVALID_SQUARES)
-            if invalid.size:
-                raise _HTTPError(422, self._invalid_payload(ps, qs, invalid))
-            return 200, {"wings": values.tolist()}
-        if path == "/v1/clustering":
-            self._require_method(method, "POST")
-            ps, qs = self._read_indices(keys=("ps", "qs"))
-            values = service.clustering_at_edges(ps, qs)
-            invalid = np.flatnonzero(np.isnan(values))
-            if invalid.size:
-                raise _HTTPError(422, self._invalid_payload(ps, qs, invalid))
-            return 200, {"clustering": values.tolist()}
+            kind, keys, answer_key = route
+            indices = self._read_indices(keys)
+            values = service.answer(kind, *indices)
+            if len(indices) == 2:
+                mask = np.isnan(values) if kind == "clustering" else values == INVALID_SQUARES
+                invalid = np.flatnonzero(mask)
+                if invalid.size:
+                    raise _HTTPError(422, self._invalid_payload(*indices, invalid))
+            return 200, {answer_key: values.tolist()}
         raise _HTTPError(404, {"error": f"unknown endpoint {path}"})
 
     # ------------------------------------------------------------------
@@ -335,17 +312,3 @@ class _OracleHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass
 
-
-def build_server(
-    service: OracleService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    info: Optional[dict[str, Any]] = None,
-) -> OracleHTTPServer:
-    """Bind (but do not run) the JSON API server.
-
-    ``port=0`` binds an ephemeral port; read the actual one from
-    ``server.server_address``.  Call ``serve_forever()`` (blocking) or
-    drive it from a thread; ``shutdown()`` + ``server_close()`` to stop.
-    """
-    return OracleHTTPServer((host, port), service, info=info)

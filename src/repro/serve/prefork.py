@@ -1,19 +1,18 @@
-"""Pre-fork multi-process serving front end (gunicorn-sync shaped).
+"""The pre-fork multi-process serving front end (gunicorn-sync shaped).
 
-The threaded front end (:mod:`repro.serve.http`) tops out near the cost
-of stdlib HTTP parsing plus the GIL: one Python process does all the
-protocol work.  This module runs the classic pre-fork pattern instead:
+This is the one front end ``repro serve`` boots.  It runs the classic
+pre-fork pattern:
 
 1. the **parent** binds the listening socket, loads the oracle artifact
    **once** with ``load_oracle(..., mmap=True)`` -- every large array
    (CSR triplets, stats vectors, coefficient stacks) is a read-only
    page-cache view of ``oracle.npz``, never a per-process copy;
-2. it forks ``workers`` children that each ``accept()`` on the shared
-   socket and serve connections with their own
-   :class:`~repro.serve.service.OracleService` over the shared arrays
-   (small derived state rides fork copy-on-write; the big arrays are
-   file-backed, so per-worker RSS stays flat as workers scale --
-   asserted in ``tests/serve/test_prefork.py``);
+2. it forks ``workers`` children (``--workers-procs``, default 1) that
+   each ``accept()`` on the shared socket and serve connections with
+   their own :class:`~repro.serve.service.OracleService` over the
+   shared arrays (small derived state rides fork copy-on-write; the big
+   arrays are file-backed, so per-worker RSS stays flat as workers
+   scale -- asserted in ``tests/serve/test_prefork.py``);
 3. the parent supervises: a crashed worker is respawned, SIGTERM fans
    out for a graceful drain (in-flight requests complete, keep-alive
    connections release, workers exit 0), and each worker's metrics
@@ -23,13 +22,13 @@ protocol work.  This module runs the classic pre-fork pattern instead:
 Both protocols share one port.  The first byte of a connection decides:
 ``0x9f`` (the :data:`repro.serve.wire.MAGIC` prefix, outside printable
 ASCII) selects the binary batch protocol, anything else is HTTP/1.1
-JSON handled by the exact same handler class as the threaded server.
-Connections are keep-alive in both protocols; wire connections may
-pipeline any number of frames.
+JSON (:mod:`repro.serve.http`).  Either way a query is answered by
+:meth:`~repro.serve.service.OracleService.answer` on the connection's
+thread.  Connections are keep-alive in both protocols; wire
+connections may pipeline any number of frames.
 
-``repro serve --workers-procs N`` boots this front end;
 ``benchmarks/bench_serve.py`` records the HTTP-vs-wire-vs-in-process
-throughput trajectory over it.
+throughput trajectory over this front end.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import os
 import select
 import signal
 import socket
-import sys
 import tempfile
 import threading
 import time
@@ -50,7 +48,7 @@ from repro import obs
 from repro.obs import get_events, get_metrics
 from repro.serve import wire
 from repro.serve.artifact import artifact_info, load_oracle
-from repro.serve.http import HandlerContext
+from repro.serve.http import HandlerContext, count_internal_error
 from repro.serve.service import OracleService, Overloaded
 
 __all__ = ["PreforkServer", "PROTOCOLS"]
@@ -112,12 +110,13 @@ class PreforkServer:
     """Parent handle: bind, fork, supervise, drain, merge.
 
     Parameters mirror ``repro serve``: ``workers`` forked serving
-    processes (each also running ``batcher_threads`` service batchers
-    for the HTTP path), ``protocol`` limiting what the port speaks,
-    ``grace`` seconds for the SIGTERM drain, and ``mmap`` selecting the
-    zero-copy artifact load (on by default -- the point of this front
-    end).  ``start()`` returns in the parent once the socket is bound
-    and every worker is forked; clients may connect immediately
+    processes, ``protocol`` limiting what the port speaks, ``max_queue``
+    capping each worker's requests in progress (beyond it requests
+    shed), ``cache_size`` sizing each worker's result cache, ``grace``
+    seconds for the SIGTERM drain, and ``mmap`` selecting the zero-copy
+    artifact load (on by default -- the point of this front end).
+    ``start()`` returns in the parent once the socket is bound and
+    every worker is forked; clients may connect immediately
     (connections queue in the accept backlog until a worker picks them
     up).
     """
@@ -132,9 +131,7 @@ class PreforkServer:
         protocol: str = "both",
         backend: Optional[str] = None,
         max_queue: int = 1024,
-        max_batch: int = 65536,
         cache_size: int = 4096,
-        batcher_threads: int = 1,
         grace: float = 5.0,
         keepalive_timeout: float = 5.0,
         mmap: bool = True,
@@ -151,9 +148,7 @@ class PreforkServer:
         self.protocol = protocol
         self.backend = backend
         self.max_queue = max_queue
-        self.max_batch = max_batch
         self.cache_size = cache_size
-        self.batcher_threads = batcher_threads
         self.grace = grace
         self.keepalive_timeout = keepalive_timeout
         self.mmap = mmap
@@ -323,15 +318,10 @@ class _WorkerProcess:
             obs.enable()
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, self._on_sigterm)
-        service = OracleService(
-            srv.oracle,
-            max_queue=srv.max_queue,
-            max_batch=srv.max_batch,
-            cache_size=srv.cache_size,
-            workers=srv.batcher_threads,
-        ).start()
-        self.service = service
-        self.ctx = HandlerContext(service, info=srv.info, worker_label=str(self.idx))
+        self.service = OracleService(
+            srv.oracle, max_queue=srv.max_queue, cache_size=srv.cache_size
+        )
+        self.ctx = HandlerContext(self.service, info=srv.info, worker_label=str(self.idx))
         listener = srv._listener
         while not self.draining:
             try:
@@ -349,8 +339,8 @@ class _WorkerProcess:
         deadline = time.monotonic() + srv.grace
         for thread in self._snapshot_threads():
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        service.stop()
         self._write_state()
+        get_events().flush()  # os._exit skips the background flusher
         os._exit(0)
 
     def _on_sigterm(self, signum, frame) -> None:
@@ -431,10 +421,8 @@ class _WorkerProcess:
     def _serve_wire(self, conn: socket.socket) -> None:
         """Keep-alive wire loop: frames answered in order, pipelining ok.
 
-        Queries bypass the micro-batch queue through
-        :meth:`~repro.serve.service.OracleService.answer` -- one frame
-        is already a batch, and the queue's cross-thread hand-off would
-        dominate per-frame cost at wire rates.
+        One frame is already a batch, so each goes straight to
+        :meth:`~repro.serve.service.OracleService.answer`.
         """
         conn.settimeout(None)
         reader = _ConnReader(conn)
@@ -486,7 +474,8 @@ class _WorkerProcess:
             except (ValueError, IndexError) as exc:
                 status = wire.STATUS_BAD_REQUEST
                 out += wire.encode_error(status, str(exc))
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:  # defensive: a bug, not the client's fault
+                count_internal_error("wire", exc, self.ctx.worker_label)
                 status = wire.STATUS_INTERNAL
                 out += wire.encode_error(status, f"internal error: {exc}")
             if len(out) > (1 << 20):

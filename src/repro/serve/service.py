@@ -1,27 +1,30 @@
-"""In-process oracle serving: micro-batched queries, LRU cache, backpressure.
+"""In-process oracle serving: synchronous answers, LRU cache, backpressure.
 
-:class:`OracleService` sits between callers (the HTTP layer, benches,
-or library users) and a :class:`~repro.kronecker.oracle.GroundTruthOracle`.
+:class:`OracleService` sits between callers (the pre-fork front end,
+benches, or library users) and a :class:`~repro.kronecker.oracle.GroundTruthOracle`.
 Three mechanisms turn the oracle's batched kernels into a service that
 degrades gracefully under heavy traffic instead of falling over:
 
-* **Micro-batching / coalescing.**  Requests land in a queue; worker
-  threads drain up to ``max_batch`` queued query elements at a time,
-  group them by kind, and answer each group with *one* fused kernel
-  call (``degrees`` / ``squares_at_vertices`` / ``squares_at_edges``).
-  Concurrent small requests ride the same vectorized pass -- the
-  element-wise kernels make the coalesced answers bit-identical to
-  per-request calls.
+* **Synchronous answers.**  :meth:`~OracleService.answer` validates a
+  request, checks the cache, and makes one fused kernel call on the
+  caller's thread.  Both served protocols (HTTP JSON and the binary
+  wire frames of :mod:`repro.serve.prefork`) take this path.
 * **LRU result cache.**  Identical requests (same kind + same index
   values) are answered from an ``OrderedDict`` LRU without touching
-  the queue; hits and misses are counted both locally (:meth:`stats`)
+  the kernels; hits and misses are counted both locally (:meth:`stats`)
   and through :mod:`repro.obs`.  The key is ``(kind, n, SHA-256 of the
   index bytes)``, so an entry costs its answer plus ~250 bytes of key
   and LRU bookkeeping, not a copy of the request.
-* **Bounded-queue backpressure.**  Past ``max_queue`` outstanding
-  requests, :meth:`submit` sheds the request with a typed
-  :class:`Overloaded` error (HTTP 503 upstream) instead of letting
-  latency grow without bound.
+* **Backpressure.**  Once ``max_queue`` requests are in progress (or
+  queued, for :meth:`submit`), the next one sheds with a typed
+  :class:`Overloaded` error (HTTP 503, wire ``STATUS_OVERLOADED``)
+  instead of letting latency grow without bound.
+
+In-process callers with many small concurrent requests can instead
+:meth:`~OracleService.start` batcher threads and :meth:`submit`: the
+queue coalesces up to ``max_batch`` queued query elements into one
+kernel pass per kind.  The element-wise kernels make coalesced answers
+bit-identical to per-request calls.
 
 Non-edges follow the oracle's ``on_invalid="mask"`` semantics: the
 answer array carries :data:`INVALID_SQUARES` (``-1``; ``NaN`` for
@@ -51,7 +54,7 @@ _PAIR_KINDS = ("edge_squares", "clustering", "wings")
 
 
 class Overloaded(RuntimeError):
-    """Request shed: the service queue is at ``max_queue`` depth.
+    """Request shed: ``max_queue`` requests are already in progress or queued.
 
     The typed load-shedding error -- callers should back off and retry;
     the HTTP layer maps it to 503 with a ``Retry-After`` hint.
@@ -104,15 +107,18 @@ class OracleService:
     oracle:
         The oracle to serve.
     max_queue:
-        Outstanding-request bound; further submissions shed with
+        Bound on requests in progress in :meth:`answer` (or pending in
+        the :meth:`submit` queue); further requests shed with
         :class:`Overloaded`.  ``0`` sheds everything (drill mode).
     max_batch:
-        Upper bound on query *elements* coalesced into one kernel pass.
+        Upper bound on query *elements* coalesced into one kernel pass
+        by the :meth:`submit` queue.
     cache_size:
         LRU entries to keep (``0`` disables the cache).
     workers:
-        Batcher threads.  One is enough until kernel time dominates;
-        more let independent kinds proceed in parallel.
+        Batcher threads started by :meth:`start` for the :meth:`submit`
+        queue.  One is enough until kernel time dominates; more let
+        independent kinds proceed in parallel.
     """
 
     def __init__(
@@ -134,6 +140,7 @@ class OracleService:
         self.cache_size = cache_size
         self._n_workers = workers
         self._pending: deque[_Request] = deque()
+        self._inflight = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
@@ -280,19 +287,7 @@ class OracleService:
             if self._stopped:
                 raise Overloaded("service is stopped")
             if len(self._pending) >= self.max_queue:
-                self._counts["shed"] += 1
-                self._m_shed.inc()
-                if self._events.enabled:
-                    self._events.emit(
-                        "serve.queue_shed",
-                        kind=kind,
-                        depth=len(self._pending),
-                        max_queue=self.max_queue,
-                    )
-                raise Overloaded(
-                    f"queue depth {len(self._pending)} at max_queue={self.max_queue}; "
-                    "back off and retry"
-                )
+                raise self._shed(kind, len(self._pending))
             self._pending.append(req)
             self._not_empty.notify()
         return req
@@ -300,15 +295,15 @@ class OracleService:
     def answer(self, kind: str, ps: Any = None, qs: Any = None) -> Any:
         """Answer one request synchronously on the caller's thread.
 
-        The queue-free fast path behind the binary wire protocol
-        (:mod:`repro.serve.prefork`): identical validation, LRU cache,
-        masking semantics, and request/query/hit/miss tallies as the
-        :meth:`submit` path, but without the batcher hand-off -- one
-        kernel call, no :class:`threading.Event` round trip.  Coalescing
-        is the *client's* job on this path (send batched index arrays);
-        the per-frame latency saved is what lets a pre-fork worker push
-        tens of thousands of frames per second.  Does not require
-        :meth:`start` and never sheds (there is no queue to saturate).
+        The path every served request takes (HTTP JSON and wire frames
+        alike, see :mod:`repro.serve.prefork`): validation, LRU cache,
+        masking semantics and request/query/hit/miss tallies shared with
+        :meth:`submit`, then one kernel call -- no batcher hand-off, no
+        :class:`threading.Event` round trip.  Coalescing is the
+        *client's* job on this path (send batched index arrays).  Does
+        not require :meth:`start`.  A cache miss that finds
+        ``max_queue`` calls already in progress sheds with
+        :class:`Overloaded`.
         """
         ps_arr, qs_arr, key = self._validate(kind, ps, qs)
         self._counts["requests"] += 1
@@ -319,14 +314,32 @@ class OracleService:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        if kind == "global":
-            if self._global is None:
-                self._global = int(self.oracle.global_squares())
-            result: Any = self._global
-        else:
-            result = self._compute(kind, ps_arr, qs_arr)
+        with self._lock:
+            if self._inflight >= self.max_queue:
+                raise self._shed(kind, len(self._pending) + self._inflight)
+            self._inflight += 1
+        try:
+            if kind == "global":
+                if self._global is None:
+                    self._global = int(self.oracle.global_squares())
+                result: Any = self._global
+            else:
+                result = self._compute(kind, ps_arr, qs_arr)
+        finally:
+            with self._lock:
+                self._inflight -= 1
         self._cache_put(key, result)
         return result
+
+    def _shed(self, kind: str, depth: int) -> Overloaded:
+        """Count one shed request (caller holds ``_lock``); the error to raise."""
+        self._counts["shed"] += 1
+        self._m_shed.inc()
+        if self._events.enabled:
+            self._events.emit("serve.queue_shed", kind=kind, depth=depth, max_queue=self.max_queue)
+        return Overloaded(
+            f"queue depth {depth} at max_queue={self.max_queue}; back off and retry"
+        )
 
     # ------------------------------------------------------------------
     # Cache
@@ -478,8 +491,10 @@ class OracleService:
     # ------------------------------------------------------------------
 
     def queue_depth(self) -> int:
+        """Requests pending in the :meth:`submit` queue plus calls in
+        progress in :meth:`answer`."""
         with self._lock:
-            return len(self._pending)
+            return len(self._pending) + self._inflight
 
     def stats(self) -> dict[str, int]:
         """Service tallies: requests/queries served, cache hits/misses,

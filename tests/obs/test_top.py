@@ -128,6 +128,62 @@ class TestDashboard:
         assert "0 retried" in frame
 
 
+class TestUrl:
+    def test_served_frame_lists_wire_and_failure_series(self, monkeypatch):
+        """``--url`` lists both fronts' latency quantiles and every
+        response and failure counter a served /metrics carries."""
+        import io
+        import urllib.request
+
+        from repro.obs.top import run_top
+
+        latency = {"count": 4, "p50": 0.0015, "p99": 0.004}
+        body = {
+            "service": {"requests": 7, "shed": 1},
+            "metrics": {
+                "histograms": {
+                    'serve.http.latency_seconds{endpoint="v1_degree"}': latency,
+                    "serve.wire.latency_seconds": latency,
+                },
+                "counters": {
+                    'serve.http.responses_total{endpoint="v1_degree",status="200"}': 3,
+                    'serve.wire.responses_total{kind="degree",status="0"}': 4,
+                    'serve.connection_errors_total{exc="TimeoutError"}': 2,
+                    'serve.internal_errors_total{exc="RuntimeError",front="wire"}': 1,
+                    "serve.requests_total": 7,
+                },
+            },
+        }
+
+        class Response(io.BytesIO):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+        urls = []
+
+        def fake_urlopen(url, timeout):
+            urls.append(url)
+            return Response(json.dumps(body).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        out = io.StringIO()
+        assert run_top(url="http://127.0.0.1:1/", once=True, file=out) == 0
+        frame = out.getvalue()
+        assert urls == ["http://127.0.0.1:1/metrics"]
+        assert "requests=7, shed=1" in frame
+        for key in body["metrics"]["histograms"]:
+            assert key in frame
+        assert frame.count("p50=1.50ms p99=4.00ms") == 2
+        for key, value in body["metrics"]["counters"].items():
+            if key.startswith("serve.requests_total"):
+                assert key not in frame
+            else:
+                assert f"{key:<56} {value:,}" in frame
+
+
 class TestCli:
     def test_top_requires_exactly_one_source(self, capsys):
         assert main(["top"]) == 2

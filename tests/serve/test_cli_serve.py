@@ -14,6 +14,7 @@ import urllib.request
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.cli import main
 from repro.serve import SIDECAR_FILE, artifact_info, load_oracle
@@ -182,9 +183,27 @@ def test_serve_parser_defaults():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(["serve", "--artifact", "x"])
-    assert (args.port, args.workers, args.max_queue, args.cache_size) == (8571, 1, 1024, 4096)
-    assert (args.workers_procs, args.protocol, args.no_mmap) == (0, "both", False)
+    assert (args.port, args.max_queue, args.cache_size) == (8571, 1024, 4096)
+    assert (args.workers_procs, args.protocol, args.no_mmap) == (1, "both", False)
+    assert not hasattr(args, "workers")
     assert args.fn.__name__ == "_cmd_serve"
+
+
+def test_serve_rejects_zero_workers_and_the_batcher_flag(tmp_path, capsys):
+    """One front end: ``--workers-procs 0`` (the old threaded mode) and
+    ``--workers`` (its batcher threads) are usage errors."""
+    from repro.cli import build_parser
+
+    art = tmp_path / "art"
+    assert main(["pack", "complete:3", "biclique:2x3", "-o", str(art)]) == 0
+    capsys.readouterr()
+    assert main(["serve", "--artifact", str(art), "--port", "0", "--workers-procs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "workers must be >= 1" in err and "usage:" in err
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--artifact", str(art), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_pack_rejects_unwritable_dir(tmp_path, capsys):

@@ -1,18 +1,30 @@
-"""HTTP API: endpoint round-trips and the 400/422/503 failure paths."""
+"""HTTP API: endpoint round-trips and the 400/422/500/503 failure paths,
+served by the pre-fork front end."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.kronecker import GroundTruthOracle
 from repro.obs import instrument, lint_exposition
-from repro.serve import OracleService, build_server
+from repro.obs.metrics import series_key
+from repro.serve import OracleService, PreforkServer, WireClient, save_oracle
+from repro.serve import http as http_module
 from repro.serve.http import PROM_CONTENT_TYPE
+from repro.serve.wire import STATUS_INTERNAL, STATUS_OVERLOADED, WireServerError
+
+pytestmark = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="pre-fork serving needs os.fork"
+)
 
 
 class _Client:
@@ -47,37 +59,43 @@ class _Client:
         except urllib.error.HTTPError as exc:
             return exc.code, exc.read().decode("utf-8"), exc.headers.get("Content-Type")
 
-
-def _serve(service, info=None):
-    server = build_server(service, info=info)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    return server, _Client(host, port)
+    def service(self) -> dict:
+        """The worker's service tallies, as ``/metrics`` reports them."""
+        return self.get("/metrics")[1]["service"]
 
 
-@pytest.fixture
-def served(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_size=32) as service:
-        server, client = _serve(service, info={"schema": "repro.serve/1"})
-        try:
-            yield client, service, oracle_i
-        finally:
-            server.shutdown()
-            server.server_close()
+@pytest.fixture(scope="module")
+def art(oracle_i, tmp_path_factory):
+    return save_oracle(oracle_i, tmp_path_factory.mktemp("http") / "art")
+
+
+def _start(art, *, instrumented=True, **kwargs):
+    """A one-worker server; ``instrumented`` gives the worker a live registry."""
+    with instrument() if instrumented else contextlib.nullcontext():
+        return PreforkServer(art, workers=1, grace=2.0, **kwargs).start()
+
+
+@pytest.fixture(scope="module")
+def served(art, oracle_i):
+    server = _start(art, max_queue=64, cache_size=32)
+    try:
+        yield _Client("127.0.0.1", server.port), oracle_i
+    finally:
+        server.stop()
 
 
 def test_healthz(served):
-    client, service, _ = served
+    client, _ = served
     status, body = client.get("/healthz")
     assert status == 200
     assert body["status"] == "ok"
     assert body["artifact"]["schema"] == "repro.serve/1"
+    assert body["worker"] == "0"
     assert body["queue_depth"] == 0
 
 
 def test_degree_endpoint_matches_oracle(served):
-    client, _, oracle = served
+    client, oracle = served
     ps = list(range(oracle.bk.n))
     status, body = client.post("/v1/degree", {"ps": ps})
     assert status == 200
@@ -88,7 +106,7 @@ def test_degree_endpoint_matches_oracle(served):
 
 
 def test_vertex_squares_endpoint_matches_oracle(served):
-    client, _, oracle = served
+    client, oracle = served
     ps = list(range(oracle.bk.n))
     status, body = client.post("/v1/squares/vertex", {"ps": ps})
     assert status == 200
@@ -96,7 +114,7 @@ def test_vertex_squares_endpoint_matches_oracle(served):
 
 
 def test_edge_endpoints_match_oracle(served, edges_i):
-    client, _, oracle = served
+    client, oracle = served
     ep, eq = (a.tolist() for a in edges_i)
     status, body = client.post("/v1/squares/edge", {"ps": ep, "qs": eq})
     assert status == 200
@@ -108,13 +126,13 @@ def test_edge_endpoints_match_oracle(served, edges_i):
 
 
 def test_global_endpoint(served):
-    client, _, oracle = served
+    client, oracle = served
     status, body = client.get("/v1/global")
     assert (status, body["squares"]) == (200, oracle.global_squares())
 
 
 def test_metrics_endpoint(served):
-    client, service, _ = served
+    client, _ = served
     client.post("/v1/degree", {"ps": [0]})
     status, body = client.get("/metrics")
     assert status == 200
@@ -124,11 +142,10 @@ def test_metrics_endpoint(served):
 
 def test_metrics_prometheus_exposition(served):
     """Live registry + traffic -> a lintable scrape with labeled series."""
-    client, _, _ = served
-    with instrument():
-        client.post("/v1/degree", {"ps": [0]})
-        client.post("/v1/degree", {"qs": [0]})  # a 400, for the status label
-        status, text, content_type = client.get_raw("/metrics?format=prometheus")
+    client, _ = served
+    client.post("/v1/degree", {"ps": [0]})
+    client.post("/v1/degree", {"qs": [0]})  # a 400, for the status label
+    status, text, content_type = client.get_raw("/metrics?format=prometheus")
     assert status == 200
     assert content_type == PROM_CONTENT_TYPE
     assert lint_exposition(text) == []
@@ -149,25 +166,30 @@ def test_metrics_prometheus_exposition(served):
     assert sample("repro_serve_service_requests")
 
 
-def test_metrics_prometheus_works_on_null_registry(served):
+def test_metrics_prometheus_works_on_null_registry(art):
     """No instrumentation installed: exposition is valid, service gauges only."""
-    client, _, _ = served
-    client.post("/v1/degree", {"ps": [0]})
-    status, text, _ = client.get_raw("/metrics?format=prometheus")
+    server = _start(art, instrumented=False)
+    try:
+        client = _Client("127.0.0.1", server.port)
+        client.post("/v1/degree", {"ps": [0]})
+        status, text, _ = client.get_raw("/metrics?format=prometheus")
+    finally:
+        server.stop()
     assert status == 200
     assert lint_exposition(text) == []
     assert "repro_serve_service_requests" in text
+    assert "repro_serve_http_responses_total" not in text
 
 
 def test_metrics_unknown_format_is_400(served):
-    client, _, _ = served
+    client, _ = served
     status, body = client.get("/metrics?format=xml")
     assert status == 400
     assert "unknown format" in body["error"]
 
 
 def test_malformed_json_is_400(served):
-    client, _, _ = served
+    client, _ = served
     status, body = client.post("/v1/degree", None, raw=b"{not json")
     assert status == 400
     assert "not valid JSON" in body["error"]
@@ -190,21 +212,21 @@ def test_malformed_json_is_400(served):
     ],
 )
 def test_wrong_arity_and_shape_are_400(served, path, body, fragment):
-    client, _, _ = served
+    client, _ = served
     status, payload = client.post(path, body)
     assert status == 400, payload
     assert fragment in payload["error"]
 
 
 def test_out_of_range_vertex_is_400(served):
-    client, _, oracle = served
+    client, oracle = served
     status, payload = client.post("/v1/degree", {"ps": [oracle.bk.n]})
     assert status == 400
     assert "out of range" in payload["error"]
 
 
 def test_non_edge_is_422_with_slots(served):
-    client, _, _ = served
+    client, _ = served
     status, payload = client.post("/v1/squares/edge", {"ps": [0, 0], "qs": [0, 0]})
     assert status == 422
     assert payload["invalid"] == [0, 1]
@@ -215,7 +237,7 @@ def test_non_edge_is_422_with_slots(served):
 
 def test_mixed_batch_names_only_invalid_slots(served, edges_i):
     """One bad pair in a batch: 422 names its slot, not the whole batch."""
-    client, _, _ = served
+    client, _ = served
     ep, eq = edges_i
     status, payload = client.post(
         "/v1/squares/edge", {"ps": [int(ep[0]), 0], "qs": [int(eq[0]), 0]}
@@ -225,36 +247,40 @@ def test_mixed_batch_names_only_invalid_slots(served, edges_i):
 
 
 def test_unknown_endpoint_404_wrong_method_405(served):
-    client, _, _ = served
+    client, _ = served
     assert client.get("/v1/nonsense")[0] == 404
     assert client.get("/v1/degree")[0] == 405
     assert client.post("/v1/global", {})[0] == 405
     assert client.post("/healthz", {})[0] == 405
 
 
-def test_saturated_service_sheds_503(oracle_i):
-    """max_queue=0 + no workers: every query sheds with 503 + counter."""
-    service = OracleService(oracle_i, max_queue=0, cache_size=0)  # not started
-    server, client = _serve(service)
+def test_saturated_service_sheds_503(art):
+    """max_queue=0: every query sheds, 503 over HTTP and OVERLOADED over
+    wire on the same port, each counted once."""
+    server = _start(art, max_queue=0, cache_size=0)
     try:
-        before = service.stats()["shed"]
+        client = _Client("127.0.0.1", server.port)
+        before = client.service()["shed"]
         status, payload = client.post("/v1/degree", {"ps": [0]})
         assert status == 503
-        assert "back off and retry" in payload["error"]
+        assert payload == {"error": "queue depth 0 at max_queue=0; back off and retry"}
         status, _ = client.get("/v1/global")
         assert status == 503
-        assert service.stats()["shed"] == before + 2
+        with WireClient("127.0.0.1", server.port) as wire:
+            with pytest.raises(WireServerError, match="back off and retry") as exc:
+                wire.degrees([0])
+        assert exc.value.status == STATUS_OVERLOADED
+        assert client.service()["shed"] == before + 3
         # Liveness endpoints keep answering while queries shed.
         assert client.get("/healthz")[0] == 200
         assert client.get("/metrics")[0] == 200
     finally:
-        server.shutdown()
-        server.server_close()
+        server.stop()
 
 
 def test_keep_alive_survives_errors(served):
     """Errors mid-connection never desync subsequent requests."""
-    client, _, oracle = served
+    client, oracle = served
     for _ in range(3):
         assert client.post("/v1/degree", None, raw=b"xx")[0] == 400
         status, body = client.post("/v1/degree", {"ps": [0]})
@@ -262,7 +288,7 @@ def test_keep_alive_survives_errors(served):
 
 
 def test_answers_bit_identical_under_concurrency(served, edges_i):
-    client, _, oracle = served
+    client, oracle = served
     ep, eq = edges_i
     expected = oracle.squares_at_edges(ep, eq).tolist()
     errors: list[str] = []
@@ -284,3 +310,78 @@ def test_answers_bit_identical_under_concurrency(served, edges_i):
     for t in threads:
         t.join()
     assert not errors, errors[:3]
+
+
+def test_json_queries_take_the_synchronous_path(art, monkeypatch):
+    """A worker answers JSON with ``answer()`` on the connection thread:
+    no kernel batches, and the batcher threads (``oracle-serve-*``, only
+    ever spawned by ``OracleService.start``) never start."""
+
+    def refuse(self):
+        raise AssertionError("a pre-fork worker started the batcher threads")
+
+    monkeypatch.setattr(OracleService, "start", refuse)
+    server = _start(art, cache_size=0)
+    try:
+        client = _Client("127.0.0.1", server.port)
+        for p in range(20):
+            assert client.post("/v1/degree", {"ps": [p % 6]})[0] == 200
+        stats = client.service()
+    finally:
+        server.stop()
+    assert stats["batches"] == 0
+    assert stats["requests"] == stats["misses"] == 20
+
+
+def test_http_latency_covers_the_send(art, monkeypatch):
+    """The latency histogram closes after the response is written."""
+    send = http_module._OracleHandler._send
+
+    def slow_send(self, status, payload):
+        time.sleep(0.05)
+        send(self, status, payload)
+
+    monkeypatch.setattr(http_module._OracleHandler, "_send", slow_send)
+    server = _start(art)
+    try:
+        client = _Client("127.0.0.1", server.port)
+        assert client.post("/v1/degree", {"ps": [0]})[0] == 200
+        histograms = client.get("/metrics")[1]["metrics"]["histograms"]
+    finally:
+        server.stop()
+    latency = histograms[series_key("serve.http.latency_seconds", {"endpoint": "v1_degree"})]
+    assert latency["count"] == 1
+    assert latency["p50"] >= 0.05
+
+
+def test_internal_errors_are_counted_per_front(art, tmp_path, monkeypatch):
+    """A failing kernel answers 500 over HTTP and STATUS_INTERNAL over
+    wire; each bumps the labeled counter once and emits an event."""
+    from repro.obs import events_to, read_events
+
+    def broken(self, ps):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(GroundTruthOracle, "degrees", broken)
+    events_path = tmp_path / "ev.jsonl"
+    with events_to(str(events_path)):
+        server = _start(art, cache_size=0)
+        try:
+            client = _Client("127.0.0.1", server.port)
+            status, payload = client.post("/v1/degree", {"ps": [0]})
+            assert (status, payload) == (500, {"error": "internal error: kernel exploded"})
+            with WireClient("127.0.0.1", server.port) as wire:
+                with pytest.raises(WireServerError, match="kernel exploded") as exc:
+                    wire.degrees([0])
+            assert exc.value.status == STATUS_INTERNAL
+            counters = client.get("/metrics")[1]["metrics"]["counters"]
+        finally:
+            server.stop()
+    for front in ("http", "wire"):
+        key = series_key("serve.internal_errors_total", {"front": front, "exc": "RuntimeError"})
+        assert counters[key] == 1
+    events = [e for e in read_events(events_path) if e["kind"] == "serve.internal_error"]
+    assert sorted((e["front"], e["exc"], e["worker"]) for e in events) == [
+        ("http", "RuntimeError", "0"),
+        ("wire", "RuntimeError", "0"),
+    ]

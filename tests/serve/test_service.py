@@ -202,6 +202,79 @@ def test_max_queue_zero_sheds_everything(oracle_i):
     assert svc.stats()["shed"] == 1
 
 
+def test_answer_sheds_past_max_queue_calls_in_progress(oracle_i):
+    """``answer()`` caps calls in progress: with one kernel call blocked
+    and ``max_queue=1``, a second miss sheds, a cache hit still answers,
+    and the cap frees once the call returns."""
+    entered, release = threading.Event(), threading.Event()
+
+    class Blocking:
+        bk = oracle_i.bk
+
+        def degrees(self, ps):
+            entered.set()
+            release.wait(5.0)
+            return oracle_i.degrees(ps)
+
+        def squares_at_vertices(self, ps):
+            return oracle_i.squares_at_vertices(ps)
+
+    svc = OracleService(Blocking(), max_queue=1, cache_size=8)
+    hot = svc.answer("vertex_squares", [0])
+    blocked = threading.Thread(target=svc.answer, args=("degree", [1]))
+    blocked.start()
+    try:
+        assert entered.wait(5.0)
+        assert svc.stats()["queue_depth"] == 1
+        with pytest.raises(Overloaded, match="queue depth 1 at max_queue=1"):
+            svc.answer("vertex_squares", [2])
+        assert np.array_equal(svc.answer("vertex_squares", [0]), hot)
+    finally:
+        release.set()
+        blocked.join(5.0)
+    stats = svc.stats()
+    assert (stats["shed"], stats["queue_depth"], stats["batches"]) == (1, 0, 0)
+    assert svc.answer("vertex_squares", [2]).tolist() == [oracle_i.squares_at_vertex(2)]
+
+
+def test_inflight_cap_survives_thread_contention(oracle_i):
+    """Many threads racing through ``answer()`` past a small cap: every
+    call is answered or shed, and the in-flight tally returns to zero (a
+    lost update would leave it stuck and shed everything after)."""
+    import sys
+
+    svc = OracleService(oracle_i, max_queue=2, cache_size=0)
+    n_threads, calls = 8, 50
+    outcomes: list[str] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def worker(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        for _ in range(calls):
+            ps = rng.integers(0, oracle_i.bk.n, size=4)
+            try:
+                got = svc.answer("vertex_squares", ps)
+            except Overloaded:
+                outcomes.append("shed")
+            else:
+                ok = np.array_equal(got, oracle_i.squares_at_vertices(ps))
+                outcomes.append("ok" if ok else "wrong")
+
+    threads = [threading.Thread(target=worker, args=(s,)) for s in range(n_threads)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(outcomes) == n_threads * calls and "wrong" not in outcomes
+    assert svc.queue_depth() == 0
+    assert svc.answer("degree", [0]).tolist() == [oracle_i.degree(0)]
+
+
 def test_stop_fails_pending_requests(oracle_i):
     svc = OracleService(oracle_i, max_queue=8, cache_size=0)
     handle = svc.submit("degree", [0])

@@ -7,14 +7,14 @@ One contract, three transports: the batched service answer, the HTTP
 
 import io
 import json
-import threading
+import os
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.serve.http import build_server
+from repro.serve import PreforkServer, save_oracle
 from repro.serve.service import INVALID_SQUARES, OracleService
 from repro.serve.wire import (
     KINDS,
@@ -97,18 +97,13 @@ class _Client:
             return exc.code, json.loads(exc.read())
 
 
-@pytest.fixture
-def served(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_size=32) as service:
-        server = build_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            yield _Client(host, port), oracle_i
-        finally:
-            server.shutdown()
-            server.server_close()
+@pytest.fixture(scope="module")
+def served(oracle_i, tmp_path_factory):
+    if not hasattr(os, "fork"):
+        pytest.skip("pre-fork serving needs os.fork")
+    art = save_oracle(oracle_i, tmp_path_factory.mktemp("wings") / "art")
+    with PreforkServer(art, workers=1, max_queue=64, cache_size=32, grace=2.0) as server:
+        yield _Client("127.0.0.1", server.port), oracle_i
 
 
 class TestHttp:
