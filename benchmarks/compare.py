@@ -1,6 +1,7 @@
 """Benchmark comparison between two ``BENCH_*.json`` records — warn or GATE.
 
-CI runs the quick-mode benchmarks, then::
+The smoke driver (``benchmarks/smoke.py``) runs each quick-mode
+benchmark, then::
 
     PYTHONPATH=src python benchmarks/compare.py baseline.json current.json \
         --max-regression 0.25
@@ -14,15 +15,15 @@ Rows are matched by bench name; every shared ``*_per_s`` (and
 * **Gate** (``--max-regression X``): a uniform per-metric tolerance.
   Any enforced row regressing more than ``X`` (relative), or any bench
   missing from the current record, makes the process exit **1** — the
-  perf-regression gate the CI bench-smoke job enforces across the
-  generation / parallel / kernels / serve records.
+  perf-regression gate the smoke driver enforces on every committed
+  ``BENCH_*.json`` record.
 
 Enforcement is mode-aware: a row is *enforced* only when baseline and
 current agree on the ``quick`` flag.  Committed baselines come from
 full-mode local runs while CI measures quick mode on noisy shared
 runners — those cross-mode rows are structurally incomparable, so they
 stay advisory (printed with ``~``) even under ``--max-regression``.
-The CI drill proves the gate bites: it clones the current record,
+The driver's gate drill proves the gate bites: it clones the current record,
 inflates one throughput field in the clone, and asserts that comparing
 current-vs-clone (same mode on both sides) exits non-zero.
 """

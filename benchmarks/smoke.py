@@ -1,0 +1,348 @@
+"""Smoke driver: re-check every feature's recorded numbers, locally or in CI.
+
+    PYTHONPATH=src python benchmarks/smoke.py [FAMILY ...]   # default: all
+
+One loop runs each family of ``FAMILIES``: copy the committed
+``BENCH_<f>.json`` aside; ``REPRO_BENCH_QUICK=1 pytest
+benchmarks/bench_<f>.py``; validate the fresh record (``python -m
+repro.obs`` plus the family's field checks); gate it with ``compare.py
+--max-regression 0.25`` against the committed copy; run the family's
+extra steps; run its ``repro verify`` tier and check the report; run its
+perturbation drill, which must exit 4.  Outputs land in
+``smoke-out/<f>/`` and the committed record is restored in a
+``finally``.  Exit status 0 means every family passed.
+"""
+
+from __future__ import annotations
+
+import fnmatch
+import importlib.util
+import json
+import operator
+import os
+import re
+import shutil
+import subprocess
+import sys
+import time
+import traceback
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from repro.obs import read_events
+from repro.parallel import load_manifest, read_shard_arrays
+
+ROOT = Path(__file__).resolve().parent.parent
+MAX_REGRESSION = "0.25"
+DIVERGENCE_EXIT = 4  # ``repro verify`` found a divergence
+RETRIES_EXHAUSTED_EXIT = 3  # ``repro shards`` ran out of retries
+SHARD_SPEC = ["complete:3", "biclique:2x3"]
+
+
+class Field(str):
+    """A check bound naming another field of the same row."""
+
+
+# (bench row, or a glob over rows, field, operator, bound)
+Check = tuple[str, str, str, object]
+OPS: dict[str, Callable[[object, object], bool]] = {
+    ">": operator.gt, ">=": operator.ge, "<=": operator.le, "==": operator.eq,
+    "set": lambda value, _: bool(value)}
+
+
+class SmokeFailure(Exception):
+    """A smoke check failed; the message names it."""
+
+
+def run(cmd: Sequence[str], *, env: Optional[dict] = None, expect: Optional[int] = 0,
+        capture: bool = False) -> subprocess.CompletedProcess:
+    """Run ``cmd`` from the repository root with ``src`` importable and
+    require exit code ``expect`` (``None``: any non-zero code)."""
+    print("+", " ".join(cmd))
+    proc = subprocess.run(
+        cmd, cwd=ROOT, text=True, capture_output=capture,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **(env or {})},
+    )
+    if capture:
+        sys.stdout.write(proc.stdout)
+        sys.stderr.write(proc.stderr)
+    ok = proc.returncode != 0 if expect is None else proc.returncode == expect
+    if not ok:
+        want = "non-zero" if expect is None else expect
+        raise SmokeFailure(f"{' '.join(cmd[1:5])} ... exited {proc.returncode}, want {want}")
+    return proc
+
+
+def py(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return run([sys.executable, *args], **kwargs)
+
+
+def need(ok: bool, what: str) -> None:
+    if not ok:
+        raise SmokeFailure(what)
+
+
+def field_failures(checks: Sequence[Check], record: dict) -> list[str]:
+    """Every field check the record's rows fail (empty when all pass)."""
+    rows = {row["bench"]: row for row in record["benches"]}
+    failures = []
+    for bench, field, op, bound in checks:
+        for name in fnmatch.filter(rows, bench) or [bench]:
+            row = rows.get(name, {})
+            value = row.get(field)
+            ref = row.get(bound) if isinstance(bound, Field) else bound
+            try:
+                ok = OPS[op](value, ref)
+            except TypeError:
+                ok = False
+            if not ok:
+                failures.append(f"{name}.{field} = {value!r}, want {op} {bound!r} ({ref!r})")
+    return failures
+
+
+def check_report(path: Path, *, tier: str, min_cases: int, perturbation: Optional[str]) -> None:
+    """Check a ``repro verify`` report: a clean pass, or a caught drill."""
+    report = json.loads(path.read_text())
+    need(report["tier"] == tier and report["perturbation"] == perturbation,
+         f"{path.name}: tier {report['tier']!r}, perturbation {report['perturbation']!r}")
+    if perturbation is None:
+        need(report["passed"] is True and report["divergences"] == 0
+             and report["cases"] >= min_cases,
+             f"{path.name}: {report['divergences']} divergences in {report['cases']} cases")
+    else:
+        need(report["divergences"] > 0, f"{path.name}: drill caught nothing")
+        need("edges" in report["witnesses"][0]["factors"]["A"],
+             "witness must carry reproducible factors")
+    print(f"{path.name} ok: {report['cases']} cases, {report['divergences']} divergences")
+
+
+def skip_record(out: Path, name: str, reason: str, **fields) -> None:
+    """Write and print an explicit skip record instead of a vacuous pass."""
+    skip = {"skipped": True, **fields, "reason": reason}
+    (out / f"{name}_skipped.json").write_text(json.dumps(skip, indent=2))
+    print("wrote explicit skip record:", skip)
+
+
+# Family-specific extra steps; each takes the family's output directory.
+
+
+def cli_profile_smoke(out: Path) -> None:
+    """``--profile`` / ``--metrics-out`` on the generate subcommand."""
+    py("-m", "repro", "generate", "complete:3", "path:4", "--profile",
+       "--metrics-out", str(out / "run.json"), "-o", str(out / "edges.txt"))
+    py("-m", "repro.obs", str(out / "run.json"))
+
+
+def numba_leg(out: Path) -> None:
+    """Quick kernels rows under numba: the same gate, plus the admission
+    evidence that numba beats numpy on the batched-query rows."""
+    numba = out / "BENCH_kernels_numba.json"
+    py("-m", "pytest", "benchmarks/bench_kernels.py", "-q",
+       env={"REPRO_BENCH_QUICK": "1", "REPRO_KERNEL_BACKEND": "numba"})
+    shutil.move(ROOT / "BENCH_kernels.json", numba)
+    py("benchmarks/compare.py", str(out / "baseline_BENCH_kernels.json"), str(numba),
+       "--max-regression", MAX_REGRESSION)
+    rows_np = {r["bench"]: r for r in json.loads((out / "BENCH_kernels.json").read_text())["benches"]}
+    rows_nb = {r["bench"]: r for r in json.loads(numba.read_text())["benches"]}
+    ran_on = {r.get("backend") for r in rows_nb.values()}
+    if ran_on != {"numba"}:
+        return skip_record(out, "BENCH_kernels_numba", "numba backend unavailable on this "
+                           "runner; admission comparison not applicable",
+                           requested_backend="numba", rows_ran_on=sorted(b for b in ran_on if b))
+    seconds = {b: (rows_np[b]["batch_seconds"], rows_nb[b]["batch_seconds"])
+               for b in ("test_batched_vs_scalar_vertex_queries", "test_batched_vs_scalar_edge_queries")}
+    print("batch seconds (numpy, numba):", seconds)
+    slower = [b for b, (t_np, t_nb) in seconds.items() if t_nb > t_np]
+    need(not slower, f"numba slower than numpy on {slower}: admission evidence failed")
+
+
+def gate_drill(out: Path) -> None:
+    """The gate must bite: a clone with one throughput inflated 10x is a
+    same-mode baseline the fresh record regresses against."""
+    record = json.loads((out / "BENCH_serve.json").read_text())
+    row = {r["bench"]: r for r in record["benches"]}["test_serve_throughput_vs_concurrency"]
+    row["queries_per_s"] *= 10.0
+    (out / "inflated_baseline.json").write_text(json.dumps(record))
+    py("benchmarks/compare.py", str(out / "inflated_baseline.json"), str(out / "BENCH_serve.json"),
+       "--max-regression", MAX_REGRESSION, expect=None)
+
+
+def shard_drills(out: Path) -> None:
+    """Crash/resume, killed-worker and cross-codec drills on ``repro shards``."""
+    def shards(out_dir: str, *args: str, **kwargs):
+        return py("-m", "repro", "shards", *SHARD_SPEC, "--out-dir", str(out / out_dir),
+                  "--workers", "2", *args, **kwargs)
+
+    # Crash mid-flight; the event log must survive without a torn line.
+    events = str(out / "crash_events.jsonl")
+    shards("crash", "--shards", "6", "--fault-rate", "0.5", "--fault-seed", "7",
+           "--retries", "0", "--events-out", events, expect=RETRIES_EXHAUSTED_EXIT)
+    need((out / "crash" / "manifest.json").is_file(), "crashed run left no manifest")
+    kinds = {e["kind"] for e in read_events(events, strict=True)}
+    need(Path(events).read_bytes().endswith(b"\n"), "event log must end with a complete line")
+    need({"shards.planned", "task.failed"} <= kinds, f"crash event kinds {sorted(kinds)}")
+    # Resume, render it, and match a clean pass checksum for checksum.
+    shards("crash", "--shards", "6", "--resume", "--verify", "--profile", "--events-out", events)
+    top = py("-m", "repro", "top", "--events", events, "--once", capture=True).stdout
+    (out / "top.txt").write_text(top)
+    need(re.search(r"shards +\[#+\] 6/6", top) is not None, "repro top lacks shards 6/6")
+    shards("clean", "--shards", "6", "--verify")
+    crash, clean = load_manifest(out / "crash"), load_manifest(out / "clean")
+    need(crash.is_complete() and clean.is_complete(), "incomplete manifest after resume")
+    diverged = [k for k in clean.shards if crash.shards[k].checksum != clean.shards[k].checksum]
+    need(not diverged, f"crash/resume checksum divergence in shards {diverged}")
+    # A worker killed by os._exit: pool rebuilt, retried, log intact.
+    kill_events = str(out / "kill_events.jsonl")
+    shards("kill", "--shards", "4", "--fault-rate", "0.3", "--fault-seed", "2",
+           "--fault-mode", "kill", "--retries", "4", "--verify", "--events-out", kill_events)
+    need(any(e["kind"] == "shards.finished" for e in read_events(kill_events, strict=True)),
+         "kill drill never finished")
+    # Every codec decodes to the same content (checksums hash decoded arrays).
+    codecs = ["raw", "deflate"] + (["zstd"] if importlib.util.find_spec("zstandard") else [])
+    if "zstd" not in codecs:
+        skip_record(out, "zstd_roundtrip", "zstandard not installed; zstd codec not exercised",
+                    codec="zstd")
+    unions = {}
+    for codec in codecs:
+        shards(f"codec_{codec}", "--shards", "4", "--format", "edges", "--codec", codec,
+               "--ground-truth", "--verify")
+        manifest = load_manifest(out / f"codec_{codec}")
+        need(manifest.is_complete(), f"{codec} run incomplete")
+        raw = load_manifest(out / "codec_raw")
+        diverged = [k for k, shard in manifest.shards.items()
+                    if shard.checksum != raw.shards[k].checksum]
+        need(not diverged, f"{codec} shard checksums differ from raw in {diverged}")
+        arrays = [read_shard_arrays(p, verify=True)
+                  for p in sorted((out / f"codec_{codec}").glob("shard_*")) if p.suffix != ".json"]
+        union = np.concatenate([np.stack([a["p"], a["q"], a["squares"]]) for a in arrays], axis=1)
+        unions[codec] = union[:, np.lexsort(union[::-1])]
+        need(np.array_equal(unions[codec], unions["raw"]), f"{codec} decoded union differs")
+    print(f"cross-codec ok: {unions['raw'].shape[1]:,} entries identical across {codecs}")
+    # Without the wheel, --codec zstd fails with an error naming the extra.
+    blocked = ("import sys; sys.modules['zstandard'] = None; from repro.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+    err = py("-c", blocked, "shards", *SHARD_SPEC, "--out-dir", str(out / "nozstd"),
+             "--shards", "2", "--workers", "1", "--format", "edges", "--codec", "zstd",
+             expect=None, capture=True).stderr
+    need("zstandard" in err.lower(), "missing-zstd error does not name the extra")
+
+
+@dataclass(frozen=True)
+class Family:
+    bench: bool = True  # benchmarks/bench_<f>.py recording BENCH_<f>.json
+    checks: tuple[Check, ...] = ()
+    verify: tuple[str, ...] = ()  # ``repro verify`` arguments of the referee tier
+    min_cases: int = 1
+    drill: Optional[str] = None  # ``--perturb`` value; must exit 4
+    extra: Optional[Callable[[Path], None]] = None
+
+
+FAMILIES: dict[str, Family] = {
+    "generation": Family(
+        checks=(("test_generation_throughput", "directed_entries", ">", 0),),
+        extra=cli_profile_smoke),
+    "parallel": Family(checks=(
+        ("test_parallel_edge_count", "directed_entries", ">", 0),
+        ("test_parallel_butterfly_count", "butterflies", ">", 0),
+        ("test_shard_generation_fault_tolerance", "directed_entries", ">", 0))),
+    "kernels": Family(
+        checks=(("test_edge_squares_product_fused_vs_legacy", "speedup", ">", 0),
+                ("test_batched_vs_scalar_vertex_queries", "throughput_ratio", ">", 0),
+                ("*", "backend", "set", None)),
+        verify=("--seed", "0", "--trials", "20", "--max-factor-size", "4"),
+        drill="beta-sign", extra=numba_leg),
+    "serve": Family(
+        checks=(("test_serve_throughput_vs_concurrency", "queries_per_s", ">", 0),
+                ("test_serve_cache_on_vs_off", "cache_hit_rate", ">", 0),
+                ("test_serve_http_round_trip", "http_requests_per_s", ">", 0),
+                # The pre-fork trajectory rows carry protocol + worker levels.
+                ("test_serve_prefork_http_keepalive", "protocol", "==", "json"),
+                ("test_serve_prefork_wire_pipeline", "protocol", "==", "wire"),
+                ("test_serve_prefork_*", "requests_per_s", ">", 0),
+                ("test_serve_prefork_*", "levels", "set", None)),
+        extra=gate_drill),
+    "obs": Family(checks=(
+        ("test_stream_overhead_enabled_vs_null", "null_edges_per_s", ">", 0),
+        ("test_stream_overhead_enabled_vs_null", "enabled_edges_per_s", ">", 0),
+        ("test_event_log_emit_flush_throughput", "dropped", "==", 0))),
+    "scale": Family(
+        checks=(("test_stream_throughput_droop", "entries_per_s", ">", 0),
+                ("test_stream_throughput_droop", "large_entries", ">", Field("small_entries")),
+                # Degree-aware cuts stay balanced where naive row ranges skew.
+                ("test_degree_partitioner_imbalance", "degree_imbalance", "<=", 1.3),
+                ("test_degree_partitioner_imbalance", "rows_imbalance", ">=", 2.0)),
+        verify=("--tier", "scale"), min_cases=4),
+    "wings": Family(
+        # Rem. 1 from the record: the peeled maximum never exceeds the
+        # closed-form bound, and certified zeros had real edges to bite on.
+        checks=(("test_peel_vs_oracle_bounds", "max_wing", "<=", Field("max_wing_bound")),
+                ("test_peel_vs_oracle_bounds", "certified_zero_edges", ">", 0),
+                ("test_wing_bound_query_throughput", "queries_per_s", ">", 0),
+                ("test_chain_wing_stream", "entries_per_s", ">", 0)),
+        verify=("--tier", "wings"), min_cases=8, drill="wing-support"),
+    "shards": Family(bench=False, extra=shard_drills),
+}
+
+
+def run_family(name: str) -> None:
+    fam = FAMILIES[name]
+    out = ROOT / "smoke-out" / name
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
+    if fam.bench:
+        record = ROOT / f"BENCH_{name}.json"
+        committed = record.read_bytes()
+        baseline, fresh = out / f"baseline_BENCH_{name}.json", out / f"BENCH_{name}.json"
+        baseline.write_bytes(committed)
+        try:
+            py("-m", "pytest", f"benchmarks/bench_{name}.py", "-q", env={"REPRO_BENCH_QUICK": "1"})
+            shutil.move(record, fresh)
+            py("-m", "repro.obs", str(fresh))
+            failures = field_failures(fam.checks, json.loads(fresh.read_text()))
+            need(not failures, f"BENCH_{name}.json field checks: {failures}")
+            py("benchmarks/compare.py", str(baseline), str(fresh), "--max-regression", MAX_REGRESSION)
+            if fam.extra:
+                fam.extra(out)
+        finally:
+            record.write_bytes(committed)
+    elif fam.extra:
+        fam.extra(out)
+    tier = fam.verify[fam.verify.index("--tier") + 1] if "--tier" in fam.verify else "standard"
+    if fam.verify:
+        report = out / f"verify_{tier}.json"
+        py("-m", "repro", "verify", *fam.verify, "--report-out", str(report))
+        check_report(report, tier=tier, min_cases=fam.min_cases, perturbation=None)
+    if fam.drill:
+        report = out / f"verify_{fam.drill}.json"
+        py("-m", "repro", "verify", *fam.verify, "--perturb", fam.drill,
+           "--report-out", str(report), expect=DIVERGENCE_EXIT)
+        check_report(report, tier=tier, min_cases=0, perturbation=fam.drill)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    if set(names) - set(FAMILIES):
+        print(__doc__, "\nfamilies:", " ".join(FAMILIES))
+        return 2
+    sys.stdout.reconfigure(line_buffering=True)  # keep order with subprocess output
+    results = {}
+    for name in names or list(FAMILIES):
+        print(f"=== smoke: {name}")
+        start = time.perf_counter()
+        try:
+            run_family(name)
+            results[name] = "ok"
+        except Exception as exc:  # report every family, then fail the run
+            if not isinstance(exc, SmokeFailure):
+                traceback.print_exc()
+            results[name] = f"FAILED: {exc}"
+        print(f"=== smoke: {name} {results[name]} ({time.perf_counter() - start:.1f} s)")
+    print("\n".join(f"{name:<12}{result}" for name, result in results.items()))
+    return 0 if all(r == "ok" for r in results.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

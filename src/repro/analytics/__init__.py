@@ -19,15 +19,15 @@ the direct algorithms here (and both against brute force in tests):
 * :mod:`~repro.analytics.sampling` -- approximate global butterfly
   counting by wedge sampling (the "approximation techniques" §I says
   these generators help validate).
-* :mod:`~repro.analytics.bitruss` -- k-wing (bitruss) peeling
-  decomposition of Sarıyüce-Pinar [4], the analytic Rem. 1 says is hard
-  to build ground truth for.
+* :mod:`~repro.analytics.peel` -- k-wing (bitruss) numbers of
+  Sarıyüce-Pinar [4], the analytic Rem. 1 says is hard to build ground
+  truth for: ``peel_wing_numbers(C.graph.adj)`` peels any loop-free
+  graph (``.wing`` per edge keyed ``(min, max)``, ``.max_wing``).
 * :mod:`~repro.analytics.clustering_coeffs` -- bipartite clustering
   coefficients: the per-edge metamorphosis coefficient (Def. 10), the
   Robins-Alexander global coefficient, and degree-binned averages.
 """
 
-from repro.analytics.bitruss import wing_decomposition, wing_number_max
 from repro.analytics.peel import (
     WingPeelResult,
     peel_chain,
@@ -94,8 +94,6 @@ __all__ = [
     "global_caterpillars",
     "projection",
     "product_projection",
-    "wing_decomposition",
-    "wing_number_max",
     "WingPeelResult",
     "peel_wing_numbers",
     "peel_product",

@@ -3,8 +3,7 @@
 Rem. 1 says Kronecker products cannot hand you a *trivially known*
 wing decomposition -- but the Thm. 5 / Def. 9 supports still bound it
 from above, and on referee-sized products the exact decomposition is
-computable.  This module is that computation, generalised from the
-bipartite-only :mod:`repro.analytics.bitruss` to **any loop-free
+computable.  This module is that computation, for **any loop-free
 graph**: the wing number of an edge is the largest ``k`` such that the
 edge survives in a subgraph where every edge lies on at least ``k``
 4-cycles.  On a bipartite graph 4-cycles are exactly butterflies, so

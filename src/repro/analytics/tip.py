@@ -3,7 +3,7 @@
 Sarıyüce-Pinar's "Peeling bipartite networks for dense subgraph
 discovery" [4] -- the paper's reference for bipartite truss analogues --
 defines two peeling hierarchies: the edge-based *k-wing*
-(:mod:`repro.analytics.bitruss`) and the vertex-based *k-tip*: the
+(:mod:`repro.analytics.peel`) and the vertex-based *k-tip*: the
 ``k``-tip is the maximal subgraph in which every vertex of the primary
 side participates in at least ``k`` butterflies.  The *tip number* of a
 vertex is the largest ``k`` whose ``k``-tip contains it.

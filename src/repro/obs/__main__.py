@@ -3,7 +3,8 @@
 Two modes, both used by CI:
 
 * ``python -m repro.obs RECORD.json ...`` — validate run-record files
-  against the schema (bench-smoke, serve-smoke teardown).
+  against the schema (every fresh record in ``benchmarks/smoke.py``,
+  the serve-smoke teardown).
 * ``python -m repro.obs --prom EXPOSITION.txt ...`` — lint Prometheus
   text exposition captured from ``/metrics?format=prometheus``
   (serve-smoke scrape check).

@@ -21,7 +21,8 @@ Design constraints (docs/observability.md):
   single :func:`os.write` of fully rendered ``\\n``-terminated lines —
   a worker killed between flushes loses at most the unflushed tail and
   can never leave a torn line for ``repro top`` or the CI artifact
-  reader to trip over (asserted in the crash-resume drill).
+  reader to trip over (asserted by the crash/resume drill of
+  ``benchmarks/smoke.py``).
 * **Cheap when disabled.**  The default process-wide log is
   :data:`NULL_EVENTS`; instrumented call sites pay one attribute read
   and a no-op call.  Gate per-block emission on ``events.enabled`` the

@@ -20,7 +20,7 @@ label keys/values survive verbatim modulo escaping.
 
 :func:`lint_exposition` is the executable half of the format contract:
 it parses an exposition document and returns a list of problems (empty
-means scrapeable).  CI's serve-smoke job runs it over the live
+means scrapeable).  CI's ``serve-smoke`` job runs it over the live
 ``/metrics?format=prometheus`` output via
 ``python -m repro.obs --prom FILE``.
 """

@@ -296,7 +296,7 @@ def verify_shards(out_dir: PathLike, require_complete: bool = True) -> ShardMani
     Raises :class:`ShardIntegrityError` on any mismatch (and, with
     ``require_complete=True``, on missing shards); returns the verified
     manifest otherwise.  This is what ``python -m repro shards --verify``
-    and the CI crash-resume step call.
+    and the crash/resume drill of ``benchmarks/smoke.py`` call.
     """
     out_dir = Path(out_dir)
     manifest = load_manifest(out_dir / MANIFEST_NAME)

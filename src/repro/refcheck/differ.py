@@ -21,7 +21,8 @@ implementation pair, and the offending vertex or edge with both values.
 ``perturb="beta-sign"`` deliberately flips the sign of the β terms in
 the fused edge coefficients for the duration of the run — the
 self-test proving the engine actually catches single-sign formula bugs
-(wired into CI's deep-check drill and the acceptance tests).
+(run on every push by the ``kernels`` family of ``benchmarks/smoke.py``,
+and by the acceptance tests).
 """
 
 from __future__ import annotations

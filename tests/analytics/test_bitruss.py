@@ -1,11 +1,22 @@
-"""Tests for the k-wing (bitruss) decomposition."""
+"""Tests for k-wing (bitruss) numbers of bipartite graphs, computed by
+the general peel ``peel_wing_numbers`` (on a bipartite graph its
+4-cycles are exactly butterflies)."""
 
 import numpy as np
 import pytest
 
-from repro.analytics import edge_butterflies, wing_decomposition, wing_number_max
+from repro.analytics import edge_butterflies, peel_wing_numbers
 from repro.generators import complete_bipartite, path_graph
 from repro.graphs import BipartiteGraph
+
+
+def wing_numbers(bg):
+    """Wing number of every edge, keyed ``(min, max)``."""
+    return peel_wing_numbers(bg.graph.adj).wing
+
+
+def max_wing(bg):
+    return peel_wing_numbers(bg.graph.adj).max_wing
 
 
 def _max_support_subgraph_check(bg, wings):
@@ -37,29 +48,29 @@ def _max_support_subgraph_check(bg, wings):
 class TestKnownValues:
     def test_k22_wing_1(self):
         bg = complete_bipartite(2, 2)
-        wings = wing_decomposition(bg)
+        wings = wing_numbers(bg)
         assert set(wings.values()) == {1}
 
     def test_k33_wing_4(self):
         bg = complete_bipartite(3, 3)
-        assert wing_number_max(bg) == 4
-        assert set(wing_decomposition(bg).values()) == {4}
+        assert max_wing(bg) == 4
+        assert set(wing_numbers(bg).values()) == {4}
 
     def test_kmn_uniform_wing(self):
         # In K_{m,n} every edge sits in (m-1)(n-1) butterflies; the graph
         # is its own maximal wing.
         bg = complete_bipartite(3, 4)
-        assert set(wing_decomposition(bg).values()) == {6}
+        assert set(wing_numbers(bg).values()) == {6}
 
     def test_butterfly_free_graph(self):
         bg = BipartiteGraph(path_graph(6))
-        wings = wing_decomposition(bg)
+        wings = wing_numbers(bg)
         assert all(v == 0 for v in wings.values())
-        assert wing_number_max(bg) == 0
+        assert max_wing(bg) == 0
 
     def test_covers_every_edge(self):
         bg = complete_bipartite(2, 3)
-        wings = wing_decomposition(bg)
+        wings = wing_numbers(bg)
         assert len(wings) == bg.m
 
 
@@ -73,7 +84,7 @@ class TestStructure:
             ]
         )
         bg = BipartiteGraph.from_biadjacency(X)
-        wings = wing_decomposition(bg)
+        wings = wing_numbers(bg)
         # Global ids: U = {0,1}, W = {2,3,4}.
         assert wings[(1, 4)] == 0
         assert wings[(0, 2)] == 1
@@ -85,7 +96,7 @@ class TestStructure:
         X[:2, :2] = 1
         X[2:, 2:] = 1
         bg = BipartiteGraph.from_biadjacency(X)
-        assert set(wing_decomposition(bg).values()) == {1}
+        assert set(wing_numbers(bg).values()) == {1}
 
     def test_nested_density(self):
         # K_{3,3} plus a K_{2,2} pendant sharing one vertex: the dense
@@ -95,7 +106,7 @@ class TestStructure:
         X[3:, 3:] = 1
         X[2, 3] = 0  # keep blocks disjoint except through nothing
         bg = BipartiteGraph.from_biadjacency(X)
-        wings = wing_decomposition(bg)
+        wings = wing_numbers(bg)
         dense = {wings[(u, 5 + w)] for u in range(3) for w in range(3)}
         assert dense == {4}
         sparse = {wings[(3 + u, 5 + 3 + w)] for u in range(2) for w in range(2)}
@@ -106,16 +117,16 @@ class TestStructure:
 
         for seed in range(3):
             bg = bipartite_chung_lu(np.full(8, 3.0), np.full(8, 3.0), seed=seed)
-            wings = wing_decomposition(bg)
+            wings = wing_numbers(bg)
             _max_support_subgraph_check(bg, wings)
 
     def test_initial_support_upper_bounds_wing(self):
         from repro.generators import bipartite_chung_lu
 
         bg = bipartite_chung_lu(np.full(10, 3.0), np.full(10, 3.0), seed=9)
-        wings = wing_decomposition(bg)
+        wings = wing_numbers(bg)
         support = edge_butterflies(bg).tocoo()
         U, W = bg.U, bg.W
-        sup = {(int(U[r]), int(W[c])): int(v) for r, c, v in zip(support.row, support.col, support.data)}
+        sup = {(min(int(U[r]), int(W[c])), max(int(U[r]), int(W[c]))): int(v) for r, c, v in zip(support.row, support.col, support.data)}
         for e, wv in wings.items():
             assert wv <= sup[e]

@@ -1,17 +1,16 @@
 """Tests for the wing (bitruss) peeling engine in
 ``repro.analytics.peel``.
 
-Three independent referees pin the peel: the bipartite-only
-``wing_decomposition`` (same answer where both apply), the
-algorithm-independent batch peel in ``repro.refcheck.brute``, and the
-Rem. 1 invariants against literal support counts.
+Independent referees pin the peel: closed-form biclique wing numbers,
+the algorithm-independent batch peel in ``repro.refcheck.brute``, and
+the Rem. 1 invariants against literal support counts.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analytics import peel_chain, peel_product, peel_wing_numbers, wing_decomposition
+from repro.analytics import peel_chain, peel_product, peel_wing_numbers
 from repro.generators.classic import (
     complete_bipartite,
     complete_graph,
@@ -61,15 +60,18 @@ class TestAgainstBrutePeel:
 
 class TestAgainstBitruss:
     """On bipartite graphs 4-cycles are butterflies, so the general
-    peel must reproduce the Sariyuce-Pinar wing decomposition."""
+    peel must reproduce the Sariyuce-Pinar (bitruss) wing numbers."""
 
     @pytest.mark.parametrize(
         "b", [complete_bipartite(2, 3), complete_bipartite(3, 3)]
     )
-    def test_matches_wing_decomposition(self, b):
-        wings = wing_decomposition(b)
+    def test_biclique_wing_closed_form(self, b):
+        # Every edge of K_{m,n} lies on (m-1)(n-1) butterflies and the
+        # biclique is its own maximal wing.
+        m, n = b.U.size, b.W.size
         got = peel_wing_numbers(b.graph.adj).wing
-        assert got == {_key(u, w): k for (u, w), k in wings.items()}
+        assert len(got) == m * n
+        assert set(got.values()) == {(m - 1) * (n - 1)}
 
     def test_matches_on_materialized_product(self):
         bk = make_bipartite_product(
@@ -77,14 +79,12 @@ class TestAgainstBitruss:
             complete_bipartite(1, 2),
             Assumption.NON_BIPARTITE_FACTOR,
         )
-        wings = wing_decomposition(bk.materialize_bipartite())
+        C = bk.materialize_bipartite()
+        wings = peel_wing_numbers(C.graph.adj).wing
         part = bk.product_part()
-        remapped = {}
-        for (u, w), k in wings.items():
-            # wing_decomposition keys run (left, right) in product codes.
-            assert not part[u] and part[w]
-            remapped[_key(u, w)] = k
-        assert peel_product(bk).wing == remapped
+        # Every product edge joins the two sides of the bipartition.
+        assert all(part[u] != part[w] for u, w in wings)
+        assert wings == peel_product(bk).wing == brute.wing_peel(C.graph)
 
 
 class TestInvariants:

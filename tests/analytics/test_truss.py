@@ -83,14 +83,14 @@ class TestRemarkOneContrast:
         assert truss_number_max(C) == 0
 
     def test_same_product_has_nonzero_wings(self):
-        from repro.analytics import wing_number_max
+        from repro.analytics import peel_wing_numbers
 
         bk = make_bipartite_product(
             cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR
         )
         C = bk.materialize_bipartite()
         # Rem. 1: squares are unavoidable, so wings are not trivially 0.
-        assert wing_number_max(C) > 0
+        assert peel_wing_numbers(C.graph.adj).max_wing > 0
 
     def test_nonbipartite_product_truss_from_factor_structure(self):
         """Triangle-full general products: the per-edge triangle formula

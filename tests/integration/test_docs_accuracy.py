@@ -82,3 +82,27 @@ class TestHarnessEdgeCases:
 
         row = CostRow(n_product=1, m_product=1, squares=0, t_ground_truth=0.0, t_direct=1.0)
         assert row.speedup == float("inf")
+
+
+class TestRecordedNumbers:
+    def test_generation_paragraph_matches_bench_record(self):
+        """EXPERIMENTS.md's generation numbers are quoted from
+        BENCH_generation.json, rounded as printed."""
+        import json
+
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        section = text.split("## Generation (§V)", 1)[1].split("\n## ", 1)[0]
+        match = re.search(
+            r"all ([\d,]+) directed entries.*?([\d.]+) ms \(≈(\d+)M entries/s\) "
+            r"vs ([\d.]+) s for scipy",
+            section,
+            flags=re.DOTALL,
+        )
+        assert match, "EXPERIMENTS.md generation paragraph lost its numbers"
+        entries, stream_ms, rate_m, materialize_s = match.groups()
+        record = json.loads((REPO_ROOT / "BENCH_generation.json").read_text())
+        row = {r["bench"]: r for r in record["benches"]}["test_generation_throughput"]
+        assert int(entries.replace(",", "")) == row["directed_entries"]
+        assert float(stream_ms) == round(row["stream_seconds"] * 1e3, 1)
+        assert float(materialize_s) == round(row["materialize_seconds"], 1)
+        assert int(rate_m) == round(row["directed_entries"] / row["stream_seconds"] / 1e6)

@@ -19,7 +19,7 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 FAST_EXAMPLES = [
     "quickstart.py",
     "graphblas_tour.py",
-    "wing_decomposition.py",
+    "wing_peeling.py",
     "community_preservation.py",
 ]
 SLOW_EXAMPLES = [

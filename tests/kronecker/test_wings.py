@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.analytics import wing_decomposition, wing_number_max
+from repro.analytics import peel_wing_numbers
 from repro.generators import complete_bipartite, cycle_graph, path_graph
 from repro.graphs import Graph
 from repro.kronecker import Assumption, make_bipartite_product
@@ -18,7 +18,8 @@ from tests.strategies import connected_bipartite_graphs
 
 
 def _wing_map(bg):
-    return wing_decomposition(bg)
+    """Exact wing numbers keyed ``(min, max)`` in product vertex codes."""
+    return peel_wing_numbers(bg.graph.adj).wing
 
 
 class TestUpperBounds:
@@ -44,7 +45,7 @@ class TestUpperBounds:
             Assumption.SELF_LOOPS_FACTOR,
         )
         C = bk.materialize_bipartite()
-        assert wing_number_max(C) <= max_wing_upper_bound(bk)
+        assert peel_wing_numbers(C.graph.adj).max_wing <= max_wing_upper_bound(bk)
 
     @given(connected_bipartite_graphs(max_side=3), connected_bipartite_graphs(max_side=3))
     @settings(max_examples=15, deadline=None)
@@ -65,10 +66,8 @@ class TestCertifiedZeros:
         assert zeros.shape[0] > 0
         C = bk.materialize_bipartite()
         wings = _wing_map(C)
-        part = bk.product_part()
         for p, q in zeros:
-            key = (int(p), int(q)) if not part[p] else (int(q), int(p))
-            assert wings[key] == 0
+            assert wings[(min(int(p), int(q)), max(int(p), int(q)))] == 0
 
     def test_square_rich_product_has_no_certified_zeros(self):
         bk = make_bipartite_product(
@@ -86,4 +85,4 @@ class TestCertifiedZeros:
         )
         assert max_wing_upper_bound(bk) == 0
         C = bk.materialize_bipartite()
-        assert wing_number_max(C) == 0
+        assert peel_wing_numbers(C.graph.adj).max_wing == 0
