@@ -34,9 +34,9 @@ ROUNDS = 1 if QUICK else 3
 def _best_of(fn, rounds=ROUNDS):
     """(best_seconds, last_result) over ``rounds`` runs.
 
-    One untimed warm-up call keeps one-time costs (jit compilation on
-    the numba backend, lazy caches) out of the measurement -- quick
-    mode times a single round, which would otherwise be all compile.
+    One untimed warm-up call keeps one-time costs (lazy caches such as
+    the per-factor edge index) out of the measurement -- quick mode
+    times a single round, which would otherwise include them.
     """
     best, result = float("inf"), None
     fn()

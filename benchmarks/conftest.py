@@ -18,7 +18,7 @@ import pytest
 from record import BenchRecorder
 
 from repro.generators import complete_bipartite, konect_unicode_like
-from repro.kronecker import Assumption, get_backend, make_bipartite_product
+from repro.kronecker import Assumption, make_bipartite_product
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -57,10 +57,6 @@ def record_bench(bench_recorder, request):
     bench = request.node.name
 
     def _record(summary: str, **fields):
-        # Every row names the kernel backend that produced it, so
-        # BENCH_*.json files from different backend-matrix legs are
-        # comparable (and compare.py can gate per backend).
-        fields.setdefault("backend", get_backend().name)
         return bench_recorder.add(record_name, bench, summary, quick=QUICK, **fields)
 
     return _record

@@ -7,7 +7,8 @@ One loop runs each family of ``FAMILIES``: copy the committed
 benchmarks/bench_<f>.py``; validate the fresh record (``python -m
 repro.obs`` plus the family's field checks); gate it with ``compare.py
 --max-regression 0.25`` against the committed copy; run the family's
-extra steps; run its ``repro verify`` tier and check the report; run its
+extra steps (the serve family boots live pre-fork servers); run its
+``repro verify`` tier and check the report; run its
 perturbation drill, which must exit 4.  Outputs land in
 ``smoke-out/<f>/`` and the committed record is restored in a
 ``finally``.  Exit status 0 means every family passed.
@@ -22,10 +23,13 @@ import operator
 import os
 import re
 import shutil
+import signal
+import socket
 import subprocess
 import sys
 import time
 import traceback
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -34,12 +38,13 @@ import numpy as np
 
 from repro.obs import read_events
 from repro.parallel import load_manifest, read_shard_arrays
+from repro.serve import WireClient, artifact_info, load_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 MAX_REGRESSION = "0.25"
 DIVERGENCE_EXIT = 4  # ``repro verify`` found a divergence
 RETRIES_EXHAUSTED_EXIT = 3  # ``repro shards`` ran out of retries
-SHARD_SPEC = ["complete:3", "biclique:2x3"]
+SPEC = ["complete:3", "biclique:2x3"]  # the small product the shards and serve drills use
 
 
 class Field(str):
@@ -136,29 +141,6 @@ def cli_profile_smoke(out: Path) -> None:
     py("-m", "repro.obs", str(out / "run.json"))
 
 
-def numba_leg(out: Path) -> None:
-    """Quick kernels rows under numba: the same gate, plus the admission
-    evidence that numba beats numpy on the batched-query rows."""
-    numba = out / "BENCH_kernels_numba.json"
-    py("-m", "pytest", "benchmarks/bench_kernels.py", "-q",
-       env={"REPRO_BENCH_QUICK": "1", "REPRO_KERNEL_BACKEND": "numba"})
-    shutil.move(ROOT / "BENCH_kernels.json", numba)
-    py("benchmarks/compare.py", str(out / "baseline_BENCH_kernels.json"), str(numba),
-       "--max-regression", MAX_REGRESSION)
-    rows_np = {r["bench"]: r for r in json.loads((out / "BENCH_kernels.json").read_text())["benches"]}
-    rows_nb = {r["bench"]: r for r in json.loads(numba.read_text())["benches"]}
-    ran_on = {r.get("backend") for r in rows_nb.values()}
-    if ran_on != {"numba"}:
-        return skip_record(out, "BENCH_kernels_numba", "numba backend unavailable on this "
-                           "runner; admission comparison not applicable",
-                           requested_backend="numba", rows_ran_on=sorted(b for b in ran_on if b))
-    seconds = {b: (rows_np[b]["batch_seconds"], rows_nb[b]["batch_seconds"])
-               for b in ("test_batched_vs_scalar_vertex_queries", "test_batched_vs_scalar_edge_queries")}
-    print("batch seconds (numpy, numba):", seconds)
-    slower = [b for b, (t_np, t_nb) in seconds.items() if t_nb > t_np]
-    need(not slower, f"numba slower than numpy on {slower}: admission evidence failed")
-
-
 def gate_drill(out: Path) -> None:
     """The gate must bite: a clone with one throughput inflated 10x is a
     same-mode baseline the fresh record regresses against."""
@@ -170,10 +152,100 @@ def gate_drill(out: Path) -> None:
        "--max-regression", MAX_REGRESSION, expect=None)
 
 
+def _boot_server(out: Path, artifact: Path, name: str, *args: str) -> tuple[subprocess.Popen, int]:
+    """``repro serve`` on a free port, once ``/healthz`` answers; its
+    stderr goes to ``out/<name>.log``."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cmd = [sys.executable, "-m", "repro", "serve", "--artifact", str(artifact),
+           "--port", str(port), *args]
+    print("+", " ".join(cmd))
+    with open(out / f"{name}.log", "w") as log:
+        proc = subprocess.Popen(cmd, cwd=ROOT, stderr=log,
+                                env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    deadline = time.monotonic() + 30.0
+    while True:
+        try:
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=1):
+                return proc, port
+        except OSError:
+            need(proc.poll() is None and time.monotonic() < deadline,
+                 f"{name} server never became healthy (see {name}.log)")
+            time.sleep(0.2)
+
+
+def serve_probe(out: Path) -> None:
+    """Live pre-fork servers, 1 worker and 4 workers speaking both
+    protocols: artifact schema and a known edge, wire answers equal to
+    JSON answers and the direct oracle, merged worker metrics on drain."""
+    artifact = out / "serve_artifact"
+    py("-m", "repro", "pack", *SPEC, "-o", str(artifact))
+    assert artifact_info(artifact)["schema"] == "repro.serve/1"
+    # A known product edge (P, Q) for the edge endpoints.
+    oracle = load_oracle(artifact)
+    grid = np.indices((oracle.bk.n, oracle.bk.n)).reshape(2, -1)
+    valid = oracle.has_edges(grid[0], grid[1])
+    P, Q = int(grid[0][valid][0]), int(grid[1][valid][0])
+    run_record = out / "prefork_run.json"
+    servers = []
+    try:
+        one, port_one = _boot_server(out, artifact, "one_worker")
+        servers.append(one)
+        four, port_four = _boot_server(out, artifact, "four_workers", "--workers-procs", "4",
+                                       "--protocol", "both", "--metrics-out", str(run_record))
+        servers.append(four)
+
+        def post(port: int, path: str, body: dict) -> dict:
+            req = urllib.request.Request(f"http://127.0.0.1:{port}{path}",
+                                         data=json.dumps(body).encode())
+            with urllib.request.urlopen(req, timeout=10) as resp:
+                return json.loads(resp.read())
+
+        edge = post(port_one, "/v1/squares/edge", {"p": P, "q": Q})["squares"]
+        need(edge == [oracle.squares_at_edge(P, Q)], f"edge ({P}, {Q}) answered {edge}")
+        # Binary wire protocol answers match JSON and the direct oracle.
+        ps = list(range(oracle.bk.n))
+        eps, eqs = grid[0][valid], grid[1][valid]
+        with WireClient("127.0.0.1", port_four) as client:
+            wire_deg = client.degrees(ps)
+            wire_global = client.global_squares()
+            wire_wings = client.wings_at_edges(eps, eqs)
+        assert np.array_equal(wire_deg, oracle.degrees(np.asarray(ps)))
+        assert wire_global == oracle.global_squares()
+        assert np.array_equal(wire_wings, oracle.wings_at_edges(eps, eqs))
+        json_deg = post(port_four, "/v1/degree", {"ps": ps})["degrees"]
+        assert wire_deg.tolist() == json_deg
+        # /v1/wings answers are bit-identical across the 1-worker JSON
+        # front, the 4-worker JSON front, and the wire opcode above.
+        for port in (port_one, port_four):
+            json_wings = post(port, "/v1/wings", {"ps": eps.tolist(), "qs": eqs.tolist()})["wings"]
+            assert wire_wings.tolist() == json_wings, port
+        print(f"wire ok: {len(ps)} degrees + global + {eps.size} wing bounds "
+              "identical across protocols")
+        # Drain the pre-fork server (SIGTERM; all workers must report).
+        four.send_signal(signal.SIGTERM)
+        try:
+            four.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            raise SmokeFailure("pre-fork server did not drain") from None
+        py("-m", "repro.obs", str(run_record))
+        counters = json.loads(run_record.read_text())["metrics"]["counters"]
+        wire = [k for k in counters if k.startswith("serve.wire.responses_total")]
+        http = [k for k in counters if k.startswith("serve.http.responses_total")]
+        assert wire and http, sorted(counters)
+        print("merged worker metrics ok:", len(wire), "wire series,", len(http), "http series")
+    finally:
+        for proc in servers:
+            if proc.poll() is None:
+                proc.terminate()
+                proc.wait(timeout=15)
+
+
 def shard_drills(out: Path) -> None:
     """Crash/resume, killed-worker and cross-codec drills on ``repro shards``."""
     def shards(out_dir: str, *args: str, **kwargs):
-        return py("-m", "repro", "shards", *SHARD_SPEC, "--out-dir", str(out / out_dir),
+        return py("-m", "repro", "shards", *SPEC, "--out-dir", str(out / out_dir),
                   "--workers", "2", *args, **kwargs)
 
     # Crash mid-flight; the event log must survive without a torn line.
@@ -224,7 +296,7 @@ def shard_drills(out: Path) -> None:
     # Without the wheel, --codec zstd fails with an error naming the extra.
     blocked = ("import sys; sys.modules['zstandard'] = None; from repro.cli import main; "
                "sys.exit(main(sys.argv[1:]))")
-    err = py("-c", blocked, "shards", *SHARD_SPEC, "--out-dir", str(out / "nozstd"),
+    err = py("-c", blocked, "shards", *SPEC, "--out-dir", str(out / "nozstd"),
              "--shards", "2", "--workers", "1", "--format", "edges", "--codec", "zstd",
              expect=None, capture=True).stderr
     need("zstandard" in err.lower(), "missing-zstd error does not name the extra")
@@ -237,13 +309,13 @@ class Family:
     verify: tuple[str, ...] = ()  # ``repro verify`` arguments of the referee tier
     min_cases: int = 1
     drill: Optional[str] = None  # ``--perturb`` value; must exit 4
-    extra: Optional[Callable[[Path], None]] = None
+    extras: tuple[Callable[[Path], None], ...] = ()
 
 
 FAMILIES: dict[str, Family] = {
     "generation": Family(
         checks=(("test_generation_throughput", "directed_entries", ">", 0),),
-        extra=cli_profile_smoke),
+        extras=(cli_profile_smoke,)),
     "parallel": Family(checks=(
         ("test_parallel_edge_count", "directed_entries", ">", 0),
         ("test_parallel_butterfly_count", "butterflies", ">", 0),
@@ -251,9 +323,9 @@ FAMILIES: dict[str, Family] = {
     "kernels": Family(
         checks=(("test_edge_squares_product_fused_vs_legacy", "speedup", ">", 0),
                 ("test_batched_vs_scalar_vertex_queries", "throughput_ratio", ">", 0),
-                ("*", "backend", "set", None)),
+                ("test_chunked_stream_vs_default", "entries", ">", 0)),
         verify=("--seed", "0", "--trials", "20", "--max-factor-size", "4"),
-        drill="beta-sign", extra=numba_leg),
+        drill="beta-sign"),
     "serve": Family(
         checks=(("test_serve_throughput_vs_concurrency", "queries_per_s", ">", 0),
                 ("test_serve_cache_on_vs_off", "cache_hit_rate", ">", 0),
@@ -263,7 +335,7 @@ FAMILIES: dict[str, Family] = {
                 ("test_serve_prefork_wire_pipeline", "protocol", "==", "wire"),
                 ("test_serve_prefork_*", "requests_per_s", ">", 0),
                 ("test_serve_prefork_*", "levels", "set", None)),
-        extra=gate_drill),
+        extras=(gate_drill, serve_probe)),
     "obs": Family(checks=(
         ("test_stream_overhead_enabled_vs_null", "null_edges_per_s", ">", 0),
         ("test_stream_overhead_enabled_vs_null", "enabled_edges_per_s", ">", 0),
@@ -283,7 +355,7 @@ FAMILIES: dict[str, Family] = {
                 ("test_wing_bound_query_throughput", "queries_per_s", ">", 0),
                 ("test_chain_wing_stream", "entries_per_s", ">", 0)),
         verify=("--tier", "wings"), min_cases=8, drill="wing-support"),
-    "shards": Family(bench=False, extra=shard_drills),
+    "shards": Family(bench=False, extras=(shard_drills,)),
 }
 
 
@@ -304,12 +376,10 @@ def run_family(name: str) -> None:
             failures = field_failures(fam.checks, json.loads(fresh.read_text()))
             need(not failures, f"BENCH_{name}.json field checks: {failures}")
             py("benchmarks/compare.py", str(baseline), str(fresh), "--max-regression", MAX_REGRESSION)
-            if fam.extra:
-                fam.extra(out)
         finally:
             record.write_bytes(committed)
-    elif fam.extra:
-        fam.extra(out)
+    for extra in fam.extras:
+        extra(out)
     tier = fam.verify[fam.verify.index("--tier") + 1] if "--tier" in fam.verify else "standard"
     if fam.verify:
         report = out / f"verify_{tier}.json"

@@ -74,7 +74,6 @@ from repro.kronecker import (
     make_bipartite_product,
     stream_edges,
 )
-from repro.kronecker.backends import get_backend, registered_backends, use_backend
 from repro.kronecker.degrees import product_degree_summary
 from repro.kronecker.distances import product_diameter
 from repro.obs import (
@@ -164,19 +163,6 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arg(p: argparse.ArgumentParser) -> None:
-    """The kernel-backend flag for every kernel-consuming subcommand."""
-    p.add_argument(
-        "--backend",
-        choices=registered_backends(),
-        default=None,
-        help="kernel backend for the fused formula paths (default: "
-        "REPRO_KERNEL_BACKEND env var, else the numpy reference); a "
-        "backend whose optional dependency is missing falls back to "
-        "numpy with a warning",
-    )
-
-
 def _add_product_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("factor_a", help="left factor spec (see --help of the top command)")
     p.add_argument("factor_b", help="right factor spec (must be bipartite)")
@@ -191,7 +177,6 @@ def _add_product_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip the factor-connectivity check (formulas hold regardless)",
     )
-    _add_backend_arg(p)
     _add_obs_args(p)
 
 
@@ -212,7 +197,6 @@ def _cmd_generate(args) -> int:
                     bk,
                     attach_ground_truth=True,
                     block_edges=args.block_edges,
-                    backend=args.backend,
                 ):
                     keep = p <= q
                     for u, v, d in zip(p[keep].tolist(), q[keep].tolist(), np.asarray(dia)[keep].tolist()):
@@ -220,9 +204,7 @@ def _cmd_generate(args) -> int:
                     edges_written.inc(int(keep.sum()))
             else:
                 out.write("# columns: u v\n")
-                for p, q in stream_edges(
-                    bk, block_edges=args.block_edges, backend=args.backend
-                ):
+                for p, q in stream_edges(bk, block_edges=args.block_edges):
                     keep = p <= q
                     for u, v in zip(p[keep].tolist(), q[keep].tolist()):
                         out.write(f"{u} {v}\n")
@@ -266,7 +248,6 @@ def _cmd_shards(args) -> int:
             resume=args.resume,
             retry=policy,
             fault_injector=injector,
-            backend=args.backend,
         )
     except RetryBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -340,7 +321,6 @@ def _cmd_verify(args) -> int:
         include_adversarial=not args.no_adversarial,
         include_chains=not args.no_chains,
         perturb=args.perturb,
-        backend=args.backend,
     )
     print(report.format())
     if args.report_out:
@@ -356,7 +336,7 @@ def _cmd_pack(args) -> int:
     with tracer.span("pack.build_product"):
         bk = _build_product(args)
     with tracer.span("pack.build_oracle"):
-        oracle = GroundTruthOracle(bk, backend=args.backend)
+        oracle = GroundTruthOracle(bk)
     out = save_oracle(oracle, args.out_dir)
     info = artifact_info(out)
     print(f"packed oracle artifact: {out}", file=sys.stderr)
@@ -398,7 +378,6 @@ def _serve_instrumented(args) -> int:
             port=args.port,
             workers=args.workers_procs,
             protocol=args.protocol,
-            backend=args.backend,
             max_queue=args.max_queue,
             cache_size=args.cache_size,
             grace=args.grace,
@@ -665,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--no-chains", action="store_true", help="skip the multi-factor chain checks"
     )
-    _add_backend_arg(v)
     _add_obs_args(v)
     v.set_defaults(fn=_cmd_verify)
 
@@ -730,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="load the artifact eagerly instead of mmap zero-copy "
         "(costs one artifact copy per worker)",
     )
-    _add_backend_arg(sv)
     _add_obs_args(sv)
     sv.set_defaults(fn=_cmd_serve)
 
@@ -810,13 +787,6 @@ def _run_instrumented(args) -> int:
         except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
             _print_error(exc)
             rc = 2
-        extra = {"exit_code": rc}
-        if hasattr(args, "backend"):
-            try:
-                # The *resolved* backend (post-fallback), not the flag.
-                extra["backend"] = get_backend(args.backend).name
-            except ValueError:
-                extra["backend"] = args.backend
         record = build_run_record(
             f"repro {args.command}",
             tracer=tracer,
@@ -824,7 +794,7 @@ def _run_instrumented(args) -> int:
             config={
                 k: v for k, v in vars(args).items() if k != "fn" and v is not None
             },
-            extra=extra,
+            extra={"exit_code": rc},
         )
     if args.profile:
         render_run_record(record, file=sys.stderr)
@@ -852,12 +822,7 @@ def main(argv=None) -> int:
     ``SystemExit(2)`` with a usage message — never a raw traceback.
     """
     args = build_parser().parse_args(argv)
-    # The --backend flag is applied as a scoped override: every
-    # backend=None call site below resolves to it (explicit kwargs and
-    # the env var keep their documented precedence).
-    with events_to(getattr(args, "events_out", None)), use_backend(
-        getattr(args, "backend", None)
-    ):
+    with events_to(getattr(args, "events_out", None)):
         if getattr(args, "profile", False) or getattr(args, "metrics_out", None):
             return _run_instrumented(args)
         try:

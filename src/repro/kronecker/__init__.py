@@ -34,18 +34,6 @@ from repro.kronecker.assumptions import (
     BipartiteKronecker,
     make_bipartite_product,
 )
-from repro.kronecker.backends import (
-    BackendAdmissionError,
-    KernelBackend,
-    NumpyBackend,
-    UnknownBackendError,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-    registered_backends,
-    use_backend,
-)
 from repro.kronecker.clustering import (
     edge_clustering_ground_truth,
     psi_factor,
@@ -147,16 +135,6 @@ __all__ = [
     "edge_squares_product_reference",
     "global_squares_product",
     "squares_if_square_free_factors",
-    "KernelBackend",
-    "NumpyBackend",
-    "UnknownBackendError",
-    "BackendAdmissionError",
-    "get_backend",
-    "use_backend",
-    "register_backend",
-    "registered_backends",
-    "available_backends",
-    "default_backend",
     "EdgeIndex",
     "edge_squares_batch",
     "product_edge_squares_csr",

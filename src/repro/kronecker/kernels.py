@@ -15,14 +15,11 @@ integer matmuls (one output allocation, exact int64 arithmetic, values
 bit-identical to the term-by-term ``sp.kron`` evaluation they replace);
 batched point queries become gather + fused arithmetic.
 
-The *batch primitives* -- hash-table build/probe and the gather+fuse
-loops -- are pluggable through the :class:`~repro.kronecker.backends.
-KernelBackend` protocol: every public function here takes a
-``backend=`` kwarg (an instance or registered name) and otherwise
-resolves the process selection (``use_backend`` scope >
-``REPRO_KERNEL_BACKEND`` env var > default).  Backends are
-bit-identical by contract; this module keeps the backend-independent
-orchestration (coefficient algebra, bounds checks, CSR assembly).
+The *batch primitives* -- the open-addressing hash table behind every
+factor edge lookup, the cache-blocked vertex-square loops and the
+in-place edge fuse -- are plain numpy functions here too, next to the
+orchestration that calls them (coefficient algebra, bounds checks, CSR
+assembly).
 
 Everything here consumes factors only through
 :class:`~repro.kronecker.ground_truth.FactorStats` plus the
@@ -54,7 +51,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kronecker.assumptions import Assumption
-from repro.kronecker.backends import KernelBackend, get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.kronecker.ground_truth import FactorStats
@@ -68,12 +64,94 @@ __all__ = [
     "vertex_term_matrices",
     "vertex_squares_grid",
     "vertex_squares_batch",
+    "vertex_squares_codes",
+    "table_bits",
+    "build_edge_table",
+    "probe_edge_table",
 ]
 
-#: Cache-blocked batch evaluation: gathers for the edge formula run in
-#: chunks of this many elements so each ~15-temporary pass stays
-#: L2-resident regardless of backend.
+#: Cache-blocked batch evaluation: the vertex loops and the edge formula
+#: run in chunks of this many elements so every temporary stays
+#: L2-resident -- intermediate passes cost cache bandwidth, not DRAM
+#: round-trips.
 _BATCH_CHUNK = 16384
+
+#: Fibonacci multiplicative hashing (Knuth): ``⌊2^64 / φ⌋``, odd.
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+# ---------------------------------------------------------------------------
+# Open-addressing edge table
+# ---------------------------------------------------------------------------
+
+
+def table_bits(n_keys: int) -> tuple[int, int]:
+    """``(size, shift)`` of the probe table for ``n_keys`` entries: the
+    smallest power of two (at least 8) holding them at load factor
+    <= 1/4, and the hash shift ``64 - log2(size)``."""
+    bits = max(3, int(np.ceil(np.log2(max(4 * n_keys, 8)))))
+    return 1 << bits, 64 - bits
+
+
+def _hash_slots(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Table slot per key for a power-of-two table of ``2^(64-shift)``."""
+    return ((keys.astype(np.uint64) * _HASH_MULT) >> np.uint64(shift)).astype(np.int64)
+
+
+def build_edge_table(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Open-addressing hash table ``(table_keys, table_vals, shift)``
+    over unique non-negative int64 keys: load factor <= 1/4, Fibonacci
+    hashing, linear probing, ``-1`` marks an empty slot.
+
+    Insertion runs in vectorized rounds: each round places the first
+    pending key per free slot, the rest advance one slot.
+    """
+    size, shift = table_bits(keys.size)
+    table_keys = np.full(size, -1, dtype=np.int64)
+    table_vals = np.zeros(size, dtype=np.int64)
+    pend_k, pend_v = keys, vals
+    pend_p = _hash_slots(pend_k, shift)
+    mask = size - 1
+    while pend_k.size:
+        free = table_keys[pend_p] == -1
+        slots = pend_p[free]
+        _, first = np.unique(slots, return_index=True)
+        writers = np.flatnonzero(free)[first]
+        table_keys[pend_p[writers]] = pend_k[writers]
+        table_vals[pend_p[writers]] = pend_v[writers]
+        placed = np.zeros(pend_k.size, dtype=bool)
+        placed[writers] = True
+        keep = ~placed
+        pend_k, pend_v = pend_k[keep], pend_v[keep]
+        pend_p = (pend_p[keep] + 1) & mask
+    return table_keys, table_vals, shift
+
+
+def probe_edge_table(
+    table_keys: np.ndarray, table_vals: np.ndarray, shift: int, query_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(found, vals)`` per query key of a :func:`build_edge_table`
+    table; misses report ``vals = 0``.
+
+    One hash gather answers most queries; collision survivors advance
+    slot-by-slot on a shrinking pending subset.
+    """
+    mask = table_keys.size - 1
+    pos = _hash_slots(query_keys, shift)
+    # ``pos`` is masked to the table size by construction, so the
+    # gathers can skip numpy's bounds checking (mode="clip").
+    slot_keys = np.take(table_keys, pos, mode="clip")
+    pending = np.flatnonzero((slot_keys != query_keys) & (slot_keys != -1))
+    while pending.size:
+        nxt = (pos[pending] + 1) & mask
+        pos[pending] = nxt
+        fk = table_keys[nxt]
+        slot_keys[pending] = fk
+        pending = pending[(fk != query_keys[pending]) & (fk != -1)]
+    found = slot_keys == query_keys
+    vals = np.take(table_vals, pos, mode="clip")
+    vals *= found  # zero the misses without a full np.where pass
+    return found, vals
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +168,7 @@ class EdgeIndex:
     aligned with that order.  Membership/value queries go through an
     open-addressing hash table (``table_*``) -- ~1 gather per query at
     load factor 1/4, several times faster than per-query binary search
-    while staying ``O(|E|)``-sized.  The table is built and probed by
-    the selected :class:`~repro.kronecker.backends.KernelBackend`;
-    layouts may differ per backend, probe answers may not.
+    while staying ``O(|E|)``-sized (:func:`build_edge_table`).
     """
 
     n: int
@@ -108,10 +184,7 @@ class EdgeIndex:
     table_shift: int        #: ``64 - log2(table size)``
 
     @classmethod
-    def from_stats(
-        cls, stats: "FactorStats", backend: str | KernelBackend | None = None
-    ) -> "EdgeIndex":
-        be = get_backend(backend)
+    def from_stats(cls, stats: "FactorStats") -> "EdgeIndex":
         n = stats.n
         coo = stats.adj.tocoo()
         rows = coo.row.astype(np.int64)
@@ -123,7 +196,7 @@ class EdgeIndex:
         dia = _sparse_values_at(stats.diamond, rows, cols, n)
         d_rows = stats.d[rows]
         d_cols = stats.d[cols]
-        table_keys, table_vals, table_shift = be.build_edge_table(keys, dia)
+        table_keys, table_vals, table_shift = build_edge_table(keys, dia)
         return cls(
             n=n,
             keys=keys,
@@ -138,17 +211,12 @@ class EdgeIndex:
             table_shift=table_shift,
         )
 
-    def diamond_at(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        backend: str | KernelBackend | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def diamond_at(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(is_edge, ◇)`` for arbitrary index pairs, vectorized.
 
         Non-edges report ``◇ = 0``.  One hash gather answers most
         queries; collision survivors advance slot-by-slot (linear
-        probing, delegated to the selected backend).
+        probing, :func:`probe_edge_table`).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -156,8 +224,7 @@ class EdgeIndex:
             shape = np.broadcast(rows, cols).shape
             return np.zeros(shape, dtype=bool), np.zeros(shape, dtype=np.int64)
         qk = rows * self.n + cols
-        be = get_backend(backend)
-        return be.probe_edge_table(self.table_keys, self.table_vals, self.table_shift, qk)
+        return probe_edge_table(self.table_keys, self.table_vals, self.table_shift, qk)
 
     def nbytes(self) -> int:
         """Actual bytes held by the cached arrays (dtype-aware)."""
@@ -259,14 +326,12 @@ def vertex_squares_batch(
     i: np.ndarray,
     k: np.ndarray,
     term_matrices: tuple[np.ndarray, np.ndarray] | None = None,
-    backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """Fused ``s_C(γ(i, k))`` at arbitrary factor-index batches.
 
     ``term_matrices`` lets a caller (the oracle) reuse precomputed
-    ``(L, R)`` stacks across calls.  Evaluation is delegated to the
-    selected backend (cache-blocked gathers on numpy, parallel-range
-    loops on numba); the only full-batch memory traffic is reading the
+    ``(L, R)`` stacks across calls.  Evaluation runs in cache-blocked
+    gathers, so the only full-batch memory traffic is reading the
     indices and writing the answers.
     """
     i = np.asarray(i, dtype=np.int64)
@@ -276,7 +341,7 @@ def vertex_squares_batch(
     )
     _check_index_range(i, L.shape[1], "i")
     _check_index_range(k, R.shape[1], "k")
-    return get_backend(backend).vertex_squares_pairs(L, R, i, k)
+    return _blocked_vertex_squares(L, R, i, k)
 
 
 def vertex_squares_codes(
@@ -285,13 +350,12 @@ def vertex_squares_codes(
     assumption: Assumption,
     ps: np.ndarray,
     term_matrices: tuple[np.ndarray, np.ndarray] | None = None,
-    backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """:func:`vertex_squares_batch` at flat product codes
     ``p = i · n_B + k``.
 
     The ``divmod`` that splits codes into factor coordinates runs
-    inside the backend's batch loop, so the split indices never make a
+    inside the cache-blocked loop, so the split indices never make a
     full-size round-trip through DRAM -- this is the oracle's hot path
     for :meth:`~repro.kronecker.oracle.GroundTruthOracle.squares_at_vertices`.
     """
@@ -300,7 +364,56 @@ def vertex_squares_codes(
         stats_a, stats_b, assumption
     )
     _check_index_range(ps, L.shape[1] * R.shape[1], "product vertex")
-    return get_backend(backend).vertex_squares_codes(L, R, ps)
+    return _blocked_vertex_squares(L, R, ps)
+
+
+def _blocked_vertex_squares(
+    L: np.ndarray, R: np.ndarray, i: np.ndarray, k: np.ndarray | None = None
+) -> np.ndarray:
+    """``½ Σ_t L[t, i] · R[t, k]`` per batch element (indices
+    pre-validated), asserting the closed-walk excess is even.
+
+    With ``k=None``, ``i`` holds flat codes ``p = i · n_B + k`` and the
+    split runs chunk by chunk into reused buffers.
+    """
+    n_b = R.shape[1]
+    n = i.size
+    out = np.empty(n, dtype=np.int64)
+    chunk = min(_BATCH_CHUNK, max(n, 1))
+    acc = np.empty(chunk, dtype=np.int64)
+    tmp = np.empty(chunk, dtype=np.int64)
+    tmp2 = np.empty(chunk, dtype=np.int64)
+    if k is None:
+        iv_buf = np.empty(chunk, dtype=np.int64)
+        kv_buf = np.empty(chunk, dtype=np.int64)
+    or_accumulated = np.int64(0)
+    for s in range(0, n, chunk):
+        e = min(s + chunk, n)
+        c = e - s
+        if k is None:
+            iv, kv = iv_buf[:c], kv_buf[:c]
+            np.floor_divide(i[s:e], n_b, out=iv)
+            np.multiply(iv, n_b, out=kv)
+            np.subtract(i[s:e], kv, out=kv)
+        else:
+            iv, kv = i[s:e], k[s:e]
+        # Σ_t L[t, iv] · R[t, kv] into the chunk buffers; the indices
+        # are pre-validated, so the gathers skip bounds checks.
+        av, tv, t2 = acc[:c], tmp[:c], tmp2[:c]
+        np.take(L[0], iv, out=av, mode="clip")
+        np.take(R[0], kv, out=tv, mode="clip")
+        av *= tv
+        for t in range(1, L.shape[0]):
+            np.take(L[t], iv, out=tv, mode="clip")
+            np.take(R[t], kv, out=t2, mode="clip")
+            tv *= t2
+            av += tv
+        or_accumulated |= np.bitwise_or.reduce(av)
+        np.right_shift(av, 1, out=out[s:e])
+    assert not (int(or_accumulated) & 1), (
+        "vertex square formula must yield even closed-walk excess"
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +426,6 @@ def edge_coefficients(
     assumption: Assumption,
     i: np.ndarray,
     j: np.ndarray,
-    backend: str | KernelBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Left-factor coefficient arrays ``(α, β_i, β_j, valid)``.
 
@@ -327,7 +439,7 @@ def edge_coefficients(
     j = np.asarray(j, dtype=np.int64)
     _check_index_range(i, stats_a.n, "i")
     _check_index_range(j, stats_a.n, "j")
-    found, dia = stats_a.edge_index.diamond_at(i, j, backend=backend)
+    found, dia = stats_a.edge_index.diamond_at(i, j)
     d_i = np.take(stats_a.d, i, mode="clip")
     d_j = np.take(stats_a.d, j, mode="clip")
     # ``dia``, ``found``, ``d_i``, ``d_j`` are fresh arrays owned by this
@@ -365,7 +477,6 @@ def edge_squares_batch(
     j: np.ndarray,
     k: np.ndarray,
     ell: np.ndarray,
-    backend: str | KernelBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fused ``◇_C`` at arbitrary ``(i, j, k, l)`` batches (the paper's
     factor coordinates; ``l`` is spelled ``ell``).
@@ -379,20 +490,19 @@ def edge_squares_batch(
     formula walks ~15 same-length temporaries, and chunking keeps all
     of them L2-resident instead of streaming each pass through DRAM.
     """
-    be = get_backend(backend)
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     k = np.asarray(k, dtype=np.int64)
     ell = np.asarray(ell, dtype=np.int64)
     n = i.size
     if i.ndim != 1 or n <= _BATCH_CHUNK:
-        return _edge_squares_block(stats_a, stats_b, assumption, i, j, k, ell, be)
+        return _edge_squares_block(stats_a, stats_b, assumption, i, j, k, ell)
     vals = np.empty(n, dtype=np.int64)
     valid = np.empty(n, dtype=bool)
     for s in range(0, n, _BATCH_CHUNK):
         e = min(s + _BATCH_CHUNK, n)
         vals[s:e], valid[s:e] = _edge_squares_block(
-            stats_a, stats_b, assumption, i[s:e], j[s:e], k[s:e], ell[s:e], be
+            stats_a, stats_b, assumption, i[s:e], j[s:e], k[s:e], ell[s:e]
         )
     return vals, valid
 
@@ -405,17 +515,30 @@ def _edge_squares_block(
     j: np.ndarray,
     k: np.ndarray,
     ell: np.ndarray,
-    be: KernelBackend,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One cache-sized block of :func:`edge_squares_batch`: gather the
-    operands, hand the fused arithmetic to the backend."""
-    alpha, beta_i, beta_j, valid_a = edge_coefficients(stats_a, assumption, i, j, backend=be)
+    operands, then fuse ``1 + α·w3_B − β_i·d_B(k) − β_j·d_B(l)`` with
+    ``w3_B = ◇_B + d_k + d_l − 1`` in place; invalid slots report 0."""
+    alpha, beta_i, beta_j, valid = edge_coefficients(stats_a, assumption, i, j)
     _check_index_range(k, stats_b.n, "k")
     _check_index_range(ell, stats_b.n, "l")
-    found_b, dia_b = stats_b.edge_index.diamond_at(k, ell, backend=be)
+    found_b, vals = stats_b.edge_index.diamond_at(k, ell)
     d_k = np.take(stats_b.d, k, mode="clip")
     d_l = np.take(stats_b.d, ell, mode="clip")
-    return be.edge_squares_fuse(alpha, beta_i, beta_j, valid_a, dia_b, found_b, d_k, d_l)
+    # Every operand is a fresh array owned by this call, so the formula
+    # runs in place: ``vals`` becomes w3_B, then the full value.
+    vals += d_k
+    vals += d_l
+    vals -= 1
+    vals *= alpha
+    d_k *= beta_i
+    vals -= d_k
+    d_l *= beta_j
+    vals -= d_l
+    vals += 1
+    valid &= found_b
+    vals *= valid  # zero the invalid slots without a full np.where pass
+    return vals, valid
 
 
 def product_edge_squares_csr(
@@ -424,7 +547,6 @@ def product_edge_squares_csr(
     assumption: Assumption,
     m_rows: np.ndarray,
     m_cols: np.ndarray,
-    backend: str | KernelBackend | None = None,
 ) -> sp.csr_array:
     """Fused ``◇_C`` over the *whole* product pattern.
 
@@ -445,9 +567,7 @@ def product_edge_squares_csr(
     m_cols = np.asarray(m_cols, dtype=np.int64)
     if m_rows.size == 0 or idx_b.rows.size == 0:
         return sp.csr_array(shape, dtype=np.int64)
-    alpha, beta_i, beta_j, valid = edge_coefficients(
-        stats_a, assumption, m_rows, m_cols, backend=backend
-    )
+    alpha, beta_i, beta_j, valid = edge_coefficients(stats_a, assumption, m_rows, m_cols)
     if not valid.all():
         bad = int(np.flatnonzero(~valid)[0])
         raise ValueError(
@@ -460,29 +580,6 @@ def product_edge_squares_csr(
     p = (m_rows[:, None] * n_b + idx_b.rows).ravel()
     q = (m_cols[:, None] * n_b + idx_b.cols).ravel()
     return sp.csr_array(sp.coo_array((vals.ravel(), (p, q)), shape=shape))
-
-
-def edge_term_matrices(
-    stats_a: "FactorStats",
-    stats_b: "FactorStats",
-    assumption: Assumption,
-    m_rows: np.ndarray,
-    m_cols: np.ndarray,
-    backend: str | KernelBackend | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(L, R)`` stacks such that ``◇ block = Lᵀ[sel] R + 1``.
-
-    The chunked streaming path uses these to evaluate many coalesced
-    per-``M``-entry blocks with one ``np.matmul`` into a preallocated
-    buffer.
-    """
-    alpha, beta_i, beta_j, _ = edge_coefficients(
-        stats_a, assumption, m_rows, m_cols, backend=backend
-    )
-    idx_b = stats_b.edge_index
-    L = np.stack((alpha, beta_i, beta_j))
-    R = np.stack((idx_b.w3, -idx_b.d_rows, -idx_b.d_cols))
-    return L, R
 
 
 def stats_arrays(stats: "FactorStats", include_cached: bool = True) -> Sequence[np.ndarray]:

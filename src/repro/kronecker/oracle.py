@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.kronecker import kernels
 from repro.kronecker.assumptions import Assumption, BipartiteKronecker
-from repro.kronecker.backends import KernelBackend, get_backend
 from repro.kronecker.ground_truth import FactorStats, _vertex_terms
 from repro.obs import get_metrics, get_tracer
 
@@ -40,17 +39,11 @@ class GroundTruthOracle:
     """Per-vertex / per-edge ground truth for a bipartite product.
 
     Build once from a :class:`BipartiteKronecker`; queries then touch
-    only factor-sized arrays.  ``backend`` selects the kernel backend
-    for every batched query (``None`` resolves the process selection --
-    scope/env/default); the resolved name is reported in
-    :attr:`backend_name` and as the ``backend`` label of the
-    ``oracle_queries_total`` metric.
+    only factor-sized arrays.
     """
 
-    def __init__(self, bk: BipartiteKronecker, backend: str | KernelBackend | None = None):
+    def __init__(self, bk: BipartiteKronecker):
         self.bk = bk
-        self._backend = get_backend(backend)
-        self.backend_name = self._backend.name
         with get_tracer().span("oracle.setup", n=bk.n, m=bk.m) as sp:
             self.stats_a, self.stats_b = bk.factor_stats()
             self.n_b = bk.B.graph.n
@@ -66,11 +59,7 @@ class GroundTruthOracle:
         self._max_wing_cache: int | None = None
         # Bound once at setup: a no-op counter unless obs is enabled
         # when the oracle is built, so queries stay allocation-free.
-        # Labeled per backend so the query series attribute which
-        # implementation answered them.
-        self._queries = get_metrics().counter(
-            "oracle_queries_total", backend=self.backend_name
-        )
+        self._queries = get_metrics().counter("oracle_queries_total")
 
     # ------------------------------------------------------------------
     # Artifact export hooks (repro.serve)
@@ -92,7 +81,6 @@ class GroundTruthOracle:
         stats_b: FactorStats,
         part_b: np.ndarray,
         assumption: Assumption,
-        backend: str | KernelBackend | None = None,
     ) -> "GroundTruthOracle":
         """Rebuild an oracle from persisted factor statistics.
 
@@ -117,7 +105,7 @@ class GroundTruthOracle:
         B = BipartiteGraph(Graph.from_canonical_csr(stats_b.adj), np.asarray(part_b, dtype=bool))
         bk = BipartiteKronecker(A, B, assumption)
         bk._stats_cache["stats"] = (stats_a, stats_b)
-        return cls(bk, backend=backend)
+        return cls(bk)
 
     # ------------------------------------------------------------------
     # Index plumbing
@@ -172,7 +160,9 @@ class GroundTruthOracle:
         """
         i, k = self._split_batch(ps, "ps")
         self._queries.inc(i.size)
-        return self._backend.degrees(self._d_m, self.stats_b.d, i, k)
+        out = np.take(self._d_m, i, mode="clip")
+        out *= np.take(self.stats_b.d, k, mode="clip")
+        return out
 
     def squares_at_vertices(self, ps) -> np.ndarray:
         """Batched :meth:`squares_at_vertex` via the fused vertex kernel.
@@ -190,7 +180,6 @@ class GroundTruthOracle:
             self.bk.assumption,
             ps,
             term_matrices=self._term_matrices,
-            backend=self._backend,
         )
 
     # ------------------------------------------------------------------
@@ -290,8 +279,7 @@ class GroundTruthOracle:
             raise ValueError(f"ps and qs must match in shape: {i.shape} vs {j.shape}")
         self._queries.inc(i.size)
         _, valid = kernels.edge_squares_batch(
-            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell,
-            backend=self._backend,
+            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
         )
         return valid
 
@@ -314,8 +302,7 @@ class GroundTruthOracle:
             raise ValueError(f"ps and qs must match in shape: {i.shape} vs {j.shape}")
         self._queries.inc(i.size)
         values, valid = kernels.edge_squares_batch(
-            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell,
-            backend=self._backend,
+            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
         )
         if valid.all():
             return values
@@ -347,8 +334,7 @@ class GroundTruthOracle:
             raise ValueError(f"ps and qs must match in shape: {i.shape} vs {j.shape}")
         self._queries.inc(i.size)
         values, valid = kernels.edge_squares_batch(
-            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell,
-            backend=self._backend,
+            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
         )
         if valid.all():
             return values
@@ -359,7 +345,10 @@ class GroundTruthOracle:
             raise ValueError(
                 f"({int(ps[bad])}, {int(qs[bad])}) is not an edge of the product"
             )
-        return self._backend.wing_bounds_fuse(values, valid)
+        # ``values`` arrives zeroed on invalid slots, so the sentinel is
+        # a masked in-place write, not an np.where.
+        values[~valid] = -1
+        return values
 
     def max_wing_bound(self) -> int:
         """Scalar Rem. 1 bound: the product's maximum wing number never
@@ -367,7 +356,7 @@ class GroundTruthOracle:
 
         Streams every product edge (effective ``M`` entries crossed
         with ``B`` entries) through the fused edge kernel in bounded
-        blocks and reduces with the backend's max primitive -- O(|E_C|)
+        blocks and reduces each block's valid maximum -- O(|E_C|)
         work, O(block) memory, memoized after the first call.
         """
         if self._max_wing_cache is None:
@@ -390,10 +379,10 @@ class GroundTruthOracle:
                     k = np.tile(idx_b.rows, e - s)
                     ell = np.tile(idx_b.cols, e - s)
                     values, valid = kernels.edge_squares_batch(
-                        self.stats_a, self.stats_b, self.bk.assumption,
-                        i, j, k, ell, backend=self._backend,
+                        self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
                     )
-                    best = max(best, self._backend.max_wing_reduce(values, valid))
+                    if valid.any():
+                        best = max(best, int(values[valid].max()))
             self._max_wing_cache = best
         return self._max_wing_cache
 
@@ -410,7 +399,11 @@ class GroundTruthOracle:
         dia = self.squares_at_edges(ps, qs, on_invalid="mask")
         dp = self.degrees(ps)
         dq = self.degrees(qs)
-        return self._backend.edge_clustering(dia, dp, dq)
+        valid = (dia >= 0) & (dp >= 2) & (dq >= 2)
+        denom = (dp - 1).astype(np.float64)
+        denom *= dq - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(valid, dia / denom, np.nan)
 
     # ------------------------------------------------------------------
     # Global queries

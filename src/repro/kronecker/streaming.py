@@ -12,10 +12,6 @@ appears exactly once across the stream; callers wanting undirected
 edges once can filter ``p <= q`` per block (the helper does this for
 its edge-count audit).
 
-``backend=`` on :func:`stream_edges` selects the kernel backend for
-the coefficient lookups (:mod:`repro.kronecker.backends`); the
-``edges_streamed_total`` metric is labeled with the resolved name.
-
 ``attach_ground_truth=True`` additionally emits the per-edge 4-cycle
 count of every streamed edge, computed from factor statistics on the
 fly -- ground truth *during generation*, the paper's future-work item.
@@ -29,7 +25,6 @@ import numpy as np
 
 from repro.kronecker import kernels
 from repro.kronecker.assumptions import BipartiteKronecker
-from repro.kronecker.backends import KernelBackend, get_backend
 from repro.obs import get_events, get_metrics, get_tracer
 
 __all__ = ["stream_edges", "stream_chain_edges", "streamed_connectivity_audit"]
@@ -39,7 +34,6 @@ def stream_edges(
     bk: BipartiteKronecker,
     attach_ground_truth: bool = False,
     block_edges: int | None = None,
-    backend: str | KernelBackend | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the product's directed edges in factor-edge-sized blocks.
 
@@ -57,7 +51,6 @@ def stream_edges(
     into reused buffers, invalidated by the next iteration -- copy them
     (e.g. boolean-index or ``.copy()``) before retaining.
     """
-    be = get_backend(backend)
     M = bk.M
     B = bk.B.graph
     n_b = B.n
@@ -72,7 +65,7 @@ def stream_edges(
     metrics = get_metrics()
     tracking = metrics.enabled
     if tracking:
-        edges_streamed = metrics.counter("edges_streamed_total", backend=be.name)
+        edges_streamed = metrics.counter("edges_streamed_total")
         blocks_streamed = metrics.counter("stream.blocks_total")
         block_bytes = metrics.histogram("stream.block_size_bytes")
     # Event emission is gated the same way: one boolean per block.
@@ -91,11 +84,11 @@ def stream_edges(
         with get_tracer().span("stream.setup_ground_truth"):
             stats_a, stats_b = bk.factor_stats()
             alpha, beta_i, beta_j, _ = kernels.edge_coefficients(
-                stats_a, bk.assumption, m_rows, m_cols, backend=be
+                stats_a, bk.assumption, m_rows, m_cols
             )
             d_k = stats_b.d[bk_rows]
             d_l = stats_b.d[bk_cols]
-            _, dia_b = stats_b.edge_index.diamond_at(bk_rows, bk_cols, backend=be)
+            _, dia_b = stats_b.edge_index.diamond_at(bk_rows, bk_cols)
             w3_b = dia_b + d_k + d_l - 1
             neg_d_k = -d_k
             neg_d_l = -d_l
@@ -178,7 +171,7 @@ def stream_chain_edges(
     metrics = get_metrics()
     tracking = metrics.enabled
     if tracking:
-        edges_streamed = metrics.counter("edges_streamed_total", backend="chain")
+        edges_streamed = metrics.counter("edges_streamed_total")
         blocks_streamed = metrics.counter("stream.blocks_total")
         block_bytes = metrics.histogram("stream.block_size_bytes")
     events = get_events()

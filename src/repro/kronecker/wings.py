@@ -35,8 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kronecker.assumptions import BipartiteKronecker
-from repro.kronecker.backends import KernelBackend, get_backend
 from repro.kronecker.ground_truth import edge_squares_product
+from repro.kronecker.kernels import build_edge_table, probe_edge_table
 from repro.kronecker.multifactor import KroneckerChain
 
 __all__ = [
@@ -139,23 +139,17 @@ def max_wing_upper_bound(source: WingSource) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chain_probe_tables(
-    chain: KroneckerChain, be: KernelBackend
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def _chain_probe_tables(chain: KroneckerChain) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Per-factor ``W3`` hash tables (``key = row·n + col``), memoized
-    on the chain per backend name (layouts differ between backends)."""
-    cache = getattr(chain, "_wing_probe_tables", None)
-    if cache is None:
-        cache = {}
-        chain._wing_probe_tables = cache  # type: ignore[attr-defined]
-    tables = cache.get(be.name)
+    on the chain."""
+    tables = getattr(chain, "_wing_probe_tables", None)
     if tables is None:
         tables = []
         for f in chain.factors:
             rows = np.repeat(np.arange(f.n, dtype=np.int64), np.diff(f.indptr))
             keys = rows * f.n + f.indices  # ascending: CSR with sorted indices
-            tables.append(be.build_edge_table(keys, f.w3))
-        cache[be.name] = tables
+            tables.append(build_edge_table(keys, f.w3))
+        chain._wing_probe_tables = tables  # type: ignore[attr-defined]
     return tables
 
 
@@ -164,7 +158,6 @@ def chain_wings_at_edges(
     ps: np.ndarray,
     qs: np.ndarray,
     on_invalid: str = "raise",
-    backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """Wing upper bounds at arbitrary product entry batches ``(p, q)``.
 
@@ -179,7 +172,6 @@ def chain_wings_at_edges(
     """
     if on_invalid not in ("raise", "mask"):
         raise ValueError(f"on_invalid must be 'raise' or 'mask', got {on_invalid!r}")
-    be = get_backend(backend)
     ps = np.atleast_1d(np.asarray(ps, dtype=np.int64))
     qs = np.atleast_1d(np.asarray(qs, dtype=np.int64))
     if ps.shape != qs.shape:
@@ -189,7 +181,7 @@ def chain_wings_at_edges(
             raise IndexError(
                 f"{name} indices out of range for chain product of size {chain.n}"
             )
-    tables = _chain_probe_tables(chain, be)
+    tables = _chain_probe_tables(chain)
     valid = np.ones(ps.shape, dtype=bool)
     w3 = np.ones(ps.shape, dtype=np.int64)
     drow = np.ones(ps.shape, dtype=np.int64)
@@ -200,7 +192,7 @@ def chain_wings_at_edges(
         rem_p, i_t = np.divmod(rem_p, f.n)
         rem_q, j_t = np.divmod(rem_q, f.n)
         table_keys, table_vals, shift = tables[t]
-        found, w3_t = be.probe_edge_table(table_keys, table_vals, shift, i_t * f.n + j_t)
+        found, w3_t = probe_edge_table(table_keys, table_vals, shift, i_t * f.n + j_t)
         valid &= found
         w3 *= w3_t
         drow *= f.d[i_t]
@@ -209,7 +201,7 @@ def chain_wings_at_edges(
     vals -= drow
     vals -= dcol
     vals += 1
-    vals *= valid  # zero the invalid slots before the sentinel fuse
+    vals *= valid  # zero the invalid slots before the sentinel write
     if on_invalid == "raise":
         if not valid.all():
             bad = int(np.flatnonzero(~valid)[0])
@@ -217,4 +209,5 @@ def chain_wings_at_edges(
                 f"({int(ps[bad])}, {int(qs[bad])}) is not an edge of the chain product"
             )
         return vals
-    return be.wing_bounds_fuse(vals, valid)
+    vals[~valid] = -1
+    return vals

@@ -117,7 +117,6 @@ def _write_shard(
     stop: int,
     path: str,
     ground_truth: bool,
-    backend: Optional[str] = None,
     shard_format: str = "npz",
     codec: str = "raw",
     attempt: int = 0,
@@ -139,9 +138,7 @@ def _write_shard(
         injector.maybe_fail(index, attempt, partial_path=tmp)
     t0 = time.perf_counter()
     if ground_truth:
-        p, q, dia = shard_of_product(
-            bk, start, stop, attach_ground_truth=True, backend=backend
-        )
+        p, q, dia = shard_of_product(bk, start, stop, attach_ground_truth=True)
         arrays = {"p": p, "q": q, "squares": dia}
     else:
         p, q = shard_of_product(bk, start, stop)
@@ -364,7 +361,6 @@ def generate_shards(
     resume: bool = False,
     retry: Optional[RetryPolicy] = None,
     fault_injector: Optional[FaultInjector] = None,
-    backend: Optional[str] = None,
 ) -> list[Path]:
     """Write the product as ``n_shards`` shard files, in parallel.
 
@@ -398,17 +394,7 @@ def generate_shards(
     follow-up ``resume=True`` run picks up exactly where this one died.
     ``fault_injector`` deterministically simulates worker crashes (for
     tests and the CI crash/resume smoke).
-
-    ``backend`` selects the kernel backend for the ground-truth
-    coefficient lookups; it is resolved to a *name* in the parent (so
-    fallback and validation happen before any worker is spawned) and
-    crosses process boundaries as that name.  Shard content -- and
-    therefore manifests, checksums, and resume compatibility -- is
-    bit-identical across backends.
     """
-    from repro.kronecker.backends import get_backend
-
-    backend_name = get_backend(backend).name
     if shard_format not in SHARD_FORMATS:
         raise ValueError(
             f"unknown shard format {shard_format!r} (choose from {sorted(SHARD_FORMATS)})"
@@ -423,7 +409,7 @@ def generate_shards(
         worker: Callable = _write_shard
 
         def make_args(k: int, start: int, stop: int, path: str) -> tuple:
-            return (bk, k, start, stop, path, ground_truth, backend_name, shard_format, codec)
+            return (bk, k, start, stop, path, ground_truth, shard_format, codec)
 
     else:
         chain = KroneckerChain.from_bipartite(bk)
@@ -444,11 +430,7 @@ def generate_shards(
         resume=resume,
         retry=retry,
         fault_injector=fault_injector,
-        span_attrs={
-            "backend": backend_name,
-            "partition": partition,
-            "shard_format": shard_format,
-        },
+        span_attrs={"partition": partition, "shard_format": shard_format},
     )
 
 

@@ -188,17 +188,13 @@ def shard_of_product(
     start: int,
     stop: int,
     attach_ground_truth: bool = False,
-    backend: str | None = None,
 ):
     """Materialize one shard's product entries as flat arrays.
 
     Returns ``(p, q)`` -- or ``(p, q, diamonds)`` -- covering exactly
     the product entries generated by left-factor entries
     ``start..stop-1`` (COO order).  Pure function of ``(bk, start,
-    stop)``: safe to run in any process, in any order.  ``backend``
-    names the kernel backend for the coefficient lookups (a *name*,
-    not an instance, so it crosses process boundaries; shard payloads
-    are bit-identical across backends).
+    stop)``: safe to run in any process, in any order.
     """
     m_coo = bk.M.adj.tocoo()
     b_coo = bk.B.graph.adj.tocoo()
@@ -213,18 +209,16 @@ def shard_of_product(
     if not attach_ground_truth:
         return p, q
     from repro.kronecker import kernels
-    from repro.kronecker.backends import get_backend
 
-    be = get_backend(backend)
     stats_a, stats_b = bk.factor_stats()
     # Fused evaluation (repro.kronecker.kernels): per-entry left-factor
     # coefficients, then one stacked matmul for the whole shard -- no
     # per-entry Python loop, no sparse fancy indexing.
     alpha, beta_i, beta_j, _ = kernels.edge_coefficients(
-        stats_a, bk.assumption, rows_m, cols_m, backend=be
+        stats_a, bk.assumption, rows_m, cols_m
     )
     idx_b = stats_b.edge_index
-    _, dia_b = idx_b.diamond_at(b_rows, b_cols, backend=be)
+    _, dia_b = idx_b.diamond_at(b_rows, b_cols)
     d_k = stats_b.d[b_rows]
     d_l = stats_b.d[b_cols]
     left = np.stack((alpha, beta_i, beta_j))              # (3, slice)

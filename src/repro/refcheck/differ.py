@@ -108,9 +108,6 @@ class DivergenceWitness:
     expected: Union[int, float, str]
     actual: Union[int, float, str]
     factors: Dict[str, dict]
-    #: Kernel backend the fused implementations ran under -- a
-    #: numba-only divergence must be attributable from the report alone.
-    backend: str = "numpy"
 
     def to_dict(self) -> dict:
         return {
@@ -119,7 +116,6 @@ class DivergenceWitness:
             "quantity": self.quantity,
             "implementation": self.implementation,
             "reference": self.reference,
-            "backend": self.backend,
             "location": dict(self.location),
             "expected": self.expected,
             "actual": self.actual,
@@ -130,8 +126,7 @@ class DivergenceWitness:
         loc = ", ".join(f"{k}={v}" for k, v in self.location.items())
         return (
             f"{self.case} [{self.assumption}] {self.quantity}: "
-            f"{self.implementation} != {self.reference} "
-            f"[backend={self.backend}] at ({loc}): "
+            f"{self.implementation} != {self.reference} at ({loc}): "
             f"expected {self.expected}, got {self.actual}"
         )
 
@@ -145,7 +140,6 @@ class VerifyReport:
     max_factor_size: int
     assumptions: List[str]
     perturbation: Optional[str]
-    backend: str = "numpy"
     tier: str = "standard"
     cases: int = 0
     checks: int = 0
@@ -168,7 +162,6 @@ class VerifyReport:
             "max_factor_size": self.max_factor_size,
             "assumptions": self.assumptions,
             "perturbation": self.perturbation,
-            "backend": self.backend,
             "tier": self.tier,
             "cases": self.cases,
             "checks": self.checks,
@@ -189,7 +182,6 @@ class VerifyReport:
             f"{self.cases} cases, {self.checks} checks, "
             f"{self.divergences} divergences "
             f"(tier={self.tier}, seed={self.seed}, trials={self.trials}, "
-            f"backend={self.backend}, "
             f"assumptions={'/'.join(self.assumptions)}"
             + (f", perturbation={self.perturbation}" if self.perturbation else "")
             + f") in {self.elapsed_seconds:.2f}s"
@@ -242,10 +234,8 @@ def _perturbation(kind: Optional[str]):
     if kind == "wing-support":
         original_batch = kernels.edge_squares_batch
 
-        def support_off_by_one(stats_a, stats_b, assumption, i, j, k, ell, backend=None):
-            values, valid = original_batch(
-                stats_a, stats_b, assumption, i, j, k, ell, backend=backend
-            )
+        def support_off_by_one(stats_a, stats_b, assumption, i, j, k, ell):
+            values, valid = original_batch(stats_a, stats_b, assumption, i, j, k, ell)
             return values + valid.astype(values.dtype), valid
 
         kernels.edge_squares_batch = support_off_by_one
@@ -256,8 +246,8 @@ def _perturbation(kind: Optional[str]):
         return
     original = kernels.edge_coefficients
 
-    def beta_sign_flipped(stats_a, assumption, i, j, backend=None):
-        alpha, beta_i, beta_j, valid = original(stats_a, assumption, i, j, backend=backend)
+    def beta_sign_flipped(stats_a, assumption, i, j):
+        alpha, beta_i, beta_j, valid = original(stats_a, assumption, i, j)
         return alpha, -beta_i, -beta_j, valid
 
     kernels.edge_coefficients = beta_sign_flipped
@@ -294,7 +284,6 @@ class _CaseChecker:
                 expected=expected,
                 actual=actual,
                 factors={"A": self.spec["A"], "B": self.spec["B"]},
-                backend=self.report.backend,
             )
         )
 
@@ -712,7 +701,6 @@ def run_verification(
     include_adversarial: bool = True,
     include_chains: bool = True,
     perturb: Optional[str] = None,
-    backend: Optional[str] = None,
     tier: str = "standard",
 ) -> VerifyReport:
     """Run the full differential sweep and return the report.
@@ -739,22 +727,11 @@ def run_verification(
     brute set-intersection supports, and whose exact wing numbers —
     brute batch peel vs the production lazy-heap engine — must respect
     the bounds everywhere with equality on certified-zero edges.
-
-    ``backend`` selects the kernel backend every fused implementation
-    runs under (applied as a :func:`~repro.kronecker.backends.use_backend`
-    scope, so the oracle, stream, and whole-product paths all inherit
-    it); the legacy ``sp.kron`` paths and the brute-force referee are
-    backend-independent.  The *resolved* name -- after any
-    missing-dependency fallback -- is recorded in the report and every
-    witness.
     """
-    from repro.kronecker.backends import get_backend, use_backend
-
     if tier not in ("standard", "scale", "wings"):
         raise ValueError(
             f"unknown verification tier {tier!r} (standard, scale or wings)"
         )
-    backend_name = get_backend(backend).name
     assumptions = resolve_assumptions(assumption)
     report = VerifyReport(
         seed=seed,
@@ -762,14 +739,13 @@ def run_verification(
         max_factor_size=max_factor_size,
         assumptions=[a.value for a in assumptions],
         perturbation=None if perturb in (None, "none") else perturb,
-        backend=backend_name,
         tier=tier,
     )
     tracer = get_tracer()
     metrics = get_metrics()
     cases_total = metrics.counter("verify.cases_total")
     t0 = time.perf_counter()
-    with _perturbation(perturb), use_backend(backend_name):
+    with _perturbation(perturb):
         if tier == "scale":
             with tracer.span("verify.scale"):
                 for label, factors in scale_chain_cases():

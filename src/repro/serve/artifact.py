@@ -174,10 +174,6 @@ def save_oracle(oracle: GroundTruthOracle, out_dir: PathLike) -> Path:
             "created_at": _utcnow(),
             "storage": "npz-stored",
             "checksum": checksum_arrays(arrays),
-            # Which kernel backend computed the packed arrays: array
-            # content is bit-identical across backends by contract, but
-            # a divergence investigation needs the provenance recorded.
-            "kernel_backend": oracle.backend_name,
             "assumption": assumption.name,
             "product": {"n": int(oracle.bk.n), "m": int(oracle.bk.m)},
             "factors": {
@@ -284,7 +280,6 @@ def _mmap_npz_arrays(npz_path: Path) -> dict[str, np.ndarray]:
 def load_oracle(
     path: PathLike,
     verify: bool = True,
-    backend: str | None = None,
     *,
     mmap: bool = False,
 ) -> GroundTruthOracle:
@@ -294,10 +289,6 @@ def load_oracle(
     content checksum *and* the persisted kernel coefficients against the
     factor statistics, raising :class:`ArtifactIntegrityError` on any
     disagreement -- a tampered or bit-rotted artifact never serves.
-
-    ``backend`` selects the kernel backend of the rebuilt oracle
-    (``None`` resolves the process selection); artifacts are
-    backend-neutral, so any backend can serve any artifact.
 
     ``mmap=True`` maps the arrays read-only straight out of the npz
     container instead of materializing copies: the checksum is verified
@@ -341,7 +332,7 @@ def load_oracle(
         if "part_b" not in arrays:
             raise ArtifactError("artifact is missing the part_b bipartition mask")
         oracle = GroundTruthOracle.from_factor_stats(
-            stats_a, stats_b, arrays["part_b"], assumption, backend=backend
+            stats_a, stats_b, arrays["part_b"], assumption
         )
         if verify:
             vertex_l, vertex_r = oracle._term_matrices

@@ -129,7 +129,6 @@ class PreforkServer:
         port: int = 0,
         workers: int = 2,
         protocol: str = "both",
-        backend: Optional[str] = None,
         max_queue: int = 1024,
         cache_size: int = 4096,
         grace: float = 5.0,
@@ -146,7 +145,6 @@ class PreforkServer:
         self.port = port
         self.workers = workers
         self.protocol = protocol
-        self.backend = backend
         self.max_queue = max_queue
         self.cache_size = cache_size
         self.grace = grace
@@ -174,7 +172,7 @@ class PreforkServer:
         # One load, pre-fork: with mmap=True the arrays are page-cache
         # views of oracle.npz shared by every child; derived small state
         # (term matrices, service-free oracle caches) rides fork CoW.
-        self.oracle = load_oracle(self.artifact, backend=self.backend, mmap=self.mmap)
+        self.oracle = load_oracle(self.artifact, mmap=self.mmap)
         if self.state_dir is None:
             self.state_dir = Path(tempfile.mkdtemp(prefix="repro-prefork-"))
         else:
@@ -433,12 +431,14 @@ class _WorkerProcess:
         # Responses coalesce into one buffer, flushed when the request
         # buffer drains (client is now waiting) or it grows past 1 MiB:
         # a deep pipeline costs one sendall per burst, not per frame.
+        # ``sent_t0`` holds the read time of every frame in ``out``; each
+        # latency is observed once the flush carrying its answer returns.
         out = bytearray()
+        sent_t0: list[float] = []
         while True:
             if not reader.pending:
                 if out:
-                    conn.sendall(out)
-                    del out[:]
+                    self._flush(conn, out, sent_t0, latency)
                 # While draining, poll at timeout 0: frames already sent
                 # by the client (sitting in the kernel buffer) still get
                 # answered; only a truly idle connection closes.
@@ -455,13 +455,13 @@ class _WorkerProcess:
                 # Framing is lost; answer once, then drop the connection.
                 try:
                     out += wire.encode_error(wire.STATUS_BAD_REQUEST, str(exc))
-                    conn.sendall(out)
+                    self._flush(conn, out, sent_t0, latency)
                 except OSError:
                     pass
                 return
             if request is None:
                 if out:
-                    conn.sendall(out)
+                    self._flush(conn, out, sent_t0, latency)
                 return  # clean EOF at a frame boundary
             kind, ps, qs = request
             status = wire.STATUS_OK
@@ -478,13 +478,23 @@ class _WorkerProcess:
                 count_internal_error("wire", exc, self.ctx.worker_label)
                 status = wire.STATUS_INTERNAL
                 out += wire.encode_error(status, f"internal error: {exc}")
+            sent_t0.append(t0)
             if len(out) > (1 << 20):
-                conn.sendall(out)
-                del out[:]
-            latency.observe(time.perf_counter() - t0)
+                self._flush(conn, out, sent_t0, latency)
             counter = counters.get((kind, status))
             if counter is None:
                 counter = counters[(kind, status)] = metrics.counter(
                     "serve.wire.responses_total", kind=kind, status=str(status)
                 )
             counter.inc()
+
+    @staticmethod
+    def _flush(conn: socket.socket, out: bytearray, sent_t0: list[float], latency: Any) -> None:
+        """Send the coalesced responses, then observe each carried
+        frame's latency: from its read to the end of this send."""
+        conn.sendall(out)
+        del out[:]
+        done = time.perf_counter()
+        for t0 in sent_t0:
+            latency.observe(done - t0)
+        sent_t0.clear()

@@ -425,7 +425,7 @@ class OracleService:
             bounds = self.oracle.wings_at_edges(ps, qs, on_invalid="mask")
             self._counts["invalid"] += int((bounds == INVALID_SQUARES).sum())
             return bounds
-        # clustering -- NaN masking delegated to the oracle/backend
+        # clustering -- NaN masking delegated to the oracle
         out = self.oracle.clustering_at_edges(ps, qs)
         self._counts["invalid"] += int(np.isnan(out).sum())
         return out

@@ -1,6 +1,5 @@
 """Chain-product wing bounds: streamed blocks, the mixed-radix
-digit-probe batch, pinned degenerate-input behavior, and the backend
-wing primitives.
+digit-probe batch, and pinned degenerate-input behavior.
 
 The 2-factor CSR path is covered by ``test_wings.py``; this module is
 the n-factor and edge-case counterpart.  Every streamed or probed value
@@ -20,7 +19,6 @@ from repro.generators.classic import (
 )
 from repro.graphs.graph import Graph
 from repro.kronecker import Assumption, make_bipartite_product
-from repro.kronecker.backends import available_backends, get_backend
 from repro.kronecker.multifactor import KroneckerChain
 from repro.kronecker.wings import (
     certified_zero_wing_edges,
@@ -160,15 +158,6 @@ class TestChainQueryContract:
         got = chain_wings_at_edges(self.chain, [], [])
         assert got.shape == (0,) and got.dtype == np.int64
 
-    def test_backend_results_agree(self):
-        ps, qs, want = None, None, None
-        for p, q, b in wing_upper_bounds(self.chain, block_entries=256):
-            ps, qs, want = p, q, b
-            break
-        for name in available_backends():
-            got = chain_wings_at_edges(self.chain, ps, qs, backend=name)
-            assert np.array_equal(got, want), f"backend {name!r} diverged"
-
 
 class TestDegeneratePinning:
     """Pinned behavior on empty factors, isolated vertices, and
@@ -261,36 +250,3 @@ class TestDegeneratePinning:
                 wing_upper_bounds(bk, **kwargs)
             with pytest.raises(TypeError, match="KroneckerChain"):
                 certified_zero_wing_edges(bk, **kwargs)
-
-
-class TestBackendWingPrimitives:
-    def test_numpy_fuse_masks_invalid_slots(self):
-        be = get_backend("numpy")
-        vals = np.array([3, 0, 7, 0], dtype=np.int64)
-        valid = np.array([True, False, True, False])
-        fused = be.wing_bounds_fuse(vals.copy(), valid)
-        assert fused.tolist() == [3, -1, 7, -1]
-
-    def test_numpy_max_reduce(self):
-        be = get_backend("numpy")
-        vals = np.array([3, 99, 7], dtype=np.int64)
-        valid = np.array([True, False, True])
-        assert be.max_wing_reduce(vals, valid) == 7
-        assert be.max_wing_reduce(vals, np.zeros(3, dtype=bool)) == 0
-        empty = np.zeros(0, dtype=np.int64)
-        assert be.max_wing_reduce(empty, np.zeros(0, dtype=bool)) == 0
-
-    @pytest.mark.skipif(
-        "numba" not in available_backends(), reason="numba backend unavailable"
-    )
-    def test_numba_primitives_match_numpy(self):
-        rng = np.random.default_rng(11)
-        vals = rng.integers(0, 1000, size=257).astype(np.int64)
-        valid = rng.random(257) < 0.7
-        np_be = get_backend("numpy")
-        nb_be = get_backend("numba")
-        assert np.array_equal(
-            nb_be.wing_bounds_fuse(vals.copy(), valid),
-            np_be.wing_bounds_fuse(vals.copy(), valid),
-        )
-        assert nb_be.max_wing_reduce(vals, valid) == np_be.max_wing_reduce(vals, valid)

@@ -153,11 +153,6 @@ class TestRuntimeSwitch:
             streamed = sum(p.size for p, _ in stream_edges(bk))
             record = build_run_record("lib", tracer=tracer, metrics=metrics)
         counters = record["metrics"]["counters"]
-        # Counters are labeled with the kernel backend that ran (any
-        # backend-matrix leg must see its own name here).
-        from repro.kronecker import get_backend
-
-        be = get_backend().name
-        assert counters[f'edges_streamed_total{{backend="{be}"}}'] == streamed == bk.M.nnz * bk.B.graph.nnz
-        assert counters[f'oracle_queries_total{{backend="{be}"}}'] == 2
+        assert counters["edges_streamed_total"] == streamed == bk.M.nnz * bk.B.graph.nnz
+        assert counters["oracle_queries_total"] == 2
         assert any(sp["name"] == "oracle.setup" for sp in record["spans"])

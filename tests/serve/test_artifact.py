@@ -41,6 +41,20 @@ def test_round_trip_bit_identical(oracle_fixture, tmp_path, request):
     assert loaded.bk.assumption is oracle.bk.assumption
 
 
+def test_sidecar_without_kernel_backend_and_old_key_tolerated(oracle_i, tmp_path):
+    """New sidecars carry no ``kernel_backend``; ones written with it load."""
+    out = save_oracle(oracle_i, tmp_path / "art")
+    sidecar_path = out / SIDECAR_FILE
+    sidecar = json.loads(sidecar_path.read_text())
+    assert "kernel_backend" not in sidecar
+    sidecar["kernel_backend"] = "numpy"
+    sidecar_path.write_text(json.dumps(sidecar))
+    assert artifact_info(out)["kernel_backend"] == "numpy"
+    loaded = load_oracle(out)
+    ps = np.arange(oracle_i.bk.n, dtype=np.int64)
+    assert np.array_equal(loaded.squares_at_vertices(ps), oracle_i.squares_at_vertices(ps))
+
+
 def test_round_trip_no_recompute(oracle_i, tmp_path):
     """Loading reuses the persisted statistics objects, not fresh ones."""
     loaded = load_oracle(save_oracle(oracle_i, tmp_path / "art"))

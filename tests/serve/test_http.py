@@ -19,6 +19,7 @@ from repro.obs import instrument, lint_exposition
 from repro.obs.metrics import series_key
 from repro.serve import OracleService, PreforkServer, WireClient, save_oracle
 from repro.serve import http as http_module
+from repro.serve import prefork as prefork_module
 from repro.serve.http import PROM_CONTENT_TYPE
 from repro.serve.wire import STATUS_INTERNAL, STATUS_OVERLOADED, WireServerError
 
@@ -350,6 +351,34 @@ def test_http_latency_covers_the_send(art, monkeypatch):
     finally:
         server.stop()
     latency = histograms[series_key("serve.http.latency_seconds", {"endpoint": "v1_degree"})]
+    assert latency["count"] == 1
+    assert latency["p50"] >= 0.05
+
+
+def test_wire_latency_covers_the_send(art, monkeypatch):
+    """The wire histogram closes after the flush that carries the answer,
+    not when the answer joins the coalesced buffer."""
+    flush = prefork_module._WorkerProcess._flush
+
+    def slow_flush(conn, out, sent_t0, latency):
+        time.sleep(0.05)
+        flush(conn, out, sent_t0, latency)
+
+    monkeypatch.setattr(prefork_module._WorkerProcess, "_flush", staticmethod(slow_flush))
+    server = _start(art)
+    try:
+        with WireClient("127.0.0.1", server.port) as wire:
+            assert wire.degrees([0]).size == 1
+        client = _Client("127.0.0.1", server.port)
+        key = series_key("serve.wire.latency_seconds", {})
+        deadline = time.monotonic() + 5.0
+        while True:  # the worker observes just after its send returns
+            latency = client.get("/metrics")[1]["metrics"]["histograms"].get(key)
+            if (latency and latency["count"]) or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+    finally:
+        server.stop()
     assert latency["count"] == 1
     assert latency["p50"] >= 0.05
 

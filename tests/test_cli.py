@@ -126,3 +126,23 @@ class TestArtifactCommands:
         rc = main(["fig5", "--factor", "biclique:3x4", "--bins", "5"])
         assert rc == 0
         assert "Fig 5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--backend", "numpy"],
+        ["serve", "--artifact", "art", "--backend", "numpy"],
+        ["generate", "complete:3", "path:4", "--backend", "numpy"],
+        ["shards", "complete:3", "path:4", "--out-dir", "d", "--backend", "numpy"],
+        ["stats", "complete:3", "path:4", "--backend", "numpy"],
+        ["pack", "complete:3", "path:4", "-o", "art", "--backend", "numpy"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_backend_flag_is_gone(argv, capsys):
+    """There is one kernel path, so no subcommand takes ``--backend``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err

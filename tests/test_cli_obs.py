@@ -27,11 +27,8 @@ class TestMetricsOut:
 
         counters = record["metrics"]["counters"]
         assert len(counters) >= 3
-        # 36 directed entries: nnz(K3) * nnz(P4) = 6 * 6.  The counter
-        # key carries the kernel backend that streamed them.
-        from repro.kronecker import get_backend
-
-        assert counters[f'edges_streamed_total{{backend="{get_backend().name}"}}'] == 36
+        # 36 directed entries: nnz(K3) * nnz(P4) = 6 * 6.
+        assert counters["edges_streamed_total"] == 36
         written = sum(1 for line in out.read_text().splitlines() if not line.startswith("#"))
         assert counters["generate.edges_written_total"] == written == 18
 

@@ -45,12 +45,7 @@ def test_family_table_covers_every_feature():
 
 @pytest.mark.parametrize("name", BENCH_FAMILIES)
 def test_field_checks_accept_committed_record(name):
-    failures = smoke.field_failures(smoke.FAMILIES[name].checks, _committed(name))
-    if name == "kernels":
-        # The committed kernels record predates per-row backend stamping
-        # (re-recording it is a ROADMAP item); every other check holds.
-        failures = [f for f in failures if ".backend = None," not in f]
-    assert failures == []
+    assert smoke.field_failures(smoke.FAMILIES[name].checks, _committed(name)) == []
 
 
 def _wing_over_bound(row):
@@ -64,15 +59,13 @@ def _wing_over_bound(row):
         ("scale", "test_degree_partitioner_imbalance", lambda r: r.update(degree_imbalance=1.5)),
         ("scale", "test_degree_partitioner_imbalance", lambda r: r.update(rows_imbalance=1.9)),
         ("obs", "test_event_log_emit_flush_throughput", lambda r: r.update(dropped=1)),
-        ("kernels", "test_chunked_stream_vs_default", lambda r: r.pop("backend")),
+        ("kernels", "test_chunked_stream_vs_default", lambda r: r.pop("entries")),
         ("serve", "test_serve_prefork_wire_pipeline", lambda r: r.update(protocol="json")),
         ("generation", "test_generation_throughput", lambda r: r.pop("directed_entries")),
     ],
 )
 def test_field_checks_reject_mutated_record(name, bench, mutate):
     record = copy.deepcopy(_committed(name))
-    for row in record["benches"]:  # as a fresh record stamps every row
-        row.setdefault("backend", "numpy")
     mutate(_row(record, bench))
     failures = smoke.field_failures(smoke.FAMILIES[name].checks, record)
     assert failures and all(f.startswith(bench) for f in failures), failures
