@@ -33,6 +33,7 @@ from repro.kronecker import GroundTruthOracle
 from repro.kronecker.sampling import sample_edges
 from repro.serve import OracleService, load_oracle, save_oracle
 from repro.serve.prefork import PreforkServer
+from repro.serve.service import ENTRY_OVERHEAD
 from repro.serve.wire import WireClient, encode_request
 from repro.utils.timing import Timer
 
@@ -84,7 +85,7 @@ def test_serve_throughput_vs_concurrency(unicode_product, record_bench):
     oracle = GroundTruthOracle(unicode_product)
     levels = {}
     for concurrency in CONCURRENCY:
-        with OracleService(oracle, max_queue=4096, cache_size=0) as service:
+        with OracleService(oracle, max_queue=4096, cache_bytes=0) as service:
             seconds, queries, p50, p99, mismatches = _drive(service, oracle, concurrency)
             assert not mismatches, mismatches[:3]
             stats = service.stats()
@@ -125,10 +126,12 @@ def test_serve_cache_on_vs_off(unicode_product, record_bench):
                 np.testing.assert_array_equal(got, expected[i % len(hot)])
         return t.elapsed
 
-    with OracleService(oracle, max_queue=4096, cache_size=64) as cached:
+    # A budget for 64 hot answers: answer bytes + digest + fixed overhead.
+    budget = 64 * (8 * BATCH + 32 + ENTRY_OVERHEAD)
+    with OracleService(oracle, max_queue=4096, cache_bytes=budget) as cached:
         t_on = replay(cached)
         stats_on = cached.stats()
-    with OracleService(oracle, max_queue=4096, cache_size=0) as uncached:
+    with OracleService(oracle, max_queue=4096, cache_bytes=0) as uncached:
         t_off = replay(uncached)
     hit_rate = stats_on["hits"] / max(stats_on["requests"], 1)
     speedup = t_off / max(t_on, 1e-9)
@@ -155,7 +158,7 @@ def test_serve_http_round_trip(unicode_product, tmp_path_factory, record_bench):
     concurrency = 2 if QUICK else 8
     reqs = 10 if QUICK else 50
     per_req = 16
-    with PreforkServer(art, workers=1, max_queue=4096, cache_size=0) as server:
+    with PreforkServer(art, workers=1, max_queue=4096, cache_bytes=0) as server:
         base = f"http://127.0.0.1:{server.port}"
         latencies: list[list[float]] = [[] for _ in range(concurrency)]
         errors: list[str] = []
@@ -279,7 +282,7 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
     # naive urllib clients, one TCP connection per request.
     baseline_clients = 2 if QUICK else 8
     baseline_reqs = 5 if QUICK else 13
-    with PreforkServer(art, workers=1, max_queue=4096, cache_size=0) as server:
+    with PreforkServer(art, workers=1, max_queue=4096, cache_bytes=0) as server:
         base = f"http://127.0.0.1:{server.port}"
         errors: list[str] = []
 

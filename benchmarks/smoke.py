@@ -17,6 +17,7 @@ perturbation drill, which must exit 4.  Outputs land in
 from __future__ import annotations
 
 import fnmatch
+import http.client
 import importlib.util
 import json
 import operator
@@ -175,10 +176,40 @@ def _boot_server(out: Path, artifact: Path, name: str, *args: str) -> tuple[subp
             time.sleep(0.2)
 
 
+def _check_cache_budgets(port: int, workers: int, n: int) -> None:
+    """Every worker caches an answer and scrapes ``0 < cache_bytes <=
+    cache_budget_bytes`` on ``/metrics``.  A keep-alive connection stays
+    on one worker, so a query and a scrape on one connection read the
+    same worker's cache; fresh connections reach the others."""
+    seen: dict[str, tuple[float, float]] = {}
+    for attempt in range(50 * workers):
+        if len(seen) == workers:
+            break
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("POST", "/v1/degree", body=json.dumps({"ps": [attempt % n]}))
+            conn.getresponse().read()
+            conn.request("GET", "/metrics?format=prometheus")
+            text = conn.getresponse().read().decode()
+        finally:
+            conn.close()
+        samples = re.findall(
+            r'^repro_serve_service_(cache_bytes|cache_budget_bytes)\{worker="(\d+)"\} (\S+)$',
+            text, re.M)
+        gauges = {name: float(value) for name, _, value in samples}
+        seen[samples[0][1]] = (gauges["cache_bytes"], gauges["cache_budget_bytes"])
+    need(len(seen) == workers, f"scraped {len(seen)} of {workers} workers: {sorted(seen)}")
+    for worker, (used, budget) in sorted(seen.items()):
+        need(0 < used <= budget, f"worker {worker}: cache_bytes {used:g}, budget {budget:g}")
+    print(f"cache budgets ok on port {port}:",
+          ", ".join(f"worker {w} {u:g}/{b:g} B" for w, (u, b) in sorted(seen.items())))
+
+
 def serve_probe(out: Path) -> None:
     """Live pre-fork servers, 1 worker and 4 workers speaking both
     protocols: artifact schema and a known edge, wire answers equal to
-    JSON answers and the direct oracle, merged worker metrics on drain."""
+    JSON answers and the direct oracle, every worker's cache within its
+    budget, merged worker metrics on drain."""
     artifact = out / "serve_artifact"
     py("-m", "repro", "pack", *SPEC, "-o", str(artifact))
     assert artifact_info(artifact)["schema"] == "repro.serve/1"
@@ -223,6 +254,8 @@ def serve_probe(out: Path) -> None:
             assert wire_wings.tolist() == json_wings, port
         print(f"wire ok: {len(ps)} degrees + global + {eps.size} wing bounds "
               "identical across protocols")
+        _check_cache_budgets(port_one, 1, oracle.bk.n)
+        _check_cache_budgets(port_four, 4, oracle.bk.n)
         # Drain the pre-fork server (SIGTERM; all workers must report).
         four.send_signal(signal.SIGTERM)
         try:

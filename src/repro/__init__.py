@@ -23,85 +23,47 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-vs-measured experiment index.
 """
 
-from repro.generators import (
-    bipartite_bter,
-    bipartite_chung_lu,
-    bipartite_rmat,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    konect_unicode_like,
-    path_graph,
-    powerlaw_weights,
-    preferential_attachment,
-    rmat,
-    scale_free_bipartite_factor,
-    scale_free_nonbipartite_factor,
-    star_graph,
-)
-from repro.graphs import BipartiteGraph, Graph, bipartition, is_bipartite, is_connected
-from repro.kronecker import (
-    Assumption,
-    BipartiteCommunity,
-    BipartiteKronecker,
-    GroundTruthOracle,
-    KroneckerProduct,
-    edge_squares_product,
-    global_squares_product,
-    kron_graph,
-    kron_power,
-    make_bipartite_product,
-    predict_product_connectivity,
-    product_community,
-    stream_edges,
-    thm7_product_counts,
-    vertex_squares_product,
-)
-
-from repro.validation import ValidationReport, standard_battery, validate_counter
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # graphs
-    "Graph",
-    "BipartiteGraph",
-    "bipartition",
-    "is_bipartite",
-    "is_connected",
-    # generators
-    "path_graph",
-    "cycle_graph",
-    "star_graph",
-    "complete_graph",
-    "complete_bipartite",
-    "preferential_attachment",
-    "scale_free_bipartite_factor",
-    "scale_free_nonbipartite_factor",
-    "bipartite_chung_lu",
-    "powerlaw_weights",
-    "rmat",
-    "bipartite_rmat",
-    "bipartite_bter",
-    "konect_unicode_like",
-    # kronecker core
-    "Assumption",
-    "BipartiteKronecker",
-    "make_bipartite_product",
-    "KroneckerProduct",
-    "kron_graph",
-    "kron_power",
-    "vertex_squares_product",
-    "edge_squares_product",
-    "global_squares_product",
-    "predict_product_connectivity",
-    "GroundTruthOracle",
-    "BipartiteCommunity",
-    "product_community",
-    "thm7_product_counts",
-    "stream_edges",
-    "validate_counter",
-    "standard_battery",
-    "ValidationReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Graph": ".graphs",
+    "BipartiteGraph": ".graphs",
+    "bipartition": ".graphs",
+    "is_bipartite": ".graphs",
+    "is_connected": ".graphs",
+    "path_graph": ".generators",
+    "cycle_graph": ".generators",
+    "star_graph": ".generators",
+    "complete_graph": ".generators",
+    "complete_bipartite": ".generators",
+    "preferential_attachment": ".generators",
+    "scale_free_bipartite_factor": ".generators",
+    "scale_free_nonbipartite_factor": ".generators",
+    "bipartite_chung_lu": ".generators",
+    "powerlaw_weights": ".generators",
+    "rmat": ".generators",
+    "bipartite_rmat": ".generators",
+    "bipartite_bter": ".generators",
+    "konect_unicode_like": ".generators",
+    "Assumption": ".kronecker",
+    "BipartiteKronecker": ".kronecker",
+    "make_bipartite_product": ".kronecker",
+    "KroneckerProduct": ".kronecker",
+    "kron_graph": ".kronecker",
+    "kron_power": ".kronecker",
+    "vertex_squares_product": ".kronecker",
+    "edge_squares_product": ".kronecker",
+    "global_squares_product": ".kronecker",
+    "predict_product_connectivity": ".kronecker",
+    "GroundTruthOracle": ".kronecker",
+    "BipartiteCommunity": ".kronecker",
+    "product_community": ".kronecker",
+    "thm7_product_counts": ".kronecker",
+    "stream_edges": ".kronecker",
+    "validate_counter": ".validation",
+    "standard_battery": ".validation",
+    "ValidationReport": ".validation",
+})
+__all__.insert(0, "__version__")

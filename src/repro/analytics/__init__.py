@@ -28,81 +28,41 @@ the direct algorithms here (and both against brute force in tests):
   Robins-Alexander global coefficient, and degree-binned averages.
 """
 
-from repro.analytics.peel import (
-    WingPeelResult,
-    peel_chain,
-    peel_product,
-    peel_wing_numbers,
-)
-from repro.analytics.tip import tip_decomposition, tip_number_max
-from repro.analytics.butterflies import (
-    edge_butterflies,
-    global_butterflies,
-    vertex_butterflies,
-)
-from repro.analytics.clustering_coeffs import (
-    degree_binned_edge_clustering,
-    edge_clustering_coefficients,
-    robins_alexander_coefficient,
-)
-from repro.analytics.fourcycles import (
-    count_squares_brute,
-    edge_squares_brute,
-    edge_squares_matrix,
-    global_squares,
-    vertex_squares_bfs,
-    vertex_squares_brute,
-    vertex_squares_codegree,
-    vertex_squares_matrix,
-)
-from repro.analytics.paths import (
-    global_caterpillars,
-    global_l3_paths,
-    global_wedges,
-    l3_paths_per_edge,
-    wedge_counts,
-)
-from repro.analytics.projection import product_projection, projection
-from repro.analytics.sampling import approximate_butterflies
-from repro.analytics.truss import truss_decomposition, truss_number_max
-from repro.analytics.triangles import (
-    edge_triangles,
-    global_triangles,
-    vertex_triangles,
-)
+from repro._lazy import lazy_exports
+from repro.analytics.projection import projection  # noqa: F401 - shadows its submodule (repro._lazy)
 
-__all__ = [
-    "vertex_triangles",
-    "edge_triangles",
-    "global_triangles",
-    "vertex_squares_matrix",
-    "vertex_squares_codegree",
-    "vertex_squares_bfs",
-    "vertex_squares_brute",
-    "edge_squares_matrix",
-    "edge_squares_brute",
-    "count_squares_brute",
-    "global_squares",
-    "vertex_butterflies",
-    "edge_butterflies",
-    "global_butterflies",
-    "approximate_butterflies",
-    "global_wedges",
-    "wedge_counts",
-    "global_l3_paths",
-    "l3_paths_per_edge",
-    "global_caterpillars",
-    "projection",
-    "product_projection",
-    "WingPeelResult",
-    "peel_wing_numbers",
-    "peel_product",
-    "peel_chain",
-    "tip_decomposition",
-    "tip_number_max",
-    "truss_decomposition",
-    "truss_number_max",
-    "edge_clustering_coefficients",
-    "robins_alexander_coefficient",
-    "degree_binned_edge_clustering",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "vertex_triangles": ".triangles",
+    "edge_triangles": ".triangles",
+    "global_triangles": ".triangles",
+    "vertex_squares_matrix": ".fourcycles",
+    "vertex_squares_codegree": ".fourcycles",
+    "vertex_squares_bfs": ".fourcycles",
+    "vertex_squares_brute": ".fourcycles",
+    "edge_squares_matrix": ".fourcycles",
+    "edge_squares_brute": ".fourcycles",
+    "count_squares_brute": ".fourcycles",
+    "global_squares": ".fourcycles",
+    "vertex_butterflies": ".butterflies",
+    "edge_butterflies": ".butterflies",
+    "global_butterflies": ".butterflies",
+    "approximate_butterflies": ".sampling",
+    "global_wedges": ".paths",
+    "wedge_counts": ".paths",
+    "global_l3_paths": ".paths",
+    "l3_paths_per_edge": ".paths",
+    "global_caterpillars": ".paths",
+    "projection": ".projection",
+    "product_projection": ".projection",
+    "WingPeelResult": ".peel",
+    "peel_wing_numbers": ".peel",
+    "peel_product": ".peel",
+    "peel_chain": ".peel",
+    "tip_decomposition": ".tip",
+    "tip_number_max": ".tip",
+    "truss_decomposition": ".truss",
+    "truss_number_max": ".truss",
+    "edge_clustering_coefficients": ".clustering_coeffs",
+    "robins_alexander_coefficient": ".clustering_coeffs",
+    "degree_binned_edge_clustering": ".clustering_coeffs",
+})

@@ -24,8 +24,9 @@ Wraps the library's three workflows for shell users:
   (``oracle.npz`` + ``artifact.json``, schema ``repro.serve/1``) from
   factor specs, so a server can boot without recomputing statistics.
 * ``serve`` -- boot the pre-fork ground-truth query server over a
-  packed artifact: JSON HTTP and binary wire protocols on one port, an
-  LRU result cache, and per-worker load shedding (see docs/serving.md).
+  packed artifact: JSON HTTP and binary wire protocols on one port, a
+  byte-budgeted LRU result cache, and per-worker load shedding (see
+  docs/serving.md).
 * ``table1`` / ``fig5`` -- regenerate the §IV artifacts.
 * ``top`` -- live console dashboard over a ``--events-out`` JSONL log
   (shard progress, edges/sec, ETA, retry/shed counters) or a served
@@ -54,28 +55,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from repro.generators import (
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    konect_unicode_like,
-    path_graph,
-    scale_free_nonbipartite_factor,
-    star_graph,
-)
-from repro.graphs import read_edge_list
-from repro.kronecker import (
-    Assumption,
-    GroundTruthOracle,
-    global_squares_product,
-    make_bipartite_product,
-    stream_edges,
-)
-from repro.kronecker.degrees import product_degree_summary
-from repro.kronecker.distances import product_diameter
+# Only the instrumentation layer is imported here; each subcommand imports
+# what it runs, so ``repro serve`` boots without the generation stack.
 from repro.obs import (
     build_run_record,
     disable,
@@ -94,45 +75,51 @@ __all__ = ["main", "parse_factor"]
 
 def parse_factor(spec: str):
     """Parse a factor spec (see module docstring) into a graph."""
+    from repro import generators
+
     if spec == "konect-unicode":
-        return konect_unicode_like()
+        return generators.konect_unicode_like()
     if spec.startswith("file:"):
+        from repro.graphs import read_edge_list
+
         return read_edge_list(spec[len("file:") :])
     name, _, rest = spec.partition(":")
     try:
         if name == "path":
-            return path_graph(int(rest))
+            return generators.path_graph(int(rest))
         if name == "cycle":
-            return cycle_graph(int(rest))
+            return generators.cycle_graph(int(rest))
         if name == "star":
-            return star_graph(int(rest))
+            return generators.star_graph(int(rest))
         if name == "complete":
-            return complete_graph(int(rest))
+            return generators.complete_graph(int(rest))
         if name == "biclique":
             if "x" not in rest:
                 raise argparse.ArgumentTypeError(
                     f"malformed factor spec {spec!r}: expected biclique:MxN (e.g. biclique:3x4)"
                 )
             m, n = rest.split("x")
-            return complete_bipartite(int(m), int(n))
+            return generators.complete_bipartite(int(m), int(n))
         if name == "grid":
             if "x" not in rest:
                 raise argparse.ArgumentTypeError(
                     f"malformed factor spec {spec!r}: expected grid:RxC (e.g. grid:2x3)"
                 )
             r, c = rest.split("x")
-            return grid_graph(int(r), int(c))
+            return generators.grid_graph(int(r), int(c))
         if name == "pa":
             parts = rest.split(":")
             n, m = int(parts[0]), int(parts[1])
             seed = int(parts[2]) if len(parts) > 2 else 0
-            return scale_free_nonbipartite_factor(n, m, seed=seed)
+            return generators.scale_free_nonbipartite_factor(n, m, seed=seed)
     except (ValueError, IndexError) as exc:
         raise argparse.ArgumentTypeError(f"malformed factor spec {spec!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(f"unknown factor spec {spec!r}")
 
 
 def _build_product(args):
+    from repro.kronecker import Assumption, make_bipartite_product
+
     assumption = (
         Assumption.SELF_LOOPS_FACTOR if args.assumption == "ii" else Assumption.NON_BIPARTITE_FACTOR
     )
@@ -181,6 +168,10 @@ def _add_product_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_generate(args) -> int:
+    import numpy as np
+
+    from repro.kronecker import stream_edges
+
     tracer = get_tracer()
     with tracer.span("generate.build_product"):
         bk = _build_product(args)
@@ -275,6 +266,10 @@ def _cmd_shards(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from repro.kronecker import global_squares_product
+    from repro.kronecker.degrees import product_degree_summary
+    from repro.kronecker.distances import product_diameter
+
     tracer = get_tracer()
     with tracer.span("stats.build_product"):
         bk = _build_product(args)
@@ -330,6 +325,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    from repro.kronecker import GroundTruthOracle
     from repro.serve import artifact_info, save_oracle
 
     tracer = get_tracer()
@@ -379,7 +375,7 @@ def _serve_instrumented(args) -> int:
             workers=args.workers_procs,
             protocol=args.protocol,
             max_queue=args.max_queue,
-            cache_size=args.cache_size,
+            cache_bytes=int(args.cache_mb * (1 << 20)),
             grace=args.grace,
             mmap=not args.no_mmap,
         ).start()
@@ -427,6 +423,8 @@ def _cmd_table1(args) -> int:
 
 def _cmd_fig5(args) -> int:
     from repro.experiments import fig5_degree_vs_squares
+    from repro.generators import konect_unicode_like
+    from repro.kronecker import Assumption, make_bipartite_product
 
     factor = parse_factor(args.factor) if args.factor else konect_unicode_like()
     bk = make_bipartite_product(
@@ -462,6 +460,8 @@ def _cmd_report(args) -> int:
         fig5_degree_vs_squares,
         table1_unicode,
     )
+    from repro.generators import konect_unicode_like
+    from repro.kronecker import Assumption, make_bipartite_product
 
     factor = parse_factor(args.factor) if args.factor else konect_unicode_like()
     bk = make_bipartite_product(
@@ -492,6 +492,20 @@ def _cmd_top(args) -> int:
         once=args.once,
         duration=args.duration,
     )
+
+
+def _non_negative(kind):
+    """An argparse ``type`` for a finite ``kind`` value >= 0 (rejected at
+    parse time, exit 2, before anything is loaded or bound)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be a finite value >= 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -668,16 +682,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--max-queue",
-        type=int,
+        type=_non_negative(int),
         default=1024,
         help="per-worker cap on requests in progress; beyond it requests "
         "shed with HTTP 503 / wire status OVERLOADED",
     )
     sv.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        help="LRU result-cache entries per worker (0 disables caching)",
+        "--cache-mb",
+        type=_non_negative(float),
+        default=2.0,  # repro.serve.service.DEFAULT_CACHE_BYTES, not imported to parse
+        metavar="MIB",
+        help="per-worker LRU result-cache budget in MiB; each entry is "
+        "charged its answer bytes + 32-byte digest + fixed overhead, and "
+        "answers larger than the budget go uncached (0 disables caching; "
+        "default %(default)g)",
     )
     sv.add_argument(
         "--workers-procs",

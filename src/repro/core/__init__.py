@@ -9,5 +9,9 @@ downstream code written against either import path works:
     from repro.kronecker import make_bipartite_product # equivalent
 """
 
-from repro.kronecker import *  # noqa: F401,F403 - deliberate alias surface
-from repro.kronecker import __all__  # noqa: F401
+from repro._lazy import lazy_exports
+from repro.kronecker import __all__ as _kronecker_all
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, dict.fromkeys(_kronecker_all, "repro.kronecker")
+)

@@ -22,32 +22,18 @@ Artifact index (see DESIGN.md §2.5 for the full mapping):
 =========  ==========================================================
 """
 
-from repro.experiments.figures import (
-    fig1_connectivity_table,
-    fig2_closed_walk_identity,
-    fig3_example_squares,
-    fig4_edge_walk_identity,
-    fig5_degree_vs_squares,
-)
-from repro.experiments.scaling import (
-    community_bounds_sweep,
-    generation_throughput,
-    groundtruth_vs_direct,
-    thm6_tightness,
-)
-from repro.experiments.robustness import unicode_seed_sweep
-from repro.experiments.tables import table1_unicode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "fig1_connectivity_table",
-    "fig2_closed_walk_identity",
-    "fig3_example_squares",
-    "fig4_edge_walk_identity",
-    "fig5_degree_vs_squares",
-    "table1_unicode",
-    "thm6_tightness",
-    "community_bounds_sweep",
-    "groundtruth_vs_direct",
-    "generation_throughput",
-    "unicode_seed_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "fig1_connectivity_table": ".figures",
+    "fig2_closed_walk_identity": ".figures",
+    "fig3_example_squares": ".figures",
+    "fig4_edge_walk_identity": ".figures",
+    "fig5_degree_vs_squares": ".figures",
+    "table1_unicode": ".tables",
+    "thm6_tightness": ".scaling",
+    "community_bounds_sweep": ".scaling",
+    "groundtruth_vs_direct": ".scaling",
+    "generation_throughput": ".scaling",
+    "unicode_seed_sweep": ".robustness",
+})

@@ -26,61 +26,34 @@ results so masked products never allocate the unmasked intermediate
 pattern beyond one CSR temporary.
 """
 
-from repro.gb.matrix import GBMatrix
-from repro.gb.ops import (
-    apply,
-    diag,
-    ewise_add,
-    ewise_mult,
-    extract,
-    kron,
-    mxm,
-    mxv,
-    reduce_rows,
-    reduce_scalar,
-    select,
-    transpose,
-    vxm,
-)
-from repro.gb.semirings import (
-    LOR_LAND,
-    MAX_PLUS,
-    MAX_TIMES,
-    MIN_MAX,
-    MIN_PLUS,
-    MIN_TIMES,
-    PLUS_PAIR,
-    PLUS_TIMES,
-)
-from repro.gb.types import BinaryOp, Monoid, Semiring, UnaryOp
-from repro.gb.vector import GBVector
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GBMatrix",
-    "GBVector",
-    "BinaryOp",
-    "Monoid",
-    "Semiring",
-    "UnaryOp",
-    "mxm",
-    "mxv",
-    "vxm",
-    "ewise_add",
-    "ewise_mult",
-    "kron",
-    "reduce_rows",
-    "reduce_scalar",
-    "apply",
-    "select",
-    "extract",
-    "transpose",
-    "diag",
-    "PLUS_TIMES",
-    "LOR_LAND",
-    "MIN_PLUS",
-    "MAX_TIMES",
-    "MIN_TIMES",
-    "MAX_PLUS",
-    "MIN_MAX",
-    "PLUS_PAIR",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "GBMatrix": ".matrix",
+    "GBVector": ".vector",
+    "BinaryOp": ".types",
+    "Monoid": ".types",
+    "Semiring": ".types",
+    "UnaryOp": ".types",
+    "mxm": ".ops",
+    "mxv": ".ops",
+    "vxm": ".ops",
+    "ewise_add": ".ops",
+    "ewise_mult": ".ops",
+    "kron": ".ops",
+    "reduce_rows": ".ops",
+    "reduce_scalar": ".ops",
+    "apply": ".ops",
+    "select": ".ops",
+    "extract": ".ops",
+    "transpose": ".ops",
+    "diag": ".ops",
+    "PLUS_TIMES": ".semirings",
+    "LOR_LAND": ".semirings",
+    "MIN_PLUS": ".semirings",
+    "MAX_TIMES": ".semirings",
+    "MIN_TIMES": ".semirings",
+    "MAX_PLUS": ".semirings",
+    "MIN_MAX": ".semirings",
+    "PLUS_PAIR": ".semirings",
+})

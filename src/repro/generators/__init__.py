@@ -20,47 +20,29 @@
   DESIGN.md §4 for the substitution rationale).
 """
 
-from repro.generators.bter import bipartite_bter
-from repro.generators.chung_lu import bipartite_chung_lu, powerlaw_weights
-from repro.generators.classic import (
-    balanced_tree,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    star_graph,
-    wheel_graph,
-)
-from repro.generators.examples import fig1_bottom_left, fig1_bottom_right, fig1_top, fig1_trio
-from repro.generators.konect_like import konect_unicode_like
-from repro.generators.rmat import bipartite_rmat, rmat
-from repro.generators.scale_free import (
-    preferential_attachment,
-    scale_free_bipartite_factor,
-    scale_free_nonbipartite_factor,
-)
+from repro._lazy import lazy_exports
+from repro.generators.rmat import rmat  # noqa: F401 - shadows its submodule (repro._lazy)
 
-__all__ = [
-    "path_graph",
-    "cycle_graph",
-    "star_graph",
-    "complete_graph",
-    "complete_bipartite",
-    "grid_graph",
-    "balanced_tree",
-    "wheel_graph",
-    "fig1_top",
-    "fig1_bottom_left",
-    "fig1_bottom_right",
-    "fig1_trio",
-    "preferential_attachment",
-    "scale_free_bipartite_factor",
-    "scale_free_nonbipartite_factor",
-    "bipartite_chung_lu",
-    "powerlaw_weights",
-    "rmat",
-    "bipartite_rmat",
-    "bipartite_bter",
-    "konect_unicode_like",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "path_graph": ".classic",
+    "cycle_graph": ".classic",
+    "star_graph": ".classic",
+    "complete_graph": ".classic",
+    "complete_bipartite": ".classic",
+    "grid_graph": ".classic",
+    "balanced_tree": ".classic",
+    "wheel_graph": ".classic",
+    "fig1_top": ".examples",
+    "fig1_bottom_left": ".examples",
+    "fig1_bottom_right": ".examples",
+    "fig1_trio": ".examples",
+    "preferential_attachment": ".scale_free",
+    "scale_free_bipartite_factor": ".scale_free",
+    "scale_free_nonbipartite_factor": ".scale_free",
+    "bipartite_chung_lu": ".chung_lu",
+    "powerlaw_weights": ".chung_lu",
+    "rmat": ".rmat",
+    "bipartite_rmat": ".rmat",
+    "bipartite_bter": ".bter",
+    "konect_unicode_like": ".konect_like",
+})

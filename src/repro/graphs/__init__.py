@@ -19,50 +19,32 @@ about graphs lives here:
 * :mod:`~repro.graphs.io` -- edge-list and Matrix-Market-subset I/O.
 """
 
-from repro.graphs.bipartite import BipartiteGraph, bipartition, is_bipartite
-from repro.graphs.connectivity import UnionFind, connected_components, is_connected
-from repro.graphs.degeneracy import core_decomposition, degeneracy
-from repro.graphs.degree import degree_distribution, degree_statistics, powerlaw_slope
-from repro.graphs.graph import Graph
-from repro.graphs.matching import matching_number, maximum_matching
-from repro.graphs.io import (
-    read_edge_list,
-    read_matrix_market,
-    write_edge_list,
-    write_matrix_market,
-)
-from repro.graphs.traversal import (
-    bfs_levels,
-    diameter,
-    eccentricities,
-    eccentricity,
-    hop_distance,
-    radius,
-)
+from repro._lazy import lazy_exports
+from repro.graphs.degeneracy import degeneracy  # noqa: F401 - shadows its submodule (repro._lazy)
 
-__all__ = [
-    "Graph",
-    "BipartiteGraph",
-    "bipartition",
-    "is_bipartite",
-    "connected_components",
-    "is_connected",
-    "UnionFind",
-    "bfs_levels",
-    "hop_distance",
-    "eccentricity",
-    "eccentricities",
-    "diameter",
-    "radius",
-    "degree_distribution",
-    "degree_statistics",
-    "powerlaw_slope",
-    "core_decomposition",
-    "degeneracy",
-    "maximum_matching",
-    "matching_number",
-    "read_edge_list",
-    "write_edge_list",
-    "read_matrix_market",
-    "write_matrix_market",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Graph": ".graph",
+    "BipartiteGraph": ".bipartite",
+    "bipartition": ".bipartite",
+    "is_bipartite": ".bipartite",
+    "connected_components": ".connectivity",
+    "is_connected": ".connectivity",
+    "UnionFind": ".connectivity",
+    "bfs_levels": ".traversal",
+    "hop_distance": ".traversal",
+    "eccentricity": ".traversal",
+    "eccentricities": ".traversal",
+    "diameter": ".traversal",
+    "radius": ".traversal",
+    "degree_distribution": ".degree",
+    "degree_statistics": ".degree",
+    "powerlaw_slope": ".degree",
+    "core_decomposition": ".degeneracy",
+    "degeneracy": ".degeneracy",
+    "maximum_matching": ".matching",
+    "matching_number": ".matching",
+    "read_edge_list": ".io",
+    "write_edge_list": ".io",
+    "read_matrix_market": ".io",
+    "write_matrix_market": ".io",
+})

@@ -29,158 +29,71 @@ Layer map (paper section in parentheses):
   vertices/edges (§I cost model).
 """
 
-from repro.kronecker.assumptions import (
-    Assumption,
-    BipartiteKronecker,
-    make_bipartite_product,
-)
-from repro.kronecker.clustering import (
-    edge_clustering_ground_truth,
-    psi_factor,
-    thm6_lower_bound,
-)
-from repro.kronecker.community import (
-    BipartiteCommunity,
-    community_counts,
-    community_densities,
-    cor1_internal_density_bound,
-    cor2_external_density_bound,
-    product_community,
-    thm7_product_counts,
-)
-from repro.kronecker.connectivity import (
-    ConnectivityPrediction,
-    predict_product_connectivity,
-    weichsel_components,
-)
-from repro.kronecker.degrees import (
-    product_degree_histogram,
-    product_degree_summary,
-)
-from repro.kronecker.design import DesignTarget, design_product
-from repro.kronecker.distances import (
-    parity_distances,
-    product_diameter,
-    product_eccentricities,
-    product_hop_distance,
-)
-from repro.kronecker.ground_truth import (
-    FactorStats,
-    edge_squares_product,
-    edge_squares_product_reference,
-    global_squares_product,
-    squares_if_square_free_factors,
-    vertex_squares_product,
-    vertex_squares_product_reference,
-)
-from repro.kronecker.kernels import (
-    EdgeIndex,
-    edge_squares_batch,
-    product_edge_squares_csr,
-    vertex_squares_batch,
-    vertex_squares_grid,
-)
-from repro.kronecker.multifactor import (
-    ChainFactor,
-    KroneckerChain,
-    combine_stats,
-    multi_kronecker_global_squares,
-    multi_kronecker_stats,
-)
-from repro.kronecker.oracle import GroundTruthOracle
-from repro.kronecker.product import KroneckerProduct, kron_graph, kron_power
-from repro.kronecker.regions import (
-    ground_truth_truss_region,
-    triangle_free_edge_count,
-    triangle_free_vertex_mask,
-)
-from repro.kronecker.sampling import sample_edges, sample_vertices
-from repro.kronecker.spectral import (
-    adjacency_spectrum,
-    bipartite_spectrum_symmetry,
-    product_spectral_radius,
-    product_spectrum,
-)
-from repro.kronecker.streaming import (
-    stream_chain_edges,
-    stream_edges,
-    streamed_connectivity_audit,
-)
-from repro.kronecker.triangles import (
-    product_edge_triangles,
-    product_global_triangles,
-    product_vertex_triangles,
-)
-from repro.kronecker.wings import (
-    certified_zero_wing_edges,
-    chain_wings_at_edges,
-    max_wing_upper_bound,
-    wing_upper_bounds,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Assumption",
-    "BipartiteKronecker",
-    "make_bipartite_product",
-    "KroneckerProduct",
-    "kron_graph",
-    "kron_power",
-    "ConnectivityPrediction",
-    "predict_product_connectivity",
-    "weichsel_components",
-    "FactorStats",
-    "vertex_squares_product",
-    "vertex_squares_product_reference",
-    "edge_squares_product",
-    "edge_squares_product_reference",
-    "global_squares_product",
-    "squares_if_square_free_factors",
-    "EdgeIndex",
-    "edge_squares_batch",
-    "product_edge_squares_csr",
-    "vertex_squares_batch",
-    "vertex_squares_grid",
-    "edge_clustering_ground_truth",
-    "psi_factor",
-    "thm6_lower_bound",
-    "BipartiteCommunity",
-    "community_counts",
-    "community_densities",
-    "product_community",
-    "thm7_product_counts",
-    "cor1_internal_density_bound",
-    "cor2_external_density_bound",
-    "GroundTruthOracle",
-    "stream_edges",
-    "stream_chain_edges",
-    "streamed_connectivity_audit",
-    "sample_vertices",
-    "sample_edges",
-    "parity_distances",
-    "product_hop_distance",
-    "product_eccentricities",
-    "product_diameter",
-    "product_degree_histogram",
-    "product_degree_summary",
-    "product_vertex_triangles",
-    "product_edge_triangles",
-    "product_global_triangles",
-    "combine_stats",
-    "multi_kronecker_stats",
-    "multi_kronecker_global_squares",
-    "ChainFactor",
-    "KroneckerChain",
-    "adjacency_spectrum",
-    "product_spectrum",
-    "product_spectral_radius",
-    "bipartite_spectrum_symmetry",
-    "DesignTarget",
-    "design_product",
-    "wing_upper_bounds",
-    "certified_zero_wing_edges",
-    "chain_wings_at_edges",
-    "max_wing_upper_bound",
-    "triangle_free_vertex_mask",
-    "triangle_free_edge_count",
-    "ground_truth_truss_region",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Assumption": ".assumptions",
+    "BipartiteKronecker": ".assumptions",
+    "make_bipartite_product": ".assumptions",
+    "KroneckerProduct": ".product",
+    "kron_graph": ".product",
+    "kron_power": ".product",
+    "ConnectivityPrediction": ".connectivity",
+    "predict_product_connectivity": ".connectivity",
+    "weichsel_components": ".connectivity",
+    "FactorStats": ".ground_truth",
+    "vertex_squares_product": ".ground_truth",
+    "vertex_squares_product_reference": ".ground_truth",
+    "edge_squares_product": ".ground_truth",
+    "edge_squares_product_reference": ".ground_truth",
+    "global_squares_product": ".ground_truth",
+    "squares_if_square_free_factors": ".ground_truth",
+    "EdgeIndex": ".kernels",
+    "edge_squares_batch": ".kernels",
+    "product_edge_squares_csr": ".kernels",
+    "vertex_squares_batch": ".kernels",
+    "vertex_squares_grid": ".kernels",
+    "edge_clustering_ground_truth": ".clustering",
+    "psi_factor": ".clustering",
+    "thm6_lower_bound": ".clustering",
+    "BipartiteCommunity": ".community",
+    "community_counts": ".community",
+    "community_densities": ".community",
+    "product_community": ".community",
+    "thm7_product_counts": ".community",
+    "cor1_internal_density_bound": ".community",
+    "cor2_external_density_bound": ".community",
+    "GroundTruthOracle": ".oracle",
+    "stream_edges": ".streaming",
+    "stream_chain_edges": ".streaming",
+    "streamed_connectivity_audit": ".streaming",
+    "sample_vertices": ".sampling",
+    "sample_edges": ".sampling",
+    "parity_distances": ".distances",
+    "product_hop_distance": ".distances",
+    "product_eccentricities": ".distances",
+    "product_diameter": ".distances",
+    "product_degree_histogram": ".degrees",
+    "product_degree_summary": ".degrees",
+    "product_vertex_triangles": ".triangles",
+    "product_edge_triangles": ".triangles",
+    "product_global_triangles": ".triangles",
+    "combine_stats": ".multifactor",
+    "multi_kronecker_stats": ".multifactor",
+    "multi_kronecker_global_squares": ".multifactor",
+    "ChainFactor": ".multifactor",
+    "KroneckerChain": ".multifactor",
+    "adjacency_spectrum": ".spectral",
+    "product_spectrum": ".spectral",
+    "product_spectral_radius": ".spectral",
+    "bipartite_spectrum_symmetry": ".spectral",
+    "DesignTarget": ".design",
+    "design_product": ".design",
+    "wing_upper_bounds": ".wings",
+    "certified_zero_wing_edges": ".wings",
+    "chain_wings_at_edges": ".wings",
+    "max_wing_upper_bound": ".wings",
+    "triangle_free_vertex_mask": ".regions",
+    "triangle_free_edge_count": ".regions",
+    "ground_truth_truss_region": ".regions",
+})

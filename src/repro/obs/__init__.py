@@ -31,85 +31,45 @@ production serving must be observable without a restart.
 Naming conventions and the record schema live in docs/observability.md.
 """
 
-from repro.obs.events import (
-    EVENTS_SCHEMA,
-    NULL_EVENTS,
-    EventLog,
-    NullEventLog,
-    read_events,
-)
-from repro.obs.metrics import (
-    HISTOGRAM_BUCKET_BOUNDS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    merge_snapshots,
-    parse_series_key,
-    series_key,
-)
-from repro.obs.prom import lint_exposition, render_prometheus
-from repro.obs.record import (
-    SCHEMA_VERSION,
-    build_run_record,
-    collect_env,
-    git_revision,
-    load_run_record,
-    render_run_record,
-    validate_run_record,
-    write_run_record,
-)
-from repro.obs.runtime import (
-    disable,
-    enable,
-    events_to,
-    get_events,
-    get_metrics,
-    get_tracer,
-    instrument,
-    is_enabled,
-)
-from repro.obs.span import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "HISTOGRAM_BUCKET_BOUNDS",
-    "merge_snapshots",
-    "series_key",
-    "parse_series_key",
-    "EventLog",
-    "NullEventLog",
-    "NULL_EVENTS",
-    "EVENTS_SCHEMA",
-    "read_events",
-    "render_prometheus",
-    "lint_exposition",
-    "SCHEMA_VERSION",
-    "build_run_record",
-    "collect_env",
-    "git_revision",
-    "load_run_record",
-    "render_run_record",
-    "validate_run_record",
-    "write_run_record",
-    "get_tracer",
-    "get_metrics",
-    "get_events",
-    "instrument",
-    "events_to",
-    "enable",
-    "disable",
-    "is_enabled",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Span": ".span",
+    "Tracer": ".span",
+    "NullTracer": ".span",
+    "NULL_SPAN": ".span",
+    "NULL_TRACER": ".span",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "NullRegistry": ".metrics",
+    "NULL_REGISTRY": ".metrics",
+    "HISTOGRAM_BUCKET_BOUNDS": ".metrics",
+    "merge_snapshots": ".metrics",
+    "series_key": ".metrics",
+    "parse_series_key": ".metrics",
+    "EventLog": ".events",
+    "NullEventLog": ".events",
+    "NULL_EVENTS": ".events",
+    "EVENTS_SCHEMA": ".events",
+    "read_events": ".events",
+    "render_prometheus": ".prom",
+    "lint_exposition": ".prom",
+    "SCHEMA_VERSION": ".record",
+    "build_run_record": ".record",
+    "collect_env": ".record",
+    "git_revision": ".record",
+    "load_run_record": ".record",
+    "render_run_record": ".record",
+    "validate_run_record": ".record",
+    "write_run_record": ".record",
+    "get_tracer": ".runtime",
+    "get_metrics": ".runtime",
+    "get_events": ".runtime",
+    "instrument": ".runtime",
+    "events_to": ".runtime",
+    "enable": ".runtime",
+    "disable": ".runtime",
+    "is_enabled": ".runtime",
+})

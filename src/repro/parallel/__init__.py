@@ -39,90 +39,44 @@ are pure reductions (sums / concatenations), so the parallel paths are
 bit-identical to the serial ones -- which the tests assert.
 """
 
-from repro.parallel.count import parallel_global_butterflies
-from repro.parallel.edgeio import (
-    EDGES_SCHEMA,
-    EdgeFormatError,
-    EdgeIntegrityError,
-    read_edges_file,
-    read_shard_arrays,
-    sniff_shard_format,
-    write_edges_file,
-)
-from repro.parallel.faults import (
-    FaultInjectedError,
-    FaultInjector,
-    RetryBudgetExceeded,
-    RetryPolicy,
-    map_with_retry,
-)
-from repro.parallel.generate import (
-    SHARD_FORMATS,
-    generate_chain_shards,
-    generate_shards,
-    load_shards,
-    parallel_edge_count,
-)
-from repro.parallel.manifest import (
-    MANIFEST_NAME,
-    ManifestError,
-    ShardEntry,
-    ShardIntegrityError,
-    ShardManifest,
-    chain_signature,
-    checksum_arrays,
-    load_manifest,
-    product_signature,
-    shard_file_checksum,
-    validate_manifest,
-    verify_shards,
-    write_manifest,
-)
-from repro.parallel.partition import (
-    PARTITION_STRATEGIES,
-    PartitionPlan,
-    left_entry_slices,
-    plan_partition,
-    shard_of_product,
-    shard_of_rows,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PARTITION_STRATEGIES",
-    "PartitionPlan",
-    "plan_partition",
-    "left_entry_slices",
-    "shard_of_product",
-    "shard_of_rows",
-    "SHARD_FORMATS",
-    "generate_shards",
-    "generate_chain_shards",
-    "load_shards",
-    "parallel_edge_count",
-    "parallel_global_butterflies",
-    "EDGES_SCHEMA",
-    "EdgeFormatError",
-    "EdgeIntegrityError",
-    "read_edges_file",
-    "read_shard_arrays",
-    "sniff_shard_format",
-    "write_edges_file",
-    "FaultInjector",
-    "FaultInjectedError",
-    "RetryPolicy",
-    "RetryBudgetExceeded",
-    "map_with_retry",
-    "MANIFEST_NAME",
-    "ManifestError",
-    "ShardEntry",
-    "ShardIntegrityError",
-    "ShardManifest",
-    "chain_signature",
-    "checksum_arrays",
-    "load_manifest",
-    "product_signature",
-    "shard_file_checksum",
-    "validate_manifest",
-    "verify_shards",
-    "write_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "PARTITION_STRATEGIES": ".partition",
+    "PartitionPlan": ".partition",
+    "plan_partition": ".partition",
+    "left_entry_slices": ".partition",
+    "shard_of_product": ".partition",
+    "shard_of_rows": ".partition",
+    "SHARD_FORMATS": ".generate",
+    "generate_shards": ".generate",
+    "generate_chain_shards": ".generate",
+    "load_shards": ".generate",
+    "parallel_edge_count": ".generate",
+    "parallel_global_butterflies": ".count",
+    "EDGES_SCHEMA": ".edgeio",
+    "EdgeFormatError": ".edgeio",
+    "EdgeIntegrityError": ".edgeio",
+    "read_edges_file": ".edgeio",
+    "read_shard_arrays": ".edgeio",
+    "sniff_shard_format": ".edgeio",
+    "write_edges_file": ".edgeio",
+    "FaultInjector": ".faults",
+    "FaultInjectedError": ".faults",
+    "RetryPolicy": ".faults",
+    "RetryBudgetExceeded": ".faults",
+    "map_with_retry": ".faults",
+    "MANIFEST_NAME": ".manifest",
+    "ManifestError": ".manifest",
+    "ShardEntry": ".manifest",
+    "ShardIntegrityError": ".manifest",
+    "ShardManifest": ".manifest",
+    "chain_signature": ".manifest",
+    "checksum_arrays": ".manifest",
+    "load_manifest": ".manifest",
+    "product_signature": ".manifest",
+    "shard_file_checksum": ".manifest",
+    "validate_manifest": ".manifest",
+    "verify_shards": ".manifest",
+    "write_manifest": ".manifest",
+})

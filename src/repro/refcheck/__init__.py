@@ -18,44 +18,23 @@ the machinery around it:
   monotonicity, tiling consistency) for the Hypothesis fleet.
 """
 
-from repro.refcheck.corpus import (
-    VerifyCase,
-    adversarial_cases,
-    chain_cases,
-    graph_from_spec,
-    random_cases,
-)
-from repro.refcheck.differ import (
-    PERTURBATIONS,
-    DivergenceWitness,
-    VerifyReport,
-    resolve_assumptions,
-    run_verification,
-)
-from repro.refcheck.metamorphic import (
-    MetamorphicViolation,
-    check_edge_deletion_monotonicity,
-    check_edge_sum_consistency,
-    check_factor_swap_vertex_symmetry,
-    check_relabel_invariance,
-    check_vertex_sum_consistency,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VerifyCase",
-    "adversarial_cases",
-    "chain_cases",
-    "graph_from_spec",
-    "random_cases",
-    "PERTURBATIONS",
-    "DivergenceWitness",
-    "VerifyReport",
-    "resolve_assumptions",
-    "run_verification",
-    "MetamorphicViolation",
-    "check_edge_deletion_monotonicity",
-    "check_edge_sum_consistency",
-    "check_factor_swap_vertex_symmetry",
-    "check_relabel_invariance",
-    "check_vertex_sum_consistency",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "VerifyCase": ".corpus",
+    "adversarial_cases": ".corpus",
+    "chain_cases": ".corpus",
+    "graph_from_spec": ".corpus",
+    "random_cases": ".corpus",
+    "PERTURBATIONS": ".differ",
+    "DivergenceWitness": ".differ",
+    "VerifyReport": ".differ",
+    "resolve_assumptions": ".differ",
+    "run_verification": ".differ",
+    "MetamorphicViolation": ".metamorphic",
+    "check_edge_deletion_monotonicity": ".metamorphic",
+    "check_edge_sum_consistency": ".metamorphic",
+    "check_factor_swap_vertex_symmetry": ".metamorphic",
+    "check_relabel_invariance": ".metamorphic",
+    "check_vertex_sum_consistency": ".metamorphic",
+})

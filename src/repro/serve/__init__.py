@@ -14,8 +14,8 @@ into infrastructure:
   ``load_oracle(..., mmap=True)`` maps the arrays zero-copy for
   multi-process sharing.
 * :mod:`repro.serve.service` -- :class:`OracleService`, an in-process
-  front-end over the batched oracle APIs: synchronous ``answer()``, an
-  LRU result cache, an in-flight cap with typed :class:`Overloaded`
+  front-end over the batched oracle APIs: synchronous ``answer()``, a
+  byte-budgeted LRU result cache, an in-flight cap with typed :class:`Overloaded`
   load-shedding, and an optional micro-batching queue for in-process
   callers.
 * :mod:`repro.serve.http` -- the JSON API (``/v1/degree``,
@@ -37,36 +37,22 @@ See docs/serving.md for the artifact format, endpoint/wire reference,
 and capacity numbers.
 """
 
-from repro.serve.artifact import (
-    ARTIFACT_SCHEMA,
-    ORACLE_FILE,
-    SIDECAR_FILE,
-    ArtifactError,
-    ArtifactIntegrityError,
-    artifact_info,
-    load_oracle,
-    oracle_arrays,
-    save_oracle,
-)
-from repro.serve.http import HandlerContext
-from repro.serve.prefork import PreforkServer
-from repro.serve.service import INVALID_SQUARES, OracleService, Overloaded
-from repro.serve.wire import WireClient
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_SCHEMA",
-    "ORACLE_FILE",
-    "SIDECAR_FILE",
-    "ArtifactError",
-    "ArtifactIntegrityError",
-    "artifact_info",
-    "load_oracle",
-    "oracle_arrays",
-    "save_oracle",
-    "INVALID_SQUARES",
-    "OracleService",
-    "Overloaded",
-    "HandlerContext",
-    "PreforkServer",
-    "WireClient",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ARTIFACT_SCHEMA": ".artifact",
+    "ORACLE_FILE": ".artifact",
+    "SIDECAR_FILE": ".artifact",
+    "ArtifactError": ".artifact",
+    "ArtifactIntegrityError": ".artifact",
+    "artifact_info": ".artifact",
+    "load_oracle": ".artifact",
+    "oracle_arrays": ".artifact",
+    "save_oracle": ".artifact",
+    "INVALID_SQUARES": ".service",
+    "OracleService": ".service",
+    "Overloaded": ".service",
+    "HandlerContext": ".http",
+    "PreforkServer": ".prefork",
+    "WireClient": ".wire",
+})

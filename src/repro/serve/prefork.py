@@ -49,7 +49,7 @@ from repro.obs import get_events, get_metrics
 from repro.serve import wire
 from repro.serve.artifact import artifact_info, load_oracle
 from repro.serve.http import HandlerContext, count_internal_error
-from repro.serve.service import OracleService, Overloaded
+from repro.serve.service import DEFAULT_CACHE_BYTES, OracleService, Overloaded
 
 __all__ = ["PreforkServer", "PROTOCOLS"]
 
@@ -112,7 +112,7 @@ class PreforkServer:
     Parameters mirror ``repro serve``: ``workers`` forked serving
     processes, ``protocol`` limiting what the port speaks, ``max_queue``
     capping each worker's requests in progress (beyond it requests
-    shed), ``cache_size`` sizing each worker's result cache, ``grace``
+    shed), ``cache_bytes`` budgeting each worker's result cache, ``grace``
     seconds for the SIGTERM drain, and ``mmap`` selecting the zero-copy
     artifact load (on by default -- the point of this front end).
     ``start()`` returns in the parent once the socket is bound and
@@ -130,7 +130,7 @@ class PreforkServer:
         workers: int = 2,
         protocol: str = "both",
         max_queue: int = 1024,
-        cache_size: int = 4096,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         grace: float = 5.0,
         keepalive_timeout: float = 5.0,
         mmap: bool = True,
@@ -140,13 +140,19 @@ class PreforkServer:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+        # Checked here, before the socket binds: a worker would only
+        # crash-loop on them after the fork.
+        if max_queue < 0:
+            raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+        if cache_bytes < 0:
+            raise ValueError(f"cache_bytes must be >= 0, got {cache_bytes}")
         self.artifact = Path(artifact)
         self.host = host
         self.port = port
         self.workers = workers
         self.protocol = protocol
         self.max_queue = max_queue
-        self.cache_size = cache_size
+        self.cache_bytes = cache_bytes
         self.grace = grace
         self.keepalive_timeout = keepalive_timeout
         self.mmap = mmap
@@ -317,7 +323,7 @@ class _WorkerProcess:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, self._on_sigterm)
         self.service = OracleService(
-            srv.oracle, max_queue=srv.max_queue, cache_size=srv.cache_size
+            srv.oracle, max_queue=srv.max_queue, cache_bytes=srv.cache_bytes
         )
         self.ctx = HandlerContext(self.service, info=srv.info, worker_label=str(self.idx))
         listener = srv._listener

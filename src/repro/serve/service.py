@@ -9,12 +9,15 @@ degrades gracefully under heavy traffic instead of falling over:
   request, checks the cache, and makes one fused kernel call on the
   caller's thread.  Both served protocols (HTTP JSON and the binary
   wire frames of :mod:`repro.serve.prefork`) take this path.
-* **LRU result cache.**  Identical requests (same kind + same index
-  values) are answered from an ``OrderedDict`` LRU without touching
-  the kernels; hits and misses are counted both locally (:meth:`stats`)
-  and through :mod:`repro.obs`.  The key is ``(kind, n, SHA-256 of the
-  index bytes)``, so an entry costs its answer plus ~250 bytes of key
-  and LRU bookkeeping, not a copy of the request.
+* **Byte-budgeted LRU result cache.**  Identical requests (same kind +
+  same index values) are answered from an ``OrderedDict`` LRU without
+  touching the kernels; hits and misses are counted both locally
+  (:meth:`stats`) and through :mod:`repro.obs`.  The key is ``(kind, n,
+  SHA-256 of the index bytes)``, so an entry is charged its answer
+  bytes, its 32-byte digest and :data:`ENTRY_OVERHEAD` bytes of key and
+  LRU bookkeeping, never a copy of the request.  The cache evicts the
+  least recently used entries while the charges exceed ``cache_bytes``;
+  an answer whose charge alone exceeds the budget is returned uncached.
 * **Backpressure.**  Once ``max_queue`` requests are in progress (or
   queued, for :meth:`submit`), the next one sheds with a typed
   :class:`Overloaded` error (HTTP 503, wire ``STATUS_OVERLOADED``)
@@ -44,10 +47,27 @@ import numpy as np
 from repro.kronecker.oracle import GroundTruthOracle
 from repro.obs import get_events, get_metrics
 
-__all__ = ["INVALID_SQUARES", "Overloaded", "OracleService"]
+__all__ = [
+    "DEFAULT_CACHE_BYTES",
+    "ENTRY_OVERHEAD",
+    "INVALID_SQUARES",
+    "Overloaded",
+    "OracleService",
+]
 
 #: Sentinel for non-edge slots in integer answers (counts are never negative).
 INVALID_SQUARES = -1
+
+#: Default result-cache budget per service (per pre-fork worker): 2 MiB.
+DEFAULT_CACHE_BYTES = 2 << 20
+
+#: Bytes charged per cache entry besides its answer and digest: the key
+#: tuple, the LRU node with its share of the hash table, and the answer
+#: array's header.  ``tracemalloc`` reads 290-395 B per entry (CPython
+#: 3.11, numpy 2.4), the spread being how full the LRU's hash table is;
+#: at 360 B a full cache's traced memory stays within 1.1x its budget
+#: for 1- to 4,096-query answers (tests/serve/test_service.py).
+ENTRY_OVERHEAD = 360
 
 _KINDS = ("degree", "vertex_squares", "edge_squares", "clustering", "global", "wings")
 _PAIR_KINDS = ("edge_squares", "clustering", "wings")
@@ -62,8 +82,8 @@ class Overloaded(RuntimeError):
 
 
 def _entry_bytes(key: tuple, value: Any) -> int:
-    """Bytes one cache entry accounts for: answer array plus key digest."""
-    return getattr(value, "nbytes", 8) + len(key[2])
+    """Bytes one cache entry is charged: answer, key digest, fixed overhead."""
+    return getattr(value, "nbytes", 8) + len(key[2]) + ENTRY_OVERHEAD
 
 
 class _Request:
@@ -113,8 +133,9 @@ class OracleService:
     max_batch:
         Upper bound on query *elements* coalesced into one kernel pass
         by the :meth:`submit` queue.
-    cache_size:
-        LRU entries to keep (``0`` disables the cache).
+    cache_bytes:
+        Result-cache budget in bytes, charged per entry by answer bytes
+        + digest + :data:`ENTRY_OVERHEAD` (``0`` disables the cache).
     workers:
         Batcher threads started by :meth:`start` for the :meth:`submit`
         queue.  One is enough until kernel time dominates; more let
@@ -127,17 +148,19 @@ class OracleService:
         *,
         max_queue: int = 1024,
         max_batch: int = 65536,
-        cache_size: int = 4096,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         workers: int = 1,
     ):
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+        if cache_bytes < 0:
+            raise ValueError(f"cache_bytes must be >= 0, got {cache_bytes}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.oracle = oracle
         self.max_queue = max_queue
         self.max_batch = max(1, max_batch)
-        self.cache_size = cache_size
+        self.cache_budget_bytes = cache_bytes
         self._n_workers = workers
         self._pending: deque[_Request] = deque()
         self._inflight = 0
@@ -151,7 +174,7 @@ class OracleService:
         # Local tallies (always on) + obs metrics (no-ops unless enabled).
         self._counts = {
             "requests": 0, "queries": 0, "hits": 0, "misses": 0,
-            "shed": 0, "batches": 0, "invalid": 0,
+            "shed": 0, "batches": 0, "invalid": 0, "evictions": 0, "oversize": 0,
         }
         metrics = get_metrics()
         self._events = get_events()
@@ -159,6 +182,8 @@ class OracleService:
         self._m_queries = metrics.counter("serve.queries_total")
         self._m_hits = metrics.counter("serve.cache_hits_total")
         self._m_misses = metrics.counter("serve.cache_misses_total")
+        self._m_evictions = metrics.counter("serve.cache_evictions_total")
+        self._m_oversize = metrics.counter("serve.cache_oversize_total")
         self._m_shed = metrics.counter("serve.shed_total")
         self._m_batches = metrics.counter("serve.batches_total")
         self._m_batch_size = metrics.histogram("serve.batch_queries")
@@ -240,7 +265,7 @@ class OracleService:
         if kind not in _KINDS:
             raise ValueError(f"unknown query kind {kind!r} (expected one of {_KINDS})")
         if kind == "global":
-            return None, None, (("global", 0, b"") if self.cache_size else None)
+            return None, None, (("global", 0, b"") if self.cache_budget_bytes else None)
         if ps is None:
             raise ValueError(f"{kind} queries need a ps index list")
         ps_arr = self._coerce(ps, "ps")
@@ -256,7 +281,7 @@ class OracleService:
             if qs is not None:
                 raise ValueError(f"{kind} queries take only ps, got a qs list too")
             qs_arr = None
-        if not self.cache_size:
+        if not self.cache_budget_bytes:
             return ps_arr, qs_arr, None
         digest = sha256(ps_arr)
         if qs_arr is not None:
@@ -363,20 +388,32 @@ class OracleService:
     def _cache_put(self, key: Optional[tuple], value: Any) -> None:
         if key is None:
             return
+        charge = _entry_bytes(key, value)
+        budget = self.cache_budget_bytes
+        if charge > budget:
+            # Caching it would evict everything and still overrun the budget.
+            with self._lock:
+                self._counts["oversize"] += 1
+            self._m_oversize.inc()
+            return
         evicted = 0
         with self._lock:
             old = self._cache.pop(key, None)
             if old is not None:
                 self._cache_bytes -= _entry_bytes(key, old)
             self._cache[key] = value
-            self._cache_bytes += _entry_bytes(key, value)
-            while len(self._cache) > self.cache_size:
+            self._cache_bytes += charge
+            while self._cache_bytes > budget:
                 self._cache_bytes -= _entry_bytes(*self._cache.popitem(last=False))
                 evicted += 1
-        if evicted and self._events.enabled:
-            self._events.emit(
-                "serve.cache_evicted", entries=evicted, cache_size=self.cache_size
-            )
+            self._counts["evictions"] += evicted
+            used = self._cache_bytes
+        if evicted:
+            self._m_evictions.inc(evicted)
+            if self._events.enabled:
+                self._events.emit(
+                    "serve.cache_evicted", entries=evicted, cache_bytes=used, budget=budget
+                )
 
     # ------------------------------------------------------------------
     # Batcher
@@ -498,10 +535,12 @@ class OracleService:
 
     def stats(self) -> dict[str, int]:
         """Service tallies: requests/queries served, cache hits/misses,
-        shed requests, kernel batches, invalid (masked) slots, and the
-        cache's size in entries and bytes (answers plus key digests)."""
+        evictions and oversize (uncached) answers, shed requests, kernel
+        batches, invalid (masked) slots, and the cache's size in entries
+        and charged bytes against its budget."""
         counts = dict(self._counts)
         counts["queue_depth"] = self.queue_depth()
         counts["cache_entries"] = len(self._cache)
         counts["cache_bytes"] = self._cache_bytes
+        counts["cache_budget_bytes"] = self.cache_budget_bytes
         return counts

@@ -13,37 +13,21 @@ This subpackage holds helpers that every other layer builds on:
   :mod:`repro.obs` for named/nested spans and metrics).
 """
 
-from repro.utils.indexing import (
-    block_index,
-    intra_index,
-    pair_index,
-    pair_to_product,
-    product_to_pair,
-)
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timing import Timer
-from repro.utils.validation import (
-    check_integer,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-    check_square,
-    check_symmetric,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "block_index",
-    "intra_index",
-    "pair_index",
-    "pair_to_product",
-    "product_to_pair",
-    "as_generator",
-    "spawn_generators",
-    "Timer",
-    "check_integer",
-    "check_nonnegative",
-    "check_positive",
-    "check_probability",
-    "check_square",
-    "check_symmetric",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "block_index": ".indexing",
+    "intra_index": ".indexing",
+    "pair_index": ".indexing",
+    "pair_to_product": ".indexing",
+    "product_to_pair": ".indexing",
+    "as_generator": ".rng",
+    "spawn_generators": ".rng",
+    "Timer": ".timing",
+    "check_integer": ".validation",
+    "check_nonnegative": ".validation",
+    "check_positive": ".validation",
+    "check_probability": ".validation",
+    "check_square": ".validation",
+    "check_symmetric": ".validation",
+})

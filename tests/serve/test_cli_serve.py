@@ -182,8 +182,12 @@ def test_flagless_serve_is_instrumented_by_default(tmp_path):
 def test_serve_parser_defaults():
     from repro.cli import build_parser
 
+    from repro.serve.service import DEFAULT_CACHE_BYTES
+
     args = build_parser().parse_args(["serve", "--artifact", "x"])
-    assert (args.port, args.max_queue, args.cache_size) == (8571, 1024, 4096)
+    assert (args.port, args.max_queue, args.cache_mb) == (8571, 1024, 2.0)
+    assert args.cache_mb * (1 << 20) == DEFAULT_CACHE_BYTES
+    assert not hasattr(args, "cache_size")
     assert (args.workers_procs, args.protocol, args.no_mmap) == (1, "both", False)
     assert not hasattr(args, "workers")
     assert args.fn.__name__ == "_cmd_serve"
@@ -204,6 +208,29 @@ def test_serve_rejects_zero_workers_and_the_batcher_flag(tmp_path, capsys):
         build_parser().parse_args(["serve", "--artifact", str(art), "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,kwarg", [("--max-queue", "max_queue"), ("--cache-mb", "cache_bytes")])
+def test_serve_rejects_negative_sizing_before_binding(flag, kwarg, capsys):
+    """A negative queue cap or cache budget is a usage error at parse
+    time (exit 2, nothing loaded or bound), and ``PreforkServer`` refuses
+    it before ``start()`` -- a worker would otherwise crash-loop on it."""
+    from repro.serve.prefork import PreforkServer
+
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--artifact", "never-read", flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite value >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"{kwarg} must be >= 0, got -1"):
+        PreforkServer("never-read", **{kwarg: -1})
+
+
+def test_cache_size_flag_is_gone(capsys):
+    """The cache is budgeted in bytes (``--cache-mb``), not entries."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--artifact", "never-read", "--cache-size", "4096"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-size 4096" in capsys.readouterr().err
 
 
 def test_pack_rejects_unwritable_dir(tmp_path, capsys):

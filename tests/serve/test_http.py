@@ -78,7 +78,7 @@ def _start(art, *, instrumented=True, **kwargs):
 
 @pytest.fixture(scope="module")
 def served(art, oracle_i):
-    server = _start(art, max_queue=64, cache_size=32)
+    server = _start(art, max_queue=64, cache_bytes=64 * 1024)
     try:
         yield _Client("127.0.0.1", server.port), oracle_i
     finally:
@@ -258,7 +258,7 @@ def test_unknown_endpoint_404_wrong_method_405(served):
 def test_saturated_service_sheds_503(art):
     """max_queue=0: every query sheds, 503 over HTTP and OVERLOADED over
     wire on the same port, each counted once."""
-    server = _start(art, max_queue=0, cache_size=0)
+    server = _start(art, max_queue=0, cache_bytes=0)
     try:
         client = _Client("127.0.0.1", server.port)
         before = client.service()["shed"]
@@ -322,7 +322,7 @@ def test_json_queries_take_the_synchronous_path(art, monkeypatch):
         raise AssertionError("a pre-fork worker started the batcher threads")
 
     monkeypatch.setattr(OracleService, "start", refuse)
-    server = _start(art, cache_size=0)
+    server = _start(art, cache_bytes=0)
     try:
         client = _Client("127.0.0.1", server.port)
         for p in range(20):
@@ -394,7 +394,7 @@ def test_internal_errors_are_counted_per_front(art, tmp_path, monkeypatch):
     monkeypatch.setattr(GroundTruthOracle, "degrees", broken)
     events_path = tmp_path / "ev.jsonl"
     with events_to(str(events_path)):
-        server = _start(art, cache_size=0)
+        server = _start(art, cache_bytes=0)
         try:
             client = _Client("127.0.0.1", server.port)
             status, payload = client.post("/v1/degree", {"ps": [0]})

@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 from repro.serve import INVALID_SQUARES, OracleService, Overloaded
+from repro.serve.service import ENTRY_OVERHEAD
 from tests.serve.conftest import product_edges
+
+
+def budget(entries: int, queries: int = 1) -> int:
+    """A cache budget that holds exactly ``entries`` answers of
+    ``queries`` 8-byte values each (answer + digest + overhead)."""
+    return entries * (8 * queries + 32 + ENTRY_OVERHEAD)
 
 
 @pytest.fixture
 def service(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_size=32) as svc:
+    with OracleService(oracle_i, max_queue=64, cache_bytes=budget(32, 16)) as svc:
         yield svc
 
 
@@ -50,7 +57,7 @@ def test_mask_semantics_for_non_edges(service, oracle_i):
 
 def test_concurrent_requests_coalesce(oracle_i, edges_i):
     """Requests queued before workers start are answered in one batch."""
-    svc = OracleService(oracle_i, max_queue=64, cache_size=0)
+    svc = OracleService(oracle_i, max_queue=64, cache_bytes=0)
     ep, eq = edges_i
     handles = [svc.submit("vertex_squares", [int(p)]) for p in range(6)]
     handles += [svc.submit("edge_squares", ep[:3], eq[:3])]
@@ -70,22 +77,25 @@ def test_concurrent_requests_coalesce(oracle_i, edges_i):
 
 
 def test_cache_hits_and_eviction(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_size=2) as svc:
+    with OracleService(oracle_i, max_queue=64, cache_bytes=budget(2, queries=2)) as svc:
         first = svc.degrees([0, 1])
         again = svc.degrees([0, 1])
         assert np.array_equal(first, again)
         stats = svc.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-        # Two fresh keys evict the oldest; a third look-up misses again.
+        # Two fresh keys overrun the budget and evict the oldest; a third
+        # look-up misses again.
         svc.degrees([2])
         svc.degrees([3])
         svc.degrees([0, 1])
-        assert svc.stats()["hits"] == 1
-        assert svc.stats()["cache_entries"] == 2
+        stats = svc.stats()
+        assert stats["hits"] == 1
+        assert stats["cache_entries"] == 2 and stats["evictions"] == 2
+        assert stats["cache_bytes"] <= stats["cache_budget_bytes"] == budget(2, queries=2)
 
 
 def test_cache_disabled(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_size=0) as svc:
+    with OracleService(oracle_i, max_queue=64, cache_bytes=0) as svc:
         svc.degrees([0])
         svc.degrees([0])
         stats = svc.stats()
@@ -106,7 +116,7 @@ def test_equal_values_share_one_cache_entry_across_layouts(oracle_i):
         strided[::2],
         readonly,
     ]
-    svc = OracleService(oracle_i, cache_size=8)
+    svc = OracleService(oracle_i, cache_bytes=budget(8, queries=len(values)))
     arr = np.asarray(values)
     expected_deg = oracle_i.degrees(arr)
     expected_sq = oracle_i.squares_at_edges(arr, arr[::-1], on_invalid="mask")
@@ -120,7 +130,7 @@ def test_equal_values_share_one_cache_entry_across_layouts(oracle_i):
 
 def test_kinds_with_identical_indices_never_share_an_entry(oracle_i, edges_i):
     ep, eq = edges_i
-    svc = OracleService(oracle_i, cache_size=16)
+    svc = OracleService(oracle_i, cache_bytes=budget(16, queries=ep.size))
     assert np.array_equal(svc.answer("degree", ep), oracle_i.degrees(ep))
     assert np.array_equal(svc.answer("vertex_squares", ep), oracle_i.squares_at_vertices(ep))
     assert np.array_equal(svc.answer("edge_squares", ep, eq), oracle_i.squares_at_edges(ep, eq))
@@ -133,28 +143,31 @@ def test_kinds_with_identical_indices_never_share_an_entry(oracle_i, edges_i):
 
 
 def test_cache_bytes_tracks_answers_not_requests(oracle_i):
-    """A cached 4,096-pair answer costs its 32 KiB plus a digest."""
+    """A cached 4,096-pair answer is charged its 32 KiB, a digest and the
+    fixed overhead."""
     n_entries, pairs = 4, 4096
     rng = np.random.default_rng(7)
-    svc = OracleService(oracle_i, cache_size=n_entries)
+    svc = OracleService(oracle_i, cache_bytes=budget(n_entries, queries=pairs))
     for _ in range(n_entries):
         ps, qs = rng.integers(0, oracle_i.bk.n, size=(2, pairs))
         svc.answer("edge_squares", ps, qs)
     full = svc.stats()
     assert full["cache_entries"] == n_entries
-    assert n_entries * 8 * pairs < full["cache_bytes"] <= n_entries * (32 * 1024 + 256)
+    assert n_entries * 8 * pairs < full["cache_bytes"] <= budget(n_entries, queries=pairs)
     # A small answer evicts a large one: the tally drops without a rescan.
     svc.answer("degree", [0, 1])
     after = svc.stats()
     assert after["cache_entries"] == n_entries
     assert after["cache_bytes"] < full["cache_bytes"] - 8 * pairs + 256
-    assert after["cache_bytes"] == sum(v.nbytes + len(k[2]) for k, v in svc._cache.items())
+    assert after["cache_bytes"] == sum(
+        v.nbytes + len(k[2]) + ENTRY_OVERHEAD for k, v in svc._cache.items()
+    )
 
 
 def test_coalesced_answers_are_cached_as_owned_copies(oracle_i):
     """A split batch must not leave each cached slice pinning the whole
     batch array, or ``cache_bytes`` would undercount what is held."""
-    svc = OracleService(oracle_i, max_queue=8, cache_size=8)
+    svc = OracleService(oracle_i, max_queue=8, cache_bytes=budget(8, queries=2))
     handles = [svc.submit("vertex_squares", [p, p + 1]) for p in range(3)]
     with svc:
         results = [handle.wait(5.0) for handle in handles]
@@ -162,7 +175,7 @@ def test_coalesced_answers_are_cached_as_owned_copies(oracle_i):
         assert result.base is None
         assert np.array_equal(result, oracle_i.squares_at_vertices(np.array([p, p + 1])))
     assert svc.stats()["batches"] == 1
-    assert svc.stats()["cache_bytes"] == 3 * (2 * 8 + 32)
+    assert svc.stats()["cache_bytes"] == budget(3, queries=2)
 
 
 def test_cache_off_hashes_nothing(oracle_i, edges_i, monkeypatch):
@@ -173,17 +186,113 @@ def test_cache_off_hashes_nothing(oracle_i, edges_i, monkeypatch):
 
     monkeypatch.setattr(service_module, "sha256", refuse)
     ep, eq = edges_i
-    svc = OracleService(oracle_i, cache_size=0)
+    svc = OracleService(oracle_i, cache_bytes=0)
     assert np.array_equal(svc.answer("edge_squares", ep, eq), oracle_i.squares_at_edges(ep, eq))
     assert svc.answer("global") == oracle_i.global_squares()
     with svc:
         assert np.array_equal(svc.degrees(ep), oracle_i.degrees(ep))
-    assert svc.stats()["cache_bytes"] == 0
+    stats = svc.stats()
+    assert (stats["cache_bytes"], stats["cache_entries"], stats["oversize"]) == (0, 0, 0)
+
+
+@pytest.fixture(scope="module")
+def wide_oracle():
+    """A product with thousands of vertices, so single-vertex requests
+    can be distinct well past any test budget."""
+    from repro.generators import complete_bipartite, cycle_graph
+    from repro.kronecker import Assumption, GroundTruthOracle, make_bipartite_product
+
+    bk = make_bipartite_product(
+        cycle_graph(455), complete_bipartite(2, 3), Assumption.NON_BIPARTITE_FACTOR
+    )
+    return GroundTruthOracle(bk)
+
+
+@pytest.mark.parametrize("queries", [1, 16, 4096])
+def test_traced_cache_memory_stays_within_budget(wide_oracle, queries):
+    """Filled three times over with distinct answers, the cache holds no
+    more traced memory than its budget allows (+10% for hash-table
+    slack), and its charged bytes never exceed the budget."""
+    import gc
+    import tracemalloc
+
+    limit = 256 * 1024
+    rng = np.random.default_rng(queries)
+    n = wide_oracle.bk.n
+    distinct = 3 * limit // (8 * queries + 32 + ENTRY_OVERHEAD)
+    if queries == 1:
+        requests = [[p] for p in rng.permutation(n)[:distinct]]
+        assert len(requests) == distinct
+    else:
+        requests = [rng.integers(0, n, size=queries) for _ in range(distinct)]
+    wide_oracle.degrees(np.asarray(requests[0]))  # first-call allocations
+    svc = OracleService(wide_oracle, cache_bytes=limit)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for ps in requests:
+            # A fresh array per request, as a server decodes one: hashing
+            # pins a buffer descriptor on the array for the array's life.
+            svc.answer("degree", np.array(ps))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    stats = svc.stats()
+    assert stats["evictions"] > 0 and stats["oversize"] == 0
+    assert stats["cache_bytes"] <= stats["cache_budget_bytes"] == limit
+    assert held <= 1.1 * limit, (held, stats)
+
+
+def test_oversize_answer_is_correct_and_not_cached(wide_oracle):
+    """An answer charged more than the whole budget is returned but never
+    cached, and it evicts nothing on the way."""
+    svc = OracleService(wide_oracle, cache_bytes=budget(4, queries=16))
+    small = svc.answer("degree", np.arange(16))
+    ps = np.random.default_rng(3).integers(0, wide_oracle.bk.n, size=4096)
+    for _ in range(2):
+        assert np.array_equal(svc.answer("degree", ps), wide_oracle.degrees(ps))
+    stats = svc.stats()
+    assert (stats["oversize"], stats["hits"], stats["evictions"]) == (2, 0, 0)
+    assert stats["cache_entries"] == 1
+    assert stats["cache_bytes"] == budget(1, queries=16)
+    assert svc.answer("degree", np.arange(16)) is small
+
+
+def test_negative_cache_budget_is_rejected(oracle_i):
+    with pytest.raises(ValueError, match="cache_bytes must be >= 0, got -1"):
+        OracleService(oracle_i, cache_bytes=-1)
+
+
+def test_cache_counters_and_eviction_event(oracle_i, tmp_path):
+    """Evictions and oversize answers are counted in ``stats()`` and as
+    ``serve.cache_*_total`` counters; each eviction event carries the
+    cache's charged bytes and its budget."""
+    from repro.obs import events_to, instrument, read_events
+
+    log = tmp_path / "events.jsonl"
+    limit = budget(2)
+    with instrument() as (_, metrics), events_to(str(log)):
+        svc = OracleService(oracle_i, cache_bytes=limit)
+        for p in range(4):
+            svc.answer("degree", [p])
+        svc.answer("degree", np.zeros(64, dtype=np.int64))  # charged past the budget
+        counters = metrics.snapshot()["counters"]
+    stats = svc.stats()
+    assert (stats["evictions"], stats["oversize"], stats["cache_entries"]) == (2, 1, 2)
+    assert stats["cache_budget_bytes"] == limit
+    assert counters["serve.cache_evictions_total"] == 2
+    assert counters["serve.cache_oversize_total"] == 1
+    evicted = [e for e in read_events(log) if e["kind"] == "serve.cache_evicted"]
+    assert [(e["entries"], e["cache_bytes"], e["budget"]) for e in evicted] == [
+        (1, limit, limit), (1, limit, limit)
+    ]
 
 
 def test_saturated_queue_sheds_with_counter(oracle_i):
     """Past max_queue depth, submissions shed with Overloaded + counter."""
-    svc = OracleService(oracle_i, max_queue=2, cache_size=0)  # never started
+    svc = OracleService(oracle_i, max_queue=2, cache_bytes=0)  # never started
     svc.submit("degree", [0])
     svc.submit("degree", [1])
     with pytest.raises(Overloaded, match="max_queue=2"):
@@ -196,7 +305,7 @@ def test_saturated_queue_sheds_with_counter(oracle_i):
 
 
 def test_max_queue_zero_sheds_everything(oracle_i):
-    svc = OracleService(oracle_i, max_queue=0, cache_size=0)
+    svc = OracleService(oracle_i, max_queue=0, cache_bytes=0)
     with pytest.raises(Overloaded):
         svc.submit("degree", [0])
     assert svc.stats()["shed"] == 1
@@ -219,7 +328,7 @@ def test_answer_sheds_past_max_queue_calls_in_progress(oracle_i):
         def squares_at_vertices(self, ps):
             return oracle_i.squares_at_vertices(ps)
 
-    svc = OracleService(Blocking(), max_queue=1, cache_size=8)
+    svc = OracleService(Blocking(), max_queue=1, cache_bytes=budget(8))
     hot = svc.answer("vertex_squares", [0])
     blocked = threading.Thread(target=svc.answer, args=("degree", [1]))
     blocked.start()
@@ -243,7 +352,7 @@ def test_inflight_cap_survives_thread_contention(oracle_i):
     lost update would leave it stuck and shed everything after)."""
     import sys
 
-    svc = OracleService(oracle_i, max_queue=2, cache_size=0)
+    svc = OracleService(oracle_i, max_queue=2, cache_bytes=0)
     n_threads, calls = 8, 50
     outcomes: list[str] = []
     interval = sys.getswitchinterval()
@@ -276,7 +385,7 @@ def test_inflight_cap_survives_thread_contention(oracle_i):
 
 
 def test_stop_fails_pending_requests(oracle_i):
-    svc = OracleService(oracle_i, max_queue=8, cache_size=0)
+    svc = OracleService(oracle_i, max_queue=8, cache_bytes=0)
     handle = svc.submit("degree", [0])
     svc.start()
     svc.stop()
@@ -335,7 +444,7 @@ def test_parallel_load_bit_identity(oracle_i, edges_i):
             if not np.array_equal(svc.degrees(vs), expected_deg[vs]):
                 errors.append(f"degree mismatch for {vs}")
 
-    with OracleService(oracle_i, max_queue=512, cache_size=64, workers=2) as svc:
+    with OracleService(oracle_i, max_queue=512, cache_bytes=budget(64, queries=5), workers=2) as svc:
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
         for t in threads:
             t.start()

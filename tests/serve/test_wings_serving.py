@@ -102,7 +102,7 @@ def served(oracle_i, tmp_path_factory):
     if not hasattr(os, "fork"):
         pytest.skip("pre-fork serving needs os.fork")
     art = save_oracle(oracle_i, tmp_path_factory.mktemp("wings") / "art")
-    with PreforkServer(art, workers=1, max_queue=64, cache_size=32, grace=2.0) as server:
+    with PreforkServer(art, workers=1, max_queue=64, cache_bytes=64 * 1024, grace=2.0) as server:
         yield _Client("127.0.0.1", server.port), oracle_i
 
 
