@@ -54,7 +54,7 @@ def _percentiles(latencies: list[float]) -> tuple[float, float]:
 def _drive(service: OracleService, oracle: GroundTruthOracle, concurrency: int):
     """``concurrency`` clients × REQUESTS_PER_CLIENT vertex-square
     requests; returns (seconds, queries, p50, p99, mismatches)."""
-    n = oracle.bk.n
+    n = oracle.n
     expected = oracle.squares_at_vertices(np.arange(n, dtype=np.int64))
     latencies: list[list[float]] = [[] for _ in range(concurrency)]
     mismatches: list[str] = []

@@ -205,17 +205,77 @@ def _check_cache_budgets(port: int, workers: int, n: int) -> None:
           ", ".join(f"worker {w} {u:g}/{b:g} B" for w, (u, b) in sorted(seen.items())))
 
 
+def _state(pid: int) -> tuple[str, int]:
+    """``(state, ppid)`` of a process from ``/proc/<pid>/stat``; a process
+    that is gone reads as a zombie (``"Z"``), since both have exited."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return "Z", 0
+    return fields[0], int(fields[1])
+
+
+def _live_children(pid: int) -> list[int]:
+    """Processes whose parent is ``pid`` and that have not exited."""
+    children = []
+    for path in Path("/proc").glob("[0-9]*"):
+        state, ppid = _state(int(path.name))
+        if ppid == pid and state != "Z":
+            children.append(int(path.name))
+    return children
+
+
+def _check_workers_scipy_free(master: subprocess.Popen, workers: int) -> None:
+    """No live worker maps a scipy extension module: the served oracle
+    reads the artifact's CSR triples with numpy alone."""
+    pids = _live_children(master.pid)
+    need(len(pids) == workers, f"found {len(pids)} of {workers} workers under {master.pid}")
+    for pid in pids:
+        maps = Path(f"/proc/{pid}/maps").read_text()
+        scipy = sorted({line.split()[-1] for line in maps.splitlines()
+                        if "/scipy/" in line and ".so" in line})
+        need(not scipy, f"worker {pid} maps scipy extension modules: {scipy[:3]}")
+    print(f"scipy-free workers ok: {len(pids)} workers map no scipy extension module")
+
+
+def _orphan_drill(master: subprocess.Popen, port: int) -> None:
+    """SIGKILL the master: no shutdown code runs, yet every worker must
+    exit and the port refuse connections within 5 s."""
+    workers = _live_children(master.pid)
+    need(bool(workers), f"no workers under {master.pid}")
+    master.kill()
+    master.wait(timeout=10)
+    deadline = time.monotonic() + 5.0
+    while True:
+        alive = [pid for pid in workers if _state(pid)[0] != "Z"]
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            refused = False
+        except OSError:
+            refused = True
+        if not alive and refused:
+            break
+        if time.monotonic() >= deadline:
+            for pid in alive:
+                os.kill(pid, signal.SIGKILL)
+            raise SmokeFailure(f"workers {alive} outlived their SIGKILLed master "
+                               f"(port {port} refused: {refused})")
+        time.sleep(0.1)
+    print(f"orphan drill ok: {len(workers)} worker(s) exited with their master")
+
+
 def serve_probe(out: Path) -> None:
     """Live pre-fork servers, 1 worker and 4 workers speaking both
     protocols: artifact schema and a known edge, wire answers equal to
     JSON answers and the direct oracle, every worker's cache within its
-    budget, merged worker metrics on drain."""
+    budget, no worker mapping scipy, merged worker metrics on drain, and
+    no worker outliving a SIGKILLed master."""
     artifact = out / "serve_artifact"
     py("-m", "repro", "pack", *SPEC, "-o", str(artifact))
     assert artifact_info(artifact)["schema"] == "repro.serve/1"
     # A known product edge (P, Q) for the edge endpoints.
     oracle = load_oracle(artifact)
-    grid = np.indices((oracle.bk.n, oracle.bk.n)).reshape(2, -1)
+    grid = np.indices((oracle.n, oracle.n)).reshape(2, -1)
     valid = oracle.has_edges(grid[0], grid[1])
     P, Q = int(grid[0][valid][0]), int(grid[1][valid][0])
     run_record = out / "prefork_run.json"
@@ -236,7 +296,7 @@ def serve_probe(out: Path) -> None:
         edge = post(port_one, "/v1/squares/edge", {"p": P, "q": Q})["squares"]
         need(edge == [oracle.squares_at_edge(P, Q)], f"edge ({P}, {Q}) answered {edge}")
         # Binary wire protocol answers match JSON and the direct oracle.
-        ps = list(range(oracle.bk.n))
+        ps = list(range(oracle.n))
         eps, eqs = grid[0][valid], grid[1][valid]
         with WireClient("127.0.0.1", port_four) as client:
             wire_deg = client.degrees(ps)
@@ -254,8 +314,10 @@ def serve_probe(out: Path) -> None:
             assert wire_wings.tolist() == json_wings, port
         print(f"wire ok: {len(ps)} degrees + global + {eps.size} wing bounds "
               "identical across protocols")
-        _check_cache_budgets(port_one, 1, oracle.bk.n)
-        _check_cache_budgets(port_four, 4, oracle.bk.n)
+        _check_cache_budgets(port_one, 1, oracle.n)
+        _check_cache_budgets(port_four, 4, oracle.n)
+        _check_workers_scipy_free(four, 4)
+        _orphan_drill(one, port_one)
         # Drain the pre-fork server (SIGTERM; all workers must report).
         four.send_signal(signal.SIGTERM)
         try:

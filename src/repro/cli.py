@@ -380,10 +380,10 @@ def _serve_instrumented(args) -> int:
             mmap=not args.no_mmap,
         ).start()
         oracle = server.oracle
-        sp.set(n=oracle.bk.n, m=oracle.bk.m, port=server.port)
+        sp.set(n=oracle.n, m=oracle.m, port=server.port)
     print(
         f"serving ground-truth oracle on http://{server.host}:{server.port} "
-        f"(n={oracle.bk.n:,}, m={oracle.bk.m:,}; {server.workers} pre-fork workers, "
+        f"(n={oracle.n:,}, m={oracle.m:,}; {server.workers} pre-fork workers, "
         f"protocol={server.protocol}, mmap={'on' if server.mmap else 'off'}; "
         "Ctrl-C to stop)",
         file=sys.stderr,

@@ -105,26 +105,6 @@ class Graph:
         """A graph with ``n`` vertices and no edges."""
         return cls(sp.csr_array((n, n), dtype=np.int64))
 
-    @classmethod
-    def from_canonical_csr(cls, adjacency: sp.csr_array) -> "Graph":
-        """Wrap an *already-canonical* CSR adjacency without copying.
-
-        Trusted constructor for adjacencies that went through
-        :func:`_canonical_adjacency` before (binary int64, symmetric,
-        sorted indices, no explicit zeros) -- e.g. CSR triplets restored
-        from a checksummed oracle artifact, where re-canonicalizing
-        would force a copy and break ``mmap`` page-cache sharing across
-        serving workers.  Only the shape is checked; callers vouch for
-        the invariants (the artifact layer's content checksum does).
-        """
-        if not isinstance(adjacency, sp.csr_array):
-            raise TypeError(f"from_canonical_csr needs a csr_array, got {type(adjacency)!r}")
-        if adjacency.shape[0] != adjacency.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adjacency.shape}")
-        graph = object.__new__(cls)
-        graph.adj = adjacency
-        return graph
-
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------

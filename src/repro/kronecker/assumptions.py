@@ -24,14 +24,15 @@ and community layers.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.graphs.bipartite import BipartiteGraph, bipartition
-from repro.graphs.connectivity import is_connected
-from repro.graphs.graph import Graph
-from repro.kronecker.product import KroneckerProduct
+# The graph model is imported where a product is validated or built, so
+# the served oracle, which needs only :class:`Assumption`, never loads it.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.graphs.bipartite import BipartiteGraph
+    from repro.graphs.graph import Graph
 
 __all__ = ["Assumption", "make_bipartite_product", "BipartiteKronecker"]
 
@@ -47,6 +48,9 @@ class Assumption(Enum):
 
 def _validate_common(A: Graph, B: Graph, require_connected: bool) -> np.ndarray:
     """Shared checks; returns B's bipartition colours."""
+    from repro.graphs.bipartite import bipartition
+    from repro.graphs.connectivity import is_connected
+
     if A.has_self_loops:
         raise ValueError(
             "factor A must be loop-free; the library adds I_A itself under "
@@ -81,6 +85,8 @@ def make_bipartite_product(
     connectivity), and the paper's own §IV experiment uses the
     disconnected ``unicode`` factor.
     """
+    from repro.graphs.bipartite import BipartiteGraph, bipartition
+
     A_graph = A.graph if isinstance(A, BipartiteGraph) else A
     B_bip = B if isinstance(B, BipartiteGraph) else None
     B_graph = B.graph if isinstance(B, BipartiteGraph) else B
@@ -128,6 +134,8 @@ class BipartiteKronecker:
         assumption: Assumption,
         A_bipartite: Optional[BipartiteGraph] = None,
     ):
+        from repro.kronecker.product import KroneckerProduct
+
         self.A = A
         self.B = B
         self.assumption = assumption
@@ -176,6 +184,8 @@ class BipartiteKronecker:
 
     def materialize_bipartite(self) -> BipartiteGraph:
         """Materialize ``C`` together with its known bipartition."""
+        from repro.graphs.bipartite import BipartiteGraph
+
         return BipartiteGraph(self.materialize(), self.product_part())
 
     def product_part(self) -> np.ndarray:

@@ -54,21 +54,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.analytics.fourcycles import (
-    closed_walks4,
-    edge_squares_matrix,
-    vertex_squares_matrix,
-)
-from repro.graphs.graph import Graph
 from repro.kronecker import kernels
-from repro.kronecker.assumptions import Assumption, BipartiteKronecker
+from repro.kronecker.assumptions import Assumption
 from repro.kronecker.kernels import EdgeIndex, vertex_terms as _vertex_terms
 
+# scipy.sparse and the graph model are imported inside the functions that
+# build statistics or run the ``sp.kron`` references, so a served oracle
+# (which only reads CSR triples) never loads them.
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
+
+    from repro.graphs.graph import Graph
+    from repro.kronecker.assumptions import BipartiteKronecker
+
 __all__ = [
+    "CSRTriple",
     "FactorStats",
     "vertex_squares_product",
     "vertex_squares_product_reference",
@@ -77,6 +81,26 @@ __all__ = [
     "global_squares_product",
     "squares_if_square_free_factors",
 ]
+
+
+class CSRTriple(NamedTuple):
+    """An immutable record of a square CSR matrix's three arrays.
+
+    What :func:`repro.serve.artifact.load_oracle` puts in a
+    :class:`FactorStats`' ``adj``/``diamond`` instead of a
+    ``scipy.sparse.csr_array``: the arrays stay as loaded (page-cache
+    ``np.memmap`` views under ``mmap=True``), and the query path reads
+    nothing else of a CSR matrix -- ``data``, ``indices``, ``indptr``
+    and ``nnz`` -- so either type serves.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
 
 
 @dataclass(frozen=True)
@@ -93,11 +117,19 @@ class FactorStats:
     w2: np.ndarray         #: two-walk vector ``A² 1``
     s: np.ndarray          #: vertex square counts (Def. 8)
     cw4: np.ndarray        #: ``diag(A⁴) = 2s + d² + w2 - d``
-    diamond: sp.csr_array  #: edge square counts ``◇`` (Def. 9), adjacency pattern
-    adj: sp.csr_array      #: the adjacency itself (for edge-aligned products)
+    #: edge square counts ``◇`` (Def. 9), adjacency pattern; like ``adj``,
+    #: a scipy CSR when built from a graph, a :class:`CSRTriple` when loaded
+    diamond: sp.csr_array | CSRTriple
+    adj: sp.csr_array | CSRTriple  #: the adjacency itself (for edge-aligned products)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "FactorStats":
+        from repro.analytics.fourcycles import (
+            closed_walks4,
+            edge_squares_matrix,
+            vertex_squares_matrix,
+        )
+
         if graph.has_self_loops:
             raise ValueError(
                 "FactorStats requires a loop-free factor (paper §II-B); "
@@ -200,15 +232,19 @@ def _w3_on_edges(stats: FactorStats) -> sp.csr_array:
     the edge-aligned ``W³`` values already exist, so this is one sparse
     assembly instead of a sparse addition per call.
     """
+    import scipy.sparse as sp
+
     idx = stats.edge_index
     return sp.csr_array(
-        sp.coo_array((idx.w3, (idx.rows, idx.cols)), shape=stats.adj.shape)
+        sp.coo_array((idx.w3, (idx.rows, idx.cols)), shape=(stats.n, stats.n))
     )
 
 
 def _edge_terms(stats_a: FactorStats, stats_b: FactorStats, assumption: Assumption):
     """``[(sign, left_matrix, right_matrix), ...]`` with
     ``◇_C = Σ sign * left ⊗ right``."""
+    import scipy.sparse as sp
+
     a, b = stats_a, stats_b
     coo_a = a.adj.tocoo()
     coo_b = b.adj.tocoo()
@@ -292,6 +328,8 @@ def _edge_squares_product_kron(bk: BipartiteKronecker) -> sp.csr_array:
     pattern.  Kept as the independent reference the property tests and
     ``bench_kernels`` compare :func:`edge_squares_product` against.
     """
+    import scipy.sparse as sp
+
     stats_a, stats_b = bk.factor_stats()
     terms = _edge_terms(stats_a, stats_b, bk.assumption)
     acc = None

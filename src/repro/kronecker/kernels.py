@@ -48,11 +48,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kronecker.assumptions import Assumption
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    import scipy.sparse as sp
+
     from repro.kronecker.ground_truth import FactorStats
 
 __all__ = [
@@ -186,9 +187,7 @@ class EdgeIndex:
     @classmethod
     def from_stats(cls, stats: "FactorStats") -> "EdgeIndex":
         n = stats.n
-        coo = stats.adj.tocoo()
-        rows = coo.row.astype(np.int64)
-        cols = coo.col.astype(np.int64)
+        rows, cols, _ = _csr_entries(stats.adj, n)
         keys = rows * n + cols
         if keys.size and np.any(np.diff(keys) < 0):  # non-canonical storage
             order = np.argsort(keys, kind="stable")
@@ -234,12 +233,23 @@ class EdgeIndex:
         return sum(a.nbytes for a in arrays)
 
 
-def _sparse_values_at(mat: sp.csr_array, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Values of a sparse matrix at index pairs (0 where absent),
+def _csr_entries(mat, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, data)`` of every stored entry of an ``n``-row CSR
+    matrix, in storage order, as int64 -- what ``.tocoo()`` gives, read
+    from ``indptr``/``indices``/``data`` alone, so a scipy CSR and a
+    loaded :class:`~repro.kronecker.ground_truth.CSRTriple` both work."""
+    indptr = np.asarray(mat.indptr, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    cols = np.asarray(mat.indices[: indptr[-1]], dtype=np.int64)
+    data = np.asarray(mat.data[: indptr[-1]], dtype=np.int64)
+    return rows, cols, data
+
+
+def _sparse_values_at(mat, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Values of a CSR matrix at index pairs (0 where absent),
     without scipy's fancy-index extraction machinery."""
-    coo = mat.tocoo()
-    mk = coo.row.astype(np.int64) * n + coo.col.astype(np.int64)
-    mv = coo.data.astype(np.int64)
+    mrows, mcols, mv = _csr_entries(mat, n)
+    mk = mrows * n + mcols
     if mk.size and np.any(np.diff(mk) < 0):
         order = np.argsort(mk, kind="stable")
         mk, mv = mk[order], mv[order]
@@ -560,6 +570,8 @@ def product_edge_squares_csr(
     product adjacency with explicit zeros on square-free edges,
     bit-identical to the legacy term-by-term evaluation.
     """
+    import scipy.sparse as sp
+
     n_b = stats_b.n
     shape = (stats_a.n * n_b, stats_a.n * n_b)
     idx_b = stats_b.edge_index

@@ -25,12 +25,17 @@ scalar query loop.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.kronecker import kernels
-from repro.kronecker.assumptions import Assumption, BipartiteKronecker
+from repro.kronecker.assumptions import Assumption
 from repro.kronecker.ground_truth import FactorStats, _vertex_terms
 from repro.obs import get_metrics, get_tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kronecker.assumptions import BipartiteKronecker
 
 __all__ = ["GroundTruthOracle"]
 
@@ -38,23 +43,66 @@ __all__ = ["GroundTruthOracle"]
 class GroundTruthOracle:
     """Per-vertex / per-edge ground truth for a bipartite product.
 
-    Build once from a :class:`BipartiteKronecker`; queries then touch
-    only factor-sized arrays.
+    The oracle is defined by its two factors' statistics, the right
+    factor's bipartition and the assumption
+    (:meth:`from_factor_stats`); ``GroundTruthOracle(bk)`` takes them
+    from a :class:`BipartiteKronecker`.  Queries then touch only
+    factor-sized arrays.  Product shape: ``n`` vertices, ``m`` edges,
+    ``n_b`` right-factor vertices (``p = i · n_b + k``).
     """
 
     def __init__(self, bk: BipartiteKronecker):
-        self.bk = bk
-        with get_tracer().span("oracle.setup", n=bk.n, m=bk.m) as sp:
-            self.stats_a, self.stats_b = bk.factor_stats()
-            self.n_b = bk.B.graph.n
-            self._terms = _vertex_terms(self.stats_a, self.stats_b, bk.assumption)
-            self._with_loops = bk.assumption is Assumption.SELF_LOOPS_FACTOR
+        stats_a, stats_b = bk.factor_stats()
+        self._setup(stats_a, stats_b, bk.B.part, bk.assumption)
+
+    @classmethod
+    def from_factor_stats(
+        cls,
+        stats_a: FactorStats,
+        stats_b: FactorStats,
+        part_b: np.ndarray,
+        assumption: Assumption,
+    ) -> "GroundTruthOracle":
+        """Build an oracle from factor statistics alone.
+
+        The inverse of :meth:`artifact_state`, and the setup every
+        oracle runs.  No graph object is built and none of the sparse
+        ``A²`` products behind
+        :class:`~repro.kronecker.ground_truth.FactorStats` are
+        recomputed; Assumption-1 *validation* is skipped -- persisted
+        statistics come from an already-validated product (and the
+        artifact's checksum guards against tampering).  The statistics
+        are held as given, so when they come from
+        ``load_oracle(..., mmap=True)`` the oracle's big arrays stay
+        page-cache-backed memmaps shared across processes.
+        """
+        oracle = cls.__new__(cls)
+        oracle._setup(stats_a, stats_b, part_b, assumption)
+        return oracle
+
+    def _setup(
+        self,
+        stats_a: FactorStats,
+        stats_b: FactorStats,
+        part_b: np.ndarray,
+        assumption: Assumption,
+    ) -> None:
+        self.stats_a, self.stats_b = stats_a, stats_b
+        self.part_b = np.asarray(part_b, dtype=bool)
+        self.assumption = assumption
+        self._with_loops = assumption is Assumption.SELF_LOOPS_FACTOR
+        self.n_b = stats_b.n
+        self.n = stats_a.n * stats_b.n
+        # C = M ⊗ B is loop-free, so m = nnz(M) · nnz(B) / 2 with
+        # nnz(M) = nnz(A) (+ n_A diagonal entries under 1(ii)).
+        nnz_m = stats_a.adj.nnz + (stats_a.n if self._with_loops else 0)
+        self.m = nnz_m * stats_b.adj.nnz // 2
+        with get_tracer().span("oracle.setup", n=self.n, m=self.m) as sp:
+            self._terms = _vertex_terms(stats_a, stats_b, assumption)
             # Effective left-factor degree (d_A or d_A + 1).
-            self._d_m = self.stats_a.d + (1 if self._with_loops else 0)
+            self._d_m = stats_a.d + (1 if self._with_loops else 0)
             # Stacked vertex-term matrices for the batched kernels.
-            self._term_matrices = kernels.vertex_term_matrices(
-                self.stats_a, self.stats_b, bk.assumption
-            )
+            self._term_matrices = kernels.vertex_term_matrices(stats_a, stats_b, assumption)
             sp.set(stored_entries=self.memory_footprint_entries())
         self._max_wing_cache: int | None = None
         # Bound once at setup: a no-op counter unless obs is enabled
@@ -72,40 +120,7 @@ class GroundTruthOracle:
         :func:`repro.serve.artifact.save_oracle` persists exactly this
         state; :meth:`from_factor_stats` consumes it.
         """
-        return self.stats_a, self.stats_b, self.bk.B.part, self.bk.assumption
-
-    @classmethod
-    def from_factor_stats(
-        cls,
-        stats_a: FactorStats,
-        stats_b: FactorStats,
-        part_b: np.ndarray,
-        assumption: Assumption,
-    ) -> "GroundTruthOracle":
-        """Rebuild an oracle from persisted factor statistics.
-
-        The inverse of :meth:`artifact_state`: reconstructs the factor
-        graphs from the stored adjacencies and pre-fills the product
-        handle's statistics cache, so none of the sparse ``A²`` products
-        behind :class:`~repro.kronecker.ground_truth.FactorStats` are
-        recomputed.  Assumption-1 *validation* is also skipped -- the
-        artifact was built from an already-validated product (and the
-        checksum layer guards against tampering).
-
-        The factor adjacencies are wrapped via
-        :meth:`~repro.graphs.graph.Graph.from_canonical_csr` -- no
-        re-canonicalization copy -- so when the stats come from
-        ``load_oracle(..., mmap=True)`` the oracle's big arrays stay
-        page-cache-backed memmaps shared across processes.
-        """
-        from repro.graphs.bipartite import BipartiteGraph
-        from repro.graphs.graph import Graph
-
-        A = Graph.from_canonical_csr(stats_a.adj)
-        B = BipartiteGraph(Graph.from_canonical_csr(stats_b.adj), np.asarray(part_b, dtype=bool))
-        bk = BipartiteKronecker(A, B, assumption)
-        bk._stats_cache["stats"] = (stats_a, stats_b)
-        return cls(bk)
+        return self.stats_a, self.stats_b, self.part_b, self.assumption
 
     # ------------------------------------------------------------------
     # Index plumbing
@@ -113,8 +128,8 @@ class GroundTruthOracle:
 
     def split(self, p: int) -> tuple[int, int]:
         """Product vertex -> factor pair ``(i, k)``."""
-        if not 0 <= p < self.bk.n:
-            raise IndexError(f"product vertex {p} out of range [0, {self.bk.n})")
+        if not 0 <= p < self.n:
+            raise IndexError(f"product vertex {p} out of range [0, {self.n})")
         return divmod(p, self.n_b)
 
     def _split_batch(self, ps, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +137,9 @@ class GroundTruthOracle:
         ps = np.asarray(ps, dtype=np.int64)
         if ps.ndim != 1:
             raise ValueError(f"{name} must be a 1-D index array, got shape {ps.shape}")
-        if ps.size and (int(ps.min()) < 0 or int(ps.max()) >= self.bk.n):
-            bad = ps[(ps < 0) | (ps >= self.bk.n)][0]
-            raise IndexError(f"product vertex {int(bad)} out of range [0, {self.bk.n})")
+        if ps.size and (int(ps.min()) < 0 or int(ps.max()) >= self.n):
+            bad = ps[(ps < 0) | (ps >= self.n)][0]
+            raise IndexError(f"product vertex {int(bad)} out of range [0, {self.n})")
         return np.divmod(ps, self.n_b)
 
     # ------------------------------------------------------------------
@@ -177,7 +192,7 @@ class GroundTruthOracle:
         return kernels.vertex_squares_codes(
             self.stats_a,
             self.stats_b,
-            self.bk.assumption,
+            self.assumption,
             ps,
             term_matrices=self._term_matrices,
         )
@@ -279,7 +294,7 @@ class GroundTruthOracle:
             raise ValueError(f"ps and qs must match in shape: {i.shape} vs {j.shape}")
         self._queries.inc(i.size)
         _, valid = kernels.edge_squares_batch(
-            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
+            self.stats_a, self.stats_b, self.assumption, i, j, k, ell
         )
         return valid
 
@@ -302,7 +317,7 @@ class GroundTruthOracle:
             raise ValueError(f"ps and qs must match in shape: {i.shape} vs {j.shape}")
         self._queries.inc(i.size)
         values, valid = kernels.edge_squares_batch(
-            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
+            self.stats_a, self.stats_b, self.assumption, i, j, k, ell
         )
         if valid.all():
             return values
@@ -334,7 +349,7 @@ class GroundTruthOracle:
             raise ValueError(f"ps and qs must match in shape: {i.shape} vs {j.shape}")
         self._queries.inc(i.size)
         values, valid = kernels.edge_squares_batch(
-            self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
+            self.stats_a, self.stats_b, self.assumption, i, j, k, ell
         )
         if valid.all():
             return values
@@ -379,7 +394,7 @@ class GroundTruthOracle:
                     k = np.tile(idx_b.rows, e - s)
                     ell = np.tile(idx_b.cols, e - s)
                     values, valid = kernels.edge_squares_batch(
-                        self.stats_a, self.stats_b, self.bk.assumption, i, j, k, ell
+                        self.stats_a, self.stats_b, self.assumption, i, j, k, ell
                     )
                     if valid.any():
                         best = max(best, int(values[valid].max()))

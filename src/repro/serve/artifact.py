@@ -47,10 +47,9 @@ from pathlib import Path
 from typing import Any, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kronecker.assumptions import Assumption
-from repro.kronecker.ground_truth import FactorStats
+from repro.kronecker.ground_truth import CSRTriple, FactorStats
 from repro.kronecker.oracle import GroundTruthOracle
 from repro.obs import get_tracer
 from repro.parallel.manifest import checksum_arrays
@@ -90,7 +89,7 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _csr_arrays(name: str, mat: sp.csr_array) -> dict[str, np.ndarray]:
+def _csr_arrays(name: str, mat) -> dict[str, np.ndarray]:
     return {
         f"{name}_data": np.asarray(mat.data),
         f"{name}_indices": np.asarray(mat.indices),
@@ -98,12 +97,17 @@ def _csr_arrays(name: str, mat: sp.csr_array) -> dict[str, np.ndarray]:
     }
 
 
-def _csr_from(arrays: Any, name: str, n: int) -> sp.csr_array:
+def _csr_from(arrays: Any, name: str, n: int) -> CSRTriple:
     try:
-        parts = tuple(arrays[f"{name}_{part}"] for part in _CSR_PARTS)
+        csr = CSRTriple(*(arrays[f"{name}_{part}"] for part in _CSR_PARTS))
     except KeyError as exc:
         raise ArtifactError(f"artifact is missing CSR array {name}_{exc.args[0]}") from exc
-    return sp.csr_array((parts[0], parts[1], parts[2]), shape=(n, n))
+    if csr.indptr.shape != (n + 1,) or csr.indices.shape != csr.data.shape:
+        raise ArtifactError(
+            f"artifact CSR {name} does not fit a {n}x{n} matrix: indptr "
+            f"{csr.indptr.shape}, indices {csr.indices.shape}, data {csr.data.shape}"
+        )
+    return csr
 
 
 def _stats_arrays(prefix: str, stats: FactorStats) -> dict[str, np.ndarray]:
@@ -157,7 +161,7 @@ def save_oracle(oracle: GroundTruthOracle, out_dir: PathLike) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     stats_a, stats_b, _, assumption = oracle.artifact_state()
     arrays = oracle_arrays(oracle)
-    with get_tracer().span("serve.pack", n=oracle.bk.n, m=oracle.bk.m):
+    with get_tracer().span("serve.pack", n=oracle.n, m=oracle.m):
         npz_path = out_dir / ORACLE_FILE
         tmp = npz_path.with_name(npz_path.name + ".tmp")
         try:
@@ -175,7 +179,7 @@ def save_oracle(oracle: GroundTruthOracle, out_dir: PathLike) -> Path:
             "storage": "npz-stored",
             "checksum": checksum_arrays(arrays),
             "assumption": assumption.name,
-            "product": {"n": int(oracle.bk.n), "m": int(oracle.bk.m)},
+            "product": {"n": int(oracle.n), "m": int(oracle.m)},
             "factors": {
                 "a": {"n": int(stats_a.n), "nnz": int(stats_a.adj.nnz)},
                 "b": {"n": int(stats_b.n), "nnz": int(stats_b.adj.nnz)},

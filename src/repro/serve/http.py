@@ -173,13 +173,15 @@ class _OracleHandler(BaseHTTPRequestHandler):
             # Graceful shutdown: finish this response, then release the
             # keep-alive connection so the worker can exit.
             self.close_connection = True
-        self._send(status, payload)
         metrics = get_metrics()
         label = _endpoint_label(path)
+        # Counted before the send: a client that has its answer and then
+        # scrapes /metrics (another connection, another thread) must see it.
+        metrics.counter("serve.http.responses_total", endpoint=label, status=str(status)).inc()
+        self._send(status, payload)
         metrics.histogram("serve.http.latency_seconds", endpoint=label).observe(
             time.perf_counter() - t0
         )
-        metrics.counter("serve.http.responses_total", endpoint=label, status=str(status)).inc()
 
     def _route(
         self, method: str, path: str, query: dict[str, list[str]]

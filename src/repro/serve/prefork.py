@@ -36,8 +36,10 @@ from __future__ import annotations
 import json
 import os
 import select
+import shutil
 import signal
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -58,6 +60,9 @@ __all__ = ["PreforkServer", "PROTOCOLS"]
 PROTOCOLS = ("json", "wire", "both")
 
 _WIRE_FIRST_BYTE = wire.MAGIC[:1]
+
+#: ``<linux/prctl.h>``: signal delivered to this process when its parent dies.
+_PR_SET_PDEATHSIG = 1
 
 
 class _ConnReader:
@@ -157,6 +162,7 @@ class PreforkServer:
         self.keepalive_timeout = keepalive_timeout
         self.mmap = mmap
         self.state_dir = Path(state_dir) if state_dir is not None else None
+        self._own_state_dir = False  # made by start(), so removed by stop()
         self.info: dict[str, Any] = {}
         self.oracle = None
         self.respawns = 0
@@ -179,16 +185,17 @@ class PreforkServer:
         # views of oracle.npz shared by every child; derived small state
         # (term matrices, service-free oracle caches) rides fork CoW.
         self.oracle = load_oracle(self.artifact, mmap=self.mmap)
-        if self.state_dir is None:
-            self.state_dir = Path(tempfile.mkdtemp(prefix="repro-prefork-"))
-        else:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
         listener.listen(128)
         self.port = listener.getsockname()[1]
         self._listener = listener
+        if self.state_dir is None:
+            self.state_dir = Path(tempfile.mkdtemp(prefix="repro-prefork-"))
+            self._own_state_dir = True
+        else:
+            self.state_dir.mkdir(parents=True, exist_ok=True)
         self._started = True
         for idx in range(self.workers):
             self._spawn(idx)
@@ -196,10 +203,12 @@ class PreforkServer:
 
     def _spawn(self, idx: int) -> None:
         obs_enabled = obs.is_enabled()
+        parent = os.getpid()
         pid = os.fork()
         if pid == 0:
             # Child: never returns.
             try:
+                _exit_with_parent(parent)
                 _WorkerProcess(self, idx, obs_enabled).run()
             except BaseException:  # pragma: no cover - crash path
                 os._exit(1)
@@ -251,7 +260,10 @@ class PreforkServer:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
-        return self._merge_worker_state()
+        totals = self._merge_worker_state()
+        if self._own_state_dir:
+            shutil.rmtree(self.state_dir, ignore_errors=True)
+        return totals
 
     def _reap(self, pid: int, deadline: float) -> None:
         while True:
@@ -297,6 +309,28 @@ class PreforkServer:
     def __exit__(self, *exc: Any) -> None:
         if not self._stopping:
             self.stop()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Have the kernel SIGTERM this forked worker when its parent dies.
+
+    A master killed with SIGKILL never runs :meth:`PreforkServer.stop`,
+    so without this its workers live on under PID 1, still holding the
+    port.  The death signal is the same SIGTERM ``stop()`` sends, so an
+    orphan drains like any other worker.  The ``getppid`` check covers a
+    parent that died between the fork and the ``prctl``.  Linux only
+    (``PR_SET_PDEATHSIG``); the signal fires when the *thread* that
+    forked exits, so fork from a thread that lives as long as the server.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent:
+        os._exit(0)
 
 
 class _WorkerProcess:

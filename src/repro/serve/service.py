@@ -245,10 +245,10 @@ class OracleService:
             raise ValueError(f"{name} must be a flat index list, got shape {arr.shape}")
         # Native byte order and C order: the cache key hashes the buffer.
         arr = np.ascontiguousarray(arr)
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.oracle.bk.n):
-            bad = arr[(arr < 0) | (arr >= self.oracle.bk.n)][0]
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.oracle.n):
+            bad = arr[(arr < 0) | (arr >= self.oracle.n)][0]
             raise IndexError(
-                f"product vertex {int(bad)} out of range [0, {self.oracle.bk.n})"
+                f"product vertex {int(bad)} out of range [0, {self.oracle.n})"
             )
         return arr
 

@@ -17,10 +17,12 @@ from repro.kronecker import Assumption, GroundTruthOracle, make_bipartite_produc
 from repro.refcheck import brute
 
 
+def _product(A, B, assumption):
+    return make_bipartite_product(A, B, assumption, require_connected=False)
+
+
 def _oracle(A, B, assumption):
-    return GroundTruthOracle(
-        make_bipartite_product(A, B, assumption, require_connected=False)
-    )
+    return GroundTruthOracle(_product(A, B, assumption))
 
 
 class TestEmptyFactor:
@@ -55,9 +57,13 @@ class TestIsolatedVertices:
     """Isolated vertices are valid codes whose every pair is a non-edge."""
 
     @pytest.fixture
-    def oracle(self):
+    def product(self):
         B = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
-        return _oracle(complete_graph(3), B, Assumption.NON_BIPARTITE_FACTOR)
+        return _product(complete_graph(3), B, Assumption.NON_BIPARTITE_FACTOR)
+
+    @pytest.fixture
+    def oracle(self, product):
+        return GroundTruthOracle(product)
 
     def test_isolated_endpoint_masked_not_crashed(self, oracle):
         # q = γ(j, 2) touches the isolated B vertex: never an edge.
@@ -66,9 +72,8 @@ class TestIsolatedVertices:
         out = oracle.squares_at_edges(ps, qs, on_invalid="mask")
         assert np.array_equal(out, np.full(3, -1))
 
-    def test_mixed_batch_masks_only_invalid_slots(self, oracle):
-        bk = oracle.bk
-        C = bk.materialize()
+    def test_mixed_batch_masks_only_invalid_slots(self, product, oracle):
+        C = product.materialize()
         u, v = C.edge_arrays()
         dia = brute.squares_at_edges(C)
         # Interleave real edges with isolated-vertex pairs.
@@ -84,16 +89,18 @@ class TestSingleEdgeProduct:
     """The smallest product with an edge: 1 ⊗ P_2 under Assumption 1(ii)."""
 
     def test_single_edge_product_values(self):
-        oracle = _oracle(Graph.empty(1), path_graph(2), Assumption.SELF_LOOPS_FACTOR)
-        C = oracle.bk.materialize()
+        bk = _product(Graph.empty(1), path_graph(2), Assumption.SELF_LOOPS_FACTOR)
+        oracle = GroundTruthOracle(bk)
+        C = bk.materialize()
         assert C.m == 1
         out = oracle.squares_at_edges([0, 1, 0], [1, 0, 0], on_invalid="mask")
         # The lone edge carries 0 squares; (0, 0) is not an edge.
         assert out.tolist() == [0, 0, -1]
 
     def test_matches_brute_force(self):
-        oracle = _oracle(Graph.empty(1), path_graph(2), Assumption.SELF_LOOPS_FACTOR)
-        C = oracle.bk.materialize()
+        bk = _product(Graph.empty(1), path_graph(2), Assumption.SELF_LOOPS_FACTOR)
+        oracle = GroundTruthOracle(bk)
+        C = bk.materialize()
         dia = brute.squares_at_edges(C)
         u, v = C.edge_arrays()
         out = oracle.squares_at_edges(u, v, on_invalid="mask")

@@ -40,7 +40,7 @@ def oracle_ii(product_ii):
 
 def product_edges(oracle) -> tuple[np.ndarray, np.ndarray]:
     """All (p, q) product edge pairs, as two index arrays."""
-    n = oracle.bk.n
+    n = oracle.n
     grid = np.indices((n, n)).reshape(2, -1)
     valid = oracle.has_edges(grid[0], grid[1])
     return grid[0][valid], grid[1][valid]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.kronecker import GroundTruthOracle
+from repro.kronecker.ground_truth import CSRTriple
 from repro.serve import (
     ARTIFACT_SCHEMA,
     ORACLE_FILE,
@@ -27,7 +28,7 @@ def test_round_trip_bit_identical(oracle_fixture, tmp_path, request):
     """Saved-and-loaded oracles answer every query bit-identically."""
     oracle = request.getfixturevalue(oracle_fixture)
     loaded = load_oracle(save_oracle(oracle, tmp_path / "art"))
-    ps = np.arange(oracle.bk.n, dtype=np.int64)
+    ps = np.arange(oracle.n, dtype=np.int64)
     assert np.array_equal(loaded.degrees(ps), oracle.degrees(ps))
     assert np.array_equal(loaded.squares_at_vertices(ps), oracle.squares_at_vertices(ps))
     ep, eq = product_edges(oracle)
@@ -38,7 +39,37 @@ def test_round_trip_bit_identical(oracle_fixture, tmp_path, request):
     for p, q in zip(ep[:8].tolist(), eq[:8].tolist()):
         if oracle.degree(p) >= 2 and oracle.degree(q) >= 2:
             assert loaded.clustering_at_edge(p, q) == oracle.clustering_at_edge(p, q)
-    assert loaded.bk.assumption is oracle.bk.assumption
+    assert loaded.assumption is oracle.assumption
+
+
+@pytest.mark.parametrize("product_fixture", ["product_i", "product_ii"])
+def test_mmap_load_bit_identical_to_fresh_oracle(product_fixture, tmp_path, request):
+    """A mapped artifact answers every served kind, and the wing bound,
+    exactly as an oracle built from the product does; its shape
+    attributes match the product and the sidecar."""
+    bk = request.getfixturevalue(product_fixture)
+    fresh = GroundTruthOracle(bk)
+    out = save_oracle(fresh, tmp_path / "art")
+    loaded = load_oracle(out, mmap=True)
+    info = artifact_info(out)
+    assert (loaded.n, loaded.m) == (bk.n, bk.m) == (info["product"]["n"], info["product"]["m"])
+    assert (loaded.n_b, loaded.assumption) == (bk.B.graph.n, bk.assumption)
+    assert np.array_equal(loaded.part_b, bk.B.part)
+    ps, qs = np.indices((bk.n, bk.n)).reshape(2, -1)  # every pair, non-edges too
+    vs = np.arange(bk.n, dtype=np.int64)
+    assert np.array_equal(loaded.degrees(vs), fresh.degrees(vs))
+    assert np.array_equal(loaded.squares_at_vertices(vs), fresh.squares_at_vertices(vs))
+    for method in ("squares_at_edges", "wings_at_edges"):
+        assert np.array_equal(
+            getattr(loaded, method)(ps, qs, on_invalid="mask"),
+            getattr(fresh, method)(ps, qs, on_invalid="mask"),
+        ), method
+    assert np.array_equal(
+        loaded.clustering_at_edges(ps, qs), fresh.clustering_at_edges(ps, qs), equal_nan=True
+    )
+    assert np.array_equal(loaded.has_edges(ps, qs), fresh.has_edges(ps, qs))
+    assert loaded.global_squares() == fresh.global_squares()
+    assert loaded.max_wing_bound() == fresh.max_wing_bound()
 
 
 def test_sidecar_without_kernel_backend_and_old_key_tolerated(oracle_i, tmp_path):
@@ -51,17 +82,22 @@ def test_sidecar_without_kernel_backend_and_old_key_tolerated(oracle_i, tmp_path
     sidecar_path.write_text(json.dumps(sidecar))
     assert artifact_info(out)["kernel_backend"] == "numpy"
     loaded = load_oracle(out)
-    ps = np.arange(oracle_i.bk.n, dtype=np.int64)
+    ps = np.arange(oracle_i.n, dtype=np.int64)
     assert np.array_equal(loaded.squares_at_vertices(ps), oracle_i.squares_at_vertices(ps))
 
 
 def test_round_trip_no_recompute(oracle_i, tmp_path):
-    """Loading reuses the persisted statistics objects, not fresh ones."""
-    loaded = load_oracle(save_oracle(oracle_i, tmp_path / "art"))
-    stats_a, stats_b = loaded.bk.factor_stats()
-    # The handle's cache was pre-filled by from_factor_stats: the oracle
-    # holds the exact same FactorStats instances the loader built.
+    """Loading holds the persisted arrays as they are, not fresh statistics."""
+    out = save_oracle(oracle_i, tmp_path / "art")
+    loaded = load_oracle(out, mmap=True)
+    stats_a, stats_b, _, _ = loaded.artifact_state()
     assert stats_a is loaded.stats_a and stats_b is loaded.stats_b
+    for stats in (stats_a, stats_b):
+        # The CSR triples are the mapped artifact members, not scipy
+        # matrices rebuilt from them.
+        assert isinstance(stats.adj, CSRTriple) and isinstance(stats.diamond, CSRTriple)
+        for arr in (*stats.adj, *stats.diamond):
+            assert isinstance(arr, np.memmap) and not arr.flags.writeable
 
 
 def test_sidecar_contents(oracle_i, tmp_path):
@@ -69,7 +105,7 @@ def test_sidecar_contents(oracle_i, tmp_path):
     info = artifact_info(out)
     assert info["schema"] == ARTIFACT_SCHEMA
     assert info["checksum"].startswith("sha256:")
-    assert info["product"] == {"n": oracle_i.bk.n, "m": oracle_i.bk.m}
+    assert info["product"] == {"n": oracle_i.n, "m": oracle_i.m}
     assert info["arrays"] == sorted(oracle_arrays(oracle_i))
     assert (out / ORACLE_FILE).stat().st_size == info["oracle_bytes"]
 
@@ -122,6 +158,20 @@ def test_kernel_coefficient_tamper_refused(oracle_i, tmp_path):
     (out / SIDECAR_FILE).write_text(json.dumps(info))
     with pytest.raises(ArtifactIntegrityError, match="kernel coefficients"):
         load_oracle(out)
+
+
+@pytest.mark.parametrize("member", ["b_adj_indptr", "a_diamond_indices"])
+def test_malformed_csr_refused(oracle_i, tmp_path, member):
+    """A CSR triple that cannot be an n x n matrix is refused at load,
+    even with verification off: nothing else checks its structure."""
+    out = save_oracle(oracle_i, tmp_path / "art")
+    with np.load(out / ORACLE_FILE) as data:
+        arrays = {key: data[key].copy() for key in data.files}
+    arrays[member] = arrays[member][:-1]
+    with open(out / ORACLE_FILE, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ArtifactError, match="does not fit"):
+        load_oracle(out, verify=False)
 
 
 def test_schema_version_gate(oracle_i, tmp_path):
@@ -182,7 +232,7 @@ def test_mmap_load_bit_identical(oracle_fixture, tmp_path, request):
     oracle = request.getfixturevalue(oracle_fixture)
     out = save_oracle(oracle, tmp_path / "art")
     mapped = load_oracle(out, mmap=True)
-    ps = np.arange(oracle.bk.n, dtype=np.int64)
+    ps = np.arange(oracle.n, dtype=np.int64)
     assert np.array_equal(mapped.degrees(ps), oracle.degrees(ps))
     assert np.array_equal(mapped.squares_at_vertices(ps), oracle.squares_at_vertices(ps))
     ep, eq = product_edges(oracle)
@@ -237,7 +287,7 @@ def test_mmap_legacy_compressed_artifact_falls_back_eagerly(oracle_i, tmp_path):
     # content, not the zip container).
     with pytest.warns(RuntimeWarning, match="compressed member"):
         loaded = load_oracle(out, mmap=True)
-    ps = np.arange(oracle_i.bk.n, dtype=np.int64)
+    ps = np.arange(oracle_i.n, dtype=np.int64)
     assert np.array_equal(loaded.degrees(ps), oracle_i.degrees(ps))
 
 

@@ -28,7 +28,7 @@ def test_pack_cli_builds_loadable_artifact(tmp_path, capsys):
     info = artifact_info(out)
     assert info["assumption"] == "NON_BIPARTITE_FACTOR"
     oracle = load_oracle(out)
-    assert oracle.bk.n == info["product"]["n"]
+    assert oracle.n == info["product"]["n"]
     err = capsys.readouterr().err
     assert "packed oracle artifact" in err and "sha256:" in err
 
@@ -92,7 +92,7 @@ def test_pack_serve_http_round_trip(tmp_path):
 
     try:
         assert _wait_for(up), "server did not come up"
-        ps = list(range(oracle.bk.n))
+        ps = list(range(oracle.n))
         req = urllib.request.Request(
             base + "/v1/squares/vertex", data=json.dumps({"ps": ps}).encode()
         )

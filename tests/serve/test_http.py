@@ -97,7 +97,7 @@ def test_healthz(served):
 
 def test_degree_endpoint_matches_oracle(served):
     client, oracle = served
-    ps = list(range(oracle.bk.n))
+    ps = list(range(oracle.n))
     status, body = client.post("/v1/degree", {"ps": ps})
     assert status == 200
     assert body["degrees"] == oracle.degrees(ps).tolist()
@@ -108,7 +108,7 @@ def test_degree_endpoint_matches_oracle(served):
 
 def test_vertex_squares_endpoint_matches_oracle(served):
     client, oracle = served
-    ps = list(range(oracle.bk.n))
+    ps = list(range(oracle.n))
     status, body = client.post("/v1/squares/vertex", {"ps": ps})
     assert status == 200
     assert body["squares"] == oracle.squares_at_vertices(ps).tolist()
@@ -221,7 +221,7 @@ def test_wrong_arity_and_shape_are_400(served, path, body, fragment):
 
 def test_out_of_range_vertex_is_400(served):
     client, oracle = served
-    status, payload = client.post("/v1/degree", {"ps": [oracle.bk.n]})
+    status, payload = client.post("/v1/degree", {"ps": [oracle.n]})
     assert status == 400
     assert "out of range" in payload["error"]
 

@@ -55,7 +55,7 @@ def _get_json(port: int, path: str) -> dict:
 
 def test_both_protocols_bit_identical(art_dir, oracle_i):
     """One port, two protocols, every answer identical to direct calls."""
-    ps = np.arange(oracle_i.bk.n, dtype=np.int64)
+    ps = np.arange(oracle_i.n, dtype=np.int64)
     ep, eq = product_edges(oracle_i)
     with PreforkServer(art_dir, workers=2, grace=2.0) as server:
         # JSON HTTP path.
@@ -133,7 +133,7 @@ def test_worker_memory_flat_mmap_pages_shared(art_dir, oracle_i):
     """Every worker maps oracle.npz read-only with zero private dirty
     pages: the artifact is one page-cache copy shared by the fleet, so
     per-worker RSS stays flat as workers scale."""
-    ps = np.arange(oracle_i.bk.n, dtype=np.int64)
+    ps = np.arange(oracle_i.n, dtype=np.int64)
     with PreforkServer(art_dir, workers=3, grace=2.0) as server:
         # Touch the arrays in at least one worker so pages are faulted in.
         with WireClient("127.0.0.1", server.port) as client:
@@ -161,11 +161,13 @@ def test_crashed_worker_respawns(art_dir):
         assert _get_json(server.port, "/healthz")["status"] == "ok"
 
 
-def test_stop_merges_worker_metrics_and_tallies(art_dir, oracle_i):
+def test_stop_merges_worker_metrics_and_tallies(art_dir, oracle_i, tmp_path):
     """Worker obs registries fold into the parent on stop: the shutdown
     stats and the parent snapshot carry every worker's traffic."""
     with instrument() as (_tracer, metrics):
-        server = PreforkServer(art_dir, workers=2, grace=2.0).start()
+        server = PreforkServer(
+            art_dir, workers=2, grace=2.0, state_dir=tmp_path / "state"
+        ).start()
         try:
             _post_json(server.port, "/v1/degree", {"ps": [0]})
             with WireClient("127.0.0.1", server.port) as client:
@@ -183,6 +185,85 @@ def test_stop_merges_worker_metrics_and_tallies(art_dir, oracle_i):
         # Each worker's state file carries its cache footprint.
         states = [json.loads(p.read_text()) for p in server.state_dir.glob("worker-*.json")]
         assert sum(state["service"]["cache_bytes"] for state in states) > 0
+
+
+def test_stop_removes_the_state_dir_it_created(art_dir):
+    with PreforkServer(art_dir, workers=1, grace=2.0) as server:
+        _get_json(server.port, "/healthz")
+        state_dir = server.state_dir
+        assert state_dir.is_dir() and state_dir.name.startswith("repro-prefork-")
+    assert not state_dir.exists()
+
+
+def test_stop_keeps_a_caller_supplied_state_dir(art_dir, tmp_path):
+    state_dir = tmp_path / "state"
+    with PreforkServer(art_dir, workers=1, grace=2.0, state_dir=state_dir) as server:
+        _get_json(server.port, "/healthz")
+    assert [p.name for p in state_dir.iterdir()] == ["worker-0.json"]
+
+
+def _state(pid: int) -> tuple[str, int]:
+    """``(state, ppid)`` from ``/proc/<pid>/stat``; a process that is gone
+    reads as a zombie (``"Z"``), since both have exited."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return "Z", 0
+    return fields[0], int(fields[1])
+
+
+def _live_children(pid: int) -> list[int]:
+    children = []
+    for path in Path("/proc").glob("[0-9]*"):
+        state, ppid = _state(int(path.name))
+        if ppid == pid and state != "Z":
+            children.append(int(path.name))
+    return children
+
+
+def _gone(pid: int) -> bool:
+    return _state(pid)[0] == "Z"
+
+
+def _refuses(port: int) -> bool:
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=1).close()
+    except OSError:
+        return True
+    return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only")
+def test_sigkilled_master_takes_its_workers_down(art_dir):
+    """A master killed with SIGKILL runs no shutdown code; its workers
+    must still exit and free the port instead of living on under init."""
+    port = _free_port()
+    env = {**os.environ, "PYTHONPATH": REPO_SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--artifact", str(art_dir),
+         "--port", str(port), "--workers-procs", "2"],
+        env=env,
+        stderr=subprocess.DEVNULL,
+    )
+    workers: list[int] = []
+    try:
+        assert _wait_for(lambda: len(_live_children(proc.pid)) == 2), "workers did not fork"
+        workers = _live_children(proc.pid)
+        assert _wait_for(lambda: not _refuses(port)), "server did not come up"
+        with WireClient("127.0.0.1", port) as client:
+            assert client.degrees([0]).size == 1
+        proc.kill()
+        proc.wait(timeout=10)
+        assert _wait_for(lambda: all(map(_gone, workers)) and _refuses(port), timeout=5.0), (
+            [pid for pid in workers if not _gone(pid)]
+        )
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for pid in workers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_prometheus_worker_labels_never_collide():
@@ -286,13 +367,13 @@ def test_cli_sigterm_drains_inflight_both_protocols(tmp_path, art_dir, oracle_i)
         except (urllib.error.URLError, ConnectionError, OSError):
             return False
 
-    expected = [oracle_i.degree(i % oracle_i.bk.n) for i in range(40)]
+    expected = [oracle_i.degree(i % oracle_i.n) for i in range(40)]
     try:
         assert _wait_for(up), "pre-fork server did not come up"
         # Pipeline 40 wire frames, read only the first, then SIGTERM with
         # the rest still in flight.
         wire_sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-        frames = [encode_request("degree", [i % oracle_i.bk.n]) for i in range(40)]
+        frames = [encode_request("degree", [i % oracle_i.n]) for i in range(40)]
         wire_sock.sendall(b"".join(frames))
         rfile = wire_sock.makefile("rb")
         from repro.serve.wire import read_response

@@ -25,7 +25,7 @@ def service(oracle_i):
 
 
 def test_batched_answers_match_oracle(service, oracle_i, edges_i):
-    ps = np.arange(oracle_i.bk.n, dtype=np.int64)
+    ps = np.arange(oracle_i.n, dtype=np.int64)
     assert np.array_equal(service.degrees(ps), oracle_i.degrees(ps))
     assert np.array_equal(
         service.squares_at_vertices(ps), oracle_i.squares_at_vertices(ps)
@@ -149,7 +149,7 @@ def test_cache_bytes_tracks_answers_not_requests(oracle_i):
     rng = np.random.default_rng(7)
     svc = OracleService(oracle_i, cache_bytes=budget(n_entries, queries=pairs))
     for _ in range(n_entries):
-        ps, qs = rng.integers(0, oracle_i.bk.n, size=(2, pairs))
+        ps, qs = rng.integers(0, oracle_i.n, size=(2, pairs))
         svc.answer("edge_squares", ps, qs)
     full = svc.stats()
     assert full["cache_entries"] == n_entries
@@ -218,7 +218,7 @@ def test_traced_cache_memory_stays_within_budget(wide_oracle, queries):
 
     limit = 256 * 1024
     rng = np.random.default_rng(queries)
-    n = wide_oracle.bk.n
+    n = wide_oracle.n
     distinct = 3 * limit // (8 * queries + 32 + ENTRY_OVERHEAD)
     if queries == 1:
         requests = [[p] for p in rng.permutation(n)[:distinct]]
@@ -250,7 +250,7 @@ def test_oversize_answer_is_correct_and_not_cached(wide_oracle):
     cached, and it evicts nothing on the way."""
     svc = OracleService(wide_oracle, cache_bytes=budget(4, queries=16))
     small = svc.answer("degree", np.arange(16))
-    ps = np.random.default_rng(3).integers(0, wide_oracle.bk.n, size=4096)
+    ps = np.random.default_rng(3).integers(0, wide_oracle.n, size=4096)
     for _ in range(2):
         assert np.array_equal(svc.answer("degree", ps), wide_oracle.degrees(ps))
     stats = svc.stats()
@@ -318,7 +318,7 @@ def test_answer_sheds_past_max_queue_calls_in_progress(oracle_i):
     entered, release = threading.Event(), threading.Event()
 
     class Blocking:
-        bk = oracle_i.bk
+        n = oracle_i.n
 
         def degrees(self, ps):
             entered.set()
@@ -361,7 +361,7 @@ def test_inflight_cap_survives_thread_contention(oracle_i):
     def worker(seed: int) -> None:
         rng = np.random.default_rng(seed)
         for _ in range(calls):
-            ps = rng.integers(0, oracle_i.bk.n, size=4)
+            ps = rng.integers(0, oracle_i.n, size=4)
             try:
                 got = svc.answer("vertex_squares", ps)
             except Overloaded:
@@ -421,7 +421,7 @@ def test_malformed_submissions_raise_synchronously(service, kind, ps, qs, err):
 
 def test_out_of_range_raises_index_error(service, oracle_i):
     with pytest.raises(IndexError, match="out of range"):
-        service.submit("degree", [oracle_i.bk.n])
+        service.submit("degree", [oracle_i.n])
     with pytest.raises(IndexError, match="out of range"):
         service.submit("vertex_squares", [-1])
 
@@ -430,7 +430,7 @@ def test_parallel_load_bit_identity(oracle_i, edges_i):
     """Many threads hammering the service get exactly the oracle's answers."""
     ep, eq = edges_i
     expected_sq = oracle_i.squares_at_edges(ep, eq)
-    expected_deg = oracle_i.degrees(np.arange(oracle_i.bk.n))
+    expected_deg = oracle_i.degrees(np.arange(oracle_i.n))
     errors: list[str] = []
 
     def worker(seed: int) -> None:
@@ -440,7 +440,7 @@ def test_parallel_load_bit_identity(oracle_i, edges_i):
             got = svc.squares_at_edges(ep[idx], eq[idx])
             if not np.array_equal(got, expected_sq[idx]):
                 errors.append(f"squares mismatch for idx {idx}")
-            vs = rng.integers(0, oracle_i.bk.n, size=4)
+            vs = rng.integers(0, oracle_i.n, size=4)
             if not np.array_equal(svc.degrees(vs), expected_deg[vs]):
                 errors.append(f"degree mismatch for {vs}")
 

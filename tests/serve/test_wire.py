@@ -163,7 +163,7 @@ def wire_server(tmp_path_factory):
 
 def test_client_round_trips_match_oracle(wire_server):
     server, oracle = wire_server
-    n = oracle.bk.n
+    n = oracle.n
     ps = np.arange(n, dtype=np.int64)
     with wire.WireClient("127.0.0.1", server.port) as client:
         assert np.array_equal(client.degrees(ps), oracle.degrees(ps))
@@ -190,7 +190,7 @@ def test_client_mask_semantics_pass_through(wire_server):
 
 def test_client_pipelining_preserves_order(wire_server):
     server, oracle = wire_server
-    n = oracle.bk.n
+    n = oracle.n
     frames = [encode_request("degree", [i % n]) for i in range(100)]
     with wire.WireClient("127.0.0.1", server.port) as client:
         answers = client.pipeline(frames)
@@ -201,7 +201,7 @@ def test_pipeline_burst_larger_than_socket_buffers(wire_server):
     """Answers totalling tens of MiB: sending the whole burst before
     reading would leave client and worker both blocked in a send."""
     server, oracle = wire_server
-    ps = np.arange(4096, dtype=np.int64) % oracle.bk.n
+    ps = np.arange(4096, dtype=np.int64) % oracle.n
     frames = [encode_request("degree", ps)] * 1024  # 32 MiB each way
     with wire.WireClient("127.0.0.1", server.port, timeout=20.0) as client:
         answers = client.pipeline(frames)
