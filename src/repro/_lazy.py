@@ -4,7 +4,7 @@ A package ``__init__`` declares one table mapping each public name to
 the module that defines it; the module is imported the first time the
 name is looked up.  Importing a package therefore costs only the
 modules its caller touches -- ``repro serve`` boots without the
-generation, GraphBLAS, referee and experiment stacks -- while
+generation, referee and experiment stacks -- while
 ``__all__``, ``from pkg import name``, ``from pkg import *`` and
 ``dir(pkg)`` behave as with eager imports.
 

@@ -22,15 +22,11 @@ from typing import Iterable, Iterator, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.gb.matrix import GBMatrix
-
 __all__ = ["Graph"]
 
 
 def _canonical_adjacency(matrix) -> sp.csr_array:
     """Coerce input to a canonical binary symmetric CSR adjacency."""
-    if isinstance(matrix, GBMatrix):
-        matrix = matrix.csr
     if sp.issparse(matrix):
         csr = sp.csr_array(matrix)
     else:
@@ -57,8 +53,8 @@ class Graph:
     Parameters
     ----------
     adjacency:
-        A square symmetric matrix (scipy sparse, dense array, or
-        :class:`~repro.gb.matrix.GBMatrix`).  Nonzeros become edges.
+        A square symmetric matrix (scipy sparse or dense array).
+        Nonzeros become edges.
     """
 
     __slots__ = ("adj",)
@@ -167,10 +163,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Views / conversions
     # ------------------------------------------------------------------
-
-    def gb(self) -> GBMatrix:
-        """Adjacency as a :class:`~repro.gb.matrix.GBMatrix`."""
-        return GBMatrix(self.adj)
 
     def to_dense(self) -> np.ndarray:
         return self.adj.toarray()

@@ -190,9 +190,11 @@ def encode_error(status: int, message: str) -> bytes:
     return header + body
 
 
-def _read_exact(stream: BinaryIO, n: int) -> Optional[bytes]:
-    """Read exactly ``n`` bytes; ``None`` on clean EOF at a frame edge,
-    :class:`WireProtocolError` on EOF mid-frame."""
+def _read_exact(stream: BinaryIO, n: int, *, frame_edge: bool = False) -> Optional[bytes]:
+    """Read exactly ``n`` bytes; :class:`WireProtocolError` on EOF
+    mid-frame.  Only a header read (``frame_edge=True``) starts at a
+    frame edge, where EOF before the first byte is a clean close
+    (``None``)."""
     if n == 0:
         return b""
     chunks: list[bytes] = []
@@ -200,7 +202,7 @@ def _read_exact(stream: BinaryIO, n: int) -> Optional[bytes]:
     while got < n:
         chunk = stream.read(n - got)
         if not chunk:
-            if got == 0:
+            if got == 0 and frame_edge:
                 return None
             raise WireProtocolError(f"stream truncated mid-frame ({got}/{n} bytes)")
         chunks.append(chunk)
@@ -223,7 +225,7 @@ def _parse_header(raw: Union[bytes, bytearray], offset: int = 0) -> tuple[int, i
 
 def read_request(stream: BinaryIO) -> Optional[tuple[str, Optional[np.ndarray], Optional[np.ndarray]]]:
     """Read one request frame: ``(kind, ps, qs)``; ``None`` on clean EOF."""
-    raw = _read_exact(stream, HEADER_SIZE)
+    raw = _read_exact(stream, HEADER_SIZE, frame_edge=True)
     if raw is None:
         return None
     code, _flags, n_ps, n_qs = _parse_header(raw)
@@ -243,13 +245,11 @@ def read_request(stream: BinaryIO) -> Optional[tuple[str, Optional[np.ndarray], 
 def read_response(stream: BinaryIO) -> np.ndarray:
     """Read one response frame; raises :class:`WireServerError` on an
     error status and :class:`WireProtocolError` on a torn stream."""
-    raw = _read_exact(stream, HEADER_SIZE)
+    raw = _read_exact(stream, HEADER_SIZE, frame_edge=True)
     if raw is None:
         raise WireProtocolError("connection closed before the response frame")
     status, dtype_code, n_values, msg_len = _parse_header(raw)
     body = _read_exact(stream, 8 * n_values + msg_len)
-    if body is None:
-        raise WireProtocolError("stream truncated after the response header")
     split = 8 * n_values
     return _decode_answer(status, dtype_code, body[:split], body[split:])
 

@@ -1,21 +1,29 @@
 """Property tests for the algebraic identities of the paper's Appendix A.
 
 Props. 1 and 2 are the machinery behind every Kronecker formula
-derivation; if any failed on our substrate, the ground-truth layer
-would silently be wrong.  Hypothesis exercises them on random small
-integer matrices.
+derivation; if any failed on the sparse algebra the engine and the
+reference forms run on (``scipy.sparse`` kron, Hadamard and matrix
+products), the ground-truth layer would silently be wrong.  Hypothesis
+exercises them on random small integer matrices.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.gb import GBMatrix, ewise_mult, kron, mxm, transpose
-
 
 def int_matrices(rows, cols):
     return arrays(np.int64, (rows, cols), elements=st.integers(-4, 4))
+
+
+def csr(dense) -> sp.csr_array:
+    return sp.csr_array(dense)
+
+
+def kron(a, b) -> sp.csr_array:
+    return sp.csr_array(sp.kron(a, b, format="csr"))
 
 
 small = st.integers(2, 3)
@@ -25,23 +33,19 @@ small = st.integers(2, 3)
 @settings(max_examples=30, deadline=None)
 def test_prop1b_kron_distributes_over_addition(r, c, a1_raw, a2_raw):
     """(A1 + A2) ⊗ A3 = A1 ⊗ A3 + A2 ⊗ A3."""
-    A1 = GBMatrix.from_dense(a1_raw)
-    A2 = GBMatrix.from_dense(a2_raw)
-    A3 = GBMatrix.from_dense(np.arange(r * c).reshape(r, c))
-    left = kron(GBMatrix.from_dense(a1_raw + a2_raw), A3)
-    right_dense = kron(A1, A3).to_dense() + kron(A2, A3).to_dense()
-    assert np.array_equal(left.to_dense(), right_dense)
+    A1, A2 = csr(a1_raw), csr(a2_raw)
+    A3 = csr(np.arange(r * c).reshape(r, c))
+    left = kron(A1 + A2, A3)
+    right = kron(A1, A3) + kron(A2, A3)
+    assert np.array_equal(left.toarray(), right.toarray())
 
 
 @given(int_matrices(2, 3), int_matrices(3, 2))
 @settings(max_examples=30, deadline=None)
 def test_prop1c_kron_transposition(a_raw, b_raw):
     """(A ⊗ B)ᵗ = Aᵗ ⊗ Bᵗ."""
-    A = GBMatrix.from_dense(a_raw)
-    B = GBMatrix.from_dense(b_raw)
-    left = transpose(kron(A, B)).to_dense()
-    right = kron(transpose(A), transpose(B)).to_dense()
-    assert np.array_equal(left, right)
+    A, B = csr(a_raw), csr(b_raw)
+    assert np.array_equal(kron(A, B).T.toarray(), kron(A.T, B.T).toarray())
 
 
 @given(int_matrices(2, 2), int_matrices(3, 3), int_matrices(2, 2), int_matrices(3, 3))
@@ -49,58 +53,50 @@ def test_prop1c_kron_transposition(a_raw, b_raw):
 def test_prop1d_mixed_product(a1, a2, a3, a4):
     """(A1 ⊗ A2)(A3 ⊗ A4) = (A1 A3) ⊗ (A2 A4) -- the single most
     load-bearing identity in the paper."""
-    M = [GBMatrix.from_dense(x) for x in (a1, a2, a3, a4)]
-    left = mxm(kron(M[0], M[1]), kron(M[2], M[3])).to_dense()
-    right = kron(mxm(M[0], M[2]), mxm(M[1], M[3])).to_dense()
-    assert np.array_equal(left, right)
+    M = [csr(x) for x in (a1, a2, a3, a4)]
+    left = kron(M[0], M[1]) @ kron(M[2], M[3])
+    right = kron(M[0] @ M[2], M[1] @ M[3])
+    assert np.array_equal(left.toarray(), right.toarray())
 
 
 @given(int_matrices(3, 3), int_matrices(3, 3))
 @settings(max_examples=30, deadline=None)
 def test_prop2a_hadamard_commutativity(a, b):
-    A, B = GBMatrix.from_dense(a), GBMatrix.from_dense(b)
-    assert np.array_equal(ewise_mult(A, B).to_dense(), ewise_mult(B, A).to_dense())
+    A, B = csr(a), csr(b)
+    assert np.array_equal(A.multiply(B).toarray(), B.multiply(A).toarray())
 
 
 @given(int_matrices(2, 3), int_matrices(2, 3), int_matrices(2, 3))
 @settings(max_examples=30, deadline=None)
 def test_prop2c_hadamard_distributes_over_addition(a1, a2, a3):
     """(A1 + A2) ∘ A3 = A1 ∘ A3 + A2 ∘ A3."""
-    A3 = GBMatrix.from_dense(a3)
-    left = ewise_mult(GBMatrix.from_dense(a1 + a2), A3).to_dense()
-    right = ewise_mult(GBMatrix.from_dense(a1), A3).to_dense() + ewise_mult(
-        GBMatrix.from_dense(a2), A3
-    ).to_dense()
-    assert np.array_equal(left, right)
+    A1, A2, A3 = csr(a1), csr(a2), csr(a3)
+    left = (A1 + A2).multiply(A3)
+    right = A1.multiply(A3) + A2.multiply(A3)
+    assert np.array_equal(left.toarray(), right.toarray())
 
 
 @given(int_matrices(2, 2), int_matrices(3, 3), int_matrices(2, 2), int_matrices(3, 3))
 @settings(max_examples=30, deadline=None)
 def test_prop2e_hadamard_kronecker_distributivity(a1, a2, a3, a4):
     """(A1 ⊗ A2) ∘ (A3 ⊗ A4) = (A1 ∘ A3) ⊗ (A2 ∘ A4)."""
-    M = [GBMatrix.from_dense(x) for x in (a1, a2, a3, a4)]
-    left = ewise_mult(kron(M[0], M[1]), kron(M[2], M[3])).to_dense()
-    right = kron(ewise_mult(M[0], M[2]), ewise_mult(M[1], M[3])).to_dense()
-    assert np.array_equal(left, right)
+    M = [csr(x) for x in (a1, a2, a3, a4)]
+    left = kron(M[0], M[1]).multiply(kron(M[2], M[3]))
+    right = kron(M[0].multiply(M[2]), M[1].multiply(M[3]))
+    assert np.array_equal(left.toarray(), right.toarray())
 
 
 @given(int_matrices(2, 2), int_matrices(3, 3))
 @settings(max_examples=30, deadline=None)
 def test_prop2f_diag_kronecker_distributivity(a1, a2):
     """diag(A1 ⊗ A2) = diag(A1) ⊗ diag(A2)."""
-    A1, A2 = GBMatrix.from_dense(a1), GBMatrix.from_dense(a2)
-    from repro.gb import diag
-
-    left = diag(kron(A1, A2)).to_dense()
-    right = np.kron(diag(A1).to_dense(), diag(A2).to_dense())
-    assert np.array_equal(left, right)
+    A1, A2 = csr(a1), csr(a2)
+    assert np.array_equal(kron(A1, A2).diagonal(), np.kron(A1.diagonal(), A2.diagonal()))
 
 
 @given(int_matrices(2, 3), int_matrices(4, 2), int_matrices(3, 4))
 @settings(max_examples=30, deadline=None)
 def test_kron_associativity(a, b, c):
     """(A ⊗ B) ⊗ C = A ⊗ (B ⊗ C) -- implicitly assumed by kron_power."""
-    A, B, C = (GBMatrix.from_dense(x) for x in (a, b, c))
-    left = kron(kron(A, B), C).to_dense()
-    right = kron(A, kron(B, C)).to_dense()
-    assert np.array_equal(left, right)
+    A, B, C = (csr(x) for x in (a, b, c))
+    assert np.array_equal(kron(kron(A, B), C).toarray(), kron(A, kron(B, C)).toarray())

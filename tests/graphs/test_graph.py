@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.gb import GBMatrix
 from repro.graphs import Graph
 
 
@@ -52,10 +51,6 @@ class TestConstruction:
     def test_rect_rejected(self):
         with pytest.raises(ValueError, match="square"):
             Graph(np.zeros((2, 3)))
-
-    def test_from_gbmatrix(self):
-        g = Graph(GBMatrix.from_dense([[0, 1], [1, 0]]))
-        assert g.m == 1
 
     def test_empty(self):
         g = Graph.empty(5)
@@ -138,7 +133,3 @@ class TestDerivedGraphs:
         c = Graph.from_edges(3, [(0, 2)])
         assert a == b
         assert a != c
-
-    def test_gb_view(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        assert g.gb().nvals == 2

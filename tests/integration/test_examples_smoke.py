@@ -18,7 +18,6 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 FAST_EXAMPLES = [
     "quickstart.py",
-    "graphblas_tour.py",
     "wing_peeling.py",
     "community_preservation.py",
 ]

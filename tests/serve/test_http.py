@@ -4,6 +4,7 @@ served by the pre-fork front end."""
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import os
 import threading
@@ -344,11 +345,18 @@ def test_http_latency_covers_the_send(art, monkeypatch):
 
     monkeypatch.setattr(http_module._OracleHandler, "_send", slow_send)
     server = _start(art)
+    # One keep-alive connection: its handler observes the POST's latency
+    # before it reads the scrape, so the scrape always sees it.
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
     try:
-        client = _Client("127.0.0.1", server.port)
-        assert client.post("/v1/degree", {"ps": [0]})[0] == 200
-        histograms = client.get("/metrics")[1]["metrics"]["histograms"]
+        conn.request("POST", "/v1/degree", body=json.dumps({"ps": [0]}))
+        resp = conn.getresponse()
+        resp.read()
+        assert resp.status == 200
+        conn.request("GET", "/metrics")
+        histograms = json.loads(conn.getresponse().read())["metrics"]["histograms"]
     finally:
+        conn.close()
         server.stop()
     latency = histograms[series_key("serve.http.latency_seconds", {"endpoint": "v1_degree"})]
     assert latency["count"] == 1

@@ -334,6 +334,33 @@ def test_connection_failures_are_counted_not_swallowed(art_dir, tmp_path, exc, c
         assert events == []
 
 
+def test_frame_cut_after_its_header_still_flushes_earlier_answers(art_dir, oracle_i):
+    """Two whole frames, then only the header of a third: the client gets
+    both answers and one bad-request frame, and nothing is counted as a
+    connection error."""
+    from repro.obs.metrics import series_key
+    from repro.serve.wire import HEADER_SIZE, STATUS_BAD_REQUEST, read_response
+
+    with instrument() as (_tracer, metrics):
+        with PreforkServer(art_dir, workers=1, grace=2.0) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                sock.sendall(
+                    encode_request("degree", [0, 1])
+                    + encode_request("degree", [2])
+                    + encode_request("degree", [3])[:HEADER_SIZE]
+                )
+                sock.shutdown(socket.SHUT_WR)
+                with sock.makefile("rb") as stream:
+                    answers = [read_response(stream).tolist() for _ in range(2)]
+                    with pytest.raises(WireServerError, match="truncated mid-frame") as exc:
+                        read_response(stream)
+                    assert stream.read() == b""
+        counters = metrics.snapshot()["counters"]
+    assert answers == [oracle_i.degrees([0, 1]).tolist(), oracle_i.degrees([2]).tolist()]
+    assert exc.value.status == STATUS_BAD_REQUEST
+    assert series_key("serve.connection_errors_total", {"exc": "TypeError"}) not in counters
+
+
 # ----------------------------------------------------------------------
 # SIGTERM graceful drain through the CLI (both protocols in flight)
 # ----------------------------------------------------------------------

@@ -101,6 +101,11 @@ def test_clean_eof_vs_torn_frame():
         read_request(io.BytesIO(frame[:-4]))
     with pytest.raises(WireProtocolError, match="truncated mid-frame"):
         read_request(io.BytesIO(frame[: HEADER_SIZE - 2]))
+    # EOF right before a payload array is mid-frame too: ps, then qs.
+    pair = encode_request("edge_squares", [1, 2], [3, 4])
+    for torn in (frame[:HEADER_SIZE], pair[: HEADER_SIZE + 16]):
+        with pytest.raises(WireProtocolError, match=r"truncated mid-frame \(0/"):
+            read_request(io.BytesIO(torn))
 
 
 def test_bad_magic_and_version_rejected():

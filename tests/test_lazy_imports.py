@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.analytics",
     "repro.core",
     "repro.experiments",
-    "repro.gb",
     "repro.generators",
     "repro.graphs",
     "repro.kronecker",
@@ -35,7 +34,6 @@ PACKAGES = [
 #: counters and scipy stay out too.
 NOT_SERVED = (
     "repro.generators",
-    "repro.gb",
     "repro.graphs",
     "repro.analytics",
     "repro.parallel.generate",
