@@ -23,10 +23,11 @@ import numpy as np
 from repro.analytics import global_butterflies
 from repro.generators import bipartite_chung_lu, scale_free_bipartite_factor
 from repro.kronecker import Assumption, make_bipartite_product
+from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel import (
     FaultInjector,
     RetryPolicy,
-    generate_shards,
+    generate_chain_shards,
     parallel_edge_count,
     parallel_global_butterflies,
     verify_shards,
@@ -34,10 +35,10 @@ from repro.parallel import (
 from repro.utils.timing import Timer
 
 
-def _product():
+def _chain() -> KroneckerChain:
     A = scale_free_bipartite_factor(20, 28, 2, seed=2)
     B = scale_free_bipartite_factor(24, 30, 2, seed=3)
-    return make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
+    return KroneckerChain.from_bipartite(make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR))
 
 
 def _bipartite_graph():
@@ -50,10 +51,14 @@ def _mean_seconds(benchmark) -> float:
 
 
 def test_parallel_edge_count(benchmark, record_bench):
-    bk = _product()
-    expected = bk.M.nnz * bk.B.graph.nnz
+    chain = _chain()
+    expected = chain.nnz
     total = benchmark.pedantic(
-        parallel_edge_count, args=(bk,), kwargs={"n_shards": 8, "n_workers": 4}, rounds=1, iterations=1
+        parallel_edge_count,
+        args=(chain,),
+        kwargs={"n_shards": 8, "n_workers": 4},
+        rounds=1,
+        iterations=1,
     )
     seconds = _mean_seconds(benchmark)
     record_bench(
@@ -89,14 +94,14 @@ def test_shard_generation_fault_tolerance(benchmark, record_bench, tmp_path):
     """Generation throughput *with* the fault-tolerance layer engaged:
     every shard's first attempt is killed, all retries succeed, the
     manifest verifies — measuring what recovery costs."""
-    bk = _product()
-    expected = bk.M.nnz * bk.B.graph.nnz
+    chain = _chain()
+    expected = chain.nnz
     injector = FaultInjector(rate=1.0, seed=1, fail_attempts=1)
     policy = RetryPolicy(max_retries=2, base_delay=0.0)
 
     def run():
-        return generate_shards(
-            bk,
+        return generate_chain_shards(
+            chain,
             tmp_path / "shards",
             n_shards=8,
             n_workers=4,

@@ -11,9 +11,10 @@ Three contracts, all asserted in-bench (not just recorded):
    strategy's max/mean work imbalance stays <= 1.3 while naive equal
    row ranges skew >= 2.0.  Asserted in both modes: the plan is
    closed-form, so the contract holds at any size.
-3. **Bit identity** — the shard-union entry set (with ground truth) is
-   identical across partition strategies *and* container formats; the
-   binary ``repro.edges/1`` files' size is recorded alongside npz.
+3. **Bit identity** — the shard-union entry set (with ground truth) of
+   the degree-cut ``repro.edges/1`` shards is identical under every
+   block codec (raw, deflate, and zstd when installed); each codec's
+   on-disk size is recorded.
 
 Every bench records throughput into ``BENCH_scale.json``; CI re-runs
 this module in quick mode and gates the regression via
@@ -22,13 +23,14 @@ this module in quick mode and gates the regression via
 Run standalone: ``python benchmarks/bench_scale.py``
 """
 
+import importlib.util
 import os
 
 from repro.generators.classic import complete_bipartite
 from repro.generators.scale_free import preferential_attachment
 from repro.kronecker import Assumption, make_bipartite_product
 from repro.kronecker.multifactor import KroneckerChain
-from repro.parallel import generate_shards, load_shards, plan_partition
+from repro.parallel import generate_chain_shards, load_shards, plan_partition
 from repro.utils.timing import Timer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -138,56 +140,48 @@ def test_degree_partitioner_imbalance(benchmark, record_bench):
 
 
 def test_shard_bit_identity_across_formats(benchmark, record_bench, tmp_path):
-    """The union of generated shards is bit-identical across partition
-    strategies and container formats — slicing and encoding never change
-    what was generated."""
-    bk = make_bipartite_product(
-        preferential_attachment(12 if QUICK else 24, 2, seed=9),
-        complete_bipartite(3, 4),
-        Assumption.NON_BIPARTITE_FACTOR,
+    """The union of generated shards is bit-identical under every block
+    codec of the one container: encoding never changes what was
+    generated."""
+    chain = KroneckerChain.from_bipartite(
+        make_bipartite_product(
+            preferential_attachment(12 if QUICK else 24, 2, seed=9),
+            complete_bipartite(3, 4),
+            Assumption.NON_BIPARTITE_FACTOR,
+        )
     )
-    combos = [
-        ("entries", "npz", "raw"),
-        ("rows", "edges", "raw"),
-        ("degree", "edges", "deflate"),
-        ("degree", "npz", "raw"),
-    ]
+    codecs = ["raw", "deflate"] + (["zstd"] if importlib.util.find_spec("zstandard") else [])
 
     def run():
         unions = {}
-        for partition, shard_format, codec in combos:
-            out = tmp_path / f"{partition}-{shard_format}-{codec}"
-            paths = generate_shards(
-                bk, out, n_shards=4, n_workers=1, ground_truth=True,
-                partition=partition, shard_format=shard_format, codec=codec,
+        for codec in codecs:
+            out = tmp_path / codec
+            paths = generate_chain_shards(
+                chain, out, n_shards=4, n_workers=1, ground_truth=True, codec=codec
             )
             data = load_shards(paths, manifest=out)
-            unions[(partition, shard_format, codec)] = sorted(
+            unions[codec] = sorted(
                 zip(data["p"].tolist(), data["q"].tolist(), data["squares"].tolist())
             )
         return unions
 
     unions = benchmark.pedantic(run, rounds=1, iterations=1)
-    reference = unions[combos[0]]
-    for combo, triples in unions.items():
-        assert triples == reference, combo
-    assert len(reference) == 2 * bk.m
+    reference = unions["raw"]
+    for codec, triples in unions.items():
+        assert triples == reference, codec
+    assert len(reference) == chain.nnz
 
     sizes = {
-        f"bytes_{shard_format}_{codec}": sum(
-            p.stat().st_size
-            for p in (tmp_path / f"{partition}-{shard_format}-{codec}").glob("shard_*")
-            if not p.name.endswith(".json")
-        )
-        for partition, shard_format, codec in combos
+        f"bytes_edges_{codec}": sum(p.stat().st_size for p in (tmp_path / codec).glob("*.edges"))
+        for codec in codecs
     }
     seconds = _mean_seconds(benchmark)
     record_bench(
         f"bit-identical shard unions: {len(reference):,} entries across "
-        f"{len(combos)} partition/format combos",
+        f"{len(codecs)} codecs ({', '.join(codecs)})",
         directed_entries=len(reference),
         seconds=seconds,
-        entries_per_s=len(combos) * len(reference) / seconds if seconds else 0.0,
+        entries_per_s=len(codecs) * len(reference) / seconds if seconds else 0.0,
         **sizes,
     )
 

@@ -46,6 +46,7 @@ MAX_REGRESSION = "0.25"
 DIVERGENCE_EXIT = 4  # ``repro verify`` found a divergence
 RETRIES_EXHAUSTED_EXIT = 3  # ``repro shards`` ran out of retries
 SPEC = ["complete:3", "biclique:2x3"]  # the small product the shards and serve drills use
+CHAIN_SPEC = [*SPEC, "path:3"]  # a three-factor chain: the cross-codec drill's deep path
 
 
 class Field(str):
@@ -339,8 +340,8 @@ def serve_probe(out: Path) -> None:
 
 def shard_drills(out: Path) -> None:
     """Crash/resume, killed-worker and cross-codec drills on ``repro shards``."""
-    def shards(out_dir: str, *args: str, **kwargs):
-        return py("-m", "repro", "shards", *SPEC, "--out-dir", str(out / out_dir),
+    def shards(out_dir: str, *args: str, spec=SPEC, **kwargs):
+        return py("-m", "repro", "shards", *spec, "--out-dir", str(out / out_dir),
                   "--workers", "2", *args, **kwargs)
 
     # Crash mid-flight; the event log must survive without a torn line.
@@ -367,15 +368,16 @@ def shard_drills(out: Path) -> None:
            "--fault-mode", "kill", "--retries", "4", "--verify", "--events-out", kill_events)
     need(any(e["kind"] == "shards.finished" for e in read_events(kill_events, strict=True)),
          "kill drill never finished")
-    # Every codec decodes to the same content (checksums hash decoded arrays).
+    # Every codec decodes a three-factor chain to the same content
+    # (checksums hash decoded arrays).
     codecs = ["raw", "deflate"] + (["zstd"] if importlib.util.find_spec("zstandard") else [])
     if "zstd" not in codecs:
         skip_record(out, "zstd_roundtrip", "zstandard not installed; zstd codec not exercised",
                     codec="zstd")
     unions = {}
     for codec in codecs:
-        shards(f"codec_{codec}", "--shards", "4", "--format", "edges", "--codec", codec,
-               "--ground-truth", "--verify")
+        shards(f"codec_{codec}", "--shards", "4", "--codec", codec,
+               "--ground-truth", "--verify", spec=CHAIN_SPEC)
         manifest = load_manifest(out / f"codec_{codec}")
         need(manifest.is_complete(), f"{codec} run incomplete")
         raw = load_manifest(out / "codec_raw")
@@ -392,7 +394,7 @@ def shard_drills(out: Path) -> None:
     blocked = ("import sys; sys.modules['zstandard'] = None; from repro.cli import main; "
                "sys.exit(main(sys.argv[1:]))")
     err = py("-c", blocked, "shards", *SPEC, "--out-dir", str(out / "nozstd"),
-             "--shards", "2", "--workers", "1", "--format", "edges", "--codec", "zstd",
+             "--shards", "2", "--workers", "1", "--codec", "zstd",
              expect=None, capture=True).stderr
     need("zstandard" in err.lower(), "missing-zstd error does not name the extra")
 

@@ -47,11 +47,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "edge_butterflies": ".butterflies",
     "global_butterflies": ".butterflies",
     "approximate_butterflies": ".sampling",
-    "global_wedges": ".paths",
-    "wedge_counts": ".paths",
-    "global_l3_paths": ".paths",
-    "l3_paths_per_edge": ".paths",
-    "global_caterpillars": ".paths",
     "projection": ".projection",
     "product_projection": ".projection",
     "WingPeelResult": ".peel",

@@ -9,12 +9,12 @@ Wraps the library's three workflows for shell users:
   (sizes, global 4-cycles, degree summary, optional diameter) without
   materializing it; ``--check`` additionally materializes and verifies
   against direct counting.
-* ``shards`` -- fault-tolerant parallel generation into checksummed
-  shards (``--format npz`` or binary ``edges``, ``--partition``
-  entries/rows/degree) with a ``manifest.json``; supports ``--resume`` after
-  a crash, bounded ``--retries`` with backoff, deterministic
-  ``--fault-rate`` injection for drills, and ``--verify`` end-to-end
-  checksum validation (see docs/fault_tolerance.md).
+* ``shards`` -- fault-tolerant parallel generation of a Kronecker chain
+  of two or more factors into degree-balanced, checksummed
+  ``repro.edges/1`` shards with a ``manifest.json``; supports
+  ``--resume`` after a crash, bounded ``--retries`` with backoff,
+  deterministic ``--fault-rate`` injection for drills, and ``--verify``
+  end-to-end checksum validation (see docs/fault_tolerance.md).
 * ``verify`` -- differential verification: cross-check fused kernels,
   legacy ``sp.kron`` paths, oracle and streaming against the
   brute-force referee in :mod:`repro.refcheck` over seeded random and
@@ -117,17 +117,43 @@ def parse_factor(spec: str):
     raise argparse.ArgumentTypeError(f"unknown factor spec {spec!r}")
 
 
-def _build_product(args):
+def _build_product(args, specs=None):
     from repro.kronecker import Assumption, make_bipartite_product
 
+    spec_a, spec_b = specs or (args.factor_a, args.factor_b)
     assumption = (
         Assumption.SELF_LOOPS_FACTOR if args.assumption == "ii" else Assumption.NON_BIPARTITE_FACTOR
     )
     return make_bipartite_product(
-        parse_factor(args.factor_a),
-        parse_factor(args.factor_b),
+        parse_factor(spec_a),
+        parse_factor(spec_b),
         assumption,
         require_connected=not args.allow_disconnected,
+    )
+
+
+def _build_chain(args):
+    """The chain ``repro shards`` writes.
+
+    Two specs form the Assumption-1 product (``--assumption``,
+    connectivity check) as a 2-factor chain; three or more are taken as
+    given, so the 2-factor flags are refused for them.
+    """
+    from repro.graphs.bipartite import BipartiteGraph
+    from repro.kronecker.multifactor import KroneckerChain
+
+    if len(args.factors) < 2:
+        raise ValueError(f"shards needs two or more factor specs, got {len(args.factors)}")
+    if len(args.factors) == 2:
+        return KroneckerChain.from_bipartite(_build_product(args, args.factors))
+    if args.assumption != "i" or args.allow_disconnected:
+        raise ValueError(
+            "--assumption and --allow-disconnected apply to two factor specs only; "
+            f"a chain of {len(args.factors)} factors is generated as given"
+        )
+    graphs = [parse_factor(spec) for spec in args.factors]
+    return KroneckerChain.from_graphs(
+        [g.graph if isinstance(g, BipartiteGraph) else g for g in graphs]
     )
 
 
@@ -153,6 +179,10 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
 def _add_product_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("factor_a", help="left factor spec (see --help of the top command)")
     p.add_argument("factor_b", help="right factor spec (must be bipartite)")
+    _add_assumption_args(p)
+
+
+def _add_assumption_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--assumption",
         choices=["i", "ii"],
@@ -214,27 +244,25 @@ def _cmd_shards(args) -> int:
         FaultInjector,
         RetryBudgetExceeded,
         RetryPolicy,
-        generate_shards,
+        generate_chain_shards,
         load_manifest,
         verify_shards,
     )
 
     tracer = get_tracer()
     with tracer.span("shards.build_product"):
-        bk = _build_product(args)
+        chain = _build_chain(args)
     injector = None
     if args.fault_rate > 0.0:
         injector = FaultInjector(rate=args.fault_rate, seed=args.fault_seed, mode=args.fault_mode)
     policy = RetryPolicy(max_retries=args.retries)
     try:
-        paths = generate_shards(
-            bk,
+        paths = generate_chain_shards(
+            chain,
             args.out_dir,
             n_shards=args.shards,
             n_workers=args.workers,
             ground_truth=args.ground_truth,
-            partition=args.partition,
-            shard_format=args.shard_format,
             codec=args.codec,
             resume=args.resume,
             retry=policy,
@@ -494,14 +522,16 @@ def _cmd_top(args) -> int:
     )
 
 
-def _non_negative(kind):
-    """An argparse ``type`` for a finite ``kind`` value >= 0 (rejected at
-    parse time, exit 2, before anything is loaded or bound)."""
+def _at_least(kind, minimum):
+    """An argparse ``type`` for a finite ``kind`` value >= ``minimum``
+    (rejected at parse time, exit 2, before anything is loaded or bound)."""
 
     def parse(text: str):
         value = kind(text)
-        if not 0 <= value < float("inf"):
-            raise argparse.ArgumentTypeError(f"must be a finite value >= 0, got {text}")
+        if not minimum <= value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite value >= {minimum}, got {text}"
+            )
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its errors
@@ -537,37 +567,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     sh = sub.add_parser(
         "shards",
-        help="fault-tolerant parallel generation into checksummed shard files "
-        "(.npz or binary .edges)",
+        help="fault-tolerant parallel generation of a chain of two or more factors "
+        "into checksummed, degree-balanced repro.edges/1 shard files",
     )
-    _add_product_args(sh)
+    sh.add_argument(
+        "factors",
+        nargs="+",
+        metavar="FACTOR",
+        help="two or more factor specs; two form the Assumption-1 product "
+        "(--assumption), three or more the chain A (x) B (x) C (x) ...",
+    )
+    _add_assumption_args(sh)
     sh.add_argument("-o", "--out-dir", required=True, help="shard output directory")
     sh.add_argument("--shards", type=int, default=4, help="number of shard files")
-    sh.add_argument("--workers", type=int, default=None, help="worker processes (default: auto)")
+    sh.add_argument(
+        "--workers",
+        type=_at_least(int, 1),
+        default=None,
+        help="worker processes, >= 1 (default: auto)",
+    )
     sh.add_argument(
         "--ground-truth",
         action="store_true",
         help="attach exact per-entry 4-cycle counts to every shard",
     )
     sh.add_argument(
-        "--partition",
-        choices=["entries", "rows", "degree"],
-        default="entries",
-        help="shard slicing strategy: left-factor entry slices (default), "
-        "equal product-row ranges, or degree-balanced row ranges",
-    )
-    sh.add_argument(
-        "--format",
-        dest="shard_format",
-        choices=["npz", "edges"],
-        default="npz",
-        help="shard container: NumPy .npz (default) or binary repro.edges/1",
-    )
-    sh.add_argument(
         "--codec",
         choices=["raw", "deflate", "zstd"],
         default="raw",
-        help="block compression for --format edges (zstd needs the optional "
+        help="block compression of the shard files (zstd needs the optional "
         "zstandard package)",
     )
     sh.add_argument(
@@ -682,14 +710,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--max-queue",
-        type=_non_negative(int),
+        type=_at_least(int, 0),
         default=1024,
         help="per-worker cap on requests in progress; beyond it requests "
         "shed with HTTP 503 / wire status OVERLOADED",
     )
     sv.add_argument(
         "--cache-mb",
-        type=_non_negative(float),
+        type=_at_least(float, 0),
         default=2.0,  # repro.serve.service.DEFAULT_CACHE_BYTES, not imported to parse
         metavar="MIB",
         help="per-worker LRU result-cache budget in MiB; each entry is "

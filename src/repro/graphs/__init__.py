@@ -41,8 +41,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "powerlaw_slope": ".degree",
     "core_decomposition": ".degeneracy",
     "degeneracy": ".degeneracy",
-    "maximum_matching": ".matching",
-    "matching_number": ".matching",
     "read_edge_list": ".io",
     "write_edge_list": ".io",
     "read_matrix_market": ".io",

@@ -50,6 +50,7 @@ per-shard validation artifacts are built on.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -517,11 +518,21 @@ class KroneckerChain:
         return acc
 
     def signature(self) -> dict:
-        """Factor shape fingerprint for shard-manifest signatures."""
-        return {
-            "kind": "chain",
-            "factors": [{"n": f.n, "nnz": f.nnz} for f in self.factors],
-        }
+        """Factor fingerprint for shard-manifest signatures.
+
+        Each factor's ``(n, nnz)`` plus a sha256 of its CSR ``indptr``
+        and ``indices``: two factors of equal shape but different edges
+        (``pa:16:2:0`` vs ``pa:16:2:1``) must not share a signature, or
+        a resume would mix their shards.  Hashed here, not in
+        ``__init__``, so building a chain stays hash-free.
+        """
+        factors = []
+        for f in self.factors:
+            h = hashlib.sha256()
+            h.update(np.ascontiguousarray(f.indptr, dtype="<i8").tobytes())
+            h.update(np.ascontiguousarray(f.indices, dtype="<i8").tobytes())
+            factors.append({"n": f.n, "nnz": f.nnz, "sha256": h.hexdigest()})
+        return {"kind": "chain", "factors": factors}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         shape = " x ".join(str(f.n) for f in self.factors)

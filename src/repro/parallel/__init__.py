@@ -5,23 +5,21 @@ including using the ground truth formulas derived here to compute
 ground truth values during generation".  This subpackage is the
 single-node, multi-process realisation of that plan:
 
-* :mod:`~repro.parallel.partition` -- deterministic work partitioning:
-  ``entries`` slices the left factor's stored-entry list (equal blocks
-  by construction); the extreme-scale ``rows``/``degree`` strategies
-  slice the product row space, with ``degree`` balancing shards by the
+* :mod:`~repro.parallel.partition` -- deterministic work partitioning
+  of a chain's product row space: ``degree`` balances shards by the
   exact per-row work ``Π_t d_t(i_t)`` computed from factor degree
-  statistics alone.
-* :mod:`~repro.parallel.generate` -- parallel shard generation: each
-  worker process receives the factor CSRs (cheap -- factors are tiny)
-  and a slice of left-factor entries or product rows, and writes its
-  shard of product edges (optionally with exact per-edge ground truth)
-  independently.  :func:`~repro.parallel.generate.generate_chain_shards`
-  streams deep multi-factor chains shard by shard without ever
-  materializing an intermediate product.
+  statistics alone; ``rows`` is the naive equal-range baseline.
+* :mod:`~repro.parallel.generate` -- parallel shard generation:
+  :func:`~repro.parallel.generate.generate_chain_shards` is the one
+  shard writer.  Each worker process receives the chain's factor
+  tables (cheap -- factors are tiny) and a range of product rows, and
+  streams its shard of product edges (optionally with exact per-edge
+  ground truth) independently, never materializing an intermediate
+  product.
 * :mod:`~repro.parallel.edgeio` -- the versioned binary
-  ``repro.edges/1`` shard container: little-endian int64 blocks,
-  optional compression, magic-byte sniffing, and footer checksums
-  compatible with the manifest's content checksums.
+  ``repro.edges/1`` shard container, the only one: little-endian int64
+  blocks, optional compression, and footer checksums compatible with
+  the manifest's content checksums.
 * :mod:`~repro.parallel.count` -- parallel direct butterfly counting
   by row-block codegree partial sums; the validation-side workload a
   cluster would run against the generator's ground truth.
@@ -45,11 +43,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "PARTITION_STRATEGIES": ".partition",
     "PartitionPlan": ".partition",
     "plan_partition": ".partition",
-    "left_entry_slices": ".partition",
-    "shard_of_product": ".partition",
     "shard_of_rows": ".partition",
-    "SHARD_FORMATS": ".generate",
-    "generate_shards": ".generate",
     "generate_chain_shards": ".generate",
     "load_shards": ".generate",
     "parallel_edge_count": ".generate",
@@ -59,7 +53,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "EdgeIntegrityError": ".edgeio",
     "read_edges_file": ".edgeio",
     "read_shard_arrays": ".edgeio",
-    "sniff_shard_format": ".edgeio",
     "write_edges_file": ".edgeio",
     "FaultInjector": ".faults",
     "FaultInjectedError": ".faults",
@@ -74,7 +67,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "chain_signature": ".manifest",
     "checksum_arrays": ".manifest",
     "load_manifest": ".manifest",
-    "product_signature": ".manifest",
     "shard_file_checksum": ".manifest",
     "validate_manifest": ".manifest",
     "verify_shards": ".manifest",

@@ -1,10 +1,10 @@
 """The ``repro.edges/1`` binary shard format: int64 edge blocks on disk.
 
-``.npz`` shards pay zip-container overhead (per-member headers, CRC32
-over a deflate stream, a central directory) on every read and write; at
-10⁹-edge scale the container dominates I/O.  This module is the
-replacement payload format: a 16-byte framed header, a run of
-little-endian int64 column blocks, and a checksummed footer.
+Every shard :func:`repro.parallel.generate.generate_chain_shards` writes
+is one of these files: a 16-byte framed header, a run of little-endian
+int64 column blocks, and a checksummed footer.  It is the only shard
+container; an ``.npz`` shard from an older run is refused with a typed
+error that says to regenerate it.
 
 Framing reuses the :mod:`repro.serve.wire` conventions -- one
 ``<2sBBB3xII`` 16-byte header struct everywhere, magics starting with
@@ -25,9 +25,9 @@ Two integrity layers, deliberately distinct:
 
 * the **footer checksum** is the manifest-compatible *content* checksum
   (:func:`repro.parallel.manifest.checksum_arrays` over the decoded
-  arrays) -- byte-identical to what a ``.npz`` shard of the same data
-  hashes to, so manifests, resume reconciliation, and cross-format
-  comparisons never care which container held the bytes;
+  arrays), the same under every codec, so manifests, resume
+  reconciliation, and cross-codec comparisons never care how the
+  blocks were compressed;
 * **structural framing** (magics, lengths, the footer's presence)
   detects torn files: a writer crash mid-block leaves a file whose
   read raises :class:`EdgeFormatError` before any data is trusted.
@@ -43,7 +43,6 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from pathlib import Path
 from typing import BinaryIO, Mapping, Union
 
 import numpy as np
@@ -60,7 +59,6 @@ __all__ = [
     "EdgeIntegrityError",
     "write_edges_file",
     "read_edges_file",
-    "sniff_shard_format",
     "read_shard_arrays",
 ]
 
@@ -77,7 +75,7 @@ HEADER_SIZE = _HEADER.size  # 16
 FILE_MAGIC = b"\x9fE"
 BLOCK_MAGIC = b"\x9fB"
 FOOTER_MAGIC = b"\x9fF"
-_NPZ_MAGIC = b"PK"  # zip container (np.savez)
+_NPZ_MAGIC = b"PK"  # zip container: an .npz shard from an older run
 
 CODECS = {"raw": 0, "deflate": 1, "zstd": 2}
 _CODEC_NAMES = {v: k for k, v in CODECS.items()}
@@ -138,7 +136,7 @@ def _decompress(payload: bytes, codec: int, expected: int) -> bytes:
 
 
 def _content_checksum(arrays: Mapping[str, np.ndarray]) -> str:
-    # Deferred import: manifest imports this module for format sniffing.
+    # Deferred import: manifest imports this module to re-checksum shards.
     from repro.parallel.manifest import checksum_arrays
 
     return checksum_arrays(arrays)
@@ -238,6 +236,12 @@ def read_edges_file(path: PathLike, verify: bool = True) -> dict[str, np.ndarray
         magic, version, codec_id, n_columns, names_len, _ = _HEADER.unpack(
             _read_exact(fh, HEADER_SIZE, "file header")
         )
+        if magic[:2] == _NPZ_MAGIC:
+            raise EdgeFormatError(
+                f"{path}: an .npz shard from an older run; shards are "
+                "repro.edges/1 only now -- regenerate with `repro shards` "
+                "into a fresh output directory"
+            )
         if magic != FILE_MAGIC:
             raise EdgeFormatError(
                 f"{path}: not a repro.edges file (magic {magic!r})"
@@ -309,40 +313,6 @@ def read_edges_file(path: PathLike, verify: bool = True) -> dict[str, np.ndarray
     return arrays
 
 
-def sniff_shard_format(path: PathLike) -> str:
-    """``"npz"`` or ``"edges"`` from the leading magic, never the name.
-
-    ``.npz`` is a zip container (``PK``); ``repro.edges/1`` opens with
-    ``0x9F 'E'``.  The two are disjoint in their first byte, so two
-    bytes decide -- and anything else raises :class:`EdgeFormatError`
-    naming the path, instead of letting a renamed or corrupt file reach
-    whichever parser its extension suggested.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(2)
-    except FileNotFoundError:
-        raise
-    if head == _NPZ_MAGIC:
-        return "npz"
-    if head == FILE_MAGIC:
-        return "edges"
-    raise EdgeFormatError(
-        f"{path}: neither an .npz (PK..) nor a repro.edges (9F 45) shard "
-        f"(leading bytes {head!r})"
-    )
-
-
-def read_shard_arrays(path: PathLike, verify: bool = True) -> dict[str, np.ndarray]:
-    """Read one shard payload, sniffing the container by magic.
-
-    The single read path behind :func:`repro.parallel.generate.load_shards`
-    and manifest re-checksumming: legacy ``.npz`` shards and binary
-    ``.edges`` shards load identically regardless of file name.
-    """
-    fmt = sniff_shard_format(path)
-    if fmt == "npz":
-        with np.load(path) as data:
-            return {key: data[key] for key in data.files}
-    return read_edges_file(path, verify=verify)
+#: The read path behind :func:`repro.parallel.generate.load_shards` and
+#: manifest re-checksumming.
+read_shard_arrays = read_edges_file

@@ -1,24 +1,22 @@
 """Checksummed shard manifests: the integrity record of a sharded run.
 
-A sharded generation run (:func:`repro.parallel.generate.generate_shards`)
-writes one ``manifest.json`` next to its ``shard_*.npz`` files.  The
-manifest is the run's durable source of truth: which slice each shard
-covers, how many product entries it holds, its on-disk size, and a
-**content checksum** of its arrays.  Extreme-scale generators treat
-per-partition validation metadata as a first-class output (Kepner et
-al. 2018; Sanders et al. 2019) — without it a partial failure is
+A sharded generation run (:func:`repro.parallel.generate.generate_chain_shards`)
+writes one ``manifest.json`` next to its ``shard_*.edges`` files.  The
+manifest is the run's durable source of truth: which product-row range
+each shard covers, how many product entries it holds, its on-disk size,
+and a **content checksum** of its arrays.  Extreme-scale generators
+treat per-partition validation metadata as a first-class output (Kepner
+et al. 2018; Sanders et al. 2019) — without it a partial failure is
 silent, and a resumed run cannot tell a finished shard from a torn one.
 
 Design points:
 
-* **Content checksums, not file checksums.**  ``.npz`` is a zip
-  container whose bytes embed timestamps; hashing the *arrays* (name,
-  dtype, shape, raw bytes, in sorted key order) makes the checksum a
-  pure function of the shard's data, so a resumed run and a clean
-  single-pass run agree bit-for-bit.  The same property makes the
-  checksum *container-independent*: a binary ``repro.edges/1`` shard
-  (:mod:`repro.parallel.edgeio`) of the same arrays carries the same
-  checksum, so manifests survive a format migration unchanged.
+* **Content checksums, not file checksums.**  Hashing the *arrays*
+  (name, dtype, shape, raw bytes, in sorted key order) makes the
+  checksum a pure function of the shard's data, independent of the
+  ``repro.edges/1`` codec (:mod:`repro.parallel.edgeio`) that encoded
+  it: a raw and a deflate shard of the same rows carry the same
+  checksum.
 * **Atomic writes.**  The manifest is written to a temp name and
   ``os.replace``d into place, exactly like the shards themselves; a
   crash mid-update leaves the previous valid manifest, never a torn
@@ -27,9 +25,11 @@ Design points:
   completion, so the manifest on disk always describes exactly the set
   of shards that are safe to skip on resume.
 * **Versioned and signed.**  ``manifest_version`` gates schema
-  evolution; the product *signature* (sizes, nnz, assumption, shard
+  evolution; the *signature* (each factor's shape and CSR hash, shard
   count, ground-truth flag) pins the manifest to one generation
-  configuration so ``resume=True`` refuses to mix incompatible runs.
+  configuration so ``resume=True`` refuses to mix incompatible runs —
+  including manifests written before this signature, such as the old
+  ``.npz`` runs.
 
 See docs/fault_tolerance.md for the end-to-end crash/resume story.
 """
@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zipfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,7 +47,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Union
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.kronecker.assumptions import BipartiteKronecker
     from repro.kronecker.multifactor import KroneckerChain
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "ShardManifest",
     "checksum_arrays",
     "shard_file_checksum",
-    "product_signature",
     "chain_signature",
     "load_manifest",
     "write_manifest",
@@ -90,9 +87,9 @@ def checksum_arrays(arrays: Mapping[str, np.ndarray]) -> str:
     """Deterministic content checksum of a shard's arrays.
 
     Hashes ``(name, dtype, shape, raw bytes)`` per array in sorted key
-    order.  Independent of container bytes (zip timestamps, compression
-    settings), so two runs producing the same data produce the same
-    checksum — the property the crash/resume acceptance test asserts.
+    order.  Independent of the codec that encoded the file, so two runs
+    producing the same data produce the same checksum — the property
+    the crash/resume acceptance test asserts.
     """
     h = hashlib.sha256()
     for key in sorted(arrays):
@@ -105,59 +102,24 @@ def checksum_arrays(arrays: Mapping[str, np.ndarray]) -> str:
 
 
 def shard_file_checksum(path: PathLike) -> str:
-    """Load one shard and recompute its content checksum.
+    """Load one ``repro.edges/1`` shard and recompute its content checksum.
 
-    Format-agnostic: the container is identified by its leading magic
-    bytes (``.npz`` zip vs binary ``repro.edges/1``), never by file
-    extension, so a renamed or mislabeled shard is read correctly or
-    rejected with a typed error rather than misparsed.
+    Any other file (an old ``.npz`` shard included) raises a typed
+    :class:`~repro.parallel.edgeio.EdgeFormatError`.
     """
     from repro.parallel.edgeio import read_shard_arrays
 
     return checksum_arrays(read_shard_arrays(path, verify=False))
 
 
-def product_signature(
-    bk: "BipartiteKronecker",
-    n_shards: int,
-    ground_truth: bool,
-    partition: str = "entries",
-    shard_format: str = "npz",
-) -> dict[str, Any]:
-    """Pin a manifest to one ``(product, sharding, payload)`` configuration.
-
-    ``partition`` and ``shard_format`` join the signature so a resumed
-    run refuses to mix shards planned or encoded differently -- a
-    ``degree``-partitioned run's slice bounds mean different entries
-    than an ``entries`` run's, even at equal shard counts.
-    """
-    return {
-        "n": int(bk.n),
-        "m": int(bk.m),
-        "nnz_left": int(bk.M.nnz),
-        "nnz_right": int(bk.B.graph.nnz),
-        "assumption": bk.assumption.name,
-        "n_shards": int(n_shards),
-        "ground_truth": bool(ground_truth),
-        "partition": str(partition),
-        "shard_format": str(shard_format),
-    }
-
-
 def chain_signature(
-    chain: "KroneckerChain",
-    n_shards: int,
-    ground_truth: bool,
-    partition: str,
-    shard_format: str,
+    chain: "KroneckerChain", n_shards: int, ground_truth: bool
 ) -> dict[str, Any]:
-    """:func:`product_signature` analogue for deep multi-factor chains."""
+    """Pin a manifest to one ``(chain, sharding, payload)`` configuration."""
     return {
         **chain.signature(),
         "n_shards": int(n_shards),
         "ground_truth": bool(ground_truth),
-        "partition": str(partition),
-        "shard_format": str(shard_format),
     }
 
 
@@ -280,7 +242,7 @@ def validate_manifest(manifest: ShardManifest, out_dir: PathLike) -> list[str]:
             )
         try:
             actual = shard_file_checksum(shard_path)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        except (OSError, ValueError) as exc:
             problems.append(f"shard {index}: unreadable ({entry.path}): {exc}")
             continue
         if actual != entry.checksum:

@@ -9,9 +9,8 @@ This closes the loop between the fault-tolerance layer (PR 2) and the
 derivation-independent referee (this PR): a crash/resume cycle cannot
 silently corrupt ground truth.
 
-The extreme-scale satellite extends the drill to the binary
-``repro.edges/1`` container: fault-injected runs under degree
-partitioning resume to checksum-identical shards, and a shard torn
+Shards are ``repro.edges/1`` files on degree cuts: fault-injected
+runs resume to checksum- and byte-identical shards, and a shard torn
 *mid-binary-block* (plus the injector's junk ``.part`` artifact) is
 rejected by structure, regenerated, and converges to the clean run's
 checksums.
@@ -23,12 +22,13 @@ import pytest
 from repro.generators import complete_bipartite, cycle_graph
 from repro.obs import events_to, read_events
 from repro.kronecker import Assumption, make_bipartite_product
+from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel import (
     FaultInjector,
     RetryBudgetExceeded,
     RetryPolicy,
     ShardIntegrityError,
-    generate_shards,
+    generate_chain_shards,
     load_manifest,
     load_shards,
     verify_shards,
@@ -48,24 +48,29 @@ def bk():
     )
 
 
-def test_resumed_run_passes_brute_force_spot_checks(bk, tmp_path):
-    clean_paths = generate_shards(
-        bk, tmp_path / "clean", n_shards=N_SHARDS, n_workers=2, ground_truth=True
+@pytest.fixture
+def chain(bk):
+    return KroneckerChain.from_bipartite(bk)
+
+
+def test_resumed_run_passes_brute_force_spot_checks(bk, chain, tmp_path):
+    clean_paths = generate_chain_shards(
+        chain, tmp_path / "clean", n_shards=N_SHARDS, n_workers=2, ground_truth=True
     )
     clean = load_shards(clean_paths, manifest=tmp_path / "clean")
 
     crash_dir = tmp_path / "crash"
     with pytest.raises(RetryBudgetExceeded):
-        generate_shards(
-            bk, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True,
+        generate_chain_shards(
+            chain, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True,
             retry=RetryPolicy(max_retries=0, base_delay=0.0),
             fault_injector=FaultInjector(**CRASH),
         )
     partial = load_manifest(crash_dir)
     assert 0 < len(partial.shards) < N_SHARDS  # genuinely interrupted
 
-    resumed_paths = generate_shards(
-        bk, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True, resume=True
+    resumed_paths = generate_chain_shards(
+        chain, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True, resume=True
     )
     assert verify_shards(crash_dir).is_complete()
     resumed = load_shards(resumed_paths, manifest=crash_dir)
@@ -89,7 +94,7 @@ def test_resumed_run_passes_brute_force_spot_checks(bk, tmp_path):
     assert seen == set(dia_ref)  # every undirected edge spot-checked
 
 
-def test_crash_resume_leaves_clean_event_log(bk, tmp_path):
+def test_crash_resume_leaves_clean_event_log(chain, tmp_path):
     """The crash drill's telemetry contract: an interrupted run flushes a
     strictly-parseable JSONL event log (no torn tail line), and the
     resumed run appends its own lifecycle — including ``shard.skipped``
@@ -98,8 +103,8 @@ def test_crash_resume_leaves_clean_event_log(bk, tmp_path):
     log = tmp_path / "events.jsonl"
     with events_to(str(log)):
         with pytest.raises(RetryBudgetExceeded):
-            generate_shards(
-                bk, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True,
+            generate_chain_shards(
+                chain, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True,
                 retry=RetryPolicy(max_retries=0, base_delay=0.0),
                 fault_injector=FaultInjector(**CRASH),
             )
@@ -112,8 +117,8 @@ def test_crash_resume_leaves_clean_event_log(bk, tmp_path):
     assert n_completed == len(load_manifest(crash_dir).shards)
 
     with events_to(str(log)):
-        generate_shards(
-            bk, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True, resume=True
+        generate_chain_shards(
+            chain, crash_dir, n_shards=N_SHARDS, n_workers=2, ground_truth=True, resume=True
         )
     events = read_events(log, strict=True)
     resumed = events[len(crash_events):]
@@ -128,22 +133,18 @@ def test_crash_resume_leaves_clean_event_log(bk, tmp_path):
     assert all(e["schema"] == "repro.events/1" for e in events)
 
 
-def test_crash_resume_binary_format_checksum_identical(bk, tmp_path):
-    """The full drill in the extreme-scale configuration: binary edges
-    shards, deflate blocks, degree partitioning.  The resumed run must
-    be checksum- *and byte-* identical to an uninterrupted clean run
-    (the binary container embeds no timestamps, unlike zip)."""
-    kwargs = dict(
-        n_shards=N_SHARDS, n_workers=2, ground_truth=True,
-        partition="degree", shard_format="edges", codec="deflate",
-    )
-    clean_paths = generate_shards(bk, tmp_path / "clean", **kwargs)
+def test_crash_resume_binary_format_checksum_identical(chain, tmp_path):
+    """The full drill with deflate blocks.  The resumed run must be
+    checksum- *and byte-* identical to an uninterrupted clean run (the
+    binary container embeds no timestamps)."""
+    kwargs = dict(n_shards=N_SHARDS, n_workers=2, ground_truth=True, codec="deflate")
+    clean_paths = generate_chain_shards(chain, tmp_path / "clean", **kwargs)
     clean_manifest = load_manifest(tmp_path / "clean")
 
     crash_dir = tmp_path / "crash"
     with pytest.raises(RetryBudgetExceeded):
-        generate_shards(
-            bk, crash_dir,
+        generate_chain_shards(
+            chain, crash_dir,
             retry=RetryPolicy(max_retries=0, base_delay=0.0),
             fault_injector=FaultInjector(**CRASH),
             **kwargs,
@@ -151,7 +152,7 @@ def test_crash_resume_binary_format_checksum_identical(bk, tmp_path):
     partial = load_manifest(crash_dir)
     assert 0 < len(partial.shards) < len(clean_paths)  # genuinely interrupted
 
-    resumed_paths = generate_shards(bk, crash_dir, resume=True, **kwargs)
+    resumed_paths = generate_chain_shards(chain, crash_dir, resume=True, **kwargs)
     resumed_manifest = verify_shards(crash_dir)
     assert resumed_manifest.is_complete()
     for index, entry in clean_manifest.shards.items():
@@ -160,17 +161,14 @@ def test_crash_resume_binary_format_checksum_identical(bk, tmp_path):
         assert clean_path.read_bytes() == resumed_path.read_bytes()
 
 
-def test_torn_binary_shard_heals_on_resume(bk, tmp_path):
+def test_torn_binary_shard_heals_on_resume(bk, chain, tmp_path):
     """A shard truncated mid-binary-block under its *final* name (torn
     copy, bad disk) plus a junk ``.part`` must both be rejected by
     structural validation; resume regenerates and converges to the
     original checksums."""
     out = tmp_path / "out"
-    kwargs = dict(
-        n_shards=4, n_workers=1, ground_truth=True,
-        partition="degree", shard_format="edges",
-    )
-    paths = generate_shards(bk, out, **kwargs)
+    kwargs = dict(n_shards=4, n_workers=1, ground_truth=True)
+    paths = generate_chain_shards(chain, out, **kwargs)
     want = {k: e.checksum for k, e in load_manifest(out).shards.items()}
 
     # Tear shard 1 mid-block (inside the first block's payload) and
@@ -183,7 +181,7 @@ def test_torn_binary_shard_heals_on_resume(bk, tmp_path):
     with pytest.raises(ShardIntegrityError, match="shard 1"):
         verify_shards(out)
 
-    resumed = generate_shards(bk, out, resume=True, **kwargs)
+    resumed = generate_chain_shards(chain, out, resume=True, **kwargs)
     healed = verify_shards(out)
     assert {k: e.checksum for k, e in healed.shards.items()} == want
     recovered = load_shards(resumed, manifest=out)
@@ -202,15 +200,16 @@ def test_resume_with_ground_truth_under_self_loops(tmp_path):
     bk = make_bipartite_product(
         complete_bipartite(2, 2).graph, cycle_graph(4), Assumption.SELF_LOOPS_FACTOR
     )
+    chain = KroneckerChain.from_bipartite(bk)
     crash_dir = tmp_path / "crash"
     with pytest.raises(RetryBudgetExceeded):
-        generate_shards(
-            bk, crash_dir, n_shards=4, n_workers=1, ground_truth=True,
+        generate_chain_shards(
+            chain, crash_dir, n_shards=4, n_workers=1, ground_truth=True,
             retry=RetryPolicy(max_retries=0, base_delay=0.0),
             fault_injector=FaultInjector(rate=0.5, seed=3),
         )
-    resumed_paths = generate_shards(
-        bk, crash_dir, n_shards=4, n_workers=1, ground_truth=True, resume=True
+    resumed_paths = generate_chain_shards(
+        chain, crash_dir, n_shards=4, n_workers=1, ground_truth=True, resume=True
     )
     data = load_shards(resumed_paths, manifest=crash_dir)
     C = bk.materialize()

@@ -1,10 +1,10 @@
-"""The repro.edges/1 binary shard container: roundtrips, sniffing,
-typed failure modes, and manifest-checksum compatibility.
+"""The repro.edges/1 binary shard container: roundtrips, typed failure
+modes, and manifest-checksum compatibility.
 
-Satellite regression: shard readers must trust *magic bytes*, never
-file extensions -- a renamed ``.npz`` handed to the loader used to be
-misparsed; now it loads correctly via sniffing, and a file that is
-neither container raises a typed :class:`EdgeFormatError`.
+Shard readers trust *magic bytes*, never file extensions: an ``.npz``
+shard from an older run, under any name, is refused with a typed
+:class:`EdgeFormatError` that says to regenerate it, and any other
+foreign file raises the same type.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.parallel.edgeio import (
     EdgeIntegrityError,
     read_edges_file,
     read_shard_arrays,
-    sniff_shard_format,
     write_edges_file,
 )
 from repro.parallel.manifest import checksum_arrays
@@ -82,37 +81,20 @@ def test_empty_arrays_roundtrip(tmp_path):
     assert back["p"].size == 0 and back["q"].size == 0
 
 
-def test_sniff_edges_and_npz(tmp_path):
-    edges = tmp_path / "a.edges"
-    write_edges_file(edges, sample_arrays(10))
-    npz = tmp_path / "b.npz"
-    np.savez(npz, p=np.arange(3), q=np.arange(3))
-    assert sniff_shard_format(edges) == "edges"
-    assert sniff_shard_format(npz) == "npz"
-
-
-def test_renamed_npz_loads_by_magic(tmp_path):
-    """The extension-trust fix: an .npz renamed to .edges still loads
-    as npz (and vice versa), because only the magic decides."""
-    arrays = {"p": np.arange(50, dtype=np.int64), "q": np.arange(50, dtype=np.int64)}
+def test_renamed_npz_is_refused_by_magic(tmp_path):
+    """An old ``.npz`` shard is refused by its ``PK`` magic even under an
+    ``.edges`` name, with an error that names the fix."""
     disguised = tmp_path / "shard_0000.edges"
     with open(disguised, "wb") as fh:  # np.savez would append ".npz" to a name
-        np.savez(fh, **arrays)
-    back = read_shard_arrays(disguised)
-    np.testing.assert_array_equal(back["p"], arrays["p"])
-
-    disguised2 = tmp_path / "shard_0001.npz"
-    write_edges_file(disguised2, arrays)
-    back2 = read_shard_arrays(disguised2)
-    np.testing.assert_array_equal(back2["q"], arrays["q"])
+        np.savez(fh, p=np.arange(50), q=np.arange(50))
+    with pytest.raises(EdgeFormatError, match="regenerate with `repro shards`"):
+        read_shard_arrays(disguised)
 
 
 def test_unknown_magic_is_typed_error(tmp_path):
     junk = tmp_path / "junk.edges"
     junk.write_bytes(b"torn shard: fault injected mid-write")
     with pytest.raises(EdgeFormatError, match="junk.edges"):
-        sniff_shard_format(junk)
-    with pytest.raises(EdgeFormatError):
         read_shard_arrays(junk)
 
 
@@ -182,12 +164,13 @@ def test_bad_codec_and_bad_columns(tmp_path):
 
 
 def test_checksum_container_independent(tmp_path):
-    """The same arrays carry the same content checksum in either
-    container -- what keeps manifests format-agnostic."""
+    """The same arrays carry the same content checksum under every
+    codec -- what keeps manifests codec-agnostic."""
     arrays = sample_arrays(64)
-    edges_checksum = write_edges_file(tmp_path / "a.edges", arrays)
     validated = {k: np.ascontiguousarray(v, dtype=np.int64) for k, v in arrays.items()}
-    assert edges_checksum == checksum_arrays(validated)
+    for codec in ("raw", "deflate"):
+        checksum = write_edges_file(tmp_path / f"{codec}.edges", arrays, codec=codec)
+        assert checksum == checksum_arrays(validated)
 
 
 def test_schema_constants():

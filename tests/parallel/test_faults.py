@@ -12,13 +12,14 @@ import pytest
 
 from repro.generators import complete_bipartite, cycle_graph
 from repro.kronecker import Assumption, make_bipartite_product
+from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import instrument
 from repro.parallel import (
     FaultInjectedError,
     FaultInjector,
     RetryBudgetExceeded,
     RetryPolicy,
-    generate_shards,
+    generate_chain_shards,
     load_manifest,
     load_shards,
     map_with_retry,
@@ -39,6 +40,11 @@ def bk():
     return make_bipartite_product(
         cycle_graph(5), complete_bipartite(2, 3).graph, Assumption.NON_BIPARTITE_FACTOR
     )
+
+
+@pytest.fixture
+def chain(bk):
+    return KroneckerChain.from_bipartite(bk)
 
 
 class TestDeterminism:
@@ -139,11 +145,11 @@ class TestMapWithRetry:
 
 
 class TestGenerateWithFaults:
-    def test_every_shard_fails_once_then_succeeds(self, bk, tmp_path):
+    def test_every_shard_fails_once_then_succeeds(self, bk, chain, tmp_path):
         inj = FaultInjector(rate=1.0, seed=1, fail_attempts=1)
         with instrument() as (_, metrics):
-            paths = generate_shards(
-                bk, tmp_path, n_shards=N_SHARDS, n_workers=2,
+            paths = generate_chain_shards(
+                chain, tmp_path, n_shards=N_SHARDS, n_workers=2,
                 retry=RetryPolicy(max_retries=2, base_delay=0.0), fault_injector=inj,
             )
             snap = metrics.snapshot()
@@ -153,24 +159,26 @@ class TestGenerateWithFaults:
         data = load_shards(paths, manifest=tmp_path)
         assert data["p"].size == bk.M.nnz * bk.B.graph.nnz
 
-    def test_torn_part_files_never_pollute_shards(self, bk, tmp_path):
+    def test_torn_part_files_never_pollute_shards(self, chain, tmp_path):
         inj = FaultInjector(rate=1.0, seed=1, fail_attempts=1)
-        generate_shards(
-            bk, tmp_path, n_shards=3, n_workers=1,
+        generate_chain_shards(
+            chain, tmp_path, n_shards=3, n_workers=1,
             retry=RetryPolicy(max_retries=1, base_delay=0.0), fault_injector=inj,
         )
         assert not list(tmp_path.glob("*.part"))
         verify_shards(tmp_path)
 
-    def test_crash_then_resume_matches_clean_run(self, bk, tmp_path):
+    def test_crash_then_resume_matches_clean_run(self, chain, tmp_path):
         """The acceptance criterion, in miniature."""
-        clean_paths = generate_shards(bk, tmp_path / "clean", n_shards=N_SHARDS, n_workers=2)
+        clean_paths = generate_chain_shards(
+            chain, tmp_path / "clean", n_shards=N_SHARDS, n_workers=2
+        )
         clean = load_manifest(tmp_path / "clean")
 
         crash_dir = tmp_path / "crash"
         with pytest.raises(RetryBudgetExceeded):
-            generate_shards(
-                bk, crash_dir, n_shards=N_SHARDS, n_workers=2,
+            generate_chain_shards(
+                chain, crash_dir, n_shards=N_SHARDS, n_workers=2,
                 retry=RetryPolicy(max_retries=0, base_delay=0.0),
                 fault_injector=FaultInjector(**CRASH),
             )
@@ -180,7 +188,9 @@ class TestGenerateWithFaults:
         for k, entry in partial.shards.items():
             assert entry.checksum == clean.shards[k].checksum
 
-        paths = generate_shards(bk, crash_dir, n_shards=N_SHARDS, n_workers=2, resume=True)
+        paths = generate_chain_shards(
+            chain, crash_dir, n_shards=N_SHARDS, n_workers=2, resume=True
+        )
         resumed = verify_shards(crash_dir)
         assert resumed.is_complete()
         assert {k: e.checksum for k, e in resumed.shards.items()} == {
@@ -190,12 +200,12 @@ class TestGenerateWithFaults:
         b = load_shards(clean_paths, manifest=tmp_path / "clean")
         assert np.array_equal(a["p"], b["p"]) and np.array_equal(a["q"], b["q"])
 
-    def test_killed_worker_is_retried(self, bk, tmp_path):
+    def test_killed_worker_is_retried(self, bk, chain, tmp_path):
         """A hard-killed worker (os._exit) breaks the pool; the retry
         loop rebuilds it and the run completes."""
         inj = FaultInjector(rate=1.0, seed=2, mode="kill", fail_attempts=1)
-        paths = generate_shards(
-            bk, tmp_path, n_shards=4, n_workers=2,
+        paths = generate_chain_shards(
+            chain, tmp_path, n_shards=4, n_workers=2,
             retry=RetryPolicy(max_retries=3, base_delay=0.0), fault_injector=inj,
         )
         manifest = verify_shards(tmp_path)
@@ -203,10 +213,10 @@ class TestGenerateWithFaults:
         data = load_shards(paths, manifest=tmp_path)
         assert data["p"].size == bk.M.nnz * bk.B.graph.nnz
 
-    def test_serial_path_downgrades_kill_to_raise(self, bk, tmp_path):
+    def test_serial_path_downgrades_kill_to_raise(self, chain, tmp_path):
         inj = FaultInjector(rate=1.0, seed=2, mode="kill", fail_attempts=1)
-        generate_shards(
-            bk, tmp_path, n_shards=3, n_workers=1,
+        generate_chain_shards(
+            chain, tmp_path, n_shards=3, n_workers=1,
             retry=RetryPolicy(max_retries=1, base_delay=0.0), fault_injector=inj,
         )
         assert verify_shards(tmp_path).is_complete()
@@ -218,10 +228,10 @@ class TestGenerateWithFaults:
 
 
 class TestCountingWithFaults:
-    def test_edge_count_with_retries(self, bk):
+    def test_edge_count_with_retries(self, bk, chain):
         inj = FaultInjector(rate=1.0, seed=4, fail_attempts=1)
         total = parallel_edge_count(
-            bk, n_shards=4, n_workers=2,
+            chain, n_shards=4, n_workers=2,
             retry=RetryPolicy(max_retries=1, base_delay=0.0), fault_injector=inj,
         )
         assert total == bk.M.nnz * bk.B.graph.nnz

@@ -13,20 +13,23 @@ import pytest
 
 from repro.generators import complete_bipartite, cycle_graph, path_graph
 from repro.kronecker import Assumption, make_bipartite_product
+from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import instrument
 from repro.parallel import (
     MANIFEST_NAME,
+    EdgeFormatError,
     ManifestError,
     ShardIntegrityError,
     ShardManifest,
+    chain_signature,
     checksum_arrays,
-    generate_shards,
+    generate_chain_shards,
     load_manifest,
     load_shards,
-    product_signature,
     shard_file_checksum,
     validate_manifest,
     verify_shards,
+    write_edges_file,
     write_manifest,
 )
 
@@ -45,13 +48,26 @@ def bk_ii():
     )
 
 
+@pytest.fixture
+def chain(bk):
+    return KroneckerChain.from_bipartite(bk)
+
+
+@pytest.fixture
+def chain_ii(bk_ii):
+    return KroneckerChain.from_bipartite(bk_ii)
+
+
 class TestChecksum:
-    def test_content_checksum_ignores_container_bytes(self, bk, tmp_path):
-        """Same data written twice gives the same checksum even though
-        the .npz zip bytes differ (timestamps)."""
-        a = generate_shards(bk, tmp_path / "a", n_shards=3, n_workers=1)
-        b = generate_shards(bk, tmp_path / "b", n_shards=3, n_workers=1)
+    def test_content_checksum_ignores_container_bytes(self, chain, tmp_path):
+        """Same data written under two codecs gives the same checksum
+        even though the file bytes differ."""
+        a = generate_chain_shards(chain, tmp_path / "a", n_shards=3, n_workers=1)
+        b = generate_chain_shards(
+            chain, tmp_path / "b", n_shards=3, n_workers=1, codec="deflate"
+        )
         for pa, pb in zip(a, b):
+            assert pa.read_bytes() != pb.read_bytes()
             assert shard_file_checksum(pa) == shard_file_checksum(pb)
 
     def test_checksum_depends_on_key_dtype_shape_data(self):
@@ -70,8 +86,8 @@ class TestChecksum:
 
 
 class TestManifestRoundTrip:
-    def test_round_trip(self, bk, tmp_path):
-        generate_shards(bk, tmp_path, n_shards=3, n_workers=2)
+    def test_round_trip(self, chain, tmp_path):
+        generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=2)
         manifest = load_manifest(tmp_path / MANIFEST_NAME)
         assert manifest.is_complete()
         assert sorted(manifest.shards) == [0, 1, 2]
@@ -81,23 +97,23 @@ class TestManifestRoundTrip:
         assert again.signature == manifest.signature
         assert again.shards == manifest.shards
 
-    def test_manifest_records_slices_and_sizes(self, bk, tmp_path):
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_manifest_records_slices_and_sizes(self, bk, chain, tmp_path):
+        paths = generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         manifest = load_manifest(tmp_path)
         total_entries = sum(e.entries for e in manifest.shards.values())
         assert total_entries == bk.M.nnz * bk.B.graph.nnz
         assert manifest.shards[0].start == 0
-        assert manifest.shards[2].stop == bk.M.nnz
+        assert manifest.shards[2].stop == bk.n
         for k, path in enumerate(paths):
             assert manifest.shards[k].bytes == path.stat().st_size
 
-    def test_atomic_write_leaves_no_temp(self, bk, tmp_path):
-        generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_atomic_write_leaves_no_temp(self, chain, tmp_path):
+        generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         leftovers = [p.name for p in tmp_path.iterdir() if p.suffix in (".tmp", ".part")]
         assert leftovers == []
 
-    def test_version_gate(self, bk, tmp_path):
-        generate_shards(bk, tmp_path, n_shards=2, n_workers=1)
+    def test_version_gate(self, chain, tmp_path):
+        generate_chain_shards(chain, tmp_path, n_shards=2, n_workers=1)
         payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
         payload["manifest_version"] = 99
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload))
@@ -113,33 +129,32 @@ class TestManifestRoundTrip:
 
 
 class TestIntegrityDetection:
-    def test_verify_shards_clean(self, bk, tmp_path):
-        generate_shards(bk, tmp_path, n_shards=3, n_workers=2)
+    def test_verify_shards_clean(self, chain, tmp_path):
+        generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=2)
         manifest = verify_shards(tmp_path)
         assert manifest.is_complete()
 
-    def test_load_shards_detects_tamper(self, bk, tmp_path):
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_load_shards_detects_tamper(self, bk, chain, tmp_path):
+        paths = generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         # Rewrite shard 1 with different data under the same keys.
-        with np.load(paths[1]) as data:
-            p, q = data["p"].copy(), data["q"].copy()
-        p[0] += 1
-        np.savez(paths[1].with_suffix(""), p=p, q=q)
+        data = load_shards([paths[1]])
+        data["p"][0] += 1
+        write_edges_file(paths[1], data)
         with pytest.raises(ShardIntegrityError, match="shard_0001"):
             load_shards(paths, manifest=tmp_path)
         # Without a manifest the (corrupt) load still succeeds -- the
         # manifest is what buys detection.
         assert load_shards(paths)["p"].size == bk.M.nnz * bk.B.graph.nnz
 
-    def test_load_shards_rejects_unrecorded_shard(self, bk, tmp_path):
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
-        rogue = tmp_path / "shard_9999.npz"
-        np.savez(rogue.with_suffix(""), p=np.arange(2), q=np.arange(2))
+    def test_load_shards_rejects_unrecorded_shard(self, chain, tmp_path):
+        paths = generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
+        rogue = tmp_path / "shard_9999.edges"
+        write_edges_file(rogue, {"p": np.arange(2), "q": np.arange(2)})
         with pytest.raises(ShardIntegrityError, match="not recorded"):
             load_shards([*paths, rogue], manifest=tmp_path)
 
-    def test_validate_manifest_reports_missing_and_corrupt(self, bk, tmp_path):
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_validate_manifest_reports_missing_and_corrupt(self, chain, tmp_path):
+        paths = generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         manifest = load_manifest(tmp_path)
         paths[0].unlink()
         raw = paths[2].read_bytes()
@@ -151,8 +166,8 @@ class TestIntegrityDetection:
         with pytest.raises(ShardIntegrityError):
             verify_shards(tmp_path)
 
-    def test_verify_shards_flags_incomplete(self, bk, tmp_path):
-        generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_verify_shards_flags_incomplete(self, chain, tmp_path):
+        generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         manifest = load_manifest(tmp_path)
         del manifest.shards[1]
         write_manifest(manifest, tmp_path / MANIFEST_NAME)
@@ -162,51 +177,92 @@ class TestIntegrityDetection:
 
 
 class TestResume:
-    def test_resume_skips_completed_shards(self, bk, tmp_path):
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_resume_skips_completed_shards(self, chain, tmp_path):
+        paths = generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         mtimes = [p.stat().st_mtime_ns for p in paths]
         with instrument() as (_, metrics):
-            generate_shards(bk, tmp_path, n_shards=3, n_workers=1, resume=True)
+            generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1, resume=True)
             snap = metrics.snapshot()
         assert snap["counters"]["parallel.generate.shards_skipped_total"] == 3
         assert snap["counters"].get("parallel.generate.shards_total", 0) == 0
         assert [p.stat().st_mtime_ns for p in paths] == mtimes  # untouched
 
-    def test_resume_regenerates_tampered_shard(self, bk, tmp_path):
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_resume_regenerates_tampered_shard(self, chain, tmp_path):
+        paths = generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         clean = load_manifest(tmp_path)
         paths[1].write_bytes(b"garbage")
-        generate_shards(bk, tmp_path, n_shards=3, n_workers=1, resume=True)
+        generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1, resume=True)
         resumed = verify_shards(tmp_path)
         assert resumed.shards[1].checksum == clean.shards[1].checksum
 
-    def test_resume_signature_mismatch(self, bk, bk_ii, tmp_path):
-        generate_shards(bk, tmp_path, n_shards=3, n_workers=1)
+    def test_resume_signature_mismatch(self, chain, chain_ii, tmp_path):
+        generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
         with pytest.raises(ManifestError, match="signature mismatch"):
-            generate_shards(bk_ii, tmp_path, n_shards=3, n_workers=1, resume=True)
+            generate_chain_shards(chain_ii, tmp_path, n_shards=3, n_workers=1, resume=True)
         with pytest.raises(ManifestError, match="signature mismatch"):
-            generate_shards(bk, tmp_path, n_shards=4, n_workers=1, resume=True)
+            generate_chain_shards(chain, tmp_path, n_shards=4, n_workers=1, resume=True)
         with pytest.raises(ManifestError, match="signature mismatch"):
-            generate_shards(
-                bk, tmp_path, n_shards=3, n_workers=1, ground_truth=True, resume=True
+            generate_chain_shards(
+                chain, tmp_path, n_shards=3, n_workers=1, ground_truth=True, resume=True
             )
 
-    def test_fresh_run_overwrites_old_manifest(self, bk, bk_ii, tmp_path):
-        generate_shards(bk_ii, tmp_path, n_shards=2, n_workers=1)
-        generate_shards(bk, tmp_path, n_shards=2, n_workers=1)  # no resume: fresh
-        manifest = load_manifest(tmp_path)
-        assert manifest.signature == product_signature(bk, 2, False)
+    def test_resume_refuses_same_shape_different_factors(self, tmp_path):
+        """Two factors of equal ``(n, nnz)`` but different edges: a
+        resume must not mix their shards (the factor CSR hashes differ)."""
+        a = KroneckerChain.from_graphs([cycle_graph(6), path_graph(3)])
+        b = KroneckerChain.from_graphs(
+            [cycle_graph(6).relabel([1, 0, 2, 3, 4, 5]), path_graph(3)]
+        )
+        assert [(f.n, f.nnz) for f in a.factors] == [(f.n, f.nnz) for f in b.factors]
+        paths = generate_chain_shards(a, tmp_path, n_shards=3, n_workers=1, ground_truth=True)
+        paths[1].unlink()
+        with pytest.raises(ManifestError, match="fresh output directory"):
+            generate_chain_shards(
+                b, tmp_path, n_shards=3, n_workers=1, ground_truth=True, resume=True
+            )
 
-    def test_ground_truth_survives_resume(self, bk_ii, tmp_path):
+    def test_fresh_run_overwrites_old_manifest(self, chain, chain_ii, tmp_path):
+        generate_chain_shards(chain_ii, tmp_path, n_shards=2, n_workers=1)
+        generate_chain_shards(chain, tmp_path, n_shards=2, n_workers=1)  # no resume: fresh
+        manifest = load_manifest(tmp_path)
+        assert manifest.signature == chain_signature(chain, 2, False)
+
+    def test_ground_truth_survives_resume(self, bk_ii, chain_ii, tmp_path):
         from repro.analytics import edge_squares_matrix
 
-        paths = generate_shards(
-            bk_ii, tmp_path, n_shards=2, n_workers=1, ground_truth=True
+        paths = generate_chain_shards(
+            chain_ii, tmp_path, n_shards=2, n_workers=1, ground_truth=True
         )
-        generate_shards(
-            bk_ii, tmp_path, n_shards=2, n_workers=1, ground_truth=True, resume=True
+        generate_chain_shards(
+            chain_ii, tmp_path, n_shards=2, n_workers=1, ground_truth=True, resume=True
         )
         data = load_shards(paths, manifest=tmp_path)
         dia_ref = edge_squares_matrix(bk_ii.materialize())
         for p, q, d in zip(data["p"].tolist(), data["q"].tolist(), data["squares"].tolist()):
             assert dia_ref[p, q] == d
+
+
+class TestLegacyNpz:
+    """Runs written before ``repro.edges/1`` became the only container."""
+
+    def test_old_npz_manifest_fails_resume_with_the_fix(self, bk, chain, tmp_path):
+        generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1)
+        manifest = load_manifest(tmp_path)
+        manifest.signature = {
+            "n": int(bk.n), "m": int(bk.m), "nnz_left": int(bk.M.nnz),
+            "nnz_right": int(bk.B.graph.nnz), "assumption": bk.assumption.name,
+            "n_shards": 3, "ground_truth": False,
+            "partition": "entries", "shard_format": "npz",
+        }
+        write_manifest(manifest, tmp_path / MANIFEST_NAME)
+        with pytest.raises(ManifestError, match="use a fresh output directory"):
+            generate_chain_shards(chain, tmp_path, n_shards=3, n_workers=1, resume=True)
+
+    def test_npz_shard_is_refused_with_regenerate_hint(self, tmp_path):
+        shard = tmp_path / "shard_0000.npz"
+        with open(shard, "wb") as fh:  # np.savez would append ".npz" to a name
+            np.savez(fh, p=np.arange(4), q=np.arange(4))
+        with pytest.raises(EdgeFormatError, match="regenerate with `repro shards`"):
+            load_shards([shard])
+        with pytest.raises(EdgeFormatError, match="regenerate with `repro shards`"):
+            shard_file_checksum(shard)

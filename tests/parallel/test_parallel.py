@@ -16,12 +16,13 @@ from repro.generators import (
     scale_free_bipartite_factor,
 )
 from repro.kronecker import Assumption, make_bipartite_product
+from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel import (
-    generate_shards,
-    left_entry_slices,
+    generate_chain_shards,
     parallel_edge_count,
     parallel_global_butterflies,
-    shard_of_product,
+    plan_partition,
+    shard_of_rows,
 )
 from repro.parallel.generate import load_shards
 
@@ -41,28 +42,14 @@ def bk_ii():
 
 
 class TestPartition:
-    def test_slices_cover_everything(self, bk):
-        slices = left_entry_slices(bk, 4)
-        assert slices[0][0] == 0
-        assert slices[-1][1] == bk.M.nnz
-        for (a1, b1), (a2, _) in zip(slices, slices[1:]):
-            assert b1 == a2  # contiguous, disjoint
-
-    def test_more_shards_than_entries(self, bk):
-        slices = left_entry_slices(bk, bk.M.nnz * 3)
-        assert sum(b - a for a, b in slices) == bk.M.nnz
-
-    def test_invalid_shards(self, bk):
-        with pytest.raises(ValueError):
-            left_entry_slices(bk, 0)
-
     def test_shards_reassemble_to_product(self, bk):
         C = bk.materialize()
         coo = C.adj.tocoo()
         expected = set(zip(coo.row.tolist(), coo.col.tolist()))
+        chain = KroneckerChain.from_bipartite(bk)
         seen = []
-        for start, stop in left_entry_slices(bk, 3):
-            p, q = shard_of_product(bk, start, stop)
+        for start, stop in plan_partition(chain, 3).bounds:
+            p, q = shard_of_rows(chain, start, stop)
             seen.extend(zip(p.tolist(), q.tolist()))
         assert len(seen) == len(expected)  # no duplicates
         assert set(seen) == expected
@@ -71,15 +58,18 @@ class TestPartition:
     def test_shard_ground_truth(self, fixture, request):
         bk = request.getfixturevalue(fixture)
         dia_ref = edge_squares_matrix(bk.materialize())
-        for start, stop in left_entry_slices(bk, 2):
-            p, q, dia = shard_of_product(bk, start, stop, attach_ground_truth=True)
+        chain = KroneckerChain.from_bipartite(bk)
+        for start, stop in plan_partition(chain, 2).bounds:
+            p, q, dia = shard_of_rows(chain, start, stop, attach_ground_truth=True)
             for pp, qq, dd in zip(p.tolist(), q.tolist(), dia.tolist()):
                 assert dia_ref[pp, qq] == dd
 
 
 class TestGenerateShards:
     def test_roundtrip_parallel(self, bk, tmp_path):
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=2)
+        paths = generate_chain_shards(
+            KroneckerChain.from_bipartite(bk), tmp_path, n_shards=3, n_workers=2
+        )
         data = load_shards(paths)
         C = bk.materialize()
         coo = C.adj.tocoo()
@@ -87,15 +77,20 @@ class TestGenerateShards:
         assert got == set(zip(coo.row.tolist(), coo.col.tolist()))
 
     def test_serial_parallel_identical(self, bk, tmp_path):
-        serial = generate_shards(bk, tmp_path / "s", n_shards=3, n_workers=1)
-        parallel = generate_shards(bk, tmp_path / "p", n_shards=3, n_workers=3)
+        chain = KroneckerChain.from_bipartite(bk)
+        serial = generate_chain_shards(chain, tmp_path / "s", n_shards=3, n_workers=1)
+        parallel = generate_chain_shards(chain, tmp_path / "p", n_shards=3, n_workers=3)
         for a, b in zip(serial, parallel):
-            da, db = np.load(a), np.load(b)
-            assert np.array_equal(da["p"], db["p"])
-            assert np.array_equal(da["q"], db["q"])
+            assert a.read_bytes() == b.read_bytes()
 
     def test_ground_truth_shards(self, bk_ii, tmp_path):
-        paths = generate_shards(bk_ii, tmp_path, n_shards=2, n_workers=2, ground_truth=True)
+        paths = generate_chain_shards(
+            KroneckerChain.from_bipartite(bk_ii),
+            tmp_path,
+            n_shards=2,
+            n_workers=2,
+            ground_truth=True,
+        )
         data = load_shards(paths)
         dia_ref = edge_squares_matrix(bk_ii.materialize())
         for p, q, d in zip(data["p"].tolist(), data["q"].tolist(), data["squares"].tolist()):
@@ -104,7 +99,9 @@ class TestGenerateShards:
     def test_roundtrip_with_manifest_verification(self, bk, tmp_path):
         """load_shards can verify content checksums against the manifest
         written during generation (the fault-tolerance layer's default)."""
-        paths = generate_shards(bk, tmp_path, n_shards=3, n_workers=2)
+        paths = generate_chain_shards(
+            KroneckerChain.from_bipartite(bk), tmp_path, n_shards=3, n_workers=2
+        )
         data = load_shards(paths, manifest=tmp_path)
         C = bk.materialize()
         coo = C.adj.tocoo()
@@ -112,10 +109,12 @@ class TestGenerateShards:
         assert got == set(zip(coo.row.tolist(), coo.col.tolist()))
 
     def test_edge_count_matches_closed_form(self, bk):
-        assert parallel_edge_count(bk, n_shards=4, n_workers=2) == bk.M.nnz * bk.B.graph.nnz
+        chain = KroneckerChain.from_bipartite(bk)
+        assert parallel_edge_count(chain, n_shards=4, n_workers=2) == bk.M.nnz * bk.B.graph.nnz
 
     def test_edge_count_serial_path(self, bk):
-        assert parallel_edge_count(bk, n_shards=4, n_workers=1) == bk.M.nnz * bk.B.graph.nnz
+        chain = KroneckerChain.from_bipartite(bk)
+        assert parallel_edge_count(chain, n_shards=4, n_workers=1) == bk.M.nnz * bk.B.graph.nnz
 
 
 class TestParallelCounting:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.generators.classic import complete_bipartite, cycle_graph, star_graph
+from repro.generators.classic import cycle_graph, star_graph
 from repro.generators.scale_free import preferential_attachment
-from repro.kronecker.assumptions import Assumption, make_bipartite_product
 from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel.partition import (
     PARTITION_STRATEGIES,
@@ -31,7 +30,6 @@ def test_plans_tile_the_row_space(pair):
     """Complete non-overlapping cover: bounds are sorted, contiguous,
     start at 0, end at n, and their widths sum to n."""
     chain, plan = pair
-    assert plan.space == "product-rows"
     assert plan.total == chain.n
     assert all(b > a for a, b in plan.bounds)
     if plan.bounds:
@@ -66,29 +64,13 @@ def test_degree_beats_rows_on_power_law():
     assert rows.total_work == degree.total_work == chain.nnz
 
 
-def test_entries_strategy_requires_bipartite_product():
-    chain = KroneckerChain.from_graphs([cycle_graph(4), star_graph(2)])
-    with pytest.raises(ValueError, match="deep chains"):
-        plan_partition(chain, 4, "entries")
-
-
-def test_entries_plan_covers_entry_list():
-    bk = make_bipartite_product(
-        cycle_graph(5), complete_bipartite(2, 2), Assumption.NON_BIPARTITE_FACTOR
-    )
-    plan = plan_partition(bk, 3, "entries")
-    assert plan.space == "left-entries"
-    assert sum(b - a for a, b in plan.bounds) == bk.M.nnz
-    assert plan.total_work == bk.M.nnz * bk.B.graph.nnz
-
-
 def test_invalid_inputs():
     chain = KroneckerChain.from_graphs([cycle_graph(4), star_graph(2)])
     with pytest.raises(ValueError, match="positive"):
         plan_partition(chain, 0, "rows")
     with pytest.raises(ValueError, match="strategy"):
         plan_partition(chain, 2, "zigzag")
-    assert set(PARTITION_STRATEGIES) == {"entries", "rows", "degree"}
+    assert set(PARTITION_STRATEGIES) == {"rows", "degree"}
 
 
 def test_more_shards_than_rows():

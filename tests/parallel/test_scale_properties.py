@@ -1,10 +1,11 @@
-"""Extreme-scale fleet properties (c) and (d): shard-union identities
-across partition strategies and container formats, and per-shard
-4-cycle sums against the independent closed-form fold.
+"""Extreme-scale fleet properties (c) and (d): shard unions against an
+independent referee, and per-shard 4-cycle sums against the independent
+closed-form fold.
 
 These are the end-to-end guarantees the tier rests on: *how* the
 product is sliced and *how* shards are encoded must never change *what*
-was generated.
+was generated, and what was generated must be the product itself, with
+brute-force-exact ground truth.
 """
 
 from __future__ import annotations
@@ -13,18 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.generators.classic import complete_bipartite, cycle_graph
+from repro.generators.classic import complete_bipartite, cycle_graph, path_graph
 from repro.kronecker.assumptions import Assumption, make_bipartite_product
 from repro.kronecker.multifactor import (
     KroneckerChain,
     multi_kronecker_global_squares,
 )
-from repro.parallel.generate import (
-    generate_chain_shards,
-    generate_shards,
-    load_shards,
-)
+from repro.parallel.generate import generate_chain_shards, load_shards
 from repro.parallel.manifest import verify_shards
+from repro.parallel.partition import plan_partition, shard_of_rows
+from tests.shard_referee import assert_union_is_product, kron_graph
 from tests.strategies import factor_chains
 
 SETTINGS = settings(max_examples=8, deadline=None)
@@ -34,35 +33,31 @@ def entry_triples(data: dict[str, np.ndarray]) -> list[tuple[int, int, int]]:
     return sorted(zip(data["p"].tolist(), data["q"].tolist(), data["squares"].tolist()))
 
 
-@pytest.fixture(scope="module")
-def bk():
+@pytest.fixture(scope="module", params=["i", "ii"])
+def bk(request):
+    if request.param == "i":
+        return make_bipartite_product(
+            cycle_graph(5), complete_bipartite(2, 3), Assumption.NON_BIPARTITE_FACTOR
+        )
     return make_bipartite_product(
-        cycle_graph(5), complete_bipartite(2, 3), Assumption.NON_BIPARTITE_FACTOR
+        complete_bipartite(2, 2), path_graph(4), Assumption.SELF_LOOPS_FACTOR
     )
 
 
-def test_shard_union_identical_across_strategies_and_formats(bk, tmp_path):
-    """Property (c): the shard-union entry set (with ground truth) is
-    identical across rows vs degree vs entries and npz vs edges."""
-    reference = None
-    for partition in ("entries", "rows", "degree"):
-        for shard_format in ("npz", "edges"):
-            out = tmp_path / f"{partition}-{shard_format}"
-            paths = generate_shards(
-                bk,
-                out,
-                n_shards=4,
-                n_workers=1,
-                ground_truth=True,
-                partition=partition,
-                shard_format=shard_format,
-            )
-            verify_shards(out)
-            triples = entry_triples(load_shards(paths, manifest=out))
-            if reference is None:
-                reference = triples
-            assert triples == reference, (partition, shard_format)
-    assert len(reference) == 2 * bk.m
+def test_shard_union_is_the_product_with_brute_squares(bk, tmp_path):
+    """Property (c): under every codec, the shard union of a 2-factor
+    product is the materialized product, with per-entry squares equal
+    to brute-force cycle enumeration."""
+    chain = KroneckerChain.from_bipartite(bk)
+    product = bk.materialize()
+    for codec in ("raw", "deflate"):
+        out = tmp_path / codec
+        paths = generate_chain_shards(
+            chain, out, n_shards=4, n_workers=1, ground_truth=True, codec=codec
+        )
+        verify_shards(out)
+        assert_union_is_product(load_shards(paths, manifest=out), product)
+    assert product.nnz == 2 * bk.m
 
 
 @given(factors=factor_chains(max_factors=3))
@@ -86,22 +81,23 @@ def test_chain_shard_squares_sum_to_fold(tmp_path_factory, factors):
 @given(factors=factor_chains(max_factors=3))
 @SETTINGS
 def test_chain_union_identical_across_row_strategies(tmp_path_factory, factors):
+    """Equal-row cuts stream the same entry set as the degree cuts the
+    generator writes, and both are the materialized chain product with
+    brute-force squares."""
     chain = KroneckerChain.from_graphs(factors)
-    reference = None
-    for partition in ("rows", "degree"):
-        for shard_format in ("npz", "edges"):
-            out = tmp_path_factory.mktemp(f"{partition}-{shard_format}")
-            paths = generate_chain_shards(
-                chain,
-                out,
-                n_shards=3,
-                n_workers=1,
-                ground_truth=True,
-                partition=partition,
-                shard_format=shard_format,
-            )
-            triples = entry_triples(load_shards(paths, manifest=out))
-            if reference is None:
-                reference = triples
-            assert triples == reference, (partition, shard_format)
-    assert len(reference) == chain.nnz
+    out = tmp_path_factory.mktemp("degree")
+    written = load_shards(
+        generate_chain_shards(chain, out, n_shards=3, n_workers=1, ground_truth=True),
+        manifest=out,
+    )
+    streamed = [
+        shard_of_rows(chain, start, stop, attach_ground_truth=True)
+        for start, stop in plan_partition(chain, 3, "rows").bounds
+    ]
+    rows = {
+        key: np.concatenate([shard[k] for shard in streamed])
+        for k, key in enumerate(("p", "q", "squares"))
+    }
+    assert entry_triples(rows) == entry_triples(written)
+    assert len(entry_triples(written)) == chain.nnz
+    assert_union_is_product(written, kron_graph(factors))

@@ -3,7 +3,9 @@
 Covers the operator-facing crash/resume workflow end to end: clean runs
 verify, injected crashes exit with a distinct code and leave a usable
 manifest, ``--resume`` completes the run with checksums identical to a
-clean single pass, and ``--verify`` catches tampering.
+clean single pass, ``--verify`` catches tampering, and the shards of a
+two- or three-factor run are the materialized product with brute-force
+ground truth.
 """
 
 import json
@@ -12,7 +14,16 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.parallel import MANIFEST_NAME, load_manifest, load_shards, verify_shards
+from repro.generators import complete_bipartite, complete_graph, path_graph
+from repro.kronecker import Assumption, make_bipartite_product
+from repro.parallel import (
+    MANIFEST_NAME,
+    load_manifest,
+    load_shards,
+    verify_shards,
+    write_edges_file,
+)
+from tests.shard_referee import assert_union_is_product, kron_graph
 
 FACTORS = ["complete:3", "biclique:2x3"]
 
@@ -34,7 +45,7 @@ class TestShardsCommand:
     def test_ground_truth_flag(self, tmp_path):
         rc = main(_shards("-o", str(tmp_path), "--shards", "2", "--ground-truth"))
         assert rc == 0
-        data = load_shards(sorted(tmp_path.glob("shard_*.npz")), manifest=tmp_path)
+        data = load_shards(sorted(tmp_path.glob("shard_*.edges")), manifest=tmp_path)
         assert "squares" in data
 
     def test_crash_exits_3_then_resume_completes(self, tmp_path, capsys):
@@ -85,8 +96,8 @@ class TestShardsCommand:
         from repro.parallel import ShardIntegrityError
 
         main(_shards("-o", str(tmp_path), "--shards", "3"))
-        victim = tmp_path / "shard_0001.npz"
-        np.savez(str(victim)[: -len(".npz")], p=np.arange(3), q=np.arange(3))
+        victim = tmp_path / "shard_0001.edges"
+        write_edges_file(victim, {"p": np.arange(3), "q": np.arange(3)})
         with pytest.raises(ShardIntegrityError):
             verify_shards(tmp_path)
         # --resume reconciles against the manifest and regenerates the
@@ -119,34 +130,57 @@ class TestShardsCommand:
 
 
 class TestScaleTierFlags:
-    """--partition / --format / --codec: the extreme-scale knobs."""
+    """Factor lists, --codec, and parse-time validation."""
 
-    @pytest.mark.parametrize("partition", ["rows", "degree"])
-    def test_row_partitions_verify_and_match_entries(self, tmp_path, partition):
+    def test_two_spec_union_is_the_product(self, tmp_path):
+        rc = main(_shards("-o", str(tmp_path), "--shards", "4", "--ground-truth", "--verify"))
+        assert rc == 0
+        bk = make_bipartite_product(
+            complete_graph(3), complete_bipartite(2, 3), Assumption.NON_BIPARTITE_FACTOR
+        )
+        data = load_shards(sorted(tmp_path.glob("shard_*.edges")), manifest=tmp_path)
+        assert_union_is_product(data, bk.materialize())
+
+    def test_three_spec_union_is_the_product(self, tmp_path, capsys):
         rc = main(
-            _shards(
-                "-o", str(tmp_path / partition), "--shards", "4",
-                "--partition", partition, "--ground-truth", "--verify",
-            )
+            [
+                "shards", "complete:3", "biclique:2x2", "path:3", "-o", str(tmp_path),
+                "--shards", "3", "--workers", "2", "--ground-truth", "--verify",
+            ]
         )
         assert rc == 0
-        main(_shards("-o", str(tmp_path / "entries"), "--shards", "4", "--ground-truth"))
-        a = load_shards(
-            sorted((tmp_path / partition).glob("shard_*.npz")), manifest=tmp_path / partition
+        assert "verify: all shard checksums match" in capsys.readouterr().err
+        product = kron_graph([complete_graph(3), complete_bipartite(2, 2).graph, path_graph(3)])
+        data = load_shards(sorted(tmp_path.glob("shard_*.edges")), manifest=tmp_path)
+        assert_union_is_product(data, product)
+
+    @pytest.mark.parametrize("flag", [["--assumption", "ii"], ["--allow-disconnected"]])
+    def test_three_specs_refuse_two_factor_flags(self, tmp_path, capsys, flag):
+        rc = main(["shards", "complete:3", "path:2", "path:3", "-o", str(tmp_path), *flag])
+        assert rc == 2
+        assert "two factor specs only" in capsys.readouterr().err
+        assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+    def test_one_spec_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["shards", "complete:3", "-o", str(tmp_path)]) == 2
+        assert "two or more factor specs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_must_be_positive(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(_shards("-o", str(tmp_path), "--workers", workers))
+        assert exc.value.code == 2
+        assert f"argument --workers: must be a finite value >= 1, got {workers}" in (
+            capsys.readouterr().err
         )
-        b = load_shards(
-            sorted((tmp_path / "entries").glob("shard_*.npz")), manifest=tmp_path / "entries"
-        )
-        assert sorted(zip(a["p"], a["q"], a["squares"])) == sorted(
-            zip(b["p"], b["q"], b["squares"])
-        )
+        assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("codec", ["raw", "deflate"])
     def test_edges_format_writes_binary_shards(self, tmp_path, codec, capsys):
         rc = main(
             _shards(
-                "-o", str(tmp_path), "--shards", "3", "--format", "edges",
-                "--codec", codec, "--partition", "degree", "--ground-truth", "--verify",
+                "-o", str(tmp_path), "--shards", "3",
+                "--codec", codec, "--ground-truth", "--verify",
             )
         )
         assert rc == 0
@@ -158,20 +192,27 @@ class TestScaleTierFlags:
 
     def test_signature_refuses_config_mixing(self, tmp_path, capsys):
         main(_shards("-o", str(tmp_path), "--shards", "3"))
-        rc = main(
-            _shards(
-                "-o", str(tmp_path), "--shards", "3",
-                "--partition", "degree", "--resume",
-            )
-        )
+        rc = main(_shards("-o", str(tmp_path), "--shards", "3", "--ground-truth", "--resume"))
         assert rc == 2
         assert "signature mismatch" in capsys.readouterr().err
+
+    def test_resume_refuses_different_factors_of_same_shape(self, tmp_path, capsys):
+        """pa:16:2:0 and pa:16:2:1 share (n, nnz) but differ in edges: a
+        resume across them must refuse, not report a verified mix."""
+        base = ["biclique:2x3", "-o", str(tmp_path), "--ground-truth"]
+        assert main(["shards", "pa:16:2:0", *base]) == 0
+        next(tmp_path.glob("shard_0001.*")).unlink()
+        capsys.readouterr()
+        rc = main(["shards", "pa:16:2:1", *base, "--resume", "--verify"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "signature mismatch" in err and "fresh output directory" in err
+        assert "verify:" not in err
 
     def test_crash_resume_under_edges_format(self, tmp_path, capsys):
         crash = main(
             _shards(
-                "-o", str(tmp_path), "--shards", "6", "--workers", "2",
-                "--format", "edges", "--partition", "degree",
+                "-o", str(tmp_path), "--shards", "6", "--workers", "2", "--codec", "deflate",
                 "--fault-rate", "0.5", "--fault-seed", "7", "--retries", "0",
             )
         )
@@ -181,8 +222,8 @@ class TestScaleTierFlags:
         assert 0 < len(partial.shards) < 6
         resume = main(
             _shards(
-                "-o", str(tmp_path), "--shards", "6", "--workers", "2",
-                "--format", "edges", "--partition", "degree", "--resume", "--verify",
+                "-o", str(tmp_path), "--shards", "6", "--workers", "2", "--codec", "deflate",
+                "--resume", "--verify",
             )
         )
         assert resume == 0

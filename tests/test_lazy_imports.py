@@ -17,7 +17,6 @@ ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src
 PACKAGES = [
     "repro",
     "repro.analytics",
-    "repro.core",
     "repro.experiments",
     "repro.generators",
     "repro.graphs",
@@ -126,11 +125,11 @@ def test_public_names_resolve_and_are_listed(name):
         getattr(pkg, "no_such_name")
 
 
-def test_core_star_import_exports_the_kronecker_surface():
+def test_kronecker_star_import_exports_its_surface():
     import repro.kronecker as kronecker
 
     namespace: dict = {}
-    exec("from repro.core import *", namespace)
+    exec("from repro.kronecker import *", namespace)
     assert {n: namespace[n] for n in kronecker.__all__} == {
         n: getattr(kronecker, n) for n in kronecker.__all__
     }

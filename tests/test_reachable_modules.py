@@ -9,8 +9,7 @@ defines it, so ``from repro.analytics import global_squares`` reaches
 ``repro.analytics.fourcycles`` and nothing else in the package.
 
 A module outside that set must be listed in :data:`KEPT_UNREACHED` with
-the paper row, bench or example that keeps it, or, for a module that only
-its own tests use, as a deletion still open on ROADMAP item 5.  The test fails, naming
+the paper row, bench or example that keeps it.  The test fails, naming
 the module, when a module becomes unreached without being listed, when a
 listed module becomes reachable, or when a listed module is gone.
 """
@@ -36,16 +35,13 @@ ENTRY_POINTS = (
 KEPT_UNREACHED = {
     "repro.analytics.butterflies": "examples/validate_butterfly_counter.py, bench_parallel",
     "repro.analytics.clustering_coeffs": "paper row Def. 10; bench_generator_comparison",
-    "repro.analytics.paths": "tests only; deletion open (ROADMAP item 5)",
     "repro.analytics.sampling": "paper row §I approximation; examples/validate_butterfly_counter.py",
     "repro.analytics.tip": "paper row Rem. 1 discussion",
     "repro.analytics.triangles": "paper row §I prior work (the direct triangle counter)",
     "repro.analytics.truss": "paper row Rem. 1 discussion",
-    "repro.core": "alias of repro.kronecker; deletion open (ROADMAP item 5)",
     "repro.experiments.robustness": "bench_seed_sensitivity",
     "repro.experiments.scaling": "paper row §I cost model; bench_thm6_clustering_law, bench_generation",
     "repro.generators.bter": "paper row §I R-MAT / BTER contrast; examples/community_preservation.py",
-    "repro.graphs.matching": "tests only; deletion open (ROADMAP item 5)",
     "repro.kronecker.connectivity": "paper rows Weichsel (§III-A) and Thm. 1; examples/quickstart.py",
     "repro.kronecker.regions": "paper row §III-B remark: triangle-free regions",
     "repro.kronecker.sampling": "paper row §I closing: sampled counts; bench_oracle_queries",
