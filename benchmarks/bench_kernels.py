@@ -1,13 +1,15 @@
-"""Bench ``kernels``: fused formula kernels vs. the legacy evaluation.
+"""Bench ``kernels``: the chain engine vs. the paper's printed forms.
 
-The fused kernels (:mod:`repro.kronecker.kernels`) replace the
-term-by-term ``sp.kron`` evaluation (four full-size terms, a sparse
-sum, and an O(|E_C|) re-anchoring extraction) with one stacked integer
-matmul over the product's entry list, and replace scalar per-query
-oracle Python calls with vectorized batches.  This module measures
-both gaps and *verifies bit-identity in the same run* -- every speedup
-row only records after the fused output is checked equal to the legacy
-one.
+The chain engine (:class:`repro.kronecker.multifactor.KroneckerChain`)
+evaluates the multiplicative Def. 8/9 forms on per-factor tables: the
+whole-product ◇ is one streamed pass over the product's entries, where
+the printed term-by-term ``sp.kron`` evaluation
+(:mod:`repro.refcheck.printed`: four full-size terms, a sparse sum, and
+an O(|E_C|) re-anchoring extraction) is the "legacy" side of each row;
+batched oracle queries replace scalar per-query Python calls.  This
+module measures both gaps and *verifies bit-identity in the same run* --
+every speedup row only records after the engine's output ("fused") is
+checked equal to the printed one.
 
 Run standalone: ``python benchmarks/bench_kernels.py``
 """
@@ -18,13 +20,12 @@ import tracemalloc
 import numpy as np
 
 from repro.kronecker import GroundTruthOracle, stream_edges
-from repro.kronecker.ground_truth import (
-    _edge_squares_product_kron,
-    _vertex_squares_from_stats,
-    _vertex_squares_from_stats_kron,
-    edge_squares_product,
-)
+from repro.kronecker.ground_truth import edge_squares_product, vertex_squares_product
 from repro.kronecker.sampling import sample_edges
+from repro.refcheck.printed import (
+    edge_squares_product_reference,
+    vertex_squares_product_reference,
+)
 from repro.utils.timing import Timer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -35,7 +36,7 @@ def _best_of(fn, rounds=ROUNDS):
     """(best_seconds, last_result) over ``rounds`` runs.
 
     One untimed warm-up call keeps one-time costs (lazy caches such as
-    the per-factor edge index) out of the measurement -- quick mode
+    the handle's chain and its per-factor edge tables) out of the measurement -- quick mode
     times a single round, which would otherwise include them.
     """
     best, result = float("inf"), None
@@ -61,13 +62,13 @@ def test_edge_squares_product_fused_vs_legacy(unicode_product, record_bench):
     bk = unicode_product
     bk.factor_stats()  # shared setup out of both timings
     t_fused, fused = _best_of(lambda: edge_squares_product(bk))
-    t_legacy, legacy = _best_of(lambda: _edge_squares_product_kron(bk))
+    t_legacy, legacy = _best_of(lambda: edge_squares_product_reference(bk))
     # Bit-identity first; the speedup row only exists if this holds.
     np.testing.assert_array_equal(fused.indptr, legacy.indptr)
     np.testing.assert_array_equal(fused.indices, legacy.indices)
     np.testing.assert_array_equal(fused.data, legacy.data)
     mem_fused = _peak_bytes(lambda: edge_squares_product(bk))
-    mem_legacy = _peak_bytes(lambda: _edge_squares_product_kron(bk))
+    mem_legacy = _peak_bytes(lambda: edge_squares_product_reference(bk))
     speedup = t_legacy / max(t_fused, 1e-9)
     record_bench(
         f"edge ◇ over {fused.nnz:,} entries: fused {t_fused:.3f}s / "
@@ -86,14 +87,9 @@ def test_edge_squares_product_fused_vs_legacy(unicode_product, record_bench):
 
 
 def test_vertex_squares_fused_vs_legacy(unicode_product, record_bench):
-    stats_a, stats_b = unicode_product.factor_stats()
-    assumption = unicode_product.assumption
-    t_fused, fused = _best_of(
-        lambda: _vertex_squares_from_stats(stats_a, stats_b, assumption)
-    )
-    t_legacy, legacy = _best_of(
-        lambda: _vertex_squares_from_stats_kron(stats_a, stats_b, assumption)
-    )
+    unicode_product.factor_stats()  # shared setup out of both timings
+    t_fused, fused = _best_of(lambda: vertex_squares_product(unicode_product))
+    t_legacy, legacy = _best_of(lambda: vertex_squares_product_reference(unicode_product))
     np.testing.assert_array_equal(fused, legacy)
     speedup = t_legacy / max(t_fused, 1e-9)
     record_bench(
@@ -177,7 +173,6 @@ def test_chunked_stream_vs_default(unicode_like, record_bench):
         unicode_like, path_graph(2), Assumption.SELF_LOOPS_FACTOR,
         require_connected=False,
     )
-    bk.factor_stats()
 
     def drain(block_edges):
         total = blocks = 0
@@ -208,9 +203,9 @@ def test_chunked_stream_vs_default(unicode_like, record_bench):
 
 def test_memory_footprint_bytes_vs_entries(unicode_product, record_bench):
     oracle = GroundTruthOracle(unicode_product)
-    # Touch the derived caches so the byte count includes them honestly.
-    oracle.stats_a.edge_index
-    oracle.stats_b.edge_index
+    # Build the query tables so the byte count includes them honestly.
+    oracle.squares_at_vertices([0])
+    oracle.has_edges([0], [0])
     entries = oracle.memory_footprint_entries()
     nbytes = oracle.memory_footprint_bytes()
     product_entries = 2 * unicode_product.m
@@ -235,6 +230,6 @@ if __name__ == "__main__":
     with Timer() as t_f:
         fused = edge_squares_product(bk)
     with Timer() as t_l:
-        _edge_squares_product_kron(bk)
+        edge_squares_product_reference(bk)
     print(f"edge ◇ fused {t_f.elapsed:.3f}s vs legacy {t_l.elapsed:.3f}s "
           f"({t_l.elapsed / t_f.elapsed:.1f}x) over {fused.nnz:,} entries")

@@ -3,8 +3,8 @@
 §V plans implementing "this style of generator" -- iterated Kronecker
 powers -- with ground truth computed during generation.  This bench
 grows ``A ⊗ A ⊗ …`` and times the closed-form global 4-cycle count
-(via the statistics-composition fold of
-:mod:`repro.kronecker.multifactor`) against direct counting on the
+(the chain engine, :class:`repro.kronecker.multifactor.KroneckerChain`)
+against direct counting on the
 materialized power; agreement is asserted at every depth that is still
 countable directly.
 
@@ -16,7 +16,7 @@ from typing import List
 
 from repro.analytics import global_squares
 from repro.generators import scale_free_nonbipartite_factor
-from repro.kronecker import kron_power, multi_kronecker_global_squares
+from repro.kronecker import KroneckerChain, kron_power
 from repro.utils.timing import Timer
 
 
@@ -55,7 +55,7 @@ def run_powers(max_k: int = 3, direct_limit_edges: int = 500_000, seed: int = 5)
     for k in range(1, max_k + 1):
         factors = [A] * k
         with Timer() as t_formula:
-            squares = multi_kronecker_global_squares(factors)
+            squares = KroneckerChain.from_graphs(factors).global_squares()
         C = kron_power(A, k)
         t_direct = None
         if C.m <= direct_limit_edges:

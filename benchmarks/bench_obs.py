@@ -2,7 +2,7 @@
 
 Three rows, each a standing contract:
 
-* **Instrumentation overhead** — the fused ground-truth streaming hot
+* **Instrumentation overhead** — the ground-truth streaming hot
   path (``stream_edges(attach_ground_truth=True, block_edges=...)``)
   timed under the null registry vs a live one.  The enabled-vs-null
   slowdown must stay within 5% (asserted here in full mode, enforced
@@ -54,7 +54,7 @@ def _best_stream_seconds(bk) -> tuple[float, int]:
 
 
 def test_stream_overhead_enabled_vs_null(unicode_product, record_bench):
-    """Enabled-vs-null registry on the fused-kernel streaming hot path."""
+    """Enabled-vs-null registry on the ground-truth streaming hot path."""
     # Null registry: the default state; one boolean branch per block.
     null_seconds, edges = _best_stream_seconds(unicode_product)
     # Live registry: counters + bucketed histogram per block.

@@ -357,21 +357,16 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
 
 
 def test_artifact_load_vs_rebuild(unicode_product, tmp_path_factory, record_bench):
-    """Boot-time win: load a packed artifact vs recomputing factor stats."""
-    from repro.kronecker.ground_truth import FactorStats
-
+    """Boot-time win: load a packed artifact vs recomputing the chain tables."""
     out = tmp_path_factory.mktemp("bench_serve_artifact") / "art"
     oracle = GroundTruthOracle(unicode_product)
     save_oracle(oracle, out)
 
     def rebuild() -> GroundTruthOracle:
-        # A cold boot from factors: recompute both factors' statistics.
-        bk = unicode_product
-        fresh_a = FactorStats.from_graph(bk.A)
-        fresh_b = FactorStats.from_graph(bk.B.graph)
-        return GroundTruthOracle.from_factor_stats(
-            fresh_a, fresh_b, bk.B.part, bk.assumption
-        )
+        # A cold boot from factors: drop the handle's cached chain, so
+        # both factors' tables are recomputed.
+        unicode_product._stats_cache.pop("chain", None)
+        return GroundTruthOracle(unicode_product)
 
     with Timer() as t_load:
         loaded = load_oracle(out)

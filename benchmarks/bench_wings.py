@@ -8,7 +8,7 @@ Three contracts, all asserted in-bench (not just recorded):
    peeled maximum.  The bench would fail on any support-formula drift,
    not just run slower.
 2. **Bit identity** — batched ``wings_at_edges`` answers (the
-   ``/v1/wings`` path) equal the fused whole-product CSR values edge
+   ``/v1/wings`` path) equal the engine's whole-product CSR values edge
    for edge.
 3. **Complete cover** — the streamed chain bounds enumerate exactly
    ``nnz`` entries, their running max equals the closed-form
@@ -44,7 +44,7 @@ from repro.utils.timing import Timer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
-# Query batches are tiled so the measured path is the fused kernel, not
+# Query batches are tiled so the measured path is the engine's batch query, not
 # fixture setup; peeling runs once (it is the expensive analytic the
 # bounds exist to sanity-check).
 QUERY_TILE = 8 if QUICK else 64
@@ -130,7 +130,7 @@ def test_peel_vs_oracle_bounds(benchmark, record_bench):
 
 def test_wing_bound_query_throughput(benchmark, record_bench):
     """Batched ``wings_at_edges`` (the ``/v1/wings`` answer path) over
-    tiled whole-edge-set batches, bit-identical to the fused CSR."""
+    tiled whole-edge-set batches, bit-identical to the engine's CSR."""
     bk = _product()
     oracle = GroundTruthOracle(bk)
     C = bk.materialize()
@@ -146,12 +146,12 @@ def test_wing_bound_query_throughput(benchmark, record_bench):
         for p, q, s in zip(coo.row, coo.col, coo.data)
     }
     for p, q, s in zip(u.tolist(), v.tolist(), bounds[: u.size].tolist()):
-        assert by_edge[(p, q)] == s, "oracle batch diverged from fused CSR"
+        assert by_edge[(p, q)] == s, "oracle batch diverged from the engine CSR"
     seconds = _best_seconds(benchmark)
     record_bench(
         f"wing bounds {ps.size:,} queries "
         f"({ps.size / seconds / 1e6 if seconds else 0.0:.1f} M/s), "
-        f"bit-identical to fused CSR over {u.size:,} edges",
+        f"bit-identical to the engine CSR over {u.size:,} edges",
         queries=int(ps.size),
         edges=int(u.size),
         seconds=seconds,

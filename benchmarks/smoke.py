@@ -273,7 +273,7 @@ def serve_probe(out: Path) -> None:
     no worker outliving a SIGKILLed master."""
     artifact = out / "serve_artifact"
     py("-m", "repro", "pack", *SPEC, "-o", str(artifact))
-    assert artifact_info(artifact)["schema"] == "repro.serve/1"
+    assert artifact_info(artifact)["schema"] == "repro.serve/2"
     # A known product edge (P, Q) for the edge endpoints.
     oracle = load_oracle(artifact)
     grid = np.indices((oracle.n, oracle.n)).reshape(2, -1)

@@ -15,14 +15,15 @@ Wraps the library's three workflows for shell users:
   ``--resume`` after a crash, bounded ``--retries`` with backoff,
   deterministic ``--fault-rate`` injection for drills, and ``--verify``
   end-to-end checksum validation (see docs/fault_tolerance.md).
-* ``verify`` -- differential verification: cross-check fused kernels,
-  legacy ``sp.kron`` paths, oracle and streaming against the
-  brute-force referee in :mod:`repro.refcheck` over seeded random and
+* ``verify`` -- differential verification: cross-check the chain
+  engine, the paper's printed ``sp.kron`` forms, oracle and streaming
+  against the brute-force referee in :mod:`repro.refcheck` over seeded random and
   adversarial factor corpora; exits 4 on any divergence and can write
   the machine-readable witness report (``--report-out``).
 * ``pack`` -- build a persistent, checksummed oracle artifact
-  (``oracle.npz`` + ``artifact.json``, schema ``repro.serve/1``) from
-  factor specs, so a server can boot without recomputing statistics.
+  (``oracle.npz`` + ``artifact.json``, schema ``repro.serve/2``: the
+  chain tables of ``[M, B]``) from two factor specs, so a server can
+  boot without recomputing anything.
 * ``serve`` -- boot the pre-fork ground-truth query server over a
   packed artifact: JSON HTTP and binary wire protocols on one port, a
   byte-budgeted LRU result cache, and per-worker load shedding (see
@@ -677,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--perturb",
         choices=["none", "beta-sign", "wing-support"],
         default="none",
-        help="deliberately corrupt the fused formulas for the run "
+        help="deliberately corrupt the ground-truth engine for the run "
         "(engine self-test: the corruption must be caught, exit 4)",
     )
     v.add_argument(

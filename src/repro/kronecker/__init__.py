@@ -11,13 +11,15 @@ Layer map (paper section in parentheses):
   (§III-A).
 * :mod:`~repro.kronecker.connectivity` -- Thms. 1-2 predictions and
   the Weichsel disconnection certificate (§III-A).
+* :mod:`~repro.kronecker.multifactor` -- :class:`KroneckerChain`, the
+  one ground-truth engine: Def. 8/9 over per-factor tables, batched
+  vertex/edge queries by digit decomposition, streamed row ranges.
 * :mod:`~repro.kronecker.ground_truth` -- per-factor statistics and
   the 4-cycle formulas: Thm. 3/4 (vertices), Thm. 5 and our derived
   Assumption-1(ii) variant (edges), plus sublinear global counts
-  (§III-B).
-* :mod:`~repro.kronecker.kernels` -- fused point-wise evaluation of
-  the Thm. 3/4/5 formulas on index batches: the hot core shared by
-  the formula, oracle, streaming, and parallel layers.
+  (§III-B), read from the chain ``[M, B]``.
+* :mod:`~repro.kronecker.kernels` -- the hash-table primitives behind
+  every factor edge lookup.
 * :mod:`~repro.kronecker.clustering` -- Def. 10 / Thm. 6 edge
   clustering scaling law (§III-B3).
 * :mod:`~repro.kronecker.community` -- Defs. 11-12, Thm. 7,
@@ -43,16 +45,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "weichsel_components": ".connectivity",
     "FactorStats": ".ground_truth",
     "vertex_squares_product": ".ground_truth",
-    "vertex_squares_product_reference": ".ground_truth",
     "edge_squares_product": ".ground_truth",
-    "edge_squares_product_reference": ".ground_truth",
     "global_squares_product": ".ground_truth",
     "squares_if_square_free_factors": ".ground_truth",
-    "EdgeIndex": ".kernels",
-    "edge_squares_batch": ".kernels",
-    "product_edge_squares_csr": ".kernels",
-    "vertex_squares_batch": ".kernels",
-    "vertex_squares_grid": ".kernels",
     "edge_clustering_ground_truth": ".clustering",
     "psi_factor": ".clustering",
     "thm6_lower_bound": ".clustering",
@@ -78,9 +73,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "product_vertex_triangles": ".triangles",
     "product_edge_triangles": ".triangles",
     "product_global_triangles": ".triangles",
-    "combine_stats": ".multifactor",
-    "multi_kronecker_stats": ".multifactor",
-    "multi_kronecker_global_squares": ".multifactor",
     "ChainFactor": ".multifactor",
     "KroneckerChain": ".multifactor",
     "adjacency_spectrum": ".spectral",

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kronecker import kernels
 from repro.kronecker.assumptions import Assumption, BipartiteKronecker
 from repro.kronecker.ground_truth import edge_squares_product
+from repro.kronecker.multifactor import KroneckerChain
 
 __all__ = [
     "edge_clustering_ground_truth",
@@ -132,8 +132,7 @@ def thm6_lower_bound_self_loops(bk: BipartiteKronecker):
     q = jj * n_b + ll
     # Ground-truth ◇_C at those edges, point-wise -- no product-sized
     # matrix is materialized or fancy-indexed.
-    stats_a, stats_b = bk.factor_stats()
-    vals, _ = kernels.edge_squares_batch(stats_a, stats_b, bk.assumption, ii, jj, kk, ll)
+    vals, _ = KroneckerChain.from_bipartite(bk).edge_squares(p, q)
     d_c = bk.implicit.degrees()
     gamma_c = vals / ((d_c[p] - 1) * (d_c[q] - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,8 +189,7 @@ def thm6_lower_bound(bk: BipartiteKronecker):
 
     # Ground-truth Γ_C at those edges from the point-wise formula -- no
     # product-sized matrix is materialized or fancy-indexed.
-    stats_a, stats_b = bk.factor_stats()
-    vals, _ = kernels.edge_squares_batch(stats_a, stats_b, bk.assumption, ii, jj, kk, ll)
+    vals, _ = KroneckerChain.from_bipartite(bk).edge_squares(p, q)
     d_c = bk.implicit.degrees()
     gamma_c = vals / ((d_c[p] - 1) * (d_c[q] - 1))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -31,7 +31,7 @@ from repro.generators.classic import (
 from repro.generators.scale_free import scale_free_bipartite_factor
 from repro.graphs.bipartite import BipartiteGraph
 from repro.kronecker.assumptions import Assumption, BipartiteKronecker
-from repro.kronecker.ground_truth import FactorStats, _vertex_terms
+from repro.kronecker.multifactor import KroneckerChain
 
 __all__ = ["DesignTarget", "DesignCandidate", "design_product", "default_factor_library"]
 
@@ -106,12 +106,7 @@ def _score(bk: BipartiteKronecker, target: DesignTarget) -> tuple[int, int, int,
     """Sublinear evaluation of one candidate."""
     n = bk.n
     m = bk.m
-    stats_a = FactorStats.from_graph(bk.A)
-    stats_b = FactorStats.from_graph(bk.B.graph)
-    acc = 0
-    for sign, left, right in _vertex_terms(stats_a, stats_b, bk.assumption):
-        acc += sign * int(left.sum()) * int(right.sum())
-    squares = acc // 2 // 4
+    squares = KroneckerChain.from_bipartite(bk).global_squares()
     score = 0.0
     if target.n_vertices:
         score += target.weight_vertices * abs(np.log((n + 1) / (target.n_vertices + 1)))

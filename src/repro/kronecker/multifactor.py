@@ -1,157 +1,87 @@
-"""Ground truth for multi-factor Kronecker products.
+"""Ground truth for Kronecker chains: the one query engine.
 
-The Graph500-lineage generators iterate the product, ``C = A ⊗ A ⊗ …``;
-the paper's conclusion anticipates implementing "this style of
-generator" with ground truth computed *during* generation.  The key
-observation enabling that here: the statistics bundle
-:class:`~repro.kronecker.ground_truth.FactorStats` is **closed under
-the product** -- from the stats of two loop-free factors one can build
-the stats of their product without counting anything on it:
-
-* ``d, w2``: coordinate-wise Kronecker products,
-* ``s, cw4``: the Thm.-3 machinery (whose derivation never uses
-  bipartiteness, only loop-freeness),
-* ``◇``: the Thm.-5 machinery,
-* ``adj``: a sparse ``kron``.
-
-Folding :func:`combine_stats` over a factor list therefore yields exact
-vertex/edge/global 4-cycle ground truth for products of *any* number of
-loop-free factors, with each intermediate step costing only the size of
-the intermediate (the final adjacency is the same object a generator
-would emit anyway).
-
-:func:`combine_stats` still *materializes* each intermediate adjacency,
-which caps it at products that fit in memory.  The extreme-scale tier
-(:class:`KroneckerChain`) drops that: every quantity the generator
-needs is **multiplicative across the Kronecker product**, so deep
-chains ``X₁ ⊗ X₂ ⊗ …`` stream shard-by-shard from factor-sized tables
-with nothing product-sized ever allocated:
+A chain ``C = X₁ ⊗ X₂ ⊗ … ⊗ X_k`` is never formed.  Every quantity the
+generator and the oracle need is **multiplicative across the Kronecker
+product**, so it is read from factor-sized tables (:class:`ChainFactor`):
 
 * ``d``, ``w2 = X²1``, ``cw4 = diag(X⁴)`` are coordinate-wise
   Kronecker products of the per-factor vectors;
 * ``W3 = X³∘X`` is entry-wise multiplicative on the product pattern;
 * on a loop-free product, Def. 9 gives the per-entry 4-cycle count
   ``◇(p, q) = Π_t W3_t(i_t, j_t) − Π_t d_t(i_t) − Π_t d_t(j_t) + 1``
-  and Def. 8 the per-vertex count
-  ``s(p) = (Π cw4_t − Π d_t² − Π w2_t + Π d_t) / 2``.
+  (:func:`def9_finish`) and Def. 8 the per-vertex count
+  ``s(p) = (Π cw4_t − Π d_t² − Π w2_t + Π d_t) / 2``
+  (:func:`def8_finish`).
 
 These hold for factors *with* self loops as long as the product is
 loop-free (at least one factor loop-free), so the 2-factor products of
-Assumption 1(i)/(ii) are exactly the chains ``[M, B]`` — Thm. 3/4/5 and
-the derived 1(ii) edge formula fall out of the same code path, which
-the property tests assert bit-for-bit against the fused kernels.
+Assumption 1(i)/(ii) are exactly the chains ``[M, B]`` with
+``M = A`` or ``A + I_A``: Thm. 3/4/5 and the derived 1(ii) edge formula
+are these two finishes on two factors.  The paper's printed forms live
+in :mod:`repro.refcheck.printed` as an independent referee.
 
-Row-range sums of any multiplicative vertex vector (shard work
-``Σ Π d_t``, per-shard ground-truth totals ``Σ s``) are evaluated in
-``O(k · log)`` time from mixed-radix prefix sums — the closed forms the
-degree-aware partitioner (:mod:`repro.parallel.partition`) and the
-per-shard validation artifacts are built on.
+A product row ``p`` splits mixed-radix into per-factor digits, so the
+batched queries (:meth:`KroneckerChain.degrees`,
+:meth:`~KroneckerChain.vertex_squares`,
+:meth:`~KroneckerChain.edge_squares`) gather per-factor values, with
+one hash probe per factor for edge membership and ``W3``.  Row ranges
+stream shard-by-shard (:meth:`~KroneckerChain.stream_rows`), and
+row-range sums of any multiplicative vertex vector (shard work
+``Σ Π d_t``, per-shard ground-truth totals ``Σ s``) are exact Python
+ints from mixed-radix prefix sums in ``O(k · log)`` time — the closed
+forms the degree-aware partitioner (:mod:`repro.parallel.partition`)
+and the per-shard validation artifacts are built on.
+
+scipy and the graph model are imported only where a factor is built
+from an adjacency, so a served chain loaded from an artifact never
+loads them.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.graphs.graph import Graph
-from repro.kronecker import kernels
-from repro.kronecker.assumptions import Assumption, BipartiteKronecker
-from repro.kronecker.ground_truth import FactorStats, _vertex_terms
+from repro.kronecker.kernels import _BATCH_CHUNK, build_edge_table, probe_edge_table
 
-__all__ = [
-    "combine_stats",
-    "multi_kronecker_stats",
-    "multi_kronecker_global_squares",
-    "ChainFactor",
-    "KroneckerChain",
-]
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
+
+    from repro.graphs.graph import Graph
+    from repro.kronecker.assumptions import BipartiteKronecker
+
+__all__ = ["ChainFactor", "KroneckerChain", "def8_finish", "def9_finish"]
 
 
-def combine_stats(stats_a: FactorStats, stats_b: FactorStats) -> FactorStats:
-    """Statistics of ``A ⊗ B`` from the factors' statistics.
-
-    Both inputs must describe loop-free graphs (enforced at
-    ``FactorStats`` construction); the output describes the loop-free
-    product.  No counting is performed on the product -- every field
-    comes from a closed form, evaluated by the fused kernels
-    (:mod:`repro.kronecker.kernels`): the vertex vector is one stacked
-    matmul and the edge diamonds are built directly on the product
-    pattern, with no intermediate ``sp.kron`` term or re-anchoring
-    extraction.
-    """
-    n = stats_a.n * stats_b.n
-    d = np.kron(stats_a.d, stats_b.d)
-    w2 = np.kron(stats_a.w2, stats_b.w2)
-    # Vertex squares via the generic (Thm. 3) formula, fused.
-    s = kernels.vertex_squares_grid(stats_a, stats_b, Assumption.NON_BIPARTITE_FACTOR)
-    cw4 = 2 * s + d * d + w2 - d
-    # Edge squares via the generic (Thm. 5) formula, fused on the
-    # product pattern (explicit zeros preserved).
-    adj = sp.csr_array(sp.kron(stats_a.adj, stats_b.adj, format="csr"))
-    idx_a = stats_a.edge_index
-    diamond = kernels.product_edge_squares_csr(
-        stats_a, stats_b, Assumption.NON_BIPARTITE_FACTOR, idx_a.rows, idx_a.cols
-    )
-    return FactorStats(n=n, d=d, w2=w2, s=s, cw4=cw4, diamond=diamond, adj=adj)
+def def8_finish(cw4, d2, w2, d):
+    """Def. 8: ``s = (Π cw4 − Π d² − Π w2 + Π d) / 2`` from the four
+    products, for int64 arrays and exact Python ints alike."""
+    num = cw4 - d2 - w2 + d
+    odd = num & 1 if isinstance(num, int) else np.bitwise_or.reduce(num) & 1
+    assert not odd, "vertex square formula must yield even closed-walk excess"
+    return num >> 1
 
 
-def multi_kronecker_stats(factors: Sequence[Graph]) -> FactorStats:
-    """Exact statistics of ``factors[0] ⊗ factors[1] ⊗ …``.
-
-    Left-associative fold of :func:`combine_stats`; with one factor
-    this is just ``FactorStats.from_graph``.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    acc = FactorStats.from_graph(factors[0])
-    for g in factors[1:]:
-        acc = combine_stats(acc, FactorStats.from_graph(g))
-    return acc
-
-
-def multi_kronecker_global_squares(factors: Sequence[Graph]) -> int:
-    """Exact global 4-cycle count of a multi-factor product.
-
-    Uses the vector-sum factorisation at the last fold so the final
-    (largest) vertex vector is never formed: only the second-to-last
-    intermediate's stats are materialized.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    if len(factors) == 1:
-        return FactorStats.from_graph(factors[0]).global_squares()
-    acc = FactorStats.from_graph(factors[0])
-    for g in factors[1:-1]:
-        acc = combine_stats(acc, FactorStats.from_graph(g))
-    last = FactorStats.from_graph(factors[-1])
-    total = 0
-    for sign, left, right in _vertex_terms(acc, last, Assumption.NON_BIPARTITE_FACTOR):
-        total += sign * int(left.sum()) * int(right.sum())
-    half, rem = divmod(total, 2)
-    assert rem == 0
-    squares, rem4 = divmod(half, 4)
-    assert rem4 == 0
-    return squares
-
-
-# ---------------------------------------------------------------------------
-# Extreme-scale tier: streamed deep chains, no intermediates
-# ---------------------------------------------------------------------------
+def def9_finish(w3, drow, dcol):
+    """Def. 9: ``◇ = Π W3 − Π d_row − Π d_col + 1`` from the three
+    products.  On ``[M, B]`` the two degree products are the β terms
+    of Thm. 5 and ``Π W3`` its α term."""
+    return w3 - drow - dcol + 1
 
 
 @dataclass(frozen=True)
 class ChainFactor:
-    """The factor-sized tables chain generation consumes.
+    """The factor-sized tables the chain engine consumes.
 
     Unlike :class:`~repro.kronecker.ground_truth.FactorStats` this
     admits factors *with* self loops (the effective ``M = A + I_A`` of
     Assumption 1(ii)); loop-freeness is a property of the **product**
     and is enforced by :class:`KroneckerChain`.  All arrays are int64;
-    ``w3`` is edge-aligned in CSR entry order.
+    ``w3`` is edge-aligned in CSR entry order, and the CSR column
+    indices are sorted within each row.
     """
 
     n: int
@@ -167,6 +97,8 @@ class ChainFactor:
     @classmethod
     def from_adjacency(cls, adj) -> "ChainFactor":
         """Tables from a binary symmetric adjacency (sparse or dense)."""
+        import scipy.sparse as sp
+
         X = sp.csr_array(adj).astype(np.int64)
         X.sort_indices()
         n = X.shape[0]
@@ -196,6 +128,10 @@ class ChainFactor:
     def from_graph(cls, graph: Graph) -> "ChainFactor":
         return cls.from_adjacency(graph.adj)
 
+    def entry_rows(self) -> np.ndarray:
+        """Row of every stored entry, in CSR order."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
 
 def _prefix_table(vector: np.ndarray) -> tuple[list[int], list[int]]:
     """``(values, cumulative)`` as exact Python ints (no int64 overflow
@@ -212,14 +148,14 @@ class KroneckerChain:
 
     Product row ``p`` decomposes mixed-radix into per-factor digits
     ``(i_1, …, i_k)`` with ``p = ((i_1·n_2 + i_2)·n_3 + …)``; every
-    quantity the generator needs is a product over digits, so row
-    ranges stream from factor-sized tables (module docstring).  The
-    product must be loop-free — at least one factor without self loops
-    — which is what makes the Def. 8/9 ground-truth forms exact.
+    quantity the generator and the oracle need is a product over
+    digits, so batched queries and row ranges run on factor-sized
+    tables (module docstring).  The product must be loop-free — at
+    least one factor without self loops — which is what makes the
+    Def. 8/9 ground-truth forms exact.
 
     Instances are cheap to pickle (factor tables only), so shard
-    workers receive the whole chain, mirroring the 2-factor
-    :class:`~repro.kronecker.assumptions.BipartiteKronecker` contract.
+    workers receive the whole chain.
     """
 
     def __init__(self, factors: Sequence[ChainFactor]):
@@ -241,6 +177,8 @@ class KroneckerChain:
         self.n = int(n)
         self.nnz = int(nnz)
         self._tables: dict[str, list[tuple[list[int], list[int]]]] = {}
+        self._vertex_stacks: list[np.ndarray] | None = None
+        self._edge_tables: list[tuple[np.ndarray, np.ndarray, int]] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -250,19 +188,23 @@ class KroneckerChain:
 
     @classmethod
     def from_bipartite(cls, bk: BipartiteKronecker) -> "KroneckerChain":
-        """The 2-factor chain ``[M, B]`` of an Assumption-1 product.
+        """The 2-factor chain ``[M, B]`` of an Assumption-1 product,
+        built once per handle.
 
         Under 1(ii) ``M = A + I_A`` carries loops; the chain formulas
         reproduce Thm. 4 and the derived 1(ii) edge form exactly
         (``diag((A+I)⁴) = cw4_A + 6 d_A + 1`` for bipartite ``A``, etc.)
         because only the *product* needs to be loop-free.
         """
-        return cls(
-            [
-                ChainFactor.from_adjacency(bk.M.adj),
-                ChainFactor.from_adjacency(bk.B.graph.adj),
-            ]
-        )
+        cache = bk._stats_cache
+        if "chain" not in cache:
+            cache["chain"] = cls(
+                [
+                    ChainFactor.from_adjacency(bk.M.adj),
+                    ChainFactor.from_adjacency(bk.B.graph.adj),
+                ]
+            )
+        return cache["chain"]
 
     # -- mixed-radix prefix machinery ---------------------------------
 
@@ -350,21 +292,116 @@ class KroneckerChain:
     def vertex_squares_range_sum(self, lo: int, hi: int) -> int:
         """``Σ_{p in [lo, hi)} s(p)`` in closed form — the per-shard
         validation scalar (Def. 8 summed over the shard's rows)."""
-        num = (
-            self._kron_range_sum("cw4", lo, hi)
-            - self._kron_range_sum("d2", lo, hi)
-            - self._kron_range_sum("w2", lo, hi)
-            + self._kron_range_sum("d", lo, hi)
+        return def8_finish(
+            *(self._kron_range_sum(kind, lo, hi) for kind in ("cw4", "d2", "w2", "d"))
         )
-        half, rem = divmod(num, 2)
-        assert rem == 0, "vertex square range sum must be even"
-        return half
 
     def global_squares(self) -> int:
         """Total 4-cycles of the chain product: ``Σ_p s(p) / 4``."""
         total, rem4 = divmod(self.vertex_squares_range_sum(0, self.n), 4)
         assert rem4 == 0, "sum of vertex square counts must be divisible by 4"
         return total
+
+    # -- batched queries ----------------------------------------------
+
+    def _rows(self, ps, name: str) -> np.ndarray:
+        """``ps`` as a range-checked 1-D int64 array of product rows."""
+        ps = np.asarray(ps, dtype=np.int64)
+        if ps.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D index array, got shape {ps.shape}")
+        if ps.size and (int(ps.min()) < 0 or int(ps.max()) >= self.n):
+            bad = ps[(ps < 0) | (ps >= self.n)][0]
+            raise IndexError(f"product vertex {int(bad)} out of range [0, {self.n})")
+        return ps
+
+    def _split(self, ps: np.ndarray) -> list[np.ndarray]:
+        """Per-factor digit arrays of validated rows ``ps``, factor order."""
+        digits = [ps] * len(self.factors)
+        rem = ps
+        for t in range(len(self.factors) - 1, 0, -1):
+            n_t = self.factors[t].n
+            quot = rem // n_t
+            digits[t] = rem - quot * n_t
+            rem = quot
+        digits[0] = rem
+        return digits
+
+    def degrees(self, ps) -> np.ndarray:
+        """Degree ``Π_t d_t(i_t)`` of every product vertex in ``ps``."""
+        out = None
+        for f, i in zip(self.factors, self._split(self._rows(ps, "ps"))):
+            d = np.take(f.d, i, mode="clip")
+            out = d if out is None else np.multiply(out, d, out=out)
+        return out
+
+    def vertex_squares(self, ps) -> np.ndarray:
+        """Def. 8 vertex 4-cycle counts ``s(p)`` for every ``p`` in
+        ``ps``, in ``_BATCH_CHUNK``-sized chunks so every temporary
+        stays cache-resident."""
+        ps = self._rows(ps, "ps")
+        if self._vertex_stacks is None:
+            # Per factor, the four Def. 8 vectors side by side: one
+            # gather per factor fetches all four products' operands.
+            self._vertex_stacks = [
+                np.ascontiguousarray(np.stack((f.cw4, f.d * f.d, f.w2, f.d), axis=1))
+                for f in self.factors
+            ]
+        out = np.empty(ps.size, dtype=np.int64)
+        for s in range(0, ps.size, _BATCH_CHUNK):
+            e = min(s + _BATCH_CHUNK, ps.size)
+            acc = None
+            for stack, i in zip(self._vertex_stacks, self._split(ps[s:e])):
+                part = np.take(stack, i, axis=0, mode="clip")
+                acc = part if acc is None else np.multiply(acc, part, out=acc)
+            out[s:e] = def8_finish(acc[:, 0], acc[:, 1], acc[:, 2], acc[:, 3])
+        return out
+
+    def edge_squares(self, ps, qs) -> tuple[np.ndarray, np.ndarray]:
+        """Def. 9 edge 4-cycle counts at arbitrary ``(p, q)`` batches.
+
+        Returns ``(values, valid)``: ``valid[t]`` is False (and
+        ``values[t]`` 0) when ``(ps[t], qs[t])`` is not a product entry
+        -- masking instead of raise-per-query, so millions of
+        speculative queries cost one vectorized pass.  Large batches
+        run in ``_BATCH_CHUNK``-sized chunks.
+        """
+        ps = self._rows(ps, "ps")
+        qs = self._rows(qs, "qs")
+        if ps.shape != qs.shape:
+            raise ValueError(f"ps and qs must match in shape: {ps.shape} vs {qs.shape}")
+        if self._edge_tables is None:
+            # Per-factor ``W3`` hash tables keyed ``row·n + col``.
+            self._edge_tables = [
+                build_edge_table(f.entry_rows() * f.n + f.indices, f.w3) for f in self.factors
+            ]
+        if ps.size <= _BATCH_CHUNK:
+            return self._edge_block(ps, qs)
+        vals = np.empty(ps.size, dtype=np.int64)
+        valid = np.empty(ps.size, dtype=bool)
+        for s in range(0, ps.size, _BATCH_CHUNK):
+            e = min(s + _BATCH_CHUNK, ps.size)
+            vals[s:e], valid[s:e] = self._edge_block(ps[s:e], qs[s:e])
+        return vals, valid
+
+    def _edge_block(self, ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One chunk of :meth:`edge_squares`: one hash probe and two
+        degree gathers per factor, then the Def. 9 finish."""
+        w3 = drow = dcol = valid = None
+        tables = zip(self.factors, self._edge_tables, self._split(ps), self._split(qs))
+        for f, table, i, j in tables:
+            found, w3_t = probe_edge_table(*table, i * f.n + j)
+            d_i = np.take(f.d, i, mode="clip")
+            d_j = np.take(f.d, j, mode="clip")
+            if w3 is None:
+                w3, drow, dcol, valid = w3_t, d_i, d_j, found
+            else:
+                w3 *= w3_t
+                drow *= d_i
+                dcol *= d_j
+                valid &= found
+        vals = def9_finish(w3, drow, dcol)
+        vals *= valid  # zero the invalid slots without a full np.where pass
+        return vals, valid
 
     # -- streaming generation -----------------------------------------
 
@@ -400,7 +437,7 @@ class KroneckerChain:
         ):
             if attach_ground_truth:
                 rows, cols, w3, drow, dcol = block
-                yield rows, cols, w3 - drow - dcol + 1
+                yield rows, cols, def9_finish(w3, drow, dcol)
             else:
                 yield block
 
@@ -500,8 +537,6 @@ class KroneckerChain:
                         else:
                             yield rows, cols
 
-    # -- small-product helpers (tests, refcheck referee) ---------------
-
     def materialize(self, max_entries: int = 5_000_000) -> sp.csr_array:
         """Fold the factors with ``sp.kron`` — referee-sized chains only."""
         if self.nnz > max_entries:
@@ -509,6 +544,8 @@ class KroneckerChain:
                 f"refusing to materialize a {self.nnz}-entry chain product "
                 f"(cap {max_entries}); the chain exists to avoid exactly this"
             )
+        import scipy.sparse as sp
+
         acc = None
         for f in self.factors:
             adj = sp.csr_array(

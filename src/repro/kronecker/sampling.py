@@ -41,9 +41,7 @@ def sample_vertices(bk: BipartiteKronecker, k: int, seed=None, oracle: GroundTru
     rng = as_generator(seed)
     oracle = oracle or GroundTruthOracle(bk)
     p = rng.integers(0, bk.n, size=k, dtype=np.int64)
-    degrees = np.fromiter((oracle.degree(int(v)) for v in p), dtype=np.int64, count=k)
-    squares = np.fromiter((oracle.squares_at_vertex(int(v)) for v in p), dtype=np.int64, count=k)
-    return p, degrees, squares
+    return p, oracle.degrees(p), oracle.squares_at_vertices(p)
 
 
 def sample_edges(bk: BipartiteKronecker, k: int, seed=None, oracle: GroundTruthOracle | None = None):
@@ -64,7 +62,4 @@ def sample_edges(bk: BipartiteKronecker, k: int, seed=None, oracle: GroundTruthO
     bi = rng.integers(0, b_coo.nnz, size=k)
     p = m_coo.row[mi].astype(np.int64) * n_b + b_coo.row[bi].astype(np.int64)
     q = m_coo.col[mi].astype(np.int64) * n_b + b_coo.col[bi].astype(np.int64)
-    squares = np.fromiter(
-        (oracle.squares_at_edge(int(a), int(b)) for a, b in zip(p, q)), dtype=np.int64, count=k
-    )
-    return p, q, squares
+    return p, q, oracle.squares_at_edges(p, q)

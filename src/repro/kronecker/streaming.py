@@ -13,8 +13,9 @@ edges once can filter ``p <= q`` per block (the helper does this for
 its edge-count audit).
 
 ``attach_ground_truth=True`` additionally emits the per-edge 4-cycle
-count of every streamed edge, computed from factor statistics on the
-fly -- ground truth *during generation*, the paper's future-work item.
+count of every streamed edge, computed from the chain ``[M, B]``'s
+factor tables on the fly (Def. 9) -- ground truth *during generation*,
+the paper's future-work item.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kronecker import kernels
 from repro.kronecker.assumptions import BipartiteKronecker
+from repro.kronecker import multifactor
+from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import get_events, get_metrics, get_tracer
 
 __all__ = ["stream_edges", "stream_chain_edges", "streamed_connectivity_audit"]
@@ -46,17 +48,23 @@ def stream_edges(
     chunks of roughly that many edges, for the large-``M`` ⊗ small-``B``
     regime where per-block Python overhead dominates.  Coefficient
     lookups are hoisted out of the loop and each chunk's diamonds come
-    from one ``np.matmul`` into a preallocated buffer.  **Buffer-reuse
+    from three outer products into preallocated buffers and one Def. 9
+    finish.  **Buffer-reuse
     contract:** with ``block_edges`` set, the yielded arrays are views
     into reused buffers, invalidated by the next iteration -- copy them
     (e.g. boolean-index or ``.copy()``) before retaining.
     """
-    M = bk.M
-    B = bk.B.graph
-    n_b = B.n
-    b_coo = B.adj.tocoo()
-    bk_rows = b_coo.row.astype(np.int64)
-    bk_cols = b_coo.col.astype(np.int64)
+    n_b = bk.B.graph.n
+    if attach_ground_truth:
+        # Entries in the chain's CSR order, aligned with its tables.
+        fm, fb = KroneckerChain.from_bipartite(bk).factors
+        m_rows, m_cols = fm.entry_rows(), fm.indices
+        bk_rows, bk_cols = fb.entry_rows(), fb.indices
+    else:
+        m_coo = bk.M.adj.tocoo()
+        b_coo = bk.B.graph.adj.tocoo()
+        m_rows, m_cols = m_coo.row.astype(np.int64), m_coo.col.astype(np.int64)
+        bk_rows, bk_cols = b_coo.row.astype(np.int64), b_coo.col.astype(np.int64)
     nnz_b = bk_rows.size
 
     # Per-block accounting, gated on one boolean so the disabled path
@@ -72,26 +80,17 @@ def stream_edges(
     events = get_events()
     emitting = events.enabled
 
-    m_coo = M.adj.tocoo()
-    m_rows = m_coo.row.astype(np.int64)
-    m_cols = m_coo.col.astype(np.int64)
-
     if attach_ground_truth:
-        # Loop-invariant lookups, hoisted: the per-entry left-factor
-        # coefficients (α, β_i, β_j -- kernels module docstring) and the
-        # edge-aligned right-factor arrays, computed once for the whole
-        # stream instead of once per block.
+        # Def. 9 on the chain [M, B], with the left factor's terms
+        # hoisted: α = W3_M and β = d_M per M entry, against the
+        # edge-aligned right-factor arrays.
         with get_tracer().span("stream.setup_ground_truth"):
-            stats_a, stats_b = bk.factor_stats()
-            alpha, beta_i, beta_j, _ = kernels.edge_coefficients(
-                stats_a, bk.assumption, m_rows, m_cols
-            )
-            d_k = stats_b.d[bk_rows]
-            d_l = stats_b.d[bk_cols]
-            _, dia_b = stats_b.edge_index.diamond_at(bk_rows, bk_cols)
-            w3_b = dia_b + d_k + d_l - 1
-            neg_d_k = -d_k
-            neg_d_l = -d_l
+            alpha = fm.w3
+            beta_i = fm.d[m_rows]
+            beta_j = fm.d[m_cols]
+            w3_b = fb.w3
+            d_k = fb.d[bk_rows]
+            d_l = fb.d[bk_cols]
 
     if block_edges is not None and nnz_b > 0:
         # Chunked path: `per_chunk` M entries per yielded block, with
@@ -100,8 +99,9 @@ def stream_edges(
         p_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
         q_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
         if attach_ground_truth:
-            dia_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
-            right = np.stack((w3_b, neg_d_k, neg_d_l))  # (3, nnz_B)
+            w3_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
+            drow_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
+            dcol_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
         for t0 in range(0, m_rows.size, per_chunk):
             t1 = min(t0 + per_chunk, m_rows.size)
             cnt = t1 - t0
@@ -119,10 +119,11 @@ def stream_edges(
                     block_bytes.observe(p.nbytes + q.nbytes)
                 yield p, q
                 continue
-            left = np.stack((alpha[t0:t1], beta_i[t0:t1], beta_j[t0:t1]))
-            np.matmul(left.T, right, out=dia_buf[:cnt])
-            dia_buf[:cnt] += 1
-            dia = dia_buf[:cnt].reshape(-1)
+            np.multiply.outer(alpha[t0:t1], w3_b, out=w3_buf[:cnt])
+            np.multiply.outer(beta_i[t0:t1], d_k, out=drow_buf[:cnt])
+            np.multiply.outer(beta_j[t0:t1], d_l, out=dcol_buf[:cnt])
+            w3_buf[:cnt] = multifactor.def9_finish(w3_buf[:cnt], drow_buf[:cnt], dcol_buf[:cnt])
+            dia = w3_buf[:cnt].reshape(-1)
             if tracking:
                 block_bytes.observe(p.nbytes + q.nbytes + dia.nbytes)
             yield p, q, dia
@@ -141,7 +142,7 @@ def stream_edges(
                 block_bytes.observe(p.nbytes + q.nbytes)
             yield p, q
             continue
-        dia = 1 + alpha[t] * w3_b + beta_i[t] * neg_d_k + beta_j[t] * neg_d_l
+        dia = multifactor.def9_finish(alpha[t] * w3_b, beta_i[t] * d_k, beta_j[t] * d_l)
         if tracking:
             block_bytes.observe(p.nbytes + q.nbytes + dia.nbytes)
         yield p, q, dia

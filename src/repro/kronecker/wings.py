@@ -24,7 +24,8 @@ Every function accepts either a 2-factor
 CSR answers, the original API) or an n-factor
 :class:`~repro.kronecker.multifactor.KroneckerChain`, where bounds
 stream block-by-block from factor-sized tables and point queries run
-through per-factor hash probes -- nothing product-sized is allocated.
+through the chain's per-factor hash probes -- nothing product-sized is
+allocated.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import scipy.sparse as sp
 
 from repro.kronecker.assumptions import BipartiteKronecker
 from repro.kronecker.ground_truth import edge_squares_product
-from repro.kronecker.kernels import build_edge_table, probe_edge_table
 from repro.kronecker.multifactor import KroneckerChain
+from repro.kronecker.oracle import edge_answers
 
 __all__ = [
     "wing_upper_bounds",
@@ -139,20 +140,6 @@ def max_wing_upper_bound(source: WingSource) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chain_probe_tables(chain: KroneckerChain) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Per-factor ``W3`` hash tables (``key = row·n + col``), memoized
-    on the chain."""
-    tables = getattr(chain, "_wing_probe_tables", None)
-    if tables is None:
-        tables = []
-        for f in chain.factors:
-            rows = np.repeat(np.arange(f.n, dtype=np.int64), np.diff(f.indptr))
-            keys = rows * f.n + f.indices  # ascending: CSR with sorted indices
-            tables.append(build_edge_table(keys, f.w3))
-        chain._wing_probe_tables = tables  # type: ignore[attr-defined]
-    return tables
-
-
 def chain_wings_at_edges(
     chain: KroneckerChain,
     ps: np.ndarray,
@@ -161,53 +148,12 @@ def chain_wings_at_edges(
 ) -> np.ndarray:
     """Wing upper bounds at arbitrary product entry batches ``(p, q)``.
 
-    Evaluates the multiplicative Def. 9 support
-    ``Π_t W3_t(i_t, j_t) − Π_t d_t(i_t) − Π_t d_t(j_t) + 1`` through
-    the chain's mixed-radix digits with one hash probe per factor --
-    bit-identical to the streamed :func:`wing_upper_bounds` blocks and,
-    on 2-factor ``[M, B]`` chains, to the fused Thm. 5 kernels.
-
-    ``on_invalid`` matches the oracle contract: ``"raise"`` names the
-    first non-edge pair, ``"mask"`` reports ``-1`` there.
+    The Def. 9 support of :meth:`KroneckerChain.edge_squares` --
+    bit-identical to the streamed :func:`wing_upper_bounds` blocks --
+    under the oracle's ``on_invalid`` contract
+    (:func:`~repro.kronecker.oracle.edge_answers`): ``"raise"`` names
+    the first non-edge pair, ``"mask"`` reports ``-1`` there.
     """
-    if on_invalid not in ("raise", "mask"):
-        raise ValueError(f"on_invalid must be 'raise' or 'mask', got {on_invalid!r}")
     ps = np.atleast_1d(np.asarray(ps, dtype=np.int64))
     qs = np.atleast_1d(np.asarray(qs, dtype=np.int64))
-    if ps.shape != qs.shape:
-        raise ValueError(f"ps and qs must align: {ps.shape} vs {qs.shape}")
-    for name, arr in (("p", ps), ("q", qs)):
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= chain.n):
-            raise IndexError(
-                f"{name} indices out of range for chain product of size {chain.n}"
-            )
-    tables = _chain_probe_tables(chain)
-    valid = np.ones(ps.shape, dtype=bool)
-    w3 = np.ones(ps.shape, dtype=np.int64)
-    drow = np.ones(ps.shape, dtype=np.int64)
-    dcol = np.ones(ps.shape, dtype=np.int64)
-    rem_p, rem_q = ps, qs
-    for t in range(len(chain.factors) - 1, -1, -1):
-        f = chain.factors[t]
-        rem_p, i_t = np.divmod(rem_p, f.n)
-        rem_q, j_t = np.divmod(rem_q, f.n)
-        table_keys, table_vals, shift = tables[t]
-        found, w3_t = probe_edge_table(table_keys, table_vals, shift, i_t * f.n + j_t)
-        valid &= found
-        w3 *= w3_t
-        drow *= f.d[i_t]
-        dcol *= f.d[j_t]
-    vals = w3
-    vals -= drow
-    vals -= dcol
-    vals += 1
-    vals *= valid  # zero the invalid slots before the sentinel write
-    if on_invalid == "raise":
-        if not valid.all():
-            bad = int(np.flatnonzero(~valid)[0])
-            raise ValueError(
-                f"({int(ps[bad])}, {int(qs[bad])}) is not an edge of the chain product"
-            )
-        return vals
-    vals[~valid] = -1
-    return vals
+    return edge_answers(chain, ps, qs, on_invalid)

@@ -212,6 +212,12 @@ def generate_chain_shards(
         # vouches for bytes we are about to rewrite.
         for index in sorted(set(manifest.shards) - done):
             del manifest.shards[index]
+    # Shard files of an earlier run with more shards are not this run's:
+    # delete them, so the directory holds exactly what the manifest lists.
+    planned = {path.name for path in paths}
+    for stale in out_dir.glob("shard_*.edges"):
+        if stale.name not in planned:
+            stale.unlink()
     metrics = get_metrics()
     events = get_events()
     span_attrs = {"partition": plan.strategy, "factors": len(chain.factors)}

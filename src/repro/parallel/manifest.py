@@ -255,7 +255,8 @@ def validate_manifest(manifest: ShardManifest, out_dir: PathLike) -> list[str]:
 def verify_shards(out_dir: PathLike, require_complete: bool = True) -> ShardManifest:
     """Load ``out_dir``'s manifest and verify every shard end-to-end.
 
-    Raises :class:`ShardIntegrityError` on any mismatch (and, with
+    Raises :class:`ShardIntegrityError` on any mismatch, on a
+    ``shard_*.edges`` file outside the manifest's plan (and, with
     ``require_complete=True``, on missing shards); returns the verified
     manifest otherwise.  This is what ``python -m repro shards --verify``
     and the crash/resume drill of ``benchmarks/smoke.py`` call.
@@ -263,6 +264,17 @@ def verify_shards(out_dir: PathLike, require_complete: bool = True) -> ShardMani
     out_dir = Path(out_dir)
     manifest = load_manifest(out_dir / MANIFEST_NAME)
     problems = validate_manifest(manifest, out_dir)
+    # A shard file outside the plan (left by an earlier run with more
+    # shards) would join any glob over the directory.
+    recorded = {entry.path for entry in manifest.shards.values()}
+    for path in sorted(out_dir.glob("shard_*.edges")):
+        index = path.stem.removeprefix("shard_")
+        planned = index.isdigit() and int(index) < manifest.n_shards
+        if path.name not in recorded and not planned:
+            problems.append(
+                f"shard file {path.name} is not part of the manifest's "
+                f"{manifest.n_shards}-shard plan"
+            )
     if require_complete and not manifest.is_complete():
         done = sorted(manifest.shards)
         problems.append(

@@ -1,7 +1,7 @@
 """Slow-but-obviously-correct brute-force reference counters.
 
 Every other implementation of the paper's quantities in this repository
-— the fused kernels, the legacy ``sp.kron`` term sums, the oracle, the
+— the chain engine, the printed ``sp.kron`` term sums, the oracle, the
 streaming values, the matrix identities in :mod:`repro.analytics` —
 descends from the *same* closed-walk algebra.  A shared algebra bug
 would pass every bit-identity check between them.  This module is the

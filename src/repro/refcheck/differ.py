@@ -1,13 +1,14 @@
-"""Differential verification engine: fused vs legacy vs brute force.
+"""Differential verification engine: chain engine vs printed forms vs brute force.
 
 For every corpus case (seeded random factor pairs under Assumption 1(i)
 and 1(ii), plus the adversarial shapes and multi-factor chains in
 :mod:`repro.refcheck.corpus`) the engine materializes the product once,
 computes every quantity through every implementation the repo ships —
 
-* fused kernels (:mod:`repro.kronecker.kernels`, via the public
-  formula entry points),
-* the legacy term-by-term ``sp.kron`` paths (``*_reference`` exports),
+* the chain engine (:class:`~repro.kronecker.multifactor.KroneckerChain`,
+  via the public formula entry points),
+* the paper's printed term-by-term ``sp.kron`` forms
+  (:mod:`repro.refcheck.printed`),
 * the batched oracle and the streaming generator,
 * the sublinear global formulas, Thm. 7 community counts, Def. 10/11
   evaluations,
@@ -18,9 +19,10 @@ a machine-readable *first-divergence witness*: the factor edge lists
 (enough to reproduce the case exactly), the quantity, the
 implementation pair, and the offending vertex or edge with both values.
 
-``perturb="beta-sign"`` deliberately flips the sign of the β terms in
-the fused edge coefficients for the duration of the run — the
-self-test proving the engine actually catches single-sign formula bugs
+``perturb="beta-sign"`` deliberately flips the sign of the degree (β)
+terms in the engine's shared Def. 9 finish for the duration of the run
+— the self-test proving the engine actually catches single-sign formula
+bugs
 (run on every push by the ``kernels`` family of ``benchmarks/smoke.py``,
 and by the acceptance tests).
 """
@@ -37,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
-from repro.kronecker import kernels
+from repro.kronecker import multifactor
 from repro.kronecker.assumptions import Assumption, make_bipartite_product
 from repro.kronecker.clustering import edge_clustering_ground_truth
 from repro.kronecker.community import (
@@ -48,12 +50,10 @@ from repro.kronecker.community import (
 )
 from repro.kronecker.ground_truth import (
     edge_squares_product,
-    edge_squares_product_reference,
     global_squares_product,
     vertex_squares_product,
-    vertex_squares_product_reference,
 )
-from repro.kronecker.multifactor import multi_kronecker_stats
+from repro.kronecker.multifactor import KroneckerChain
 from repro.kronecker.oracle import GroundTruthOracle
 from repro.kronecker.streaming import stream_edges, streamed_connectivity_audit
 from repro.kronecker.wings import (
@@ -78,6 +78,12 @@ from repro.refcheck.metamorphic import (
     MetamorphicViolation,
     check_edge_sum_consistency,
     check_vertex_sum_consistency,
+)
+from repro.refcheck.printed import (
+    edge_squares_product_reference,
+    multi_kronecker_global_squares,
+    multi_kronecker_stats,
+    vertex_squares_product_reference,
 )
 
 __all__ = [
@@ -210,21 +216,23 @@ def resolve_assumptions(spec: Union[str, Sequence[Assumption]]) -> List[Assumpti
 
 @contextmanager
 def _perturbation(kind: Optional[str]):
-    """Deliberately corrupt the fused edge coefficients for the scope.
+    """Deliberately corrupt the chain engine for the scope.
 
-    ``"beta-sign"`` flips the sign of both β terms, turning the edge
-    formula into ``1 + α·w3 + β_i·d_k + β_j·d_l``.  The patch lands on
-    :func:`repro.kronecker.kernels.edge_coefficients`, so every fused
-    consumer (whole-product CSR, batched oracle queries, streaming,
-    shards) inherits the bug while the legacy ``sp.kron`` path and the
-    brute-force referee stay honest — exactly the single-derivation
-    failure mode the differ exists to catch.
+    ``"beta-sign"`` flips the sign of both degree terms in the shared
+    Def. 9 finish (:func:`repro.kronecker.multifactor.def9_finish`),
+    turning ``ΠW3 − Πd_row − Πd_col + 1`` into
+    ``ΠW3 + Πd_row + Πd_col + 1``; on ``[M, B]`` those are exactly
+    Thm. 5's β terms.  Every engine consumer (whole-product CSR,
+    batched oracle queries, streaming, shards) inherits the bug while
+    the printed ``sp.kron`` forms and the brute-force referee stay
+    honest — exactly the single-derivation failure mode the differ
+    exists to catch.
 
-    ``"wing-support"`` inflates every fused batched support by one
-    (``◇ + valid``), the off-by-one Rem. 1 is most sensitive to: the
-    oracle's wing bounds drift away from the brute set-intersection
-    supports and certified-zero edges stop being certified, so the
-    wings tier must report divergences (the exit-4 drill in CI).
+    ``"wing-support"`` inflates every batched support
+    (:meth:`~repro.kronecker.multifactor.KroneckerChain.edge_squares`)
+    by one, the off-by-one Rem. 1 is most sensitive to: the oracle's
+    wing bounds drift away from the brute set-intersection supports,
+    so the wings tier must report divergences (the exit-4 drill in CI).
     """
     if kind in (None, "none"):
         yield
@@ -232,29 +240,24 @@ def _perturbation(kind: Optional[str]):
     if kind not in PERTURBATIONS:
         raise ValueError(f"unknown perturbation {kind!r}; choose from {PERTURBATIONS}")
     if kind == "wing-support":
-        original_batch = kernels.edge_squares_batch
+        owner, name = KroneckerChain, "edge_squares"
+        original = KroneckerChain.edge_squares
 
-        def support_off_by_one(stats_a, stats_b, assumption, i, j, k, ell):
-            values, valid = original_batch(stats_a, stats_b, assumption, i, j, k, ell)
-            return values + valid.astype(values.dtype), valid
+        def patched(self, ps, qs):
+            values, valid = original(self, ps, qs)
+            return values + valid, valid
+    else:
+        owner, name = multifactor, "def9_finish"
+        original = multifactor.def9_finish
 
-        kernels.edge_squares_batch = support_off_by_one
-        try:
-            yield
-        finally:
-            kernels.edge_squares_batch = original_batch
-        return
-    original = kernels.edge_coefficients
+        def patched(w3, drow, dcol):
+            return w3 + drow + dcol + 1
 
-    def beta_sign_flipped(stats_a, assumption, i, j):
-        alpha, beta_i, beta_j, valid = original(stats_a, assumption, i, j)
-        return alpha, -beta_i, -beta_j, valid
-
-    kernels.edge_coefficients = beta_sign_flipped
+    setattr(owner, name, patched)
     try:
         yield
     finally:
-        kernels.edge_coefficients = original
+        setattr(owner, name, original)
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +336,29 @@ class _CaseChecker:
         s_ref = brute.squares_at_vertices(C, nbrs)
         dia_ref = brute.squares_at_edges(C, nbrs)
         global_ref = brute.global_squares(C, nbrs)
-        stats_a, stats_b = bk.factor_stats()
         oracle = GroundTruthOracle(bk)
         all_vertices = np.arange(bk.n, dtype=np.int64)
 
-        # Vertex counts: fused grid, legacy kron terms, batched oracle.
-        self._check_vector("vertex_squares", "fused-kernels",
+        # Vertex counts: chain engine, printed kron terms, batched oracle.
+        self._check_vector("vertex_squares", "chain-engine",
                            vertex_squares_product(bk), s_ref)
-        self._check_vector("vertex_squares", "legacy-kron",
+        self._check_vector("vertex_squares", "printed-form",
                            vertex_squares_product_reference(bk), s_ref)
         self._check_vector("vertex_squares", "oracle-batch",
                            oracle.squares_at_vertices(all_vertices), s_ref)
         self._check_vector("degrees", "oracle-batch",
                            oracle.degrees(all_vertices), deg_ref)
 
-        # Edge counts: fused CSR, legacy CSR, batched oracle, stream.
-        fused = sp.csr_array(edge_squares_product(bk))
-        legacy = sp.csr_array(edge_squares_product_reference(bk))
-        self._check_pattern(fused, C)
-        coo = fused.tocoo()
+        # Edge counts: engine CSR, printed CSR, batched oracle, stream.
+        engine = sp.csr_array(edge_squares_product(bk))
+        printed = sp.csr_array(edge_squares_product_reference(bk))
+        self._check_pattern(engine, C)
+        coo = engine.tocoo()
         pairs = list(zip(coo.row.tolist(), coo.col.tolist()))
-        self._check_edge_values("edge_squares", "fused-kernels",
+        self._check_edge_values("edge_squares", "chain-engine",
                                 pairs, coo.data.tolist(), dia_ref)
-        lcoo = legacy.tocoo()
-        self._check_edge_values("edge_squares", "legacy-kron",
+        lcoo = printed.tocoo()
+        self._check_edge_values("edge_squares", "printed-form",
                                 list(zip(lcoo.row.tolist(), lcoo.col.tolist())),
                                 lcoo.data.tolist(), dia_ref)
         u_arr, v_arr = C.edge_arrays()
@@ -413,14 +415,14 @@ class _CaseChecker:
                 self._witness(name, "formula-layer", "tiling-identity",
                               {"kind": "global"}, "consistent", str(exc))
 
-    def _check_pattern(self, fused: sp.csr_array, C: Graph) -> None:
+    def _check_pattern(self, engine: sp.csr_array, C: Graph) -> None:
         """The ◇ CSR pattern must equal the product adjacency pattern."""
         self.report.checks += 1
         adj = sp.csr_array(C.adj)
-        if not (np.array_equal(fused.indptr, adj.indptr)
-                and np.array_equal(fused.indices, adj.indices)):
-            self._witness("edge_pattern", "fused-kernels", "materialized-adjacency",
-                          {"kind": "global"}, f"nnz={adj.nnz}", f"nnz={fused.nnz}")
+        if not (np.array_equal(engine.indptr, adj.indptr)
+                and np.array_equal(engine.indices, adj.indices)):
+            self._witness("edge_pattern", "chain-engine", "materialized-adjacency",
+                          {"kind": "global"}, f"nnz={adj.nnz}", f"nnz={engine.nnz}")
 
     def _check_clustering(self, bk, C: Graph, nbrs) -> None:
         self.report.checks += 1
@@ -501,10 +503,6 @@ def _check_scale_chain(label: str, factors: List[Graph], report: VerifyReport) -
     * the closed-form global count against both brute force and the
       independent ``combine_stats`` fold.
     """
-    from repro.kronecker.multifactor import (
-        KroneckerChain,
-        multi_kronecker_global_squares,
-    )
     from repro.parallel.partition import plan_partition, shard_of_rows
 
     chain = KroneckerChain.from_graphs(factors)
@@ -582,7 +580,7 @@ def _check_wings_product(case: VerifyCase, report: VerifyReport) -> None:
     Materializes the product, recomputes edge supports by literal set
     intersection and wing numbers by brute batch peeling, then
     cross-checks every formula-side wings surface: the batched oracle
-    (`wings_at_edges`, the ``/v1/wings`` answer path), the fused
+    (`wings_at_edges`, the ``/v1/wings`` answer path), the engine's
     whole-product CSR, the certified-zero edge list (Rem. 1 equality),
     the max-bound reduction, and the production lazy-heap peeling
     engine.
@@ -605,7 +603,7 @@ def _check_wings_product(case: VerifyCase, report: VerifyReport) -> None:
         _check_wing_invariants(checker, pairs, bounds.tolist(), wing_ref,
                                "oracle-batch")
     coo = sp.csr_array(wing_upper_bounds(bk)).tocoo()
-    checker._check_edge_values("wing_support", "fused-csr",
+    checker._check_edge_values("wing_support", "engine-csr",
                                list(zip(coo.row.tolist(), coo.col.tolist())),
                                coo.data.tolist(), support_ref)
     checker.report.checks += 1
@@ -619,7 +617,7 @@ def _check_wings_product(case: VerifyCase, report: VerifyReport) -> None:
             break
     checker._check_scalar("max_wing_support", "oracle-reduce",
                           oracle.max_wing_bound(), max_support)
-    checker._check_scalar("max_wing_support", "fused-max",
+    checker._check_scalar("max_wing_support", "engine-max",
                           max_wing_upper_bound(bk), max_support)
     checker.report.checks += 1
     max_wing = max(wing_ref.values(), default=0)
@@ -640,8 +638,6 @@ def _check_wings_chain(label: str, factors: List[Graph], report: VerifyReport) -
     the streamed certified-zero and max reductions, and the peeling
     engine on the materialized chain product.
     """
-    from repro.kronecker.multifactor import KroneckerChain
-
     chain = KroneckerChain.from_graphs(factors)
     product = factors[0].adj
     for f in factors[1:]:
@@ -722,7 +718,7 @@ def run_verification(
     ``passed``.
 
     ``tier="wings"`` runs the wings corpus: factor pairs and 3-factor
-    chains whose Rem. 1 support bounds (oracle batch, fused CSR,
+    chains whose Rem. 1 support bounds (oracle batch, engine CSR,
     streamed chain blocks, digit-probe batch) are checked against the
     brute set-intersection supports, and whose exact wing numbers —
     brute batch peel vs the production lazy-heap engine — must respect

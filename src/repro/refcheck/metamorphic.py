@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.kronecker import kernels
 from repro.kronecker.assumptions import Assumption, BipartiteKronecker, make_bipartite_product
 from repro.kronecker.ground_truth import (
     FactorStats,
@@ -27,10 +26,11 @@ from repro.kronecker.ground_truth import (
     global_squares_product,
     vertex_squares_product,
 )
+from repro.kronecker.multifactor import KroneckerChain
+from repro.refcheck.printed import global_squares_from_stats
 
 __all__ = [
     "MetamorphicViolation",
-    "global_squares_from_stats",
     "check_relabel_invariance",
     "check_factor_swap_vertex_symmetry",
     "check_edge_deletion_monotonicity",
@@ -41,27 +41,6 @@ __all__ = [
 
 class MetamorphicViolation(AssertionError):
     """A metamorphic relation failed; the message locates the breakage."""
-
-
-def global_squares_from_stats(
-    stats_a: FactorStats, stats_b: FactorStats, assumption: Assumption
-) -> int:
-    """Sublinear global count straight from factor statistics.
-
-    Stats-level sibling of
-    :func:`~repro.kronecker.ground_truth.global_squares_product`, usable
-    on factor pairs that need no Assumption-1 validation (the closed
-    forms are pure closed-walk algebra and hold for any loop-free
-    factors).
-    """
-    acc = 0
-    for sign, left, right in kernels.vertex_terms(stats_a, stats_b, assumption):
-        acc += sign * int(left.sum()) * int(right.sum())
-    half, rem = divmod(acc, 2)
-    assert rem == 0
-    total, rem4 = divmod(half, 4)
-    assert rem4 == 0
-    return total
 
 
 def _product_permutation(perm_a: np.ndarray, perm_b: np.ndarray) -> np.ndarray:
@@ -115,19 +94,14 @@ def check_factor_swap_vertex_symmetry(A: Graph, B: Graph) -> None:
     """Thm. 3's vertex grid must be symmetric under factor swap:
     ``s_{A⊗B}(γ(i, k)) = s_{B⊗A}(γ(k, i))``.
 
-    Evaluated at the statistics level (no Assumption-1 parity
-    validation), because swapping the factors of a valid 1(i) pair
-    yields a pair the product *constructor* would reject even though
-    the closed form still holds.
+    Evaluated on the chains ``[A, B]`` and ``[B, A]`` (no Assumption-1
+    parity validation), because swapping the factors of a valid 1(i)
+    pair yields a pair the product *constructor* would reject even
+    though the closed form still holds.
     """
-    stats_a = FactorStats.from_graph(A)
-    stats_b = FactorStats.from_graph(B)
-    ab = kernels.vertex_squares_grid(
-        stats_a, stats_b, Assumption.NON_BIPARTITE_FACTOR
-    ).reshape(A.n, B.n)
-    ba = kernels.vertex_squares_grid(
-        stats_b, stats_a, Assumption.NON_BIPARTITE_FACTOR
-    ).reshape(B.n, A.n)
+    every = np.arange(A.n * B.n, dtype=np.int64)
+    ab = KroneckerChain.from_graphs([A, B]).vertex_squares(every).reshape(A.n, B.n)
+    ba = KroneckerChain.from_graphs([B, A]).vertex_squares(every).reshape(B.n, A.n)
     if not np.array_equal(ab, ba.T):
         i, k = (int(x[0]) for x in np.nonzero(ab != ba.T))
         raise MetamorphicViolation(
@@ -143,7 +117,8 @@ def check_edge_deletion_monotonicity(
     butterfly count must be non-increasing — for every edge of ``B``.
 
     ``A ⊗ (B − e)`` is a subgraph of ``A ⊗ B``; counts are evaluated
-    at the statistics level because ``B − e`` may be disconnected.
+    at the statistics level (:func:`~repro.refcheck.printed.global_squares_from_stats`)
+    because ``B − e`` may be disconnected.
     """
     stats_a = FactorStats.from_graph(A)
     base = global_squares_from_stats(stats_a, FactorStats.from_graph(B), assumption)

@@ -3,14 +3,14 @@
 The ROADMAP's north star is a long-lived system answering ground-truth
 queries (Thms. 3-5 vertex/edge 4-cycle counts, Def. 10 clustering) for
 heavy traffic.  The paper makes that cheap -- every answer comes from
-factor-sized statistics, never from the materialized product -- and
+factor-sized chain tables, never from the materialized product -- and
 this package turns the in-memory :class:`~repro.kronecker.oracle.GroundTruthOracle`
 into infrastructure:
 
 * :mod:`repro.serve.artifact` -- a versioned, checksummed on-disk
-  oracle artifact (schema ``repro.serve/1``): ``save_oracle`` /
-  ``load_oracle`` round-trip every factor statistic and kernel
-  coefficient so a server boots without recomputing anything;
+  oracle artifact (schema ``repro.serve/2``): ``save_oracle`` /
+  ``load_oracle`` round-trip the chain tables of both factors so a
+  server boots without recomputing anything;
   ``load_oracle(..., mmap=True)`` maps the arrays zero-copy for
   multi-process sharing.
 * :mod:`repro.serve.service` -- :class:`OracleService`, an in-process

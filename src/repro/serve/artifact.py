@@ -1,12 +1,12 @@
-"""Versioned, checksummed on-disk oracle artifacts (schema ``repro.serve/1``).
+"""Versioned, checksummed on-disk oracle artifacts (schema ``repro.serve/2``).
 
 An artifact is a directory holding two files:
 
-* ``oracle.npz`` -- every array the oracle needs: both factors'
-  statistics (``d``, ``w2``, ``s``, ``cw4``, the ``◇`` edge-square
-  matrix and the adjacency itself, each as CSR triples), the right
-  factor's bipartition mask, and the precomputed vertex-kernel
-  coefficient matrices ``L``/``R``.
+* ``oracle.npz`` -- every array the oracle needs: the chain tables of
+  both factors ``M`` and ``B`` (prefixes ``m_``/``b_``: CSR ``indptr``
+  and ``indices``, the vertex vectors ``d``, ``w2``, ``cw4`` and the
+  edge-aligned ``w3``; :class:`~repro.kronecker.multifactor.ChainFactor`)
+  and the right factor's bipartition mask ``part_b``.
 * ``artifact.json`` -- the sidecar: schema tag, assumption flag,
   product/factor shapes, and a ``sha256:`` **content checksum** over
   the arrays (name, dtype, shape, raw bytes -- the
@@ -15,24 +15,24 @@ An artifact is a directory holding two files:
 
 Both files are written atomically (temp name + ``os.replace``), so a
 crash mid-``pack`` never leaves a torn artifact.  :func:`load_oracle`
-verifies the checksum and the schema tag before reconstructing a
-:class:`~repro.kronecker.oracle.GroundTruthOracle` via
-:meth:`~repro.kronecker.oracle.GroundTruthOracle.from_factor_stats` --
-no sparse ``A²`` products are recomputed, so a server boots in
-O(artifact size) and answers are bit-identical to the oracle that was
-saved (asserted in tests/serve and in ``benchmarks/bench_serve.py``).
+verifies the schema tag, the checksum and that the stored tables fit
+together, then wraps them in a
+:class:`~repro.kronecker.multifactor.KroneckerChain` -- nothing is
+recomputed, so a server boots in O(artifact size) and answers are
+bit-identical to the oracle that was saved (asserted in tests/serve and
+in ``benchmarks/bench_serve.py``).
 
 **Zero-copy serving.**  The npz container is written *uncompressed*
 (``np.savez``), so every member ``.npy`` sits contiguously in the file
-and ``load_oracle(..., mmap=True)`` can hand back ``np.memmap`` views
-instead of materialized copies: the CSR triplets, stats vectors, and
-coefficient stacks stay page-cache-backed, read-only, and **shared**
-across every process that maps the same artifact -- the substrate of
-the pre-fork server (:mod:`repro.serve.prefork`), where N workers serve
-one mapped oracle with flat per-worker memory.  The sidecar checksum is
-still verified against the mapped bytes before the oracle is built.
-Legacy compressed artifacts keep loading (eagerly, with a warning under
-``mmap=True``) -- a compressed zip member cannot be mapped.
+and ``load_oracle(..., mmap=True)`` hands back ``np.memmap`` views
+instead of materialized copies: the factor tables stay
+page-cache-backed, read-only, and **shared** across every process that
+maps the same artifact -- the substrate of the pre-fork server
+(:mod:`repro.serve.prefork`), where N workers serve one mapped oracle
+with flat per-worker memory.  An artifact of another schema (``/1``
+stored coefficient-engine statistics) or with a compressed member is
+refused with an :class:`ArtifactError` that says to repack it with
+``repro pack``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import warnings
 import zipfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,7 +48,7 @@ from typing import Any, Union
 import numpy as np
 
 from repro.kronecker.assumptions import Assumption
-from repro.kronecker.ground_truth import CSRTriple, FactorStats
+from repro.kronecker.multifactor import ChainFactor, KroneckerChain
 from repro.kronecker.oracle import GroundTruthOracle
 from repro.obs import get_tracer
 from repro.parallel.manifest import checksum_arrays
@@ -69,12 +68,15 @@ __all__ = [
 PathLike = Union[str, os.PathLike]
 
 #: Schema tag gating artifact evolution; bump on incompatible layout changes.
-ARTIFACT_SCHEMA = "repro.serve/1"
+ARTIFACT_SCHEMA = "repro.serve/2"
 ORACLE_FILE = "oracle.npz"
 SIDECAR_FILE = "artifact.json"
 
-_CSR_PARTS = ("data", "indices", "indptr")
-_STATS_VECTORS = ("d", "w2", "s", "cw4")
+#: The chain tables stored per factor, in :class:`ChainFactor` field order.
+_FACTOR_TABLES = ("indptr", "indices", "d", "w2", "cw4", "w3")
+#: Array-name prefix per chain factor: the effective left factor, then B.
+_FACTOR_PREFIXES = ("m", "b")
+_REPACK = "repack it with `repro pack`"
 
 
 class ArtifactError(ValueError):
@@ -89,65 +91,44 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _csr_arrays(name: str, mat) -> dict[str, np.ndarray]:
-    return {
-        f"{name}_data": np.asarray(mat.data),
-        f"{name}_indices": np.asarray(mat.indices),
-        f"{name}_indptr": np.asarray(mat.indptr),
-    }
-
-
-def _csr_from(arrays: Any, name: str, n: int) -> CSRTriple:
-    try:
-        csr = CSRTriple(*(arrays[f"{name}_{part}"] for part in _CSR_PARTS))
-    except KeyError as exc:
-        raise ArtifactError(f"artifact is missing CSR array {name}_{exc.args[0]}") from exc
-    if csr.indptr.shape != (n + 1,) or csr.indices.shape != csr.data.shape:
-        raise ArtifactError(
-            f"artifact CSR {name} does not fit a {n}x{n} matrix: indptr "
-            f"{csr.indptr.shape}, indices {csr.indices.shape}, data {csr.data.shape}"
-        )
-    return csr
-
-
-def _stats_arrays(prefix: str, stats: FactorStats) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {
-        f"{prefix}_{field}": getattr(stats, field) for field in _STATS_VECTORS
-    }
-    arrays.update(_csr_arrays(f"{prefix}_diamond", stats.diamond))
-    arrays.update(_csr_arrays(f"{prefix}_adj", stats.adj))
-    return arrays
-
-
-def _stats_from(arrays: Any, prefix: str, n: int) -> FactorStats:
-    try:
-        vectors = {field: np.asarray(arrays[f"{prefix}_{field}"]) for field in _STATS_VECTORS}
-    except KeyError as exc:
-        raise ArtifactError(f"artifact is missing factor array {prefix}_{exc.args[0]}") from exc
-    return FactorStats(
-        n=n,
-        diamond=_csr_from(arrays, f"{prefix}_diamond", n),
-        adj=_csr_from(arrays, f"{prefix}_adj", n),
-        **vectors,
-    )
-
-
 def oracle_arrays(oracle: GroundTruthOracle) -> dict[str, np.ndarray]:
     """Every array :func:`save_oracle` persists, keyed by artifact name.
 
-    Factor statistics for both factors, the right factor's bipartition
-    mask, and the vertex-kernel coefficient stacks.  The checksum in the
-    sidecar is :func:`~repro.parallel.manifest.checksum_arrays` over
-    exactly this mapping.
+    The chain tables of both factors and the right factor's
+    bipartition mask.  The checksum in the sidecar is
+    :func:`~repro.parallel.manifest.checksum_arrays` over exactly this
+    mapping.
     """
-    stats_a, stats_b, part_b, _ = oracle.artifact_state()
-    vertex_l, vertex_r = oracle._term_matrices
-    arrays = _stats_arrays("a", stats_a)
-    arrays.update(_stats_arrays("b", stats_b))
-    arrays["part_b"] = np.asarray(part_b, dtype=bool)
-    arrays["vertex_L"] = np.asarray(vertex_l)
-    arrays["vertex_R"] = np.asarray(vertex_r)
+    arrays = {
+        f"{prefix}_{table}": np.asarray(getattr(factor, table))
+        for prefix, factor in zip(_FACTOR_PREFIXES, oracle.chain.factors)
+        for table in _FACTOR_TABLES
+    }
+    arrays["part_b"] = np.asarray(oracle.part_b, dtype=bool)
     return arrays
+
+
+def _factor_from(arrays: dict[str, np.ndarray], prefix: str, n: int, verify: bool) -> ChainFactor:
+    """One factor's stored tables, checked to fit together."""
+    try:
+        tables = {table: arrays[f"{prefix}_{table}"] for table in _FACTOR_TABLES}
+    except KeyError as exc:
+        raise ArtifactError(f"artifact is missing factor array {exc.args[0]}") from exc
+    indptr, indices = tables["indptr"], tables["indices"]
+    nnz = int(indptr[-1]) if indptr.shape == (n + 1,) else -1
+    shapes = [tables[v].shape == (n,) for v in ("d", "w2", "cw4")]
+    if nnz < 0 or indices.shape != (nnz,) or tables["w3"].shape != (nnz,) or not all(shapes):
+        raise ArtifactError(
+            f"artifact factor {prefix} does not fit a {n}-vertex factor: "
+            + ", ".join(f"{t} {tables[t].shape}" for t in _FACTOR_TABLES)
+        )
+    if verify and not np.array_equal(tables["d"], np.diff(indptr)):
+        raise ArtifactIntegrityError(
+            f"artifact factor {prefix}: stored degrees disagree with its CSR rows "
+            "(corrupt or hand-edited artifact)"
+        )
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return ChainFactor(n=n, nnz=nnz, has_loops=bool(np.any(rows == indices)), **tables)
 
 
 def save_oracle(oracle: GroundTruthOracle, out_dir: PathLike) -> Path:
@@ -159,7 +140,6 @@ def save_oracle(oracle: GroundTruthOracle, out_dir: PathLike) -> Path:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats_a, stats_b, _, assumption = oracle.artifact_state()
     arrays = oracle_arrays(oracle)
     with get_tracer().span("serve.pack", n=oracle.n, m=oracle.m):
         npz_path = out_dir / ORACLE_FILE
@@ -178,11 +158,11 @@ def save_oracle(oracle: GroundTruthOracle, out_dir: PathLike) -> Path:
             "created_at": _utcnow(),
             "storage": "npz-stored",
             "checksum": checksum_arrays(arrays),
-            "assumption": assumption.name,
+            "assumption": oracle.assumption.name,
             "product": {"n": int(oracle.n), "m": int(oracle.m)},
             "factors": {
-                "a": {"n": int(stats_a.n), "nnz": int(stats_a.adj.nnz)},
-                "b": {"n": int(stats_b.n), "nnz": int(stats_b.adj.nnz)},
+                prefix: {"n": int(f.n), "nnz": int(f.nnz)}
+                for prefix, f in zip(_FACTOR_PREFIXES, oracle.chain.factors)
             },
             "arrays": sorted(arrays),
             "oracle_bytes": int(npz_path.stat().st_size),
@@ -207,7 +187,8 @@ def artifact_info(path: PathLike) -> dict[str, Any]:
     schema = info.get("schema")
     if schema != ARTIFACT_SCHEMA:
         raise ArtifactError(
-            f"unsupported artifact schema {schema!r} (this build reads {ARTIFACT_SCHEMA!r})"
+            f"unsupported artifact schema {schema!r} (this build reads "
+            f"{ARTIFACT_SCHEMA!r}); {_REPACK}"
         )
     return info
 
@@ -220,8 +201,8 @@ def _npz_member_offsets(npz_path: Path) -> dict[str, tuple[int, int, bool]]:
 
     ``data_offset`` addresses the first byte of the member's ``.npy``
     stream inside the container (local header and filename skipped);
-    ``stored`` is False for compressed (legacy) members, which cannot
-    be mapped.
+    ``stored`` is False for compressed members, which cannot be
+    mapped.
     """
     out: dict[str, tuple[int, int, bool]] = {}
     with zipfile.ZipFile(npz_path) as zf, open(npz_path, "rb") as fh:
@@ -238,22 +219,18 @@ def _npz_member_offsets(npz_path: Path) -> dict[str, tuple[int, int, bool]]:
     return out
 
 
-def _mmap_npz_arrays(npz_path: Path) -> dict[str, np.ndarray]:
-    """Map every stored npz member as a read-only ``np.memmap``.
+def _mmap_npz_arrays(
+    npz_path: Path, members: dict[str, tuple[int, int, bool]]
+) -> dict[str, np.ndarray]:
+    """Map every (stored) npz member as a read-only ``np.memmap``.
 
     Nothing is copied: each returned array is a view of the page cache
     over the artifact file, so N processes mapping the same artifact
-    share one physical copy.  Compressed members (legacy artifacts from
-    the ``savez_compressed`` era) cannot be mapped and are decompressed
-    eagerly with a one-time warning.
+    share one physical copy.
     """
     arrays: dict[str, np.ndarray] = {}
-    eager: list[str] = []
     with open(npz_path, "rb") as fh:
-        for key, (offset, size, stored) in _npz_member_offsets(npz_path).items():
-            if not stored:
-                eager.append(key)
-                continue
+        for key, (offset, _, _) in members.items():
             fh.seek(offset)
             version = np.lib.format.read_magic(fh)
             if version == (1, 0):
@@ -267,17 +244,6 @@ def _mmap_npz_arrays(npz_path: Path) -> dict[str, np.ndarray]:
             if fortran:  # pragma: no cover - savez never writes Fortran order
                 raise ArtifactError(f"artifact member {key} is Fortran-ordered")
             arrays[key] = np.memmap(npz_path, dtype=dtype, mode="r", offset=fh.tell(), shape=shape)
-    if eager:
-        warnings.warn(
-            f"artifact {npz_path} has {len(eager)} compressed member(s) "
-            "(legacy savez_compressed layout); loading them eagerly -- repack "
-            "with `repro pack` for zero-copy mmap serving",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        with np.load(npz_path) as data:
-            for key in eager:
-                arrays[key] = data[key]
     return arrays
 
 
@@ -289,16 +255,19 @@ def load_oracle(
 ) -> GroundTruthOracle:
     """Rebuild a :class:`GroundTruthOracle` from an artifact directory.
 
-    Verifies the sidecar's schema tag and (unless ``verify=False``) the
-    content checksum *and* the persisted kernel coefficients against the
-    factor statistics, raising :class:`ArtifactIntegrityError` on any
-    disagreement -- a tampered or bit-rotted artifact never serves.
+    Verifies the sidecar's schema tag, that every stored table fits
+    its factor (shapes, ``w3`` per stored entry) and, unless
+    ``verify=False``, the content checksum and the stored degrees
+    against the CSR rows, raising :class:`ArtifactIntegrityError` on any
+    disagreement -- a tampered or bit-rotted artifact never serves.  A
+    compressed member cannot be mapped and is refused with
+    :class:`ArtifactError`.
 
     ``mmap=True`` maps the arrays read-only straight out of the npz
     container instead of materializing copies: the checksum is verified
     against the file bytes (read through the mapping, nothing retained),
-    and the oracle's factor statistics stay backed by the page cache --
-    so forked serving workers share one physical artifact and per-worker
+    and the oracle's chain tables stay backed by the page cache -- so
+    forked serving workers share one physical artifact and per-worker
     RSS stays flat (see :mod:`repro.serve.prefork` and
     ``tests/serve/test_prefork.py``).
     """
@@ -309,15 +278,23 @@ def load_oracle(
         raise ArtifactError(f"artifact {path} is missing {ORACLE_FILE}")
     with get_tracer().span("serve.load_oracle", artifact=str(path), mmap=mmap):
         try:
-            if mmap:
-                arrays = _mmap_npz_arrays(npz_path)
-            else:
-                with np.load(npz_path) as data:
-                    arrays = {key: data[key] for key in data.files}
+            members = _npz_member_offsets(npz_path)
+            compressed = sorted(key for key, (_, _, stored) in members.items() if not stored)
+            if not compressed:
+                if mmap:
+                    arrays = _mmap_npz_arrays(npz_path, members)
+                else:
+                    with np.load(npz_path) as data:
+                        arrays = {key: data[key] for key in data.files}
         except (OSError, ValueError, zipfile.BadZipFile) as exc:
             # BadZipFile covers zlib/CRC failure on a bit-rotted npz, which
             # numpy surfaces before our content checksum can run.
             raise ArtifactError(f"artifact {npz_path} is unreadable: {exc}") from exc
+        if compressed:
+            raise ArtifactError(
+                f"artifact {npz_path} has compressed member(s) {', '.join(compressed)}, "
+                f"which cannot be mapped; {_REPACK}"
+            )
         if verify:
             actual = checksum_arrays(arrays)
             if actual != info.get("checksum"):
@@ -327,25 +304,14 @@ def load_oracle(
                 )
         try:
             assumption = Assumption[info["assumption"]]
+            shapes = [int(info["factors"][prefix]["n"]) for prefix in _FACTOR_PREFIXES]
         except KeyError as exc:
-            raise ArtifactError(f"unknown assumption {info.get('assumption')!r}") from exc
-        n_a = int(info["factors"]["a"]["n"])
-        n_b = int(info["factors"]["b"]["n"])
-        stats_a = _stats_from(arrays, "a", n_a)
-        stats_b = _stats_from(arrays, "b", n_b)
+            raise ArtifactError(f"artifact sidecar lacks {exc.args[0]!r}") from exc
         if "part_b" not in arrays:
             raise ArtifactError("artifact is missing the part_b bipartition mask")
-        oracle = GroundTruthOracle.from_factor_stats(
-            stats_a, stats_b, arrays["part_b"], assumption
+        chain = KroneckerChain(
+            [_factor_from(arrays, prefix, n, verify) for prefix, n in zip(_FACTOR_PREFIXES, shapes)]
         )
-        if verify:
-            vertex_l, vertex_r = oracle._term_matrices
-            if not (
-                np.array_equal(arrays.get("vertex_L"), vertex_l)
-                and np.array_equal(arrays.get("vertex_R"), vertex_r)
-            ):
-                raise ArtifactIntegrityError(
-                    f"artifact {path}: persisted kernel coefficients disagree with "
-                    "the factor statistics (corrupt or hand-edited artifact)"
-                )
+        oracle = GroundTruthOracle.__new__(GroundTruthOracle)
+        oracle._setup(chain, arrays["part_b"], assumption)
     return oracle

@@ -6,7 +6,7 @@ Three mechanisms turn the oracle's batched kernels into a service that
 degrades gracefully under heavy traffic instead of falling over:
 
 * **Synchronous answers.**  :meth:`~OracleService.answer` validates a
-  request, checks the cache, and makes one fused kernel call on the
+  request, checks the cache, and makes one engine call on the
   caller's thread.  Both served protocols (HTTP JSON and the binary
   wire frames of :mod:`repro.serve.prefork`) take this path.
 * **Byte-budgeted LRU result cache.**  Identical requests (same kind +
@@ -449,7 +449,7 @@ class OracleService:
                         req.event.set()
 
     def _compute(self, kind: str, ps: np.ndarray, qs: Optional[np.ndarray]) -> np.ndarray:
-        """One fused kernel pass for validated index arrays of ``kind``."""
+        """One engine pass for validated index arrays of ``kind``."""
         if kind == "degree":
             return self.oracle.degrees(ps)
         if kind == "vertex_squares":

@@ -41,7 +41,7 @@ class TestDiskToOracle:
         assert oracle.global_squares() > 10**7
         # and its factor row agrees with direct counting on the factor
         assert global_butterflies(factor) == sum(
-            oracle.stats_a.s.tolist()
+            bk.factor_stats()[0].s.tolist()
         ) // 4
 
     def test_fig5_product_degrees_multiply_factor_degrees(self):

@@ -23,13 +23,10 @@ from repro.generators.classic import (
 )
 from repro.graphs.graph import Graph
 from repro.kronecker.assumptions import Assumption, make_bipartite_product
-from repro.kronecker.multifactor import (
-    ChainFactor,
-    KroneckerChain,
-    multi_kronecker_global_squares,
-)
+from repro.kronecker.multifactor import ChainFactor, KroneckerChain
 from repro.kronecker.streaming import stream_chain_edges
 from repro.refcheck import brute
+from repro.refcheck.printed import multi_kronecker_global_squares
 from tests.strategies import factor_chains
 
 SETTINGS = settings(max_examples=20, deadline=None)

@@ -24,10 +24,8 @@ from repro.generators import (
 from repro.graphs import Graph
 from repro.kronecker import (
     Assumption,
-    combine_stats,
+    KroneckerChain,
     make_bipartite_product,
-    multi_kronecker_global_squares,
-    multi_kronecker_stats,
     product_degree_histogram,
     product_degree_summary,
     product_edge_triangles,
@@ -35,6 +33,11 @@ from repro.kronecker import (
     product_vertex_triangles,
 )
 from repro.kronecker.ground_truth import FactorStats
+from repro.refcheck.printed import (
+    combine_stats,
+    multi_kronecker_global_squares,
+    multi_kronecker_stats,
+)
 
 from tests.strategies import connected_graphs
 
@@ -119,6 +122,9 @@ class TestProductTriangles:
 
 
 class TestMultiFactor:
+    """The chain engine and the printed ``combine_stats`` fold, each
+    against counts on the materialized product."""
+
     def test_combine_stats_matches_direct(self):
         A, B = cycle_graph(3), path_graph(4)
         combined = combine_stats(FactorStats.from_graph(A), FactorStats.from_graph(B))
@@ -133,6 +139,12 @@ class TestMultiFactor:
         C = Graph(sp.kron(sp.kron(factors[0].adj, factors[1].adj), factors[2].adj))
         assert np.array_equal(stats.s, vertex_squares_matrix(C))
         assert multi_kronecker_global_squares(factors) == global_squares(C)
+        chain = KroneckerChain.from_graphs(factors)
+        assert np.array_equal(chain.vertex_squares(np.arange(C.n)), stats.s)
+        coo = edge_squares_matrix(C).tocoo()
+        values, valid = chain.edge_squares(coo.row, coo.col)
+        assert valid.all() and np.array_equal(values, coo.data)
+        assert chain.global_squares() == global_squares(C)
 
     def test_four_factors_global(self):
         factors = [path_graph(2), path_graph(3), cycle_graph(3), path_graph(2)]
@@ -141,6 +153,7 @@ class TestMultiFactor:
             adj = sp.kron(adj, g.adj)
         C = Graph(adj)
         assert multi_kronecker_global_squares(factors) == global_squares(C)
+        assert KroneckerChain.from_graphs(factors).global_squares() == global_squares(C)
 
     def test_associativity_of_combination(self):
         """(A ∘ B) ∘ C stats == A ∘ (B ∘ C) stats (fold order must not
@@ -172,4 +185,6 @@ class TestMultiFactor:
         combined = combine_stats(FactorStats.from_graph(A), FactorStats.from_graph(B))
         C = Graph(sp.kron(A.adj, B.adj))
         assert np.array_equal(combined.s, vertex_squares_matrix(C))
+        chain = KroneckerChain.from_graphs([A, B])
+        assert np.array_equal(chain.vertex_squares(np.arange(C.n)), combined.s)
         assert np.array_equal(combined.cw4, 2 * combined.s + combined.d**2 + combined.w2 - combined.d)

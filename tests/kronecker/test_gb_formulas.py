@@ -32,7 +32,8 @@ from repro.kronecker import (
     make_bipartite_product,
     vertex_squares_product,
 )
-from repro.kronecker.ground_truth import FactorStats, vertex_squares_product_reference
+from repro.kronecker.ground_truth import FactorStats
+from repro.refcheck.printed import vertex_squares_product_reference
 
 from tests.strategies import connected_graphs
 

@@ -1,10 +1,10 @@
 """The numpy batch primitives, called directly or at their one call site.
 
-The hash table behind every factor edge lookup, the cache-blocked
-vertex-square loops, the in-place edge fuse, and the masking rules the
-oracle and the chain wing probe apply (NaN clustering, the ``-1`` wing
-sentinel, the max-wing reduction).  End-to-end bit-identity against the
-brute-force referee lives in ``tests/refcheck``.
+The hash table behind every factor edge lookup, the chain's chunked
+vertex and edge queries and their Def. 8/9 finishes, and the masking
+rules the oracle and the chain wing probe apply (NaN clustering, the
+``-1`` wing sentinel, the max-wing reduction).  End-to-end bit-identity
+against the brute-force referee lives in ``tests/refcheck``.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from repro.generators import complete_bipartite, cycle_graph, path_graph
 from repro.graphs.graph import Graph
-from repro.kronecker import Assumption, GroundTruthOracle, kernels, make_bipartite_product
+from repro.kronecker import Assumption, GroundTruthOracle, make_bipartite_product
 from repro.kronecker.kernels import (
     _BATCH_CHUNK,
     _hash_slots,
@@ -20,8 +20,9 @@ from repro.kronecker.kernels import (
     probe_edge_table,
     table_bits,
 )
-from repro.kronecker.multifactor import KroneckerChain
+from repro.kronecker.multifactor import KroneckerChain, def8_finish
 from repro.kronecker.wings import chain_wings_at_edges
+from repro.refcheck.printed import vertex_squares_product_reference
 
 
 def _colliding_keys(n_keys: int) -> np.ndarray:
@@ -98,47 +99,33 @@ def bk():
 
 class TestVertexSquares:
     def test_blocked_loops_match_grid(self, bk):
-        stats_a, stats_b = bk.factor_stats()
-        want = kernels.vertex_squares_grid(stats_a, stats_b, bk.assumption)
+        want = vertex_squares_product_reference(bk)
+        chain = KroneckerChain.from_bipartite(bk)
         rng = np.random.default_rng(5)
         ps = rng.integers(0, bk.n, size=3 * _BATCH_CHUNK + 7).astype(np.int64)
-        i, k = np.divmod(ps, bk.B.graph.n)
-        got_pairs = kernels.vertex_squares_batch(stats_a, stats_b, bk.assumption, i, k)
-        got_codes = kernels.vertex_squares_codes(stats_a, stats_b, bk.assumption, ps)
-        np.testing.assert_array_equal(got_pairs, want[ps])
-        np.testing.assert_array_equal(got_codes, want[ps])
-        empty = np.zeros(0, dtype=np.int64)
-        assert kernels.vertex_squares_codes(stats_a, stats_b, bk.assumption, empty).shape == (0,)
+        np.testing.assert_array_equal(chain.vertex_squares(ps), want[ps])
+        np.testing.assert_array_equal(chain.vertex_squares(np.arange(bk.n)), want)
+        assert chain.vertex_squares(np.zeros(0, dtype=np.int64)).shape == (0,)
 
-    def test_odd_excess_trips_the_parity_assertion(self, bk):
-        stats_a, stats_b = bk.factor_stats()
-        odd = (np.array([[1, 2]], dtype=np.int64), np.array([[1, 1, 1]], dtype=np.int64))
+    def test_odd_excess_trips_the_parity_assertion(self):
+        zero = np.zeros(2, dtype=np.int64)
         with pytest.raises(AssertionError, match="even closed-walk excess"):
-            kernels.vertex_squares_batch(
-                stats_a, stats_b, bk.assumption, [0, 1], [2, 2], term_matrices=odd
-            )
+            def8_finish(np.array([1, 2], dtype=np.int64), zero, zero, zero)
         with pytest.raises(AssertionError, match="even closed-walk excess"):
-            kernels.vertex_squares_codes(
-                stats_a, stats_b, bk.assumption, [0, 4], term_matrices=odd
-            )
+            def8_finish(3, 0, 0, 0)  # the exact Python-int form of range sums
         # Even everywhere: halved, no assertion.
-        got = kernels.vertex_squares_codes(
-            stats_a, stats_b, bk.assumption, [4, 5], term_matrices=odd
-        )
-        assert got.tolist() == [1, 1]
+        got = def8_finish(np.array([6, 4], dtype=np.int64), np.array([2, 2]), zero, zero)
+        assert got.tolist() == [2, 1]
 
 
 class TestEdgeFuse:
     @pytest.mark.parametrize("n", [40, 2 * _BATCH_CHUNK + 3])
     def test_invalid_slots_are_zeroed(self, bk, n):
-        stats_a, stats_b = bk.factor_stats()
         oracle = GroundTruthOracle(bk)
         rng = np.random.default_rng(n)
         ps = rng.integers(0, bk.n, size=n).astype(np.int64)
         qs = rng.integers(0, bk.n, size=n).astype(np.int64)
-        i, k = np.divmod(ps, bk.B.graph.n)
-        j, ell = np.divmod(qs, bk.B.graph.n)
-        vals, valid = kernels.edge_squares_batch(stats_a, stats_b, bk.assumption, i, j, k, ell)
+        vals, valid = KroneckerChain.from_bipartite(bk).edge_squares(ps, qs)
         is_edge = bk.materialize().adj.toarray()[ps, qs] != 0
         assert 0 < is_edge.sum() < n
         np.testing.assert_array_equal(valid, is_edge)
@@ -187,11 +174,11 @@ class TestMaskingAtCallSites:
         assert GroundTruthOracle(bk).max_wing_bound() == 0
 
     def test_max_wing_zero_all_invalid(self, bk, monkeypatch):
-        def all_invalid(*args):
-            n = args[3].size
-            return np.full(n, 99, dtype=np.int64), np.zeros(n, dtype=bool)
+        def only_empty_blocks(self, lo, hi, attach_ground_truth=False, block_entries=None):
+            empty = np.zeros(0, dtype=np.int64)
+            yield empty, empty, empty
 
-        monkeypatch.setattr(kernels, "edge_squares_batch", all_invalid)
+        monkeypatch.setattr(KroneckerChain, "stream_rows", only_empty_blocks)
         assert GroundTruthOracle(bk).max_wing_bound() == 0
 
     def test_max_wing_is_max_support(self, bk):

@@ -1,4 +1,5 @@
-"""Tests for the FactorStats cache on BipartiteKronecker."""
+"""Tests for the per-handle caches on BipartiteKronecker: factor
+statistics and the chain ``[M, B]``."""
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from repro.kronecker import (
     make_bipartite_product,
     vertex_squares_product,
 )
+from repro.kronecker.multifactor import ChainFactor, KroneckerChain
 
 
 class TestFactorStatsCache:
@@ -21,21 +23,18 @@ class TestFactorStatsCache:
 
     def test_oracle_shares_cached_stats(self):
         bk = make_bipartite_product(path_graph(4), path_graph(5), Assumption.SELF_LOOPS_FACTOR)
-        stats_a, stats_b = bk.factor_stats()
-        oracle = GroundTruthOracle(bk)
-        assert oracle.stats_a is stats_a
-        assert oracle.stats_b is stats_b
+        chain = KroneckerChain.from_bipartite(bk)
+        assert KroneckerChain.from_bipartite(bk) is chain
+        assert GroundTruthOracle(bk).chain is chain
 
     def test_formula_results_unchanged_by_cache(self):
         """Cached and freshly-computed paths must agree exactly."""
-        from repro.kronecker.ground_truth import FactorStats, _vertex_squares_from_stats
-
         bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
         cached = vertex_squares_product(bk)
-        fresh = _vertex_squares_from_stats(
-            FactorStats.from_graph(bk.A), FactorStats.from_graph(bk.B.graph), bk.assumption
+        fresh = KroneckerChain(
+            [ChainFactor.from_adjacency(bk.M.adj), ChainFactor.from_adjacency(bk.B.graph.adj)]
         )
-        assert np.array_equal(cached, fresh)
+        assert np.array_equal(cached, fresh.vertex_squares(np.arange(bk.n)))
 
     def test_cache_is_per_handle(self):
         bk1 = make_bipartite_product(cycle_graph(3), path_graph(3), Assumption.NON_BIPARTITE_FACTOR)
@@ -45,12 +44,6 @@ class TestFactorStatsCache:
     def test_repeated_global_calls_consistent(self):
         bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
         assert global_squares_product(bk) == global_squares_product(bk)
-
-
-def _as_triple(mat):
-    from repro.kronecker.ground_truth import CSRTriple
-
-    return CSRTriple(mat.data, mat.indices, mat.indptr)
 
 
 def _unsorted_copy(mat):
@@ -67,59 +60,39 @@ def _unsorted_copy(mat):
     return out
 
 
-class TestCSRTripleStats:
-    """Loaded statistics hold CSR triples, not scipy matrices; every
-    query-path reader must give the same answers on both."""
+class TestChainTables:
+    """Chain tables are plain arrays (a loaded artifact holds memmaps of
+    them); storage order of the input adjacency never reaches them."""
 
-    def _stats(self, stats, convert):
-        from dataclasses import replace
-
-        return replace(stats, adj=convert(stats.adj), diamond=convert(stats.diamond))
-
-    def _assert_same_index(self, got, want):
+    def test_unsorted_column_indices(self):
         from dataclasses import fields
 
+        bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
+        want = ChainFactor.from_adjacency(bk.M.adj)
+        got = ChainFactor.from_adjacency(_unsorted_copy(bk.M.adj))
         for f in fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert np.array_equal(a, b), f.name
             if isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype, f.name
+                assert a.dtype == b.dtype == np.int64, f.name
 
-    def test_edge_index_from_triples_matches_scipy(self):
-        from repro.kronecker.kernels import EdgeIndex
+    def test_oracle_on_chain_tables_matches(self):
+        from dataclasses import fields
 
-        for graph, assumption in (
-            (cycle_graph(5), Assumption.NON_BIPARTITE_FACTOR),
-            (path_graph(6), Assumption.SELF_LOOPS_FACTOR),
-        ):
-            bk = make_bipartite_product(graph, path_graph(3), assumption)
-            for stats in bk.factor_stats():
-                want = EdgeIndex.from_stats(stats)
-                got = EdgeIndex.from_stats(self._stats(stats, _as_triple))
-                self._assert_same_index(got, want)
-
-    def test_unsorted_column_indices(self):
-        from repro.kronecker.kernels import EdgeIndex
-
-        bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
-        stats, _ = bk.factor_stats()
-        unsorted = self._stats(stats, _unsorted_copy)
-        want = EdgeIndex.from_stats(unsorted)
-        got = EdgeIndex.from_stats(self._stats(unsorted, _as_triple))
-        self._assert_same_index(got, want)
-        # Storage order never reaches the index: keys come out sorted.
-        self._assert_same_index(got, EdgeIndex.from_stats(stats))
-
-    def test_oracle_on_triples_matches(self):
         bk = make_bipartite_product(path_graph(4), cycle_graph(6), Assumption.SELF_LOOPS_FACTOR)
-        stats_a, stats_b = bk.factor_stats()
         want = GroundTruthOracle(bk)
-        got = GroundTruthOracle.from_factor_stats(
-            self._stats(stats_a, lambda m: _as_triple(_unsorted_copy(m))),
-            self._stats(stats_b, _as_triple),
-            bk.B.part,
-            bk.assumption,
-        )
+        # Rebuild the chain from read-only copies of its tables, as
+        # ``load_oracle`` does from the artifact's members.
+        factors = []
+        for f in want.chain.factors:
+            tables = {field.name: getattr(f, field.name) for field in fields(f)}
+            for name, value in tables.items():
+                if isinstance(value, np.ndarray):
+                    tables[name] = value.copy()
+                    tables[name].flags.writeable = False
+            factors.append(ChainFactor(**tables))
+        got = GroundTruthOracle.__new__(GroundTruthOracle)
+        got._setup(KroneckerChain(factors), bk.B.part, bk.assumption)
         assert (got.n, got.m, got.n_b) == (bk.n, bk.m, bk.B.graph.n)
         ps, qs = np.indices((bk.n, bk.n)).reshape(2, -1)
         assert np.array_equal(

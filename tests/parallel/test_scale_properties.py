@@ -16,13 +16,11 @@ from hypothesis import given, settings
 
 from repro.generators.classic import complete_bipartite, cycle_graph, path_graph
 from repro.kronecker.assumptions import Assumption, make_bipartite_product
-from repro.kronecker.multifactor import (
-    KroneckerChain,
-    multi_kronecker_global_squares,
-)
+from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel.generate import generate_chain_shards, load_shards
 from repro.parallel.manifest import verify_shards
 from repro.parallel.partition import plan_partition, shard_of_rows
+from repro.refcheck.printed import multi_kronecker_global_squares
 from tests.shard_referee import assert_union_is_product, kron_graph
 from tests.strategies import factor_chains
 

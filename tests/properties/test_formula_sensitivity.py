@@ -15,7 +15,8 @@ import pytest
 from repro.analytics import vertex_squares_matrix
 from repro.generators import complete_bipartite, complete_graph, cycle_graph, path_graph
 from repro.kronecker import Assumption, make_bipartite_product
-from repro.kronecker.ground_truth import FactorStats, _vertex_terms
+from repro.kronecker.ground_truth import FactorStats
+from repro.refcheck.printed import vertex_terms
 
 
 def _reference_products():
@@ -33,7 +34,7 @@ def _reference_products():
 def _mutated_vertex_squares(bk, mutate_index: int, mode: str) -> np.ndarray:
     stats_a = FactorStats.from_graph(bk.A)
     stats_b = FactorStats.from_graph(bk.B.graph)
-    terms = _vertex_terms(stats_a, stats_b, bk.assumption)
+    terms = vertex_terms(stats_a, stats_b, bk.assumption)
     acc = np.zeros(stats_a.n * stats_b.n, dtype=np.int64)
     for idx, (sign, left, right) in enumerate(terms):
         if idx == mutate_index:

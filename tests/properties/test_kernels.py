@@ -1,11 +1,13 @@
-"""Property suites for the fused ground-truth kernels.
+"""Property suites for the chain ground-truth engine.
 
-The fused kernels (:mod:`repro.kronecker.kernels`) claim *bit-identical*
-values to the legacy term-by-term ``sp.kron`` evaluation they replace
-(exact int64 arithmetic, different evaluation order).  Hypothesis drives
-random factor pairs through both assumption regimes; the deterministic
-corpora cover empty and degenerate patterns.  The batched oracle APIs
-are checked against the scalar query loop, including error masking.
+The chain engine (:class:`~repro.kronecker.multifactor.KroneckerChain`,
+Def. 8/9 over per-factor tables) claims *bit-identical* values to the
+paper's printed Thm. 3/4/5 forms evaluated term by term with
+``sp.kron`` (:mod:`repro.refcheck.printed`).  Hypothesis drives random
+factor pairs through both assumption regimes and 3-factor chains; the
+deterministic corpora cover empty and degenerate patterns.  The batched
+oracle APIs are checked against the scalar query loop, including error
+masking.
 """
 
 import numpy as np
@@ -13,20 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.bipartite import is_bipartite
 from repro.graphs.graph import Graph
 from repro.kronecker import (
     Assumption,
     FactorStats,
     GroundTruthOracle,
-    combine_stats,
     make_bipartite_product,
     stream_edges,
 )
-from repro.kronecker.ground_truth import (
-    _edge_squares_product_kron,
-    _vertex_squares_from_stats,
-    _vertex_squares_from_stats_kron,
-    edge_squares_product,
+from repro.kronecker.ground_truth import edge_squares_product, vertex_squares_product
+from repro.kronecker.multifactor import ChainFactor, KroneckerChain
+from repro.refcheck.printed import (
+    combine_stats,
+    edge_squares_product_reference,
+    multi_kronecker_stats,
+    vertex_squares_from_stats,
+    vertex_squares_product_reference,
 )
 
 from tests.strategies import (
@@ -50,7 +55,7 @@ def _assert_csr_bit_identical(fused, legacy):
 
 
 # ---------------------------------------------------------------------------
-# Fused whole-product formulas == legacy sp.kron evaluation
+# Chain engine == the paper's printed forms
 # ---------------------------------------------------------------------------
 
 
@@ -59,52 +64,82 @@ def _assert_csr_bit_identical(fused, legacy):
 @SETTINGS
 def test_fused_formulas_match_kron(assumption, data):
     bk = data.draw(products(assumption))
-    stats_a, stats_b = bk.factor_stats()
     np.testing.assert_array_equal(
-        _vertex_squares_from_stats(stats_a, stats_b, bk.assumption),
-        _vertex_squares_from_stats_kron(stats_a, stats_b, bk.assumption),
+        vertex_squares_product(bk), vertex_squares_product_reference(bk)
     )
-    _assert_csr_bit_identical(edge_squares_product(bk), _edge_squares_product_kron(bk))
+    _assert_csr_bit_identical(edge_squares_product(bk), edge_squares_product_reference(bk))
+
+
+def _left_factor(graph: Graph, assumption: Assumption) -> ChainFactor:
+    """The effective left factor ``M``: ``A``, or ``A + I_A`` under 1(ii)."""
+    import scipy.sparse as sp
+
+    if assumption is Assumption.NON_BIPARTITE_FACTOR:
+        return ChainFactor.from_graph(graph)
+    return ChainFactor.from_adjacency(graph.adj + sp.identity(graph.n, dtype=np.int64))
 
 
 @pytest.mark.parametrize("assumption", BOTH_ASSUMPTIONS)
 def test_fused_vertex_grid_on_degenerate_corpus(assumption):
     """Empty / disconnected / trivial patterns, both assumption formulas.
 
-    The comparison is evaluation-order identity on arbitrary loop-free
-    stats pairs (the legacy path accepts them too), so validation rules
-    about parity/connectivity don't apply here.
+    The chain ``[M, B]`` against the printed vertex form on arbitrary
+    loop-free factor pairs, so validation rules about parity and
+    connectivity don't apply here -- except that the printed 1(ii) form
+    is derived for a bipartite ``A``.
     """
-    corpus = [FactorStats.from_graph(g) for g in small_graph_corpus()]
-    for stats_a in corpus:
-        for stats_b in corpus:
+    corpus = small_graph_corpus()
+    for a in corpus:
+        if assumption is Assumption.SELF_LOOPS_FACTOR and not is_bipartite(a):
+            continue
+        stats_a = FactorStats.from_graph(a)
+        for b in corpus:
+            chain = KroneckerChain([_left_factor(a, assumption), ChainFactor.from_graph(b)])
             np.testing.assert_array_equal(
-                _vertex_squares_from_stats(stats_a, stats_b, assumption),
-                _vertex_squares_from_stats_kron(stats_a, stats_b, assumption),
+                chain.vertex_squares(np.arange(chain.n, dtype=np.int64)),
+                vertex_squares_from_stats(stats_a, FactorStats.from_graph(b), assumption),
             )
 
 
 def test_fused_edge_product_empty_pattern():
-    empty = FactorStats.from_graph(Graph.empty(3))
-    from repro.kronecker import product_edge_squares_csr
-
-    out = product_edge_squares_csr(
-        empty,
-        empty,
-        Assumption.NON_BIPARTITE_FACTOR,
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
+    empty = Graph.empty(3)
+    bk = make_bipartite_product(
+        empty, empty, Assumption.SELF_LOOPS_FACTOR, require_connected=False
     )
+    out = edge_squares_product(bk)
     assert out.shape == (9, 9)
     assert out.nnz == 0
     assert out.dtype == np.int64
 
 
+@given(
+    A=connected_nonbipartite_graphs(max_n=4),
+    B=connected_nonbipartite_graphs(max_n=3),
+    C=connected_bipartite_graphs(max_side=2),
+)
+@SETTINGS
+def test_three_factor_chain_matches_printed_fold(A, B, C):
+    """A 3-factor chain answers vertex and edge queries exactly as the
+    printed ``combine_stats`` fold of the same factors."""
+    import scipy.sparse as sp
+
+    chain = KroneckerChain.from_graphs([A, B, C.graph])
+    fold = multi_kronecker_stats([A, B, C.graph])
+    every = np.arange(chain.n, dtype=np.int64)
+    np.testing.assert_array_equal(chain.degrees(every), fold.d)
+    np.testing.assert_array_equal(chain.vertex_squares(every), fold.s)
+    coo = sp.csr_array(fold.diamond).tocoo()
+    values, valid = chain.edge_squares(coo.row.astype(np.int64), coo.col.astype(np.int64))
+    assert valid.all()
+    np.testing.assert_array_equal(values, coo.data)
+    assert chain.global_squares() == fold.global_squares()
+
+
 @given(A=connected_nonbipartite_graphs(max_n=4), B=connected_nonbipartite_graphs(max_n=4))
 @SETTINGS
 def test_combine_stats_matches_materialized_product(A, B):
-    """The fused multi-factor fold still equals stats counted directly
-    on the materialized product."""
+    """The printed multi-factor fold equals stats counted directly on
+    the materialized product."""
     import scipy.sparse as sp
 
     combined = combine_stats(FactorStats.from_graph(A), FactorStats.from_graph(B))
@@ -193,9 +228,9 @@ def test_memory_footprint_bytes_counts_caches():
     oracle = GroundTruthOracle(bk)
     base = oracle.memory_footprint_bytes()
     assert base > 0
-    # Materializing the derived EdgeIndex caches grows the honest count.
-    oracle.stats_a.edge_index
-    oracle.stats_b.edge_index
+    # The per-factor edge hash tables an edge query builds grow the
+    # honest count.
+    oracle.has_edges([0], [1])
     assert oracle.memory_footprint_bytes() > base
     assert oracle.memory_footprint_entries() > 0
 

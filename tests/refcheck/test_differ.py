@@ -17,7 +17,7 @@ from repro.refcheck import (
     run_verification,
 )
 from repro.refcheck.differ import _perturbation
-from repro.kronecker import kernels
+from repro.kronecker import multifactor
 
 
 BOTH = [Assumption.NON_BIPARTITE_FACTOR, Assumption.SELF_LOOPS_FACTOR]
@@ -66,19 +66,23 @@ class TestPerturbationDrill:
             seed=0, trials=4, max_factor_size=5, perturb="beta-sign"
         )
         diverged = {w.implementation for w in report.witnesses}
-        # Every fused consumer of edge_coefficients diverges ...
-        assert "fused-kernels" in diverged
+        # Every consumer of the chain's Def. 9 finish diverges ...
+        assert "chain-engine" in diverged
         assert "oracle-batch" in diverged
         assert "stream" in diverged
-        # ... while the legacy sp.kron path stays clean (it never calls
-        # the patched coefficient function).
-        assert "legacy-kron" not in diverged
+        # ... while the printed sp.kron forms stay clean (they never
+        # call the patched finish).
+        assert "printed-form" not in diverged
 
     def test_perturbation_restores_on_exit(self):
-        original = kernels.edge_coefficients
+        original = multifactor.def9_finish
         with _perturbation("beta-sign"):
-            assert kernels.edge_coefficients is not original
-        assert kernels.edge_coefficients is original
+            assert multifactor.def9_finish is not original
+        assert multifactor.def9_finish is original
+        original = multifactor.KroneckerChain.edge_squares
+        with _perturbation("wing-support"):
+            assert multifactor.KroneckerChain.edge_squares is not original
+        assert multifactor.KroneckerChain.edge_squares is original
 
     def test_unknown_perturbation_rejected(self):
         with pytest.raises(ValueError, match="unknown perturbation"):
@@ -101,7 +105,7 @@ class TestWitnessReproduction:
             seed=2, trials=2, max_factor_size=4, perturb="beta-sign",
             include_adversarial=False, include_chains=False,
         )
-        w = next(w for w in report.witnesses if w.implementation == "fused-kernels")
+        w = next(w for w in report.witnesses if w.implementation == "chain-engine")
         from repro.kronecker import edge_squares_product, make_bipartite_product
         from repro.refcheck import brute
 

@@ -22,7 +22,7 @@ from repro.refcheck import (
     check_relabel_invariance,
     check_vertex_sum_consistency,
 )
-from repro.refcheck.metamorphic import global_squares_from_stats
+from repro.refcheck.printed import global_squares_from_stats
 
 from tests.strategies import factor_pairs, products
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.kronecker import GroundTruthOracle
-from repro.kronecker.ground_truth import CSRTriple
 from repro.serve import (
     ARTIFACT_SCHEMA,
     ORACLE_FILE,
@@ -87,17 +86,16 @@ def test_sidecar_without_kernel_backend_and_old_key_tolerated(oracle_i, tmp_path
 
 
 def test_round_trip_no_recompute(oracle_i, tmp_path):
-    """Loading holds the persisted arrays as they are, not fresh statistics."""
+    """Loading holds the persisted chain tables as they are, not fresh
+    tables rebuilt from them."""
     out = save_oracle(oracle_i, tmp_path / "art")
     loaded = load_oracle(out, mmap=True)
-    stats_a, stats_b, _, _ = loaded.artifact_state()
-    assert stats_a is loaded.stats_a and stats_b is loaded.stats_b
-    for stats in (stats_a, stats_b):
-        # The CSR triples are the mapped artifact members, not scipy
-        # matrices rebuilt from them.
-        assert isinstance(stats.adj, CSRTriple) and isinstance(stats.diamond, CSRTriple)
-        for arr in (*stats.adj, *stats.diamond):
+    for factor in loaded.chain.factors:
+        for arr in (factor.indptr, factor.indices, factor.d, factor.w2, factor.cw4, factor.w3):
             assert isinstance(arr, np.memmap) and not arr.flags.writeable
+    assert [f.has_loops for f in loaded.chain.factors] == [
+        f.has_loops for f in oracle_i.chain.factors
+    ]
 
 
 def test_sidecar_contents(oracle_i, tmp_path):
@@ -115,13 +113,13 @@ def test_checksum_tamper_refused(oracle_i, tmp_path):
     out = save_oracle(oracle_i, tmp_path / "art")
     with np.load(out / ORACLE_FILE) as data:
         arrays = {key: data[key].copy() for key in data.files}
-    arrays["a_d"][0] += 1
+    arrays["m_d"][0] += 1
     with open(out / ORACLE_FILE, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez(fh, **arrays)
     with pytest.raises(ArtifactIntegrityError, match="checksum mismatch"):
         load_oracle(out)
-    # verify=False deliberately skips the hash (and the coefficient
-    # cross-check) -- the caller owns integrity then.
+    # verify=False deliberately skips the hash (and the stored-vs-derived
+    # degree check) -- the caller owns integrity then.
     load_oracle(out, verify=False)
 
 
@@ -130,9 +128,14 @@ def test_bit_rotted_npz_refused_with_typed_error(oracle_i, tmp_path):
     bare BadZipFile -- so the CLI reports it instead of tracebacking."""
     from repro.serve import ArtifactError
 
+    from repro.serve.artifact import _npz_member_offsets
+
     out = save_oracle(oracle_i, tmp_path / "art")
+    # Flip a byte inside a member's payload: a flip that lands in a zip
+    # header field the reader never uses leaves the content intact.
+    offset, size, _ = max(_npz_member_offsets(out / ORACLE_FILE).values(), key=lambda m: m[1])
     blob = bytearray((out / ORACLE_FILE).read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
+    blob[offset + size // 2] ^= 0xFF
     (out / ORACLE_FILE).write_bytes(bytes(blob))
     with pytest.raises(ArtifactError, match="unreadable"):
         load_oracle(out)
@@ -141,29 +144,30 @@ def test_bit_rotted_npz_refused_with_typed_error(oracle_i, tmp_path):
 def test_kernel_coefficient_tamper_refused(oracle_i, tmp_path):
     """Consistent-checksum but inconsistent coefficients still refuse.
 
-    Rewrites vertex_L *and* the sidecar checksum, simulating a
-    hand-edited artifact whose hash was 'fixed up': the persisted
-    kernel coefficients no longer follow from the factor statistics.
+    Rewrites the stored degrees of ``M`` (the β coefficients of Thm. 5)
+    *and* the sidecar checksum, simulating a hand-edited artifact whose
+    hash was 'fixed up': the degrees no longer follow from the CSR rows.
     """
     from repro.parallel.manifest import checksum_arrays
 
     out = save_oracle(oracle_i, tmp_path / "art")
     with np.load(out / ORACLE_FILE) as data:
         arrays = {key: data[key].copy() for key in data.files}
-    arrays["vertex_L"][0, 0] += 1
+    arrays["m_d"][0] += 1
     with open(out / ORACLE_FILE, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez(fh, **arrays)
     info = json.loads((out / SIDECAR_FILE).read_text())
     info["checksum"] = checksum_arrays(arrays)
     (out / SIDECAR_FILE).write_text(json.dumps(info))
-    with pytest.raises(ArtifactIntegrityError, match="kernel coefficients"):
+    with pytest.raises(ArtifactIntegrityError, match="stored degrees disagree"):
         load_oracle(out)
 
 
-@pytest.mark.parametrize("member", ["b_adj_indptr", "a_diamond_indices"])
+@pytest.mark.parametrize("member", ["b_indptr", "m_indices", "m_w3", "b_cw4"])
 def test_malformed_csr_refused(oracle_i, tmp_path, member):
-    """A CSR triple that cannot be an n x n matrix is refused at load,
-    even with verification off: nothing else checks its structure."""
+    """Factor tables that cannot describe an n-vertex CSR factor are
+    refused at load, even with verification off: nothing else checks
+    their structure."""
     out = save_oracle(oracle_i, tmp_path / "art")
     with np.load(out / ORACLE_FILE) as data:
         arrays = {key: data[key].copy() for key in data.files}
@@ -249,15 +253,13 @@ def test_mmap_load_is_zero_copy_and_read_only(oracle_i, tmp_path):
     shared pages behind every serving worker's back."""
     out = save_oracle(oracle_i, tmp_path / "art")
     mapped = load_oracle(out, mmap=True)
-    for stats in (mapped.stats_a, mapped.stats_b):
-        for arr in (stats.d, stats.w2, stats.s, stats.cw4,
-                    stats.adj.data, stats.adj.indices, stats.adj.indptr,
-                    stats.diamond.data, stats.diamond.indices, stats.diamond.indptr):
+    for f in mapped.chain.factors:
+        for arr in (f.indptr, f.indices, f.d, f.w2, f.cw4, f.w3):
             assert _mmap_backed(arr)
             assert not arr.flags.writeable
     # The eager path stays materialized (and writable) as before.
     eager = load_oracle(out)
-    assert not _mmap_backed(eager.stats_a.d)
+    assert not _mmap_backed(eager.chain.factors[0].d)
 
 
 def test_mmap_checksum_verified_before_serving(oracle_i, tmp_path):
@@ -266,34 +268,34 @@ def test_mmap_checksum_verified_before_serving(oracle_i, tmp_path):
     out = save_oracle(oracle_i, tmp_path / "art")
     from repro.serve.artifact import _npz_member_offsets
 
-    offset, size, stored = _npz_member_offsets(out / ORACLE_FILE)["a_d"]
+    offset, size, stored = _npz_member_offsets(out / ORACLE_FILE)["m_d"]
     assert stored
     blob = bytearray((out / ORACLE_FILE).read_bytes())
-    blob[offset + size - 1] ^= 0x01  # last byte of the a_d payload
+    blob[offset + size - 1] ^= 0x01  # last byte of the m_d payload
     (out / ORACLE_FILE).write_bytes(bytes(blob))
     with pytest.raises(ArtifactIntegrityError, match="checksum mismatch"):
         load_oracle(out, mmap=True)
 
 
-def test_mmap_legacy_compressed_artifact_falls_back_eagerly(oracle_i, tmp_path):
-    """A savez_compressed-era artifact still loads under mmap=True --
-    eagerly, with a warning naming the repack remedy."""
+@pytest.mark.parametrize("mmap", [True, False])
+def test_compressed_member_refused_with_repack_hint(oracle_i, tmp_path, mmap):
+    """A compressed member cannot be mapped: the artifact is refused,
+    whatever the load mode, with the repack remedy."""
     out = save_oracle(oracle_i, tmp_path / "art")
     with np.load(out / ORACLE_FILE) as data:
         arrays = {key: data[key].copy() for key in data.files}
     with open(out / ORACLE_FILE, "wb") as fh:
         np.savez_compressed(fh, **arrays)
-    # Same bytes, so the content checksum still holds (it hashes array
-    # content, not the zip container).
-    with pytest.warns(RuntimeWarning, match="compressed member"):
-        loaded = load_oracle(out, mmap=True)
-    ps = np.arange(oracle_i.n, dtype=np.int64)
-    assert np.array_equal(loaded.degrees(ps), oracle_i.degrees(ps))
+    with pytest.raises(ArtifactError, match="compressed member.*repro pack"):
+        load_oracle(out, mmap=mmap)
 
 
-def test_from_factor_stats_matches_fresh_oracle(product_i, oracle_i):
-    """The export hook's inverse rebuilds an equivalent oracle directly."""
-    rebuilt = GroundTruthOracle.from_factor_stats(*oracle_i.artifact_state())
-    ps = np.arange(product_i.n, dtype=np.int64)
-    assert np.array_equal(rebuilt.squares_at_vertices(ps), oracle_i.squares_at_vertices(ps))
-    assert rebuilt.global_squares() == oracle_i.global_squares()
+def test_schema_1_artifact_refused_with_repack_hint(oracle_i, tmp_path):
+    """A ``repro.serve/1`` artifact (coefficient-engine statistics) is
+    refused with the repack remedy, not misread."""
+    out = save_oracle(oracle_i, tmp_path / "art")
+    info = json.loads((out / SIDECAR_FILE).read_text())
+    info["schema"] = "repro.serve/1"
+    (out / SIDECAR_FILE).write_text(json.dumps(info))
+    with pytest.raises(ArtifactError, match=r"'repro.serve/1'.*repack it with `repro pack`"):
+        load_oracle(out)

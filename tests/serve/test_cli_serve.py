@@ -245,4 +245,4 @@ def test_sidecar_survives_pack_cli(tmp_path):
     out = tmp_path / "art"
     main(["pack", "complete:3", "path:4", "-o", str(out)])
     sidecar = json.loads((out / SIDECAR_FILE).read_text())
-    assert sidecar["schema"] == "repro.serve/1"
+    assert sidecar["schema"] == "repro.serve/2"

@@ -105,6 +105,21 @@ class TestShardsCommand:
         rc = main(_shards("-o", str(tmp_path), "--shards", "3", "--resume", "--verify"))
         assert rc == 0
 
+    def test_fresh_run_deletes_the_shards_of_a_larger_earlier_run(self, tmp_path):
+        assert main(_shards("-o", str(tmp_path), "--shards", "6")) == 0
+        assert main(_shards("-o", str(tmp_path), "--shards", "4", "--verify")) == 0
+        paths = sorted(tmp_path.glob("shard_*.edges"))
+        assert [p.name for p in paths] == [f"shard_{k:04d}.edges" for k in range(4)]
+        assert load_shards(paths)["p"].size == 72  # K3 ⊗ K_{2,3}: 6 · 12 entries
+
+    def test_verify_reports_an_unrecorded_shard_file(self, tmp_path):
+        from repro.parallel import ShardIntegrityError
+
+        main(_shards("-o", str(tmp_path), "--shards", "2"))
+        write_edges_file(tmp_path / "shard_0002.edges", {"p": np.arange(3), "q": np.arange(3)})
+        with pytest.raises(ShardIntegrityError, match="shard_0002.edges is not part of the"):
+            verify_shards(tmp_path)
+
     def test_metrics_out_records_shard_run(self, tmp_path, capsys):
         record_path = tmp_path / "run.json"
         rc = main(

@@ -29,8 +29,9 @@ PACKAGES = [
 ]
 
 #: Modules the serving stack never runs; the boot must not import them.
-#: A loaded oracle reads CSR triples, so the graph model, the analytics
-#: counters and scipy stay out too.
+#: A loaded oracle reads its chain's factor tables (numpy arrays), so the
+#: graph model, the analytics counters, the printed-form referee
+#: (``repro.refcheck``) and scipy stay out too.
 NOT_SERVED = (
     "repro.generators",
     "repro.graphs",
