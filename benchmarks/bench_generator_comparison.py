@@ -24,10 +24,7 @@ from typing import List
 
 import numpy as np
 
-from repro.analytics import (
-    degree_binned_edge_clustering,
-    global_butterflies,
-)
+from repro.analytics import degree_binned_edge_clustering, global_squares
 from repro.generators import (
     bipartite_bter,
     bipartite_chung_lu,
@@ -134,7 +131,7 @@ def run_comparison(seed: int = 11) -> ComparisonResult:
                 n=bg.n,
                 m=bg.m,
                 d_max=int(bg.graph.degrees().max()),
-                butterflies=global_butterflies(bg),    # recount required
+                butterflies=global_squares(bg.graph),  # recount required
                 ground_truth_free=False,
                 low_degree_clustering=_low_degree_gamma(bg),
                 prime_degree_fraction=prime_degree_fraction(bg.graph),

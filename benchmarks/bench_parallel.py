@@ -4,8 +4,9 @@ The single-node realisation of §V's distributed-generation plan:
 measure shard-generation and butterfly-counting wall time at 1 / 2 / 4
 workers.  Absolute speedups depend on core count and process-spawn
 overhead; the asserted shape is correctness (parallel == serial
-results, checked inside the workers' callers) plus the reduction
-actually engaging multiple workers.
+results; the butterfly count's serial referee is Def. 8's matrix
+identity, ``repro.analytics.global_squares``, run untimed) plus the
+reduction actually engaging multiple workers.
 
 Each bench records its throughput (``*_per_s``) into
 ``BENCH_parallel.json``; CI re-runs this module in quick mode and
@@ -20,7 +21,7 @@ Run standalone: ``python benchmarks/bench_parallel.py``
 
 import numpy as np
 
-from repro.analytics import global_butterflies
+from repro.analytics import global_squares
 from repro.generators import bipartite_chung_lu, scale_free_bipartite_factor
 from repro.kronecker import Assumption, make_bipartite_product
 from repro.kronecker.multifactor import KroneckerChain
@@ -72,7 +73,7 @@ def test_parallel_edge_count(benchmark, record_bench):
 
 def test_parallel_butterfly_count(benchmark, record_bench):
     bg = _bipartite_graph()
-    serial = global_butterflies(bg)
+    serial = global_squares(bg.graph)  # the serial referee, untimed
     parallel = benchmark.pedantic(
         parallel_global_butterflies,
         args=(bg,),

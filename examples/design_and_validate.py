@@ -17,7 +17,7 @@ Run: ``python examples/design_and_validate.py``
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analytics import global_butterflies
+from repro.analytics import global_squares
 from repro.graphs import BipartiteGraph
 from repro.kronecker import global_squares_product, stream_edges
 from repro.kronecker.design import DesignTarget, design_product
@@ -61,7 +61,7 @@ def main() -> None:
     # 3. validate a correct and a broken counter
     # ------------------------------------------------------------------
     print("\nvalidating the library's exact counter:")
-    print(validate_counter(global_butterflies, "global").format())
+    print(validate_counter(lambda bg: global_squares(bg.graph), "global").format())
     print("\nvalidating a subtly broken counter (diagonal leak):")
     print(validate_counter(subtly_broken_counter, "global").format())
 

@@ -10,12 +10,11 @@ the direct algorithms here (and both against brute force in tests):
 * :mod:`~repro.analytics.triangles` -- 3-cycle counts (vertex / edge /
   global), relevant for the non-bipartite factor ``A`` of Assump. 1(i).
 * :mod:`~repro.analytics.fourcycles` -- direct 4-cycle counting on any
-  loop-free graph: the paper's O(|V||E|) shortened-BFS algorithm, the
-  codegree (wedge-hash) method, the closed-walk matrix identities of
-  Figs. 2 and 4, and O(n^4) brute force for tiny referees.
-* :mod:`~repro.analytics.butterflies` -- bipartite-specialised
-  per-vertex / per-edge butterfly counting on the biadjacency (the
-  vertex-priority side trick), used at product scale.
+  loop-free graph, bipartite (butterflies) or not: the closed-walk
+  matrix identities of Figs. 2 and 4 (the fast counter) and the
+  paper's O(|V||E|) shortened-BFS algorithm (the §IV baseline).  The
+  brute-force referee both are checked against is
+  :mod:`repro.refcheck.brute`.
 * :mod:`~repro.analytics.sampling` -- approximate global butterfly
   counting by wedge sampling (the "approximation techniques" §I says
   these generators help validate).
@@ -36,16 +35,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "edge_triangles": ".triangles",
     "global_triangles": ".triangles",
     "vertex_squares_matrix": ".fourcycles",
-    "vertex_squares_codegree": ".fourcycles",
     "vertex_squares_bfs": ".fourcycles",
-    "vertex_squares_brute": ".fourcycles",
     "edge_squares_matrix": ".fourcycles",
-    "edge_squares_brute": ".fourcycles",
-    "count_squares_brute": ".fourcycles",
     "global_squares": ".fourcycles",
-    "vertex_butterflies": ".butterflies",
-    "edge_butterflies": ".butterflies",
-    "global_butterflies": ".butterflies",
     "approximate_butterflies": ".sampling",
     "projection": ".projection",
     "product_projection": ".projection",

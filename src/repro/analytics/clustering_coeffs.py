@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analytics.butterflies import edge_butterflies, global_butterflies
+from repro.analytics.fourcycles import edge_squares_matrix, global_squares
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = [
@@ -39,7 +39,9 @@ def edge_clustering_coefficients(bg: BipartiteGraph):
     X = bg.biadjacency()
     du = np.asarray(X.sum(axis=1)).ravel().astype(np.int64)
     dw = np.asarray(X.sum(axis=0)).ravel().astype(np.int64)
-    B = edge_butterflies(bg).tocoo()
+    # The U x W block of Def. 9's ◇ keeps the biadjacency pattern,
+    # explicit zeros included, so square-free edges report Γ = 0.
+    B = edge_squares_matrix(bg.graph)[bg.U][:, bg.W].tocoo()
     denom = (du[B.row] - 1) * (dw[B.col] - 1)
     keep = denom > 0
     gamma = B.data[keep] / denom[keep]
@@ -60,7 +62,7 @@ def robins_alexander_coefficient(bg: BipartiteGraph) -> float:
     l3 = int(((du[X.row] - 1) * (dw[X.col] - 1)).sum())
     if l3 == 0:
         return 0.0
-    return 4.0 * global_butterflies(bg) / l3
+    return 4.0 * global_squares(bg.graph) / l3
 
 
 def degree_binned_edge_clustering(bg: BipartiteGraph, log_base: float = 2.0):

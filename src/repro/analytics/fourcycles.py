@@ -1,34 +1,30 @@
 """Direct 4-cycle (square) counting on arbitrary loop-free graphs.
 
-Four independent implementations with different cost/robustness
-trade-offs; the test suite cross-checks them against each other and
-against the Kronecker ground-truth formulas:
+One counter per role; the test suite cross-checks both against the
+brute-force referee :mod:`repro.refcheck.brute` and against the
+Kronecker ground-truth formulas:
 
-* :func:`vertex_squares_matrix` / :func:`edge_squares_matrix` -- the
-  closed-walk identities of the paper's Figs. 2 and 4 (Defs. 8, 9)
-  evaluated with sparse linear algebra:
+* :func:`vertex_squares_matrix` / :func:`edge_squares_matrix` /
+  :func:`global_squares` -- the fast counter: the closed-walk
+  identities of the paper's Figs. 2 and 4 (Defs. 8, 9) evaluated with
+  sparse linear algebra:
 
   - ``s = (diag(A^4) - d∘d - w2 + d) / 2``
   - ``◇ = A^3 ∘ A - (d·1ᵗ + 1·dᵗ) ∘ A + A``
 
-* :func:`vertex_squares_codegree` -- the wedge-hash method:
-  ``s_i = Σ_{j≠i} C((A²)_ij, 2)`` (each square through ``i`` has
-  exactly one opposite vertex ``j``).
+  On a bipartite graph 4-cycles are butterflies, so these count
+  butterflies too (read ``edge_squares_matrix``'s ``U x W`` block for
+  per-edge counts on the biadjacency).
 * :func:`vertex_squares_bfs` -- the paper's §I "simple algorithm":
   from each vertex run a 2-hop shortened BFS and combine the
   second-neighbourhood multiplicities; O(|V||E|)-style, no matrix
-  product materialized.
-* :func:`vertex_squares_brute` / :func:`edge_squares_brute` /
-  :func:`count_squares_brute` -- O(n^4) enumeration over vertex
-  4-subsets, the tiny-graph referee of last resort.
+  product materialized.  The §IV cost baseline.
 
 All validate the loop-free precondition the paper imposes (§II-B):
 the identities are wrong in the presence of self loops.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,12 +33,8 @@ from repro.graphs.graph import Graph
 
 __all__ = [
     "vertex_squares_matrix",
-    "vertex_squares_codegree",
     "vertex_squares_bfs",
-    "vertex_squares_brute",
     "edge_squares_matrix",
-    "edge_squares_brute",
-    "count_squares_brute",
     "global_squares",
 ]
 
@@ -111,32 +103,6 @@ def global_squares(graph: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Codegree (wedge-hash) method
-# ---------------------------------------------------------------------------
-
-
-def vertex_squares_codegree(graph: Graph) -> np.ndarray:
-    """``s_i = Σ_{j != i} C((A²)_ij, 2)``.
-
-    Every 4-cycle through ``i`` has a unique opposite vertex ``j`` and
-    its two "side" vertices form an unordered pair of common neighbours
-    of ``i`` and ``j`` -- hence choose-2 of the codegree.
-    """
-    _require_loop_free(graph)
-    A = graph.adj
-    A2 = sp.csr_array(A @ A).tolil()
-    A2.setdiag(0)
-    A2 = sp.csr_array(A2)
-    w = A2.data.astype(np.int64)
-    contrib = w * (w - 1) // 2
-    out = np.zeros(graph.n, dtype=np.int64)
-    counts = np.diff(A2.indptr)
-    rows = np.repeat(np.arange(graph.n), counts)
-    np.add.at(out, rows, contrib)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # The paper's shortened-BFS algorithm (§I)
 # ---------------------------------------------------------------------------
 
@@ -175,62 +141,3 @@ def vertex_squares_bfs(graph: Graph) -> np.ndarray:
         uniq, mult = np.unique(targets, return_counts=True)
         out[i] = int((mult * (mult - 1) // 2).sum())
     return out
-
-
-# ---------------------------------------------------------------------------
-# Brute force referees
-# ---------------------------------------------------------------------------
-
-
-def _square_orientations(graph: Graph):
-    """Yield each 4-cycle once as an ordered tuple ``(a, b, c, d)``.
-
-    Enumerates vertex 4-subsets and, for each, the three distinct cyclic
-    pairings; intended for graphs of a few dozen vertices at most.
-    """
-    adj_sets = [set(graph.neighbors(v).tolist()) for v in range(graph.n)]
-    for quad in combinations(range(graph.n), 4):
-        a, b, c, d = quad
-        # Three ways to split {a,b,c,d} into two opposite pairs:
-        # (a,c | b,d), (a,b | c,d), (a,d | b,c); cycle visits opposite
-        # pairs alternately.
-        for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, b, d, c)):
-            # Cycle p-q-r-s-p requires edges pq, qr, rs, sp.
-            if q in adj_sets[p] and r in adj_sets[q] and s in adj_sets[r] and p in adj_sets[s]:
-                yield (p, q, r, s)
-
-
-def count_squares_brute(graph: Graph) -> int:
-    """Total 4-cycles by exhaustive 4-subset enumeration (tiny graphs)."""
-    _require_loop_free(graph)
-    return sum(1 for _ in _square_orientations(graph))
-
-
-def vertex_squares_brute(graph: Graph) -> np.ndarray:
-    """Per-vertex 4-cycle counts by exhaustive enumeration."""
-    _require_loop_free(graph)
-    out = np.zeros(graph.n, dtype=np.int64)
-    for cyc in _square_orientations(graph):
-        for v in cyc:
-            out[v] += 1
-    return out
-
-
-def edge_squares_brute(graph: Graph) -> sp.csr_array:
-    """Per-edge 4-cycle counts by exhaustive enumeration (symmetric)."""
-    _require_loop_free(graph)
-    n = graph.n
-    acc: dict[tuple[int, int], int] = {}
-    for p, q, r, s in _square_orientations(graph):
-        for u, v in ((p, q), (q, r), (r, s), (s, p)):
-            key = (u, v) if u < v else (v, u)
-            acc[key] = acc.get(key, 0) + 1
-    # Emit one entry per directed adjacency slot so the output pattern
-    # equals the adjacency (explicit zeros on square-free edges).
-    coo = graph.adj.tocoo()
-    vals = np.fromiter(
-        (acc.get((u, v) if u < v else (v, u), 0) for u, v in zip(coo.row, coo.col)),
-        dtype=np.int64,
-        count=coo.nnz,
-    )
-    return sp.csr_array(sp.coo_array((vals, (coo.row, coo.col)), shape=(n, n)))

@@ -12,13 +12,7 @@ from typing import List
 
 import numpy as np
 
-from repro.analytics.fourcycles import (
-    closed_walks4,
-    count_squares_brute,
-    edge_squares_matrix,
-    global_squares,
-    vertex_squares_matrix,
-)
+from repro.analytics.fourcycles import closed_walks4, global_squares, vertex_squares_matrix
 from repro.generators.examples import Fig1Case, fig1_trio
 from repro.graphs.connectivity import num_components
 from repro.graphs.graph import Graph
@@ -26,6 +20,7 @@ from repro.graphs.bipartite import is_bipartite
 from repro.kronecker.assumptions import BipartiteKronecker
 from repro.kronecker.ground_truth import vertex_squares_product
 from repro.kronecker.product import kron_graph
+from repro.refcheck import brute
 
 __all__ = [
     "fig1_connectivity_table",
@@ -122,15 +117,14 @@ def fig2_closed_walk_identity(graph: Graph) -> IdentityResult:
     """Verify Fig. 2's closed-walk decomposition on ``graph``.
 
     Left side: ``diag(A⁴)`` computed directly.  Right side:
-    ``2s + d² + w² − d`` with ``s`` from brute force when the graph is
-    tiny (< 14 vertices) and from the codegree method otherwise.
+    ``2s + d² + w² − d`` with ``s`` from the brute-force referee
+    (:func:`repro.refcheck.brute.squares_at_vertices`), which shares no
+    algebra with the identity it checks.
     """
-    from repro.analytics.fourcycles import vertex_squares_brute, vertex_squares_codegree
-
     lhs = closed_walks4(graph)
     d = graph.degrees().astype(np.int64)
     w2 = np.asarray(graph.adj @ d).ravel().astype(np.int64)
-    s = vertex_squares_brute(graph) if graph.n < 14 else vertex_squares_codegree(graph)
+    s = brute.squares_at_vertices(graph)
     rhs = 2 * s + d * d + w2 - d
     return IdentityResult(
         identity="Fig 2: W4(i,i) = 2 s_i + d_i^2 + sum_{j in N_i} d_j - d_i",
@@ -182,7 +176,7 @@ def fig3_example_squares() -> Fig3Result:
                 factor_squares_a=global_squares(a_loopfree),
                 factor_squares_b=global_squares(case.B),
                 product_squares_formula=global_squares(C),
-                product_squares_brute=count_squares_brute(C),
+                product_squares_brute=brute.global_squares(C),
             )
         )
     return Fig3Result(rows)
@@ -194,15 +188,25 @@ def fig3_example_squares() -> Fig3Result:
 
 
 def fig4_edge_walk_identity(graph: Graph) -> IdentityResult:
-    """Verify Fig. 4's edge walk decomposition on every edge."""
+    """Verify Fig. 4's edge walk decomposition on every edge.
+
+    Left side: ``A³`` on the edges.  Right side: ``◇ + d_i + d_j − 1``
+    with ``◇`` from the brute-force referee
+    (:func:`repro.refcheck.brute.squares_at_edges`), not from Def. 9's
+    matrix form, which is this identity solved for ``◇``.
+    """
     import scipy.sparse as sp
 
     A = graph.adj
     A2 = sp.csr_array(A @ A)
     w3 = sp.csr_array((A2 @ A).multiply(A)).tocoo()
-    diamond = edge_squares_matrix(graph)
+    diamond = brute.squares_at_edges(graph)
     d = graph.degrees().astype(np.int64)
-    dia_at = np.asarray(sp.csr_array(diamond)[w3.row, w3.col]).ravel()
+    dia_at = np.fromiter(
+        (diamond[(i, j) if i <= j else (j, i)] for i, j in zip(w3.row.tolist(), w3.col.tolist())),
+        dtype=np.int64,
+        count=w3.nnz,
+    )
     rhs = dia_at + d[w3.row] + d[w3.col] - 1
     err = int(np.abs(w3.data - rhs).max(initial=0))
     return IdentityResult(

@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from repro.analytics.butterflies import global_butterflies
+from repro.analytics.fourcycles import global_squares
 from repro.generators.konect_like import UNICODE_PAPER_STATS, konect_unicode_like
 from repro.kronecker.assumptions import Assumption, make_bipartite_product
 from repro.kronecker.ground_truth import global_squares_product
@@ -87,7 +87,7 @@ def unicode_seed_sweep(n_seeds: int = 10, base_seed: int = 100) -> SeedSweepResu
             SeedRow(
                 seed=seed,
                 edges=factor.m,
-                factor_squares=global_butterflies(factor),
+                factor_squares=global_squares(factor.graph),
                 product_squares=global_squares_product(bk),
             )
         )

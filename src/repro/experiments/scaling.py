@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from repro.analytics.butterflies import global_butterflies
+from repro.analytics.fourcycles import global_squares
 from repro.generators.scale_free import (
     scale_free_bipartite_factor,
     scale_free_nonbipartite_factor,
@@ -212,7 +212,8 @@ def groundtruth_vs_direct(sizes: List[int] | None = None, seed: int = 7) -> Cost
     For each target factor size, builds a connected non-bipartite
     scale-free ``A`` and bipartite scale-free ``B``, forms
     ``C = A ⊗ B``, and measures (a) the sublinear formula and (b)
-    direct butterfly counting on the materialized product.  Both paths
+    direct counting on the materialized product (Def. 8's matrix
+    identity, :func:`~repro.analytics.fourcycles.global_squares`).  Both paths
     must agree exactly -- the rows assert it.
     """
     sizes = sizes or [8, 16, 32, 64]
@@ -225,7 +226,7 @@ def groundtruth_vs_direct(sizes: List[int] | None = None, seed: int = 7) -> Cost
             gt = global_squares_product(bk)
         C = bk.materialize_bipartite()
         with Timer() as t_direct:
-            direct = global_butterflies(C)
+            direct = global_squares(C.graph)
         if gt != direct:  # pragma: no cover - correctness guard
             raise AssertionError(f"ground truth {gt} != direct {direct} at size {k}")
         result.rows.append(

@@ -2,10 +2,7 @@
 
 The paper cites (§I) the best 4-cycle detection bound
 ``O(E * δ(G))`` where ``δ(G)`` is the *degeneracy* -- the largest ``k``
-such that some subgraph has minimum degree ``k``.  The
-degeneracy-ordered wedge enumeration in
-:mod:`repro.analytics.butterflies` needs the peeling order computed
-here, and the cost-model benchmark reports ``δ`` for its inputs.
+such that some subgraph has minimum degree ``k``.
 
 Implementation: the classical Matula-Beck bucket peeling in O(n + m),
 with numpy bucket bookkeeping (no heap).

@@ -9,8 +9,10 @@ the smaller side's codegree product*::
 
 where the outer sum splits into disjoint row blocks.  Each worker
 computes ``X[block] @ Xᵀ`` (scipy, compiled) and its choose-2 partial
-sum; the parent adds the partials.  Bit-identical to the serial
-counter by construction (integer arithmetic, disjoint blocks).
+sum; the parent adds the partials (integer arithmetic, disjoint
+blocks).  The serial referee it must equal exactly is Def. 8's matrix
+identity, :func:`repro.analytics.fourcycles.global_squares` on
+``bg.graph``.
 """
 
 from __future__ import annotations

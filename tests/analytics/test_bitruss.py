@@ -5,7 +5,7 @@ the general peel ``peel_wing_numbers`` (on a bipartite graph its
 import numpy as np
 import pytest
 
-from repro.analytics import edge_butterflies, peel_wing_numbers
+from repro.analytics import edge_squares_matrix, peel_wing_numbers
 from repro.generators import complete_bipartite, path_graph
 from repro.graphs import BipartiteGraph
 
@@ -22,9 +22,6 @@ def max_wing(bg):
 def _max_support_subgraph_check(bg, wings):
     """Definition check: for each k, the edges with wing >= k must form
     a subgraph where every edge has >= k butterflies."""
-    from repro.analytics.butterflies import edge_butterflies as eb
-    import scipy.sparse as sp
-
     for k in sorted(set(wings.values())):
         if k == 0:
             continue
@@ -40,8 +37,7 @@ def _max_support_subgraph_check(bg, wings):
         from repro.graphs import Graph
 
         sub = Graph.from_edge_arrays(n, np.array(rows[: len(keep)]), np.array(cols[: len(keep)]))
-        sub_bg = BipartiteGraph(sub, bg.part)
-        support = eb(sub_bg).tocoo()
+        support = edge_squares_matrix(sub)
         assert np.all(support.data >= k), f"k={k}: some edge has support < k"
 
 
@@ -125,8 +121,6 @@ class TestStructure:
 
         bg = bipartite_chung_lu(np.full(10, 3.0), np.full(10, 3.0), seed=9)
         wings = wing_numbers(bg)
-        support = edge_butterflies(bg).tocoo()
-        U, W = bg.U, bg.W
-        sup = {(min(int(U[r]), int(W[c])), max(int(U[r]), int(W[c]))): int(v) for r, c, v in zip(support.row, support.col, support.data)}
-        for e, wv in wings.items():
-            assert wv <= sup[e]
+        support = edge_squares_matrix(bg.graph)
+        for (u, w), wv in wings.items():
+            assert wv <= support[u, w]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analytics import vertex_butterflies
+from repro.analytics import vertex_squares_matrix
 from repro.analytics.tip import tip_decomposition, tip_number_max
 from repro.generators import bipartite_chung_lu, complete_bipartite, path_graph
 from repro.graphs import BipartiteGraph
@@ -22,9 +22,7 @@ def _definition_check(bg: BipartiteGraph, tips: dict[int, int], side: str):
             continue
         members = np.concatenate((keep, other))
         sub = bg.graph.subgraph(np.sort(members))
-        part = bg.part[np.sort(members)]
-        sub_bg = BipartiteGraph(sub, part)
-        vb = vertex_butterflies(sub_bg)
+        vb = vertex_squares_matrix(sub)
         # map kept primary vertices into subgraph ids
         sorted_members = np.sort(members)
         for v in keep:
@@ -87,7 +85,7 @@ class TestStructure:
 
     def test_initial_count_upper_bounds_tip(self):
         bg = bipartite_chung_lu(np.full(10, 3.0), np.full(12, 3.0), seed=7)
-        vb = vertex_butterflies(bg)
+        vb = vertex_squares_matrix(bg.graph)
         tips = tip_decomposition(bg, "U")
         for v, t in tips.items():
             assert t <= vb[v]

@@ -64,6 +64,21 @@ class TestFig4:
         assert res.max_abs_error == 0
         assert res.n_checked == graph.adj.nnz
 
+    def test_independent_of_the_matrix_form(self, monkeypatch, unicode_like):
+        """Def. 9's ◇ is Fig. 4's identity solved for ◇, so the row must
+        take ◇ from elsewhere: corrupting that name leaves it at 0."""
+        from repro.analytics import edge_squares_matrix
+
+        def off_by_one(graph):
+            dia = edge_squares_matrix(graph)
+            dia.data += 1
+            return dia
+
+        monkeypatch.setattr(
+            "repro.experiments.figures.edge_squares_matrix", off_by_one, raising=False
+        )
+        assert fig4_edge_walk_identity(unicode_like.graph).max_abs_error == 0
+
 
 class TestFig5:
     def test_series_shapes(self, unicode_product):

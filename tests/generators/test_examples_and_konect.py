@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analytics import global_butterflies
+from repro.analytics import global_squares
 from repro.generators import konect_unicode_like
 from repro.generators.examples import fig1_bottom_left, fig1_bottom_right, fig1_top, fig1_trio
 from repro.generators.konect_like import UNICODE_PAPER_STATS
@@ -49,7 +49,7 @@ class TestKonectLike:
 
     def test_square_count_close_to_paper(self):
         bg = konect_unicode_like()
-        squares = global_butterflies(bg)
+        squares = global_squares(bg.graph)
         assert abs(squares - UNICODE_PAPER_STATS["squares"]) / UNICODE_PAPER_STATS["squares"] < 0.15
 
     def test_heavy_tailed(self):

@@ -164,12 +164,12 @@ class TestBter:
         assert bg.U.size == 30 and bg.W.size == 40
 
     def test_blocks_inject_butterflies(self):
-        from repro.analytics import global_butterflies
+        from repro.analytics import global_squares
 
         d = np.full(40, 4.0)
         dense = bipartite_bter(d, d, block_size=8, rho=0.9, seed=1)
         sparse = bipartite_bter(d, d, block_size=8, rho=0.05, seed=1)
-        assert global_butterflies(dense) > global_butterflies(sparse)
+        assert global_squares(dense.graph) > global_squares(sparse.graph)
 
     def test_deterministic(self):
         d = np.full(20, 3.0)

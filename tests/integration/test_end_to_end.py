@@ -20,11 +20,7 @@ from repro import (
     path_graph,
     stream_edges,
 )
-from repro.analytics import (
-    approximate_butterflies,
-    global_butterflies,
-    vertex_butterflies,
-)
+from repro.analytics import approximate_butterflies, global_squares, vertex_squares_matrix
 from repro.graphs import is_bipartite, is_connected
 from repro.kronecker import vertex_squares_product
 
@@ -38,8 +34,8 @@ class TestValidationWorkflow:
         )
         C = bk.materialize_bipartite()
         # Independent direct implementation vs generator ground truth.
-        assert global_butterflies(C) == global_squares_product(bk)
-        assert np.array_equal(vertex_butterflies(C), vertex_squares_product(bk))
+        assert global_squares(C.graph) == global_squares_product(bk)
+        assert np.array_equal(vertex_squares_matrix(C.graph), vertex_squares_product(bk))
 
     def test_broken_counter_is_caught(self):
         """A deliberately off-by-one 'implementation' must disagree --
@@ -48,7 +44,7 @@ class TestValidationWorkflow:
             cycle_graph(3), path_graph(4), Assumption.NON_BIPARTITE_FACTOR
         )
         C = bk.materialize_bipartite()
-        buggy_count = global_butterflies(C) + 1
+        buggy_count = global_squares(C.graph) + 1
         assert buggy_count != global_squares_product(bk)
 
     def test_approximate_counter_validated(self):
@@ -89,9 +85,10 @@ class TestUnicodeScaleWorkflow:
 
     def test_factor_squares_verified_directly(self, unicode_like):
         """Factor-level counts are small enough for a direct referee."""
-        from repro.analytics import global_squares
+        from repro.refcheck import brute
 
-        assert global_butterflies(unicode_like) == global_squares(unicode_like.graph)
+        g = unicode_like.graph
+        assert np.array_equal(vertex_squares_matrix(g), brute.squares_at_vertices(g))
 
 
 class TestMidsizeProductMaterialization:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import Assumption, GroundTruthOracle, make_bipartite_product
-from repro.analytics import global_butterflies
+from repro.analytics import global_squares
 from repro.experiments import fig5_degree_vs_squares
 from repro.graphs import (
     BipartiteGraph,
@@ -40,7 +40,7 @@ class TestDiskToOracle:
         oracle = GroundTruthOracle(bk)
         assert oracle.global_squares() > 10**7
         # and its factor row agrees with direct counting on the factor
-        assert global_butterflies(factor) == sum(
+        assert global_squares(factor.graph) == sum(
             bk.factor_stats()[0].s.tolist()
         ) // 4
 

@@ -237,7 +237,7 @@ class TestCountingWithFaults:
         assert total == bk.M.nnz * bk.B.graph.nnz
 
     def test_butterflies_with_retries(self):
-        from repro.analytics import global_butterflies
+        from repro.analytics import global_squares
 
         bg = complete_bipartite(4, 6)
         inj = FaultInjector(rate=1.0, seed=4, fail_attempts=1)
@@ -245,7 +245,7 @@ class TestCountingWithFaults:
             bg, n_blocks=3, n_workers=2,
             retry=RetryPolicy(max_retries=1, base_delay=0.0), fault_injector=inj,
         )
-        assert parallel == global_butterflies(bg)
+        assert parallel == global_squares(bg.graph)
 
 
 def _flaky_square(x, attempt=0, injector=None):

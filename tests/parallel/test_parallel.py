@@ -7,7 +7,7 @@ shard layouts must be deterministic; worker exceptions must propagate.
 import numpy as np
 import pytest
 
-from repro.analytics import edge_squares_matrix, global_butterflies
+from repro.analytics import edge_squares_matrix, global_squares
 from repro.generators import (
     bipartite_chung_lu,
     complete_bipartite,
@@ -120,12 +120,12 @@ class TestGenerateShards:
 class TestParallelCounting:
     def test_matches_serial_on_deterministic(self):
         bg = complete_bipartite(4, 6)
-        assert parallel_global_butterflies(bg, n_blocks=3, n_workers=2) == global_butterflies(bg)
+        assert parallel_global_butterflies(bg, n_blocks=3, n_workers=2) == global_squares(bg.graph)
 
     def test_matches_serial_on_random(self):
         for seed in range(3):
             bg = bipartite_chung_lu(np.full(25, 4.0), np.full(30, 3.0), seed=seed)
-            expected = global_butterflies(bg)
+            expected = global_squares(bg.graph)
             assert parallel_global_butterflies(bg, n_blocks=4, n_workers=2) == expected
 
     def test_single_block(self):

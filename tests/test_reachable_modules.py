@@ -33,7 +33,6 @@ ENTRY_POINTS = (
 
 #: Modules no entry point reaches, each with what keeps it.
 KEPT_UNREACHED = {
-    "repro.analytics.butterflies": "examples/validate_butterfly_counter.py, bench_parallel",
     "repro.analytics.clustering_coeffs": "paper row Def. 10; bench_generator_comparison",
     "repro.analytics.sampling": "paper row §I approximation; examples/validate_butterfly_counter.py",
     "repro.analytics.tip": "paper row Rem. 1 discussion",
