@@ -15,6 +15,11 @@ Three contracts, all asserted in-bench (not just recorded):
    the degree-cut ``repro.edges/1`` shards is identical under every
    block codec (raw, deflate, and zstd when installed); each codec's
    on-disk size is recorded.
+4. **Flat write memory** — one ground-truth shard is written in a fresh
+   process at two sizes ~10x apart; each run's peak RSS above the
+   process's baseline (after imports and the chain build) is recorded.  The writer streams blocks, so
+   the two growths differ by far less than the shards do
+   (``benchmarks/smoke.py`` checks the margin in both modes).
 
 Every bench records throughput into ``BENCH_scale.json``; CI re-runs
 this module in quick mode and gates the regression via
@@ -24,7 +29,11 @@ Run standalone: ``python benchmarks/bench_scale.py``
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 from repro.generators.classic import complete_bipartite
 from repro.generators.scale_free import preferential_attachment
@@ -184,6 +193,72 @@ def test_shard_bit_identity_across_formats(benchmark, record_bench, tmp_path):
         entries_per_s=len(codecs) * len(reference) / seconds if seconds else 0.0,
         **sizes,
     )
+
+
+# Write-memory legs: (factors, factor n) of the small and the large
+# shard, ~10x apart in entries (quick: 195k -> 2.2M; full: 1.3M -> 14.8M).
+MEMORY_LEGS = ((3, 16), (3, 34)) if QUICK else ((4, 10), (4, 17))
+
+# The child reads its peak from ``VmHWM`` (Linux), the high-water mark
+# of its own address space: ``ru_maxrss`` would also carry the RSS of the
+# process that forked it, which under pytest exceeds a whole shard write.
+_SHARD_CHILD = textwrap.dedent("""
+    import json, sys, tempfile, time
+    from repro.generators.scale_free import preferential_attachment
+    from repro.kronecker.multifactor import KroneckerChain
+    from repro.parallel import generate_chain_shards
+
+    def peak_mb():
+        with open("/proc/self/status") as fh:
+            kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+        return kb / 1024.0
+
+    k, n = int(sys.argv[1]), int(sys.argv[2])
+    chain = KroneckerChain.from_graphs(
+        [preferential_attachment(n, 2, seed=11 + t) for t in range(k)]
+    )
+    base = peak_mb()
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        generate_chain_shards(chain, out, n_shards=1, n_workers=1, ground_truth=True)
+        seconds = time.perf_counter() - t0
+    print(json.dumps({"entries": chain.nnz, "seconds": seconds,
+                      "growth_mb": peak_mb() - base}))
+""")
+
+
+def _write_shard_in_child(n_factors: int, n: int) -> dict:
+    """One serial ground-truth shard written by a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHARD_CHILD, str(n_factors), str(n)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_shard_write_memory(benchmark, record_bench):
+    """A shard ~10x larger costs about the same writer memory: peak RSS
+    growth over the import baseline is one block's worth at both sizes."""
+    small = _write_shard_in_child(*MEMORY_LEGS[0])
+    large = benchmark.pedantic(
+        _write_shard_in_child, args=MEMORY_LEGS[1], rounds=1, iterations=1
+    )
+    shard_mb = 24 * large["entries"] / 2**20
+    delta = large["growth_mb"] - small["growth_mb"]
+    record_bench(
+        f"shard write peak RSS growth: {small['entries']:,} entries "
+        f"{small['growth_mb']:.1f} MB, {large['entries']:,} entries "
+        f"{large['growth_mb']:.1f} MB (shard {shard_mb:.0f} MB)",
+        small_entries=small["entries"],
+        large_entries=large["entries"],
+        small_growth_mb=small["growth_mb"],
+        large_growth_mb=large["growth_mb"],
+        growth_delta_mb=delta,
+        large_shard_mb=shard_mb,
+        seconds=large["seconds"],
+        entries_per_s=large["entries"] / large["seconds"],
+    )
+    assert large["entries"] >= 8 * small["entries"]
 
 
 def trajectory_table() -> str:

@@ -47,6 +47,7 @@ DIVERGENCE_EXIT = 4  # ``repro verify`` found a divergence
 RETRIES_EXHAUSTED_EXIT = 3  # ``repro shards`` ran out of retries
 SPEC = ["complete:3", "biclique:2x3"]  # the small product the shards and serve drills use
 CHAIN_SPEC = [*SPEC, "path:3"]  # a three-factor chain: the cross-codec drill's deep path
+SHARD_MEMORY_MARGIN_MB = 16.0  # scale: large-minus-small shard write RSS growth
 
 
 class Field(str):
@@ -442,7 +443,12 @@ FAMILIES: dict[str, Family] = {
                 ("test_stream_throughput_droop", "large_entries", ">", Field("small_entries")),
                 # Degree-aware cuts stay balanced where naive row ranges skew.
                 ("test_degree_partitioner_imbalance", "degree_imbalance", "<=", 1.3),
-                ("test_degree_partitioner_imbalance", "rows_imbalance", ">=", 2.0)),
+                ("test_degree_partitioner_imbalance", "rows_imbalance", ">=", 2.0),
+                # Writer memory is flat in shard size: the ~10x larger
+                # shard's peak RSS growth stays within a fixed margin of
+                # the small one's (a whole-shard writer adds ~2.6 shards).
+                ("test_shard_write_memory", "large_entries", ">", Field("small_entries")),
+                ("test_shard_write_memory", "growth_delta_mb", "<=", SHARD_MEMORY_MARGIN_MB)),
         verify=("--tier", "scale"), min_cases=4),
     "wings": Family(
         # Rem. 1 from the record: the peeled maximum never exceeds the

@@ -85,6 +85,8 @@ def _write_row_shard(
 ):
     """Worker: stream product rows ``[start, stop)`` into one shard.
 
+    The range streams block by block from ``shard_of_rows`` into
+    ``write_edges_file``, so the worker holds one block, not the shard.
     Returns ``(entries, bytes, checksum, metrics_snapshot)``; the parent
     merges the snapshot (workers cannot share the parent's registry
     across the process boundary) and records the rest in the manifest.
@@ -98,20 +100,25 @@ def _write_row_shard(
         reg.counter("parallel.generate.fault_checks_total").inc()
         injector.maybe_fail(index, attempt, partial_path=tmp)
     t0 = time.perf_counter()
-    if ground_truth:
-        p, q, squares = shard_of_rows(chain, start, stop, attach_ground_truth=True)
-        arrays = {"p": p, "q": q, "squares": squares}
-    else:
-        p, q = shard_of_rows(chain, start, stop)
-        arrays = {"p": p, "q": q}
-    checksum = write_edges_file(tmp, arrays, codec=codec)
+    names = ("p", "q", "squares") if ground_truth else ("p", "q")
+    stream = shard_of_rows(chain, start, stop, attach_ground_truth=ground_truth)
+    entries = 0
+
+    def blocks():
+        nonlocal entries
+        yield dict.fromkeys(names, np.zeros(0, dtype=np.int64))  # names an empty range
+        for block in stream:
+            entries += block[0].size
+            yield dict(zip(names, block))
+
+    checksum = write_edges_file(tmp, blocks(), codec=codec)
     nbytes = os.path.getsize(tmp)
     os.replace(tmp, path)
     reg.histogram("parallel.generate.worker_seconds").observe(time.perf_counter() - t0)
     reg.histogram("parallel.generate.shard_size_bytes").observe(nbytes)
-    reg.counter("parallel.generate.entries_total").inc(int(p.size))
+    reg.counter("parallel.generate.entries_total").inc(entries)
     reg.counter("parallel.generate.shards_total").inc()
-    return int(p.size), int(nbytes), checksum, reg.snapshot()
+    return entries, int(nbytes), checksum, reg.snapshot()
 
 
 def _count_row_shard(
@@ -125,8 +132,7 @@ def _count_row_shard(
     """Worker: count one product-row range's entries by generating them."""
     if injector is not None:
         injector.maybe_fail(index, attempt)
-    p, _ = shard_of_rows(chain, start, stop)
-    return int(p.size)
+    return sum(int(block[0].size) for block in shard_of_rows(chain, start, stop))
 
 
 def _reusable_shards(
@@ -167,9 +173,14 @@ def generate_chain_shards(
     or a sequence of :class:`~repro.graphs.base.Graph` factors.  The row
     space is cut into ``n_shards`` ``degree``-balanced contiguous ranges
     and each worker streams exactly its range -- no intermediate
-    ``A ⊗ B`` is ever materialized, so memory stays
-    ``O(Σ factor nnz + block)`` while the product can be arbitrarily
-    deep.  Returns the shard paths in row order.  Shard ``k`` holds
+    ``A ⊗ B`` is ever materialized.  A worker never holds its shard
+    either: :func:`~repro.parallel.partition.shard_of_rows` yields the
+    range in blocks of :data:`~repro.parallel.edgeio.DEFAULT_BLOCK_ENTRIES`
+    entries, each block lands in the ``.part`` file as it arrives, and
+    the content checksum is computed after the last block by re-reading
+    the ``.part`` file in block-sized chunks.  So memory stays
+    ``O(Σ factor nnz + block)`` while the product and its shards can be
+    arbitrarily large.  Returns the shard paths in row order.  Shard ``k`` holds
     arrays ``p``, ``q`` (directed entries) and, with
     ``ground_truth=True``, ``squares`` (exact per-entry 4-cycle counts,
     multiplicative across factors; chain docstring for the identities).

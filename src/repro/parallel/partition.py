@@ -21,10 +21,12 @@ shard-union entry set (asserted by the property fleet).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.kronecker.multifactor import KroneckerChain
+from repro.parallel.edgeio import DEFAULT_BLOCK_ENTRIES
 
 __all__ = [
     "PARTITION_STRATEGIES",
@@ -132,25 +134,18 @@ def shard_of_rows(
     start: int,
     stop: int,
     attach_ground_truth: bool = False,
-    block_entries: int | None = None,
-):
-    """Materialize product rows ``[start, stop)`` of ``chain`` as flat arrays.
+    block_entries: int = DEFAULT_BLOCK_ENTRIES,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Stream product rows ``[start, stop)`` of ``chain`` as entry blocks.
 
-    Returns ``(p, q)`` or ``(p, q, squares)``; a pure function of
-    ``(chain, start, stop)``, so shard bytes are identical across
-    worker scheduling, resume boundaries, and block sizes.
+    Yields ``(p, q)`` or ``(p, q, squares)`` blocks of about
+    ``block_entries`` entries (:meth:`KroneckerChain.stream_rows
+    <repro.kronecker.multifactor.KroneckerChain.stream_rows>`), so a
+    shard writer holds one block, never the whole range.  The
+    concatenation of the blocks is a pure function of ``(chain, start,
+    stop)``, so shard bytes are identical across worker scheduling,
+    resume boundaries, and block sizes.
     """
-    ps, qs, sqs = [], [], []
-    for block in chain.stream_rows(
+    return chain.stream_rows(
         start, stop, attach_ground_truth=attach_ground_truth, block_entries=block_entries
-    ):
-        ps.append(block[0])
-        qs.append(block[1])
-        if attach_ground_truth:
-            sqs.append(block[2])
-    empty = np.zeros(0, dtype=np.int64)
-    p = np.concatenate(ps) if ps else empty
-    q = np.concatenate(qs) if qs else empty
-    if not attach_ground_truth:
-        return p, q
-    return p, q, np.concatenate(sqs) if sqs else empty
+    )

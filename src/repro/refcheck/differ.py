@@ -521,8 +521,12 @@ def _check_scale_chain(label: str, factors: List[Graph], report: VerifyReport) -
     entries_seen = 0
     squares_sum = 0
     for start, stop in plan.bounds:
-        p, q, squares = shard_of_rows(
+        blocks = list(shard_of_rows(
             chain, start, stop, attach_ground_truth=True, block_entries=64
+        ))
+        p, q, squares = (
+            np.concatenate([b[k] for b in blocks] or [np.zeros(0, dtype=np.int64)])
+            for k in range(3)
         )
         checker._check_edge_values(
             f"scale_edge_squares[{start}:{stop}]", "streamed-shard",

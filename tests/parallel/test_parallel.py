@@ -27,6 +27,15 @@ from repro.parallel import (
 from repro.parallel.generate import load_shards
 
 
+def flat_columns(blocks, width):
+    """A streamed row range's blocks concatenated into flat columns."""
+    blocks = list(blocks)
+    return tuple(
+        np.concatenate([b[k] for b in blocks] or [np.zeros(0, dtype=np.int64)])
+        for k in range(width)
+    )
+
+
 @pytest.fixture
 def bk():
     return make_bipartite_product(
@@ -49,7 +58,7 @@ class TestPartition:
         chain = KroneckerChain.from_bipartite(bk)
         seen = []
         for start, stop in plan_partition(chain, 3).bounds:
-            p, q = shard_of_rows(chain, start, stop)
+            p, q = flat_columns(shard_of_rows(chain, start, stop), 2)
             seen.extend(zip(p.tolist(), q.tolist()))
         assert len(seen) == len(expected)  # no duplicates
         assert set(seen) == expected
@@ -60,7 +69,9 @@ class TestPartition:
         dia_ref = edge_squares_matrix(bk.materialize())
         chain = KroneckerChain.from_bipartite(bk)
         for start, stop in plan_partition(chain, 2).bounds:
-            p, q, dia = shard_of_rows(chain, start, stop, attach_ground_truth=True)
+            p, q, dia = flat_columns(
+                shard_of_rows(chain, start, stop, attach_ground_truth=True), 3
+            )
             for pp, qq, dd in zip(p.tolist(), q.tolist(), dia.tolist()):
                 assert dia_ref[pp, qq] == dd
 

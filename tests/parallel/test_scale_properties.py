@@ -89,11 +89,12 @@ def test_chain_union_identical_across_row_strategies(tmp_path_factory, factors):
         manifest=out,
     )
     streamed = [
-        shard_of_rows(chain, start, stop, attach_ground_truth=True)
+        block
         for start, stop in plan_partition(chain, 3, "rows").bounds
+        for block in shard_of_rows(chain, start, stop, attach_ground_truth=True)
     ]
     rows = {
-        key: np.concatenate([shard[k] for shard in streamed])
+        key: np.concatenate([block[k] for block in streamed])
         for k, key in enumerate(("p", "q", "squares"))
     }
     assert entry_triples(rows) == entry_triples(written)

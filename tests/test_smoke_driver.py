@@ -58,6 +58,8 @@ def _wing_over_bound(row):
         ("wings", "test_peel_vs_oracle_bounds", _wing_over_bound),
         ("scale", "test_degree_partitioner_imbalance", lambda r: r.update(degree_imbalance=1.5)),
         ("scale", "test_degree_partitioner_imbalance", lambda r: r.update(rows_imbalance=1.9)),
+        # A writer holding whole shards: ~2.6x the large shard's 338 MB.
+        ("scale", "test_shard_write_memory", lambda r: r.update(growth_delta_mb=880.0)),
         ("obs", "test_event_log_emit_flush_throughput", lambda r: r.update(dropped=1)),
         ("kernels", "test_chunked_stream_vs_default", lambda r: r.pop("entries")),
         ("serve", "test_serve_prefork_wire_pipeline", lambda r: r.update(protocol="json")),
