@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 
-from repro.kronecker import GroundTruthOracle, stream_edges
+from repro.kronecker import GroundTruthOracle
 from repro.kronecker.ground_truth import edge_squares_product, vertex_squares_product
 from repro.kronecker.sampling import sample_edges
 from repro.refcheck.printed import (
@@ -158,47 +158,6 @@ def test_batched_vs_scalar_edge_queries(unicode_product, record_bench):
     )
     if not QUICK:
         assert ratio >= 100.0, f"batched edge queries only {ratio:.0f}x"
-
-
-def test_chunked_stream_vs_default(unicode_like, record_bench):
-    # ``block_edges`` targets the regime the default block shape is worst
-    # at: a large left factor against a tiny right factor, where default
-    # blocks hold |E_B| entries each and per-block Python overhead
-    # dominates.  Chunking packs thousands of those micro-blocks into one
-    # yielded batch.
-    from repro.generators import path_graph
-    from repro.kronecker import Assumption, make_bipartite_product
-
-    bk = make_bipartite_product(
-        unicode_like, path_graph(2), Assumption.SELF_LOOPS_FACTOR,
-        require_connected=False,
-    )
-
-    def drain(block_edges):
-        total = blocks = 0
-        for block in stream_edges(bk, attach_ground_truth=True, block_edges=block_edges):
-            total += block[0].size
-            blocks += 1
-        return total, blocks
-
-    t_default, (n_default, blocks_default) = _best_of(lambda: drain(None))
-    t_chunked, (n_chunked, blocks_chunked) = _best_of(lambda: drain(1 << 18))
-    assert n_default == n_chunked
-    speedup = t_default / max(t_chunked, 1e-9)
-    record_bench(
-        f"ground-truth stream of {n_default:,} entries: default "
-        f"{blocks_default:,} micro-blocks {t_default:.3f}s / "
-        f"block_edges=262144 {blocks_chunked:,} blocks {t_chunked:.3f}s "
-        f"= {speedup:.2f}x",
-        entries=int(n_default),
-        default_blocks=int(blocks_default),
-        chunked_blocks=int(blocks_chunked),
-        default_seconds=t_default,
-        chunked_seconds=t_chunked,
-        speedup=speedup,
-    )
-    if not QUICK:
-        assert speedup >= 2.0, f"chunked stream only {speedup:.2f}x faster"
 
 
 def test_memory_footprint_bytes_vs_entries(unicode_product, record_bench):

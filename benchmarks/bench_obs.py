@@ -3,10 +3,10 @@
 Three rows, each a standing contract:
 
 * **Instrumentation overhead** — the ground-truth streaming hot
-  path (``stream_edges(attach_ground_truth=True, block_edges=...)``)
-  timed under the null registry vs a live one.  The enabled-vs-null
-  slowdown must stay within 5% (asserted here in full mode, enforced
-  across PRs by the ``compare.py`` gate on the throughput fields).
+  path (``stream_edges(attach_ground_truth=True)``) timed under the
+  null registry vs a live one.  The enabled-vs-null slowdown must
+  stay within 5% (asserted here in full mode, enforced across PRs by
+  the ``compare.py`` gate on the throughput fields).
 * **Histogram throughput** — labeled ``observe()`` and worker
   snapshot-merge rates for the fixed-bucket quantile histograms, with
   the merge-identity property (merge of per-worker snapshots equals
@@ -29,7 +29,6 @@ from repro.utils.timing import Timer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 STREAM_REPEATS = 3 if QUICK else 5
-BLOCK_EDGES = 65536
 N_OBSERVE = 20_000 if QUICK else 400_000
 N_WORKERS = 8
 N_EVENTS = 2_000 if QUICK else 50_000
@@ -37,7 +36,7 @@ N_EVENTS = 2_000 if QUICK else 50_000
 
 def _consume_stream(bk) -> int:
     edges = 0
-    for p, _q, _dia in stream_edges(bk, attach_ground_truth=True, block_edges=BLOCK_EDGES):
+    for p, _q, _dia in stream_edges(bk, attach_ground_truth=True):
         edges += p.size
     return edges
 

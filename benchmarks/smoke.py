@@ -138,8 +138,8 @@ def skip_record(out: Path, name: str, reason: str, **fields) -> None:
 
 
 def cli_profile_smoke(out: Path) -> None:
-    """``--profile`` / ``--metrics-out`` on the generate subcommand."""
-    py("-m", "repro", "generate", "complete:3", "path:4", "--profile",
+    """``--profile`` / ``--metrics-out`` on the ground-truth generate stream."""
+    py("-m", "repro", "generate", "complete:3", "path:4", "--ground-truth", "--profile",
        "--metrics-out", str(out / "run.json"), "-o", str(out / "edges.txt"))
     py("-m", "repro.obs", str(out / "run.json"))
 
@@ -412,7 +412,8 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "generation": Family(
-        checks=(("test_generation_throughput", "directed_entries", ">", 0),),
+        checks=(("test_generation_throughput", "directed_entries", ">", 0),
+                ("test_stream_with_ground_truth_attached", "gt_entries_per_s", ">", 0)),
         extras=(cli_profile_smoke,)),
     "parallel": Family(checks=(
         ("test_parallel_edge_count", "directed_entries", ">", 0),
@@ -420,8 +421,7 @@ FAMILIES: dict[str, Family] = {
         ("test_shard_generation_fault_tolerance", "directed_entries", ">", 0))),
     "kernels": Family(
         checks=(("test_edge_squares_product_fused_vs_legacy", "speedup", ">", 0),
-                ("test_batched_vs_scalar_vertex_queries", "throughput_ratio", ">", 0),
-                ("test_chunked_stream_vs_default", "entries", ">", 0)),
+                ("test_batched_vs_scalar_vertex_queries", "throughput_ratio", ">", 0)),
         verify=("--seed", "0", "--trials", "20", "--max-factor-size", "4"),
         drill="beta-sign"),
     "serve": Family(

@@ -4,7 +4,7 @@ Builds the §IV product ``C = (A + I) (x) A`` (753k vertices, ~4.4M
 edges, ~8.7M directed entries) and then:
 
 * computes the exact global 4-cycle count *without touching C*,
-* streams every edge in factor-sized blocks, attaching exact per-edge
+* streams every edge in 2**16-entry blocks, attaching exact per-edge
   4-cycle ground truth during generation (the paper's §V future-work
   item),
 * certifies connectivity structure by streaming through a union-find.

@@ -211,22 +211,16 @@ def _cmd_generate(args) -> int:
     try:
         with tracer.span("generate.write_edges", ground_truth=bool(args.ground_truth)) as sp:
             out.write(f"# repro kronecker product: n={bk.n} m={bk.m}\n")
-            # Stream blocks are written out before the next iteration, so
-            # the chunked path's buffer-reuse contract is satisfied.
             if args.ground_truth:
                 out.write("# columns: u v squares_at_edge\n")
-                for p, q, dia in stream_edges(
-                    bk,
-                    attach_ground_truth=True,
-                    block_edges=args.block_edges,
-                ):
+                for p, q, dia in stream_edges(bk, attach_ground_truth=True):
                     keep = p <= q
                     for u, v, d in zip(p[keep].tolist(), q[keep].tolist(), np.asarray(dia)[keep].tolist()):
                         out.write(f"{u} {v} {d}\n")
                     edges_written.inc(int(keep.sum()))
             else:
                 out.write("# columns: u v\n")
-                for p, q in stream_edges(bk, block_edges=args.block_edges):
+                for p, q in stream_edges(bk):
                     keep = p <= q
                     for u, v in zip(p[keep].tolist(), q[keep].tolist()):
                         out.write(f"{u} {v}\n")
@@ -555,14 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ground-truth",
         action="store_true",
         help="append each edge's exact 4-cycle count as a third column",
-    )
-    g.add_argument(
-        "--block-edges",
-        type=int,
-        default=None,
-        metavar="N",
-        help="coalesce streamed blocks to ~N edges each (speeds up "
-        "large-left-factor x small-right-factor products)",
     )
     g.set_defaults(fn=_cmd_generate)
 

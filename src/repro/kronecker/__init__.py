@@ -60,7 +60,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "cor2_external_density_bound": ".community",
     "GroundTruthOracle": ".oracle",
     "stream_edges": ".streaming",
-    "stream_chain_edges": ".streaming",
     "streamed_connectivity_audit": ".streaming",
     "sample_vertices": ".sampling",
     "sample_edges": ".sampling",

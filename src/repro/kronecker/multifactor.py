@@ -53,7 +53,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.graph import Graph
     from repro.kronecker.assumptions import BipartiteKronecker
 
-__all__ = ["ChainFactor", "KroneckerChain", "def8_finish", "def9_finish"]
+__all__ = [
+    "STREAM_BLOCK_ENTRIES",
+    "ChainFactor",
+    "KroneckerChain",
+    "def8_finish",
+    "def9_finish",
+]
+
+#: Entries per streamed block: :meth:`KroneckerChain.stream_rows`'
+#: default, and so the block size of every edge stream, shard writer
+#: and edge-file frame.  A ground-truth block is 24 bytes an entry
+#: (~1.5 MiB), small enough to stay cache-resident.
+STREAM_BLOCK_ENTRIES = 1 << 16
 
 
 def def8_finish(cw4, d2, w2, d):
@@ -416,11 +428,12 @@ class KroneckerChain:
 
         Yields ``(p, q)`` int64 blocks — or ``(p, q, squares)`` with
         exact per-entry 4-cycle counts — of at most roughly
-        ``block_entries`` entries each (default ``2**20``).  The
-        concatenation over all blocks is a pure function of
-        ``(chain, lo, hi)``: block boundaries may move with
-        ``block_entries`` but the entry sequence never does, which is
-        what makes shard bytes resume- and format-independent.
+        ``block_entries`` entries each (default
+        :data:`STREAM_BLOCK_ENTRIES`).  The concatenation over all
+        blocks is a pure function of ``(chain, lo, hi)``: block
+        boundaries may move with ``block_entries`` but the entry
+        sequence never does, which is what makes shard bytes resume-
+        and format-independent.
 
         Memory is bounded by the block size plus factor tables; no
         intermediate product of a factor prefix is ever materialized —
@@ -429,7 +442,7 @@ class KroneckerChain:
         level.
         """
         self._check_range(lo, hi)
-        max_entries = int(block_entries) if block_entries else 1 << 20
+        max_entries = STREAM_BLOCK_ENTRIES if block_entries is None else int(block_entries)
         if max_entries <= 0:
             raise ValueError(f"block_entries must be positive, got {block_entries}")
         for block in self._entry_blocks(

@@ -38,9 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GroundTruthOracle", "edge_answers"]
 
-#: Product entries per block of the streamed :meth:`max_wing_bound`.
-_WING_BLOCK = 1 << 18
-
 
 class GroundTruthOracle:
     """Per-vertex / per-edge ground truth for a bipartite product.
@@ -183,9 +180,7 @@ class GroundTruthOracle:
         if self._max_wing_cache is None:
             self._queries.inc()
             best = 0
-            for _, _, supports in self.chain.stream_rows(
-                0, self.n, attach_ground_truth=True, block_entries=_WING_BLOCK
-            ):
+            for _, _, supports in self.chain.stream_rows(0, self.n, attach_ground_truth=True):
                 if supports.size:
                     best = max(best, int(supports.max()))
             self._max_wing_cache = best

@@ -3,19 +3,21 @@
 The generation use case (§I, §V "implement this style of generator ...
 including using the ground truth formulas derived here to compute
 ground truth values during generation"): emit the edges of
-``C = M ⊗ B`` in factor-edge-sized blocks without ever holding ``C``.
+``C = M ⊗ B`` in bounded blocks without ever holding ``C``.
 
-For every stored nonzero ``(i, j)`` of ``M`` the block
-``{(i * n_B + k, j * n_B + l) : (k, l) ∈ nnz(B)}`` is produced with two
-vectorised index operations.  Each *directed* stored entry of ``C``
-appears exactly once across the stream; callers wanting undirected
-edges once can filter ``p <= q`` per block (the helper does this for
-its edge-count audit).
+The blocks are those of the chain ``[M, B]``'s
+:meth:`~repro.kronecker.multifactor.KroneckerChain.stream_rows` over all
+product rows: about
+:data:`~repro.kronecker.multifactor.STREAM_BLOCK_ENTRIES` entries each,
+in ``M``'s CSR entry order expanded by ``B``'s.  Each *directed*
+stored entry of ``C`` appears exactly once across the stream; callers
+wanting undirected edges once can filter ``p <= q`` per block (the
+helper does this for its edge-count audit).
 
 ``attach_ground_truth=True`` additionally emits the per-edge 4-cycle
-count of every streamed edge, computed from the chain ``[M, B]``'s
-factor tables on the fly (Def. 9) -- ground truth *during generation*,
-the paper's future-work item.
+count of every streamed edge, computed from the chain's factor tables
+on the fly (Def. 9) -- ground truth *during generation*, the paper's
+future-work item.
 """
 
 from __future__ import annotations
@@ -25,51 +27,25 @@ from typing import Iterator
 import numpy as np
 
 from repro.kronecker.assumptions import BipartiteKronecker
-from repro.kronecker import multifactor
 from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import get_events, get_metrics, get_tracer
 
-__all__ = ["stream_edges", "stream_chain_edges", "streamed_connectivity_audit"]
+__all__ = ["stream_edges", "streamed_connectivity_audit"]
 
 
 def stream_edges(
-    bk: BipartiteKronecker,
-    attach_ground_truth: bool = False,
-    block_edges: int | None = None,
+    bk: BipartiteKronecker, attach_ground_truth: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the product's directed edges in factor-edge-sized blocks.
+    """Yield the product's directed edges in blocks.
 
     Yields ``(p, q)`` index-array pairs -- or ``(p, q, diamonds)``
-    triples when ``attach_ground_truth``.  By default one block is
-    emitted per stored entry of the effective left factor ``M``
-    (memory per block ``O(nnz(B))``).
-
-    ``block_edges`` coalesces many small per-``M``-entry blocks into
-    chunks of roughly that many edges, for the large-``M`` ⊗ small-``B``
-    regime where per-block Python overhead dominates.  Coefficient
-    lookups are hoisted out of the loop and each chunk's diamonds come
-    from three outer products into preallocated buffers and one Def. 9
-    finish.  **Buffer-reuse
-    contract:** with ``block_edges`` set, the yielded arrays are views
-    into reused buffers, invalidated by the next iteration -- copy them
-    (e.g. boolean-index or ``.copy()``) before retaining.
+    triples when ``attach_ground_truth`` -- exactly the blocks of
+    ``KroneckerChain.from_bipartite(bk).stream_rows(0, bk.n, ...)``.
+    Every yielded array is its own, so blocks may be kept as they come.
     """
-    n_b = bk.B.graph.n
-    if attach_ground_truth:
-        # Entries in the chain's CSR order, aligned with its tables.
-        fm, fb = KroneckerChain.from_bipartite(bk).factors
-        m_rows, m_cols = fm.entry_rows(), fm.indices
-        bk_rows, bk_cols = fb.entry_rows(), fb.indices
-    else:
-        m_coo = bk.M.adj.tocoo()
-        b_coo = bk.B.graph.adj.tocoo()
-        m_rows, m_cols = m_coo.row.astype(np.int64), m_coo.col.astype(np.int64)
-        bk_rows, bk_cols = b_coo.row.astype(np.int64), b_coo.col.astype(np.int64)
-    nnz_b = bk_rows.size
-
+    chain = KroneckerChain.from_bipartite(bk)
     # Per-block accounting, gated on one boolean so the disabled path
-    # pays a single branch per block (the plain stream emits a block in
-    # ~1.5 µs; even no-op method calls would be measurable here).
+    # pays a single branch per block.
     metrics = get_metrics()
     tracking = metrics.enabled
     if tracking:
@@ -79,113 +55,13 @@ def stream_edges(
     # Event emission is gated the same way: one boolean per block.
     events = get_events()
     emitting = events.enabled
-
-    if attach_ground_truth:
-        # Def. 9 on the chain [M, B], with the left factor's terms
-        # hoisted: α = W3_M and β = d_M per M entry, against the
-        # edge-aligned right-factor arrays.
-        with get_tracer().span("stream.setup_ground_truth"):
-            alpha = fm.w3
-            beta_i = fm.d[m_rows]
-            beta_j = fm.d[m_cols]
-            w3_b = fb.w3
-            d_k = fb.d[bk_rows]
-            d_l = fb.d[bk_cols]
-
-    if block_edges is not None and nnz_b > 0:
-        # Chunked path: `per_chunk` M entries per yielded block, with
-        # preallocated index/value buffers reused across iterations.
-        per_chunk = max(1, int(block_edges) // nnz_b)
-        p_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
-        q_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
-        if attach_ground_truth:
-            w3_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
-            drow_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
-            dcol_buf = np.empty((per_chunk, nnz_b), dtype=np.int64)
-        for t0 in range(0, m_rows.size, per_chunk):
-            t1 = min(t0 + per_chunk, m_rows.size)
-            cnt = t1 - t0
-            np.add(m_rows[t0:t1, None] * n_b, bk_rows, out=p_buf[:cnt])
-            np.add(m_cols[t0:t1, None] * n_b, bk_cols, out=q_buf[:cnt])
-            p = p_buf[:cnt].reshape(-1)
-            q = q_buf[:cnt].reshape(-1)
-            if tracking:
-                edges_streamed.inc(p.size)
-                blocks_streamed.inc()
-            if emitting:
-                events.emit("stream.block", edges=int(p.size), chunked=True)
-            if not attach_ground_truth:
-                if tracking:
-                    block_bytes.observe(p.nbytes + q.nbytes)
-                yield p, q
-                continue
-            np.multiply.outer(alpha[t0:t1], w3_b, out=w3_buf[:cnt])
-            np.multiply.outer(beta_i[t0:t1], d_k, out=drow_buf[:cnt])
-            np.multiply.outer(beta_j[t0:t1], d_l, out=dcol_buf[:cnt])
-            w3_buf[:cnt] = multifactor.def9_finish(w3_buf[:cnt], drow_buf[:cnt], dcol_buf[:cnt])
-            dia = w3_buf[:cnt].reshape(-1)
-            if tracking:
-                block_bytes.observe(p.nbytes + q.nbytes + dia.nbytes)
-            yield p, q, dia
-        return
-
-    for t in range(m_rows.size):
-        p = m_rows[t] * n_b + bk_rows
-        q = m_cols[t] * n_b + bk_cols
-        if tracking:
-            edges_streamed.inc(p.size)
-            blocks_streamed.inc()
-        if emitting:
-            events.emit("stream.block", edges=int(p.size), chunked=False)
-        if not attach_ground_truth:
-            if tracking:
-                block_bytes.observe(p.nbytes + q.nbytes)
-            yield p, q
-            continue
-        dia = multifactor.def9_finish(alpha[t] * w3_b, beta_i[t] * d_k, beta_j[t] * d_l)
-        if tracking:
-            block_bytes.observe(p.nbytes + q.nbytes + dia.nbytes)
-        yield p, q, dia
-
-
-def stream_chain_edges(
-    chain,
-    attach_ground_truth: bool = False,
-    block_edges: int | None = None,
-    start: int | None = None,
-    stop: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Instrumented edge stream of a deep Kronecker chain.
-
-    The extreme-scale analogue of :func:`stream_edges`: blocks come
-    from :meth:`KroneckerChain.stream_rows
-    <repro.kronecker.multifactor.KroneckerChain.stream_rows>` (a
-    product-row range, closed-form per-entry 4-cycle counts with
-    ``attach_ground_truth``) and the same ``edges_streamed_total`` /
-    ``stream.blocks_total`` telemetry is emitted, gated on one boolean
-    per block.  ``start``/``stop`` restrict to rows ``[start, stop)``
-    (default: the whole product), which is how a shard worker streams
-    exactly its partition.
-    """
-    lo = 0 if start is None else int(start)
-    hi = chain.n if stop is None else int(stop)
-    metrics = get_metrics()
-    tracking = metrics.enabled
-    if tracking:
-        edges_streamed = metrics.counter("edges_streamed_total")
-        blocks_streamed = metrics.counter("stream.blocks_total")
-        block_bytes = metrics.histogram("stream.block_size_bytes")
-    events = get_events()
-    emitting = events.enabled
-    for block in chain.stream_rows(
-        lo, hi, attach_ground_truth=attach_ground_truth, block_entries=block_edges
-    ):
+    for block in chain.stream_rows(0, chain.n, attach_ground_truth=attach_ground_truth):
         if tracking:
             edges_streamed.inc(int(block[0].size))
             blocks_streamed.inc()
             block_bytes.observe(sum(a.nbytes for a in block))
         if emitting:
-            events.emit("stream.block", edges=int(block[0].size), chunked=True)
+            events.emit("stream.block", edges=int(block[0].size))
         yield block
 
 

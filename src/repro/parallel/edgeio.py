@@ -59,6 +59,8 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
+from repro.kronecker.multifactor import STREAM_BLOCK_ENTRIES
+
 __all__ = [
     "EDGES_SCHEMA",
     "EDGES_VERSION",
@@ -93,10 +95,11 @@ _NPZ_MAGIC = b"PK"  # zip container: an .npz shard from an older run
 CODECS = {"raw": 0, "deflate": 1, "zstd": 2}
 _CODEC_NAMES = {v: k for k, v in CODECS.items()}
 
-#: Entries per block, both for the blocks a shard's row range streams
-#: in and for the frames on disk.  A ground-truth block is 24 bytes an
-#: entry, so a writer holds ~1.5 MiB of columns at a time.
-DEFAULT_BLOCK_ENTRIES = 1 << 16
+#: Entries per frame on disk: the chain stream's own block size, so a
+#: shard's streamed blocks and its frames cannot drift apart.  A
+#: ground-truth block is 24 bytes an entry, so a writer holds ~1.5 MiB
+#: of columns at a time.
+DEFAULT_BLOCK_ENTRIES = STREAM_BLOCK_ENTRIES
 
 # Structural sanity bounds (cf. wire.MAX_FRAME_ELEMENTS): a corrupt
 # length field must fail fast, not allocate gigabytes.

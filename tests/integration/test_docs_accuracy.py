@@ -93,6 +93,38 @@ class TestPaperMappingReferences:
         assert not broken, f"docs/paper_mapping.md cites missing files or tests: {broken}"
 
 
+class TestApiTables:
+    """Every first-column name of a ``## `repro.X` `` table in
+    docs/api.md is an attribute of ``repro.X`` (dotted names walk
+    submodules and attributes, as in the paper mapping)."""
+
+    def _first_column_names(self) -> list[tuple[str, str]]:
+        text = (REPO_ROOT / "docs" / "api.md").read_text()
+        names = []
+        for section in re.split(r"^## ", text, flags=re.MULTILINE)[1:]:
+            heading = re.match(r"`(repro(?:\.\w+)*)`", section)
+            if not heading:
+                continue
+            for line in section.splitlines():
+                if not line.startswith("|") or re.match(r"\|\s*(symbol|-+)\s*\|", line):
+                    continue
+                first = line.split("|")[1]
+                for ticked in re.findall(r"`([^`]+)`", first):
+                    names.append((heading.group(1), re.match(r"[\w.]+", ticked).group(0)))
+        return names
+
+    def test_first_column_names_resolve(self):
+        names = self._first_column_names()
+        assert len(names) > 30
+        broken = []
+        for module, name in names:
+            try:
+                _resolve_dotted(f"{module}.{name}")
+            except (ImportError, AttributeError):
+                broken.append(f"{module}: {name}")
+        assert not broken, f"docs/api.md tables list names that do not resolve: {broken}"
+
+
 class TestRemark1DisplayedFormula:
     def test_paper_square_free_specialization(self):
         """Rem. 1 displays s_C for square-free factors:

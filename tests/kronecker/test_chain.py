@@ -24,7 +24,6 @@ from repro.generators.classic import (
 from repro.graphs.graph import Graph
 from repro.kronecker.assumptions import Assumption, make_bipartite_product
 from repro.kronecker.multifactor import ChainFactor, KroneckerChain
-from repro.kronecker.streaming import stream_chain_edges
 from repro.refcheck import brute
 from repro.refcheck.printed import multi_kronecker_global_squares
 from tests.strategies import factor_chains
@@ -187,19 +186,6 @@ def test_chain_factor_stats():
     assert f.n == 4 and f.nnz == 8
     np.testing.assert_array_equal(f.d, [2, 2, 2, 2])
     assert not f.has_loops
-
-
-def test_stream_chain_edges_wrapper():
-    """The instrumented wrapper yields exactly the chain's blocks."""
-    chain = KroneckerChain.from_graphs([path_graph(3), star_graph(2)])
-    direct = streamed_triples(chain)
-    ps, qs, sqs = [], [], []
-    for p, q, s in stream_chain_edges(chain, attach_ground_truth=True):
-        ps.append(p)
-        qs.append(q)
-        sqs.append(s)
-    for got, want in zip((np.concatenate(ps), np.concatenate(qs), np.concatenate(sqs)), direct):
-        np.testing.assert_array_equal(got, want)
 
 
 def test_signature_is_stable_and_json_safe():

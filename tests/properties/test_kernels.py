@@ -22,7 +22,6 @@ from repro.kronecker import (
     FactorStats,
     GroundTruthOracle,
     make_bipartite_product,
-    stream_edges,
 )
 from repro.kronecker.ground_truth import edge_squares_product, vertex_squares_product
 from repro.kronecker.multifactor import ChainFactor, KroneckerChain
@@ -233,31 +232,3 @@ def test_memory_footprint_bytes_counts_caches():
     oracle.has_edges([0], [1])
     assert oracle.memory_footprint_bytes() > base
     assert oracle.memory_footprint_entries() > 0
-
-
-# ---------------------------------------------------------------------------
-# Chunked streaming == default streaming
-# ---------------------------------------------------------------------------
-
-
-@given(A=connected_bipartite_graphs(max_side=3), B=connected_bipartite_graphs(max_side=3))
-@SETTINGS
-def test_chunked_stream_matches_default(A, B):
-    bk = make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
-    for block_edges in (1, 7, 10**6):
-        for attach in (False, True):
-            default = [
-                tuple(np.asarray(a).copy() for a in block)
-                for block in stream_edges(bk, attach_ground_truth=attach)
-            ]
-            chunked = [
-                tuple(np.asarray(a).copy() for a in block)
-                for block in stream_edges(
-                    bk, attach_ground_truth=attach, block_edges=block_edges
-                )
-            ]
-            flat_default = [np.concatenate(cols) for cols in zip(*default)]
-            flat_chunked = [np.concatenate(cols) for cols in zip(*chunked)]
-            assert len(flat_default) == len(flat_chunked)
-            for d, c in zip(flat_default, flat_chunked):
-                np.testing.assert_array_equal(d, c)

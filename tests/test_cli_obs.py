@@ -35,7 +35,7 @@ class TestMetricsOut:
         assert record["config"]["factor_a"] == "complete:3"
         assert record["exit_code"] == 0
 
-    def test_generate_ground_truth_has_setup_span(self, tmp_path):
+    def test_generate_ground_truth_records_one_block(self, tmp_path):
         record_path = tmp_path / "run.json"
         rc = main(
             ["generate", "cycle:3", "path:3", "--ground-truth",
@@ -43,7 +43,14 @@ class TestMetricsOut:
         )
         assert rc == 0
         record = load_run_record(record_path)
-        assert "stream.setup_ground_truth" in set(_span_names(record["spans"]))
+        write = [s for s in record["spans"][0]["children"] if s["name"] == "generate.write_edges"]
+        assert write and write[0]["attrs"]["ground_truth"] is True
+        # 24 directed entries (nnz(C3) * nnz(P3) = 6 * 4) fit one block
+        # of three int64 columns.
+        metrics = record["metrics"]
+        assert metrics["counters"]["edges_streamed_total"] == 24
+        assert metrics["counters"]["stream.blocks_total"] == 1
+        assert metrics["histograms"]["stream.block_size_bytes"]["sum"] == 24 * 3 * 8
 
     def test_stats_writes_record_with_gauges(self, tmp_path):
         record_path = tmp_path / "run.json"

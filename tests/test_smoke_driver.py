@@ -61,7 +61,7 @@ def _wing_over_bound(row):
         # A writer holding whole shards: ~2.6x the large shard's 338 MB.
         ("scale", "test_shard_write_memory", lambda r: r.update(growth_delta_mb=880.0)),
         ("obs", "test_event_log_emit_flush_throughput", lambda r: r.update(dropped=1)),
-        ("kernels", "test_chunked_stream_vs_default", lambda r: r.pop("entries")),
+        ("kernels", "test_batched_vs_scalar_vertex_queries", lambda r: r.pop("throughput_ratio")),
         ("serve", "test_serve_prefork_wire_pipeline", lambda r: r.update(protocol="json")),
         ("generation", "test_generation_throughput", lambda r: r.pop("directed_entries")),
     ],
