@@ -13,7 +13,7 @@ Run standalone: ``python benchmarks/bench_generation.py``
 
 from repro.experiments import generation_throughput
 from repro.kronecker import stream_edges
-from repro.utils.timing import Timer
+from repro.obs import Span
 
 
 def test_generation_throughput(benchmark, unicode_product, record_bench):
@@ -33,7 +33,7 @@ def test_generation_throughput(benchmark, unicode_product, record_bench):
 def test_stream_with_ground_truth_attached(benchmark, unicode_product, record_bench):
     def run():
         entries = 0
-        with Timer() as t:
+        with Span() as t:
             for p, _q, _dia in stream_edges(unicode_product, attach_ground_truth=True):
                 entries += p.size
         return entries, t.elapsed

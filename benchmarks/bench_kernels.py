@@ -22,11 +22,11 @@ import numpy as np
 from repro.kronecker import GroundTruthOracle
 from repro.kronecker.ground_truth import edge_squares_product, vertex_squares_product
 from repro.kronecker.sampling import sample_edges
+from repro.obs import Span
 from repro.refcheck.printed import (
     edge_squares_product_reference,
     vertex_squares_product_reference,
 )
-from repro.utils.timing import Timer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 ROUNDS = 1 if QUICK else 3
@@ -42,7 +42,7 @@ def _best_of(fn, rounds=ROUNDS):
     best, result = float("inf"), None
     fn()
     for _ in range(rounds):
-        with Timer() as t:
+        with Span() as t:
             result = fn()
         best = min(best, t.elapsed)
     return best, result
@@ -186,9 +186,9 @@ if __name__ == "__main__":
     A = konect_unicode_like()
     bk = make_bipartite_product(A, A, Assumption.SELF_LOOPS_FACTOR, require_connected=False)
     bk.factor_stats()
-    with Timer() as t_f:
+    with Span() as t_f:
         fused = edge_squares_product(bk)
-    with Timer() as t_l:
+    with Span() as t_l:
         edge_squares_product_reference(bk)
     print(f"edge ◇ fused {t_f.elapsed:.3f}s vs legacy {t_l.elapsed:.3f}s "
           f"({t_l.elapsed / t_f.elapsed:.1f}x) over {fused.nnz:,} entries")

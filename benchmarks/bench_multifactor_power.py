@@ -17,7 +17,7 @@ from typing import List
 from repro.analytics import global_squares
 from repro.generators import scale_free_nonbipartite_factor
 from repro.kronecker import KroneckerChain, kron_power
-from repro.utils.timing import Timer
+from repro.obs import Span
 
 
 @dataclass
@@ -54,12 +54,12 @@ def run_powers(max_k: int = 3, direct_limit_edges: int = 500_000, seed: int = 5)
     rows = []
     for k in range(1, max_k + 1):
         factors = [A] * k
-        with Timer() as t_formula:
+        with Span() as t_formula:
             squares = KroneckerChain.from_graphs(factors).global_squares()
         C = kron_power(A, k)
         t_direct = None
         if C.m <= direct_limit_edges:
-            with Timer() as timer:
+            with Span() as timer:
                 direct = global_squares(C)
             t_direct = timer.elapsed
             if direct != squares:  # pragma: no cover - formulas are proven

@@ -14,7 +14,7 @@ import numpy as np
 from repro.generators import konect_unicode_like
 from repro.kronecker import Assumption, GroundTruthOracle, make_bipartite_product
 from repro.kronecker.sampling import sample_edges
-from repro.utils.timing import Timer
+from repro.obs import Span
 
 
 def _small_product():
@@ -67,10 +67,10 @@ def test_latency_independent_of_product_size(benchmark, unicode_product, record_
     small_vertices = rng.integers(0, small_bk.n, 2000).tolist()
 
     def measure():
-        with Timer() as t_big:
+        with Span() as t_big:
             for p in big_vertices:
                 big.squares_at_vertex(p)
-        with Timer() as t_small:
+        with Span() as t_small:
             for p in small_vertices:
                 small.squares_at_vertex(p)
         return t_big.elapsed / max(t_small.elapsed, 1e-9)
@@ -89,7 +89,7 @@ if __name__ == "__main__":
     bk = make_bipartite_product(A, A, Assumption.SELF_LOOPS_FACTOR, require_connected=False)
     oracle = GroundTruthOracle(bk)
     rng = np.random.default_rng(0)
-    with Timer() as t:
+    with Span() as t:
         for p in rng.integers(0, bk.n, 10000).tolist():
             oracle.squares_at_vertex(p)
     print(f"10k vertex queries on the 753k-vertex product: {t.elapsed:.3f}s "

@@ -13,7 +13,7 @@ Three contracts, all asserted in-bench (not just recorded):
    closed-form, so the contract holds at any size.
 3. **Bit identity** — the shard-union entry set (with ground truth) of
    the degree-cut ``repro.edges/1`` shards is identical under every
-   block codec (raw, deflate, and zstd when installed); each codec's
+   block codec (raw and deflate); each codec's
    on-disk size is recorded.
 4. **Flat write memory** — one ground-truth shard is written in a fresh
    process at two sizes ~10x apart; each run's peak RSS above the
@@ -28,7 +28,6 @@ this module in quick mode and gates the regression via
 Run standalone: ``python benchmarks/bench_scale.py``
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -39,8 +38,8 @@ from repro.generators.classic import complete_bipartite
 from repro.generators.scale_free import preferential_attachment
 from repro.kronecker import Assumption, make_bipartite_product
 from repro.kronecker.multifactor import KroneckerChain
+from repro.obs import Span
 from repro.parallel import generate_chain_shards, load_shards, plan_partition
-from repro.utils.timing import Timer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -91,7 +90,7 @@ def test_stream_throughput_droop(benchmark, record_bench):
     small, large = _chain(SMALL_N), _chain(LARGE_N)
     small_seconds = float("inf")
     for _ in range(ROUNDS):
-        with Timer() as t_small:
+        with Span() as t_small:
             small_total = _stream_entries(small)
         small_seconds = min(small_seconds, t_small.elapsed)
     assert small_total == small.nnz
@@ -159,7 +158,7 @@ def test_shard_bit_identity_across_formats(benchmark, record_bench, tmp_path):
             Assumption.NON_BIPARTITE_FACTOR,
         )
     )
-    codecs = ["raw", "deflate"] + (["zstd"] if importlib.util.find_spec("zstandard") else [])
+    codecs = ["raw", "deflate"]
 
     def run():
         unions = {}
@@ -270,7 +269,7 @@ def trajectory_table() -> str:
     ]
     for n in (SMALL_N, LARGE_N):
         chain = _chain(n)
-        with Timer() as t:
+        with Span() as t:
             total = _stream_entries(chain)
         lines.append(
             f"{n:>10}{total:>18,}{t.elapsed:>10.2f}{total / t.elapsed / 1e6:>10.1f}"

@@ -31,11 +31,11 @@ import numpy as np
 
 from repro.kronecker import GroundTruthOracle
 from repro.kronecker.sampling import sample_edges
+from repro.obs import Span
 from repro.serve import OracleService, load_oracle, save_oracle
 from repro.serve.prefork import PreforkServer
 from repro.serve.service import ENTRY_OVERHEAD
 from repro.serve.wire import WireClient, encode_request
-from repro.utils.timing import Timer
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 CONCURRENCY = (1, 4) if QUICK else (1, 4, 16)
@@ -70,7 +70,7 @@ def _drive(service: OracleService, oracle: GroundTruthOracle, concurrency: int):
                 mismatches.append(f"client {slot}: mismatch for {ps[:4]}...")
 
     threads = [threading.Thread(target=client, args=(i,)) for i in range(concurrency)]
-    with Timer() as t:
+    with Span() as t:
         for th in threads:
             th.start()
         for th in threads:
@@ -120,7 +120,7 @@ def test_serve_cache_on_vs_off(unicode_product, record_bench):
     expected = [oracle.squares_at_vertices(ps) for ps in hot]
 
     def replay(service: OracleService) -> float:
-        with Timer() as t:
+        with Span() as t:
             for i in range(rounds):
                 got = service.squares_at_vertices(hot[i % len(hot)])
                 np.testing.assert_array_equal(got, expected[i % len(hot)])
@@ -179,7 +179,7 @@ def test_serve_http_round_trip(unicode_product, tmp_path_factory, record_bench):
                     errors.append(f"client {slot}: HTTP answer diverged at {idx[:4]}")
 
         threads = [threading.Thread(target=client, args=(i,)) for i in range(concurrency)]
-        with Timer() as t:
+        with Span() as t:
             for th in threads:
                 th.start()
             for th in threads:
@@ -232,7 +232,7 @@ def test_serve_prefork_http_keepalive(unicode_product, tmp_path_factory, record_
         with PreforkServer(art, workers=workers, protocol="both") as server:
             conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
             errors: list[str] = []
-            with Timer() as t:
+            with Span() as t:
                 for i in range(reqs):
                     ps, qs, expected = requests[i % len(requests)]
                     conn.request(
@@ -301,7 +301,7 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
             threading.Thread(target=naive_client, args=(i,))
             for i in range(baseline_clients)
         ]
-        with Timer() as t_naive:
+        with Span() as t_naive:
             for th in threads:
                 th.start()
             for th in threads:
@@ -317,7 +317,7 @@ def test_serve_prefork_wire_pipeline(unicode_product, tmp_path_factory, record_b
                 batch = frames * reps
                 best_elapsed = float("inf")
                 for _ in range(1 if QUICK else 3):  # best-of-3 damps timer noise
-                    with Timer() as t:
+                    with Span() as t:
                         answers = client.pipeline(batch)
                     best_elapsed = min(best_elapsed, t.elapsed)
             for i, answer in enumerate(answers):
@@ -368,9 +368,9 @@ def test_artifact_load_vs_rebuild(unicode_product, tmp_path_factory, record_benc
         unicode_product._stats_cache.pop("chain", None)
         return GroundTruthOracle(unicode_product)
 
-    with Timer() as t_load:
+    with Span() as t_load:
         loaded = load_oracle(out)
-    with Timer() as t_build:
+    with Span() as t_build:
         rebuilt = rebuild()
     ps = np.arange(min(unicode_product.n, 10_000), dtype=np.int64)
     np.testing.assert_array_equal(loaded.squares_at_vertices(ps), oracle.squares_at_vertices(ps))

@@ -40,7 +40,7 @@ from repro.kronecker.wings import (
     max_wing_upper_bound,
     wing_upper_bounds,
 )
-from repro.utils.timing import Timer
+from repro.obs import Span
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -205,7 +205,7 @@ def wing_table() -> str:
     ]
     bk = _product()
     C = bk.materialize()
-    with Timer() as t:
+    with Span() as t:
         result = peel_wing_numbers(C.adj)
     oracle = GroundTruthOracle(bk)
     lines.append(
@@ -213,7 +213,7 @@ def wing_table() -> str:
         f"{oracle.max_wing_bound():>10}{t.elapsed:>10.2f}"
     )
     chain = _chain()
-    with Timer() as t:
+    with Span() as t:
         best = max_wing_upper_bound(chain)
     lines.append(
         f"{'chain':>12}{chain.nnz // 2:>10,}{'-':>10}{best:>10}{t.elapsed:>10.2f}"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import fnmatch
 import http.client
-import importlib.util
 import json
 import operator
 import os
@@ -125,13 +124,6 @@ def check_report(path: Path, *, tier: str, min_cases: int, perturbation: Optiona
         need("edges" in report["witnesses"][0]["factors"]["A"],
              "witness must carry reproducible factors")
     print(f"{path.name} ok: {report['cases']} cases, {report['divergences']} divergences")
-
-
-def skip_record(out: Path, name: str, reason: str, **fields) -> None:
-    """Write and print an explicit skip record instead of a vacuous pass."""
-    skip = {"skipped": True, **fields, "reason": reason}
-    (out / f"{name}_skipped.json").write_text(json.dumps(skip, indent=2))
-    print("wrote explicit skip record:", skip)
 
 
 # Family-specific extra steps; each takes the family's output directory.
@@ -371,10 +363,7 @@ def shard_drills(out: Path) -> None:
          "kill drill never finished")
     # Every codec decodes a three-factor chain to the same content
     # (checksums hash decoded arrays).
-    codecs = ["raw", "deflate"] + (["zstd"] if importlib.util.find_spec("zstandard") else [])
-    if "zstd" not in codecs:
-        skip_record(out, "zstd_roundtrip", "zstandard not installed; zstd codec not exercised",
-                    codec="zstd")
+    codecs = ["raw", "deflate"]
     unions = {}
     for codec in codecs:
         shards(f"codec_{codec}", "--shards", "4", "--codec", codec,
@@ -391,13 +380,6 @@ def shard_drills(out: Path) -> None:
         unions[codec] = union[:, np.lexsort(union[::-1])]
         need(np.array_equal(unions[codec], unions["raw"]), f"{codec} decoded union differs")
     print(f"cross-codec ok: {unions['raw'].shape[1]:,} entries identical across {codecs}")
-    # Without the wheel, --codec zstd fails with an error naming the extra.
-    blocked = ("import sys; sys.modules['zstandard'] = None; from repro.cli import main; "
-               "sys.exit(main(sys.argv[1:]))")
-    err = py("-c", blocked, "shards", *SPEC, "--out-dir", str(out / "nozstd"),
-             "--shards", "2", "--workers", "1", "--codec", "zstd",
-             expect=None, capture=True).stderr
-    need("zstandard" in err.lower(), "missing-zstd error does not name the extra")
 
 
 @dataclass(frozen=True)
@@ -416,9 +398,7 @@ FAMILIES: dict[str, Family] = {
                 ("test_stream_with_ground_truth_attached", "gt_entries_per_s", ">", 0)),
         extras=(cli_profile_smoke,)),
     "parallel": Family(checks=(
-        ("test_parallel_edge_count", "directed_entries", ">", 0),
-        ("test_parallel_butterfly_count", "butterflies", ">", 0),
-        ("test_shard_generation_fault_tolerance", "directed_entries", ">", 0))),
+        ("test_shard_generation_fault_tolerance", "directed_entries", ">", 0),)),
     "kernels": Family(
         checks=(("test_edge_squares_product_fused_vs_legacy", "speedup", ">", 0),
                 ("test_batched_vs_scalar_vertex_queries", "throughput_ratio", ">", 0)),

@@ -25,7 +25,7 @@ from repro import Assumption, make_bipartite_product
 from repro.generators import scale_free_bipartite_factor
 from repro.graphs.traversal import eccentricity
 from repro.kronecker import product_diameter, product_eccentricities
-from repro.utils.timing import Timer
+from repro.obs import Span
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
     bk = make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
     print(f"product: {bk.n:,} vertices, {bk.m:,} edges (never materialized for the formulas)")
 
-    with Timer() as t:
+    with Span() as t:
         ecc = product_eccentricities(bk)
     print(f"all {ecc.size:,} eccentricities from factor tables in {t.elapsed:.2f}s")
     print(f"diameter = {product_diameter(bk)}, radius = {ecc.min()}")

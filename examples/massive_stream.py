@@ -20,7 +20,7 @@ import numpy as np
 from repro import Assumption, konect_unicode_like, make_bipartite_product
 from repro.kronecker import GroundTruthOracle, global_squares_product, stream_edges
 from repro.kronecker.streaming import streamed_connectivity_audit
-from repro.utils.timing import Timer
+from repro.obs import Span
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     bk = make_bipartite_product(A, A, Assumption.SELF_LOOPS_FACTOR, require_connected=False)
     print(f"implicit product: {bk.n:,} vertices, {bk.m:,} undirected edges")
 
-    with Timer() as t:
+    with Span() as t:
         total = global_squares_product(bk)
     print(f"exact global 4-cycles (sublinear, no product touched): {total:,}  "
           f"[{t.elapsed:.3f}s]")
@@ -38,7 +38,7 @@ def main() -> None:
           f"vs {bk.m:,} product edges")
 
     # Stream all edges, tracking the busiest edge seen.
-    with Timer() as t:
+    with Span() as t:
         entries = 0
         best = (-1, -1, -1)
         for p, q, dia in stream_edges(bk, attach_ground_truth=True):
@@ -54,7 +54,7 @@ def main() -> None:
 
     # Connectivity audit (the factor is disconnected, so C is too --
     # exactly what Thm 2's hypotheses warn about).
-    with Timer() as t:
+    with Span() as t:
         n_components, edges = streamed_connectivity_audit(bk)
     print(f"\nstreamed connectivity audit: {n_components:,} components over {edges:,} edges "
           f"[{t.elapsed:.1f}s]")

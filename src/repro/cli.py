@@ -580,10 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sh.add_argument(
         "--codec",
-        choices=["raw", "deflate", "zstd"],
+        choices=["raw", "deflate"],
         default="raw",
-        help="block compression of the shard files (zstd needs the optional "
-        "zstandard package)",
+        help="block compression of the shard files",
     )
     sh.add_argument(
         "--resume",

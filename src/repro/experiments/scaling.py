@@ -33,7 +33,7 @@ from repro.kronecker.community import (
 )
 from repro.kronecker.ground_truth import global_squares_product
 from repro.kronecker.streaming import stream_edges
-from repro.utils.timing import Timer
+from repro.obs import Span
 
 __all__ = [
     "thm6_tightness",
@@ -222,10 +222,10 @@ def groundtruth_vs_direct(sizes: List[int] | None = None, seed: int = 7) -> Cost
         A = scale_free_nonbipartite_factor(k, 2, seed=seed)
         B = scale_free_bipartite_factor(k, k, 2, seed=seed + 1)
         bk = make_bipartite_product(A, B, Assumption.NON_BIPARTITE_FACTOR)
-        with Timer() as t_formula:
+        with Span() as t_formula:
             gt = global_squares_product(bk)
         C = bk.materialize_bipartite()
-        with Timer() as t_direct:
+        with Span() as t_direct:
             direct = global_squares(C.graph)
         if gt != direct:  # pragma: no cover - correctness guard
             raise AssertionError(f"ground truth {gt} != direct {direct} at size {k}")
@@ -267,11 +267,11 @@ class GenerationResult:
 
 def generation_throughput(bk: BipartiteKronecker) -> GenerationResult:
     """Measure edge-stream generation against scipy materialization."""
-    with Timer() as t_stream:
+    with Span() as t_stream:
         entries = 0
         for p, _q in stream_edges(bk):
             entries += p.size
-    with Timer() as t_mat:
+    with Span() as t_mat:
         bk.materialize()
     return GenerationResult(
         n_product=bk.n,

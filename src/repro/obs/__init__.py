@@ -4,8 +4,8 @@ The measurement layer the ROADMAP's scaling work hangs off.  Five
 pieces, one switch:
 
 * :mod:`repro.obs.span` — nested, named, thread-safe :class:`Span`
-  timing (subsumes the old ``repro.utils.timing.Timer``, which is now a
-  thin alias) collected into trees by a :class:`Tracer`.
+  timing (also the library's plain stopwatch) collected into trees by a
+  :class:`Tracer`.
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   of labeled counters / gauges / fixed-bucket quantile histograms with
   exact snapshot-merge across ``ProcessPoolExecutor`` workers.

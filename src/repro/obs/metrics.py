@@ -27,7 +27,7 @@ boundaries, so workers build a *local* :class:`MetricsRegistry`, return
 ``registry.snapshot()`` next to their payload, and the parent folds the
 snapshots in with :meth:`MetricsRegistry.merge_snapshot` (counters add,
 gauges last-write-wins, histograms pool moments and add buckets).  See
-:mod:`repro.parallel.count` for the pattern in use.
+:mod:`repro.parallel.generate` for the pattern in use.
 
 Disabled instrumentation uses :data:`NULL_REGISTRY`: ``counter()`` /
 ``gauge()`` / ``histogram()`` hand back a shared no-op metric, so hot

@@ -3,8 +3,8 @@
 A :class:`Span` is the observability layer's unit of wall-clock
 accounting: a reusable context manager measuring elapsed seconds, with
 optional attributes (``sp.set(rows=128)``) and span-local counters
-(``sp.count("blocks")``).  Used standalone it behaves exactly like the
-old :class:`repro.utils.timing.Timer` (which is now a thin alias).
+(``sp.count("blocks")``).  Used standalone (``with Span() as t:``) it
+is the library's plain stopwatch.
 
 A :class:`Tracer` strings spans into per-thread trees: ``tracer.span()``
 opens a child of whichever span the *current thread* has open, so

@@ -1,4 +1,4 @@
-"""Process-parallel generation and counting.
+"""Process-parallel shard generation.
 
 The paper's conclusion (§V) plans "a distributed version of graphBLAS,
 including using the ground truth formulas derived here to compute
@@ -20,21 +20,18 @@ single-node, multi-process realisation of that plan:
   ``repro.edges/1`` shard container, the only one: little-endian int64
   blocks, optional compression, and footer checksums compatible with
   the manifest's content checksums.
-* :mod:`~repro.parallel.count` -- parallel direct butterfly counting
-  by row-block codegree partial sums; the validation-side workload a
-  cluster would run against the generator's ground truth.
 * :mod:`~repro.parallel.manifest` -- versioned, checksummed shard
   manifests written atomically alongside the shards; the integrity
   record that makes partial failure detectable and resume safe.
 * :mod:`~repro.parallel.faults` -- deterministic fault injection and
-  the bounded-retry / exponential-backoff executor loop shared by the
-  generation and counting paths.
+  the bounded-retry / exponential-backoff executor loop that shard
+  generation runs on.
 
-Design notes (per the HPC guides): work units are coarse (one shard =
-thousands of edge blocks) so process spawn and pickling costs amortize;
-all inter-process payloads are numpy arrays (pickle fast-path); results
-are pure reductions (sums / concatenations), so the parallel paths are
-bit-identical to the serial ones -- which the tests assert.
+Design notes: work units are coarse (one shard = thousands of edge
+blocks) so process spawn and pickling costs amortize; only the tiny
+factor tables cross the process boundary; and each shard's content
+depends only on its row range, so the parallel path is bit-identical
+to the serial one -- which the tests assert.
 """
 
 from repro._lazy import lazy_exports
@@ -46,8 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "shard_of_rows": ".partition",
     "generate_chain_shards": ".generate",
     "load_shards": ".generate",
-    "parallel_edge_count": ".generate",
-    "parallel_global_butterflies": ".count",
     "EDGES_SCHEMA": ".edgeio",
     "EdgeFormatError": ".edgeio",
     "EdgeIntegrityError": ".edgeio",

@@ -43,10 +43,9 @@ Two integrity layers, deliberately distinct:
   detects torn files: a writer crash mid-block leaves a file whose
   read raises :class:`EdgeFormatError` before any data is trusted.
 
-Codecs: ``raw`` (0) and ``deflate`` (1, stdlib zlib) are always
-available; ``zstd`` (2) is recognised but gated on the optional
-``zstandard`` package -- reading or writing it without the package
-raises a typed error instead of importing lazily at a surprise moment.
+Codecs: ``raw`` (0) and ``deflate`` (1, stdlib zlib).  Any other codec
+name (on write) or codec id (in a header) raises
+:class:`EdgeFormatError`.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ BLOCK_MAGIC = b"\x9fB"
 FOOTER_MAGIC = b"\x9fF"
 _NPZ_MAGIC = b"PK"  # zip container: an .npz shard from an older run
 
-CODECS = {"raw": 0, "deflate": 1, "zstd": 2}
+CODECS = {"raw": 0, "deflate": 1}
 _CODEC_NAMES = {v: k for k, v in CODECS.items()}
 
 #: Entries per frame on disk: the chain stream's own block size, so a
@@ -120,24 +119,11 @@ class EdgeIntegrityError(EdgeFormatError):
     """Framing is intact but the content checksum does not match."""
 
 
-def _zstd():
-    try:
-        import zstandard  # type: ignore[import-not-found]
-    except ImportError as exc:  # pragma: no cover - env-dependent
-        raise EdgeFormatError(
-            "codec 'zstd' needs the optional zstandard package (not installed); "
-            "use 'raw' or 'deflate'"
-        ) from exc
-    return zstandard
-
-
 def _compress(columns: list[np.ndarray], codec: int) -> bytes:
     """One block's payload: ``columns`` back to back, compressed."""
     if codec == CODECS["deflate"]:
         z = zlib.compressobj(6)
         return b"".join([*(z.compress(c) for c in columns), z.flush()])
-    if codec == CODECS["zstd"]:  # pragma: no cover - optional dependency
-        return _zstd().ZstdCompressor().compress(b"".join(c.tobytes() for c in columns))
     raise EdgeFormatError(f"unknown codec id {codec}")
 
 
@@ -146,8 +132,6 @@ def _decompress(payload: bytes, codec: int, expected: int) -> bytes:
         out = payload
     elif codec == CODECS["deflate"]:
         out = zlib.decompress(payload)
-    elif codec == CODECS["zstd"]:  # pragma: no cover - optional dependency
-        out = _zstd().ZstdDecompressor().decompress(payload, max_output_size=expected)
     else:
         raise EdgeFormatError(f"unknown codec id {codec}")
     if len(out) != expected:
@@ -263,8 +247,6 @@ def write_edges_file(
     if block_entries <= 0:
         raise EdgeFormatError(f"block_entries must be positive, got {block_entries}")
     codec_id = CODECS[codec]
-    if codec_id == CODECS["zstd"]:
-        _zstd()  # fail before creating the file
     stream = iter((arrays,) if isinstance(arrays, Mapping) else arrays)
     first = _validated_columns(next(stream, {}))
     names = tuple(first)

@@ -12,8 +12,7 @@ Two halves, both deterministic:
   which breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`).
 * :class:`RetryPolicy` + :func:`map_with_retry` — bounded retries with
   exponential backoff and deterministic jitter.  ``map_with_retry`` is
-  the shared executor loop under both sharded generation and parallel
-  counting: it runs one *round* of all pending tasks per pool, treats a
+  the executor loop under sharded generation: it runs one *round* of all pending tasks per pool, treats a
   broken pool as a failure of that round's unfinished tasks (the pool
   is recreated next round), and raises :class:`RetryBudgetExceeded`
   once any task exhausts its budget — after completed tasks have been
@@ -44,6 +43,10 @@ __all__ = [
     "map_with_retry",
     "stable_uniform",
 ]
+
+#: The ``area`` of :func:`map_with_retry`'s ``task.*`` events, and the
+#: prefix of its counters; shard generation is its one caller.
+RETRY_AREA = "parallel.generate"
 
 
 class FaultInjectedError(RuntimeError):
@@ -166,7 +169,6 @@ def map_with_retry(
     n_workers: int,
     policy: Optional[RetryPolicy] = None,
     injector: Optional[FaultInjector] = None,
-    metric_prefix: str = "parallel",
     on_success: Optional[Callable[[Any, Any], None]] = None,
 ) -> dict[Any, Any]:
     """Run ``fn(*args, attempt=..., injector=...)`` per task, with retries.
@@ -179,11 +181,11 @@ def map_with_retry(
     ``on_success`` (e.g. a manifest update) as they land, *before* any
     :class:`RetryBudgetExceeded` is raised for tasks that ran dry.
 
-    Emits ``<metric_prefix>.retries_total`` and
-    ``<metric_prefix>.task_failures_total`` on the ambient registry, and
-    per-task lifecycle events (``task.completed`` / ``task.failed`` /
+    Emits ``parallel.generate.retries_total`` and
+    ``parallel.generate.task_failures_total`` on the ambient registry,
+    and per-task lifecycle events (``task.completed`` / ``task.failed`` /
     ``task.retried`` / ``task.budget_exhausted``, each tagged
-    ``area=<metric_prefix>``) on the ambient event log.
+    ``area="parallel.generate"``) on the ambient event log.
     """
     policy = policy or RetryPolicy()
     metrics = get_metrics()
@@ -196,7 +198,7 @@ def map_with_retry(
         results[key] = result
         if events.enabled:
             events.emit(
-                "task.completed", area=metric_prefix, key=str(key), attempt=attempts[key]
+                "task.completed", area=RETRY_AREA, key=str(key), attempt=attempts[key]
             )
         if on_success is not None:
             on_success(key, result)
@@ -230,7 +232,7 @@ def map_with_retry(
                         _completed(key, result)
         if not failed:
             break
-        metrics.counter(f"{metric_prefix}.task_failures_total").inc(len(failed))
+        metrics.counter("parallel.generate.task_failures_total").inc(len(failed))
         pending = []
         round_delay = 0.0
         for key, args, exc in failed:
@@ -238,7 +240,7 @@ def map_with_retry(
             if events.enabled:
                 events.emit(
                     "task.failed",
-                    area=metric_prefix,
+                    area=RETRY_AREA,
                     key=str(key),
                     attempt=attempt,
                     error=repr(exc),
@@ -247,13 +249,13 @@ def map_with_retry(
                 if events.enabled:
                     events.emit(
                         "task.budget_exhausted",
-                        area=metric_prefix,
+                        area=RETRY_AREA,
                         key=str(key),
                         attempts=attempt + 1,
                     )
                     events.flush()
                 raise RetryBudgetExceeded(key, attempt + 1, exc, n_failed=len(failed))
-            metrics.counter(f"{metric_prefix}.retries_total").inc()
+            metrics.counter("parallel.generate.retries_total").inc()
             delay = policy.delay(attempt, token=key)
             round_delay = max(round_delay, delay)
             attempts[key] = attempt + 1
@@ -261,7 +263,7 @@ def map_with_retry(
             if events.enabled:
                 events.emit(
                     "task.retried",
-                    area=metric_prefix,
+                    area=RETRY_AREA,
                     key=str(key),
                     next_attempt=attempt + 1,
                     delay_s=round(delay, 6),

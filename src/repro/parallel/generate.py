@@ -65,7 +65,6 @@ from repro.parallel.partition import plan_partition, shard_of_rows
 
 __all__ = [
     "generate_chain_shards",
-    "parallel_edge_count",
     "load_shards",
 ]
 
@@ -119,20 +118,6 @@ def _write_row_shard(
     reg.counter("parallel.generate.entries_total").inc(entries)
     reg.counter("parallel.generate.shards_total").inc()
     return entries, int(nbytes), checksum, reg.snapshot()
-
-
-def _count_row_shard(
-    chain: KroneckerChain,
-    index: int,
-    start: int,
-    stop: int,
-    attempt: int = 0,
-    injector: Optional[FaultInjector] = None,
-) -> int:
-    """Worker: count one product-row range's entries by generating them."""
-    if injector is not None:
-        injector.maybe_fail(index, attempt)
-    return sum(int(block[0].size) for block in shard_of_rows(chain, start, stop))
 
 
 def _reusable_shards(
@@ -289,7 +274,6 @@ def generate_chain_shards(
             n_workers=n_workers,
             policy=retry,
             injector=fault_injector,
-            metric_prefix="parallel.generate",
             on_success=on_success,
         )
         sp.set(shards_written=len(tasks), shards_skipped=len(done))
@@ -337,41 +321,3 @@ def load_shards(paths, manifest: Optional[Union[ShardManifest, PathLike]] = None
             arrays.setdefault(key, []).append(value)
     return {key: np.concatenate(parts) for key, parts in arrays.items()}
 
-
-def parallel_edge_count(
-    chain: KroneckerChain,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-    *,
-    retry: Optional[RetryPolicy] = None,
-    fault_injector: Optional[FaultInjector] = None,
-) -> int:
-    """Count the chain's directed entries by parallel reduction.
-
-    A smoke-test-sized demonstration of the map-reduce shape: workers
-    generate and count their ``degree``-cut row ranges, the parent
-    sums.  Must equal ``chain.nnz`` (asserted in tests).  Worker
-    failures are retried under the same policy machinery as
-    :func:`generate_chain_shards`.
-    """
-    plan = plan_partition(chain, n_shards, "degree")
-    if n_workers is None:
-        n_workers = min(plan.n_shards, os.cpu_count() or 1)
-    with get_tracer().span(
-        "parallel.edge_count",
-        n_shards=plan.n_shards,
-        n_workers=n_workers,
-        partition=plan.strategy,
-    ) as sp:
-        tasks = [(k, (chain, k, start, stop)) for k, (start, stop) in enumerate(plan.bounds)]
-        results = map_with_retry(
-            _count_row_shard,
-            tasks,
-            n_workers=n_workers,
-            policy=retry,
-            injector=fault_injector,
-            metric_prefix="parallel.edge_count",
-        )
-        total = sum(results.values())
-        sp.set(entries=total)
-    return total

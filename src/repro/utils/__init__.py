@@ -8,9 +8,8 @@ This subpackage holds helpers that every other layer builds on:
   uniform, descriptive errors.
 * :mod:`repro.utils.rng` -- seeded random-number-generator plumbing so
   every stochastic generator in the library is reproducible.
-* :mod:`repro.utils.timing` -- the back-compat ``Timer`` alias over the
-  observability layer's :class:`~repro.obs.span.Span` (see
-  :mod:`repro.obs` for named/nested spans and metrics).
+
+Wall-clock timing lives in :mod:`repro.obs` (:class:`~repro.obs.span.Span`).
 """
 
 from repro._lazy import lazy_exports
@@ -23,7 +22,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "product_to_pair": ".indexing",
     "as_generator": ".rng",
     "spawn_generators": ".rng",
-    "Timer": ".timing",
     "check_integer": ".validation",
     "check_nonnegative": ".validation",
     "check_positive": ".validation",

@@ -125,6 +125,54 @@ class TestApiTables:
         assert not broken, f"docs/api.md tables list names that do not resolve: {broken}"
 
 
+def _source_names() -> tuple[set[str], tuple[str, ...]]:
+    """Every string literal under ``src/repro``, and every f-string's
+    literal head that ends in a dot (``f"cli.{command}"`` gives ``cli.``)."""
+    import ast
+
+    literals: set[str] = set()
+    heads: set[str] = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+            elif isinstance(node, ast.JoinedStr) and node.values:
+                head = node.values[0]
+                if isinstance(head, ast.Constant) and head.value.endswith("."):
+                    heads.add(head.value)
+    return literals, tuple(heads)
+
+
+class TestTelemetryNames:
+    """Every metric in docs/observability.md's metric table and every
+    span in its span table is a name the code can emit."""
+
+    def _table_names(self, header: str) -> list[str]:
+        text = (REPO_ROOT / "docs" / "observability.md").read_text()
+        table = text.split(f"| {header} |", 1)[1].split("\n\n", 1)[0]
+        names = []
+        for line in table.splitlines()[2:]:
+            first = re.split(r"(?<!\\)\|", line)[1]
+            for ticked in re.findall(r"`([^`]+)`", first):
+                ticked = re.sub(r"\{[^}]*=[^}]*\}", "", ticked)  # label sets
+                brace = re.fullmatch(r"(.*)\{([\w,]+)\}(.*)", ticked)
+                expanded = (
+                    [brace[1] + alt + brace[3] for alt in brace[2].split(",")]
+                    if brace else [ticked]
+                )
+                # ``<area>.x`` placeholders stay in, so they fail the lookup.
+                names += [n for n in expanded if re.fullmatch(r"[a-z_<][\w.<>]*", n)]
+        return names
+
+    @pytest.mark.parametrize("header", ["metric", "span"])
+    def test_documented_names_occur_in_source(self, header):
+        names = self._table_names(header)
+        assert len(names) > 10
+        literals, heads = _source_names()
+        missing = [n for n in names if n not in literals and not n.startswith(heads)]
+        assert not missing, f"docs/observability.md {header} table names no source string: {missing}"
+
+
 class TestRemark1DisplayedFormula:
     def test_paper_square_free_specialization(self):
         """Rem. 1 displays s_C for square-free factors:

@@ -15,6 +15,7 @@ from repro.generators import (
     complete_graph,
     cycle_graph,
     path_graph,
+    scale_free_bipartite_factor,
     star_graph,
     wheel_graph,
 )
@@ -100,6 +101,13 @@ class TestThm4:
         bk = make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
         C = bk.materialize()
         assert np.array_equal(vertex_squares_product(bk), vertex_squares_matrix(C))
+
+    def test_scale_free_product(self):
+        A = scale_free_bipartite_factor(8, 10, 2, seed=0)
+        B = scale_free_bipartite_factor(6, 8, 2, seed=1)
+        bk = make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
+        C = bk.materialize_bipartite()
+        assert global_squares(C.graph) == global_squares_product(bk)
 
     def test_paper_printed_signs_are_wrong(self):
         """The displayed Thm. 4 has `-(d_A+1)⊗d_B ... +(d_A+1)²⊗d_B²`;

@@ -225,21 +225,6 @@ class TestProcessPoolAggregation:
         assert (h["count"], h["min"], h["max"]) == (3, 5.0, 9.0)
         assert parent.gauge("work.last_n").value in (5, 7, 9)
 
-    def test_parallel_butterflies_populates_registry(self):
-        """The real aggregation hook: worker snapshots merged by the parent."""
-        from repro.generators import complete_bipartite
-        from repro.parallel import parallel_global_butterflies
-
-        bg = complete_bipartite(6, 8)
-        with instrument() as (tracer, metrics):
-            count = parallel_global_butterflies(bg, n_blocks=3, n_workers=2)
-        assert count == 15 * 28  # C(6,2) * C(8,2)
-        assert metrics.counter("parallel.count.blocks_total").value == 3
-        assert metrics.counter("parallel.count.rows_total").value == 6
-        assert metrics.histogram("parallel.count.worker_seconds").count == 3
-        span = tracer.find("parallel.global_butterflies")
-        assert span is not None and span.attrs["n_blocks"] == 3
-
     def test_generate_shards_populates_registry(self, tmp_path):
         from repro.generators import cycle_graph, path_graph
         from repro.kronecker import Assumption, make_bipartite_product
@@ -257,6 +242,7 @@ class TestProcessPoolAggregation:
         assert arrays["p"].size == expected
         assert metrics.counter("parallel.generate.entries_total").value == expected
         assert metrics.counter("parallel.generate.shards_total").value == len(paths)
+        assert metrics.histogram("parallel.generate.worker_seconds").count == len(paths)
         assert tracer.find("parallel.generate_chain_shards") is not None
 
 

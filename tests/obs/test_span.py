@@ -1,6 +1,7 @@
 """Spans: nesting, exception safety, thread safety, null overhead."""
 
 import threading
+import time
 
 import pytest
 
@@ -13,6 +14,11 @@ class TestStandaloneSpan:
             sum(range(1000))
         assert sp.elapsed > 0.0
         assert sp.status == "ok"
+
+    def test_elapsed_tracks_wall_clock(self):
+        with Span() as sp:
+            time.sleep(0.02)
+        assert 0.015 <= sp.elapsed < 1.0
 
     def test_exit_without_enter_raises(self):
         with pytest.raises(RuntimeError, match="without being entered"):

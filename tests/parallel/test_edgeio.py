@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.parallel.edgeio import (
     CODECS,
     EDGES_SCHEMA,
     EdgeFormatError,
     EdgeIntegrityError,
+    file_content_checksum,
     read_edges_file,
     read_shard_arrays,
     write_edges_file,
@@ -132,29 +134,24 @@ def test_verify_false_skips_checksum(tmp_path):
     assert not np.array_equal(back["p"], arrays["p"])
 
 
-def test_zstd_gated_or_roundtrips(tmp_path):
-    """zstd works when the optional dependency is present, and fails
-    with a typed, actionable error when it is not."""
-    arrays = sample_arrays(100)
-    path = tmp_path / "z.edges"
-    try:
-        import zstandard  # noqa: F401
-
-        have = True
-    except ImportError:
-        have = False
-    if have:
-        write_edges_file(path, arrays, codec="zstd")
-        back = read_edges_file(path)
-        np.testing.assert_array_equal(back["p"], arrays["p"])
-    else:
-        with pytest.raises(EdgeFormatError, match="zstandard"):
-            write_edges_file(path, arrays, codec="zstd")
-
-
-def test_bad_codec_and_bad_columns(tmp_path):
-    with pytest.raises(EdgeFormatError):
-        write_edges_file(tmp_path / "x.edges", {"p": np.arange(3)}, codec="nope")
+def test_bad_codec_and_bad_columns(tmp_path, capsys):
+    for codec in ("nope", "zstd"):
+        with pytest.raises(EdgeFormatError, match="unknown codec"):
+            write_edges_file(tmp_path / "x.edges", {"p": np.arange(3)}, codec=codec)
+    assert not (tmp_path / "x.edges").exists()
+    # A header naming codec id 2 (once zstd) is refused before any block is read.
+    path = tmp_path / "id2.edges"
+    write_edges_file(path, {"p": np.arange(3)})
+    data = bytearray(path.read_bytes())
+    data[3] = 2  # header: magic(2) version(1) codec(1) ...
+    path.write_bytes(bytes(data))
+    for read in (read_edges_file, file_content_checksum):
+        with pytest.raises(EdgeFormatError, match="unknown codec id 2"):
+            read(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["shards", "complete:3", "path:4", "-o", str(tmp_path / "sh"), "--codec", "zstd"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'zstd'" in capsys.readouterr().err
     with pytest.raises(EdgeFormatError):
         write_edges_file(tmp_path / "y.edges", {"a,b": np.arange(3)})
     with pytest.raises(EdgeFormatError):
@@ -175,4 +172,4 @@ def test_checksum_container_independent(tmp_path):
 
 def test_schema_constants():
     assert EDGES_SCHEMA == "repro.edges/1"
-    assert set(CODECS) == {"raw", "deflate", "zstd"}
+    assert CODECS == {"raw": 0, "deflate": 1}

@@ -23,8 +23,6 @@ from repro.parallel import (
     load_manifest,
     load_shards,
     map_with_retry,
-    parallel_edge_count,
-    parallel_global_butterflies,
     verify_shards,
 )
 from repro.parallel.faults import stable_uniform
@@ -137,11 +135,11 @@ class TestMapWithRetry:
             map_with_retry(
                 _flaky_square, [(k, (k,)) for k in range(3)],
                 n_workers=1, policy=RetryPolicy(max_retries=1, base_delay=0.0),
-                injector=inj, metric_prefix="test.retry",
+                injector=inj,
             )
             snap = metrics.snapshot()
-        assert snap["counters"]["test.retry.retries_total"] == 3
-        assert snap["counters"]["test.retry.task_failures_total"] == 3
+        assert snap["counters"]["parallel.generate.retries_total"] == 3
+        assert snap["counters"]["parallel.generate.task_failures_total"] == 3
 
 
 class TestGenerateWithFaults:
@@ -225,27 +223,6 @@ class TestGenerateWithFaults:
         inj = FaultInjector(rate=1.0, seed=0)
         with pytest.raises(FaultInjectedError, match="task 3, attempt 0"):
             inj.maybe_fail(3, 0)
-
-
-class TestCountingWithFaults:
-    def test_edge_count_with_retries(self, bk, chain):
-        inj = FaultInjector(rate=1.0, seed=4, fail_attempts=1)
-        total = parallel_edge_count(
-            chain, n_shards=4, n_workers=2,
-            retry=RetryPolicy(max_retries=1, base_delay=0.0), fault_injector=inj,
-        )
-        assert total == bk.M.nnz * bk.B.graph.nnz
-
-    def test_butterflies_with_retries(self):
-        from repro.analytics import global_squares
-
-        bg = complete_bipartite(4, 6)
-        inj = FaultInjector(rate=1.0, seed=4, fail_attempts=1)
-        parallel = parallel_global_butterflies(
-            bg, n_blocks=3, n_workers=2,
-            retry=RetryPolicy(max_retries=1, base_delay=0.0), fault_injector=inj,
-        )
-        assert parallel == global_squares(bg.graph)
 
 
 def _flaky_square(x, attempt=0, injector=None):

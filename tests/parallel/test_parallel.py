@@ -1,4 +1,4 @@
-"""Tests for the process-parallel generation and counting layer.
+"""Tests for the process-parallel shard generation layer.
 
 Everything parallel must be bit-identical to its serial counterpart;
 shard layouts must be deterministic; worker exceptions must propagate.
@@ -7,20 +7,13 @@ shard layouts must be deterministic; worker exceptions must propagate.
 import numpy as np
 import pytest
 
-from repro.analytics import edge_squares_matrix, global_squares
-from repro.generators import (
-    bipartite_chung_lu,
-    complete_bipartite,
-    cycle_graph,
-    path_graph,
-    scale_free_bipartite_factor,
-)
+from repro.analytics import edge_squares_matrix
+from repro.generators import complete_bipartite, cycle_graph, path_graph
 from repro.kronecker import Assumption, make_bipartite_product
 from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel import (
     generate_chain_shards,
-    parallel_edge_count,
-    parallel_global_butterflies,
+    load_manifest,
     plan_partition,
     shard_of_rows,
 )
@@ -119,43 +112,15 @@ class TestGenerateShards:
         got = set(zip(data["p"].tolist(), data["q"].tolist()))
         assert got == set(zip(coo.row.tolist(), coo.col.tolist()))
 
-    def test_edge_count_matches_closed_form(self, bk):
-        chain = KroneckerChain.from_bipartite(bk)
-        assert parallel_edge_count(chain, n_shards=4, n_workers=2) == bk.M.nnz * bk.B.graph.nnz
+    @staticmethod
+    def _entries_written(bk, tmp_path, n_workers):
+        generate_chain_shards(
+            KroneckerChain.from_bipartite(bk), tmp_path, n_shards=4, n_workers=n_workers
+        )
+        return sum(e.entries for e in load_manifest(tmp_path).shards.values())
 
-    def test_edge_count_serial_path(self, bk):
-        chain = KroneckerChain.from_bipartite(bk)
-        assert parallel_edge_count(chain, n_shards=4, n_workers=1) == bk.M.nnz * bk.B.graph.nnz
+    def test_edge_count_matches_closed_form(self, bk, tmp_path):
+        assert self._entries_written(bk, tmp_path, 2) == bk.M.nnz * bk.B.graph.nnz
 
-
-class TestParallelCounting:
-    def test_matches_serial_on_deterministic(self):
-        bg = complete_bipartite(4, 6)
-        assert parallel_global_butterflies(bg, n_blocks=3, n_workers=2) == global_squares(bg.graph)
-
-    def test_matches_serial_on_random(self):
-        for seed in range(3):
-            bg = bipartite_chung_lu(np.full(25, 4.0), np.full(30, 3.0), seed=seed)
-            expected = global_squares(bg.graph)
-            assert parallel_global_butterflies(bg, n_blocks=4, n_workers=2) == expected
-
-    def test_single_block(self):
-        bg = complete_bipartite(3, 3)
-        assert parallel_global_butterflies(bg, n_blocks=1) == 9
-
-    def test_more_blocks_than_rows(self):
-        bg = complete_bipartite(2, 5)
-        assert parallel_global_butterflies(bg, n_blocks=50, n_workers=2) == 10
-
-    def test_invalid_blocks(self):
-        with pytest.raises(ValueError):
-            parallel_global_butterflies(complete_bipartite(2, 2), n_blocks=0)
-
-    def test_scale_free_product(self):
-        A = scale_free_bipartite_factor(8, 10, 2, seed=0)
-        B = scale_free_bipartite_factor(6, 8, 2, seed=1)
-        bk = make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
-        C = bk.materialize_bipartite()
-        from repro.kronecker import global_squares_product
-
-        assert parallel_global_butterflies(C, n_blocks=4, n_workers=2) == global_squares_product(bk)
+    def test_edge_count_serial_path(self, bk, tmp_path):
+        assert self._entries_written(bk, tmp_path, 1) == bk.M.nnz * bk.B.graph.nnz

@@ -11,7 +11,6 @@ and a stream that dies mid-write leaves only its ``.part`` file.
 
 from __future__ import annotations
 
-import importlib.util
 import tracemalloc
 
 import numpy as np
@@ -38,7 +37,7 @@ from repro.parallel.generate import _write_row_shard
 from repro.parallel.manifest import checksum_arrays, shard_file_checksum
 
 B = DEFAULT_BLOCK_ENTRIES
-CODECS = ["raw", "deflate"] + (["zstd"] if importlib.util.find_spec("zstandard") else [])
+CODECS = ["raw", "deflate"]
 #: Bytes of one ground-truth block: p, q and squares, int64 each.
 BLOCK_BYTES = 3 * 8 * B
 

@@ -46,8 +46,6 @@ KEPT_UNREACHED = {
     "repro.kronecker.sampling": "paper row §I closing: sampled counts; bench_oracle_queries",
     "repro.kronecker.spectral": "paper row §I prior work (eigenvalue formulas)",
     "repro.kronecker.triangles": "paper row §I prior work (triangle formulas)",
-    "repro.parallel.count": "bench_parallel",
-    "repro.utils.timing": "benchmarks (Timer); examples/massive_stream.py",
     "repro.validation": "paper row §I validation use case; examples/design_and_validate.py",
 }
 
