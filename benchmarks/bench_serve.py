@@ -64,7 +64,7 @@ def _drive(service: OracleService, oracle: GroundTruthOracle, concurrency: int):
         for _ in range(REQUESTS_PER_CLIENT):
             ps = rng.integers(0, n, size=BATCH)
             t0 = time.perf_counter()
-            got = service.squares_at_vertices(ps)
+            got = service.answer("vertex_squares", ps)
             latencies[slot].append(time.perf_counter() - t0)
             if not np.array_equal(got, expected[ps]):
                 mismatches.append(f"client {slot}: mismatch for {ps[:4]}...")
@@ -81,31 +81,28 @@ def _drive(service: OracleService, oracle: GroundTruthOracle, concurrency: int):
 
 
 def test_serve_throughput_vs_concurrency(unicode_product, record_bench):
-    """Micro-batched service throughput as client fan-in grows."""
+    """Service throughput as client fan-in grows; each client's thread
+    answers its own requests."""
     oracle = GroundTruthOracle(unicode_product)
     levels = {}
     for concurrency in CONCURRENCY:
-        with OracleService(oracle, max_queue=4096, cache_bytes=0) as service:
-            seconds, queries, p50, p99, mismatches = _drive(service, oracle, concurrency)
-            assert not mismatches, mismatches[:3]
-            stats = service.stats()
+        service = OracleService(oracle, max_queue=4096, cache_bytes=0)
+        seconds, queries, p50, p99, mismatches = _drive(service, oracle, concurrency)
+        assert not mismatches, mismatches[:3]
         levels[str(concurrency)] = {
             "queries_per_s": queries / max(seconds, 1e-9),
             "p50_ms": p50 * 1e3,
             "p99_ms": p99 * 1e3,
-            "kernel_batches": stats["batches"],
+            "kernel_batches": service.stats()["batches"],
         }
     top = levels[str(CONCURRENCY[-1])]
-    coalescing = (CONCURRENCY[-1] * REQUESTS_PER_CLIENT) / max(top["kernel_batches"], 1)
     record_bench(
         f"{CONCURRENCY[-1]} clients: {top['queries_per_s'] / 1e6:.2f}M queries/s, "
-        f"p50 {top['p50_ms']:.2f}ms p99 {top['p99_ms']:.2f}ms, "
-        f"{coalescing:.1f} requests per kernel batch, answers bit-identical",
+        f"p50 {top['p50_ms']:.2f}ms p99 {top['p99_ms']:.2f}ms, answers bit-identical",
         levels=levels,
         queries_per_s=top["queries_per_s"],
         p50_ms=top["p50_ms"],
         p99_ms=top["p99_ms"],
-        requests_per_batch=coalescing,
     )
     assert top["queries_per_s"] > 0
 
@@ -122,17 +119,16 @@ def test_serve_cache_on_vs_off(unicode_product, record_bench):
     def replay(service: OracleService) -> float:
         with Span() as t:
             for i in range(rounds):
-                got = service.squares_at_vertices(hot[i % len(hot)])
+                got = service.answer("vertex_squares", hot[i % len(hot)])
                 np.testing.assert_array_equal(got, expected[i % len(hot)])
         return t.elapsed
 
     # A budget for 64 hot answers: answer bytes + digest + fixed overhead.
     budget = 64 * (8 * BATCH + 32 + ENTRY_OVERHEAD)
-    with OracleService(oracle, max_queue=4096, cache_bytes=budget) as cached:
-        t_on = replay(cached)
-        stats_on = cached.stats()
-    with OracleService(oracle, max_queue=4096, cache_bytes=0) as uncached:
-        t_off = replay(uncached)
+    cached = OracleService(oracle, max_queue=4096, cache_bytes=budget)
+    t_on = replay(cached)
+    stats_on = cached.stats()
+    t_off = replay(OracleService(oracle, max_queue=4096, cache_bytes=0))
     hit_rate = stats_on["hits"] / max(stats_on["requests"], 1)
     speedup = t_off / max(t_on, 1e-9)
     queries = rounds * BATCH

@@ -14,10 +14,9 @@ into infrastructure:
   ``load_oracle(..., mmap=True)`` maps the arrays zero-copy for
   multi-process sharing.
 * :mod:`repro.serve.service` -- :class:`OracleService`, an in-process
-  front-end over the batched oracle APIs: synchronous ``answer()``, a
-  byte-budgeted LRU result cache, an in-flight cap with typed :class:`Overloaded`
-  load-shedding, and an optional micro-batching queue for in-process
-  callers.
+  front-end over the batched oracle APIs: ``answer()`` on the caller's
+  thread, a byte-budgeted LRU result cache, and an in-flight cap with
+  typed :class:`Overloaded` load-shedding.
 * :mod:`repro.serve.http` -- the JSON API (``/v1/degree``,
   ``/v1/squares/vertex``, ``/v1/squares/edge``, ``/v1/wings``,
   ``/v1/clustering``, ``/v1/global``, ``/healthz``, ``/metrics``),

@@ -18,16 +18,14 @@ degrades gracefully under heavy traffic instead of falling over:
   LRU bookkeeping, never a copy of the request.  The cache evicts the
   least recently used entries while the charges exceed ``cache_bytes``;
   an answer whose charge alone exceeds the budget is returned uncached.
-* **Backpressure.**  Once ``max_queue`` requests are in progress (or
-  queued, for :meth:`submit`), the next one sheds with a typed
-  :class:`Overloaded` error (HTTP 503, wire ``STATUS_OVERLOADED``)
-  instead of letting latency grow without bound.
+* **Backpressure.**  Once ``max_queue`` calls are in progress, the
+  next cache miss sheds with a typed :class:`Overloaded` error (HTTP
+  503, wire ``STATUS_OVERLOADED``) instead of letting latency grow
+  without bound.
 
-In-process callers with many small concurrent requests can instead
-:meth:`~OracleService.start` batcher threads and :meth:`submit`: the
-queue coalesces up to ``max_batch`` queued query elements into one
-kernel pass per kind.  The element-wise kernels make coalesced answers
-bit-identical to per-request calls.
+There is no request queue: a 64-query answer costs tens of µs, less
+than handing it to another thread would.  Callers batch by sending
+index arrays.
 
 Non-edges follow the oracle's ``on_invalid="mask"`` semantics: the
 answer array carries :data:`INVALID_SQUARES` (``-1``; ``NaN`` for
@@ -38,7 +36,7 @@ to 422.  See docs/serving.md for tuning guidance.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from hashlib import sha256
 from typing import Any, Optional
 
@@ -46,6 +44,7 @@ import numpy as np
 
 from repro.kronecker.oracle import GroundTruthOracle
 from repro.obs import get_events, get_metrics
+from repro.serve.wire import KINDS, PAIR_KINDS
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
@@ -69,12 +68,9 @@ DEFAULT_CACHE_BYTES = 2 << 20
 #: for 1- to 4,096-query answers (tests/serve/test_service.py).
 ENTRY_OVERHEAD = 360
 
-_KINDS = ("degree", "vertex_squares", "edge_squares", "clustering", "global", "wings")
-_PAIR_KINDS = ("edge_squares", "clustering", "wings")
-
 
 class Overloaded(RuntimeError):
-    """Request shed: ``max_queue`` requests are already in progress or queued.
+    """Request shed: ``max_queue`` calls are already in progress.
 
     The typed load-shedding error -- callers should back off and retry;
     the HTTP layer maps it to 503 with a ``Retry-After`` hint.
@@ -86,60 +82,33 @@ def _entry_bytes(key: tuple, value: Any) -> int:
     return getattr(value, "nbytes", 8) + len(key[2]) + ENTRY_OVERHEAD
 
 
-class _Request:
-    """One queued query batch: inputs, completion event, outcome."""
+class _Answered:
+    """The handle :meth:`OracleService.submit` returns: already answered."""
 
-    __slots__ = ("kind", "ps", "qs", "event", "result", "error", "cache_key")
+    __slots__ = ("result",)
 
-    def __init__(
-        self,
-        kind: str,
-        ps: Optional[np.ndarray],
-        qs: Optional[np.ndarray],
-        cache_key: Optional[tuple] = None,
-    ):
-        self.kind = kind
-        self.ps = ps
-        self.qs = qs
-        self.cache_key = cache_key
-        self.event = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-
-    @property
-    def size(self) -> int:
-        return int(self.ps.size) if self.ps is not None else 1
+    def __init__(self, result: Any):
+        self.result = result
 
     def wait(self, timeout: Optional[float] = None) -> Any:
-        """Block until the worker resolves this request; re-raise its error."""
-        if not self.event.wait(timeout):
-            raise TimeoutError(f"{self.kind} request not answered within {timeout}s")
-        if self.error is not None:
-            raise self.error
+        """The answer; ``timeout`` is accepted and unused."""
         return self.result
 
 
 class OracleService:
-    """Concurrent front-end over a ground-truth oracle.
+    """Thread-safe front-end over a ground-truth oracle.
 
     Parameters
     ----------
     oracle:
         The oracle to serve.
     max_queue:
-        Bound on requests in progress in :meth:`answer` (or pending in
-        the :meth:`submit` queue); further requests shed with
-        :class:`Overloaded`.  ``0`` sheds everything (drill mode).
-    max_batch:
-        Upper bound on query *elements* coalesced into one kernel pass
-        by the :meth:`submit` queue.
+        Bound on :meth:`answer` calls in progress; further cache misses
+        shed with :class:`Overloaded`.  ``0`` sheds everything (drill
+        mode).
     cache_bytes:
         Result-cache budget in bytes, charged per entry by answer bytes
         + digest + :data:`ENTRY_OVERHEAD` (``0`` disables the cache).
-    workers:
-        Batcher threads started by :meth:`start` for the :meth:`submit`
-        queue.  One is enough until kernel time dominates; more let
-        independent kinds proceed in parallel.
     """
 
     def __init__(
@@ -147,27 +116,17 @@ class OracleService:
         oracle: GroundTruthOracle,
         *,
         max_queue: int = 1024,
-        max_batch: int = 65536,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        workers: int = 1,
     ):
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         if cache_bytes < 0:
             raise ValueError(f"cache_bytes must be >= 0, got {cache_bytes}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.oracle = oracle
         self.max_queue = max_queue
-        self.max_batch = max(1, max_batch)
         self.cache_budget_bytes = cache_bytes
-        self._n_workers = workers
-        self._pending: deque[_Request] = deque()
         self._inflight = 0
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._threads: list[threading.Thread] = []
-        self._stopped = False
         self._cache: "OrderedDict[tuple, Any]" = OrderedDict()
         self._cache_bytes = 0
         self._global: Optional[int] = None
@@ -186,48 +145,9 @@ class OracleService:
         self._m_oversize = metrics.counter("serve.cache_oversize_total")
         self._m_shed = metrics.counter("serve.shed_total")
         self._m_batches = metrics.counter("serve.batches_total")
-        self._m_batch_size = metrics.histogram("serve.batch_queries")
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> "OracleService":
-        """Spawn the batcher threads (idempotent)."""
-        with self._lock:
-            if self._threads:
-                return self
-            self._stopped = False
-            self._threads = [
-                threading.Thread(target=self._worker_loop, name=f"oracle-serve-{i}", daemon=True)
-                for i in range(self._n_workers)
-            ]
-        for t in self._threads:
-            t.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the batchers; pending requests fail with :class:`Overloaded`."""
-        with self._lock:
-            self._stopped = True
-            drained = list(self._pending)
-            self._pending.clear()
-            self._not_empty.notify_all()
-        for req in drained:
-            req.error = Overloaded("service stopped before the request was answered")
-            req.event.set()
-        for t in self._threads:
-            t.join(timeout=5.0)
-        self._threads = []
-
-    def __enter__(self) -> "OracleService":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    # Submission
+    # Queries
     # ------------------------------------------------------------------
 
     def _coerce(self, values: Any, name: str) -> np.ndarray:
@@ -262,14 +182,14 @@ class OracleService:
         ``n`` makes the concatenation unambiguous.  ``None`` when the
         cache is off -- nothing is hashed then.
         """
-        if kind not in _KINDS:
-            raise ValueError(f"unknown query kind {kind!r} (expected one of {_KINDS})")
+        if kind not in KINDS:
+            raise ValueError(f"unknown query kind {kind!r} (expected one of {KINDS})")
         if kind == "global":
             return None, None, (("global", 0, b"") if self.cache_budget_bytes else None)
         if ps is None:
             raise ValueError(f"{kind} queries need a ps index list")
         ps_arr = self._coerce(ps, "ps")
-        if kind in _PAIR_KINDS:
+        if kind in PAIR_KINDS:
             if qs is None:
                 raise ValueError(f"{kind} queries need both ps and qs index lists")
             qs_arr = self._coerce(qs, "qs")
@@ -288,47 +208,15 @@ class OracleService:
             digest.update(qs_arr)
         return ps_arr, qs_arr, (kind, ps_arr.size, digest.digest())
 
-    def submit(self, kind: str, ps: Any = None, qs: Any = None) -> _Request:
-        """Validate, cache-check, and enqueue one request.
-
-        Returns a :class:`_Request` handle whose :meth:`_Request.wait`
-        yields the answer.  Raises ``ValueError``/``IndexError``
-        synchronously on malformed input (the caller's fault, HTTP 400)
-        and :class:`Overloaded` when the queue is saturated (503).
-        Cache hits resolve immediately without touching the queue.
-        """
-        ps_arr, qs_arr, key = self._validate(kind, ps, qs)
-        req = _Request(kind, ps_arr, qs_arr, cache_key=key)
-        self._counts["requests"] += 1
-        self._counts["queries"] += req.size
-        self._m_requests.inc()
-        self._m_queries.inc(req.size)
-        cached = self._cache_get(key)
-        if cached is not None:
-            req.result = cached
-            req.event.set()
-            return req
-        with self._lock:
-            if self._stopped:
-                raise Overloaded("service is stopped")
-            if len(self._pending) >= self.max_queue:
-                raise self._shed(kind, len(self._pending))
-            self._pending.append(req)
-            self._not_empty.notify()
-        return req
-
     def answer(self, kind: str, ps: Any = None, qs: Any = None) -> Any:
-        """Answer one request synchronously on the caller's thread.
+        """Answer one request on the caller's thread.
 
         The path every served request takes (HTTP JSON and wire frames
         alike, see :mod:`repro.serve.prefork`): validation, LRU cache,
-        masking semantics and request/query/hit/miss tallies shared with
-        :meth:`submit`, then one kernel call -- no batcher hand-off, no
-        :class:`threading.Event` round trip.  Coalescing is the
-        *client's* job on this path (send batched index arrays).  Does
-        not require :meth:`start`.  A cache miss that finds
-        ``max_queue`` calls already in progress sheds with
-        :class:`Overloaded`.
+        masking semantics, then one engine call on a miss.  Raises
+        ``ValueError``/``IndexError`` on malformed input (the caller's
+        fault, HTTP 400).  A cache miss that finds ``max_queue`` calls
+        already in progress sheds with :class:`Overloaded` (503).
         """
         ps_arr, qs_arr, key = self._validate(kind, ps, qs)
         self._counts["requests"] += 1
@@ -341,12 +229,12 @@ class OracleService:
             return cached
         with self._lock:
             if self._inflight >= self.max_queue:
-                raise self._shed(kind, len(self._pending) + self._inflight)
+                raise self._shed(kind, self._inflight)
             self._inflight += 1
         try:
             if kind == "global":
                 if self._global is None:
-                    self._global = int(self.oracle.global_squares())
+                    self._global = self._compute(kind, None, None)
                 result: Any = self._global
             else:
                 result = self._compute(kind, ps_arr, qs_arr)
@@ -355,6 +243,24 @@ class OracleService:
                 self._inflight -= 1
         self._cache_put(key, result)
         return result
+
+    def start(self) -> "OracleService":
+        """Return the service: there is nothing to start.  Its only
+        caller is ``benchmarks/e2e/layers.replay_submit``; it goes when
+        that calls :meth:`answer`."""
+        return self
+
+    def submit(self, kind: str, ps: Any = None, qs: Any = None) -> _Answered:
+        """:meth:`answer`, in a handle whose ``wait()`` returns the
+        answer; errors raise here.  Its only caller is
+        ``benchmarks/e2e/layers.replay_submit``; it goes when that calls
+        :meth:`answer`."""
+        return _Answered(self.answer(kind, ps, qs))
+
+    def stop(self) -> None:
+        """Do nothing: there is nothing to stop.  Its only caller is
+        ``benchmarks/e2e/layers.replay_submit``; it goes when that calls
+        :meth:`answer`."""
 
     def _shed(self, kind: str, depth: int) -> Overloaded:
         """Count one shed request (caller holds ``_lock``); the error to raise."""
@@ -416,40 +322,15 @@ class OracleService:
                 )
 
     # ------------------------------------------------------------------
-    # Batcher
+    # Engine
     # ------------------------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        while True:
-            with self._not_empty:
-                while not self._pending and not self._stopped:
-                    self._not_empty.wait()
-                if self._stopped and not self._pending:
-                    return
-                batch: list[_Request] = []
-                elements = 0
-                while self._pending and elements < self.max_batch:
-                    req = self._pending.popleft()
-                    batch.append(req)
-                    elements += req.size
-            self._counts["batches"] += 1
-            self._m_batches.inc()
-            self._m_batch_size.observe(elements)
-            groups: dict[str, list[_Request]] = {}
-            for req in batch:
-                groups.setdefault(req.kind, []).append(req)
-            for kind, reqs in groups.items():
-                try:
-                    self._execute(kind, reqs)
-                except BaseException as exc:  # pragma: no cover - defensive
-                    for req in reqs:
-                        req.error = exc
-                finally:
-                    for req in reqs:
-                        req.event.set()
-
-    def _compute(self, kind: str, ps: np.ndarray, qs: Optional[np.ndarray]) -> np.ndarray:
-        """One engine pass for validated index arrays of ``kind``."""
+    def _compute(self, kind: str, ps: Optional[np.ndarray], qs: Optional[np.ndarray]) -> Any:
+        """One engine call for validated index arrays of ``kind``."""
+        self._counts["batches"] += 1
+        self._m_batches.inc()
+        if kind == "global":
+            return int(self.oracle.global_squares())
         if kind == "degree":
             return self.oracle.degrees(ps)
         if kind == "vertex_squares":
@@ -467,77 +348,20 @@ class OracleService:
         self._counts["invalid"] += int(np.isnan(out).sum())
         return out
 
-    def _execute(self, kind: str, reqs: list[_Request]) -> None:
-        """Answer every request of ``kind`` with one coalesced kernel pass."""
-        if kind == "global":
-            if self._global is None:
-                self._global = int(self.oracle.global_squares())
-            for req in reqs:
-                req.result = self._global
-                self._store(req)
-            return
-        ps = np.concatenate([req.ps for req in reqs]) if len(reqs) > 1 else reqs[0].ps
-        if kind in _PAIR_KINDS:
-            qs = np.concatenate([req.qs for req in reqs]) if len(reqs) > 1 else reqs[0].qs
-        else:
-            qs = None
-        out = self._compute(kind, ps, qs)
-        offset = 0
-        for req in reqs:
-            answer = out[offset : offset + req.size]
-            # A split batch is copied, so a cached answer never pins the
-            # whole batch and ``cache_bytes`` counts what the cache holds.
-            req.result = answer.copy() if len(reqs) > 1 else answer
-            offset += req.size
-            self._store(req)
-
-    def _store(self, req: _Request) -> None:
-        if req.cache_key is not None:
-            self._cache_put(req.cache_key, req.result)
-
-    # ------------------------------------------------------------------
-    # Public query API (synchronous conveniences)
-    # ------------------------------------------------------------------
-
-    def degrees(self, ps: Any, timeout: Optional[float] = 30.0) -> np.ndarray:
-        """Batched product degrees; coalesced with concurrent requests."""
-        return self.submit("degree", ps).wait(timeout)
-
-    def squares_at_vertices(self, ps: Any, timeout: Optional[float] = 30.0) -> np.ndarray:
-        """Batched Thm. 3/4 vertex 4-cycle counts."""
-        return self.submit("vertex_squares", ps).wait(timeout)
-
-    def squares_at_edges(self, ps: Any, qs: Any, timeout: Optional[float] = 30.0) -> np.ndarray:
-        """Batched Thm. 5 edge 4-cycle counts; ``-1`` marks non-edges."""
-        return self.submit("edge_squares", ps, qs).wait(timeout)
-
-    def wings_at_edges(self, ps: Any, qs: Any, timeout: Optional[float] = 30.0) -> np.ndarray:
-        """Batched Rem. 1 wing upper bounds; ``-1`` marks non-edges."""
-        return self.submit("wings", ps, qs).wait(timeout)
-
-    def clustering_at_edges(self, ps: Any, qs: Any, timeout: Optional[float] = 30.0) -> np.ndarray:
-        """Batched Def. 10 clustering; ``NaN`` marks out-of-domain pairs."""
-        return self.submit("clustering", ps, qs).wait(timeout)
-
-    def global_squares(self, timeout: Optional[float] = 30.0) -> int:
-        """Total product 4-cycles (memoized after the first request)."""
-        return int(self.submit("global").wait(timeout))
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def queue_depth(self) -> int:
-        """Requests pending in the :meth:`submit` queue plus calls in
-        progress in :meth:`answer`."""
+        """:meth:`answer` calls in progress."""
         with self._lock:
-            return len(self._pending) + self._inflight
+            return self._inflight
 
     def stats(self) -> dict[str, int]:
         """Service tallies: requests/queries served, cache hits/misses,
-        evictions and oversize (uncached) answers, shed requests, kernel
-        batches, invalid (masked) slots, and the cache's size in entries
-        and charged bytes against its budget."""
+        evictions and oversize (uncached) answers, shed requests, engine
+        calls (``batches``), invalid (masked) slots, and the cache's size
+        in entries and charged bytes against its budget."""
         counts = dict(self._counts)
         counts["queue_depth"] = self.queue_depth()
         counts["cache_entries"] = len(self._cache)

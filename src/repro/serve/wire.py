@@ -59,6 +59,7 @@ __all__ = [
     "MAGIC",
     "WIRE_VERSION",
     "KINDS",
+    "PAIR_KINDS",
     "STATUS_OK",
     "STATUS_BAD_REQUEST",
     "STATUS_OVERLOADED",
@@ -116,7 +117,8 @@ _CODE_FOR_KIND = {"clustering": 1}  # every other kind answers int64
 #: header demanding a multi-GiB allocation.
 MAX_FRAME_ELEMENTS = 1 << 24
 
-_PAIR_KINDS = frozenset({"edge_squares", "clustering", "wings"})
+#: Kinds whose requests carry both ``ps`` and ``qs`` (an edge per slot).
+PAIR_KINDS = frozenset({"edge_squares", "clustering", "wings"})
 
 #: Frames :meth:`WireClient.pipeline` keeps in flight.  The client reads
 #: answers while it sends, so the window bounds buffered bytes on both
@@ -161,7 +163,7 @@ def encode_request(kind: str, ps: Any = None, qs: Any = None) -> bytes:
     if ps is None:
         raise ValueError(f"{kind} queries need a ps index list")
     ps_bytes, n_ps = _as_index_bytes(ps, "ps")
-    if kind in _PAIR_KINDS:
+    if kind in PAIR_KINDS:
         if qs is None:
             raise ValueError(f"{kind} queries need both ps and qs index lists")
         qs_bytes, n_qs = _as_index_bytes(qs, "qs")

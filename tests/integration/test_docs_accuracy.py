@@ -237,3 +237,52 @@ class TestRecordedNumbers:
         assert float(stream_ms) == round(row["stream_seconds"] * 1e3, 1)
         assert float(materialize_s) == round(row["materialize_seconds"], 1)
         assert int(rate_m) == round(row["directed_entries"] / row["stream_seconds"] / 1e6)
+
+    def test_serving_capacity_numbers_match_bench_record(self):
+        """docs/serving.md's capacity table and docs/performance.md's
+        serving paragraph are quoted from BENCH_serve.json, rounded as
+        printed."""
+        import json
+
+        record = json.loads((REPO_ROOT / "BENCH_serve.json").read_text())
+        row = {r["bench"]: r for r in record["benches"]}
+        inproc = row["test_serve_throughput_vs_concurrency"]
+        cache = row["test_serve_cache_on_vs_off"]
+        naive = row["test_serve_http_round_trip"]
+        keepalive = row["test_serve_prefork_http_keepalive"]
+        wire = row["test_serve_prefork_wire_pipeline"]
+        art = row["test_artifact_load_vs_rebuild"]
+        expected = {
+            "in-process service, 16 clients × 64-query requests (`answer()` on each client's thread)":
+                f"~{inproc['queries_per_s'] / 1e6:.2f}M queries/s, "
+                f"p50 {inproc['p50_ms']:.2f} ms, p99 {inproc['p99_ms']:.2f} ms",
+            "LRU on hot traffic (8 shapes replayed)":
+                f"{cache['cache_hit_rate']:.0%} hits, ~{cache['cache_speedup']:.1f}× vs cache-off",
+            "1-worker HTTP, naive clients (connection per request)":
+                f"~{naive['http_requests_per_s']:.0f} req/s",
+            "pre-fork JSON over keep-alive connections":
+                f"~{keepalive['requests_per_s'] / 1e3:.1f}k req/s",
+            "pre-fork wire protocol, pipelined":
+                f"**~{wire['requests_per_s'] / 1e3:.1f}k req/s** "
+                f"(~{wire['queries_per_s'] / 1e6:.2f}M queries/s) — "
+                f"**{wire['speedup_vs_seed_http']:.0f}×** the seed HTTP row",
+            f"artifact load (checksum-verified, {art['artifact_bytes'] / 1024:.0f} KiB) vs stats rebuild":
+                f"{art['load_seconds'] * 1e3:.1f} ms vs {art['rebuild_seconds'] * 1e3:.1f} ms",
+        }
+        text = (REPO_ROOT / "docs" / "serving.md").read_text()
+        section = text.split("## Capacity numbers", 1)[1].split("\n## ", 1)[0]
+        printed = dict(re.findall(r"^\| (.+?) \| (.+?) \|$", section, flags=re.MULTILINE))
+        del printed["measurement"]
+        assert printed == expected
+
+        text = (REPO_ROOT / "docs" / "performance.md").read_text()
+        section = text.split("**Serving:**", 1)[1].split("\n\n", 1)[0]
+        quoted = [
+            f"~{inproc['queries_per_s'] / 1e6:.2f}M queries/s at 16 clients",
+            f"~{naive['http_requests_per_s']:.0f} req/s",
+            f"~{keepalive['requests_per_s'] / 1e3:.1f}k req/s",
+            f"~{wire['requests_per_s'] / 1e3:.1f}k req/s",
+        ]
+        flat = " ".join(section.split())
+        for number in quoted:
+            assert number in flat, number

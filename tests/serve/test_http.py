@@ -18,7 +18,7 @@ import pytest
 from repro.kronecker import GroundTruthOracle
 from repro.obs import instrument, lint_exposition
 from repro.obs.metrics import series_key
-from repro.serve import OracleService, PreforkServer, WireClient, save_oracle
+from repro.serve import PreforkServer, WireClient, save_oracle
 from repro.serve import http as http_module
 from repro.serve import prefork as prefork_module
 from repro.serve.http import PROM_CONTENT_TYPE
@@ -314,15 +314,9 @@ def test_answers_bit_identical_under_concurrency(served, edges_i):
     assert not errors, errors[:3]
 
 
-def test_json_queries_take_the_synchronous_path(art, monkeypatch):
+def test_json_queries_take_the_synchronous_path(art):
     """A worker answers JSON with ``answer()`` on the connection thread:
-    no kernel batches, and the batcher threads (``oracle-serve-*``, only
-    ever spawned by ``OracleService.start``) never start."""
-
-    def refuse(self):
-        raise AssertionError("a pre-fork worker started the batcher threads")
-
-    monkeypatch.setattr(OracleService, "start", refuse)
+    one engine call per uncached request."""
     server = _start(art, cache_bytes=0)
     try:
         client = _Client("127.0.0.1", server.port)
@@ -331,8 +325,7 @@ def test_json_queries_take_the_synchronous_path(art, monkeypatch):
         stats = client.service()
     finally:
         server.stop()
-    assert stats["batches"] == 0
-    assert stats["requests"] == stats["misses"] == 20
+    assert stats["requests"] == stats["batches"] == stats["misses"] == 20
 
 
 def test_http_latency_covers_the_send(art, monkeypatch):

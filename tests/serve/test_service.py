@@ -1,4 +1,4 @@
-"""OracleService: coalescing, cache, backpressure, failure paths."""
+"""OracleService: answers, cache, backpressure, failure paths."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.kronecker.kernels import _BATCH_CHUNK
 from repro.serve import INVALID_SQUARES, OracleService, Overloaded
 from repro.serve.service import ENTRY_OVERHEAD
+from repro.serve.wire import KINDS, PAIR_KINDS
 from tests.serve.conftest import product_edges
 
 
@@ -18,28 +20,34 @@ def budget(entries: int, queries: int = 1) -> int:
     return entries * (8 * queries + 32 + ENTRY_OVERHEAD)
 
 
+def query_args(kind: str, ps, qs) -> tuple:
+    """The index lists a ``kind`` request takes."""
+    if kind == "global":
+        return ()
+    return (ps, qs) if kind in PAIR_KINDS else (ps,)
+
+
 @pytest.fixture
 def service(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_bytes=budget(32, 16)) as svc:
-        yield svc
+    return OracleService(oracle_i, max_queue=64, cache_bytes=budget(32, 16))
 
 
 def test_batched_answers_match_oracle(service, oracle_i, edges_i):
     ps = np.arange(oracle_i.n, dtype=np.int64)
-    assert np.array_equal(service.degrees(ps), oracle_i.degrees(ps))
+    assert np.array_equal(service.answer("degree", ps), oracle_i.degrees(ps))
     assert np.array_equal(
-        service.squares_at_vertices(ps), oracle_i.squares_at_vertices(ps)
+        service.answer("vertex_squares", ps), oracle_i.squares_at_vertices(ps)
     )
     ep, eq = edges_i
     assert np.array_equal(
-        service.squares_at_edges(ep, eq), oracle_i.squares_at_edges(ep, eq)
+        service.answer("edge_squares", ep, eq), oracle_i.squares_at_edges(ep, eq)
     )
-    assert service.global_squares() == oracle_i.global_squares()
+    assert service.answer("global") == oracle_i.global_squares()
 
 
 def test_clustering_matches_scalar_oracle(service, oracle_i, edges_i):
     ep, eq = edges_i
-    served = service.clustering_at_edges(ep, eq)
+    served = service.answer("clustering", ep, eq)
     for idx, (p, q) in enumerate(zip(ep.tolist(), eq.tolist())):
         if oracle_i.degree(p) >= 2 and oracle_i.degree(q) >= 2:
             assert served[idx] == oracle_i.clustering_at_edge(p, q)
@@ -49,57 +57,36 @@ def test_clustering_matches_scalar_oracle(service, oracle_i, edges_i):
 
 def test_mask_semantics_for_non_edges(service, oracle_i):
     """Non-edges answer -1 (squares) / NaN (clustering), never raise."""
-    values = service.squares_at_edges([0, 0], [0, 0])
+    values = service.answer("edge_squares", [0, 0], [0, 0])
     assert values.tolist() == [INVALID_SQUARES, INVALID_SQUARES]
-    assert np.isnan(service.clustering_at_edges([0], [0])).all()
+    assert np.isnan(service.answer("clustering", [0], [0])).all()
     assert service.stats()["invalid"] >= 3
 
 
-def test_concurrent_requests_coalesce(oracle_i, edges_i):
-    """Requests queued before workers start are answered in one batch."""
-    svc = OracleService(oracle_i, max_queue=64, cache_bytes=0)
-    ep, eq = edges_i
-    handles = [svc.submit("vertex_squares", [int(p)]) for p in range(6)]
-    handles += [svc.submit("edge_squares", ep[:3], eq[:3])]
-    assert svc.queue_depth() == 7
-    svc.start()
-    try:
-        for p, handle in enumerate(handles[:6]):
-            assert handle.wait(5.0).tolist() == [oracle_i.squares_at_vertex(p)]
-        assert np.array_equal(
-            handles[6].wait(5.0), oracle_i.squares_at_edges(ep[:3], eq[:3])
-        )
-        stats = svc.stats()
-        assert stats["batches"] == 1, "queued requests must ride one kernel pass"
-        assert stats["requests"] == 7
-    finally:
-        svc.stop()
-
-
 def test_cache_hits_and_eviction(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_bytes=budget(2, queries=2)) as svc:
-        first = svc.degrees([0, 1])
-        again = svc.degrees([0, 1])
-        assert np.array_equal(first, again)
-        stats = svc.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        # Two fresh keys overrun the budget and evict the oldest; a third
-        # look-up misses again.
-        svc.degrees([2])
-        svc.degrees([3])
-        svc.degrees([0, 1])
-        stats = svc.stats()
-        assert stats["hits"] == 1
-        assert stats["cache_entries"] == 2 and stats["evictions"] == 2
-        assert stats["cache_bytes"] <= stats["cache_budget_bytes"] == budget(2, queries=2)
+    svc = OracleService(oracle_i, max_queue=64, cache_bytes=budget(2, queries=2))
+    first = svc.answer("degree", [0, 1])
+    again = svc.answer("degree", [0, 1])
+    assert np.array_equal(first, again)
+    stats = svc.stats()
+    assert stats["hits"] == 1 and stats["misses"] == 1 and stats["batches"] == 1
+    # Two fresh keys overrun the budget and evict the oldest; a third
+    # look-up misses again.
+    svc.answer("degree", [2])
+    svc.answer("degree", [3])
+    svc.answer("degree", [0, 1])
+    stats = svc.stats()
+    assert stats["hits"] == 1
+    assert stats["cache_entries"] == 2 and stats["evictions"] == 2
+    assert stats["cache_bytes"] <= stats["cache_budget_bytes"] == budget(2, queries=2)
 
 
 def test_cache_disabled(oracle_i):
-    with OracleService(oracle_i, max_queue=64, cache_bytes=0) as svc:
-        svc.degrees([0])
-        svc.degrees([0])
-        stats = svc.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 2
+    svc = OracleService(oracle_i, max_queue=64, cache_bytes=0)
+    svc.answer("degree", [0])
+    svc.answer("degree", [0])
+    stats = svc.stats()
+    assert stats["hits"] == 0 and stats["misses"] == stats["batches"] == 2
 
 
 def test_equal_values_share_one_cache_entry_across_layouts(oracle_i):
@@ -165,17 +152,27 @@ def test_cache_bytes_tracks_answers_not_requests(oracle_i):
 
 
 def test_coalesced_answers_are_cached_as_owned_copies(oracle_i):
-    """A split batch must not leave each cached slice pinning the whole
-    batch array, or ``cache_bytes`` would undercount what is held."""
-    svc = OracleService(oracle_i, max_queue=8, cache_bytes=budget(8, queries=2))
-    handles = [svc.submit("vertex_squares", [p, p + 1]) for p in range(3)]
-    with svc:
-        results = [handle.wait(5.0) for handle in handles]
-    for p, result in enumerate(results):
-        assert result.base is None
-        assert np.array_equal(result, oracle_i.squares_at_vertices(np.array([p, p + 1])))
-    assert svc.stats()["batches"] == 1
-    assert svc.stats()["cache_bytes"] == budget(3, queries=2)
+    """Every kind's cached answer owns its buffer, also when the kernel
+    coalesces it from ``_BATCH_CHUNK``-sized passes: a cached view would
+    pin a larger array, and ``cache_bytes`` would undercount what is
+    held."""
+    rng = np.random.default_rng(5)
+    sizes = (1, _BATCH_CHUNK + 1)
+    svc = OracleService(oracle_i, cache_bytes=budget(10, queries=sizes[-1]))
+    for size in sizes:
+        ps, qs = rng.integers(0, oracle_i.n, size=(2, size))
+        for kind in KINDS:
+            if kind == "global":
+                continue
+            args = query_args(kind, ps, qs)
+            got = svc.answer(kind, *args)
+            assert got.base is None, (kind, size)
+            assert svc.answer(kind, *args) is got
+    stats = svc.stats()
+    assert stats["cache_entries"] == stats["batches"] == stats["hits"] == 10
+    assert stats["cache_bytes"] == sum(
+        v.nbytes + len(k[2]) + ENTRY_OVERHEAD for k, v in svc._cache.items()
+    )
 
 
 def test_cache_off_hashes_nothing(oracle_i, edges_i, monkeypatch):
@@ -189,8 +186,6 @@ def test_cache_off_hashes_nothing(oracle_i, edges_i, monkeypatch):
     svc = OracleService(oracle_i, cache_bytes=0)
     assert np.array_equal(svc.answer("edge_squares", ep, eq), oracle_i.squares_at_edges(ep, eq))
     assert svc.answer("global") == oracle_i.global_squares()
-    with svc:
-        assert np.array_equal(svc.degrees(ep), oracle_i.degrees(ep))
     stats = svc.stats()
     assert (stats["cache_bytes"], stats["cache_entries"], stats["oversize"]) == (0, 0, 0)
 
@@ -290,31 +285,21 @@ def test_cache_counters_and_eviction_event(oracle_i, tmp_path):
     ]
 
 
-def test_saturated_queue_sheds_with_counter(oracle_i):
-    """Past max_queue depth, submissions shed with Overloaded + counter."""
-    svc = OracleService(oracle_i, max_queue=2, cache_bytes=0)  # never started
-    svc.submit("degree", [0])
-    svc.submit("degree", [1])
-    with pytest.raises(Overloaded, match="max_queue=2"):
-        svc.submit("degree", [2])
-    assert svc.stats()["shed"] == 1
-    with pytest.raises(Overloaded):
-        svc.submit("global")
-    assert svc.stats()["shed"] == 2
-    assert svc.queue_depth() == 2
-
-
 def test_max_queue_zero_sheds_everything(oracle_i):
     svc = OracleService(oracle_i, max_queue=0, cache_bytes=0)
+    with pytest.raises(Overloaded, match="max_queue=0"):
+        svc.answer("degree", [0])
     with pytest.raises(Overloaded):
-        svc.submit("degree", [0])
-    assert svc.stats()["shed"] == 1
+        svc.answer("global")
+    stats = svc.stats()
+    assert (stats["shed"], stats["batches"], stats["queue_depth"]) == (2, 0, 0)
 
 
 def test_answer_sheds_past_max_queue_calls_in_progress(oracle_i):
     """``answer()`` caps calls in progress: with one kernel call blocked
     and ``max_queue=1``, a second miss sheds, a cache hit still answers,
-    and the cap frees once the call returns."""
+    and the cap frees once the call returns.  ``batches`` counts the
+    two engine calls made, not the shed one."""
     entered, release = threading.Event(), threading.Event()
 
     class Blocking:
@@ -342,7 +327,7 @@ def test_answer_sheds_past_max_queue_calls_in_progress(oracle_i):
         release.set()
         blocked.join(5.0)
     stats = svc.stats()
-    assert (stats["shed"], stats["queue_depth"], stats["batches"]) == (1, 0, 0)
+    assert (stats["shed"], stats["queue_depth"], stats["batches"]) == (1, 0, 2)
     assert svc.answer("vertex_squares", [2]).tolist() == [oracle_i.squares_at_vertex(2)]
 
 
@@ -384,21 +369,6 @@ def test_inflight_cap_survives_thread_contention(oracle_i):
     assert svc.answer("degree", [0]).tolist() == [oracle_i.degree(0)]
 
 
-def test_stop_fails_pending_requests(oracle_i):
-    svc = OracleService(oracle_i, max_queue=8, cache_bytes=0)
-    handle = svc.submit("degree", [0])
-    svc.start()
-    svc.stop()
-    # Either the worker answered it before stopping or it was drained
-    # with Overloaded -- never a hang.
-    try:
-        handle.wait(5.0)
-    except Overloaded:
-        pass
-    with pytest.raises(Overloaded, match="stopped"):
-        svc.submit("degree", [0])
-
-
 @pytest.mark.parametrize(
     "kind,ps,qs,err",
     [
@@ -416,14 +386,14 @@ def test_stop_fails_pending_requests(oracle_i):
 )
 def test_malformed_submissions_raise_synchronously(service, kind, ps, qs, err):
     with pytest.raises(ValueError, match=err):
-        service.submit(kind, ps, qs)
+        service.answer(kind, ps, qs)
 
 
 def test_out_of_range_raises_index_error(service, oracle_i):
     with pytest.raises(IndexError, match="out of range"):
-        service.submit("degree", [oracle_i.n])
+        service.answer("degree", [oracle_i.n])
     with pytest.raises(IndexError, match="out of range"):
-        service.submit("vertex_squares", [-1])
+        service.answer("vertex_squares", [-1])
 
 
 def test_parallel_load_bit_identity(oracle_i, edges_i):
@@ -437,17 +407,35 @@ def test_parallel_load_bit_identity(oracle_i, edges_i):
         rng = np.random.default_rng(seed)
         for _ in range(20):
             idx = rng.integers(0, ep.size, size=5)
-            got = svc.squares_at_edges(ep[idx], eq[idx])
+            got = svc.answer("edge_squares", ep[idx], eq[idx])
             if not np.array_equal(got, expected_sq[idx]):
                 errors.append(f"squares mismatch for idx {idx}")
             vs = rng.integers(0, oracle_i.n, size=4)
-            if not np.array_equal(svc.degrees(vs), expected_deg[vs]):
+            if not np.array_equal(svc.answer("degree", vs), expected_deg[vs]):
                 errors.append(f"degree mismatch for {vs}")
 
-    with OracleService(oracle_i, max_queue=512, cache_bytes=budget(64, queries=5), workers=2) as svc:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    svc = OracleService(oracle_i, max_queue=512, cache_bytes=budget(64, queries=5))
+    threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
     assert not errors, errors[:3]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_submit_start_stop_keep_the_harness_contract(oracle_i, edges_i, kind):
+    """``benchmarks/e2e/layers.replay_submit`` calls ``start()``,
+    ``submit(...).wait(30.0)`` and ``stop()``, and the traced pass reads
+    ``batches`` and ``misses`` from ``stats()``."""
+    ep, eq = edges_i
+    args = query_args(kind, ep, eq)
+    svc = OracleService(oracle_i)
+    assert svc.start() is svc
+    got = svc.submit(kind, *args).wait(30.0)
+    assert np.array_equal(got, svc.answer(kind, *args), equal_nan=True)
+    with pytest.raises(ValueError, match="unknown query kind"):
+        svc.submit(kind.upper(), *args)
+    assert svc.stop() is None
+    stats = svc.stats()
+    assert (stats["batches"], stats["misses"], stats["hits"]) == (1, 1, 1)

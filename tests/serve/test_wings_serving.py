@@ -1,6 +1,6 @@
 """The ``wings`` query kind across every serving front.
 
-One contract, three transports: the batched service answer, the HTTP
+One contract, three transports: the service's ``answer()``, the HTTP
 ``/v1/wings`` endpoint, and wire opcode 5 must all be bit-identical to
 ``GroundTruthOracle.wings_at_edges`` on the same index arrays.
 """
@@ -27,27 +27,19 @@ from tests.serve.conftest import product_edges
 
 
 class TestService:
-    def test_submit_matches_oracle(self, oracle_i, edges_i):
+    def test_answer_matches_oracle(self, oracle_i, edges_i):
         ps, qs = edges_i
-        with OracleService(oracle_i) as svc:
-            got = svc.wings_at_edges(ps, qs)
+        got = OracleService(oracle_i).answer("wings", ps, qs)
         assert np.array_equal(got, oracle_i.wings_at_edges(ps, qs))
         assert got.dtype == np.int64
-
-    def test_answer_fast_path_matches_submit(self, oracle_i, edges_i):
-        ps, qs = edges_i
-        with OracleService(oracle_i) as svc:
-            fast = svc.answer("wings", ps, qs)
-            slow = svc.submit("wings", ps, qs).wait(10.0)
-        assert np.array_equal(fast, slow)
 
     def test_non_edges_mask_and_count_invalid(self, oracle_i, edges_i):
         ps, qs = edges_i
         # (p, p) pairs: the product is bipartite, so no vertex is its
         # own neighbour — every probe is invalid.
-        with OracleService(oracle_i) as svc:
-            got = svc.answer("wings", ps[:4], ps[:4])
-            stats = svc.stats()
+        svc = OracleService(oracle_i)
+        got = svc.answer("wings", ps[:4], ps[:4])
+        stats = svc.stats()
         assert (got == INVALID_SQUARES).all()
         assert stats["invalid"] >= 4
 
@@ -66,16 +58,14 @@ class TestWireFrames:
 
     def test_response_roundtrip_through_service(self, oracle_i, edges_i):
         ps, qs = edges_i
-        with OracleService(oracle_i) as svc:
-            values = svc.answer("wings", ps, qs)
+        values = OracleService(oracle_i).answer("wings", ps, qs)
         back = read_response(io.BytesIO(encode_response(values, "wings")))
         assert back.dtype == np.int64
         assert np.array_equal(back, oracle_i.wings_at_edges(ps, qs))
 
     def test_masked_sentinel_survives_the_wire(self, oracle_i, edges_i):
         ps, _ = edges_i
-        with OracleService(oracle_i) as svc:
-            values = svc.answer("wings", ps[:3], ps[:3])
+        values = OracleService(oracle_i).answer("wings", ps[:3], ps[:3])
         back = read_response(io.BytesIO(encode_response(values, "wings")))
         assert (back == INVALID_SQUARES).all()
 
