@@ -59,7 +59,6 @@ from pathlib import Path
 # Only the instrumentation layer is imported here; each subcommand imports
 # what it runs, so ``repro serve`` boots without the generation stack.
 from repro.obs import (
-    build_run_record,
     disable,
     enable,
     events_to,
@@ -67,8 +66,6 @@ from repro.obs import (
     get_tracer,
     instrument,
     is_enabled,
-    render_run_record,
-    write_run_record,
 )
 
 __all__ = ["main", "parse_factor"]
@@ -811,6 +808,10 @@ def _run_instrumented(args) -> int:
     ``--metrics-out PATH`` writes the JSON run record.  The record is
     written even when the command fails (status is in the root span).
     """
+    # Imported here, not at the top: the run record pulls in
+    # ``platform`` and ``subprocess``, which no served request needs.
+    from repro.obs.record import build_run_record, render_run_record, write_run_record
+
     with instrument() as (tracer, metrics):
         root = tracer.span(f"cli.{args.command}")
         try:

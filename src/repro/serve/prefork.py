@@ -65,52 +65,6 @@ _WIRE_FIRST_BYTE = wire.MAGIC[:1]
 _PR_SET_PDEATHSIG = 1
 
 
-class _ConnReader:
-    """Minimal buffered reader over ``recv`` with an inspectable buffer.
-
-    ``socket.makefile`` hides its read-ahead, which makes "is a
-    pipelined frame already buffered?" unanswerable -- and the drain
-    loop needs exactly that question.  This reader exposes
-    :attr:`pending` so the wire loop only parks in ``select`` when the
-    buffer is truly empty.
-
-    Reads advance a cursor instead of re-slicing the buffer: a deep
-    pipeline leaves many frames buffered at once, and slicing the
-    remainder on every 16-byte header read would cost O(buffered^2)
-    memcpy over the burst.  The consumed prefix is compacted away once
-    it grows past 64 KiB.
-    """
-
-    __slots__ = ("_conn", "_buf", "_pos")
-
-    def __init__(self, conn: socket.socket):
-        self._conn = conn
-        self._buf = bytearray()
-        self._pos = 0
-
-    @property
-    def pending(self) -> bool:
-        return self._pos < len(self._buf)
-
-    def read(self, n: int) -> bytes:
-        need = self._pos + n
-        while len(self._buf) < need:
-            chunk = self._conn.recv(1 << 16)
-            if not chunk:
-                break
-            self._buf += chunk
-        end = min(need, len(self._buf))
-        out = bytes(self._buf[self._pos : end])
-        self._pos = end
-        if self._pos == len(self._buf):
-            del self._buf[:]
-            self._pos = 0
-        elif self._pos > (1 << 16):
-            del self._buf[: self._pos]
-            self._pos = 0
-        return out
-
-
 class PreforkServer:
     """Parent handle: bind, fork, supervise, drain, merge.
 
@@ -363,11 +317,11 @@ class _WorkerProcess:
         listener = srv._listener
         while not self.draining:
             try:
-                conn, addr = listener.accept()
+                conn, _addr = listener.accept()
             except OSError:
                 break  # listener closed by the SIGTERM handler
             thread = threading.Thread(
-                target=self._serve_connection, args=(conn, addr), daemon=True
+                target=self._serve_connection, args=(conn,), daemon=True
             )
             with self._tlock:
                 self._conn_threads.add(thread)
@@ -412,7 +366,7 @@ class _WorkerProcess:
 
     # -- per-connection dispatch ---------------------------------------
 
-    def _serve_connection(self, conn: socket.socket, addr) -> None:
+    def _serve_connection(self, conn: socket.socket) -> None:
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(self.srv.keepalive_timeout)
@@ -437,7 +391,7 @@ class _WorkerProcess:
                         b"HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
                     )
                     return
-                self.ctx.handle_connection(conn, addr)
+                self.ctx.handle_connection(conn, self.srv.keepalive_timeout)
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client hung up
         except Exception as exc:
@@ -463,7 +417,7 @@ class _WorkerProcess:
         :meth:`~repro.serve.service.OracleService.answer`.
         """
         conn.settimeout(None)
-        reader = _ConnReader(conn)
+        reader = wire.ConnReader(conn)
         metrics = get_metrics()
         latency = metrics.histogram("serve.wire.latency_seconds")
         counters: dict[tuple[str, int], Any] = {}

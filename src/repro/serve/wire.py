@@ -72,6 +72,7 @@ __all__ = [
     "encode_error",
     "read_request",
     "read_response",
+    "ConnReader",
     "WireClient",
 ]
 
@@ -263,6 +264,77 @@ def _decode_answer(status: int, dtype_code: int, payload: bytes, message: bytes)
     if dtype is None:
         raise WireProtocolError(f"unknown answer dtype code {dtype_code}")
     return np.frombuffer(payload, dtype=dtype)
+
+
+class ConnReader:
+    """Buffered reader over a server-side socket's ``recv``, with an
+    inspectable buffer; the wire loop and the HTTP loop both read
+    through it.
+
+    ``socket.makefile`` hides its read-ahead, which makes "is a
+    pipelined request already buffered?" unanswerable -- and the drain
+    loops need exactly that question.  This reader exposes
+    :attr:`pending` so a loop only parks in ``select`` when the buffer
+    is truly empty.
+
+    Reads advance a cursor instead of re-slicing the buffer: a deep
+    pipeline leaves many frames buffered at once, and slicing the
+    remainder on every 16-byte header read would cost O(buffered^2)
+    memcpy over the burst.  The consumed prefix is compacted away once
+    it grows past 64 KiB.
+    """
+
+    __slots__ = ("_conn", "_buf", "_pos")
+
+    def __init__(self, conn: socket.socket):
+        self._conn = conn
+        self._buf = bytearray()
+        self._pos = 0
+
+    @property
+    def pending(self) -> bool:
+        return self._pos < len(self._buf)
+
+    def _fill(self) -> bool:
+        chunk = self._conn.recv(1 << 16)
+        self._buf += chunk
+        return bool(chunk)
+
+    def _take(self, end: int) -> bytes:
+        out = bytes(self._buf[self._pos : end])
+        self._pos = end
+        if self._pos == len(self._buf):
+            del self._buf[:]
+            self._pos = 0
+        elif self._pos > (1 << 16):
+            del self._buf[: self._pos]
+            self._pos = 0
+        return out
+
+    def read(self, n: int) -> bytes:
+        """Up to ``n`` bytes: fewer only at EOF."""
+        need = self._pos + n
+        while len(self._buf) < need and self._fill():
+            pass
+        return self._take(min(need, len(self._buf)))
+
+    def read_until(self, delim: bytes, limit: int) -> bytes:
+        """The bytes through the first ``delim``, reading at most ``limit``.
+
+        Returns without ``delim`` at its end when EOF or ``limit`` comes
+        first: the caller tells the two apart by the length.
+        """
+        start = scan = self._pos
+        cap = start + limit
+        while True:
+            found = self._buf.find(delim, scan, cap)
+            if found >= 0:
+                return self._take(found + len(delim))
+            if len(self._buf) >= cap:
+                return self._take(cap)
+            scan = max(start, len(self._buf) - len(delim) + 1)
+            if not self._fill():
+                return self._take(len(self._buf))
 
 
 class WireClient:

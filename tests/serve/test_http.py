@@ -4,9 +4,11 @@ served by the pre-fork front end."""
 from __future__ import annotations
 
 import contextlib
+import email.utils
 import http.client
 import json
 import os
+import socket
 import threading
 import time
 import urllib.error
@@ -33,6 +35,7 @@ class _Client:
     """Tiny urllib client returning (status, parsed_json)."""
 
     def __init__(self, host: str, port: int):
+        self.port = port
         self.base = f"http://{host}:{port}"
 
     def get(self, path: str):
@@ -330,13 +333,13 @@ def test_json_queries_take_the_synchronous_path(art):
 
 def test_http_latency_covers_the_send(art, monkeypatch):
     """The latency histogram closes after the response is written."""
-    send = http_module._OracleHandler._send
+    send = http_module._send
 
-    def slow_send(self, status, payload):
+    def slow_send(conn, status, payload, close):
         time.sleep(0.05)
-        send(self, status, payload)
+        send(conn, status, payload, close)
 
-    monkeypatch.setattr(http_module._OracleHandler, "_send", slow_send)
+    monkeypatch.setattr(http_module, "_send", slow_send)
     server = _start(art)
     # One keep-alive connection: its handler observes the POST's latency
     # before it reads the scrape, so the scrape always sees it.
@@ -415,3 +418,233 @@ def test_internal_errors_are_counted_per_front(art, tmp_path, monkeypatch):
         ("http", "RuntimeError", "0"),
         ("wire", "RuntimeError", "0"),
     ]
+
+
+# ----------------------------------------------------------------------
+# Framing: the worker's own HTTP/1.1 loop, driven byte by byte
+# ----------------------------------------------------------------------
+
+
+def _request(
+    method: str, path: str, body: bytes = b"", version: str = "HTTP/1.1", headers: str = ""
+) -> bytes:
+    head = f"{method} {path} {version}\r\nHost: test\r\n{headers}"
+    if body:
+        head += f"Content-Length: {len(body)}\r\n"
+    return (head + "\r\n").encode("latin-1") + body
+
+
+def _degree_request(p: int, **kwargs) -> bytes:
+    return _request("POST", "/v1/degree", json.dumps({"ps": [p]}).encode(), **kwargs)
+
+
+@contextlib.contextmanager
+def _raw_connection(client: _Client):
+    """A bare socket and its reader: nothing between the test and the bytes."""
+    sock = socket.create_connection(("127.0.0.1", client.port), timeout=10)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    try:
+        with sock.makefile("rb") as rfile:
+            yield sock, rfile
+    finally:
+        sock.close()
+
+
+def _response(rfile) -> tuple[int, dict[str, str], bytes]:
+    """One response: (status, lowercased headers, body)."""
+    status_line = rfile.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers: dict[str, str] = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = rfile.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+def _closed(rfile) -> bool:
+    """True when the server has closed the connection (EOF or reset)."""
+    try:
+        return rfile.read() == b""
+    except ConnectionResetError:
+        return True
+
+
+def test_response_head_is_status_date_type_and_length(served):
+    client, oracle = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(_degree_request(0))
+        status, headers, body = _response(rfile)
+    assert status == 200
+    assert set(headers) == {"date", "content-type", "content-length"}
+    assert headers["content-type"] == "application/json"
+    assert json.loads(body) == {"degrees": [oracle.degree(0)]}
+    # An IMF-fixdate, the form email.utils writes, within a minute of now.
+    sent = email.utils.parsedate_to_datetime(headers["date"]).timestamp()
+    assert headers["date"] == email.utils.formatdate(sent, usegmt=True)
+    assert abs(sent - time.time()) < 60
+
+
+def test_pipelined_requests_are_answered_in_order(served):
+    client, oracle = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(
+            _degree_request(0) + _request("GET", "/v1/global") + _degree_request(1)
+        )
+        answers = [_response(rfile) for _ in range(3)]
+    assert [status for status, _, _ in answers] == [200, 200, 200]
+    assert [json.loads(body) for _, _, body in answers] == [
+        {"degrees": [oracle.degree(0)]},
+        {"squares": oracle.global_squares()},
+        {"degrees": [oracle.degree(1)]},
+    ]
+
+
+def test_request_sent_one_byte_at_a_time_is_answered(served):
+    client, oracle = served
+    with _raw_connection(client) as (sock, rfile):
+        for i in range(2):  # the second request proves the stream stays framed
+            for byte in _degree_request(i):
+                sock.send(bytes([byte]))
+                time.sleep(0.001)
+            status, _, body = _response(rfile)
+            assert (status, json.loads(body)) == (200, {"degrees": [oracle.degree(i)]})
+
+
+def test_expect_100_continue_gets_continue_before_the_body(served):
+    client, oracle = served
+    body = json.dumps({"ps": [2]}).encode()
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(
+            b"POST /v1/degree HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+        )
+        assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert rfile.readline() == b"\r\n"
+        sock.sendall(body)
+        status, _, answer = _response(rfile)
+    assert (status, json.loads(answer)) == (200, {"degrees": [oracle.degree(2)]})
+
+
+@pytest.mark.parametrize(
+    "version, headers, closes",
+    [
+        ("HTTP/1.0", "", True),
+        ("HTTP/1.1", "Connection: close\r\n", True),
+        ("HTTP/1.0", "Connection: keep-alive\r\n", False),
+        ("HTTP/1.1", "", False),
+    ],
+)
+def test_connection_closes_only_when_the_request_asks(served, version, headers, closes):
+    client, oracle = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(_degree_request(0, version=version, headers=headers))
+        status, response_headers, body = _response(rfile)
+        assert (status, json.loads(body)) == (200, {"degrees": [oracle.degree(0)]})
+        if closes:
+            assert response_headers["connection"] == "close"
+            assert _closed(rfile)
+        else:
+            assert "connection" not in response_headers
+            sock.sendall(_degree_request(1, version=version, headers=headers))
+            assert _response(rfile)[0] == 200
+
+
+@pytest.mark.parametrize(
+    "request_line",
+    [b"GARBAGE", b"GET /healthz", b"GET  /healthz HTTP/1.1", b"GET /healthz HTTP/2.0"],
+)
+def test_malformed_request_line_is_400_and_closes(served, request_line):
+    client, _ = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(request_line + b"\r\nHost: test\r\n\r\n" + _degree_request(0))
+        status, headers, body = _response(rfile)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "malformed request line" in json.loads(body)["error"]
+        assert _closed(rfile)
+
+
+def test_malformed_header_line_is_400_and_closes(served):
+    client, _ = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n")
+        status, headers, body = _response(rfile)
+        assert (status, headers["connection"]) == (400, "close")
+        assert "malformed header line" in json.loads(body)["error"]
+        assert _closed(rfile)
+
+
+def test_head_over_64_kib_is_431_and_closes(served):
+    client, _ = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 16) + b"\r\n\r\n")
+        status, headers, _ = _response(rfile)
+        assert (status, headers["connection"]) == (431, "close")
+        assert _closed(rfile)
+    # A head just under the cap is still served.
+    with _raw_connection(client) as (sock, rfile):
+        pad = b"a" * ((1 << 16) - 100)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Pad: " + pad + b"\r\n\r\n")
+        assert _response(rfile)[0] == 200
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-1", b"+3", b"1.5", b""])
+def test_bad_content_length_is_400_and_closes(served, length):
+    client, _ = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(
+            b"POST /v1/degree HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n{}"
+        )
+        status, headers, body = _response(rfile)
+        assert (status, headers["connection"]) == (400, "close")
+        assert json.loads(body) == {"error": "bad Content-Length header"}
+        assert _closed(rfile)
+
+
+def test_chunked_body_is_501_and_closes(served):
+    """A chunked body is never parsed, so its connection cannot stay framed."""
+    client, _ = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(
+            b"POST /v1/degree HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"b\r\n{\"ps\": [0]}\r\n0\r\n\r\n"
+        )
+        status, headers, body = _response(rfile)
+        assert (status, headers["connection"]) == (501, "close")
+        assert "Transfer-Encoding" in json.loads(body)["error"]
+        assert _closed(rfile)
+
+
+def test_unsupported_method_is_501_and_keeps_the_connection(served):
+    client, oracle = served
+    with _raw_connection(client) as (sock, rfile):
+        sock.sendall(_request("PUT", "/v1/degree", b'{"ps": [0]}') + _degree_request(0))
+        status, headers, body = _response(rfile)
+        assert status == 501
+        assert "connection" not in headers
+        assert json.loads(body) == {"error": "unsupported method 'PUT'"}
+        status, _, body = _response(rfile)
+        assert (status, json.loads(body)) == (200, {"degrees": [oracle.degree(0)]})
+
+
+def test_stop_releases_an_idle_keep_alive_client(art, oracle_i):
+    """``stop()`` does not wait out an idle keep-alive connection, and a
+    request already sent when the drain starts still gets its answer."""
+    server = _start(art)
+    idle = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    busy = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        for conn in (idle, busy):  # both accepted: one round trip each
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+        busy.request("POST", "/v1/degree", body=json.dumps({"ps": [0]}))
+        t0 = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - t0
+        resp = busy.getresponse()
+        assert (resp.status, json.loads(resp.read())) == (200, {"degrees": [oracle_i.degree(0)]})
+    finally:
+        idle.close()
+        busy.close()
+    assert elapsed < 1.0

@@ -320,7 +320,7 @@ def test_connection_failures_are_counted_not_swallowed(art_dir, tmp_path, exc, c
     with instrument() as (_tracer, metrics), events_to(str(tmp_path / "ev.jsonl")):
         with client:
             client.sendall(encode_request("degree", [0]))
-            worker._serve_connection(conn, None)
+            worker._serve_connection(conn)
         counters = metrics.snapshot()["counters"]
     key = series_key("serve.connection_errors_total", {"exc": exc.__name__})
     events = [

@@ -44,6 +44,34 @@ NOT_SERVED = (
 )
 
 
+#: Stdlib modules no serving process needs -- the HTTP/TLS/email stack
+#: behind ``http.server``, and what the run record uses -- plus the run
+#: record itself.  numpy 2 imports ``platform`` on its own
+#: (``numpy.lib._utils_impl``), so the guard counts only what the serving
+#: stack loads beyond a bare ``import numpy``.
+NOT_BOOTED = (
+    "http.server",
+    "http.client",
+    "email",
+    "ssl",
+    "socketserver",
+    "mimetypes",
+    "platform",
+    "subprocess",
+    "repro.obs.record",
+)
+
+
+def _not_booted(loaded: list[str]) -> list[str]:
+    """The :data:`NOT_BOOTED` modules (or submodules) in ``loaded`` that
+    a bare ``import numpy`` does not load."""
+    numpy_only = set(_run("import json, sys\nimport numpy\nprint(json.dumps(sorted(sys.modules)))\n"))
+    prefixes = tuple(name + "." for name in NOT_BOOTED)
+    return sorted(
+        m for m in set(loaded) - numpy_only if m in NOT_BOOTED or m.startswith(prefixes)
+    )
+
+
 def _run(code: str) -> dict:
     """Run ``code`` in a fresh interpreter; it prints one JSON line."""
     out = subprocess.run(
@@ -61,16 +89,36 @@ def test_serve_boot_loads_only_the_serving_stack():
     loaded = _run(
         "import json, sys\n"
         "import repro.cli, repro.serve.prefork\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('repro', 'scipy')))))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     assert "repro.serve.prefork" in loaded and "repro.kronecker.oracle" in loaded
     unwanted = [m for m in loaded if m.startswith(NOT_SERVED)]
     assert not unwanted, unwanted
+    stdlib = _not_booted(loaded)
+    assert not stdlib, stdlib
+
+
+#: One request per HTTP endpoint (a 400 and a 404 among them) and the
+#: statuses they answer, pipelined on one keep-alive connection.
+_HTTP_PROBES = (
+    ("GET /healthz", b"", 200),
+    ("GET /metrics", b"", 200),
+    ("GET /metrics?format=prometheus", b"", 200),
+    ("GET /v1/global", b"", 200),
+    ("POST /v1/degree", b'{"ps": [0, 1]}', 200),
+    ("POST /v1/squares/vertex", b'{"ps": [0, 1]}', 200),
+    ("POST /v1/squares/edge", b'{"ps": [0], "qs": [7]}', 200),
+    ("POST /v1/wings", b'{"ps": [0], "qs": [7]}', 200),
+    ("POST /v1/clustering", b'{"ps": [0], "qs": [7]}', 200),
+    ("POST /v1/degree", b"{not json", 400),
+    ("GET /v1/nonsense", b"", 404),
+)
 
 
 def test_answering_every_kind_imports_nothing_new(tmp_path):
-    """Everything a query needs is imported before the workers fork, and
-    no query imports scipy."""
+    """Everything a query needs is imported before the workers fork: no
+    wire kind and no HTTP endpoint imports a module, and none loads
+    scipy or the stdlib HTTP stack."""
     art = tmp_path / "art"
     subprocess.run(
         [sys.executable, "-m", "repro", "pack", "complete:3", "biclique:2x3", "-o", str(art)],
@@ -79,24 +127,57 @@ def test_answering_every_kind_imports_nothing_new(tmp_path):
         check=True,
         timeout=120,
     )
-    new = _run(
-        "import json, sys\n"
+    http_requests = b"".join(
+        f"{line} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+        for line, body, _ in _HTTP_PROBES
+    )
+    result = _run(
+        "import io, json, re, socket, sys\n"
         "import repro.cli, repro.serve.prefork\n"
+        "from repro.serve import wire\n"
         "from repro.serve.artifact import load_oracle\n"
+        "from repro.serve.http import HandlerContext\n"
+        "from repro.serve.prefork import PreforkServer, _WorkerProcess\n"
         "from repro.serve.service import OracleService\n"
         f"svc = OracleService(load_oracle({str(art)!r}, mmap=True))\n"
+        f"worker = _WorkerProcess(PreforkServer({str(art)!r}), 0, False)\n"
+        "worker.service, worker.ctx = svc, HandlerContext(svc)\n"
+        "def serve(payload):\n"
+        "    # One connection through the worker's sniff and loop; the\n"
+        "    # answers wait in the socket buffer until the loop sees EOF.\n"
+        "    with socket.create_server(('127.0.0.1', 0)) as listener:\n"
+        "        client = socket.create_connection(listener.getsockname())\n"
+        "        conn, _ = listener.accept()\n"
+        "    with client:\n"
+        "        client.sendall(payload)\n"
+        "        client.shutdown(socket.SHUT_WR)\n"
+        "        worker._serve_connection(conn)\n"
+        "        with client.makefile('rb') as rfile:\n"
+        "            return rfile.read()\n"
+        "frames = [wire.encode_request(k, [0, 1]) for k in ('degree', 'vertex_squares')]\n"
+        "frames += [wire.encode_request(k, [0, 1], [7, 8]) for k in wire.PAIR_KINDS]\n"
+        "frames.append(wire.encode_request('global'))\n"
+        "serve(b'')  # the client's own imports (create_connection loads the idna codec)\n"
         "before = set(sys.modules)\n"
-        "for kind in ('degree', 'vertex_squares'):\n"
-        "    svc.answer(kind, [0, 1])\n"
-        "for kind in ('edge_squares', 'clustering', 'wings'):\n"
-        "    svc.answer(kind, [0, 1], [7, 8])\n"
-        "svc.answer('global')\n"
+        "wire_out = serve(b''.join(frames))\n"
+        f"http_out = serve({http_requests!r})\n"
         "svc.oracle.max_wing_bound()\n"
-        "new = set(sys.modules) - before\n"
-        "scipy = [m for m in sys.modules if m.startswith('scipy')]\n"
-        "print(json.dumps(sorted(m for m in new if m.startswith('repro')) + scipy))\n"
+        "new = sorted(set(sys.modules) - before)\n"
+        "stream = io.BytesIO(wire_out)\n"
+        "answers = [wire.read_response(stream) for _ in frames]  # raises on an error frame\n"
+        "print(json.dumps({\n"
+        "    'new': new,\n"
+        "    'loaded': sorted(sys.modules),\n"
+        "    'wire': stream.read() == b'',\n"
+        "    'http': [int(s) for s in re.findall(rb'HTTP/1\\.1 (\\d+) [^\\r]*\\r\\n', http_out)],\n"
+        "}))\n"
     )
-    assert new == []
+    assert result["wire"], "the wire answers did not end where the last frame did"
+    assert result["http"] == [status for _, _, status in _HTTP_PROBES]
+    assert result["new"] == []
+    assert not [m for m in result["loaded"] if m.startswith("scipy")]
+    stdlib = _not_booted(result["loaded"])
+    assert not stdlib, stdlib
 
 
 def test_shadowed_names_stay_functions_after_their_submodules_import():
