@@ -395,7 +395,8 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "generation": Family(
         checks=(("test_generation_throughput", "directed_entries", ">", 0),
-                ("test_stream_with_ground_truth_attached", "gt_entries_per_s", ">", 0)),
+                ("test_stream_with_ground_truth_attached", "gt_entries_per_s", ">", 0),
+                ("test_chain_setup", "setup_seconds", ">", 0)),
         extras=(cli_profile_smoke,)),
     "parallel": Family(checks=(
         ("test_shard_generation_fault_tolerance", "directed_entries", ">", 0),)),

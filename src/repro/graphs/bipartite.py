@@ -178,10 +178,7 @@ class BipartiteGraph:
         Vertices ``0..|U|-1`` are part ``U`` and ``|U|..|U|+|W|-1`` are
         part ``W`` (the paper's canonical ordering).
         """
-        if sp.issparse(X):
-            X = sp.csr_array(X).astype(bool).astype(np.int64)
-        else:
-            X = sp.csr_array(np.asarray(X)).astype(bool).astype(np.int64)
+        X = sp.csr_array(X if sp.issparse(X) else np.asarray(X))  # Graph binarizes
         nu, nw = X.shape
         upper = sp.hstack([sp.csr_array((nu, nu), dtype=np.int64), X])
         lower = sp.hstack([sp.csr_array(X.T), sp.csr_array((nw, nw), dtype=np.int64)])

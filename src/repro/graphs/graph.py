@@ -5,9 +5,9 @@ Design
 A :class:`Graph` is a thin, validated wrapper around a *binary,
 symmetric* ``scipy.sparse.csr_array``.  The paper works exclusively with
 ``B = {0, 1}`` adjacency matrices (Def. in §II), so values are coerced
-to int64 ones and duplicates collapse.  Self loops are permitted -- they
-are load-bearing in this paper (Assumption 1(ii) adds ``I_A``) -- and
-tracked explicitly.
+to int64 ones and duplicates collapse, in one numpy pass that builds the
+``csr_array`` once.  Self loops are permitted -- they are load-bearing in
+this paper (Assumption 1(ii) adds ``I_A``) -- and tracked explicitly.
 
 The class is immutable by convention: every "mutating" operation
 (adding self loops, taking subgraphs, relabelling) returns a new
@@ -25,26 +25,32 @@ import scipy.sparse as sp
 __all__ = ["Graph"]
 
 
-def _canonical_adjacency(matrix) -> sp.csr_array:
-    """Coerce input to a canonical binary symmetric CSR adjacency."""
-    if sp.issparse(matrix):
-        csr = sp.csr_array(matrix)
-    else:
-        arr = np.asarray(matrix)
-        if arr.ndim != 2:
-            raise ValueError(f"adjacency must be 2-D, got shape {arr.shape}")
-        csr = sp.csr_array(arr)
-    if csr.shape[0] != csr.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {csr.shape}")
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    # Binarize: the substrate is 0/1 adjacency only.
-    csr = csr.astype(bool).astype(np.int64)
-    diff = (csr - csr.T).tocoo()
-    if diff.nnz and np.any(diff.data != 0):
+def _canonical_csr(n: int, rows, cols, values=None, wide: bool = False) -> sp.csr_array:
+    """The binary symmetric ``n × n`` CSR adjacency of coordinate entries:
+    sorted by ``(row, col)`` key, duplicates summed, zero sums dropped and
+    the rest int64 ones, with int64 indices if ``wide`` or too many."""
+    if n * n >= 1 << 63:
+        raise ValueError(f"{n} vertices overflow the int64 (row, col) entry keys")
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    keys = rows * n + cols
+    index = np.int64 if wide or max(keys.size, n) > np.iinfo(np.int32).max else np.int32
+    if not np.all(keys[1:] > keys[:-1]):  # else sorted and unique already
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys = keys[starts]
+        rows, cols = np.divmod(keys, n)
+        if values is not None:
+            values = np.add.reduceat(values[order], starts)
+    if values is not None:
+        nonzero = values != 0
+        keys, rows, cols = keys[nonzero], rows[nonzero], cols[nonzero]
+    if not np.array_equal(np.sort(cols * n + rows), keys):
         raise ValueError("adjacency must be symmetric (undirected graph)")
-    csr.sort_indices()
-    return csr
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    data = np.ones(keys.size, dtype=np.int64)  # indices copied: never the caller's array
+    return sp.csr_array((data, cols.astype(index), indptr), shape=(n, n))
 
 
 class Graph:
@@ -60,7 +66,19 @@ class Graph:
     __slots__ = ("adj",)
 
     def __init__(self, adjacency):
-        self.adj = _canonical_adjacency(adjacency)
+        if sp.issparse(adjacency):
+            csr = adjacency if adjacency.format == "csr" else sp.csr_array(adjacency)
+            shape, cols, values = csr.shape, csr.indices, csr.data
+            rows = np.repeat(np.arange(shape[0]), np.diff(csr.indptr))
+        else:
+            arr = np.asarray(adjacency)
+            if arr.ndim != 2:
+                raise ValueError(f"adjacency must be 2-D, got shape {arr.shape}")
+            (rows, cols), shape, values = np.nonzero(arr), arr.shape, None
+        if shape[0] != shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {shape}")
+        wide = values is not None and cols.dtype == np.int64  # as scipy keeps them
+        self.adj = _canonical_csr(shape[0], rows, cols, values, wide)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -71,16 +89,10 @@ class Graph:
         """Build from an iterable of ``(u, v)`` pairs (symmetrized)."""
         edges = np.asarray(list(edges), dtype=np.int64)
         if edges.size == 0:
-            return cls(sp.csr_array((n, n), dtype=np.int64))
+            return cls.empty(n)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"edges must be (m, 2) pairs, got shape {edges.shape}")
-        if edges.min() < 0 or edges.max() >= n:
-            raise ValueError("edge endpoint out of range")
-        u, v = edges[:, 0], edges[:, 1]
-        rows = np.concatenate((u, v))
-        cols = np.concatenate((v, u))
-        data = np.ones(rows.size, dtype=np.int64)
-        return cls(sp.coo_array((data, (rows, cols)), shape=(n, n)))
+        return cls.from_edge_arrays(n, edges[:, 0], edges[:, 1])
 
     @classmethod
     def from_edge_arrays(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
@@ -90,11 +102,12 @@ class Graph:
         if u.shape != v.shape:
             raise ValueError("endpoint arrays must have equal length")
         if u.size == 0:
-            return cls(sp.csr_array((n, n), dtype=np.int64))
-        rows = np.concatenate((u, v))
-        cols = np.concatenate((v, u))
-        data = np.ones(rows.size, dtype=np.int64)
-        return cls(sp.coo_array((data, (rows, cols)), shape=(n, n)))
+            return cls.empty(n)
+        if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+            raise ValueError("edge endpoint out of range")
+        graph = cls.__new__(cls)
+        graph.adj = _canonical_csr(n, np.concatenate((u, v)), np.concatenate((v, u)), wide=True)
+        return graph
 
     @classmethod
     def empty(cls, n: int) -> "Graph":

@@ -32,14 +32,15 @@ ints from mixed-radix prefix sums in ``O(k · log)`` time — the closed
 forms the degree-aware partitioner (:mod:`repro.parallel.partition`)
 and the per-shard validation artifacts are built on.
 
-scipy and the graph model are imported only where a factor is built
-from an adjacency, so a served chain loaded from an artifact never
-loads them.
+scipy is imported only where a factor's walk tables are built from
+its CSR pattern, so a served chain loaded from an artifact never loads
+it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -84,7 +85,39 @@ def def9_finish(w3, drow, dcol):
     return w3 - drow - dcol + 1
 
 
-@dataclass(frozen=True)
+class _WalkTable:
+    """A :class:`ChainFactor` walk table: built with the other two on the
+    first read of any, unless given, and kept in the instance ``__dict__``
+    under its own name (so a pickled factor carries it)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, factor, owner=None):
+        if factor is None:
+            return None  # the dataclass default: not built yet
+        if factor.__dict__[self.name] is None:
+            factor.__dict__.update(zip(("w2", "cw4", "w3"), _walk_tables(factor)))
+        return factor.__dict__[self.name]
+
+    def __set__(self, factor, table):
+        factor.__dict__[self.name] = table
+
+
+def _walk_tables(factor: ChainFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(w2, cw4, w3)`` of a factor from its CSR pattern."""
+    import scipy.sparse as sp
+
+    ones = np.ones(factor.nnz, dtype=np.int64)
+    X = sp.csr_array((ones, factor.indices, factor.indptr), shape=(factor.n, factor.n))
+    X2 = X @ X
+    w2 = np.asarray(X2.sum(axis=1)).ravel().astype(np.int64)
+    cw4 = np.asarray(X2.multiply(X2).sum(axis=1)).ravel().astype(np.int64)
+    w3 = (X2 @ X)[factor.entry_rows(), factor.indices] if factor.nnz else np.zeros(0)
+    return w2, cw4, np.asarray(w3).ravel().astype(np.int64)
+
+
+@dataclass(frozen=True, kw_only=True)
 class ChainFactor:
     """The factor-sized tables the chain engine consumes.
 
@@ -93,7 +126,10 @@ class ChainFactor:
     Assumption 1(ii)); loop-freeness is a property of the **product**
     and is enforced by :class:`KroneckerChain`.  All arrays are int64;
     ``w3`` is edge-aligned in CSR entry order, and the CSR column
-    indices are sorted within each row.
+    indices are sorted within each row.  The CSR pattern, ``d`` and
+    ``has_loops`` are eager, and all that degree plans and plain streams
+    read; the walk tables ``w2``, ``cw4`` and ``w3`` are built together
+    on the first read of any of them, unless given.
     """
 
     n: int
@@ -101,44 +137,20 @@ class ChainFactor:
     indptr: np.ndarray      #: CSR row pointers
     indices: np.ndarray     #: CSR column indices
     d: np.ndarray           #: degree vector ``X 1`` (loops count once)
-    w2: np.ndarray          #: two-walk vector ``X² 1``
-    cw4: np.ndarray         #: closed four-walks ``diag(X⁴)``
-    w3: np.ndarray          #: ``(X³ ∘ X)`` values at stored entries, CSR order
+    w2: _WalkTable = _WalkTable()   #: two-walk vector ``X² 1``
+    cw4: _WalkTable = _WalkTable()  #: closed four-walks ``diag(X⁴)``
+    w3: _WalkTable = _WalkTable()   #: ``(X³ ∘ X)`` at stored entries, CSR order
     has_loops: bool
 
     @classmethod
-    def from_adjacency(cls, adj) -> "ChainFactor":
-        """Tables from a binary symmetric adjacency (sparse or dense)."""
-        import scipy.sparse as sp
-
-        X = sp.csr_array(adj).astype(np.int64)
-        X.sort_indices()
-        n = X.shape[0]
-        d = np.asarray(X.sum(axis=1)).ravel().astype(np.int64)
-        X2 = X @ X
-        w2 = np.asarray(X2.sum(axis=1)).ravel().astype(np.int64)
-        cw4 = np.asarray(X2.multiply(X2).sum(axis=1)).ravel().astype(np.int64)
-        coo = X.tocoo()  # row-major, i.e. CSR entry order
-        if coo.nnz:
-            X3 = sp.csr_array(X2 @ X)
-            w3 = np.asarray(X3[coo.row, coo.col]).ravel().astype(np.int64)
-        else:
-            w3 = np.zeros(0, dtype=np.int64)
-        return cls(
-            n=int(n),
-            nnz=int(X.nnz),
-            indptr=X.indptr.astype(np.int64),
-            indices=X.indices.astype(np.int64),
-            d=d,
-            w2=w2,
-            cw4=cw4,
-            w3=w3,
-            has_loops=bool(X.diagonal().any()),
-        )
-
-    @classmethod
     def from_graph(cls, graph: Graph) -> "ChainFactor":
-        return cls.from_adjacency(graph.adj)
+        """A graph's factor, read off its canonical (sorted, binary) CSR."""
+        indptr = np.asarray(graph.adj.indptr, dtype=np.int64)
+        indices = np.asarray(graph.adj.indices, dtype=np.int64)
+        return cls(
+            n=graph.n, nnz=graph.nnz, indptr=indptr, indices=indices, d=np.diff(indptr),
+            has_loops=graph.has_self_loops,
+        )
 
     def entry_rows(self) -> np.ndarray:
         """Row of every stored entry, in CSR order."""
@@ -181,13 +193,8 @@ class KroneckerChain:
                 "least one loop-free factor (paper §II-B)"
             )
         self.factors = factors
-        n = 1
-        nnz = 1
-        for f in factors:
-            n *= f.n
-            nnz *= f.nnz
-        self.n = int(n)
-        self.nnz = int(nnz)
+        self.n = math.prod(int(f.n) for f in factors)
+        self.nnz = math.prod(int(f.nnz) for f in factors)
         self._tables: dict[str, list[tuple[list[int], list[int]]]] = {}
         self._vertex_stacks: list[np.ndarray] | None = None
         self._edge_tables: list[tuple[np.ndarray, np.ndarray, int]] | None = None
@@ -210,12 +217,7 @@ class KroneckerChain:
         """
         cache = bk._stats_cache
         if "chain" not in cache:
-            cache["chain"] = cls(
-                [
-                    ChainFactor.from_adjacency(bk.M.adj),
-                    ChainFactor.from_adjacency(bk.B.graph.adj),
-                ]
-            )
+            cache["chain"] = cls.from_graphs([bk.M, bk.B.graph])
         return cache["chain"]
 
     # -- mixed-radix prefix machinery ---------------------------------
@@ -258,10 +260,7 @@ class KroneckerChain:
             return 0
         totals = [csum[-1] for _, csum in tabs]
         if p >= self.n:
-            acc = 1
-            for s in totals:
-                acc *= s
-            return acc
+            return math.prod(totals)
         suffix = [1] * (len(tabs) + 1)
         for t in range(len(tabs) - 1, -1, -1):
             suffix[t] = totals[t] * suffix[t + 1]
@@ -282,13 +281,6 @@ class KroneckerChain:
             raise ValueError(f"row range [{lo}, {hi}) outside [0, {self.n})")
 
     # -- work model ---------------------------------------------------
-
-    def row_work(self, p: int) -> int:
-        """Directed entries in product row ``p``: ``Π_t d_t(i_t)``."""
-        acc = 1
-        for f, i in zip(self.factors, self.digits(p)):
-            acc *= int(f.d[i])
-        return acc
 
     def work_prefix(self, p: int) -> int:
         """Directed entries in rows ``[0, p)`` — the partitioner's

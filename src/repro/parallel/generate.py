@@ -241,6 +241,9 @@ def generate_chain_shards(
             for index in sorted(done):
                 entry = manifest.shards[index]
                 events.emit("shard.skipped", index=index, entries=entry.entries)
+        if ground_truth:  # build the walk tables here, so every pickled task carries them
+            for factor in chain.factors:
+                factor.w3
         tasks = [
             (k, (chain, k, start, stop, str(paths[k]), ground_truth, codec))
             for k, (start, stop) in enumerate(bounds)

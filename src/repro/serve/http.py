@@ -133,8 +133,9 @@ class _HTTPError(Exception):
         self.payload = payload
 
 
-def _endpoint_label(path: str) -> str:
-    return path.strip("/").replace("/", "_") or "root"
+#: ``endpoint`` metric label per routed path; all others count as ``unknown``.
+_ENDPOINTS = ("/healthz", "/metrics", "/v1/global", *_QUERY_ROUTES)
+_ENDPOINT_LABELS = {path: path.strip("/").replace("/", "_") for path in _ENDPOINTS}
 
 
 def count_internal_error(front: str, exc: Exception, worker: str) -> None:
@@ -238,7 +239,7 @@ class HandlerContext:
         # keep-alive connection so the worker can exit.
         close = close or self.draining
         metrics = get_metrics()
-        label = _endpoint_label(path)
+        label = _ENDPOINT_LABELS.get(path, "unknown")
         # Counted before the send: a client that has its answer and then
         # scrapes /metrics (another connection, another thread) must see it.
         metrics.counter("serve.http.responses_total", endpoint=label, status=str(status)).inc()

@@ -4,6 +4,7 @@ statistics and the chain ``[M, B]``."""
 import numpy as np
 
 from repro.generators import cycle_graph, path_graph
+from repro.graphs.graph import Graph
 from repro.kronecker import (
     Assumption,
     GroundTruthOracle,
@@ -31,9 +32,7 @@ class TestFactorStatsCache:
         """Cached and freshly-computed paths must agree exactly."""
         bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
         cached = vertex_squares_product(bk)
-        fresh = KroneckerChain(
-            [ChainFactor.from_adjacency(bk.M.adj), ChainFactor.from_adjacency(bk.B.graph.adj)]
-        )
+        fresh = KroneckerChain([ChainFactor.from_graph(bk.M), ChainFactor.from_graph(bk.B.graph)])
         assert np.array_equal(cached, fresh.vertex_squares(np.arange(bk.n)))
 
     def test_cache_is_per_handle(self):
@@ -65,11 +64,12 @@ class TestChainTables:
     them); storage order of the input adjacency never reaches them."""
 
     def test_unsorted_column_indices(self):
+        """A graph built from an unsorted CSR yields sorted tables."""
         from dataclasses import fields
 
         bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
-        want = ChainFactor.from_adjacency(bk.M.adj)
-        got = ChainFactor.from_adjacency(_unsorted_copy(bk.M.adj))
+        want = ChainFactor.from_graph(bk.M)
+        got = ChainFactor.from_graph(Graph(_unsorted_copy(bk.M.adj)))
         for f in fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert np.array_equal(a, b), f.name

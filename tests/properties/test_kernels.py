@@ -71,11 +71,9 @@ def test_fused_formulas_match_kron(assumption, data):
 
 def _left_factor(graph: Graph, assumption: Assumption) -> ChainFactor:
     """The effective left factor ``M``: ``A``, or ``A + I_A`` under 1(ii)."""
-    import scipy.sparse as sp
-
     if assumption is Assumption.NON_BIPARTITE_FACTOR:
         return ChainFactor.from_graph(graph)
-    return ChainFactor.from_adjacency(graph.adj + sp.identity(graph.n, dtype=np.int64))
+    return ChainFactor.from_graph(graph.with_all_self_loops())
 
 
 @pytest.mark.parametrize("assumption", BOTH_ASSUMPTIONS)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.kronecker import GroundTruthOracle
 from repro.obs import instrument, lint_exposition
-from repro.obs.metrics import series_key
+from repro.obs.metrics import parse_series_key, series_key
 from repro.serve import PreforkServer, WireClient, save_oracle
 from repro.serve import http as http_module
 from repro.serve import prefork as prefork_module
@@ -257,6 +257,42 @@ def test_unknown_endpoint_404_wrong_method_405(served):
     assert client.get("/v1/degree")[0] == 405
     assert client.post("/v1/global", {})[0] == 405
     assert client.post("/healthz", {})[0] == 405
+
+
+def test_unrouted_paths_share_one_endpoint_label(art):
+    """A path scan adds one ``endpoint`` series, not one per path."""
+    server = _start(art)
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+
+    def endpoints() -> dict[str, set[str]]:
+        conn.request("GET", "/metrics")
+        snapshot = json.loads(conn.getresponse().read())["metrics"]
+        found: dict[str, set[str]] = {}
+        for kind in ("counters", "histograms"):
+            for key in snapshot[kind]:
+                name, labels = parse_series_key(key)
+                if name.startswith("serve.http.") and "endpoint" in labels:
+                    found.setdefault(name, set()).add(labels["endpoint"])
+        return found
+
+    try:
+        endpoints()  # so the scrape's own series exist before the baseline
+        before = endpoints()
+        for i in range(200):
+            conn.request("GET", f"/scan/{i}")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 404
+        after = endpoints()
+        conn.request("GET", "/metrics")
+        counters = json.loads(conn.getresponse().read())["metrics"]["counters"]
+    finally:
+        conn.close()
+        server.stop()
+    for name in ("serve.http.responses_total", "serve.http.latency_seconds"):
+        assert after[name] - before[name] == {"unknown"}, name
+    key = series_key("serve.http.responses_total", {"endpoint": "unknown", "status": "404"})
+    assert counters[key] == 200
 
 
 def test_saturated_service_sheds_503(art):
