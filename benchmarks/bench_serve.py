@@ -93,7 +93,6 @@ def test_serve_throughput_vs_concurrency(unicode_product, record_bench):
             "queries_per_s": queries / max(seconds, 1e-9),
             "p50_ms": p50 * 1e3,
             "p99_ms": p99 * 1e3,
-            "kernel_batches": service.stats()["batches"],
         }
     top = levels[str(CONCURRENCY[-1])]
     record_bench(

@@ -47,6 +47,7 @@ RETRIES_EXHAUSTED_EXIT = 3  # ``repro shards`` ran out of retries
 SPEC = ["complete:3", "biclique:2x3"]  # the small product the shards and serve drills use
 CHAIN_SPEC = [*SPEC, "path:3"]  # a three-factor chain: the cross-codec drill's deep path
 SHARD_MEMORY_MARGIN_MB = 16.0  # scale: large-minus-small shard write RSS growth
+WALK_TABLE_PEAK_MIB = 32.0  # generation: a few 2**16-wedge blocks of the numpy pass
 
 
 class Field(str):
@@ -396,7 +397,11 @@ FAMILIES: dict[str, Family] = {
     "generation": Family(
         checks=(("test_generation_throughput", "directed_entries", ">", 0),
                 ("test_stream_with_ground_truth_attached", "gt_entries_per_s", ">", 0),
-                ("test_chain_setup", "setup_seconds", ">", 0)),
+                ("test_chain_setup", "setup_seconds", ">", 0),
+                # The numpy walk tables hold a few blocks of wedges, never
+                # X², and trace no more than the scipy form they replaced.
+                ("test_walk_tables", "max_numpy_peak_mib", "<=", WALK_TABLE_PEAK_MIB),
+                ("test_walk_tables", "pa_numpy_peak_mib", "<=", Field("pa_scipy_peak_mib"))),
         extras=(cli_profile_smoke,)),
     "parallel": Family(checks=(
         ("test_shard_generation_fault_tolerance", "directed_entries", ">", 0),)),

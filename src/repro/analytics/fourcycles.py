@@ -119,7 +119,7 @@ def vertex_squares_bfs(graph: Graph) -> np.ndarray:
     ``A²``.
     """
     _require_loop_free(graph)
-    indptr, indices = graph.adj.indptr, graph.adj.indices
+    indptr, indices = graph.indptr, graph.indices
     n = graph.n
     out = np.zeros(n, dtype=np.int64)
     for i in range(n):

@@ -59,7 +59,7 @@ def approximate_butterflies(graph: Graph, samples: int, seed=None) -> float:
         return 0.0
     probs = weights / W_total
     centres = rng.choice(graph.n, size=samples, p=probs)
-    indptr, indices = graph.adj.indptr, graph.adj.indices
+    indptr, indices = graph.indptr, graph.indices
     # Neighbour-set membership oracle: sorted-row binary search.
     acc = 0.0
     for v in centres.tolist():

@@ -17,7 +17,6 @@ row-blocked path keeps memory bounded for larger parts.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.utils.rng import as_generator
@@ -85,5 +84,5 @@ def bipartite_chung_lu(weights_u, weights_w, seed=None) -> BipartiteGraph:
         cols_parts.append(c)
     rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, dtype=np.int64)
     cols = np.concatenate(cols_parts) if cols_parts else np.empty(0, dtype=np.int64)
-    X = sp.coo_array((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(nu, nw))
-    return BipartiteGraph.from_biadjacency(sp.csr_array(X))
+    # int64 indices, as every graph built from edge arrays stores them
+    return BipartiteGraph._from_block_entries(nu, nw, rows, cols, wide=True)

@@ -17,7 +17,6 @@ simultaneously, one quadrant draw per level (scale draws of size
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph
@@ -126,5 +125,5 @@ def bipartite_rmat(
     scale_w = check_nonnegative(scale_w, "scale_w")
     rows, cols = rmat_edge_arrays(scale_u, scale_w, n_edges, a, b, c, d, seed)
     nu, nw = 1 << scale_u, 1 << scale_w
-    X = sp.coo_array((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(nu, nw))
-    return BipartiteGraph.from_biadjacency(sp.csr_array(X))
+    # int64 indices, as every graph built from edge arrays stores them
+    return BipartiteGraph._from_block_entries(nu, nw, rows, cols, wide=True)

@@ -15,13 +15,16 @@ constructs the *non*-bipartite factor ``A + I_A`` from a bipartite
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
 
 __all__ = ["bipartition", "is_bipartite", "BipartiteGraph", "OddCycleCertificate"]
 
@@ -56,15 +59,14 @@ def bipartition(graph: Graph):
         ``None`` when bipartite, else an :class:`OddCycleCertificate`.
     """
     n = graph.n
-    adj = graph.adj
+    indptr, indices = graph.indptr, graph.indices
     # A self loop is an odd cycle of length 1.
-    loops = np.flatnonzero(adj.diagonal())
-    if loops.size:
-        v = int(loops[0])
+    if graph.has_self_loops:
+        rows = graph.entry_rows()
+        v = int(rows[rows == indices][0])
         return None, OddCycleCertificate(edge=(v, v), cycle=(v, v))
     colors = np.full(n, -1, dtype=np.int8)
     parent = np.full(n, -1, dtype=np.int64)
-    indptr, indices = adj.indptr, adj.indices
     for root in range(n):
         if colors[root] != -1:
             continue
@@ -178,14 +180,35 @@ class BipartiteGraph:
         Vertices ``0..|U|-1`` are part ``U`` and ``|U|..|U|+|W|-1`` are
         part ``W`` (the paper's canonical ordering).
         """
-        X = sp.csr_array(X if sp.issparse(X) else np.asarray(X))  # Graph binarizes
-        nu, nw = X.shape
-        upper = sp.hstack([sp.csr_array((nu, nu), dtype=np.int64), X])
-        lower = sp.hstack([sp.csr_array(X.T), sp.csr_array((nw, nw), dtype=np.int64)])
-        adj = sp.vstack([upper, lower])
+        sparse = sys.modules.get("scipy.sparse")  # no sparse input unless scipy is loaded
+        if sparse is not None and sparse.issparse(X):
+            X = sparse.csr_array(X)
+            rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+            return cls._from_block_entries(
+                *X.shape, rows, X.indices, X.data, wide=X.indices.dtype == np.int64
+            )
+        X = np.asarray(X)
+        if X.ndim != 2:
+            raise ValueError(f"biadjacency must be 2-D, got shape {X.shape}")
+        return cls._from_block_entries(*X.shape, *np.nonzero(X))
+
+    @classmethod
+    def _from_block_entries(
+        cls, nu: int, nw: int, rows, cols, values=None, wide: bool = False
+    ) -> "BipartiteGraph":
+        """The graph of the block anti-diagonal ``[[0, X], [Xᵀ, 0]]`` for
+        the ``nu × nw`` biadjacency ``X`` given by coordinate entries
+        (summed and binarized as :class:`Graph` does)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64) + nu
+        if values is not None:
+            values = np.concatenate((values, values))
+        graph = Graph.__new__(Graph)._init(
+            nu + nw, np.concatenate((rows, cols)), np.concatenate((cols, rows)), values, wide
+        )
         part = np.zeros(nu + nw, dtype=bool)
         part[nu:] = True
-        return cls(Graph(adj), part)
+        return cls(graph, part)
 
     # ------------------------------------------------------------------
     # Parts and blocks
@@ -211,6 +234,8 @@ class BipartiteGraph:
 
     def biadjacency(self) -> sp.csr_array:
         """The ``|U| x |W|`` block ``X`` of the canonical ordering."""
+        import scipy.sparse as sp
+
         return sp.csr_array(self.graph.adj[self.U, :][:, self.W])
 
     def canonical(self) -> Tuple["BipartiteGraph", np.ndarray]:

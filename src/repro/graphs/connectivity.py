@@ -74,7 +74,7 @@ def connected_components(graph: Graph) -> np.ndarray:
     """
     n = graph.n
     labels = np.full(n, -1, dtype=np.int64)
-    indptr, indices = graph.adj.indptr, graph.adj.indices
+    indptr, indices = graph.indptr, graph.indices
     current = 0
     for root in range(n):
         if labels[root] != -1:

@@ -31,7 +31,7 @@ def core_decomposition(graph: Graph) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.int64)
     degrees = g.degrees().copy()
-    indptr, indices = g.adj.indptr, g.adj.indices
+    indptr, indices = g.indptr, g.indices
     max_deg = int(degrees.max()) if n else 0
     # Bucket sort vertices by degree: pos[v] is v's slot in vert,
     # bin_start[d] the first slot of degree-d vertices.
@@ -81,7 +81,7 @@ def degeneracy_ordering(graph: Graph) -> Tuple[np.ndarray, int]:
     if n == 0:
         return np.empty(0, dtype=np.int64), 0
     degrees = g.degrees().copy()
-    indptr, indices = g.adj.indptr, g.adj.indices
+    indptr, indices = g.indptr, g.indices
     removed = np.zeros(n, dtype=bool)
     ordering = np.empty(n, dtype=np.int64)
     # Simple lazy-bucket variant: repeatedly take the minimum remaining

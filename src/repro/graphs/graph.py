@@ -1,13 +1,19 @@
-"""Immutable undirected graph over a canonical CSR adjacency matrix.
+"""Immutable undirected graph over a canonical CSR pattern.
 
 Design
 ------
-A :class:`Graph` is a thin, validated wrapper around a *binary,
-symmetric* ``scipy.sparse.csr_array``.  The paper works exclusively with
-``B = {0, 1}`` adjacency matrices (Def. in §II), so values are coerced
-to int64 ones and duplicates collapse, in one numpy pass that builds the
-``csr_array`` once.  Self loops are permitted -- they are load-bearing in
-this paper (Assumption 1(ii) adds ``I_A``) -- and tracked explicitly.
+A :class:`Graph` is ``n`` plus the ``indptr``/``indices`` arrays of a
+*binary, symmetric* CSR adjacency, sorted within each row.  The paper
+works exclusively with ``B = {0, 1}`` adjacency matrices (Def. in §II),
+so duplicates collapse and values become ones, in one numpy pass.  Self
+loops are permitted -- they are load-bearing in this paper (Assumption
+1(ii) adds ``I_A``) -- and counted when the pattern is built.
+
+Everything that reads the pattern alone (degrees, neighbours, edges,
+traversals, chain factors) reads those arrays, so building graphs and
+generating from them never imports scipy.  :attr:`Graph.adj`, the same
+pattern as a ``scipy.sparse.csr_array`` of int64 ones for the algebraic
+callers, is built on first read and cached.
 
 The class is immutable by convention: every "mutating" operation
 (adding self loops, taking subgraphs, relabelling) returns a new
@@ -17,18 +23,19 @@ lets the CSR arrays be shared safely across threads/processes.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["Graph"]
 
 
-def _canonical_csr(n: int, rows, cols, values=None, wide: bool = False) -> sp.csr_array:
-    """The binary symmetric ``n × n`` CSR adjacency of coordinate entries:
-    sorted by ``(row, col)`` key, duplicates summed, zero sums dropped and
-    the rest int64 ones, with int64 indices if ``wide`` or too many."""
+def _canonical_csr(n: int, rows, cols, values=None, wide: bool = False):
+    """``(indptr, indices, self_loops)`` of the binary symmetric ``n × n``
+    CSR adjacency of coordinate entries: sorted by ``(row, col)`` key,
+    duplicates summed and zero sums dropped, with int64 indices if
+    ``wide`` or too many."""
     if n * n >= 1 << 63:
         raise ValueError(f"{n} vertices overflow the int64 (row, col) entry keys")
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
@@ -49,8 +56,8 @@ def _canonical_csr(n: int, rows, cols, values=None, wide: bool = False) -> sp.cs
         raise ValueError("adjacency must be symmetric (undirected graph)")
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    data = np.ones(keys.size, dtype=np.int64)  # indices copied: never the caller's array
-    return sp.csr_array((data, cols.astype(index), indptr), shape=(n, n))
+    # indices copied: never the caller's array
+    return indptr, cols.astype(index), int(np.count_nonzero(rows == cols))
 
 
 class Graph:
@@ -63,11 +70,21 @@ class Graph:
         Nonzeros become edges.
     """
 
-    __slots__ = ("adj",)
+    __slots__ = ("n", "indptr", "indices", "num_self_loops", "_adj")
+
+    #: Number of vertices (the paper's ``n_A``).
+    n: int
+    #: CSR row pointers of the canonical pattern.
+    indptr: np.ndarray
+    #: CSR column indices, sorted within each row.
+    indices: np.ndarray
+    #: Stored diagonal entries.
+    num_self_loops: int
 
     def __init__(self, adjacency):
-        if sp.issparse(adjacency):
-            csr = adjacency if adjacency.format == "csr" else sp.csr_array(adjacency)
+        sparse = sys.modules.get("scipy.sparse")  # no sparse input unless scipy is loaded
+        if sparse is not None and sparse.issparse(adjacency):
+            csr = adjacency if adjacency.format == "csr" else sparse.csr_array(adjacency)
             shape, cols, values = csr.shape, csr.indices, csr.data
             rows = np.repeat(np.arange(shape[0]), np.diff(csr.indptr))
         else:
@@ -78,7 +95,26 @@ class Graph:
         if shape[0] != shape[1]:
             raise ValueError(f"adjacency must be square, got shape {shape}")
         wide = values is not None and cols.dtype == np.int64  # as scipy keeps them
-        self.adj = _canonical_csr(shape[0], rows, cols, values, wide)
+        self._init(shape[0], rows, cols, values, wide)
+
+    def _init(self, n: int, rows, cols, values=None, wide: bool = False) -> "Graph":
+        """Set this graph to the canonical pattern of coordinate entries
+        (:func:`_canonical_csr`); returns it."""
+        self.n = int(n)
+        self.indptr, self.indices, self.num_self_loops = _canonical_csr(n, rows, cols, values, wide)
+        self._adj = None
+        return self
+
+    @property
+    def adj(self):
+        """The pattern as a ``scipy.sparse.csr_array`` of int64 ones over
+        :attr:`indptr`/:attr:`indices`, built on first read and cached."""
+        if self._adj is None:
+            import scipy.sparse as sp
+
+            data = np.ones(self.indices.size, dtype=np.int64)
+            self._adj = sp.csr_array((data, self.indices, self.indptr), shape=(self.n, self.n))
+        return self._adj
 
     # ------------------------------------------------------------------
     # Constructors
@@ -105,32 +141,22 @@ class Graph:
             return cls.empty(n)
         if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
             raise ValueError("edge endpoint out of range")
-        graph = cls.__new__(cls)
-        graph.adj = _canonical_csr(n, np.concatenate((u, v)), np.concatenate((v, u)), wide=True)
-        return graph
+        return cls.__new__(cls)._init(n, np.concatenate((u, v)), np.concatenate((v, u)), wide=True)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
         """A graph with ``n`` vertices and no edges."""
-        return cls(sp.csr_array((n, n), dtype=np.int64))
+        none = np.zeros(0, dtype=np.int64)
+        return cls.__new__(cls)._init(n, none, none)
 
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
 
     @property
-    def n(self) -> int:
-        """Number of vertices (the paper's ``n_A``)."""
-        return int(self.adj.shape[0])
-
-    @property
     def nnz(self) -> int:
         """Stored nonzeros of the adjacency (directed edge slots)."""
-        return int(self.adj.nnz)
-
-    @property
-    def num_self_loops(self) -> int:
-        return int(np.count_nonzero(self.adj.diagonal()))
+        return int(self.indices.size)
 
     @property
     def m(self) -> int:
@@ -149,13 +175,17 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Degree vector ``d = A·1`` (self loops contribute 1)."""
-        return np.asarray(self.adj.sum(axis=1)).ravel().astype(np.int64)
+        return np.diff(self.indptr).astype(np.int64)
+
+    def entry_rows(self) -> np.ndarray:
+        """Row of every stored entry, in CSR order (int64)."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbour array of vertex ``i``."""
         if not 0 <= i < self.n:
             raise IndexError(f"vertex {i} out of range [0, {self.n})")
-        return self.adj.indices[self.adj.indptr[i] : self.adj.indptr[i + 1]].astype(np.int64)
+        return self.indices[self.indptr[i] : self.indptr[i + 1]].astype(np.int64)
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
@@ -164,9 +194,9 @@ class Graph:
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(u, v)`` arrays with ``u <= v`` (each edge once)."""
-        coo = self.adj.tocoo()
-        keep = coo.row <= coo.col
-        return coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64)
+        rows = self.entry_rows()
+        keep = rows <= self.indices
+        return rows[keep], self.indices[keep].astype(np.int64)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate undirected edges as ``(u, v)`` with ``u <= v``."""
@@ -186,11 +216,16 @@ class Graph:
 
     def with_all_self_loops(self) -> "Graph":
         """Return ``A + I_A`` (idempotent on existing loops)."""
-        eye = sp.identity(self.n, dtype=np.int64, format="csr")
-        return Graph(self.adj + eye)
+        diagonal = np.arange(self.n, dtype=np.int64)
+        rows = np.concatenate((self.entry_rows(), diagonal))
+        cols = np.concatenate((self.indices, diagonal))
+        wide = self.indices.dtype == np.int64  # keep this graph's index width
+        return Graph.__new__(Graph)._init(self.n, rows, cols, wide=wide)
 
     def without_self_loops(self) -> "Graph":
         """Return ``A - A ∘ I`` (loop removal, §II-B)."""
+        import scipy.sparse as sp
+
         csr = self.adj.copy().tolil()
         csr.setdiag(0)
         return Graph(sp.csr_array(csr))
@@ -216,10 +251,11 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        diff = self.adj - other.adj
-        return diff.nnz == 0 or not np.any(diff.data)
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self):  # pragma: no cover - graphs as dict keys unused
         return id(self)

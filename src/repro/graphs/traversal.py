@@ -42,7 +42,7 @@ def bfs_levels(graph: Graph, sources) -> np.ndarray:
         raise IndexError("source vertex out of range")
     levels = np.full(n, -1, dtype=np.int64)
     levels[sources] = 0
-    indptr, indices = graph.adj.indptr, graph.adj.indices
+    indptr, indices = graph.indptr, graph.indices
     frontier = np.unique(sources)
     depth = 0
     while frontier.size:

@@ -32,9 +32,10 @@ ints from mixed-radix prefix sums in ``O(k · log)`` time — the closed
 forms the degree-aware partitioner (:mod:`repro.parallel.partition`)
 and the per-shard validation artifacts are built on.
 
-scipy is imported only where a factor's walk tables are built from
-its CSR pattern, so a served chain loaded from an artifact never loads
-it.
+The engine never imports scipy: a factor's walk tables come from a
+blocked numpy pass over its CSR pattern (:func:`_walk_tables`), so
+building, streaming and serving a chain hold factor-sized tables plus
+one block.  Only :meth:`KroneckerChain.materialize`, a referee, does.
 """
 
 from __future__ import annotations
@@ -105,16 +106,39 @@ class _WalkTable:
 
 
 def _walk_tables(factor: ChainFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(w2, cw4, w3)`` of a factor from its CSR pattern."""
-    import scipy.sparse as sp
+    """``(w2, cw4, w3)`` of a factor from its CSR pattern, in numpy.
 
-    ones = np.ones(factor.nnz, dtype=np.int64)
-    X = sp.csr_array((ones, factor.indices, factor.indptr), shape=(factor.n, factor.n))
-    X2 = X @ X
-    w2 = np.asarray(X2.sum(axis=1)).ravel().astype(np.int64)
-    cw4 = np.asarray(X2.multiply(X2).sum(axis=1)).ravel().astype(np.int64)
-    w3 = (X2 @ X)[factor.entry_rows(), factor.indices] if factor.nnz else np.zeros(0)
-    return w2, cw4, np.asarray(w3).ravel().astype(np.int64)
+    Every two-walk ``i → m → b`` (a *wedge*) is expanded, for blocks of
+    rows holding at most :data:`STREAM_BLOCK_ENTRIES` wedges (a row with
+    more is a block alone).  Sorting a block's wedge keys ``(i, b)``
+    gives its rows of ``X²``: ``cw4(i)`` sums their squares, and each
+    wedge reads back the ``X²(i, b)`` of its key, so ``w3(i, m) =
+    Σ_{b ∈ N(m)} X²(i, b)`` is a segment sum over the wedges of entry
+    ``(i, m)``.  Memory is a few blocks of wedges, whatever ``X²``'s size.
+    """
+    n, indptr, indices, d = factor.n, factor.indptr, factor.indices, factor.d
+    per_entry = d[indices]  # wedges out of each stored entry
+    entry_ends = np.concatenate(([0], np.cumsum(per_entry)))
+    w2 = entry_ends[indptr[1:]] - entry_ends[indptr[:-1]]
+    cw4 = np.zeros(n, dtype=np.int64)
+    w3 = np.zeros(indices.size, dtype=np.int64)
+    row_ends = np.cumsum(w2)
+    lo = 0
+    while lo < n:
+        base = row_ends[lo] - w2[lo]
+        hi = max(lo + 1, int(np.searchsorted(row_ends, base + STREAM_BLOCK_ENTRIES, "right")))
+        first, last = indptr[lo], indptr[hi]
+        counts = per_entry[first:last]
+        starts = np.repeat(indptr[indices[first:last]] - entry_ends[first:last] + base, counts)
+        b = indices[starts + np.arange(row_ends[hi - 1] - base)]
+        i = np.repeat(np.repeat(np.arange(hi - lo), d[lo:hi]), counts)
+        keys, at, x2 = np.unique(i * n + b, return_inverse=True, return_counts=True)
+        squares = np.concatenate(([0], np.cumsum(x2 * x2)))
+        cw4[lo:hi] = np.diff(squares[np.searchsorted(keys, np.arange(hi - lo + 1) * n)])
+        walks = np.concatenate(([0], np.cumsum(x2[at])))
+        w3[first:last] = np.diff(walks[entry_ends[first : last + 1] - base])
+        lo = hi
+    return w2, cw4, w3
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -145,8 +169,8 @@ class ChainFactor:
     @classmethod
     def from_graph(cls, graph: Graph) -> "ChainFactor":
         """A graph's factor, read off its canonical (sorted, binary) CSR."""
-        indptr = np.asarray(graph.adj.indptr, dtype=np.int64)
-        indices = np.asarray(graph.adj.indices, dtype=np.int64)
+        indptr = np.asarray(graph.indptr, dtype=np.int64)
+        indices = np.asarray(graph.indices, dtype=np.int64)
         return cls(
             n=graph.n, nnz=graph.nnz, indptr=indptr, indices=indices, d=np.diff(indptr),
             has_loops=graph.has_self_loops,

@@ -15,7 +15,6 @@ without materializing, §I) is exactly this split.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.kronecker.indexing import ProductIndexMap
@@ -26,6 +25,8 @@ __all__ = ["kron_graph", "kron_power", "KroneckerProduct"]
 
 def kron_graph(A: Graph, B: Graph) -> Graph:
     """Materialize the Kronecker product graph ``G_C``, ``C = A ⊗ B``."""
+    import scipy.sparse as sp
+
     return Graph(sp.kron(A.adj, B.adj, format="csr"))
 
 
@@ -35,6 +36,8 @@ def kron_power(A: Graph, k: int) -> Graph:
     The iterated form of Def. 4 used by the Graph500-lineage
     generators; ``k = 1`` returns ``A`` itself.
     """
+    import scipy.sparse as sp
+
     k = check_positive(k, "k")
     out = A.adj
     for _ in range(k - 1):

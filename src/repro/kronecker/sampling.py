@@ -55,11 +55,9 @@ def sample_edges(bk: BipartiteKronecker, k: int, seed=None, oracle: GroundTruthO
     k = check_positive(k, "k")
     rng = as_generator(seed)
     oracle = oracle or GroundTruthOracle(bk)
-    m_coo = bk.M.adj.tocoo()
-    b_coo = bk.B.graph.adj.tocoo()
-    n_b = bk.B.graph.n
-    mi = rng.integers(0, m_coo.nnz, size=k)
-    bi = rng.integers(0, b_coo.nnz, size=k)
-    p = m_coo.row[mi].astype(np.int64) * n_b + b_coo.row[bi].astype(np.int64)
-    q = m_coo.col[mi].astype(np.int64) * n_b + b_coo.col[bi].astype(np.int64)
+    M, B = bk.M, bk.B.graph
+    mi = rng.integers(0, M.nnz, size=k)
+    bi = rng.integers(0, B.nnz, size=k)
+    p = M.entry_rows()[mi] * B.n + B.entry_rows()[bi]
+    q = M.indices[mi].astype(np.int64) * B.n + B.indices[bi].astype(np.int64)
     return p, q, oracle.squares_at_edges(p, q)

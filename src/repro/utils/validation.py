@@ -9,9 +9,9 @@ checks are O(nnz) at worst (``check_symmetric``).
 from __future__ import annotations
 
 import numbers
+import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "check_integer",
@@ -71,7 +71,8 @@ def check_square(matrix, name: str = "matrix"):
 def check_symmetric(matrix, name: str = "matrix"):
     """Raise unless sparse/dense ``matrix`` equals its transpose."""
     check_square(matrix, name)
-    if sp.issparse(matrix):
+    sparse = sys.modules.get("scipy.sparse")  # no sparse input unless scipy is loaded
+    if sparse is not None and sparse.issparse(matrix):
         diff = (matrix - matrix.T).tocoo()
         if diff.nnz and np.any(diff.data != 0):
             raise ValueError(f"{name} must be symmetric (undirected graph)")

@@ -5,7 +5,8 @@ Every input -- COO with duplicates, explicit zeros, ±1 duplicates that
 cancel and self loops, in several sparse formats or dense, and
 asymmetric, empty and non-square ones -- must give the referee's
 ``indptr``/``indices``/``data`` arrays with the referee's dtypes, or the
-same ``ValueError``.
+same ``ValueError``.  ``BipartiteGraph.from_biadjacency`` is held to the
+scipy block matrix it was built with the same way.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -114,6 +116,25 @@ def _build(fmt, shape, rows, cols, values):
 @SETTINGS
 def test_canonical_csr_matches_the_scipy_referee(fmt, spec):
     _assert_same(lambda: _build(fmt, *spec))
+
+
+def _scipy_block(X) -> sp.csr_array:
+    """The scipy block matrix ``[[0, X], [Xᵀ, 0]]`` that
+    ``from_biadjacency`` built before numpy, canonicalized."""
+    X = sp.csr_array(X if sp.issparse(X) else np.asarray(X))
+    nu, nw = X.shape
+    upper = sp.hstack([sp.csr_array((nu, nu), dtype=np.int64), X])
+    lower = sp.hstack([sp.csr_array(X.T), sp.csr_array((nw, nw), dtype=np.int64)])
+    return _scipy_canonical(sp.vstack([upper, lower]))
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@given(spec=coordinate_inputs())
+@SETTINGS
+def test_from_biadjacency_matches_the_scipy_referee(fmt, spec):
+    want = _outcome(_scipy_block, _build(fmt, *spec))
+    got = _outcome(lambda m: BipartiteGraph.from_biadjacency(m).graph.adj, _build(fmt, *spec))
+    assert got == want
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,46 @@ def test_answering_every_kind_imports_nothing_new(tmp_path):
     assert not [m for m in result["loaded"] if m.startswith("scipy")]
     stdlib = _not_booted(result["loaded"])
     assert not stdlib, stdlib
+
+
+def _scipy_modules(loaded: list[str]) -> list[str]:
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_ground_truth_shards_never_load_scipy(tmp_path):
+    """Generating with ground truth reads factor CSR arrays and numpy
+    walk tables only: neither the library call nor the CLI, with two or
+    with more factors, loads scipy."""
+    library = _run(
+        "import json, sys\n"
+        "from repro.generators import preferential_attachment\n"
+        "from repro.kronecker.multifactor import KroneckerChain\n"
+        "from repro.parallel import generate_chain_shards\n"
+        "chain = KroneckerChain.from_graphs(\n"
+        "    [preferential_attachment(16, 2, seed=11 + t) for t in range(3)])\n"
+        f"paths = generate_chain_shards(chain, {str(tmp_path / 'lib')!r}, n_shards=4,\n"
+        "                               n_workers=2, ground_truth=True)\n"
+        "print(json.dumps({'shards': len(paths), 'loaded': sorted(sys.modules)}))\n"
+    )
+    assert library["shards"] == 4
+    assert not _scipy_modules(library["loaded"])
+    runs = [
+        ["pa:64:2", "biclique:3x4"],
+        ["konect-unicode", "konect-unicode", "--assumption", "ii", "--allow-disconnected"],
+    ]
+    argvs = [
+        ["shards", *specs, "--ground-truth", "-o", str(tmp_path / f"cli{k}")]
+        for k, specs in enumerate(runs)
+    ]
+    cli = _run(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps({'codes': codes, 'loaded': sorted(sys.modules)}))\n"
+    )
+    assert cli["codes"] == [0, 0]
+    assert not _scipy_modules(cli["loaded"])
+    shutil.rmtree(tmp_path)  # the unicode product's shards are ~200 MB
 
 
 def test_shadowed_names_stay_functions_after_their_submodules_import():
