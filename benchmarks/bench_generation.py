@@ -5,9 +5,10 @@ block-by-block in factor-sized memory, optionally with per-edge ground
 truth attached during generation.  Times both against scipy's
 materializing ``kron`` at unicode scale (~8.7M directed entries),
 times a deep chain's set-up on small factors, where fixed per-factor
-costs dominate, and times a factor's walk tables (``w2``, ``cw4``,
-``w3``) built by the blocked numpy pass against the scipy SpGEMM form
-it replaced, with the ``tracemalloc`` peak of each.
+costs dominate, times the degree plan's digit descent against the
+product-row bisection it replaced, and times a factor's walk tables
+(``w2``, ``cw4``, ``w3``) built by the blocked numpy pass against the
+scipy SpGEMM form it replaced, with the ``tracemalloc`` peak of each.
 
 Results go into ``BENCH_generation.json`` via ``record_bench``; CI's
 smoke job validates that record under ``REPRO_BENCH_QUICK=1``.
@@ -33,6 +34,8 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 SETUP_RUNS = 200
 #: Timed builds per walk-table form and factor (the row keeps the best).
 WALK_TABLE_RUNS = 3
+#: Timed plans per planner and chain in :func:`test_plan_partition` (median).
+PLAN_RUNS = 20 if QUICK else 200
 MIB = 1 << 20
 
 
@@ -69,6 +72,16 @@ def test_stream_with_ground_truth_attached(benchmark, unicode_product, record_be
     assert entries == unicode_product.implicit.nnz
 
 
+def _median_seconds(fn, runs: int) -> float:
+    """Median wall time of ``runs`` calls of ``fn``."""
+    times = []
+    for _ in range(runs):
+        with Span() as t:
+            fn()
+        times.append(t.elapsed)
+    return statistics.median(times)
+
+
 def test_chain_setup(benchmark, record_bench):
     """A chain's set-up as ``repro shards`` and the end-to-end gen-chain
     workload pay it: four ``preferential_attachment(16, 2)`` factors,
@@ -78,21 +91,76 @@ def test_chain_setup(benchmark, record_bench):
         factors = [preferential_attachment(16, 2, seed=11 + t) for t in range(4)]
         return plan_partition(KroneckerChain.from_graphs(factors), 8, "degree")
 
-    def run():
-        times = []
-        for _ in range(SETUP_RUNS):
-            with Span() as t:
-                build()
-            times.append(t.elapsed)
-        return statistics.median(times)
-
-    seconds = benchmark.pedantic(run, rounds=1, iterations=1)
+    seconds = benchmark.pedantic(
+        _median_seconds, args=(build, SETUP_RUNS), rounds=1, iterations=1
+    )
     record_bench(
         f"set up a 4-factor chain of 16-vertex factors and its degree plan in "
         f"{seconds * 1e3:.2f} ms (median of {SETUP_RUNS})",
         setup_seconds=seconds,
     )
     assert seconds > 0
+
+
+def _bisection_plan(chain: KroneckerChain, n_shards: int) -> tuple[tuple, tuple]:
+    """``(bounds, work)`` of the degree plan by bisecting the product row
+    space with :meth:`KroneckerChain.work_prefix`, as it was planned
+    before the digit descent: the referee of :func:`test_plan_partition`."""
+    total = chain.work_prefix(chain.n)
+    cuts = [0]
+    for j in range(1, n_shards):
+        target = (total * j) // n_shards
+        lo, hi = cuts[-1], chain.n
+        while lo < hi:  # smallest p with W(p) >= target
+            mid = (lo + hi) // 2
+            if chain.work_prefix(mid) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo > cuts[-1] and target - chain.work_prefix(lo - 1) < chain.work_prefix(lo) - target:
+            lo -= 1
+        cuts.append(lo)
+    cuts.append(chain.n)
+    pairs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    return tuple(pairs), tuple(chain.row_range_work(a, b) for a, b in pairs)
+
+
+def test_plan_partition(record_bench):
+    """The degree plan alone: the e2e gen-chain chain (four PA(16, 2)
+    factors, seed 0) at 8 shards, and a depth-8 PA(16, 2) chain
+    (n = 16⁸ ≈ 4.3·10⁹) at 256 shards, each timed for the digit descent
+    and for the row bisection it replaced, which also referees the plan."""
+    factors = [preferential_attachment(16, 2, seed=11 + t) for t in range(8)]
+    cases = {
+        "gen_chain": (KroneckerChain.from_graphs(factors[:4]), 8),
+        "depth8": (KroneckerChain.from_graphs(factors), 256),
+    }
+    rows = {}
+    for name, (chain, n_shards) in cases.items():
+        plan = plan_partition(chain, n_shards, "degree")
+        rows[name] = {
+            "n": chain.n,
+            "n_shards": n_shards,
+            "plan_seconds": _median_seconds(lambda: plan_partition(chain, n_shards), PLAN_RUNS),
+            "bisect_seconds": _median_seconds(
+                lambda: _bisection_plan(chain, n_shards), max(PLAN_RUNS // 10, 3)
+            ),
+            "matches": (plan.bounds, plan.work) == _bisection_plan(chain, n_shards),
+        }
+    gen, deep = rows["gen_chain"], rows["depth8"]
+    record_bench(
+        f"degree plan by digit descent: gen-chain (8 shards) {gen['plan_seconds'] * 1e6:.0f} µs "
+        f"vs {gen['bisect_seconds'] * 1e6:.0f} µs bisecting, depth-8 (256 shards) "
+        f"{deep['plan_seconds'] * 1e3:.2f} ms vs {deep['bisect_seconds'] * 1e3:.2f} ms",
+        chains=rows,
+        plan_seconds=gen["plan_seconds"],
+        bisect_seconds=gen["bisect_seconds"],
+        speedup=gen["bisect_seconds"] / gen["plan_seconds"],
+        deep_plan_seconds=deep["plan_seconds"],
+        deep_bisect_seconds=deep["bisect_seconds"],
+        plan_matches_referee=int(all(row["matches"] for row in rows.values())),
+    )
+    assert all(row["matches"] for row in rows.values())
 
 
 def _scipy_walk_tables(factor: ChainFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -398,6 +398,10 @@ FAMILIES: dict[str, Family] = {
         checks=(("test_generation_throughput", "directed_entries", ">", 0),
                 ("test_stream_with_ground_truth_attached", "gt_entries_per_s", ">", 0),
                 ("test_chain_setup", "setup_seconds", ">", 0),
+                # The digit-descent plan equals the row bisection's; no
+                # speed threshold, the record carries both timings.
+                ("test_plan_partition", "plan_matches_referee", "==", 1),
+                ("test_plan_partition", "plan_seconds", ">", 0),
                 # The numpy walk tables hold a few blocks of wedges, never
                 # X², and trace no more than the scipy form they replaced.
                 ("test_walk_tables", "max_numpy_peak_mib", "<=", WALK_TABLE_PEAK_MIB),

@@ -10,8 +10,9 @@ loops are permitted -- they are load-bearing in this paper (Assumption
 1(ii) adds ``I_A``) -- and counted when the pattern is built.
 
 Everything that reads the pattern alone (degrees, neighbours, edges,
-traversals, chain factors) reads those arrays, so building graphs and
-generating from them never imports scipy.  :attr:`Graph.adj`, the same
+traversals, chain factors, and the derived graphs, which remap entry
+keys) reads those arrays, so building graphs and generating from them
+never imports scipy.  :attr:`Graph.adj`, the same
 pattern as a ``scipy.sparse.csr_array`` of int64 ones for the algebraic
 callers, is built on first read and cached.
 
@@ -214,26 +215,36 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
 
+    def _remapped(self, n: int, rows, cols) -> "Graph":
+        """The graph of entries ``(rows, cols)`` at this graph's index width."""
+        return Graph.__new__(Graph)._init(n, rows, cols, wide=self.indices.dtype == np.int64)
+
     def with_all_self_loops(self) -> "Graph":
         """Return ``A + I_A`` (idempotent on existing loops)."""
         diagonal = np.arange(self.n, dtype=np.int64)
         rows = np.concatenate((self.entry_rows(), diagonal))
         cols = np.concatenate((self.indices, diagonal))
-        wide = self.indices.dtype == np.int64  # keep this graph's index width
-        return Graph.__new__(Graph)._init(self.n, rows, cols, wide=wide)
+        return self._remapped(self.n, rows, cols)
 
     def without_self_loops(self) -> "Graph":
-        """Return ``A - A ∘ I`` (loop removal, §II-B)."""
-        import scipy.sparse as sp
-
-        csr = self.adj.copy().tolil()
-        csr.setdiag(0)
-        return Graph(sp.csr_array(csr))
+        """Return ``A - A ∘ I`` (loop removal, §II-B), with int32 indices
+        unless it is too large for them."""
+        rows = self.entry_rows()
+        off = rows != self.indices
+        return Graph.__new__(Graph)._init(self.n, rows[off], self.indices[off])
 
     def subgraph(self, vertices) -> "Graph":
         """Induced subgraph on the given (relabelled 0..k-1) vertices."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        return Graph(self.adj[vertices, :][:, vertices])
+        if vertices.size and not (0 <= vertices.min() and vertices.max() < self.n):
+            raise IndexError(f"subgraph vertex out of range [0, {self.n})")
+        if np.unique(vertices).size != vertices.size:
+            raise ValueError("subgraph vertices must be distinct")
+        position = np.full(self.n, -1, dtype=np.int64)
+        position[vertices] = np.arange(vertices.size)
+        rows, cols = position[self.entry_rows()], position[self.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        return self._remapped(vertices.size, rows[keep], cols[keep])
 
     def relabel(self, permutation) -> "Graph":
         """Return the graph with vertex ``i`` renamed ``permutation[i]``.
@@ -244,9 +255,7 @@ class Graph:
         perm = np.asarray(permutation, dtype=np.int64)
         if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
             raise ValueError("permutation must be a permutation of 0..n-1")
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(self.n)
-        return Graph(self.adj[inverse, :][:, inverse])
+        return self._remapped(self.n, perm[self.entry_rows()], perm[self.indices])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -29,8 +29,10 @@ stream shard-by-shard (:meth:`~KroneckerChain.stream_rows`), and
 row-range sums of any multiplicative vertex vector (shard work
 ``Σ Π d_t``, per-shard ground-truth totals ``Σ s``) are exact Python
 ints from mixed-radix prefix sums in ``O(k · log)`` time — the closed
-forms the degree-aware partitioner (:mod:`repro.parallel.partition`)
-and the per-shard validation artifacts are built on.
+forms the per-shard validation artifacts are built on.  The work
+prefix's inverse, a digit descent over the same tables
+(:meth:`~KroneckerChain.work_row`), is where the degree-aware
+partitioner (:mod:`repro.parallel.partition`) cuts its shards.
 
 The engine never imports scipy: a factor's walk tables come from a
 blocked numpy pass over its CSR pattern (:func:`_walk_tables`), so
@@ -40,6 +42,7 @@ one block.  Only :meth:`KroneckerChain.materialize`, a referee, does.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -295,6 +298,27 @@ class KroneckerChain:
             acc += left * csum[digits[t]] * suffix[t + 1]
             left *= values[digits[t]]
         return acc
+
+    def work_row(self, x: int) -> tuple[int, int, int]:
+        """``(p, W(p), work(p))`` for the row ``p`` that holds directed
+        entry ``x`` (``W(p) <= x < W(p) + work(p)``, so ``work(p) > 0``):
+        the inverse of :meth:`work_prefix`, exact, in ``O(k log n_f)``.
+
+        A digit descent over the ``d`` tables of :meth:`_kron_prefix`:
+        under the digits chosen so far (``L = Π_{s<t} d_s(i_s)``), digit
+        ``j`` of factor ``t`` starts ``L · C_t(j) · S_{>t}`` entries in,
+        and ``i_t`` is the last ``j`` whose start does not pass ``x``.
+        """
+        if not 0 <= x < self.nnz:
+            raise ValueError(f"entry {x} out of range [0, {self.nnz})")
+        p, start, left, rest = 0, 0, 1, self.nnz
+        for f, (values, csum) in zip(self.factors, self._vector_tables("d")):
+            rest //= csum[-1]
+            j = bisect.bisect_right(csum, (x - start) // (left * rest)) - 1
+            start += left * csum[j] * rest
+            left *= values[j]
+            p = p * f.n + j
+        return p, start, left
 
     def _kron_range_sum(self, kind: str, lo: int, hi: int) -> int:
         self._check_range(lo, hi)

@@ -9,11 +9,17 @@ power-law factors -- product row ``p = (i_1, …, i_k)`` holds
 product work from factor statistics alone*: the exact work prefix
 ``W(p) = Σ_{p'<p} Π d_t`` has a mixed-radix closed form
 (:meth:`KroneckerChain.work_prefix
-<repro.kronecker.multifactor.KroneckerChain.work_prefix>`), so a
-greedy bin-pack over contiguous ranges reduces to binary-searching the
-``n_shards − 1`` cut points where ``W`` crosses equal work quantiles.
-``rows`` (equal row ranges) stays as the naive baseline the
-imbalance contrast is measured against.  Ranges stay contiguous, so
+<repro.kronecker.multifactor.KroneckerChain.work_prefix>`), and so has
+its inverse: a digit descent over the per-factor cumulative-degree
+tables finds the row that holds a given entry
+(:meth:`KroneckerChain.work_row
+<repro.kronecker.multifactor.KroneckerChain.work_row>`).  A greedy
+bin-pack over contiguous ranges therefore reads each of the
+``n_shards − 1`` cut points, where ``W`` crosses an equal work
+quantile, off the factor tables in ``O(k log n_f)`` exact integer
+steps, without searching the product row space.  ``rows`` (equal row
+ranges) stays as the naive baseline the imbalance contrast is
+measured against.  Ranges stay contiguous, so
 manifests stay sliceable and both strategies yield the same
 shard-union entry set (asserted by the property fleet).
 """
@@ -70,18 +76,21 @@ class PartitionPlan:
         return max(self.work) / mean
 
 
-def _row_bounds_to_plan(
-    chain: KroneckerChain, strategy: str, cuts: list[int]
+def _plan(
+    chain: KroneckerChain, strategy: str, cuts: list[int], prefix: list[int]
 ) -> PartitionPlan:
-    pairs = [
-        (a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a
+    """The plan of row ``cuts`` (``0 … n``) whose work prefixes are
+    ``prefix``: shard work is the prefix difference, empty ranges drop."""
+    shards = [
+        ((a, b), wb - wa)
+        for a, b, wa, wb in zip(cuts, cuts[1:], prefix, prefix[1:])
+        if b > a
     ]
-    work = tuple(chain.row_range_work(a, b) for a, b in pairs)
     return PartitionPlan(
         strategy=strategy,
         total=chain.n,
-        bounds=tuple(pairs),
-        work=work,
+        bounds=tuple(bounds for bounds, _ in shards),
+        work=tuple(work for _, work in shards),
     )
 
 
@@ -90,11 +99,17 @@ def plan_partition(
 ) -> PartitionPlan:
     """Plan ``n_shards`` contiguous row ranges of ``chain`` under ``strategy``.
 
-    * ``degree`` -- work-balanced row ranges: cut points are binary
-      searches of the exact Kronecker work prefix, so each shard gets
-      as close to ``total/n_shards`` entries as contiguity allows.
-    * ``rows`` -- equal product-row ranges: the naive baseline, skewed
-      by up to the degree spread on power-law factors.
+    * ``degree`` -- work-balanced row ranges.  Cut ``j`` is the smallest
+      row ``p`` at or after cut ``j − 1`` with ``W(p) ≥ T_j = ⌊j ·
+      nnz / n_shards⌋``, or ``p − 1`` when that prefix is closer to
+      ``T_j``.  One digit descent
+      (:meth:`~repro.kronecker.multifactor.KroneckerChain.work_row`)
+      finds the row holding entry ``T_j − 1`` together with its prefix
+      and work, so each cut costs ``O(k log n_f)`` and the shard work
+      comes from the prefixes at the cuts.
+    * ``rows`` -- equal product-row ranges, cut at the exact integers
+      ``⌊j · n / n_shards⌋``: the naive baseline, skewed by up to the
+      degree spread on power-law factors.
 
     Empty ranges are dropped, so plans may hold fewer than ``n_shards``
     shards on tiny inputs.
@@ -106,27 +121,24 @@ def plan_partition(
             f"unknown partition strategy {strategy!r} (choose from {PARTITION_STRATEGIES})"
         )
     if strategy == "rows":
-        cuts = [int(c) for c in np.linspace(0, chain.n, n_shards + 1).astype(np.int64)]
-        return _row_bounds_to_plan(chain, "rows", cuts)
-    # degree: binary-search the work prefix for each equal-work quantile.
-    total = chain.work_prefix(chain.n)
-    cuts = [0]
+        cuts = [(chain.n * j) // n_shards for j in range(n_shards + 1)]
+        return _plan(chain, "rows", cuts, [chain.work_prefix(c) for c in cuts])
+    total = chain.nnz
+    cuts, prefix = [0], [0]
     for j in range(1, n_shards):
         target = (total * j) // n_shards
-        lo, hi = cuts[-1], chain.n
-        # smallest p with W(p) >= target
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if chain.work_prefix(mid) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        # lo and lo-1 straddle the quantile; keep the closer cut.
-        if lo > cuts[-1] and target - chain.work_prefix(lo - 1) < chain.work_prefix(lo) - target:
-            lo -= 1
-        cuts.append(max(lo, cuts[-1]))
+        cut, reached = cuts[-1], prefix[-1]
+        if reached < target:
+            # the row holding entry target - 1 is the last with W < target
+            row, before, work = chain.work_row(target - 1)
+            cut, reached = row + 1, before + work
+            if target - before < reached - target:  # row's start is closer
+                cut, reached = row, before
+        cuts.append(cut)
+        prefix.append(reached)
     cuts.append(chain.n)
-    return _row_bounds_to_plan(chain, "degree", cuts)
+    prefix.append(total)
+    return _plan(chain, "degree", cuts, prefix)
 
 
 def shard_of_rows(

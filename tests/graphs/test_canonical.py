@@ -183,6 +183,7 @@ def test_constructors_and_helpers_match_the_scipy_referee(spec):
     perm[inverse] = np.arange(n)
     lil = g.adj.copy().tolil()
     lil.setdiag(0)
+    every_other, backwards = np.arange(0, n, 2), np.arange(n)[::-1]
     pairs = [
         (g.adj, want_edges),
         (Graph.from_edges(n, list(zip(u.tolist(), v.tolist()))).adj, want_edges),
@@ -192,6 +193,8 @@ def test_constructors_and_helpers_match_the_scipy_referee(spec):
         ),
         (g.without_self_loops().adj, _scipy_canonical(sp.csr_array(lil))),
         (g.relabel(perm).adj, _scipy_canonical(g.adj[inverse, :][:, inverse])),
+        (g.subgraph(every_other).adj, _scipy_canonical(g.adj[every_other, :][:, every_other])),
+        (g.subgraph(backwards).adj, _scipy_canonical(g.adj[backwards, :][:, backwards])),
         (Graph.empty(n).adj, _scipy_canonical(sp.csr_array((n, n), dtype=np.int64))),
     ]
     for got, want in pairs:

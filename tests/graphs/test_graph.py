@@ -115,6 +115,14 @@ class TestDerivedGraphs:
         assert sub.m == 1
         assert sub.has_edge(0, 1)
 
+    def test_subgraph_rejects_repeated_or_missing_vertices(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="distinct"):
+            g.subgraph([1, 1])
+        with pytest.raises(IndexError, match="out of range"):
+            g.subgraph([0, 4])
+        assert g.subgraph([]).n == 0
+
     def test_relabel_roundtrip(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         perm = np.array([2, 0, 3, 1])

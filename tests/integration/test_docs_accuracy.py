@@ -238,6 +238,19 @@ class TestRecordedNumbers:
         assert float(materialize_s) == round(row["materialize_seconds"], 1)
         assert int(rate_m) == round(row["directed_entries"] / row["stream_seconds"] / 1e6)
 
+    def test_plan_numbers_match_bench_record(self):
+        """docs/performance.md's and EXPERIMENTS.md's degree-plan timings
+        are quoted from BENCH_generation.json, rounded as printed."""
+        import json
+
+        record = json.loads((REPO_ROOT / "BENCH_generation.json").read_text())
+        row = {r["bench"]: r for r in record["benches"]}["test_plan_partition"]
+        plan, bisect = f"{row['plan_seconds'] * 1e6:.0f} µs", f"{row['bisect_seconds'] * 1e6:.0f} µs"
+        assert row["plan_matches_referee"] == 1
+        for doc in ("docs/performance.md", "EXPERIMENTS.md"):
+            flat = " ".join((REPO_ROOT / doc).read_text().split())
+            assert f"{plan} against {bisect}" in flat, doc
+
     def test_serving_capacity_numbers_match_bench_record(self):
         """docs/serving.md's capacity table and docs/performance.md's
         serving paragraph are quoted from BENCH_serve.json, rounded as

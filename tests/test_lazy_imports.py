@@ -221,6 +221,27 @@ def test_ground_truth_shards_never_load_scipy(tmp_path):
     shutil.rmtree(tmp_path)  # the unicode product's shards are ~200 MB
 
 
+def test_derived_graphs_never_load_scipy():
+    """Loop removal, subgraphs and relabelling remap entry keys in numpy,
+    so the degeneracy of a looped graph and a bipartite graph's
+    canonical relabelling load no scipy."""
+    result = _run(
+        "import json, sys\n"
+        "from repro.generators.classic import cycle_graph\n"
+        "from repro.graphs.degeneracy import degeneracy\n"
+        "from repro.generators import konect_unicode_like\n"
+        "looped = cycle_graph(5).with_all_self_loops()\n"
+        "sub = looped.subgraph([0, 1, 2])\n"
+        "print(json.dumps({'degeneracy': degeneracy(looped), 'sub_m': sub.m,\n"
+        "                  'canonical_n': konect_unicode_like().canonical()[0].n,\n"
+        "                  'loaded': sorted(sys.modules)}))\n"
+    )
+    assert result["degeneracy"] == 2
+    assert result["sub_m"] == 5
+    assert result["canonical_n"] == 868
+    assert not _scipy_modules(result["loaded"])
+
+
 def test_shadowed_names_stay_functions_after_their_submodules_import():
     """``graphs.degeneracy``, ``generators.rmat`` and
     ``analytics.projection`` name both a submodule and a function in it;
