@@ -8,7 +8,11 @@ times a deep chain's set-up on small factors, where fixed per-factor
 costs dominate, times the degree plan's digit descent against the
 product-row bisection it replaced, and times a factor's walk tables
 (``w2``, ``cw4``, ``w3``) built by the blocked numpy pass against the
-scipy SpGEMM form it replaced, with the ``tracemalloc`` peak of each.
+scipy SpGEMM form it replaced (:mod:`repro.refcheck.spgemm`), with the
+``tracemalloc`` peak of each, and the direct 4-cycle counter built on
+them: ``vertex_squares_matrix`` and ``edge_squares_matrix`` against the
+SpGEMM referee's ``FactorStats``, and ``global_squares`` (the only count
+most callers read) against scipy's ``A²`` alone.
 
 Results go into ``BENCH_generation.json`` via ``record_bench``; CI's
 smoke job validates that record under ``REPRO_BENCH_QUICK=1``.
@@ -22,12 +26,14 @@ import tracemalloc
 
 import numpy as np
 
+from repro.analytics.fourcycles import edge_squares_matrix, global_squares, vertex_squares_matrix
 from repro.experiments import generation_throughput
 from repro.generators import complete_bipartite, preferential_attachment
 from repro.kronecker import KroneckerChain, stream_edges
 from repro.kronecker.multifactor import ChainFactor, _walk_tables
 from repro.obs import Span
 from repro.parallel.partition import plan_partition
+from repro.refcheck.spgemm import FactorStats, walk_tables
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 #: Set-up runs per :func:`test_chain_setup` reading (it records their median).
@@ -163,41 +169,59 @@ def test_plan_partition(record_bench):
     assert all(row["matches"] for row in rows.values())
 
 
-def _scipy_walk_tables(factor: ChainFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scipy SpGEMM form the walk tables were built with before numpy."""
-    import scipy.sparse as sp
-
-    ones = np.ones(factor.nnz, dtype=np.int64)
-    X = sp.csr_array((ones, factor.indices, factor.indptr), shape=(factor.n, factor.n))
-    X2 = X @ X
-    w2 = np.asarray(X2.sum(axis=1)).ravel().astype(np.int64)
-    cw4 = np.asarray(X2.multiply(X2).sum(axis=1)).ravel().astype(np.int64)
-    w3 = (X2 @ X)[factor.entry_rows(), factor.indices] if factor.nnz else np.zeros(0)
-    return w2, cw4, np.asarray(w3).ravel().astype(np.int64)
+def _direct_counter(graph):
+    """``(s, ◇)`` as the analytics counter's callers get them: each call
+    builds its own walk tables."""
+    return vertex_squares_matrix(graph), edge_squares_matrix(graph)
 
 
-def _best_seconds_and_peak(build, factor):
-    """``(tables, best seconds of WALK_TABLE_RUNS, tracemalloc peak in
+def _referee_counter(graph):
+    stats = FactorStats.from_graph(graph)
+    return stats.s, stats.diamond
+
+
+def _a2_global_squares(graph) -> int:
+    """The global count from the SpGEMM ``A²`` alone (Def. 8 summed), the
+    form global and vertex counts took before the numpy walk tables."""
+    w2, cw4, _ = walk_tables(graph.n, graph.indptr, graph.indices, edges=False)
+    d = graph.degrees()
+    return int((cw4 - d * d - w2 + d).sum()) // 8
+
+
+def _same_counts(got, want) -> bool:
+    """Equal vertex counts, and equal ◇ matrices array by array, dtypes
+    and explicit zeros included."""
+    (s, dia), (ref_s, ref_dia) = got, want
+    arrays = [(s, ref_s)] + [
+        (getattr(dia, a), getattr(ref_dia, a)) for a in ("indptr", "indices", "data")
+    ]
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays)
+
+
+def _best_seconds_and_peak(build, arg):
+    """``(result, best seconds of WALK_TABLE_RUNS, tracemalloc peak in
     MiB of one more build)``; the timed builds run untraced."""
-    build(factor)  # warm-up: imports and first-touch allocations
+    build(arg)  # warm-up: imports and first-touch allocations
     seconds = []
     for _ in range(WALK_TABLE_RUNS):
         with Span() as t:
-            tables = build(factor)
+            result = build(arg)
         seconds.append(t.elapsed)
     tracemalloc.start()
     try:
-        build(factor)
+        build(arg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return tables, min(seconds), peak / MIB
+    return result, min(seconds), peak / MIB
 
 
 def test_walk_tables(unicode_like, record_bench):
     """One factor's walk tables, numpy against the scipy form, on the
     unicode stand-in, a sparse preferential-attachment factor and a
-    dense biclique (where the wedge pass does more work than SpGEMM)."""
+    dense biclique (which the pass multiplies as dense matrices);
+    and the direct counter's ``s`` and ``◇`` on the same graphs against
+    the SpGEMM referee's, and its global count against ``A²`` alone."""
     pa_n = 2_000 if QUICK else 20_000
     graphs = {
         "unicode": unicode_like.graph,
@@ -208,8 +232,14 @@ def test_walk_tables(unicode_like, record_bench):
     for name, graph in graphs.items():
         factor = ChainFactor.from_graph(graph)
         new, numpy_s, numpy_mib = _best_seconds_and_peak(_walk_tables, factor)
-        old, scipy_s, scipy_mib = _best_seconds_and_peak(_scipy_walk_tables, factor)
+        old, scipy_s, scipy_mib = _best_seconds_and_peak(
+            lambda f: walk_tables(f.n, f.indptr, f.indices), factor
+        )
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(new, old)), name
+        counts, counter_s, counter_mib = _best_seconds_and_peak(_direct_counter, graph)
+        ref, referee_s, referee_mib = _best_seconds_and_peak(_referee_counter, graph)
+        total, global_s, _ = _best_seconds_and_peak(global_squares, graph)
+        a2_total, a2_s, _ = _best_seconds_and_peak(_a2_global_squares, graph)
         factors[name] = {
             "n": factor.n,
             "nnz": factor.nnz,
@@ -218,6 +248,13 @@ def test_walk_tables(unicode_like, record_bench):
             "scipy_seconds": scipy_s,
             "numpy_peak_mib": numpy_mib,
             "scipy_peak_mib": scipy_mib,
+            "counter_seconds": counter_s,
+            "referee_seconds": referee_s,
+            "counter_peak_mib": counter_mib,
+            "referee_peak_mib": referee_mib,
+            "global_seconds": global_s,
+            "a2_global_seconds": a2_s,
+            "counter_matches": _same_counts(counts, ref) and total == a2_total,
         }
     pa = factors["pa"]
     record_bench(
@@ -226,12 +263,24 @@ def test_walk_tables(unicode_like, record_bench):
             f"{name} {f['numpy_seconds'] * 1e3:.1f} vs {f['scipy_seconds'] * 1e3:.1f} ms"
             for name, f in factors.items()
         )
-        + f"; pa({pa_n},3) traced peak {pa['numpy_peak_mib']:.1f} vs {pa['scipy_peak_mib']:.1f} MiB",
+        + f"; pa({pa_n},3) traced peak {pa['numpy_peak_mib']:.1f} vs {pa['scipy_peak_mib']:.1f} MiB"
+        + "; direct counter vs SpGEMM referee: "
+        + ", ".join(
+            f"{name} {f['counter_seconds'] * 1e3:.1f} vs {f['referee_seconds'] * 1e3:.1f} ms"
+            for name, f in factors.items()
+        )
+        + "; global count vs SpGEMM A²: "
+        + ", ".join(
+            f"{name} {f['global_seconds'] * 1e3:.1f} vs {f['a2_global_seconds'] * 1e3:.1f} ms"
+            for name, f in factors.items()
+        ),
         factors=factors,
         pa_numpy_peak_mib=pa["numpy_peak_mib"],
         pa_scipy_peak_mib=pa["scipy_peak_mib"],
         max_numpy_peak_mib=max(f["numpy_peak_mib"] for f in factors.values()),
+        counter_matches_referee=int(all(f["counter_matches"] for f in factors.values())),
     )
+    assert all(f["counter_matches"] for f in factors.values())
 
 
 if __name__ == "__main__":

@@ -405,7 +405,10 @@ FAMILIES: dict[str, Family] = {
                 # The numpy walk tables hold a few blocks of wedges, never
                 # X², and trace no more than the scipy form they replaced.
                 ("test_walk_tables", "max_numpy_peak_mib", "<=", WALK_TABLE_PEAK_MIB),
-                ("test_walk_tables", "pa_numpy_peak_mib", "<=", Field("pa_scipy_peak_mib"))),
+                ("test_walk_tables", "pa_numpy_peak_mib", "<=", Field("pa_scipy_peak_mib")),
+                # The direct 4-cycle counter equals the SpGEMM referee;
+                # no speed threshold, the record carries both timings.
+                ("test_walk_tables", "counter_matches_referee", "==", 1)),
         extras=(cli_profile_smoke,)),
     "parallel": Family(checks=(
         ("test_shard_generation_fault_tolerance", "directed_entries", ">", 0),)),

@@ -11,10 +11,10 @@ the direct algorithms here (and both against brute force in tests):
   global), relevant for the non-bipartite factor ``A`` of Assump. 1(i).
 * :mod:`~repro.analytics.fourcycles` -- direct 4-cycle counting on any
   loop-free graph, bipartite (butterflies) or not: the closed-walk
-  matrix identities of Figs. 2 and 4 (the fast counter) and the
-  paper's O(|V||E|) shortened-BFS algorithm (the §IV baseline).  The
-  brute-force referee both are checked against is
-  :mod:`repro.refcheck.brute`.
+  identities of Figs. 2 and 4 finished on the chain engine's numpy walk
+  tables (the fast counter) and the paper's O(|V||E|) shortened-BFS
+  algorithm (the §IV baseline).  The brute-force referee both are
+  checked against is :mod:`repro.refcheck.brute`.
 * :mod:`~repro.analytics.sampling` -- approximate global butterfly
   counting by wedge sampling (the "approximation techniques" §I says
   these generators help validate).

@@ -6,15 +6,20 @@ Kronecker ground-truth formulas:
 
 * :func:`vertex_squares_matrix` / :func:`edge_squares_matrix` /
   :func:`global_squares` -- the fast counter: the closed-walk
-  identities of the paper's Figs. 2 and 4 (Defs. 8, 9) evaluated with
-  sparse linear algebra:
+  identities of the paper's Figs. 2 and 4 (Defs. 8, 9) finished on the
+  graph's walk tables ``w2 = A²1``, ``cw4 = diag(A⁴)`` and ``W3 = A³∘A``
+  at the edges, which the chain engine's numpy pass computes for one
+  factor (:class:`~repro.kronecker.multifactor.ChainFactor`); vertex and
+  global counts ask it for ``w2`` and ``cw4`` alone (about half the
+  wedges):
 
-  - ``s = (diag(A^4) - d∘d - w2 + d) / 2``
-  - ``◇ = A^3 ∘ A - (d·1ᵗ + 1·dᵗ) ∘ A + A``
+  - ``s = (cw4 - d∘d - w2 + d) / 2``
+  - ``◇_ij = W3(i,j) - d_i - d_j + 1`` at every edge
 
   On a bipartite graph 4-cycles are butterflies, so these count
   butterflies too (read ``edge_squares_matrix``'s ``U x W`` block for
-  per-edge counts on the biadjacency).
+  per-edge counts on the biadjacency).  The SpGEMM form of the same
+  tables is a referee, :mod:`repro.refcheck.spgemm`.
 * :func:`vertex_squares_bfs` -- the paper's §I "simple algorithm":
   from each vertex run a 2-hop shortened BFS and combine the
   second-neighbourhood multiplicities; O(|V||E|)-style, no matrix
@@ -26,10 +31,15 @@ the identities are wrong in the presence of self loops.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
+from repro.kronecker.multifactor import ChainFactor, _walk_tables
+
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
 
 __all__ = [
     "vertex_squares_matrix",
@@ -48,25 +58,22 @@ def _require_loop_free(graph: Graph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Matrix identities (Defs. 8 and 9 / Figs. 2 and 4)
+# Closed-walk identities (Defs. 8 and 9 / Figs. 2 and 4)
 # ---------------------------------------------------------------------------
 
 
 def closed_walks4(graph: Graph) -> np.ndarray:
-    """``diag(A^4)`` without forming ``A^4``: row-sums of ``(A²)∘(A²)``."""
-    A = graph.adj
-    A2 = sp.csr_array(A @ A)
-    return np.asarray(A2.multiply(A2).sum(axis=1)).ravel().astype(np.int64)
+    """``diag(A^4)`` without forming ``A^4``: per row, the sum of the
+    squared ``A²`` entries, from the wedge pass."""
+    return _walk_tables(ChainFactor.from_graph(graph), edges=False)[1]
 
 
 def vertex_squares_matrix(graph: Graph) -> np.ndarray:
     """Def. 8: ``s = (diag(A^4) - d∘d - w^(2) + d) / 2``."""
     _require_loop_free(graph)
-    d = graph.degrees()
-    w2 = np.asarray(graph.adj @ d).ravel().astype(np.int64)
-    cw4 = closed_walks4(graph)
-    twice = cw4 - d * d - w2 + d
-    half, rem = np.divmod(twice, 2)
+    factor = ChainFactor.from_graph(graph)
+    w2, cw4, _ = _walk_tables(factor, edges=False)
+    half, rem = np.divmod(cw4 - factor.d * factor.d - w2 + factor.d, 2)
     assert not rem.any(), "vertex square counts must be integral"
     return half
 
@@ -79,19 +86,13 @@ def edge_squares_matrix(graph: Graph) -> sp.csr_array:
     for edges on no square (so the pattern equals the adjacency).
     """
     _require_loop_free(graph)
-    A = graph.adj
-    d = graph.degrees().astype(np.int64)
-    A2 = sp.csr_array(A @ A)
-    walk3 = sp.csr_array(A2 @ A)
-    coo = A.tocoo()
-    if coo.nnz == 0:
-        return sp.csr_array(A.shape, dtype=np.int64)
-    # Evaluate W3 at every edge by direct lookup so square-free edges
-    # survive as explicit zeros (the pattern must equal the adjacency).
-    w3_at_edges = np.asarray(walk3[coo.row, coo.col]).ravel().astype(np.int64)
-    values = w3_at_edges - d[coo.row] - d[coo.col] + 1
-    out = sp.csr_array(sp.coo_array((values, (coo.row, coo.col)), shape=A.shape))
-    return out
+    import scipy.sparse as sp
+
+    factor = ChainFactor.from_graph(graph)
+    d = factor.d
+    values = factor.w3 - d[factor.entry_rows()] - d[factor.indices] + 1
+    # copied: in-place scipy methods on the result must not reach the graph
+    return sp.csr_array((values, graph.indices, graph.indptr), shape=(graph.n, graph.n), copy=True)
 
 
 def global_squares(graph: Graph) -> int:

@@ -17,10 +17,15 @@ holds on the ``W`` side.
 
 from __future__ import annotations
 
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
-from repro.graphs.bipartite import BipartiteGraph
-from repro.kronecker.assumptions import BipartiteKronecker
+# scipy is imported by the functions, so the package import (which binds
+# ``projection``) stays free of it.
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
+
+    from repro.graphs.bipartite import BipartiteGraph
+    from repro.kronecker.assumptions import BipartiteKronecker
 
 __all__ = ["projection", "product_projection"]
 
@@ -36,6 +41,8 @@ def projection(bg: BipartiteGraph, side: str = "U", keep_diagonal: bool = False)
     """
     if side not in ("U", "W"):
         raise ValueError(f"side must be 'U' or 'W', got {side!r}")
+    import scipy.sparse as sp
+
     X = bg.biadjacency()
     if side == "W":
         X = sp.csr_array(X.T)
@@ -62,6 +69,8 @@ def product_projection(bk: BipartiteKronecker, side: str = "U", keep_diagonal: b
     """
     if side not in ("U", "W"):
         raise ValueError(f"side must be 'U' or 'W', got {side!r}")
+    import scipy.sparse as sp
+
     M2 = sp.csr_array(bk.M.adj @ bk.M.adj)
     P_b = projection(bk.B, side, keep_diagonal=True)
     out = sp.csr_array(sp.kron(M2, P_b, format="csr"))

@@ -84,5 +84,4 @@ def bipartite_chung_lu(weights_u, weights_w, seed=None) -> BipartiteGraph:
         cols_parts.append(c)
     rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, dtype=np.int64)
     cols = np.concatenate(cols_parts) if cols_parts else np.empty(0, dtype=np.int64)
-    # int64 indices, as every graph built from edge arrays stores them
-    return BipartiteGraph._from_block_entries(nu, nw, rows, cols, wide=True)
+    return BipartiteGraph._from_block_entries(nu, nw, rows, cols)

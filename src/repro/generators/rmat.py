@@ -125,5 +125,4 @@ def bipartite_rmat(
     scale_w = check_nonnegative(scale_w, "scale_w")
     rows, cols = rmat_edge_arrays(scale_u, scale_w, n_edges, a, b, c, d, seed)
     nu, nw = 1 << scale_u, 1 << scale_w
-    # int64 indices, as every graph built from edge arrays stores them
-    return BipartiteGraph._from_block_entries(nu, nw, rows, cols, wide=True)
+    return BipartiteGraph._from_block_entries(nu, nw, rows, cols)

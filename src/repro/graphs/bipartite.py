@@ -184,18 +184,14 @@ class BipartiteGraph:
         if sparse is not None and sparse.issparse(X):
             X = sparse.csr_array(X)
             rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-            return cls._from_block_entries(
-                *X.shape, rows, X.indices, X.data, wide=X.indices.dtype == np.int64
-            )
+            return cls._from_block_entries(*X.shape, rows, X.indices, X.data)
         X = np.asarray(X)
         if X.ndim != 2:
             raise ValueError(f"biadjacency must be 2-D, got shape {X.shape}")
         return cls._from_block_entries(*X.shape, *np.nonzero(X))
 
     @classmethod
-    def _from_block_entries(
-        cls, nu: int, nw: int, rows, cols, values=None, wide: bool = False
-    ) -> "BipartiteGraph":
+    def _from_block_entries(cls, nu: int, nw: int, rows, cols, values=None) -> "BipartiteGraph":
         """The graph of the block anti-diagonal ``[[0, X], [Xᵀ, 0]]`` for
         the ``nu × nw`` biadjacency ``X`` given by coordinate entries
         (summed and binarized as :class:`Graph` does)."""
@@ -204,7 +200,7 @@ class BipartiteGraph:
         if values is not None:
             values = np.concatenate((values, values))
         graph = Graph.__new__(Graph)._init(
-            nu + nw, np.concatenate((rows, cols)), np.concatenate((cols, rows)), values, wide
+            nu + nw, np.concatenate((rows, cols)), np.concatenate((cols, rows)), values
         )
         part = np.zeros(nu + nw, dtype=bool)
         part[nu:] = True

@@ -32,16 +32,14 @@ import numpy as np
 __all__ = ["Graph"]
 
 
-def _canonical_csr(n: int, rows, cols, values=None, wide: bool = False):
+def _canonical_csr(n: int, rows, cols, values=None):
     """``(indptr, indices, self_loops)`` of the binary symmetric ``n × n``
     CSR adjacency of coordinate entries: sorted by ``(row, col)`` key,
-    duplicates summed and zero sums dropped, with int64 indices if
-    ``wide`` or too many."""
+    duplicates summed and zero sums dropped, with int64 indices."""
     if n * n >= 1 << 63:
         raise ValueError(f"{n} vertices overflow the int64 (row, col) entry keys")
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     keys = rows * n + cols
-    index = np.int64 if wide or max(keys.size, n) > np.iinfo(np.int32).max else np.int32
     if not np.all(keys[1:] > keys[:-1]):  # else sorted and unique already
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -55,10 +53,10 @@ def _canonical_csr(n: int, rows, cols, values=None, wide: bool = False):
         keys, rows, cols = keys[nonzero], rows[nonzero], cols[nonzero]
     if not np.array_equal(np.sort(cols * n + rows), keys):
         raise ValueError("adjacency must be symmetric (undirected graph)")
-    indptr = np.zeros(n + 1, dtype=index)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     # indices copied: never the caller's array
-    return indptr, cols.astype(index), int(np.count_nonzero(rows == cols))
+    return indptr, cols.copy(), int(np.count_nonzero(rows == cols))
 
 
 class Graph:
@@ -95,14 +93,13 @@ class Graph:
             (rows, cols), shape, values = np.nonzero(arr), arr.shape, None
         if shape[0] != shape[1]:
             raise ValueError(f"adjacency must be square, got shape {shape}")
-        wide = values is not None and cols.dtype == np.int64  # as scipy keeps them
-        self._init(shape[0], rows, cols, values, wide)
+        self._init(shape[0], rows, cols, values)
 
-    def _init(self, n: int, rows, cols, values=None, wide: bool = False) -> "Graph":
+    def _init(self, n: int, rows, cols, values=None) -> "Graph":
         """Set this graph to the canonical pattern of coordinate entries
         (:func:`_canonical_csr`); returns it."""
         self.n = int(n)
-        self.indptr, self.indices, self.num_self_loops = _canonical_csr(n, rows, cols, values, wide)
+        self.indptr, self.indices, self.num_self_loops = _canonical_csr(n, rows, cols, values)
         self._adj = None
         return self
 
@@ -142,7 +139,7 @@ class Graph:
             return cls.empty(n)
         if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
             raise ValueError("edge endpoint out of range")
-        return cls.__new__(cls)._init(n, np.concatenate((u, v)), np.concatenate((v, u)), wide=True)
+        return cls.__new__(cls)._init(n, np.concatenate((u, v)), np.concatenate((v, u)))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -215,20 +212,15 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
 
-    def _remapped(self, n: int, rows, cols) -> "Graph":
-        """The graph of entries ``(rows, cols)`` at this graph's index width."""
-        return Graph.__new__(Graph)._init(n, rows, cols, wide=self.indices.dtype == np.int64)
-
     def with_all_self_loops(self) -> "Graph":
         """Return ``A + I_A`` (idempotent on existing loops)."""
         diagonal = np.arange(self.n, dtype=np.int64)
         rows = np.concatenate((self.entry_rows(), diagonal))
         cols = np.concatenate((self.indices, diagonal))
-        return self._remapped(self.n, rows, cols)
+        return Graph.__new__(Graph)._init(self.n, rows, cols)
 
     def without_self_loops(self) -> "Graph":
-        """Return ``A - A ∘ I`` (loop removal, §II-B), with int32 indices
-        unless it is too large for them."""
+        """Return ``A - A ∘ I`` (loop removal, §II-B)."""
         rows = self.entry_rows()
         off = rows != self.indices
         return Graph.__new__(Graph)._init(self.n, rows[off], self.indices[off])
@@ -244,7 +236,7 @@ class Graph:
         position[vertices] = np.arange(vertices.size)
         rows, cols = position[self.entry_rows()], position[self.indices]
         keep = (rows >= 0) & (cols >= 0)
-        return self._remapped(vertices.size, rows[keep], cols[keep])
+        return Graph.__new__(Graph)._init(vertices.size, rows[keep], cols[keep])
 
     def relabel(self, permutation) -> "Graph":
         """Return the graph with vertex ``i`` renamed ``permutation[i]``.
@@ -255,7 +247,7 @@ class Graph:
         perm = np.asarray(permutation, dtype=np.int64)
         if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
             raise ValueError("permutation must be a permutation of 0..n-1")
-        return self._remapped(self.n, perm[self.entry_rows()], perm[self.indices])
+        return Graph.__new__(Graph)._init(self.n, perm[self.entry_rows()], perm[self.indices])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -43,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "ConnectivityPrediction": ".connectivity",
     "predict_product_connectivity": ".connectivity",
     "weichsel_components": ".connectivity",
-    "FactorStats": ".ground_truth",
     "vertex_squares_product": ".ground_truth",
     "edge_squares_product": ".ground_truth",
     "global_squares_product": ".ground_truth",

@@ -152,13 +152,14 @@ class BipartiteKronecker:
     def factor_stats(self):
         """Cached ``(FactorStats(A), FactorStats(B))`` for this product.
 
-        Every ground-truth entry point (vertex/edge/global formulas,
-        oracle, streaming, clustering) consumes the factors only through
-        these statistics; computing them once per handle turns repeated
-        formula calls into pure table lookups.
+        These SpGEMM statistics (:mod:`repro.refcheck.spgemm`) are the
+        input of the printed-form referee (:mod:`repro.refcheck.printed`);
+        the ground-truth entry points read the chain engine's tables
+        instead.  Computing them once per handle lets repeated referee
+        calls share one count.
         """
         if "stats" not in self._stats_cache:
-            from repro.kronecker.ground_truth import FactorStats
+            from repro.refcheck.spgemm import FactorStats
 
             self._stats_cache["stats"] = (
                 FactorStats.from_graph(self.A),

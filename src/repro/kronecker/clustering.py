@@ -91,6 +91,49 @@ def psi_factor_self_loops(d_i, d_j, d_k, d_l):
     return num / den
 
 
+def _thm6_bound(bk: BipartiteKronecker, psi):
+    """Both sides of the scaling law ``Γ_C(p, q) >= ψ Γ_A(i, j) Γ_B(k, l)``
+    on every product edge of a factor-``A`` edge and a factor-``B`` edge
+    with all four factor degrees >= 2; see :func:`thm6_lower_bound`."""
+    from repro.analytics.fourcycles import edge_squares_matrix
+
+    n_b = bk.B.graph.n
+
+    def _gamma(graph):
+        """Factor-edge clustering coefficients (directed entries)."""
+        coo, d = edge_squares_matrix(graph).tocoo(), graph.degrees()
+        denom = (d[coo.row] - 1) * (d[coo.col] - 1)
+        ok = denom > 0
+        return coo.row[ok], coo.col[ok], coo.data[ok] / denom[ok], d
+
+    ai, aj, gamma_a, d_a = _gamma(bk.A)
+    bk_row, bl, gamma_b, d_b = _gamma(bk.B.graph)
+    if ai.size == 0 or bk_row.size == 0:
+        empty = np.empty(0)
+        return {"p": empty, "q": empty, "gamma_c": empty, "bound": empty, "ratio": empty}
+
+    # All cross pairs of valid factor edges -> product edges.
+    na, nb = ai.size, bk_row.size
+    ii = np.repeat(ai, nb)
+    jj = np.repeat(aj, nb)
+    kk = np.tile(bk_row, na)
+    ll = np.tile(bl, na)
+    ga = np.repeat(gamma_a, nb)
+    gb = np.tile(gamma_b, na)
+    bound = psi(d_a[ii], d_a[jj], d_b[kk], d_b[ll]) * ga * gb
+    p = ii * n_b + kk
+    q = jj * n_b + ll
+
+    # Ground-truth Γ_C at those edges from the point-wise formula -- no
+    # product-sized matrix is materialized or fancy-indexed.
+    vals, _ = KroneckerChain.from_bipartite(bk).edge_squares(p, q)
+    d_c = bk.implicit.degrees()
+    gamma_c = vals / ((d_c[p] - 1) * (d_c[q] - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(gamma_c > 0, bound / gamma_c, np.inf)
+    return {"p": p, "q": q, "gamma_c": gamma_c, "bound": bound, "ratio": ratio}
+
+
 def thm6_lower_bound_self_loops(bk: BipartiteKronecker):
     """Evaluate the derived 1(ii) scaling law on every cross edge.
 
@@ -101,43 +144,7 @@ def thm6_lower_bound_self_loops(bk: BipartiteKronecker):
     """
     if bk.assumption is not Assumption.SELF_LOOPS_FACTOR:
         raise ValueError("use thm6_lower_bound for Assumption 1(i) products")
-    from repro.analytics.fourcycles import edge_squares_matrix
-
-    d_a = bk.A.degrees().astype(np.int64)
-    d_b = bk.B.graph.degrees().astype(np.int64)
-    dia_a = edge_squares_matrix(bk.A).tocoo()
-    dia_b = edge_squares_matrix(bk.B.graph).tocoo()
-    n_b = bk.B.graph.n
-
-    def _valid(coo, d):
-        denom = (d[coo.row] - 1) * (d[coo.col] - 1)
-        ok = denom > 0
-        return coo.row[ok], coo.col[ok], coo.data[ok] / denom[ok]
-
-    ai, aj, gamma_a = _valid(dia_a, d_a)
-    bk_row, bl, gamma_b = _valid(dia_b, d_b)
-    if ai.size == 0 or bk_row.size == 0:
-        empty = np.empty(0)
-        return {"p": empty, "q": empty, "gamma_c": empty, "bound": empty, "ratio": empty}
-    na, nb = ai.size, bk_row.size
-    ii = np.repeat(ai, nb)
-    jj = np.repeat(aj, nb)
-    kk = np.tile(bk_row, na)
-    ll = np.tile(bl, na)
-    ga = np.repeat(gamma_a, nb)
-    gb = np.tile(gamma_b, na)
-    psi = psi_factor_self_loops(d_a[ii], d_a[jj], d_b[kk], d_b[ll])
-    bound = psi * ga * gb
-    p = ii * n_b + kk
-    q = jj * n_b + ll
-    # Ground-truth ◇_C at those edges, point-wise -- no product-sized
-    # matrix is materialized or fancy-indexed.
-    vals, _ = KroneckerChain.from_bipartite(bk).edge_squares(p, q)
-    d_c = bk.implicit.degrees()
-    gamma_c = vals / ((d_c[p] - 1) * (d_c[q] - 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(gamma_c > 0, bound / gamma_c, np.inf)
-    return {"p": p, "q": q, "gamma_c": gamma_c, "bound": bound, "ratio": ratio}
+    return _thm6_bound(bk, psi_factor_self_loops)
 
 
 def thm6_lower_bound(bk: BipartiteKronecker):
@@ -153,45 +160,4 @@ def thm6_lower_bound(bk: BipartiteKronecker):
     and the tightness ratio ``bound / gamma_c`` (<= 1 when the theorem
     holds; tests assert it always is).
     """
-    a_stats_needed = bk.A
-    d_a = a_stats_needed.degrees().astype(np.int64)
-    d_b = bk.B.graph.degrees().astype(np.int64)
-    from repro.analytics.fourcycles import edge_squares_matrix
-
-    dia_a = edge_squares_matrix(bk.A).tocoo()
-    dia_b = edge_squares_matrix(bk.B.graph).tocoo()
-    n_b = bk.B.graph.n
-
-    # Factor-edge clustering coefficients (directed entries).
-    def _gamma(coo, d):
-        denom = (d[coo.row] - 1) * (d[coo.col] - 1)
-        ok = denom > 0
-        return coo.row[ok], coo.col[ok], coo.data[ok] / denom[ok], d
-
-    ai, aj, gamma_a, _ = _gamma(dia_a, d_a)
-    bk_row, bl, gamma_b, _ = _gamma(dia_b, d_b)
-    if ai.size == 0 or bk_row.size == 0:
-        empty = np.empty(0)
-        return {"p": empty, "q": empty, "gamma_c": empty, "bound": empty, "ratio": empty}
-
-    # All cross pairs of valid factor edges -> product edges.
-    na, nb = ai.size, bk_row.size
-    ii = np.repeat(ai, nb)
-    jj = np.repeat(aj, nb)
-    kk = np.tile(bk_row, na)
-    ll = np.tile(bl, na)
-    ga = np.repeat(gamma_a, nb)
-    gb = np.tile(gamma_b, na)
-    psi = psi_factor(d_a[ii], d_a[jj], d_b[kk], d_b[ll])
-    bound = psi * ga * gb
-    p = ii * n_b + kk
-    q = jj * n_b + ll
-
-    # Ground-truth Γ_C at those edges from the point-wise formula -- no
-    # product-sized matrix is materialized or fancy-indexed.
-    vals, _ = KroneckerChain.from_bipartite(bk).edge_squares(p, q)
-    d_c = bk.implicit.degrees()
-    gamma_c = vals / ((d_c[p] - 1) * (d_c[q] - 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(gamma_c > 0, bound / gamma_c, np.inf)
-    return {"p": p, "q": q, "gamma_c": gamma_c, "bound": bound, "ratio": ratio}
+    return _thm6_bound(bk, psi_factor)

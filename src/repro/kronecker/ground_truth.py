@@ -1,8 +1,8 @@
 """Ground-truth 4-cycle formulas for bipartite Kronecker products.
 
-This module implements §III-B.  Everything is computed from per-factor
-statistics (:class:`FactorStats`) of size ``O(|E_A| + |E_B|)``; the
-product itself is never touched.  Cost model (§I): local vertex counts
+This module implements §III-B.  Everything is read from the per-factor
+walk tables of the chain ``[M, B]`` (:class:`~repro.kronecker.multifactor.ChainFactor`),
+of size ``O(|E_A| + |E_B|)``; the product itself is never touched.  Cost model (§I): local vertex counts
 in ``O(n_C)`` output time, local edge counts in ``O(|E_C|)`` output
 time, global counts in ``O(|E_A| + |E_B|)`` -- *sublinear* in the
 product.
@@ -57,15 +57,14 @@ referee in :mod:`repro.refcheck.printed`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.kronecker.multifactor import KroneckerChain
 
-# scipy.sparse and the graph model are imported inside the functions that
-# build statistics or assemble a CSR, so importing this module stays cheap.
+# scipy.sparse is imported inside the one function that assembles a CSR,
+# so importing this module stays cheap.
 if TYPE_CHECKING:  # pragma: no cover
     import scipy.sparse as sp
 
@@ -73,57 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kronecker.assumptions import BipartiteKronecker
 
 __all__ = [
-    "FactorStats",
     "vertex_squares_product",
     "edge_squares_product",
     "global_squares_product",
     "squares_if_square_free_factors",
 ]
-
-
-@dataclass(frozen=True)
-class FactorStats:
-    """Sublinear-size statistics of one loop-free factor, counted on it.
-
-    The paper's printed forms (:mod:`repro.refcheck.printed`) consume
-    factors through these fields; computing them costs one sparse
-    ``A²`` product (``O(Σ_i d_i²)`` work) and ``O(|E|)`` memory.
-    """
-
-    n: int
-    d: np.ndarray          #: degree vector ``A 1``
-    w2: np.ndarray         #: two-walk vector ``A² 1``
-    s: np.ndarray          #: vertex square counts (Def. 8)
-    cw4: np.ndarray        #: ``diag(A⁴) = 2s + d² + w2 - d``
-    diamond: sp.csr_array  #: edge square counts ``◇`` (Def. 9), adjacency pattern
-    adj: sp.csr_array      #: the adjacency itself (for edge-aligned products)
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "FactorStats":
-        from repro.analytics.fourcycles import (
-            closed_walks4,
-            edge_squares_matrix,
-            vertex_squares_matrix,
-        )
-
-        if graph.has_self_loops:
-            raise ValueError(
-                "FactorStats requires a loop-free factor (paper §II-B); "
-                "Assumption 1(ii)'s +I_A is handled by the formula layer, "
-                "not by the factor"
-            )
-        d = graph.degrees().astype(np.int64)
-        w2 = np.asarray(graph.adj @ d).ravel().astype(np.int64)
-        s = vertex_squares_matrix(graph)
-        cw4 = closed_walks4(graph)
-        diamond = edge_squares_matrix(graph)
-        return cls(n=graph.n, d=d, w2=w2, s=s, cw4=cw4, diamond=diamond, adj=graph.adj)
-
-    def global_squares(self) -> int:
-        """Total 4-cycles in the factor: ``Σ s / 4``."""
-        total, rem = divmod(int(self.s.sum()), 4)
-        assert rem == 0
-        return total
 
 
 def vertex_squares_product(bk: BipartiteKronecker) -> np.ndarray:

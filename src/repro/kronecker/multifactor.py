@@ -34,10 +34,11 @@ prefix's inverse, a digit descent over the same tables
 (:meth:`~KroneckerChain.work_row`), is where the degree-aware
 partitioner (:mod:`repro.parallel.partition`) cuts its shards.
 
-The engine never imports scipy: a factor's walk tables come from a
-blocked numpy pass over its CSR pattern (:func:`_walk_tables`), so
-building, streaming and serving a chain hold factor-sized tables plus
-one block.  Only :meth:`KroneckerChain.materialize`, a referee, does.
+The engine never imports scipy: a factor's walk tables come from one
+numpy pass over its CSR pattern (:func:`_walk_tables`: blocked over the
+wedges, or dense products for a small dense factor), so building,
+streaming and serving a chain hold factor-sized tables plus one block.
+Only :meth:`KroneckerChain.materialize`, a referee, does.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ __all__ = [
 #: and edge-file frame.  A ground-truth block is 24 bytes an entry
 #: (~1.5 MiB), small enough to stay cache-resident.
 STREAM_BLOCK_ENTRIES = 1 << 16
+
+#: Largest factor whose walk tables come from dense int32 matrix
+#: products (4 MiB a matrix), when it also has ``n³ ≤ 32 · Σ w2``:
+#: K₇₁,₇₁ has 716k wedges for a 142-vertex ``X²``, and ``einsum``'s
+#: own loops (exact, on the calling thread, no BLAS) multiply it in
+#: under a millisecond, several times faster than its wedge pass.
+DENSE_MAX_N = 1024
 
 
 def def8_finish(cw4, d2, w2, d):
@@ -108,39 +116,87 @@ class _WalkTable:
         factor.__dict__[self.name] = table
 
 
-def _walk_tables(factor: ChainFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(w2, cw4, w3)`` of a factor from its CSR pattern, in numpy.
+def _walk_tables(
+    factor: ChainFactor, *, edges: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(w2, cw4, w3)`` of a factor from its CSR pattern, in numpy;
+    ``w3`` is None unless ``edges``.
 
-    Every two-walk ``i → m → b`` (a *wedge*) is expanded, for blocks of
-    rows holding at most :data:`STREAM_BLOCK_ENTRIES` wedges (a row with
-    more is a block alone).  Sorting a block's wedge keys ``(i, b)``
-    gives its rows of ``X²``: ``cw4(i)`` sums their squares, and each
-    wedge reads back the ``X²(i, b)`` of its key, so ``w3(i, m) =
-    Σ_{b ∈ N(m)} X²(i, b)`` is a segment sum over the wedges of entry
-    ``(i, m)``.  Memory is a few blocks of wedges, whatever ``X²``'s size.
+    ``w2`` sums the neighbours' degrees.  A small dense factor (see
+    :data:`DENSE_MAX_N`) is multiplied as dense int32 matrices, whose
+    entries stay below ``n³ ≤ 2³⁰``.  Otherwise two-walks ``i → m → b``
+    (*wedges*) are expanded for blocks of rows holding at most
+    :data:`STREAM_BLOCK_ENTRIES` of them (a row with more is a block
+    alone), and sorting a block's wedge keys ``(i, b)`` gives its rows
+    of ``X²`` as runs of equal keys.  For ``w3`` every
+    wedge is expanded and reads back the length of its run, so ``w3(i,
+    m) = Σ_{b ∈ N(m)} X²(i, b)`` is a segment sum over the wedges of
+    entry ``(i, m)``, and ``cw4(i)`` sums row ``i``'s squared run
+    lengths.  Without ``w3`` only the wedges with ``b > i`` are
+    expanded, about half: ``X²`` is symmetric with ``X²(i, i) = d_i``,
+    so each run ``(i, b)`` adds its square to ``cw4`` at ``i`` and at
+    ``b``, and ``d²`` adds the diagonal.  Memory is a few blocks of
+    wedges, whatever ``X²``'s size.
     """
     n, indptr, indices, d = factor.n, factor.indptr, factor.indices, factor.d
-    per_entry = d[indices]  # wedges out of each stored entry
+    per_entry = d[indices]  # wedges out of each stored entry, >= 1
     entry_ends = np.concatenate(([0], np.cumsum(per_entry)))
     w2 = entry_ends[indptr[1:]] - entry_ends[indptr[:-1]]
+    if n <= DENSE_MAX_N and n**3 <= 32 * int(entry_ends[-1]):
+        rows = factor.entry_rows()
+        X = np.zeros((n, n), dtype=np.int32)
+        X[rows, indices] = 1
+        X2 = np.einsum("ij,jk->ik", X, X)
+        cw4 = np.einsum("ij,ij->i", X2, X2).astype(np.int64)
+        w3 = np.einsum("ij,jk->ik", X2, X)[rows, indices].astype(np.int64) if edges else None
+        return w2, cw4, w3
+    first_b = indptr[indices]
+    if not edges:
+        # The wedges with b > i of entry e = (i, m) follow entry (m, i)
+        # in row m, the e-th entry in (column, row) order.
+        first_b = np.argsort(indices * n + factor.entry_rows()) + 1
+        per_entry = indptr[indices + 1] - first_b
+        entry_ends = np.concatenate(([0], np.cumsum(per_entry)))
+    wedges = entry_ends[indptr[1:]] - entry_ends[indptr[:-1]]
     cw4 = np.zeros(n, dtype=np.int64)
-    w3 = np.zeros(indices.size, dtype=np.int64)
-    row_ends = np.cumsum(w2)
+    w3 = np.zeros(indices.size, dtype=np.int64) if edges else None
+    shift = (n - 1).bit_length()  # a key is (row in block) << shift | column
+    narrow = np.int32 if n < 2**31 else np.int64  # keys sort faster in 32 bits
+    cols = indices.astype(narrow)
+    row_ends = np.cumsum(wedges)
     lo = 0
     while lo < n:
-        base = row_ends[lo] - w2[lo]
+        base = row_ends[lo] - wedges[lo]
         hi = max(lo + 1, int(np.searchsorted(row_ends, base + STREAM_BLOCK_ENTRIES, "right")))
+        total = int(row_ends[hi - 1] - base)
+        if total == 0:
+            lo = hi
+            continue
         first, last = indptr[lo], indptr[hi]
         counts = per_entry[first:last]
-        starts = np.repeat(indptr[indices[first:last]] - entry_ends[first:last] + base, counts)
-        b = indices[starts + np.arange(row_ends[hi - 1] - base)]
-        i = np.repeat(np.repeat(np.arange(hi - lo), d[lo:hi]), counts)
-        keys, at, x2 = np.unique(i * n + b, return_inverse=True, return_counts=True)
-        squares = np.concatenate(([0], np.cumsum(x2 * x2)))
-        cw4[lo:hi] = np.diff(squares[np.searchsorted(keys, np.arange(hi - lo + 1) * n)])
-        walks = np.concatenate(([0], np.cumsum(x2[at])))
-        w3[first:last] = np.diff(walks[entry_ends[first : last + 1] - base])
+        starts = np.repeat(first_b[first:last] - entry_ends[first:last] + base, counts)
+        width = narrow if (hi - lo) << shift < 2**31 else np.int64
+        row_keys = np.repeat(np.arange(hi - lo, dtype=width) << shift, d[lo:hi])
+        keys = np.repeat(row_keys, counts) + cols[starts + np.arange(total)]
+        if edges:
+            order = np.argsort(keys)
+            keys = keys[order]
+        else:
+            keys.sort()
+        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        x2 = np.diff(np.append(runs, total))
+        live = lo + np.flatnonzero(wedges[lo:hi])  # rows with wedges; each starts a run
+        at = np.searchsorted(runs, row_ends[live] - wedges[live] - base)
+        cw4[live] += np.add.reduceat(x2 * x2, at)
+        if edges:
+            per_wedge = np.empty(total, dtype=np.int64)
+            per_wedge[order] = np.repeat(x2, x2)
+            w3[first:last] = np.add.reduceat(per_wedge, entry_ends[first:last] - base)
+        else:  # X²(b, i) = X²(i, b)
+            np.add.at(cw4, (keys[runs] & ((1 << shift) - 1)).astype(np.intp), x2 * x2)
         lo = hi
+    if not edges:
+        cw4 += d * d
     return w2, cw4, w3
 
 
@@ -148,7 +204,7 @@ def _walk_tables(factor: ChainFactor) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class ChainFactor:
     """The factor-sized tables the chain engine consumes.
 
-    Unlike :class:`~repro.kronecker.ground_truth.FactorStats` this
+    Unlike :class:`~repro.refcheck.spgemm.FactorStats` this
     admits factors *with* self loops (the effective ``M = A + I_A`` of
     Assumption 1(ii)); loop-freeness is a property of the **product**
     and is enforced by :class:`KroneckerChain`.  All arrays are int64;
@@ -171,12 +227,10 @@ class ChainFactor:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "ChainFactor":
-        """A graph's factor, read off its canonical (sorted, binary) CSR."""
-        indptr = np.asarray(graph.indptr, dtype=np.int64)
-        indices = np.asarray(graph.indices, dtype=np.int64)
+        """A graph's factor, read off its canonical (sorted, binary, int64) CSR."""
         return cls(
-            n=graph.n, nnz=graph.nnz, indptr=indptr, indices=indices, d=np.diff(indptr),
-            has_loops=graph.has_self_loops,
+            n=graph.n, nnz=graph.nnz, indptr=graph.indptr, indices=graph.indices,
+            d=np.diff(graph.indptr), has_loops=graph.has_self_loops,
         )
 
     def entry_rows(self) -> np.ndarray:

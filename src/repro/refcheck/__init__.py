@@ -8,8 +8,12 @@ package supplies the referees and the machinery around them:
 
 * :mod:`repro.refcheck.brute` — brute-force counters by direct cycle
   enumeration on the materialized product (never imports the formulas);
+* :mod:`repro.refcheck.spgemm` — the one SpGEMM form of the closed-walk
+  tables (``walk_tables``), the referee of the engine's and the direct
+  counter's numpy wedge pass, and the per-factor counts ``FactorStats``
+  finished from it with their own Def. 8/9 arithmetic;
 * :mod:`repro.refcheck.printed` — the paper's printed Thm. 3/4/5
-  coefficient forms as ``sp.kron`` term sums over per-factor counts,
+  coefficient forms as ``sp.kron`` term sums over ``FactorStats``,
   and the multi-factor ``combine_stats`` fold built on them;
 * :mod:`repro.refcheck.corpus` — seeded random and adversarial factor
   corpora, plus multi-factor chains;
@@ -38,6 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "edge_squares_product_reference": ".printed",
     "multi_kronecker_global_squares": ".printed",
     "multi_kronecker_stats": ".printed",
+    "FactorStats": ".spgemm",
     "vertex_squares_product_reference": ".printed",
     "MetamorphicViolation": ".metamorphic",
     "check_edge_deletion_monotonicity": ".metamorphic",

@@ -2,7 +2,7 @@
 
 Every other implementation of the paper's quantities in this repository
 — the chain engine, the printed ``sp.kron`` term sums, the oracle, the
-streaming values, the matrix identities in :mod:`repro.analytics` —
+streaming values, the walk-table counter in :mod:`repro.analytics` —
 descends from the *same* closed-walk algebra.  A shared algebra bug
 would pass every bit-identity check between them.  This module is the
 derivation-independent referee: it counts 4-cycles by direct

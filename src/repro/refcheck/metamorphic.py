@@ -21,13 +21,13 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.kronecker.assumptions import Assumption, BipartiteKronecker, make_bipartite_product
 from repro.kronecker.ground_truth import (
-    FactorStats,
     edge_squares_product,
     global_squares_product,
     vertex_squares_product,
 )
 from repro.kronecker.multifactor import KroneckerChain
 from repro.refcheck.printed import global_squares_from_stats
+from repro.refcheck.spgemm import FactorStats
 
 __all__ = [
     "MetamorphicViolation",

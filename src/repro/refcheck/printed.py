@@ -5,9 +5,9 @@ multiplicative Def. 8/9 forms on :class:`~repro.kronecker.multifactor.KroneckerC
 tables.  This module is its referee on the formula side: it evaluates
 the coefficient forms as the paper prints them (with Thm. 4's sign
 erratum corrected, see :mod:`repro.kronecker.ground_truth`), as sums of
-``np.kron``/``sp.kron`` terms over :class:`~repro.kronecker.ground_truth.FactorStats`
--- ``FactorStats`` count ``s`` and ``◇`` on each factor directly, so no
-chain table and no Def. 8/9 finish is involved.  The differential
+``np.kron``/``sp.kron`` terms over :class:`~repro.refcheck.spgemm.FactorStats`
+-- ``FactorStats`` count ``s`` and ``◇`` on each factor by SpGEMM, so no
+chain table and no engine Def. 8/9 finish is involved.  The differential
 verifier (:mod:`repro.refcheck.differ`) and the property tests hold the
 engine to these values, and :func:`combine_stats` folds them into an
 engine-independent multi-factor reference.
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kronecker.assumptions import Assumption
-from repro.kronecker.ground_truth import FactorStats
+from repro.refcheck.spgemm import FactorStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.graph import Graph

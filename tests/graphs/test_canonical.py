@@ -4,9 +4,10 @@ replaced, kept here as the referee.
 Every input -- COO with duplicates, explicit zeros, ±1 duplicates that
 cancel and self loops, in several sparse formats or dense, and
 asymmetric, empty and non-square ones -- must give the referee's
-``indptr``/``indices``/``data`` arrays with the referee's dtypes, or the
-same ``ValueError``.  ``BipartiteGraph.from_biadjacency`` is held to the
-scipy block matrix it was built with the same way.
+``indptr``/``indices``/``data`` values and data dtype, with int64
+indices whatever width the referee picks, or the same ``ValueError``.
+``BipartiteGraph.from_biadjacency`` is held to the scipy block matrix it
+was built with the same way.
 """
 
 import numpy as np
@@ -43,19 +44,27 @@ def _scipy_canonical(matrix) -> sp.csr_array:
 
 
 def _outcome(build, matrix):
-    """The CSR arrays ``build`` makes of ``matrix``, or its ValueError."""
+    """The CSR arrays ``build`` makes of ``matrix`` and their data dtype,
+    or its ValueError."""
     try:
         csr = build(matrix)
     except ValueError as exc:
         return "error", str(exc)
-    return csr.shape, [(a.dtype, a.tolist()) for a in (csr.indptr, csr.indices, csr.data)]
+    return csr.shape, csr.data.dtype, [a.tolist() for a in (csr.indptr, csr.indices, csr.data)]
+
+
+def _int64_indexed(adj):
+    """``adj``, once its index arrays are checked to be int64: the one
+    width every ``Graph`` stores."""
+    assert adj.indptr.dtype == adj.indices.dtype == np.int64
+    return adj
 
 
 def _assert_same(matrix_factory):
     """Graph and the referee agree on fresh copies of one input (the
     referee sums duplicates in place)."""
     want = _outcome(_scipy_canonical, matrix_factory())
-    got = _outcome(lambda m: Graph(m).adj, matrix_factory())
+    got = _outcome(lambda m: _int64_indexed(Graph(m).adj), matrix_factory())
     assert got == want
 
 
@@ -133,7 +142,9 @@ def _scipy_block(X) -> sp.csr_array:
 @SETTINGS
 def test_from_biadjacency_matches_the_scipy_referee(fmt, spec):
     want = _outcome(_scipy_block, _build(fmt, *spec))
-    got = _outcome(lambda m: BipartiteGraph.from_biadjacency(m).graph.adj, _build(fmt, *spec))
+    got = _outcome(
+        lambda m: _int64_indexed(BipartiteGraph.from_biadjacency(m).graph.adj), _build(fmt, *spec)
+    )
     assert got == want
 
 
@@ -170,7 +181,7 @@ def edge_arrays(draw):
 @SETTINGS
 def test_constructors_and_helpers_match_the_scipy_referee(spec):
     """The constructors and the helpers that build a new graph keep the
-    arrays and dtypes of the scipy paths they used before."""
+    arrays of the scipy paths they used before, with int64 indices."""
     n, u, v = spec
     g = Graph.from_edge_arrays(n, u, v)
     ones = np.ones(2 * u.size, dtype=np.int64)
@@ -198,4 +209,4 @@ def test_constructors_and_helpers_match_the_scipy_referee(spec):
         (Graph.empty(n).adj, _scipy_canonical(sp.csr_array((n, n), dtype=np.int64))),
     ]
     for got, want in pairs:
-        assert _outcome(lambda m: m, got) == _outcome(lambda m: m, want)
+        assert _outcome(_int64_indexed, got) == _outcome(lambda m: m, want)

@@ -251,6 +251,41 @@ class TestRecordedNumbers:
             flat = " ".join((REPO_ROOT / doc).read_text().split())
             assert f"{plan} against {bisect}" in flat, doc
 
+    def test_direct_counter_table_matches_bench_record(self):
+        """docs/performance.md item 3's direct-counter table and its
+        K₇₁,₇₁ sentence are quoted from BENCH_generation.json's
+        ``test_walk_tables`` row, rounded as printed."""
+        import json
+
+        record = json.loads((REPO_ROOT / "BENCH_generation.json").read_text())
+        row = {r["bench"]: r for r in record["benches"]}["test_walk_tables"]
+        assert row["counter_matches_referee"] == 1
+
+        def printed(seconds):
+            ms = seconds * 1e3
+            if ms >= 1000:
+                return f"{seconds:.2f} s"
+            return f"{ms:.0f} ms" if ms >= 100 else f"{ms:.1f} ms"
+
+        text = (REPO_ROOT / "docs" / "performance.md").read_text()
+        item = text.split("3. **One direct 4-cycle counter", 1)[1].split("\n4. **", 1)[0]
+        for name, label in (
+            ("unicode", "unicode stand-in (868 vertices)"),
+            ("pa", "preferential attachment (20,000, 3)"),
+            ("biclique", "`K₇₁,₇₁`"),
+        ):
+            f = row["factors"][name]
+            cells = [label, f"{f['wedges']:,}", printed(f["counter_seconds"]),
+                     printed(f["referee_seconds"]), printed(f["global_seconds"]),
+                     printed(f["a2_global_seconds"])]
+            assert "| " + " | ".join(cells) + " |" in item, name
+        k71 = row["factors"]["biclique"]
+        flat = " ".join(item.split())
+        assert (
+            f"`K₇₁,₇₁` costs {printed(k71['counter_seconds'])} against "
+            f"{printed(k71['referee_seconds'])}" in flat
+        )
+
     def test_serving_capacity_numbers_match_bench_record(self):
         """docs/serving.md's capacity table and docs/performance.md's
         serving paragraph are quoted from BENCH_serve.json, rounded as

@@ -32,12 +32,12 @@ from repro.kronecker import (
     product_global_triangles,
     product_vertex_triangles,
 )
-from repro.kronecker.ground_truth import FactorStats
 from repro.refcheck.printed import (
     combine_stats,
     multi_kronecker_global_squares,
     multi_kronecker_stats,
 )
+from repro.refcheck.spgemm import FactorStats
 
 from tests.strategies import connected_graphs
 

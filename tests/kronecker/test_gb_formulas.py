@@ -1,11 +1,13 @@
-"""Tests: the paper's §I GraphBLAS formulas, in their ``scipy.sparse`` form.
+"""Tests: the paper's §I GraphBLAS formulas and the counters built on them.
 
 §I writes every quantity with Kronecker products, Hadamard products,
-diagonals and reductions.  The repo evaluates those forms on
-``scipy.sparse``: ``closed_walks4`` = row sums of ``A²∘A²``,
-``edge_squares_matrix`` = ``A³∘A`` with degree corrections, and the
-product references ``Σ sign · left ⊗ right``.  Each is checked here
-against an independent count.
+diagonals and reductions.  Those forms live on ``scipy.sparse`` in the
+referees: :class:`~repro.refcheck.spgemm.FactorStats` (``A² = A @ A``,
+``diag(A⁴)`` as row sums of ``A²∘A²``, ``A³∘A`` at the edges) and the
+printed product references ``Σ sign · left ⊗ right``.  The direct
+counter (``vertex_squares_matrix``, ``edge_squares_matrix``,
+``global_squares``) finishes the same Def. 8/9 identities on the
+numpy walk tables.  Each is checked here against an independent count.
 """
 
 import numpy as np
@@ -26,9 +28,9 @@ from repro.kronecker import (
     make_bipartite_product,
     vertex_squares_product,
 )
-from repro.kronecker.ground_truth import FactorStats
 from repro.refcheck import brute
 from repro.refcheck.printed import vertex_squares_product_reference
+from repro.refcheck.spgemm import FactorStats
 
 from tests.strategies import connected_graphs
 

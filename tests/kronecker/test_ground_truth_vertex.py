@@ -26,7 +26,7 @@ from repro.kronecker import (
     squares_if_square_free_factors,
     vertex_squares_product,
 )
-from repro.kronecker.ground_truth import FactorStats
+from repro.refcheck.spgemm import FactorStats
 
 from tests.strategies import connected_bipartite_graphs, connected_nonbipartite_graphs
 

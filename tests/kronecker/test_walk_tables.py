@@ -1,24 +1,30 @@
 """``ChainFactor``'s numpy walk tables against the scipy product form
-they replaced, kept here as the referee.
+they replaced, :func:`repro.refcheck.spgemm.walk_tables`, the referee.
 
 Every pattern -- self loops, isolated vertices, ``n = 0`` and ``n = 1``,
 stars and bicliques -- must give the referee's ``w2``, ``cw4`` and
 ``w3`` with int64 dtypes, at the default block size and at block sizes
-small enough to split the rows into many blocks.
+small enough to split the rows into many blocks, through the dense
+products and through the wedge pass, with ``w3`` and without.  The
+direct counter built on the tables,
+:func:`repro.analytics.fourcycles.edge_squares_matrix`, must give
+the referee's ``FactorStats.diamond``: the adjacency pattern, explicit
+zeros included, int64 counts and the same index dtypes.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytics.fourcycles import edge_squares_matrix
 from repro.generators import complete_bipartite, konect_unicode_like, star_graph
 from repro.graphs.graph import Graph
 from repro.kronecker import multifactor
 from repro.kronecker.multifactor import ChainFactor, _walk_tables
+from repro.refcheck.spgemm import FactorStats, walk_tables
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -26,25 +32,31 @@ SETTINGS = settings(max_examples=200, deadline=None)
 BLOCKS = [1, 3, 17, multifactor.STREAM_BLOCK_ENTRIES]
 
 
-def _scipy_walk_tables(factor: ChainFactor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scipy SpGEMM form the walk tables were built with before numpy."""
-    ones = np.ones(factor.nnz, dtype=np.int64)
-    X = sp.csr_array((ones, factor.indices, factor.indptr), shape=(factor.n, factor.n))
-    X2 = X @ X
-    w2 = np.asarray(X2.sum(axis=1)).ravel().astype(np.int64)
-    cw4 = np.asarray(X2.multiply(X2).sum(axis=1)).ravel().astype(np.int64)
-    w3 = (X2 @ X)[factor.entry_rows(), factor.indices] if factor.nnz else np.zeros(0)
-    return w2, cw4, np.asarray(w3).ravel().astype(np.int64)
-
-
 def _assert_matches_referee(graph: Graph, block: int) -> None:
+    """All three tables, and ``(w2, cw4)`` alone, from the dense
+    products where the factor qualifies and from the wedge pass."""
     factor = ChainFactor.from_graph(graph)
-    with mock.patch.object(multifactor, "STREAM_BLOCK_ENTRIES", block):
-        got = _walk_tables(factor)
-    want = _scipy_walk_tables(factor)
-    for name, g, w in zip(("w2", "cw4", "w3"), got, want):
-        assert g.dtype == np.int64, name
-        assert g.shape == w.shape and np.array_equal(g, w), name
+    want = walk_tables(factor.n, factor.indptr, factor.indices)
+    for dense_max_n in (multifactor.DENSE_MAX_N, -1):
+        with mock.patch.object(multifactor, "STREAM_BLOCK_ENTRIES", block), mock.patch.object(
+            multifactor, "DENSE_MAX_N", dense_max_n
+        ):
+            got = _walk_tables(factor)
+            vertex = _walk_tables(factor, edges=False)
+        assert vertex[2] is None
+        for name, g, w in [*zip(("w2", "cw4", "w3"), got, want), *zip(("w2", "cw4"), vertex, want)]:
+            assert g.dtype == np.int64, name
+            assert g.shape == w.shape and np.array_equal(g, w), name
+
+
+def _assert_counter_matches_referee(graph: Graph) -> None:
+    got, want = edge_squares_matrix(graph), FactorStats.from_graph(graph).diamond
+    assert got.shape == want.shape
+    assert got.data.dtype == np.int64
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert np.array_equal(got.indices, graph.indices)  # explicit zeros kept
 
 
 @st.composite
@@ -64,6 +76,7 @@ def patterns(draw) -> Graph:
 @SETTINGS
 def test_walk_tables_match_the_scipy_referee(graph, block):
     _assert_matches_referee(graph, block)
+    _assert_counter_matches_referee(graph.without_self_loops())
 
 
 def _named_graphs() -> dict[str, Graph]:

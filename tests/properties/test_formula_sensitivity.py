@@ -15,8 +15,8 @@ import pytest
 from repro.analytics import vertex_squares_matrix
 from repro.generators import complete_bipartite, complete_graph, cycle_graph, path_graph
 from repro.kronecker import Assumption, make_bipartite_product
-from repro.kronecker.ground_truth import FactorStats
 from repro.refcheck.printed import vertex_terms
+from repro.refcheck.spgemm import FactorStats
 
 
 def _reference_products():

@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 
 from repro.graphs.bipartite import is_bipartite
 from repro.graphs.graph import Graph
-from repro.kronecker import (
-    Assumption,
-    FactorStats,
-    GroundTruthOracle,
-    make_bipartite_product,
-)
+from repro.kronecker import Assumption, GroundTruthOracle, make_bipartite_product
 from repro.kronecker.ground_truth import edge_squares_product, vertex_squares_product
 from repro.kronecker.multifactor import ChainFactor, KroneckerChain
 from repro.refcheck.printed import (
@@ -32,6 +27,7 @@ from repro.refcheck.printed import (
     vertex_squares_from_stats,
     vertex_squares_product_reference,
 )
+from repro.refcheck.spgemm import FactorStats
 
 from tests.strategies import (
     connected_bipartite_graphs,

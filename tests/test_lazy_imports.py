@@ -242,6 +242,25 @@ def test_derived_graphs_never_load_scipy():
     assert not _scipy_modules(result["loaded"])
 
 
+def test_direct_counter_never_loads_scipy():
+    """The direct 4-cycle counter reads the numpy walk tables, so vertex,
+    closed-walk and global counts load no scipy."""
+    result = _run(
+        "import json, sys\n"
+        "from repro.analytics import global_squares, vertex_squares_matrix\n"
+        "from repro.analytics.fourcycles import closed_walks4\n"
+        "from repro.generators import preferential_attachment\n"
+        "g = preferential_attachment(200, 3, seed=0)\n"
+        "s = vertex_squares_matrix(g)\n"
+        "print(json.dumps({'ok': bool((2 * s <= closed_walks4(g)).all()),\n"
+        "                  'global': global_squares(g), 'sum': int(s.sum()),\n"
+        "                  'loaded': sorted(sys.modules)}))\n"
+    )
+    assert result["ok"]
+    assert 4 * result["global"] == result["sum"] > 0
+    assert not _scipy_modules(result["loaded"])
+
+
 def test_shadowed_names_stay_functions_after_their_submodules_import():
     """``graphs.degeneracy``, ``generators.rmat`` and
     ``analytics.projection`` name both a submodule and a function in it;
