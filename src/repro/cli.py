@@ -704,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,  # repro.serve.service.DEFAULT_CACHE_BYTES, not imported to parse
         metavar="MIB",
         help="per-worker LRU result-cache budget in MiB; each entry is "
-        "charged its answer bytes + 32-byte digest + fixed overhead, and "
+        "charged its answer bytes + request index bytes + fixed overhead, and "
         "answers larger than the budget go uncached (0 disables caching; "
         "default %(default)g)",
     )

@@ -44,7 +44,6 @@ Only :meth:`KroneckerChain.materialize`, a referee, does.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -668,8 +667,11 @@ class KroneckerChain:
         and ``indices``: two factors of equal shape but different edges
         (``pa:16:2:0`` vs ``pa:16:2:1``) must not share a signature, or
         a resume would mix their shards.  Hashed here, not in
-        ``__init__``, so building a chain stays hash-free.
+        ``__init__``, so building a chain stays hash-free, and imported
+        here so a serving process never loads ``hashlib`` (OpenSSL).
         """
+        import hashlib
+
         factors = []
         for f in self.factors:
             h = hashlib.sha256()

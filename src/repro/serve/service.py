@@ -13,11 +13,14 @@ degrades gracefully under heavy traffic instead of falling over:
   same index values) are answered from an ``OrderedDict`` LRU without
   touching the kernels; hits and misses are counted both locally
   (:meth:`stats`) and through :mod:`repro.obs`.  The key is ``(kind, n,
-  SHA-256 of the index bytes)``, so an entry is charged its answer
-  bytes, its 32-byte digest and :data:`ENTRY_OVERHEAD` bytes of key and
-  LRU bookkeeping, never a copy of the request.  The cache evicts the
-  least recently used entries while the charges exceed ``cache_bytes``;
-  an answer whose charge alone exceeds the budget is returned uncached.
+  index bytes)``: the exact validated int64 bytes, so a hit is
+  confirmed by byte equality and two requests can never collide.  An
+  entry is charged its answer bytes, its key bytes and
+  :data:`ENTRY_OVERHEAD` bytes of key and LRU bookkeeping.  The cache
+  evicts the least recently used entries while the charges exceed
+  ``cache_bytes``; an answer whose charge alone exceeds the budget is
+  returned uncached.  Nothing here hashes with ``hashlib``, so a serving
+  process never maps OpenSSL.
 * **Backpressure.**  Once ``max_queue`` calls are in progress, the
   next cache miss sheds with a typed :class:`Overloaded` error (HTTP
   503, wire ``STATUS_OVERLOADED``) instead of letting latency grow
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from hashlib import sha256
 from typing import Any, Optional
 
 import numpy as np
@@ -60,12 +62,13 @@ INVALID_SQUARES = -1
 #: Default result-cache budget per service (per pre-fork worker): 2 MiB.
 DEFAULT_CACHE_BYTES = 2 << 20
 
-#: Bytes charged per cache entry besides its answer and digest: the key
-#: tuple, the LRU node with its share of the hash table, and the answer
-#: array's header.  ``tracemalloc`` reads 290-395 B per entry (CPython
-#: 3.11, numpy 2.4), the spread being how full the LRU's hash table is;
-#: at 360 B a full cache's traced memory stays within 1.1x its budget
-#: for 1- to 4,096-query answers (tests/serve/test_service.py).
+#: Bytes charged per cache entry besides its answer and key bytes: the
+#: key tuple and its bytes object's header, the LRU node with its share
+#: of the hash table, and the answer array's header.  ``tracemalloc``
+#: reads 320-405 B per entry (CPython 3.11, numpy 2.4), the spread
+#: being how full the LRU's hash table is; at 360 B a full cache's
+#: traced memory stays within 1.1x its budget for 1- to 4,096-query
+#: answers and 4,096-pair ones (tests/serve/test_service.py).
 ENTRY_OVERHEAD = 360
 
 
@@ -78,8 +81,15 @@ class Overloaded(RuntimeError):
 
 
 def _entry_bytes(key: tuple, value: Any) -> int:
-    """Bytes one cache entry is charged: answer, key digest, fixed overhead."""
+    """Bytes one cache entry is charged: answer, key bytes, fixed overhead."""
     return getattr(value, "nbytes", 8) + len(key[2]) + ENTRY_OVERHEAD
+
+
+def _cache_key(kind: str, ps: np.ndarray, qs: Optional[np.ndarray]) -> tuple:
+    """``(kind, n, ps bytes [+ qs bytes])`` over validated native int64
+    buffers; pair kinds enforce ``len(ps) == len(qs)``, so ``n`` makes
+    the concatenation unambiguous."""
+    return (kind, ps.size, ps.tobytes() if qs is None else b"".join((ps, qs)))
 
 
 class _Answered:
@@ -108,7 +118,7 @@ class OracleService:
         mode).
     cache_bytes:
         Result-cache budget in bytes, charged per entry by answer bytes
-        + digest + :data:`ENTRY_OVERHEAD` (``0`` disables the cache).
+        + key bytes + :data:`ENTRY_OVERHEAD` (``0`` disables the cache).
     """
 
     def __init__(
@@ -163,7 +173,7 @@ class OracleService:
         arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 1:
             raise ValueError(f"{name} must be a flat index list, got shape {arr.shape}")
-        # Native byte order and C order: the cache key hashes the buffer.
+        # Native byte order and C order: the cache key is the buffer's bytes.
         arr = np.ascontiguousarray(arr)
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.oracle.n):
             bad = arr[(arr < 0) | (arr >= self.oracle.n)][0]
@@ -177,10 +187,8 @@ class OracleService:
     ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[tuple]]:
         """Shared request validation: ``(ps_arr, qs_arr, cache_key)``.
 
-        The key is ``(kind, n, sha256(ps || qs))`` over the validated
-        int64 buffers; pair kinds enforce ``len(ps) == len(qs)``, so
-        ``n`` makes the concatenation unambiguous.  ``None`` when the
-        cache is off -- nothing is hashed then.
+        The key is :func:`_cache_key`'s; ``None`` when the cache is off,
+        and no key is built then.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown query kind {kind!r} (expected one of {KINDS})")
@@ -203,10 +211,7 @@ class OracleService:
             qs_arr = None
         if not self.cache_budget_bytes:
             return ps_arr, qs_arr, None
-        digest = sha256(ps_arr)
-        if qs_arr is not None:
-            digest.update(qs_arr)
-        return ps_arr, qs_arr, (kind, ps_arr.size, digest.digest())
+        return ps_arr, qs_arr, _cache_key(kind, ps_arr, qs_arr)
 
     def answer(self, kind: str, ps: Any = None, qs: Any = None) -> Any:
         """Answer one request on the caller's thread.

@@ -6,7 +6,11 @@ every corruption mode (tampered bytes, missing file, wrong signature)
 must be *detected*, never silently trusted.
 """
 
+import hashlib
+import importlib
 import json
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -26,12 +30,14 @@ from repro.parallel import (
     generate_chain_shards,
     load_manifest,
     load_shards,
+    manifest,
     shard_file_checksum,
     validate_manifest,
     verify_shards,
     write_edges_file,
     write_manifest,
 )
+from repro.parallel.manifest import OPENSSL_MIN_BYTES
 
 
 @pytest.fixture
@@ -83,6 +89,48 @@ class TestChecksum:
     def test_checksum_key_order_invariant(self):
         p, q = np.arange(3), np.arange(3, 6)
         assert checksum_arrays({"p": p, "q": q}) == checksum_arrays({"q": q, "p": p})
+
+    def test_small_mapping_digest_is_pinned(self):
+        arrays = {
+            "p": np.arange(4, dtype=np.int64),
+            "w": np.array([[1, -2], [3, 4]], dtype=np.int32),
+        }
+        assert checksum_arrays(arrays) == (
+            "sha256:aae0f6012eca3fa1e662855262e4180ad0106d4c6b3c3ac45df15cc758582917"
+        )
+
+    @pytest.mark.parametrize("offset", [-8, 0, 8])
+    def test_checksum_matches_openssl_across_the_threshold(self, offset):
+        """Just below, at and just above :data:`OPENSSL_MIN_BYTES` of
+        column bytes, the array and the streamed ``(length, chunks)``
+        forms both equal ``hashlib.sha256`` over the same key, dtype,
+        shape and bytes."""
+        w = np.arange(-8, 8, dtype=np.int32).reshape(4, 4)
+        p = np.random.default_rng(offset + 8).integers(
+            -(2**62), 2**62, size=(OPENSSL_MIN_BYTES + offset - w.nbytes) // 8
+        )
+        assert p.nbytes + w.nbytes == OPENSSL_MIN_BYTES + offset
+        reference = hashlib.sha256()
+        for key, a in (("p", p), ("w", w)):
+            reference.update(key.encode("utf-8"))
+            reference.update(str(a.dtype).encode("ascii"))
+            reference.update(repr(a.shape).encode("ascii"))
+            reference.update(a.tobytes())
+        expected = f"sha256:{reference.hexdigest()}"
+        assert checksum_arrays({"w": w, "p": p}) == expected
+        streamed = (p.size, np.array_split(p, 5))
+        assert checksum_arrays({"w": w, "p": streamed}) == expected
+
+    def test_builtin_sha256_below_the_threshold_openssl_from_it(self):
+        """Small checksums hash with CPython's builtin SHA-256 (``_sha2``
+        from 3.12, ``_sha256`` before), so checking a small artifact
+        loads no OpenSSL; from the threshold on, ``hashlib``'s runs."""
+        if platform.python_implementation() != "CPython":
+            pytest.skip("the builtin SHA-256 modules are CPython's")
+        builtin = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+        assert manifest._builtin_sha256 is builtin.sha256
+        assert type(manifest._sha256_for(OPENSSL_MIN_BYTES - 1)) is type(builtin.sha256())
+        assert type(manifest._sha256_for(OPENSSL_MIN_BYTES)) is type(hashlib.sha256())
 
 
 class TestManifestRoundTrip:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.kronecker import GroundTruthOracle
+from repro.parallel import manifest
 from repro.serve import (
     ARTIFACT_SCHEMA,
     ORACLE_FILE,
@@ -108,16 +109,42 @@ def test_sidecar_contents(oracle_i, tmp_path):
     assert (out / ORACLE_FILE).stat().st_size == info["oracle_bytes"]
 
 
-def test_checksum_tamper_refused(oracle_i, tmp_path):
-    """A flipped degree value must fail the content checksum on load."""
+#: ``repro pack complete:3 biclique:2x3``'s content checksum, as every
+#: earlier release wrote it.
+PACKED_CHECKSUM = "sha256:7e706aafef6ebdb110c509cedadb11acb018263eb7248b7c3f558994f5366f05"
+
+
+#: ``OPENSSL_MIN_BYTES`` settings that put the artifact's column bytes
+#: below the builtin SHA-256's threshold (as packed) and, at 0, at or
+#: above it, where OpenSSL's hashes.
+SHA256_SIDES = {"builtin": manifest.OPENSSL_MIN_BYTES, "openssl": 0}
+
+
+@pytest.mark.parametrize("side", SHA256_SIDES)
+def test_pack_keeps_its_checksum_on_both_sides_of_the_threshold(tmp_path, monkeypatch, side):
+    from repro.cli import main
+
+    monkeypatch.setattr(manifest, "OPENSSL_MIN_BYTES", SHA256_SIDES[side])
+    out = tmp_path / "art"
+    assert main(["pack", "complete:3", "biclique:2x3", "-o", str(out)]) == 0
+    assert artifact_info(out)["checksum"] == PACKED_CHECKSUM
+    load_oracle(out)
+
+
+def test_checksum_tamper_refused(oracle_i, tmp_path, monkeypatch):
+    """A flipped degree value must fail the content checksum on load,
+    whichever SHA-256 implementation hashes it."""
     out = save_oracle(oracle_i, tmp_path / "art")
+    assert artifact_info(out)["checksum"] == PACKED_CHECKSUM
     with np.load(out / ORACLE_FILE) as data:
         arrays = {key: data[key].copy() for key in data.files}
     arrays["m_d"][0] += 1
     with open(out / ORACLE_FILE, "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(ArtifactIntegrityError, match="checksum mismatch"):
-        load_oracle(out)
+    for openssl_min in SHA256_SIDES.values():
+        monkeypatch.setattr(manifest, "OPENSSL_MIN_BYTES", openssl_min)
+        with pytest.raises(ArtifactIntegrityError, match="checksum mismatch"):
+            load_oracle(out)
     # verify=False deliberately skips the hash (and the stored-vs-derived
     # degree check) -- the caller owns integrity then.
     load_oracle(out, verify=False)

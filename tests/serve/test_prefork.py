@@ -233,6 +233,42 @@ def _refuses(port: int) -> bool:
     return False
 
 
+def _openssl_mappings(pid: int) -> list[str]:
+    """The libcrypto/libssl files ``pid`` maps."""
+    lines = Path(f"/proc/{pid}/maps").read_text().splitlines()
+    return sorted({line.split()[-1] for line in lines if "libcrypto" in line or "libssl" in line})
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/maps")
+def test_serving_processes_never_map_openssl(tmp_path):
+    """Neither the pre-fork parent nor its worker maps OpenSSL: loading
+    and checking the artifact, booting and answering never import
+    ``hashlib``."""
+    env = {**os.environ, "PYTHONPATH": REPO_SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    art = tmp_path / "art"
+    subprocess.run(
+        [sys.executable, "-m", "repro", "pack", "complete:3", "biclique:2x3", "-o", str(art)],
+        env=env, capture_output=True, check=True, timeout=120,
+    )
+    port = _free_port()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--artifact", str(art),
+         "--port", str(port), "--workers-procs", "1"],
+        env=env,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        assert _wait_for(lambda: len(_live_children(proc.pid)) == 1), "worker did not fork"
+        assert _wait_for(lambda: not _refuses(port)), "server did not come up"
+        with WireClient("127.0.0.1", port) as client:
+            assert client.degrees([0]).size == 1
+        pids = [proc.pid, *_live_children(proc.pid)]
+        assert {pid: _openssl_mappings(pid) for pid in pids} == {pid: [] for pid in pids}
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only")
 def test_sigkilled_master_takes_its_workers_down(art_dir):
     """A master killed with SIGKILL runs no shutdown code; its workers

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kronecker.kernels import _BATCH_CHUNK
 from repro.serve import INVALID_SQUARES, OracleService, Overloaded
@@ -14,10 +16,16 @@ from repro.serve.wire import KINDS, PAIR_KINDS
 from tests.serve.conftest import product_edges
 
 
-def budget(entries: int, queries: int = 1) -> int:
-    """A cache budget that holds exactly ``entries`` answers of
-    ``queries`` 8-byte values each (answer + digest + overhead)."""
-    return entries * (8 * queries + 32 + ENTRY_OVERHEAD)
+def charge(queries: int = 1, pairs: bool = False) -> int:
+    """What one cached answer of ``queries`` 8-byte values is charged:
+    the answer, the key's index bytes (``ps``, and ``qs`` for a pair
+    kind) and the fixed overhead."""
+    return 8 * queries + 8 * queries * (2 if pairs else 1) + ENTRY_OVERHEAD
+
+
+def budget(entries: int, queries: int = 1, pairs: bool = False) -> int:
+    """A cache budget that holds exactly ``entries`` such answers."""
+    return entries * charge(queries, pairs)
 
 
 def query_args(kind: str, ps, qs) -> tuple:
@@ -90,7 +98,7 @@ def test_cache_disabled(oracle_i):
 
 
 def test_equal_values_share_one_cache_entry_across_layouts(oracle_i):
-    """The key hashes the validated int64 buffer, not the caller's object."""
+    """The key is the validated int64 buffer's bytes, not the caller's object."""
     values = [3, 1, 4, 1, 5, 9, 2, 6]
     strided = np.zeros(2 * len(values), dtype=np.int64)
     strided[::2] = values
@@ -130,22 +138,24 @@ def test_kinds_with_identical_indices_never_share_an_entry(oracle_i, edges_i):
 
 
 def test_cache_bytes_tracks_answers_not_requests(oracle_i):
-    """A cached 4,096-pair answer is charged its 32 KiB, a digest and the
-    fixed overhead."""
+    """A cached 4,096-pair answer is charged its 32 KiB, its 64 KiB of
+    key bytes and the fixed overhead."""
     n_entries, pairs = 4, 4096
     rng = np.random.default_rng(7)
-    svc = OracleService(oracle_i, cache_bytes=budget(n_entries, queries=pairs))
+    svc = OracleService(oracle_i, cache_bytes=budget(n_entries, queries=pairs, pairs=True))
     for _ in range(n_entries):
         ps, qs = rng.integers(0, oracle_i.n, size=(2, pairs))
         svc.answer("edge_squares", ps, qs)
     full = svc.stats()
     assert full["cache_entries"] == n_entries
-    assert n_entries * 8 * pairs < full["cache_bytes"] <= budget(n_entries, queries=pairs)
-    # A small answer evicts a large one: the tally drops without a rescan.
+    assert n_entries * 24 * pairs < full["cache_bytes"]
+    assert full["cache_bytes"] <= budget(n_entries, queries=pairs, pairs=True)
+    # A small answer evicts a large one (answer and key bytes): the tally
+    # drops without a rescan.
     svc.answer("degree", [0, 1])
     after = svc.stats()
     assert after["cache_entries"] == n_entries
-    assert after["cache_bytes"] < full["cache_bytes"] - 8 * pairs + 256
+    assert after["cache_bytes"] < full["cache_bytes"] - 24 * pairs + 256
     assert after["cache_bytes"] == sum(
         v.nbytes + len(k[2]) + ENTRY_OVERHEAD for k, v in svc._cache.items()
     )
@@ -175,19 +185,73 @@ def test_coalesced_answers_are_cached_as_owned_copies(oracle_i):
     )
 
 
-def test_cache_off_hashes_nothing(oracle_i, edges_i, monkeypatch):
+def test_cache_off_builds_no_key(oracle_i, edges_i, monkeypatch):
     from repro.serve import service as service_module
 
     def refuse(*_args):
-        raise AssertionError("a cache key was hashed with the cache off")
+        raise AssertionError("a cache key was built with the cache off")
 
-    monkeypatch.setattr(service_module, "sha256", refuse)
+    monkeypatch.setattr(service_module, "_cache_key", refuse)
     ep, eq = edges_i
     svc = OracleService(oracle_i, cache_bytes=0)
     assert np.array_equal(svc.answer("edge_squares", ep, eq), oracle_i.squares_at_edges(ep, eq))
     assert svc.answer("global") == oracle_i.global_squares()
     stats = svc.stats()
     assert (stats["cache_bytes"], stats["cache_entries"], stats["oversize"]) == (0, 0, 0)
+
+
+#: Index layouts a caller may send for the same values.
+_LAYOUTS = ("list", "big-endian", "strided")
+
+
+def _in_layout(values: list, layout: str):
+    if layout == "list":
+        return list(values)
+    if layout == "big-endian":
+        return np.asarray(values, dtype=">i8")
+    strided = np.zeros(2 * len(values), dtype=np.int64)
+    strided[::2] = values
+    return strided[::2]
+
+
+@st.composite
+def _requests(draw, n: int):
+    """A few distinct ``(kind, ps, qs)`` requests, then a sequence that
+    replays them, each time in a drawn layout."""
+    index = st.integers(0, n - 1)
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from([k for k in KINDS if k != "global"]))
+        length = draw(st.integers(1, 8))
+        ps = draw(st.lists(index, min_size=length, max_size=length))
+        qs = draw(st.lists(index, min_size=length, max_size=length)) if kind in PAIR_KINDS else None
+        pool.append((kind, ps, qs))
+    replay = st.tuples(
+        st.integers(0, len(pool) - 1), st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS)
+    )
+    return [
+        (*pool[k], ps_layout, qs_layout)
+        for k, ps_layout, qs_layout in draw(st.lists(replay, min_size=1, max_size=12))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_answers_equal_uncached_answers(oracle_i, data):
+    """Every answer, from the cache or not, equals a cache-off service's;
+    equal values in any layout share one entry, and nothing else does."""
+    requests = data.draw(_requests(oracle_i.n))
+    svc = OracleService(oracle_i, cache_bytes=budget(len(requests), queries=8, pairs=True))
+    uncached = OracleService(oracle_i, cache_bytes=0)
+    for kind, ps, qs, ps_layout, qs_layout in requests:
+        args = [_in_layout(ps, ps_layout)]
+        if qs is not None:
+            args.append(_in_layout(qs, qs_layout))
+        np.testing.assert_array_equal(svc.answer(kind, *args), uncached.answer(kind, ps, qs))
+    distinct = {(kind, tuple(ps), tuple(qs or ())) for kind, ps, qs, _, _ in requests}
+    stats = svc.stats()
+    assert stats["cache_entries"] == len(distinct) and stats["evictions"] == 0
+    assert stats["hits"] == len(requests) - len(distinct)
 
 
 @pytest.fixture(scope="module")
@@ -203,33 +267,44 @@ def wide_oracle():
     return GroundTruthOracle(bk)
 
 
-@pytest.mark.parametrize("queries", [1, 16, 4096])
-def test_traced_cache_memory_stays_within_budget(wide_oracle, queries):
+@pytest.mark.parametrize(
+    "queries, kind",
+    [
+        pytest.param(1, "degree", id="1"),
+        pytest.param(16, "degree", id="16"),
+        pytest.param(4096, "degree", id="4096"),
+        pytest.param(4096, "edge_squares", id="4096-pairs"),
+    ],
+)
+def test_traced_cache_memory_stays_within_budget(wide_oracle, queries, kind):
     """Filled three times over with distinct answers, the cache holds no
     more traced memory than its budget allows (+10% for hash-table
-    slack), and its charged bytes never exceed the budget."""
+    slack), and its charged bytes never exceed the budget.  A 4,096-pair
+    entry holds ~98.7 KB: its answer and both index lists' bytes."""
     import gc
     import tracemalloc
 
     limit = 256 * 1024
     rng = np.random.default_rng(queries)
     n = wide_oracle.n
-    distinct = 3 * limit // (8 * queries + 32 + ENTRY_OVERHEAD)
+    pairs = kind in PAIR_KINDS
+    distinct = 3 * limit // charge(queries, pairs)
     if queries == 1:
         requests = [[p] for p in rng.permutation(n)[:distinct]]
         assert len(requests) == distinct
     else:
         requests = [rng.integers(0, n, size=queries) for _ in range(distinct)]
-    wide_oracle.degrees(np.asarray(requests[0]))  # first-call allocations
     svc = OracleService(wide_oracle, cache_bytes=limit)
+    ps = np.asarray(requests[0])
+    # First-call allocations, outside the trace.
+    OracleService(wide_oracle, cache_bytes=0).answer(kind, *query_args(kind, ps, ps))
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for ps in requests:
-            # A fresh array per request, as a server decodes one: hashing
-            # pins a buffer descriptor on the array for the array's life.
-            svc.answer("degree", np.array(ps))
+            # A fresh array per request, as a server decodes one.
+            svc.answer(kind, *query_args(kind, np.array(ps), np.array(ps[::-1])))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
     finally:

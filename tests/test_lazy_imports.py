@@ -46,10 +46,12 @@ NOT_SERVED = (
 
 
 #: Stdlib modules no serving process needs -- the HTTP/TLS/email stack
-#: behind ``http.server``, and what the run record uses -- plus the run
-#: record itself.  numpy 2 imports ``platform`` on its own
-#: (``numpy.lib._utils_impl``), so the guard counts only what the serving
-#: stack loads beyond a bare ``import numpy``.
+#: behind ``http.server``, what the run record uses, and ``hashlib``,
+#: whose ``_hashlib`` maps OpenSSL's libcrypto (artifact checksums use
+#: CPython's builtin SHA-256) -- plus the run record itself.  numpy 2
+#: imports ``platform`` on its own (``numpy.lib._utils_impl``), so the
+#: guard counts only what the serving stack loads beyond a bare
+#: ``import numpy``.
 NOT_BOOTED = (
     "http.server",
     "http.client",
@@ -59,6 +61,8 @@ NOT_BOOTED = (
     "mimetypes",
     "platform",
     "subprocess",
+    "hashlib",
+    "_hashlib",
     "repro.obs.record",
 )
 
