@@ -56,7 +56,7 @@ def test_generation_throughput(benchmark, unicode_product, record_bench):
         stream_seconds=result.t_stream,
         materialize_seconds=result.t_materialize,
     )
-    assert result.directed_entries == unicode_product.implicit.nnz
+    assert result.directed_entries == unicode_product.chain.nnz
 
 
 def test_stream_with_ground_truth_attached(benchmark, unicode_product, record_bench):
@@ -75,7 +75,7 @@ def test_stream_with_ground_truth_attached(benchmark, unicode_product, record_be
         gt_stream_seconds=seconds,
         gt_entries_per_s=entries / seconds,
     )
-    assert entries == unicode_product.implicit.nnz
+    assert entries == unicode_product.chain.nnz
 
 
 def _median_seconds(fn, runs: int) -> float:

@@ -25,6 +25,7 @@ from repro.kronecker.sampling import sample_edges
 from repro.obs import Span
 from repro.refcheck.printed import (
     edge_squares_product_reference,
+    product_stats,
     vertex_squares_product_reference,
 )
 
@@ -60,7 +61,7 @@ def _peak_bytes(fn):
 
 def test_edge_squares_product_fused_vs_legacy(unicode_product, record_bench):
     bk = unicode_product
-    bk.factor_stats()  # shared setup out of both timings
+    product_stats(bk)  # shared setup out of both timings
     t_fused, fused = _best_of(lambda: edge_squares_product(bk))
     t_legacy, legacy = _best_of(lambda: edge_squares_product_reference(bk))
     # Bit-identity first; the speedup row only exists if this holds.
@@ -87,7 +88,7 @@ def test_edge_squares_product_fused_vs_legacy(unicode_product, record_bench):
 
 
 def test_vertex_squares_fused_vs_legacy(unicode_product, record_bench):
-    unicode_product.factor_stats()  # shared setup out of both timings
+    product_stats(unicode_product)  # shared setup out of both timings
     t_fused, fused = _best_of(lambda: vertex_squares_product(unicode_product))
     t_legacy, legacy = _best_of(lambda: vertex_squares_product_reference(unicode_product))
     np.testing.assert_array_equal(fused, legacy)
@@ -185,7 +186,7 @@ if __name__ == "__main__":
 
     A = konect_unicode_like()
     bk = make_bipartite_product(A, A, Assumption.SELF_LOOPS_FACTOR, require_connected=False)
-    bk.factor_stats()
+    product_stats(bk)
     with Span() as t_f:
         fused = edge_squares_product(bk)
     with Span() as t_l:

@@ -22,7 +22,7 @@ from repro.parallel import FaultInjector, RetryPolicy, generate_chain_shards, ve
 def _chain() -> KroneckerChain:
     A = scale_free_bipartite_factor(20, 28, 2, seed=2)
     B = scale_free_bipartite_factor(24, 30, 2, seed=3)
-    return KroneckerChain.from_bipartite(make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR))
+    return make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR).chain
 
 
 def _mean_seconds(benchmark) -> float:

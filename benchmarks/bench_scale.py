@@ -151,13 +151,11 @@ def test_shard_bit_identity_across_formats(benchmark, record_bench, tmp_path):
     """The union of generated shards is bit-identical under every block
     codec of the one container: encoding never changes what was
     generated."""
-    chain = KroneckerChain.from_bipartite(
-        make_bipartite_product(
-            preferential_attachment(12 if QUICK else 24, 2, seed=9),
-            complete_bipartite(3, 4),
-            Assumption.NON_BIPARTITE_FACTOR,
-        )
-    )
+    chain = make_bipartite_product(
+        preferential_attachment(12 if QUICK else 24, 2, seed=9),
+        complete_bipartite(3, 4),
+        Assumption.NON_BIPARTITE_FACTOR,
+    ).chain
     codecs = ["raw", "deflate"]
 
     def run():

@@ -29,7 +29,7 @@ import urllib.request
 
 import numpy as np
 
-from repro.kronecker import GroundTruthOracle
+from repro.kronecker import BipartiteKronecker, GroundTruthOracle
 from repro.kronecker.sampling import sample_edges
 from repro.obs import Span
 from repro.serve import OracleService, load_oracle, save_oracle
@@ -358,10 +358,10 @@ def test_artifact_load_vs_rebuild(unicode_product, tmp_path_factory, record_benc
     save_oracle(oracle, out)
 
     def rebuild() -> GroundTruthOracle:
-        # A cold boot from factors: drop the handle's cached chain, so
-        # both factors' tables are recomputed.
-        unicode_product._stats_cache.pop("chain", None)
-        return GroundTruthOracle(unicode_product)
+        # A cold boot from factors: a fresh handle builds a fresh chain,
+        # so both factors' tables are recomputed.
+        bk = unicode_product
+        return GroundTruthOracle(BipartiteKronecker(bk.A, bk.B, bk.assumption, bk.A_bipartite))
 
     with Span() as t_load:
         loaded = load_oracle(out)

@@ -8,8 +8,8 @@ Three contracts, all asserted in-bench (not just recorded):
    peeled maximum.  The bench would fail on any support-formula drift,
    not just run slower.
 2. **Bit identity** — batched ``wings_at_edges`` answers (the
-   ``/v1/wings`` path) equal the engine's whole-product CSR values edge
-   for edge.
+   ``/v1/wings`` path) equal the engine's streamed bounds edge for
+   edge.
 3. **Complete cover** — the streamed chain bounds enumerate exactly
    ``nnz`` entries, their running max equals the closed-form
    ``max_wing_upper_bound``, and the mixed-radix digit-probe batch
@@ -25,7 +25,6 @@ Run standalone: ``python benchmarks/bench_wings.py``
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.analytics.peel import peel_wing_numbers
 from repro.generators.classic import complete_bipartite, complete_graph, star_graph
@@ -93,11 +92,11 @@ def test_peel_vs_oracle_bounds(benchmark, record_bench):
     by_edge = {_edge_key(p, q): int(s) for p, q, s in zip(u, v, bounds)}
     over = [e for e, w in result.wing.items() if w > by_edge[e]]
     assert not over, f"peeled wing exceeds its Rem. 1 bound at {over[0]}"
-    certified = certified_zero_wing_edges(bk)
+    certified = certified_zero_wing_edges(bk.chain)
     for p, q in certified.tolist():
         assert result.wing[_edge_key(p, q)] == 0, "certified-zero edge peeled nonzero"
     assert result.max_wing <= oracle.max_wing_bound()
-    assert oracle.max_wing_bound() == max_wing_upper_bound(bk)
+    assert oracle.max_wing_bound() == max_wing_upper_bound(bk.chain)
 
     # The dense workload certifies no zeros, so Rem. 1 equality gets its
     # own fringe product (matching right factor) where certified-zero
@@ -108,7 +107,7 @@ def test_peel_vs_oracle_bounds(benchmark, record_bench):
         Assumption.NON_BIPARTITE_FACTOR,
         require_connected=False,
     )
-    fringe_zero = certified_zero_wing_edges(fringe)
+    fringe_zero = certified_zero_wing_edges(fringe.chain)
     assert fringe_zero.shape[0] > 0, "fringe product lost its certified zeros"
     fringe_wing = peel_wing_numbers(fringe.materialize().adj).wing
     for p, q in fringe_zero.tolist():
@@ -130,7 +129,8 @@ def test_peel_vs_oracle_bounds(benchmark, record_bench):
 
 def test_wing_bound_query_throughput(benchmark, record_bench):
     """Batched ``wings_at_edges`` (the ``/v1/wings`` answer path) over
-    tiled whole-edge-set batches, bit-identical to the engine's CSR."""
+    tiled whole-edge-set batches, bit-identical to the engine's streamed
+    bounds."""
     bk = _product()
     oracle = GroundTruthOracle(bk)
     C = bk.materialize()
@@ -140,18 +140,18 @@ def test_wing_bound_query_throughput(benchmark, record_bench):
     bounds = benchmark.pedantic(
         oracle.wings_at_edges, args=(ps, qs), rounds=ROUNDS, iterations=1
     )
-    coo = sp.csr_array(wing_upper_bounds(bk)).tocoo()
     by_edge = {
-        (int(p), int(q)): int(s)
-        for p, q, s in zip(coo.row, coo.col, coo.data)
+        (p, q): s
+        for rows, cols, sup in wing_upper_bounds(bk.chain)
+        for p, q, s in zip(rows.tolist(), cols.tolist(), sup.tolist())
     }
     for p, q, s in zip(u.tolist(), v.tolist(), bounds[: u.size].tolist()):
-        assert by_edge[(p, q)] == s, "oracle batch diverged from the engine CSR"
+        assert by_edge[(p, q)] == s, "oracle batch diverged from the engine stream"
     seconds = _best_seconds(benchmark)
     record_bench(
         f"wing bounds {ps.size:,} queries "
         f"({ps.size / seconds / 1e6 if seconds else 0.0:.1f} M/s), "
-        f"bit-identical to the engine CSR over {u.size:,} edges",
+        f"bit-identical to the engine stream over {u.size:,} edges",
         queries=int(ps.size),
         edges=int(u.size),
         seconds=seconds,

@@ -50,9 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Assumption": ".kronecker",
     "BipartiteKronecker": ".kronecker",
     "make_bipartite_product": ".kronecker",
-    "KroneckerProduct": ".kronecker",
-    "kron_graph": ".kronecker",
-    "kron_power": ".kronecker",
     "vertex_squares_product": ".kronecker",
     "edge_squares_product": ".kronecker",
     "global_squares_product": ".kronecker",

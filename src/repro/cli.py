@@ -143,7 +143,7 @@ def _build_chain(args):
     if len(args.factors) < 2:
         raise ValueError(f"shards needs two or more factor specs, got {len(args.factors)}")
     if len(args.factors) == 2:
-        return KroneckerChain.from_bipartite(_build_product(args, args.factors))
+        return _build_product(args, args.factors).chain
     if args.assumption != "i" or args.allow_disconnected:
         raise ValueError(
             "--assumption and --allow-disconnected apply to two factor specs only; "

@@ -19,7 +19,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.bipartite import is_bipartite
 from repro.kronecker.assumptions import BipartiteKronecker
 from repro.kronecker.ground_truth import vertex_squares_product
-from repro.kronecker.product import kron_graph
+from repro.kronecker.multifactor import KroneckerChain
 from repro.refcheck import brute
 
 __all__ = [
@@ -80,7 +80,7 @@ def fig1_connectivity_table(cases: List[Fig1Case] | None = None) -> Fig1Result:
     """Reproduce Fig. 1: build each example product, measure, compare."""
     rows = []
     for case in cases or fig1_trio():
-        C = kron_graph(case.A, case.B)
+        C = Graph(KroneckerChain.from_graphs([case.A, case.B]).materialize())
         rows.append(
             Fig1Row(
                 name=case.name,
@@ -168,7 +168,7 @@ def fig3_example_squares() -> Fig3Result:
     """Count the squares Fig. 3 highlights in each Fig. 1 product."""
     rows = []
     for case in fig1_trio():
-        C = kron_graph(case.A, case.B)
+        C = Graph(KroneckerChain.from_graphs([case.A, case.B]).materialize())
         a_loopfree = case.A.without_self_loops()
         rows.append(
             Fig3Row(
@@ -269,7 +269,7 @@ def fig5_degree_vs_squares(bk: BipartiteKronecker, factor_label: str = "factor A
     """
     d_fac = bk.A.degrees().astype(np.int64)
     s_fac = vertex_squares_matrix(bk.A)
-    d_prod = bk.implicit.degrees()
+    d_prod = bk.chain.degrees(np.arange(bk.n))
     s_prod = vertex_squares_product(bk)
     return Fig5Result(
         factor=Fig5Series(factor_label, d_fac, s_fac),

@@ -3,17 +3,15 @@ ground-truth 4-cycle and density statistics.
 
 Layer map (paper section in parentheses):
 
-* :mod:`~repro.kronecker.indexing` -- product/factor index maps (Def. 4).
-* :mod:`~repro.kronecker.product` -- materialized and implicit
-  Kronecker products, multi-factor powers (Def. 4).
 * :mod:`~repro.kronecker.assumptions` -- Assumption 1(i)/(ii)
-  validation and the central :class:`BipartiteKronecker` handle
-  (§III-A).
+  validation and the :class:`BipartiteKronecker` certificate, which
+  hands out its product as the chain ``[M, B]`` (§III-A).
 * :mod:`~repro.kronecker.connectivity` -- Thms. 1-2 predictions and
   the Weichsel disconnection certificate (§III-A).
 * :mod:`~repro.kronecker.multifactor` -- :class:`KroneckerChain`, the
-  one ground-truth engine: Def. 8/9 over per-factor tables, batched
-  vertex/edge queries by digit decomposition, streamed row ranges.
+  one product (Def. 4) and ground-truth engine: mixed-radix digits,
+  Def. 8/9 over per-factor tables, batched vertex/edge queries, streamed
+  row ranges and the one materializer.
 * :mod:`~repro.kronecker.ground_truth` -- per-factor statistics and
   the 4-cycle formulas: Thm. 3/4 (vertices), Thm. 5 and our derived
   Assumption-1(ii) variant (edges), plus sublinear global counts
@@ -37,9 +35,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Assumption": ".assumptions",
     "BipartiteKronecker": ".assumptions",
     "make_bipartite_product": ".assumptions",
-    "KroneckerProduct": ".product",
-    "kron_graph": ".product",
-    "kron_power": ".product",
     "ConnectivityPrediction": ".connectivity",
     "predict_product_connectivity": ".connectivity",
     "weichsel_components": ".connectivity",

@@ -14,11 +14,11 @@ loop-free in case (ii) (the ``+ I_A`` is the library's job, keeping
 case (i) (the paper's formulas for case (i) assume no self loops in
 either factor).
 
-:class:`BipartiteKronecker` is the user-facing object tying everything
-together: it validates its inputs once, exposes the effective left
-factor ``M`` (``A`` or ``A + I_A``), the implicit product, the product
-bipartition, and constructors for the ground-truth, oracle, streaming
-and community layers.
+:class:`BipartiteKronecker` is the Assumption-1 certificate: it
+validates its inputs once and keeps the factors, the effective left
+factor ``M`` (``A`` or ``A + I_A``), the assumption and the product
+bipartition.  Every product quantity comes from the one engine it hands
+out, the 2-factor chain ``[M, B]`` (:attr:`BipartiteKronecker.chain`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+from repro.kronecker.multifactor import KroneckerChain
 
 # The graph model is imported where a product is validated or built, so
 # the served oracle, which needs only :class:`Assumption`, never loads it.
@@ -121,11 +123,14 @@ class BipartiteKronecker:
     """A validated bipartite Kronecker product ``C = M ⊗ B``.
 
     ``M`` is ``A`` under Assumption 1(i) and ``A + I_A`` under 1(ii).
-    Do not construct directly -- use :func:`make_bipartite_product`,
-    which performs the §III-A validation.
+    :attr:`chain` is the product as the 2-factor chain ``[M, B]``; under
+    1(ii) ``M`` carries loops, and the chain's Def. 8/9 forms reproduce
+    Thm. 4 and the derived 1(ii) edge form exactly because only the
+    *product* needs to be loop-free.  Do not construct directly -- use
+    :func:`make_bipartite_product`, which performs the §III-A validation.
     """
 
-    __slots__ = ("A", "B", "assumption", "A_bipartite", "M", "implicit", "_stats_cache")
+    __slots__ = ("A", "B", "assumption", "A_bipartite", "M", "chain")
 
     def __init__(
         self,
@@ -134,8 +139,6 @@ class BipartiteKronecker:
         assumption: Assumption,
         A_bipartite: Optional[BipartiteGraph] = None,
     ):
-        from repro.kronecker.product import KroneckerProduct
-
         self.A = A
         self.B = B
         self.assumption = assumption
@@ -144,28 +147,7 @@ class BipartiteKronecker:
             self.M = A.with_all_self_loops()
         else:
             self.M = A
-        self.implicit = KroneckerProduct(self.M, B.graph)
-        # Per-factor statistics memo, filled lazily by factor_stats();
-        # safe because Graph/BipartiteGraph are immutable by convention.
-        self._stats_cache: dict = {}
-
-    def factor_stats(self):
-        """Cached ``(FactorStats(A), FactorStats(B))`` for this product.
-
-        These SpGEMM statistics (:mod:`repro.refcheck.spgemm`) are the
-        input of the printed-form referee (:mod:`repro.refcheck.printed`);
-        the ground-truth entry points read the chain engine's tables
-        instead.  Computing them once per handle lets repeated referee
-        calls share one count.
-        """
-        if "stats" not in self._stats_cache:
-            from repro.refcheck.spgemm import FactorStats
-
-            self._stats_cache["stats"] = (
-                FactorStats.from_graph(self.A),
-                FactorStats.from_graph(self.B.graph),
-            )
-        return self._stats_cache["stats"]
+        self.chain = KroneckerChain.from_graphs([self.M, B.graph])
 
     # ------------------------------------------------------------------
     # Product structure
@@ -173,15 +155,18 @@ class BipartiteKronecker:
 
     @property
     def n(self) -> int:
-        return self.implicit.n
+        return self.chain.n
 
     @property
     def m(self) -> int:
-        return self.implicit.m
+        """Undirected edges of ``C``: loop-free, so half its stored entries."""
+        return self.chain.nnz // 2
 
     def materialize(self) -> Graph:
-        """Materialize ``C`` as a concrete graph."""
-        return self.implicit.materialize()
+        """Materialize ``C`` as a concrete graph, whatever its size."""
+        from repro.graphs.graph import Graph
+
+        return Graph(self.chain.materialize(max_entries=self.chain.nnz))
 
     def materialize_bipartite(self) -> BipartiteGraph:
         """Materialize ``C`` together with its known bipartition."""

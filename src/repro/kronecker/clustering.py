@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.kronecker.assumptions import Assumption, BipartiteKronecker
 from repro.kronecker.ground_truth import edge_squares_product
-from repro.kronecker.multifactor import KroneckerChain
 
 __all__ = [
     "edge_clustering_ground_truth",
@@ -44,8 +43,9 @@ def edge_clustering_ground_truth(bk: BipartiteKronecker):
     dropped (Def. 10's domain).
     """
     diamond = edge_squares_product(bk).tocoo()
-    d_c = bk.implicit.degrees()
-    denom = (d_c[diamond.row] - 1) * (d_c[diamond.col] - 1)
+    d_row = bk.chain.degrees(diamond.row)
+    d_col = bk.chain.degrees(diamond.col)
+    denom = (d_row - 1) * (d_col - 1)
     keep = denom > 0
     return (
         diamond.row[keep].astype(np.int64),
@@ -126,9 +126,8 @@ def _thm6_bound(bk: BipartiteKronecker, psi):
 
     # Ground-truth Γ_C at those edges from the point-wise formula -- no
     # product-sized matrix is materialized or fancy-indexed.
-    vals, _ = KroneckerChain.from_bipartite(bk).edge_squares(p, q)
-    d_c = bk.implicit.degrees()
-    gamma_c = vals / ((d_c[p] - 1) * (d_c[q] - 1))
+    vals, _ = bk.chain.edge_squares(p, q)
+    gamma_c = vals / ((bk.chain.degrees(p) - 1) * (bk.chain.degrees(q) - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(gamma_c > 0, bound / gamma_c, np.inf)
     return {"p": p, "q": q, "gamma_c": gamma_c, "bound": bound, "ratio": ratio}

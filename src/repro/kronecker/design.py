@@ -31,7 +31,6 @@ from repro.generators.classic import (
 from repro.generators.scale_free import scale_free_bipartite_factor
 from repro.graphs.bipartite import BipartiteGraph
 from repro.kronecker.assumptions import Assumption, BipartiteKronecker
-from repro.kronecker.multifactor import KroneckerChain
 
 __all__ = ["DesignTarget", "DesignCandidate", "design_product", "default_factor_library"]
 
@@ -106,7 +105,7 @@ def _score(bk: BipartiteKronecker, target: DesignTarget) -> tuple[int, int, int,
     """Sublinear evaluation of one candidate."""
     n = bk.n
     m = bk.m
-    squares = KroneckerChain.from_bipartite(bk).global_squares()
+    squares = bk.chain.global_squares()
     score = 0.0
     if target.n_vertices:
         score += target.weight_vertices * abs(np.log((n + 1) / (target.n_vertices + 1)))

@@ -85,7 +85,7 @@ def vertex_squares_product(bk: BipartiteKronecker) -> np.ndarray:
     Dense int64 vector of length ``n_C = n_A * n_B``; vertex
     ``p = γ(i, k)`` is at position ``i * n_B + k``.
     """
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     return chain.vertex_squares(np.arange(chain.n, dtype=np.int64))
 
 
@@ -96,7 +96,7 @@ def global_squares_product(bk: BipartiteKronecker) -> int:
     formed, never the ``n_C``-length vector.  This is the §I claim that
     "global scalar quantities are computed sublinearly".
     """
-    return KroneckerChain.from_bipartite(bk).global_squares()
+    return bk.chain.global_squares()
 
 
 def edge_squares_product(bk: BipartiteKronecker) -> sp.csr_array:
@@ -110,7 +110,7 @@ def edge_squares_product(bk: BipartiteKronecker) -> sp.csr_array:
     """
     import scipy.sparse as sp
 
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     p, q, vals = (np.empty(chain.nnz, dtype=np.int64) for _ in range(3))
     end = 0
     for rows, cols, squares in chain.stream_rows(0, chain.n, attach_ground_truth=True):

@@ -16,7 +16,8 @@ product**, so it is read from factor-sized tables (:class:`ChainFactor`):
 These hold for factors *with* self loops as long as the product is
 loop-free (at least one factor loop-free), so the 2-factor products of
 Assumption 1(i)/(ii) are exactly the chains ``[M, B]`` with
-``M = A`` or ``A + I_A``: Thm. 3/4/5 and the derived 1(ii) edge formula
+``M = A`` or ``A + I_A`` (each :class:`~repro.kronecker.assumptions.BipartiteKronecker`
+holds its own as ``.chain``): Thm. 3/4/5 and the derived 1(ii) edge formula
 are these two finishes on two factors.  The paper's printed forms live
 in :mod:`repro.refcheck.printed` as an independent referee.
 
@@ -38,7 +39,8 @@ The engine never imports scipy: a factor's walk tables come from one
 numpy pass over its CSR pattern (:func:`_walk_tables`: blocked over the
 wedges, or dense products for a small dense factor), so building,
 streaming and serving a chain hold factor-sized tables plus one block.
-Only :meth:`KroneckerChain.materialize`, a referee, does.
+Only :meth:`KroneckerChain.materialize`, the one materializer (for
+referees, and for ``BipartiteKronecker.materialize``), does.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover
     import scipy.sparse as sp
 
     from repro.graphs.graph import Graph
-    from repro.kronecker.assumptions import BipartiteKronecker
 
 __all__ = [
     "STREAM_BLOCK_ENTRIES",
@@ -285,27 +286,13 @@ class KroneckerChain:
     def from_graphs(cls, graphs: Sequence[Graph]) -> "KroneckerChain":
         return cls([ChainFactor.from_graph(g) for g in graphs])
 
-    @classmethod
-    def from_bipartite(cls, bk: BipartiteKronecker) -> "KroneckerChain":
-        """The 2-factor chain ``[M, B]`` of an Assumption-1 product,
-        built once per handle.
-
-        Under 1(ii) ``M = A + I_A`` carries loops; the chain formulas
-        reproduce Thm. 4 and the derived 1(ii) edge form exactly
-        (``diag((A+I)⁴) = cw4_A + 6 d_A + 1`` for bipartite ``A``, etc.)
-        because only the *product* needs to be loop-free.
-        """
-        cache = bk._stats_cache
-        if "chain" not in cache:
-            cache["chain"] = cls.from_graphs([bk.M, bk.B.graph])
-        return cache["chain"]
-
     # -- mixed-radix prefix machinery ---------------------------------
 
     def digits(self, p: int) -> tuple[int, ...]:
-        """Per-factor row digits of product row ``p``."""
+        """Per-factor row digits of product row ``p``: Def. 4's α/β maps,
+        mixed-radix (``divmod(p, n_B)`` on a 2-factor chain)."""
         if not 0 <= p < self.n:
-            raise ValueError(f"row {p} out of range [0, {self.n})")
+            raise IndexError(f"product vertex {p} out of range [0, {self.n})")
         out = [0] * len(self.factors)
         rem = p
         for t in range(len(self.factors) - 1, -1, -1):
@@ -644,7 +631,9 @@ class KroneckerChain:
                             yield rows, cols
 
     def materialize(self, max_entries: int = 5_000_000) -> sp.csr_array:
-        """Fold the factors with ``sp.kron`` — referee-sized chains only."""
+        """Fold the factors with ``sp.kron`` into the product's CSR, in
+        :func:`scipy.sparse.kron` order — at most ``max_entries`` stored
+        entries unless the caller lifts the cap."""
         if self.nnz > max_entries:
             raise ValueError(
                 f"refusing to materialize a {self.nnz}-entry chain product "

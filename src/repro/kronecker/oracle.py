@@ -4,7 +4,7 @@
 a data structure of size ``O(|E_C|^{1/2})`` (i.e. factor-sized) yields
 ground truth at query time.  :class:`GroundTruthOracle` is that data
 structure: it holds the product's 2-factor chain ``[M, B]``
-(:meth:`~repro.kronecker.multifactor.KroneckerChain.from_bipartite`) and
+(:attr:`~repro.kronecker.assumptions.BipartiteKronecker.chain`) and
 answers
 
 * ``degrees(ps)``                          ``Π d``
@@ -51,7 +51,7 @@ class GroundTruthOracle:
     """
 
     def __init__(self, bk: BipartiteKronecker):
-        self._setup(KroneckerChain.from_bipartite(bk), bk.B.part, bk.assumption)
+        self._setup(bk.chain, bk.B.part, bk.assumption)
 
     def _setup(self, chain: KroneckerChain, part_b: np.ndarray, assumption: Assumption) -> None:
         if len(chain.factors) != 2:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.analytics.triangles import edge_triangles, vertex_triangles
 from repro.graphs.graph import Graph
-from repro.kronecker.product import kron_graph
+from repro.kronecker.multifactor import KroneckerChain
 
 __all__ = [
     "triangle_free_vertex_mask",
@@ -82,5 +82,5 @@ def ground_truth_truss_region(A: Graph, B: Graph) -> Graph:
     construction §III-B alludes to.  Materializes only the region.
     """
     mask = triangle_free_vertex_mask(A, B)
-    C = kron_graph(A, B)
+    C = Graph(KroneckerChain.from_graphs([A, B]).materialize())
     return C.subgraph(np.flatnonzero(mask))

@@ -27,7 +27,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.kronecker.assumptions import BipartiteKronecker
-from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import get_events, get_metrics, get_tracer
 
 __all__ = ["stream_edges", "streamed_connectivity_audit"]
@@ -40,10 +39,10 @@ def stream_edges(
 
     Yields ``(p, q)`` index-array pairs -- or ``(p, q, diamonds)``
     triples when ``attach_ground_truth`` -- exactly the blocks of
-    ``KroneckerChain.from_bipartite(bk).stream_rows(0, bk.n, ...)``.
+    ``bk.chain.stream_rows(0, bk.n, ...)``.
     Every yielded array is its own, so blocks may be kept as they come.
     """
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     # Per-block accounting, gated on one boolean so the disabled path
     # pays a single branch per block.
     metrics = get_metrics()

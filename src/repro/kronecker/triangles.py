@@ -11,7 +11,8 @@ and per edge ``Δ_C = (C² ∘ C) = (A² ∘ A) ⊗ (B² ∘ B) = Δ_A ⊗ Δ_B`
 Two uses here:
 
 * the general formulas themselves (this library also generates
-  non-bipartite products via :func:`repro.kronecker.product.kron_graph`);
+  non-bipartite products via
+  :meth:`~repro.kronecker.multifactor.KroneckerChain.materialize`);
 * the bipartite sanity theorem: any product with a bipartite factor has
   ``t_C = 0`` identically -- which the formulas reproduce because the
   bipartite factor's ``diag(B³)`` vanishes.  Tests pin both.

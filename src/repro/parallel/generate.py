@@ -8,9 +8,8 @@ counting pass at all (§V).
 
 :func:`generate_chain_shards` is the one shard writer.  It takes a
 deep multi-factor :class:`~repro.kronecker.multifactor.KroneckerChain`
-(``A ⊗ B ⊗ C ⊗ …``; a 2-factor Assumption-1 product enters as
-:meth:`KroneckerChain.from_bipartite
-<repro.kronecker.multifactor.KroneckerChain.from_bipartite>`), cuts
+(``A ⊗ B ⊗ C ⊗ …``; a 2-factor Assumption-1 product enters as its
+:attr:`~repro.kronecker.assumptions.BipartiteKronecker.chain`), cuts
 its row space into ``degree``-balanced ranges
 (:func:`~repro.parallel.partition.plan_partition`) and streams each
 range without ever materializing an intermediate product.  Every shard

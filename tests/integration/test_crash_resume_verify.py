@@ -22,7 +22,6 @@ import pytest
 from repro.generators import complete_bipartite, cycle_graph
 from repro.obs import events_to, read_events
 from repro.kronecker import Assumption, make_bipartite_product
-from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel import (
     FaultInjector,
     RetryBudgetExceeded,
@@ -50,7 +49,7 @@ def bk():
 
 @pytest.fixture
 def chain(bk):
-    return KroneckerChain.from_bipartite(bk)
+    return bk.chain
 
 
 def test_resumed_run_passes_brute_force_spot_checks(bk, chain, tmp_path):
@@ -200,7 +199,7 @@ def test_resume_with_ground_truth_under_self_loops(tmp_path):
     bk = make_bipartite_product(
         complete_bipartite(2, 2).graph, cycle_graph(4), Assumption.SELF_LOOPS_FACTOR
     )
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     crash_dir = tmp_path / "crash"
     with pytest.raises(RetryBudgetExceeded):
         generate_chain_shards(

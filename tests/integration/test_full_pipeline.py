@@ -20,6 +20,7 @@ from repro.graphs import (
     write_matrix_market,
 )
 from repro.generators import complete_bipartite, konect_unicode_like
+from repro.refcheck.printed import product_stats
 
 
 class TestDiskToOracle:
@@ -41,7 +42,7 @@ class TestDiskToOracle:
         assert oracle.global_squares() > 10**7
         # and its factor row agrees with direct counting on the factor
         assert global_squares(factor.graph) == sum(
-            bk.factor_stats()[0].s.tolist()
+            product_stats(bk)[0].s.tolist()
         ) // 4
 
     def test_fig5_product_degrees_multiply_factor_degrees(self):

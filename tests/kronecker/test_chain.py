@@ -117,12 +117,12 @@ def test_stream_identical_across_block_sizes(factors):
 
 
 def test_from_bipartite_matches_entries_order_free():
-    """The 2-factor chain view generates the same entry set (and the
-    same per-entry counts) as the BipartiteKronecker product."""
+    """A BipartiteKronecker's chain generates the entry set (and the
+    per-entry counts) of the materialized product."""
     bk = make_bipartite_product(
         cycle_graph(5), complete_bipartite(2, 3), Assumption.NON_BIPARTITE_FACTOR
     )
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     assert chain.n == bk.n and chain.nnz == 2 * bk.m
     graph = bk.materialize()
     expected = brute.squares_at_edges(graph)
@@ -172,6 +172,17 @@ def test_digits_roundtrip():
         for f, d in zip(chain.factors, digits):
             back = back * f.n + d
         assert back == p
+
+
+def test_digits_out_of_range_raises_index_error():
+    """``digits`` rejects a row outside ``[0, n)`` as the batched
+    queries do: with IndexError."""
+    chain = KroneckerChain.from_graphs([path_graph(3), star_graph(3), path_graph(2)])
+    for p in (-1, chain.n, chain.n + 5):
+        with pytest.raises(IndexError, match="out of range"):
+            chain.digits(p)
+        with pytest.raises(IndexError, match="out of range"):
+            chain.degrees([p])
 
 
 def test_materialize_refuses_large():

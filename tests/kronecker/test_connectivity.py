@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from repro.generators import complete_bipartite, cycle_graph, path_graph
 from repro.graphs import Graph, connected_components, is_bipartite, is_connected
 from repro.graphs.connectivity import num_components
-from repro.kronecker import kron_graph, predict_product_connectivity, weichsel_components
+from repro.kronecker import predict_product_connectivity, weichsel_components
 
+from tests.shard_referee import kron_graph
 from tests.strategies import connected_bipartite_graphs, connected_nonbipartite_graphs
 
 
@@ -18,7 +19,7 @@ class TestPredictions:
         pred = predict_product_connectivity(A, B)
         assert pred.connected is True
         assert "Thm 1" in pred.reason
-        C = kron_graph(A, B)
+        C = kron_graph([A, B])
         assert is_connected(C) and is_bipartite(C)
 
     def test_thm2_predicted_and_true(self):
@@ -27,7 +28,7 @@ class TestPredictions:
         pred = predict_product_connectivity(A, B)
         assert pred.connected is True
         assert "Thm 2" in pred.reason
-        C = kron_graph(A, B)
+        C = kron_graph([A, B])
         assert is_connected(C) and is_bipartite(C)
 
     def test_weichsel_predicted_and_true(self):
@@ -35,7 +36,7 @@ class TestPredictions:
         pred = predict_product_connectivity(A, B)
         assert pred.connected is False
         assert "Weichsel" in pred.reason
-        assert num_components(kron_graph(A, B)) == 2
+        assert num_components(kron_graph([A, B])) == 2
 
     def test_nonbipartite_B_out_of_scope(self):
         pred = predict_product_connectivity(cycle_graph(3), cycle_graph(5))
@@ -53,7 +54,7 @@ class TestPropertyBased:
     @settings(max_examples=30, deadline=None)
     def test_thm1_property(self, A, B):
         """Thm 1: non-bipartite connected x bipartite connected -> connected."""
-        C = kron_graph(A, B.graph)
+        C = kron_graph([A, B.graph])
         assert is_connected(C)
         assert is_bipartite(C)
 
@@ -61,7 +62,7 @@ class TestPropertyBased:
     @settings(max_examples=30, deadline=None)
     def test_thm2_property(self, A, B):
         """Thm 2: (A + I) x B with A, B bipartite connected -> connected."""
-        C = kron_graph(A.graph.with_all_self_loops(), B.graph)
+        C = kron_graph([A.graph.with_all_self_loops(), B.graph])
         assert is_connected(C)
         assert is_bipartite(C)
 
@@ -69,7 +70,7 @@ class TestPropertyBased:
     @settings(max_examples=30, deadline=None)
     def test_weichsel_property(self, A, B):
         """Two connected bipartite loop-free factors -> exactly 2 components."""
-        C = kron_graph(A.graph, B.graph)
+        C = kron_graph([A.graph, B.graph])
         assert num_components(C) == 2
 
 
@@ -80,7 +81,7 @@ class TestWeichselComponents:
         A = BipartiteGraph(path_graph(5))
         B = complete_bipartite(2, 3)
         same, crossed = weichsel_components(A, B)
-        C = kron_graph(A.graph, B.graph)
+        C = kron_graph([A.graph, B.graph])
         labels = connected_components(C)
         # All of "same" shares one label, all of "crossed" the other.
         assert np.unique(labels[same]).size == 1

@@ -100,7 +100,7 @@ def bk():
 class TestVertexSquares:
     def test_blocked_loops_match_grid(self, bk):
         want = vertex_squares_product_reference(bk)
-        chain = KroneckerChain.from_bipartite(bk)
+        chain = bk.chain
         rng = np.random.default_rng(5)
         ps = rng.integers(0, bk.n, size=3 * _BATCH_CHUNK + 7).astype(np.int64)
         np.testing.assert_array_equal(chain.vertex_squares(ps), want[ps])
@@ -125,7 +125,7 @@ class TestEdgeFuse:
         rng = np.random.default_rng(n)
         ps = rng.integers(0, bk.n, size=n).astype(np.int64)
         qs = rng.integers(0, bk.n, size=n).astype(np.int64)
-        vals, valid = KroneckerChain.from_bipartite(bk).edge_squares(ps, qs)
+        vals, valid = bk.chain.edge_squares(ps, qs)
         is_edge = bk.materialize().adj.toarray()[ps, qs] != 0
         assert 0 < is_edge.sum() < n
         np.testing.assert_array_equal(valid, is_edge)
@@ -163,7 +163,7 @@ class TestMaskingAtCallSites:
         np.testing.assert_array_equal(
             got[valid], oracle.squares_at_edges(grid[0][valid], grid[1][valid])
         )
-        chain = KroneckerChain.from_bipartite(bk)
+        chain = bk.chain
         chain_got = chain_wings_at_edges(chain, grid[0], grid[1], on_invalid="mask")
         np.testing.assert_array_equal(chain_got, got)
 

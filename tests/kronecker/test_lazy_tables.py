@@ -64,7 +64,7 @@ def test_plan_and_plain_stream_build_no_tables(builds):
 
 def test_plain_stream_edges_builds_no_tables(builds):
     bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     assert sum(block[0].size for block in stream_edges(bk)) == chain.nnz
     assert builds() == []
     assert _unbuilt(chain)

@@ -78,7 +78,7 @@ class TestSampleEdges:
         from repro.kronecker import global_squares_product
 
         _, _, squares = sample_edges(bk, 6000, seed=6)
-        nnz = bk.implicit.nnz
+        nnz = bk.chain.nnz
         estimate = squares.mean() * nnz / 8
         exact = global_squares_product(bk)
         assert abs(estimate - exact) / exact < 0.15

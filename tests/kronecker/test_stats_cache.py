@@ -1,5 +1,5 @@
-"""Tests for the per-handle caches on BipartiteKronecker: factor
-statistics and the chain ``[M, B]``."""
+"""Tests for what is built once per product: the handle's chain
+``[M, B]`` and the referee's memoised factor statistics."""
 
 import numpy as np
 
@@ -13,20 +13,19 @@ from repro.kronecker import (
     vertex_squares_product,
 )
 from repro.kronecker.multifactor import ChainFactor, KroneckerChain
+from repro.refcheck.printed import product_stats
 
 
 class TestFactorStatsCache:
     def test_same_objects_returned(self):
         bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
-        a1, b1 = bk.factor_stats()
-        a2, b2 = bk.factor_stats()
+        a1, b1 = product_stats(bk)
+        a2, b2 = product_stats(bk)
         assert a1 is a2 and b1 is b2
 
     def test_oracle_shares_cached_stats(self):
         bk = make_bipartite_product(path_graph(4), path_graph(5), Assumption.SELF_LOOPS_FACTOR)
-        chain = KroneckerChain.from_bipartite(bk)
-        assert KroneckerChain.from_bipartite(bk) is chain
-        assert GroundTruthOracle(bk).chain is chain
+        assert GroundTruthOracle(bk).chain is bk.chain
 
     def test_formula_results_unchanged_by_cache(self):
         """Cached and freshly-computed paths must agree exactly."""
@@ -38,7 +37,8 @@ class TestFactorStatsCache:
     def test_cache_is_per_handle(self):
         bk1 = make_bipartite_product(cycle_graph(3), path_graph(3), Assumption.NON_BIPARTITE_FACTOR)
         bk2 = make_bipartite_product(cycle_graph(3), path_graph(3), Assumption.NON_BIPARTITE_FACTOR)
-        assert bk1.factor_stats()[0] is not bk2.factor_stats()[0]
+        assert bk1.chain is not bk2.chain
+        assert product_stats(bk1)[0] is not product_stats(bk2)[0]
 
     def test_repeated_global_calls_consistent(self):
         bk = make_bipartite_product(cycle_graph(5), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)

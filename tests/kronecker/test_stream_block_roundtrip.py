@@ -1,7 +1,7 @@
 """``stream_edges`` is the chain's row stream, block for block.
 
 There is one entry stream: :func:`~repro.kronecker.stream_edges` is the
-instrumented pass over ``KroneckerChain.from_bipartite(bk).stream_rows``
+instrumented pass over ``bk.chain.stream_rows``
 at the one block size, ``STREAM_BLOCK_ENTRIES``.  Its concatenation is
 the chain stream's, with and without ground truth, and is the
 materialized product's entry set; blocks kept as they come stay valid
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.generators import complete_bipartite, complete_graph, path_graph, star_graph
 from repro.kronecker import Assumption, make_bipartite_product, stream_edges
-from repro.kronecker.multifactor import STREAM_BLOCK_ENTRIES, KroneckerChain
+from repro.kronecker.multifactor import STREAM_BLOCK_ENTRIES
 from tests.strategies import products
 
 SETTINGS = settings(max_examples=20, deadline=None)
@@ -40,7 +40,7 @@ def _copied(blocks):
 def test_stream_edges_is_the_chain_stream(attach, data):
     assumption = data.draw(st.sampled_from(list(Assumption)))
     bk = data.draw(products(assumption))
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     want = _flatten(_copied(chain.stream_rows(0, chain.n, attach_ground_truth=attach)))
     got = _flatten(_copied(stream_edges(bk, attach_ground_truth=attach)))
     # Blocks kept without a copy must equal the copied stream: nothing
@@ -87,7 +87,7 @@ def test_unchunked_stream_yields_fresh_arrays():
     bk = make_bipartite_product(
         complete_graph(4), complete_bipartite(2, 3).graph, Assumption.NON_BIPARTITE_FACTOR
     )
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     blocks = list(chain.stream_rows(0, chain.n, attach_ground_truth=True, block_entries=7))
     assert len(blocks) > 1
     kept = list(stream_edges(bk, attach_ground_truth=True))

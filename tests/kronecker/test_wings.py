@@ -17,6 +17,15 @@ from repro.kronecker.wings import (
 from tests.strategies import connected_bipartite_graphs
 
 
+def _bounds(bk) -> dict:
+    """``{(p, q): bound}`` streamed from the product's chain."""
+    return {
+        (p, q): b
+        for rows, cols, bounds in wing_upper_bounds(bk.chain)
+        for p, q, b in zip(rows.tolist(), cols.tolist(), bounds.tolist())
+    }
+
+
 def _wing_map(bg):
     """Exact wing numbers keyed ``(min, max)`` in product vertex codes."""
     return peel_wing_numbers(bg.graph.adj).wing
@@ -34,10 +43,10 @@ class TestUpperBounds:
     def test_wing_never_exceeds_support(self, A, B, assumption):
         bk = make_bipartite_product(A, B, assumption)
         C = bk.materialize_bipartite()
-        bounds = wing_upper_bounds(bk)
+        bounds = _bounds(bk)
         wings = _wing_map(C)
         for (u, w), wing in wings.items():
-            assert wing <= bounds[u, w]
+            assert wing <= bounds[(u, w)]
 
     def test_max_bound_dominates_max_wing(self):
         bk = make_bipartite_product(
@@ -45,16 +54,16 @@ class TestUpperBounds:
             Assumption.SELF_LOOPS_FACTOR,
         )
         C = bk.materialize_bipartite()
-        assert peel_wing_numbers(C.graph.adj).max_wing <= max_wing_upper_bound(bk)
+        assert peel_wing_numbers(C.graph.adj).max_wing <= max_wing_upper_bound(bk.chain)
 
     @given(connected_bipartite_graphs(max_side=3), connected_bipartite_graphs(max_side=3))
     @settings(max_examples=15, deadline=None)
     def test_property(self, A, B):
         bk = make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
         C = bk.materialize_bipartite()
-        bounds = wing_upper_bounds(bk)
+        bounds = _bounds(bk)
         for (u, w), wing in _wing_map(C).items():
-            assert wing <= bounds[u, w]
+            assert wing <= bounds[(u, w)]
 
 
 class TestCertifiedZeros:
@@ -62,7 +71,7 @@ class TestCertifiedZeros:
         # triangle+pendant x P2 has square-free edges (see validation battery).
         A = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
         bk = make_bipartite_product(A, path_graph(2), Assumption.NON_BIPARTITE_FACTOR)
-        zeros = certified_zero_wing_edges(bk)
+        zeros = certified_zero_wing_edges(bk.chain)
         assert zeros.shape[0] > 0
         C = bk.materialize_bipartite()
         wings = _wing_map(C)
@@ -74,7 +83,7 @@ class TestCertifiedZeros:
             complete_bipartite(2, 2).graph, complete_bipartite(2, 2).graph,
             Assumption.SELF_LOOPS_FACTOR,
         )
-        assert certified_zero_wing_edges(bk).shape[0] == 0
+        assert certified_zero_wing_edges(bk.chain).shape[0] == 0
 
     def test_max_bound_zero_for_squarefree_products(self):
         from repro.generators import star_graph
@@ -83,6 +92,6 @@ class TestCertifiedZeros:
         bk = make_bipartite_product(
             cycle_graph(3), path_graph(2), Assumption.NON_BIPARTITE_FACTOR
         )
-        assert max_wing_upper_bound(bk) == 0
+        assert max_wing_upper_bound(bk.chain) == 0
         C = bk.materialize_bipartite()
         assert peel_wing_numbers(C.graph.adj).max_wing == 0

@@ -1,8 +1,8 @@
 """Chain-product wing bounds: streamed blocks, the mixed-radix
 digit-probe batch, and pinned degenerate-input behavior.
 
-The 2-factor CSR path is covered by ``test_wings.py``; this module is
-the n-factor and edge-case counterpart.  Every streamed or probed value
+Assumption-1 products' own chains are covered by ``test_wings.py``;
+this module is the n-factor and edge-case counterpart.  Every streamed or probed value
 is refereed against a literal set-intersection support count on the
 materialized product.
 """
@@ -34,6 +34,15 @@ CHAINS = {
     "biclique-star-path": [complete_bipartite(2, 2).graph, star_graph(2), path_graph(2)],
     "dense-triple": [complete_graph(3), complete_bipartite(2, 2).graph, star_graph(2)],
 }
+
+
+def _streamed(chain: KroneckerChain) -> dict:
+    """``{(p, q): bound}`` over every streamed entry."""
+    return {
+        (p, q): s
+        for rows, cols, bounds in wing_upper_bounds(chain)
+        for p, q, s in zip(rows.tolist(), cols.tolist(), bounds.tolist())
+    }
 
 
 def _brute_supports(chain: KroneckerChain) -> dict:
@@ -184,10 +193,9 @@ class TestDegeneratePinning:
             Assumption.SELF_LOOPS_FACTOR,
             require_connected=False,
         )
-        bounds = sp.csr_array(wing_upper_bounds(bk))
-        assert bounds.nnz == 0
-        assert certified_zero_wing_edges(bk).shape == (0, 2)
-        assert max_wing_upper_bound(bk) == 0
+        assert _streamed(bk.chain) == {}
+        assert certified_zero_wing_edges(bk.chain).shape == (0, 2)
+        assert max_wing_upper_bound(bk.chain) == 0
 
     def test_isolated_vertex_factor(self):
         # Vertex 2 of the left factor is isolated: its product rows
@@ -198,18 +206,7 @@ class TestDegeneratePinning:
             Assumption.SELF_LOOPS_FACTOR,
             require_connected=False,
         )
-        bounds = sp.csr_array(wing_upper_bounds(bk))
-        coo = bounds.tocoo()
-        C = bk.materialize()
-        want = {}
-        for (p, q), s in brute.squares_at_edges(Graph(C.adj)).items():
-            want[(p, q)] = int(s)
-            want[(q, p)] = int(s)
-        got = {
-            (int(p), int(q)): int(s)
-            for p, q, s in zip(coo.row, coo.col, coo.data)
-        }
-        assert got == want
+        assert _streamed(bk.chain) == _brute_supports(bk.chain)
 
     def test_single_edge_factors_product(self):
         # P2 x P2 under derived 1(ii): the left-factor self-loops turn
@@ -222,11 +219,11 @@ class TestDegeneratePinning:
             Assumption.SELF_LOOPS_FACTOR,
             require_connected=False,
         )
-        bounds = sp.csr_array(wing_upper_bounds(bk))
-        assert bounds.nnz == 8  # C4, both directions
-        assert set(bounds.tocoo().data.tolist()) == {1}
-        assert certified_zero_wing_edges(bk).shape == (0, 2)
-        assert max_wing_upper_bound(bk) == 1
+        bounds = _streamed(bk.chain)
+        assert len(bounds) == 8  # C4, both directions
+        assert set(bounds.values()) == {1}
+        assert certified_zero_wing_edges(bk.chain).shape == (0, 2)
+        assert max_wing_upper_bound(bk.chain) == 1
 
     def test_single_edge_factors_chain(self):
         # The chain is plain kron: P2 x P2 really is a perfect
@@ -238,15 +235,3 @@ class TestDegeneratePinning:
         assert max_wing_upper_bound(chain) == 0
         for _, _, b in wing_upper_bounds(chain):
             assert (b == 0).all()
-
-    def test_stream_kwargs_rejected_for_two_factor_products(self):
-        bk = make_bipartite_product(
-            complete_graph(3),
-            complete_bipartite(1, 2),
-            Assumption.NON_BIPARTITE_FACTOR,
-        )
-        for kwargs in ({"lo": 0}, {"hi": 4}, {"block_entries": 8}):
-            with pytest.raises(TypeError, match="KroneckerChain"):
-                wing_upper_bounds(bk, **kwargs)
-            with pytest.raises(TypeError, match="KroneckerChain"):
-                certified_zero_wing_edges(bk, **kwargs)

@@ -228,14 +228,13 @@ class TestProcessPoolAggregation:
     def test_generate_shards_populates_registry(self, tmp_path):
         from repro.generators import cycle_graph, path_graph
         from repro.kronecker import Assumption, make_bipartite_product
-        from repro.kronecker.multifactor import KroneckerChain
         from repro.parallel import generate_chain_shards
         from repro.parallel.generate import load_shards
 
         bk = make_bipartite_product(cycle_graph(3), path_graph(4), Assumption.NON_BIPARTITE_FACTOR)
         with instrument() as (tracer, metrics):
             paths = generate_chain_shards(
-                KroneckerChain.from_bipartite(bk), tmp_path, n_shards=3, n_workers=2
+                bk.chain, tmp_path, n_shards=3, n_workers=2
             )
         arrays = load_shards(paths)
         expected = bk.M.nnz * bk.B.graph.nnz

@@ -12,7 +12,6 @@ import pytest
 
 from repro.generators import complete_bipartite, cycle_graph
 from repro.kronecker import Assumption, make_bipartite_product
-from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import instrument
 from repro.parallel import (
     FaultInjectedError,
@@ -42,7 +41,7 @@ def bk():
 
 @pytest.fixture
 def chain(bk):
-    return KroneckerChain.from_bipartite(bk)
+    return bk.chain
 
 
 class TestDeterminism:

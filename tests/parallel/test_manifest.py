@@ -56,12 +56,12 @@ def bk_ii():
 
 @pytest.fixture
 def chain(bk):
-    return KroneckerChain.from_bipartite(bk)
+    return bk.chain
 
 
 @pytest.fixture
 def chain_ii(bk_ii):
-    return KroneckerChain.from_bipartite(bk_ii)
+    return bk_ii.chain
 
 
 class TestChecksum:

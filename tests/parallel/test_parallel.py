@@ -10,7 +10,6 @@ import pytest
 from repro.analytics import edge_squares_matrix
 from repro.generators import complete_bipartite, cycle_graph, path_graph
 from repro.kronecker import Assumption, make_bipartite_product
-from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel import (
     generate_chain_shards,
     load_manifest,
@@ -48,7 +47,7 @@ class TestPartition:
         C = bk.materialize()
         coo = C.adj.tocoo()
         expected = set(zip(coo.row.tolist(), coo.col.tolist()))
-        chain = KroneckerChain.from_bipartite(bk)
+        chain = bk.chain
         seen = []
         for start, stop in plan_partition(chain, 3).bounds:
             p, q = flat_columns(shard_of_rows(chain, start, stop), 2)
@@ -60,7 +59,7 @@ class TestPartition:
     def test_shard_ground_truth(self, fixture, request):
         bk = request.getfixturevalue(fixture)
         dia_ref = edge_squares_matrix(bk.materialize())
-        chain = KroneckerChain.from_bipartite(bk)
+        chain = bk.chain
         for start, stop in plan_partition(chain, 2).bounds:
             p, q, dia = flat_columns(
                 shard_of_rows(chain, start, stop, attach_ground_truth=True), 3
@@ -72,7 +71,7 @@ class TestPartition:
 class TestGenerateShards:
     def test_roundtrip_parallel(self, bk, tmp_path):
         paths = generate_chain_shards(
-            KroneckerChain.from_bipartite(bk), tmp_path, n_shards=3, n_workers=2
+            bk.chain, tmp_path, n_shards=3, n_workers=2
         )
         data = load_shards(paths)
         C = bk.materialize()
@@ -81,7 +80,7 @@ class TestGenerateShards:
         assert got == set(zip(coo.row.tolist(), coo.col.tolist()))
 
     def test_serial_parallel_identical(self, bk, tmp_path):
-        chain = KroneckerChain.from_bipartite(bk)
+        chain = bk.chain
         serial = generate_chain_shards(chain, tmp_path / "s", n_shards=3, n_workers=1)
         parallel = generate_chain_shards(chain, tmp_path / "p", n_shards=3, n_workers=3)
         for a, b in zip(serial, parallel):
@@ -89,7 +88,7 @@ class TestGenerateShards:
 
     def test_ground_truth_shards(self, bk_ii, tmp_path):
         paths = generate_chain_shards(
-            KroneckerChain.from_bipartite(bk_ii),
+            bk_ii.chain,
             tmp_path,
             n_shards=2,
             n_workers=2,
@@ -104,7 +103,7 @@ class TestGenerateShards:
         """load_shards can verify content checksums against the manifest
         written during generation (the fault-tolerance layer's default)."""
         paths = generate_chain_shards(
-            KroneckerChain.from_bipartite(bk), tmp_path, n_shards=3, n_workers=2
+            bk.chain, tmp_path, n_shards=3, n_workers=2
         )
         data = load_shards(paths, manifest=tmp_path)
         C = bk.materialize()
@@ -115,7 +114,7 @@ class TestGenerateShards:
     @staticmethod
     def _entries_written(bk, tmp_path, n_workers):
         generate_chain_shards(
-            KroneckerChain.from_bipartite(bk), tmp_path, n_shards=4, n_workers=n_workers
+            bk.chain, tmp_path, n_shards=4, n_workers=n_workers
         )
         return sum(e.entries for e in load_manifest(tmp_path).shards.values())
 

@@ -46,7 +46,7 @@ def test_shard_union_is_the_product_with_brute_squares(bk, tmp_path):
     """Property (c): under every codec, the shard union of a 2-factor
     product is the materialized product, with per-entry squares equal
     to brute-force cycle enumeration."""
-    chain = KroneckerChain.from_bipartite(bk)
+    chain = bk.chain
     product = bk.materialize()
     for codec in ("raw", "deflate"):
         out = tmp_path / codec

@@ -23,7 +23,6 @@ from repro.kronecker import (
     Assumption,
     edge_squares_product,
     global_squares_product,
-    kron_graph,
     make_bipartite_product,
     vertex_squares_product,
 )
@@ -37,6 +36,7 @@ from repro.kronecker.community import (
     thm7_product_counts,
 )
 
+from tests.shard_referee import kron_graph
 from tests.strategies import connected_bipartite_graphs, connected_nonbipartite_graphs
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -45,21 +45,21 @@ SETTINGS = settings(max_examples=25, deadline=None)
 @given(A=connected_nonbipartite_graphs(max_n=5), B=connected_bipartite_graphs(max_side=3))
 @SETTINGS
 def test_thm1_connected_bipartite(A, B):
-    C = kron_graph(A, B.graph)
+    C = kron_graph([A, B.graph])
     assert is_connected(C) and is_bipartite(C)
 
 
 @given(A=connected_bipartite_graphs(max_side=3), B=connected_bipartite_graphs(max_side=3))
 @SETTINGS
 def test_thm2_connected_bipartite(A, B):
-    C = kron_graph(A.graph.with_all_self_loops(), B.graph)
+    C = kron_graph([A.graph.with_all_self_loops(), B.graph])
     assert is_connected(C) and is_bipartite(C)
 
 
 @given(A=connected_bipartite_graphs(max_side=3), B=connected_bipartite_graphs(max_side=3))
 @SETTINGS
 def test_weichsel_two_components(A, B):
-    assert num_components(kron_graph(A.graph, B.graph)) == 2
+    assert num_components(kron_graph([A.graph, B.graph])) == 2
 
 
 @given(A=connected_nonbipartite_graphs(max_n=5), B=connected_bipartite_graphs(max_side=3))
@@ -141,7 +141,7 @@ def test_remark1_squares_unavoidable(A, B):
     da, db = A.graph.degrees(), B.graph.degrees()
     if da.max() < 2 or db.max() < 2:
         return  # the only exempt shape: disjoint-edge factors
-    C = kron_graph(A.graph, B.graph)
+    C = kron_graph([A.graph, B.graph])
     assert global_squares(C) > 0
 
 
@@ -151,4 +151,4 @@ def test_degree_formula(A, B):
     """d_C = d_M ⊗ d_B under both assumptions (prior-work carryover)."""
     bk = make_bipartite_product(A, B, Assumption.SELF_LOOPS_FACTOR)
     C = bk.materialize()
-    assert np.array_equal(bk.implicit.degrees(), C.degrees())
+    assert np.array_equal(bk.chain.degrees(np.arange(bk.n)), C.degrees())

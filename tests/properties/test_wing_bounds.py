@@ -53,19 +53,18 @@ def test_peel_below_bounds_random_products_1i(bk):
     u, v = C.edge_arrays()
     bounds = oracle.wings_at_edges(u, v)
     _assert_peel_respects_bounds(C.adj, list(zip(u, v)), bounds)
-    assert max_wing_upper_bound(bk) == oracle.max_wing_bound()
+    assert max_wing_upper_bound(bk.chain) == oracle.max_wing_bound()
 
 
 @given(bk=products(Assumption.SELF_LOOPS_FACTOR, max_side=2))
 @SETTINGS
 def test_peel_below_bounds_random_products_1ii(bk):
-    import scipy.sparse as sp
-
     C = bk.materialize()
     u, v = C.edge_arrays()
-    coo = sp.csr_array(wing_upper_bounds(bk)).tocoo()
     by_entry = {
-        (int(p), int(q)): int(s) for p, q, s in zip(coo.row, coo.col, coo.data)
+        (p, q): s
+        for rows, cols, sup in wing_upper_bounds(bk.chain)
+        for p, q, s in zip(rows.tolist(), cols.tolist(), sup.tolist())
     }
     bounds = [by_entry[(int(p), int(q))] for p, q in zip(u, v)]
     _assert_peel_respects_bounds(C.adj, list(zip(u, v)), bounds)
@@ -89,7 +88,7 @@ def test_peel_below_bounds_adversarial(a, b):
     bounds = oracle.wings_at_edges(u, v)
     _assert_peel_respects_bounds(C.adj, list(zip(u, v)), bounds)
     wing = peel_wing_numbers(C.adj).wing
-    for p, q in certified_zero_wing_edges(bk).tolist():
+    for p, q in certified_zero_wing_edges(bk.chain).tolist():
         assert wing[_key(p, q)] == 0
 
 
@@ -136,7 +135,7 @@ def test_max_bound_monotone_under_edge_deletion(A, B, data):
     sub = make_bipartite_product(
         A, _delete_edge(Bg, idx), Assumption.SELF_LOOPS_FACTOR, require_connected=False
     )
-    assert max_wing_upper_bound(sub) <= max_wing_upper_bound(full)
+    assert max_wing_upper_bound(sub.chain) <= max_wing_upper_bound(full.chain)
 
 
 @given(factors=factor_chains(min_factors=2, max_factors=3, max_n=3), data=st.data())

@@ -22,7 +22,7 @@ from repro.refcheck import (
     check_relabel_invariance,
     check_vertex_sum_consistency,
 )
-from repro.refcheck.printed import global_squares_from_stats
+from repro.refcheck.printed import global_squares_from_stats, product_stats
 
 from tests.strategies import factor_pairs, products
 
@@ -78,7 +78,7 @@ def test_stats_level_global_matches_product_level(assumption, data):
     from repro.kronecker.ground_truth import global_squares_product
 
     bk = data.draw(products(assumption, max_a=4))
-    stats_a, stats_b = bk.factor_stats()
+    stats_a, stats_b = product_stats(bk)
     assert global_squares_from_stats(stats_a, stats_b, assumption) == (
         global_squares_product(bk)
     )

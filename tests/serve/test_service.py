@@ -268,23 +268,28 @@ def wide_oracle():
 
 
 @pytest.mark.parametrize(
-    "queries, kind",
+    "queries, kind, kib",
     [
-        pytest.param(1, "degree", id="1"),
-        pytest.param(16, "degree", id="16"),
-        pytest.param(4096, "degree", id="4096"),
-        pytest.param(4096, "edge_squares", id="4096-pairs"),
+        pytest.param(1, "degree", 256, id="1"),
+        pytest.param(1, "degree", 64, id="1-64KiB"),
+        pytest.param(1, "degree", 128, id="1-128KiB"),
+        pytest.param(16, "degree", 256, id="16"),
+        pytest.param(4096, "degree", 256, id="4096"),
+        pytest.param(4096, "edge_squares", 256, id="4096-pairs"),
     ],
 )
-def test_traced_cache_memory_stays_within_budget(wide_oracle, queries, kind):
+def test_traced_cache_memory_stays_within_budget(wide_oracle, queries, kind, kib):
     """Filled three times over with distinct answers, the cache holds no
     more traced memory than its budget allows (+10% for hash-table
     slack), and its charged bytes never exceed the budget.  A 4,096-pair
-    entry holds ~98.7 KB: its answer and both index lists' bytes."""
+    entry holds ~98.7 KB: its answer and both index lists' bytes.  The
+    64, 128 and 256 KiB budgets of 1-query answers each filled the
+    ``OrderedDict`` just past a table resize at the 360 B charge, where
+    the traced overhead per entry peaks."""
     import gc
     import tracemalloc
 
-    limit = 256 * 1024
+    limit = kib * 1024
     rng = np.random.default_rng(queries)
     n = wide_oracle.n
     pairs = kind in PAIR_KINDS

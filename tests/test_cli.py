@@ -87,9 +87,9 @@ class TestGenerateCommand:
         assert rc == 0
         g = read_edge_list(out)
         from repro.generators import cycle_graph, path_graph
-        from repro.kronecker import kron_graph
+        from tests.shard_referee import kron_graph
 
-        expected = kron_graph(cycle_graph(3), path_graph(3))
+        expected = kron_graph([cycle_graph(3), path_graph(3)])
         # read_edge_list infers n from max index; isolated top vertices
         # may be dropped, so compare edges.
         assert sorted(g.edges()) == sorted(expected.edges())
@@ -100,9 +100,9 @@ class TestGenerateCommand:
         assert rc == 0
         from repro.analytics import edge_squares_matrix
         from repro.generators import cycle_graph, path_graph
-        from repro.kronecker import kron_graph
+        from tests.shard_referee import kron_graph
 
-        dia = edge_squares_matrix(kron_graph(cycle_graph(3), path_graph(3)))
+        dia = edge_squares_matrix(kron_graph([cycle_graph(3), path_graph(3)]))
         for line in out.read_text().splitlines():
             if line.startswith("#"):
                 continue

@@ -17,10 +17,14 @@ listed module becomes reachable, or when a listed module is gone.
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 ENTRY_POINTS = (
     "repro.cli",
@@ -167,3 +171,45 @@ def test_lazy_names_resolve_to_their_defining_module():
     assert graph.resolve("repro", "Graph") == "repro.graphs.graph"
     assert graph.resolve("repro.analytics", "global_squares") == "repro.analytics.fourcycles"
     assert graph.resolve("repro.kronecker", "oracle") == "repro.kronecker.oracle"
+
+
+#: Scripts tier-1 never runs (the benches run in CI's smoke job, the
+#: examples in their own tests at best); their ``repro`` imports are
+#: checked here without running them.
+SCRIPTS = sorted(
+    path.relative_to(ROOT).as_posix()
+    for pattern in ("benchmarks/*.py", "benchmarks/e2e/*.py", "examples/*.py")
+    for path in ROOT.glob(pattern)
+)
+
+
+def _repro_imports(tree: ast.AST):
+    """``(module, name)`` for every ``repro`` import in ``tree``;
+    ``name`` is None for a plain ``import repro.x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] == "repro":
+                for alias in node.names:
+                    if alias.name != "*":
+                        yield node.module, alias.name
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_imports_resolve(script):
+    """Every ``import repro...`` and ``from repro... import name`` in the
+    script names a module or attribute that exists; the script itself is
+    only parsed."""
+    tree = ast.parse((ROOT / script).read_text(encoding="utf-8"))
+    missing = []
+    for module, name in _repro_imports(tree):
+        if importlib.util.find_spec(module) is None:
+            missing.append(module)
+        elif name is not None and not hasattr(importlib.import_module(module), name) and (
+            importlib.util.find_spec(f"{module}.{name}") is None
+        ):
+            missing.append(f"{module}.{name}")
+    assert not missing, f"{script} imports names that do not exist: {missing}"
