@@ -63,7 +63,7 @@ def test_stream_with_ground_truth_attached(benchmark, unicode_product, record_be
     def run():
         entries = 0
         with Span() as t:
-            for p, _q, _dia in stream_edges(unicode_product, attach_ground_truth=True):
+            for p, _q, _dia in stream_edges(unicode_product.chain, attach_ground_truth=True):
                 entries += p.size
         return entries, t.elapsed
 

@@ -37,7 +37,7 @@ N_EVENTS = 2_000 if QUICK else 50_000
 
 def _consume_stream(bk) -> int:
     edges = 0
-    for p, _q, _dia in stream_edges(bk, attach_ground_truth=True):
+    for p, _q, _dia in stream_edges(bk.chain, attach_ground_truth=True):
         edges += p.size
     return edges
 

@@ -267,7 +267,7 @@ def serve_probe(out: Path) -> None:
     no worker outliving a SIGKILLed master."""
     artifact = out / "serve_artifact"
     py("-m", "repro", "pack", *SPEC, "-o", str(artifact))
-    assert artifact_info(artifact)["schema"] == "repro.serve/2"
+    assert artifact_info(artifact)["schema"] == "repro.serve/3"
     # A known product edge (P, Q) for the edge endpoints.
     oracle = load_oracle(artifact)
     grid = np.indices((oracle.n, oracle.n)).reshape(2, -1)
@@ -330,6 +330,56 @@ def serve_probe(out: Path) -> None:
             if proc.poll() is None:
                 proc.terminate()
                 proc.wait(timeout=15)
+
+
+def chain_serve_drill(out: Path) -> None:
+    """A three-factor chain packs, serves and matches its own shards:
+    on sampled shard entries the served wire and HTTP ``edge_squares``
+    equal the shards' ``squares`` column, and ``/v1/global`` equals the
+    chain's closed-form ``global_squares()``."""
+    from repro.cli import parse_factor
+    from repro.graphs import BipartiteGraph
+    from repro.kronecker import KroneckerChain
+
+    artifact, shard_dir = out / "chain_artifact", out / "chain_shards"
+    py("-m", "repro", "pack", *CHAIN_SPEC, "-o", str(artifact))
+    info = artifact_info(artifact)
+    need(info["schema"] == "repro.serve/3" and len(info["factors"]) == len(CHAIN_SPEC),
+         f"chain artifact: schema {info['schema']!r}, {len(info['factors'])} factors")
+    py("-m", "repro", "shards", *CHAIN_SPEC, "--out-dir", str(shard_dir), "--shards", "4",
+       "--workers", "2", "--ground-truth", "--verify")
+    arrays = [read_shard_arrays(p, verify=True)
+              for p in sorted(shard_dir.glob("shard_*")) if p.suffix != ".json"]
+    p, q, squares = (np.concatenate([a[key] for a in arrays]) for key in ("p", "q", "squares"))
+    pick = np.random.default_rng(0).choice(p.size, size=min(p.size, 256), replace=False)
+    ps, qs, want = p[pick], q[pick], squares[pick]
+    graphs = [parse_factor(spec) for spec in CHAIN_SPEC]
+    chain = KroneckerChain.from_graphs(
+        [g.graph if isinstance(g, BipartiteGraph) else g for g in graphs])
+    need(info["product"] == {"n": chain.n, "m": chain.m},
+         f"chain artifact product {info['product']}, chain n={chain.n} m={chain.m}")
+    server = None
+    try:
+        server, port = _boot_server(out, artifact, "chain_server")
+        with WireClient("127.0.0.1", port) as client:
+            wire = client.squares_at_edges(ps, qs)
+        need(np.array_equal(wire, want), "wire edge_squares differ from the shards' squares")
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/squares/edge",
+            data=json.dumps({"ps": ps.tolist(), "qs": qs.tolist()}).encode())
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            served = json.loads(resp.read())["squares"]
+        need(served == want.tolist(), "HTTP edge_squares differ from the shards' squares")
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/v1/global", timeout=10) as resp:
+            served_global = json.loads(resp.read())["squares"]
+        need(served_global == chain.global_squares(),
+             f"/v1/global {served_global} != chain.global_squares() {chain.global_squares()}")
+    finally:
+        if server is not None:
+            server.terminate()
+            server.wait(timeout=15)
+    print(f"chain serve ok: {len(CHAIN_SPEC)}-factor chain, {ps.size} sampled shard entries "
+          f"equal over wire and HTTP, global {served_global:,}")
 
 
 def shard_drills(out: Path) -> None:
@@ -426,7 +476,7 @@ FAMILIES: dict[str, Family] = {
                 ("test_serve_prefork_wire_pipeline", "protocol", "==", "wire"),
                 ("test_serve_prefork_*", "requests_per_s", ">", 0),
                 ("test_serve_prefork_*", "levels", "set", None)),
-        extras=(gate_drill, serve_probe)),
+        extras=(gate_drill, serve_probe, chain_serve_drill)),
     "obs": Family(checks=(
         ("test_stream_overhead_enabled_vs_null", "null_edges_per_s", ">", 0),
         ("test_stream_overhead_enabled_vs_null", "enabled_edges_per_s", ">", 0),

@@ -50,7 +50,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     entries = 0
     square_sum = 0
-    for p, _q, dia in stream_edges(bk, attach_ground_truth=True):
+    for p, _q, dia in stream_edges(bk.chain, attach_ground_truth=True):
         entries += p.size
         square_sum += int(np.sum(dia))
     print(f"streamed {entries:,} directed entries; Σ◇ = {square_sum:,} "

@@ -41,7 +41,7 @@ def main() -> None:
     with Span() as t:
         entries = 0
         best = (-1, -1, -1)
-        for p, q, dia in stream_edges(bk, attach_ground_truth=True):
+        for p, q, dia in stream_edges(bk.chain, attach_ground_truth=True):
             entries += p.size
             k = int(np.argmax(dia))
             if dia[k] > best[2]:
@@ -55,7 +55,7 @@ def main() -> None:
     # Connectivity audit (the factor is disconnected, so C is too --
     # exactly what Thm 2's hypotheses warn about).
     with Span() as t:
-        n_components, edges = streamed_connectivity_audit(bk)
+        n_components, edges = streamed_connectivity_audit(bk.chain)
     print(f"\nstreamed connectivity audit: {n_components:,} components over {edges:,} edges "
           f"[{t.elapsed:.1f}s]")
     print("(the unicode-like factor is disconnected, so the product is too; "

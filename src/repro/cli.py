@@ -1,16 +1,20 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Wraps the library's three workflows for shell users:
+Wraps the library's workflows for shell users.  ``generate``,
+``shards``, ``pack`` and ``stats`` take the same ``FACTOR FACTOR
+[FACTOR ...]`` list: two specs form the Assumption-1 product
+(``--assumption``, connectivity check), three or more the chain
+``A ⊗ B ⊗ C ⊗ ...`` as given.
 
-* ``generate`` -- build a bipartite Kronecker product from factor specs
-  and write it as an edge list, optionally with a per-edge ground-truth
-  sidecar (``u v squares`` per line) produced *during* generation.
-* ``stats`` -- print exact ground-truth statistics of a product
-  (sizes, global 4-cycles, degree summary, optional diameter) without
-  materializing it; ``--check`` additionally materializes and verifies
-  against direct counting.
+* ``generate`` -- stream a Kronecker chain from factor specs and write
+  it as an edge list, optionally with a per-edge ground-truth column
+  (``u v squares`` per line) produced *during* generation.
+* ``stats`` -- print exact ground-truth statistics of a 2-factor
+  product (sizes, parts, global 4-cycles, degree summary, optional
+  diameter) without materializing it; ``--check`` additionally
+  materializes and verifies against direct counting.
 * ``shards`` -- fault-tolerant parallel generation of a Kronecker chain
-  of two or more factors into degree-balanced, checksummed
+  into degree-balanced, checksummed
   ``repro.edges/1`` shards with a ``manifest.json``; supports
   ``--resume`` after a crash, bounded ``--retries`` with backoff,
   deterministic ``--fault-rate`` injection for drills, and ``--verify``
@@ -21,8 +25,8 @@ Wraps the library's three workflows for shell users:
   adversarial factor corpora; exits 4 on any divergence and can write
   the machine-readable witness report (``--report-out``).
 * ``pack`` -- build a persistent, checksummed oracle artifact
-  (``oracle.npz`` + ``artifact.json``, schema ``repro.serve/2``: the
-  chain tables of ``[M, B]``) from two factor specs, so a server can
+  (``oracle.npz`` + ``artifact.json``, schema ``repro.serve/3``: the
+  tables of every chain factor) from factor specs, so a server can
   boot without recomputing anything.
 * ``serve`` -- boot the pre-fork ground-truth query server over a
   packed artifact: JSON HTTP and binary wire protocols on one port, a
@@ -115,44 +119,40 @@ def parse_factor(spec: str):
     raise argparse.ArgumentTypeError(f"unknown factor spec {spec!r}")
 
 
-def _build_product(args, specs=None):
-    from repro.kronecker import Assumption, make_bipartite_product
-
-    spec_a, spec_b = specs or (args.factor_a, args.factor_b)
-    assumption = (
-        Assumption.SELF_LOOPS_FACTOR if args.assumption == "ii" else Assumption.NON_BIPARTITE_FACTOR
-    )
-    return make_bipartite_product(
-        parse_factor(spec_a),
-        parse_factor(spec_b),
-        assumption,
-        require_connected=not args.allow_disconnected,
-    )
-
-
 def _build_chain(args):
-    """The chain ``repro shards`` writes.
+    """The chain the ``FACTOR`` specs name, and its certificate.
 
-    Two specs form the Assumption-1 product (``--assumption``,
-    connectivity check) as a 2-factor chain; three or more are taken as
-    given, so the 2-factor flags are refused for them.
+    Returns ``(chain, bk)``.  Two specs form the Assumption-1 product
+    (``--assumption``, connectivity check): ``bk`` is its
+    :class:`~repro.kronecker.assumptions.BipartiteKronecker` and
+    ``chain`` is ``bk.chain = [M, B]``.  Three or more are taken as
+    given, so the 2-factor flags are refused for them and ``bk`` is
+    None.
     """
     from repro.graphs.bipartite import BipartiteGraph
     from repro.kronecker.multifactor import KroneckerChain
 
     if len(args.factors) < 2:
-        raise ValueError(f"shards needs two or more factor specs, got {len(args.factors)}")
+        raise ValueError(f"{args.command} needs two or more factor specs, got {len(args.factors)}")
     if len(args.factors) == 2:
-        return _build_product(args, args.factors).chain
+        from repro.kronecker import Assumption, make_bipartite_product
+
+        bk = make_bipartite_product(
+            *(parse_factor(spec) for spec in args.factors),
+            Assumption.SELF_LOOPS_FACTOR if args.assumption == "ii"
+            else Assumption.NON_BIPARTITE_FACTOR,
+            require_connected=not args.allow_disconnected,
+        )
+        return bk.chain, bk
     if args.assumption != "i" or args.allow_disconnected:
         raise ValueError(
             "--assumption and --allow-disconnected apply to two factor specs only; "
-            f"a chain of {len(args.factors)} factors is generated as given"
+            f"a chain of {len(args.factors)} factors is taken as given"
         )
     graphs = [parse_factor(spec) for spec in args.factors]
     return KroneckerChain.from_graphs(
         [g.graph if isinstance(g, BipartiteGraph) else g for g in graphs]
-    )
+    ), None
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -174,13 +174,15 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_product_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("factor_a", help="left factor spec (see --help of the top command)")
-    p.add_argument("factor_b", help="right factor spec (must be bipartite)")
-    _add_assumption_args(p)
-
-
-def _add_assumption_args(p: argparse.ArgumentParser) -> None:
+def _add_factor_args(p: argparse.ArgumentParser) -> None:
+    """The shared ``FACTOR`` list and its 2-factor flags (see :func:`_build_chain`)."""
+    p.add_argument(
+        "factors",
+        nargs="+",
+        metavar="FACTOR",
+        help="two or more factor specs; two form the Assumption-1 product "
+        "(--assumption), three or more the chain A (x) B (x) C (x) ...",
+    )
     p.add_argument(
         "--assumption",
         choices=["i", "ii"],
@@ -202,31 +204,31 @@ def _cmd_generate(args) -> int:
 
     tracer = get_tracer()
     with tracer.span("generate.build_product"):
-        bk = _build_product(args)
+        chain, _ = _build_chain(args)
     edges_written = get_metrics().counter("generate.edges_written_total")
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
         with tracer.span("generate.write_edges", ground_truth=bool(args.ground_truth)) as sp:
-            out.write(f"# repro kronecker product: n={bk.n} m={bk.m}\n")
+            out.write(f"# repro kronecker product: n={chain.n} m={chain.m}\n")
             if args.ground_truth:
                 out.write("# columns: u v squares_at_edge\n")
-                for p, q, dia in stream_edges(bk, attach_ground_truth=True):
+                for p, q, dia in stream_edges(chain, attach_ground_truth=True):
                     keep = p <= q
                     for u, v, d in zip(p[keep].tolist(), q[keep].tolist(), np.asarray(dia)[keep].tolist()):
                         out.write(f"{u} {v} {d}\n")
                     edges_written.inc(int(keep.sum()))
             else:
                 out.write("# columns: u v\n")
-                for p, q in stream_edges(bk):
+                for p, q in stream_edges(chain):
                     keep = p <= q
                     for u, v in zip(p[keep].tolist(), q[keep].tolist()):
                         out.write(f"{u} {v}\n")
                     edges_written.inc(int(keep.sum()))
-            sp.set(n=bk.n, m=bk.m)
+            sp.set(n=chain.n, m=chain.m)
     finally:
         if out is not sys.stdout:
             out.close()
-    print(f"wrote {bk.m} edges (n={bk.n})", file=sys.stderr)
+    print(f"wrote {chain.m} edges (n={chain.n})", file=sys.stderr)
     return 0
 
 
@@ -243,7 +245,7 @@ def _cmd_shards(args) -> int:
 
     tracer = get_tracer()
     with tracer.span("shards.build_product"):
-        chain = _build_chain(args)
+        chain, _ = _build_chain(args)
     injector = None
     if args.fault_rate > 0.0:
         injector = FaultInjector(rate=args.fault_rate, seed=args.fault_seed, mode=args.fault_mode)
@@ -290,9 +292,14 @@ def _cmd_stats(args) -> int:
     from repro.kronecker.degrees import product_degree_summary
     from repro.kronecker.distances import product_diameter
 
+    if len(args.factors) > 2:
+        raise ValueError(
+            "stats reports the parts and diameter of a 2-factor product; "
+            f"got {len(args.factors)} factor specs"
+        )
     tracer = get_tracer()
     with tracer.span("stats.build_product"):
-        bk = _build_product(args)
+        _, bk = _build_chain(args)
     gauges = get_metrics()
     gauges.gauge("stats.product_vertices").set(bk.n)
     gauges.gauge("stats.product_edges").set(bk.m)
@@ -350,9 +357,9 @@ def _cmd_pack(args) -> int:
 
     tracer = get_tracer()
     with tracer.span("pack.build_product"):
-        bk = _build_product(args)
+        chain, _ = _build_chain(args)
     with tracer.span("pack.build_oracle"):
-        oracle = GroundTruthOracle(bk)
+        oracle = GroundTruthOracle(chain)
     out = save_oracle(oracle, args.out_dir)
     info = artifact_info(out)
     print(f"packed oracle artifact: {out}", file=sys.stderr)
@@ -540,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="stream a product to an edge-list file")
-    _add_product_args(g)
+    _add_factor_args(g)
     g.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     g.add_argument(
         "--ground-truth",
@@ -554,14 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-tolerant parallel generation of a chain of two or more factors "
         "into checksummed, degree-balanced repro.edges/1 shard files",
     )
-    sh.add_argument(
-        "factors",
-        nargs="+",
-        metavar="FACTOR",
-        help="two or more factor specs; two form the Assumption-1 product "
-        "(--assumption), three or more the chain A (x) B (x) C (x) ...",
-    )
-    _add_assumption_args(sh)
+    _add_factor_args(sh)
     sh.add_argument("-o", "--out-dir", required=True, help="shard output directory")
     sh.add_argument("--shards", type=int, default=4, help="number of shard files")
     sh.add_argument(
@@ -614,8 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sh.set_defaults(fn=_cmd_shards)
 
-    s = sub.add_parser("stats", help="exact product statistics without materializing")
-    _add_product_args(s)
+    s = sub.add_parser(
+        "stats", help="exact statistics of a 2-factor product without materializing"
+    )
+    _add_factor_args(s)
     s.add_argument("--diameter", action="store_true", help="also compute the exact diameter")
     s.add_argument("--check", action="store_true", help="materialize and verify (small products)")
     s.set_defaults(fn=_cmd_stats)
@@ -676,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pack",
         help="build a persistent, checksummed oracle artifact from factor specs",
     )
-    _add_product_args(pk)
+    _add_factor_args(pk)
     pk.add_argument("-o", "--out-dir", required=True, help="artifact output directory")
     pk.set_defaults(fn=_cmd_pack)
 

@@ -269,7 +269,7 @@ def generation_throughput(bk: BipartiteKronecker) -> GenerationResult:
     """Measure edge-stream generation against scipy materialization."""
     with Span() as t_stream:
         entries = 0
-        for p, _q in stream_edges(bk):
+        for p, _q in stream_edges(bk.chain):
             entries += p.size
     with Span() as t_mat:
         bk.materialize()

@@ -118,15 +118,16 @@ def scale_free_bipartite_factor(nu: int, nw: int, m: int = 2, seed=None) -> Bipa
     # other.
     while next_u < nu or next_w < nw:
         grow_u = next_u < nu and (next_w >= nw or (next_u / nu) <= (next_w / nw))
+        # Every vertex placed so far holds a stub, so the other part has
+        # next_w (or next_u) distinct attachment targets.
         if grow_u:
-            attach_pool, own_stubs = w_stubs, u_stubs
+            attach_pool, own_stubs, want = w_stubs, u_stubs, min(m, next_w)
             vid = next_u
             next_u += 1
         else:
-            attach_pool, own_stubs = u_stubs, w_stubs
+            attach_pool, own_stubs, want = u_stubs, w_stubs, min(m, next_u)
             vid = nu + next_w
             next_w += 1
-        want = min(m, len(set(attach_pool)))
         targets: set[int] = set()
         while len(targets) < want:
             targets.add(int(attach_pool[rng.integers(len(attach_pool))]))

@@ -159,8 +159,7 @@ class BipartiteKronecker:
 
     @property
     def m(self) -> int:
-        """Undirected edges of ``C``: loop-free, so half its stored entries."""
-        return self.chain.nnz // 2
+        return self.chain.m
 
     def materialize(self) -> Graph:
         """Materialize ``C`` as a concrete graph, whatever its size."""

@@ -280,6 +280,13 @@ class KroneckerChain:
         self._vertex_stacks: list[np.ndarray] | None = None
         self._edge_tables: list[tuple[np.ndarray, np.ndarray, int]] | None = None
 
+    @property
+    def m(self) -> int:
+        """Undirected edges of the product.  A product self loop needs a
+        loop in every factor (there are Π_t loops_t of them), which the
+        constructor refuses, so each edge is two stored entries."""
+        return self.nnz // 2
+
     # -- constructors -------------------------------------------------
 
     @classmethod

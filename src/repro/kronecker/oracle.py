@@ -3,9 +3,10 @@
 §I's cost model: with a Kronecker formula ``f(C) = Σ_s g_s(A) ⊗ h_s(B)``
 a data structure of size ``O(|E_C|^{1/2})`` (i.e. factor-sized) yields
 ground truth at query time.  :class:`GroundTruthOracle` is that data
-structure: it holds the product's 2-factor chain ``[M, B]``
-(:attr:`~repro.kronecker.assumptions.BipartiteKronecker.chain`) and
-answers
+structure: it holds a :class:`~repro.kronecker.multifactor.KroneckerChain`
+of any depth -- for an Assumption-1 product the 2-factor chain
+``[M, B]`` (:attr:`~repro.kronecker.assumptions.BipartiteKronecker.chain`)
+-- and answers
 
 * ``degrees(ps)``                          ``Π d``
 * ``squares_at_vertices(ps)`` (Thm. 3/4)   Def. 8 over the chain
@@ -25,44 +26,29 @@ scalar query loop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from repro.kronecker.assumptions import Assumption
 from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import get_metrics, get_tracer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.kronecker.assumptions import BipartiteKronecker
 
 __all__ = ["GroundTruthOracle", "edge_answers"]
 
 
 class GroundTruthOracle:
-    """Per-vertex / per-edge ground truth for a bipartite product.
+    """Per-vertex / per-edge ground truth for a Kronecker chain.
 
-    The oracle is its chain ``[M, B]``, the right factor's bipartition
-    and the assumption.  ``GroundTruthOracle(bk)`` takes them from a
-    :class:`BipartiteKronecker`; :func:`repro.serve.artifact.load_oracle`
-    rebuilds them from stored chain tables.  Queries touch only
-    factor-sized arrays.  Product shape: ``n`` vertices, ``m`` edges,
-    ``n_b`` right-factor vertices (``p = i · n_b + k``).
+    The oracle is its chain, of any depth, plus a query counter.
+    ``GroundTruthOracle(bk)`` serves a
+    :class:`~repro.kronecker.assumptions.BipartiteKronecker`'s chain
+    ``[M, B]``; :func:`repro.serve.artifact.load_oracle` rebuilds the
+    chain from stored factor tables.  Queries touch only factor-sized
+    arrays.  Product shape: ``n`` vertices, ``m`` undirected edges.
     """
 
-    def __init__(self, bk: BipartiteKronecker):
-        self._setup(bk.chain, bk.B.part, bk.assumption)
-
-    def _setup(self, chain: KroneckerChain, part_b: np.ndarray, assumption: Assumption) -> None:
-        if len(chain.factors) != 2:
-            raise ValueError(f"an oracle serves a 2-factor chain, got {len(chain.factors)}")
-        self.chain = chain
-        self.part_b = np.asarray(part_b, dtype=bool)
-        self.assumption = assumption
-        self.n_b = chain.factors[1].n
-        self.n = chain.n
-        # C = M ⊗ B is loop-free, so every edge is two stored entries.
-        self.m = chain.nnz // 2
+    def __init__(self, chain: KroneckerChain):
+        self.chain = getattr(chain, "chain", chain)  # a BipartiteKronecker hands out its own
+        self.n = self.chain.n
+        self.m = self.chain.m
         with get_tracer().span("oracle.setup", n=self.n, m=self.m) as sp:
             sp.set(stored_entries=self.memory_footprint_entries())
         self._max_wing_cache: int | None = None
@@ -74,14 +60,8 @@ class GroundTruthOracle:
     # Vertex queries
     # ------------------------------------------------------------------
 
-    def split(self, p: int) -> tuple[int, int]:
-        """Product vertex -> factor pair ``(i, k)``."""
-        if not 0 <= p < self.n:
-            raise IndexError(f"product vertex {p} out of range [0, {self.n})")
-        return divmod(p, self.n_b)
-
     def degree(self, p: int) -> int:
-        """Degree of product vertex ``p``: ``d_M(i) * d_B(k)``."""
+        """Degree of product vertex ``p``: ``Π_t d_t(i_t)``."""
         return int(self.degrees([p])[0])
 
     def squares_at_vertex(self, p: int) -> int:
@@ -115,7 +95,7 @@ class GroundTruthOracle:
     def squares_at_edge(self, p: int, q: int) -> int:
         """Ground-truth ``◇_C(p, q)``; ``ValueError`` on a non-edge.
 
-        Def. 9 on the chain ``[M, B]``, which is Thm. 5 under
+        Def. 9 on the chain, which on ``[M, B]`` is Thm. 5 under
         Assumption 1(i) and the derived 1(ii) form otherwise::
 
             ◇_pq = 1 + W3_M(i,j) · W3_B(k,l) − d_M(i) d_B(k) − d_M(j) d_B(l)
@@ -215,7 +195,7 @@ class GroundTruthOracle:
         return self.chain.global_squares()
 
     def memory_footprint_entries(self) -> int:
-        """Stored entries across both factors' chain tables.
+        """Stored entries across the chain's factor tables.
 
         The §I claim is ``O(|E_C|^{1/2})`` storage; this reports the
         actual count (``d``, ``w2``, ``cw4`` and ``indptr`` per vertex;
@@ -229,12 +209,12 @@ class GroundTruthOracle:
 
         Unlike :meth:`memory_footprint_entries` (the paper's abstract
         entry count) this sums ``.nbytes`` over every stored array: the
-        chain's factor tables, the query tables it has built so far
-        (vertex stacks, edge hash tables) and the bipartition mask --
-        so benches report measured-vs-claimed storage honestly.
+        chain's factor tables and the query tables it has built so far
+        (vertex stacks, edge hash tables) -- so benches report
+        measured-vs-claimed storage honestly.
         """
         chain = self.chain
-        arrays = [self.part_b]
+        arrays = []
         for f in chain.factors:
             arrays += [f.indptr, f.indices, f.d, f.w2, f.cw4, f.w3]
         arrays += chain._vertex_stacks or []

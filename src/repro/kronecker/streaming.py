@@ -2,14 +2,15 @@
 
 The generation use case (§I, §V "implement this style of generator ...
 including using the ground truth formulas derived here to compute
-ground truth values during generation"): emit the edges of
-``C = M ⊗ B`` in bounded blocks without ever holding ``C``.
+ground truth values during generation"): emit the edges of a
+Kronecker chain ``C = X₁ ⊗ … ⊗ X_k`` (for an Assumption-1 product the
+chain ``[M, B]``) in bounded blocks without ever holding ``C``.
 
-The blocks are those of the chain ``[M, B]``'s
+The blocks are those of the chain's
 :meth:`~repro.kronecker.multifactor.KroneckerChain.stream_rows` over all
 product rows: about
 :data:`~repro.kronecker.multifactor.STREAM_BLOCK_ENTRIES` entries each,
-in ``M``'s CSR entry order expanded by ``B``'s.  Each *directed*
+in ``X₁``'s CSR entry order expanded by each later factor's.  Each *directed*
 stored entry of ``C`` appears exactly once across the stream; callers
 wanting undirected edges once can filter ``p <= q`` per block (the
 helper does this for its edge-count audit).
@@ -26,23 +27,22 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kronecker.assumptions import BipartiteKronecker
+from repro.kronecker.multifactor import KroneckerChain
 from repro.obs import get_events, get_metrics, get_tracer
 
 __all__ = ["stream_edges", "streamed_connectivity_audit"]
 
 
 def stream_edges(
-    bk: BipartiteKronecker, attach_ground_truth: bool = False
+    chain: KroneckerChain, attach_ground_truth: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the product's directed edges in blocks.
+    """Yield the chain product's directed edges in blocks.
 
     Yields ``(p, q)`` index-array pairs -- or ``(p, q, diamonds)``
     triples when ``attach_ground_truth`` -- exactly the blocks of
-    ``bk.chain.stream_rows(0, bk.n, ...)``.
+    ``chain.stream_rows(0, chain.n, ...)``.
     Every yielded array is its own, so blocks may be kept as they come.
     """
-    chain = bk.chain
     # Per-block accounting, gated on one boolean so the disabled path
     # pays a single branch per block.
     metrics = get_metrics()
@@ -64,7 +64,7 @@ def stream_edges(
         yield block
 
 
-def streamed_connectivity_audit(bk: BipartiteKronecker) -> tuple[int, int]:
+def streamed_connectivity_audit(chain: KroneckerChain) -> tuple[int, int]:
     """Stream the whole product through a connectivity reduction.
 
     Returns ``(n_components, edges_seen)`` where ``edges_seen`` counts
@@ -81,17 +81,17 @@ def streamed_connectivity_audit(bk: BipartiteKronecker) -> tuple[int, int]:
     """
     from repro.graphs.connectivity import components_from_edge_arrays
 
-    with get_tracer().span("stream.connectivity_audit", n=bk.n) as sp:
+    with get_tracer().span("stream.connectivity_audit", n=chain.n) as sp:
         us, vs = [], []
         edges = 0
-        for p, q in stream_edges(bk):
+        for p, q in stream_edges(chain):
             keep = p <= q
             us.append(p[keep])
             vs.append(q[keep])
             edges += int(p[keep].size)
         u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
         v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-        labels = components_from_edge_arrays(bk.n, u, v)
+        labels = components_from_edge_arrays(chain.n, u, v)
         n_components = int(np.unique(labels).size)
         sp.set(edges=edges, components=n_components)
     return n_components, edges

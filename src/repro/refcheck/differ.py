@@ -369,7 +369,7 @@ class _CaseChecker:
                 oracle.squares_at_edges(u_arr, v_arr).tolist(), dia_ref)
         streamed_pairs: List[Tuple[int, int]] = []
         streamed_vals: List[int] = []
-        for p, q, dia in stream_edges(bk, attach_ground_truth=True):
+        for p, q, dia in stream_edges(bk.chain, attach_ground_truth=True):
             streamed_pairs.extend(zip(p.tolist(), q.tolist()))
             streamed_vals.extend(np.asarray(dia).tolist())
         self._check_edge_values("edge_squares", "stream",
@@ -391,7 +391,7 @@ class _CaseChecker:
         self._check_scalar("bipartite", "brute-bfs",
                            brute.two_coloring(C) is not None, True,
                            reference="paper-claim")
-        n_comp, audit_edges = streamed_connectivity_audit(bk)
+        n_comp, audit_edges = streamed_connectivity_audit(bk.chain)
         labels = brute.connected_components(C)
         self._check_scalar("connectivity", "stream-audit", n_comp,
                            int(np.unique(labels).size))

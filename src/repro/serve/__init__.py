@@ -8,9 +8,9 @@ this package turns the in-memory :class:`~repro.kronecker.oracle.GroundTruthOrac
 into infrastructure:
 
 * :mod:`repro.serve.artifact` -- a versioned, checksummed on-disk
-  oracle artifact (schema ``repro.serve/2``): ``save_oracle`` /
-  ``load_oracle`` round-trip the chain tables of both factors so a
-  server boots without recomputing anything;
+  oracle artifact (schema ``repro.serve/3``): ``save_oracle`` /
+  ``load_oracle`` round-trip the tables of every chain factor, at any
+  depth, so a server boots without recomputing anything;
   ``load_oracle(..., mmap=True)`` maps the arrays zero-copy for
   multi-process sharing.
 * :mod:`repro.serve.service` -- :class:`OracleService`, an in-process
@@ -29,7 +29,8 @@ into infrastructure:
   same port, SIGTERM drain, respawn-on-crash, per-worker metrics
   merged on shutdown.
 
-CLI: ``python -m repro pack`` builds artifacts from factor specs;
+CLI: ``python -m repro pack FACTOR FACTOR [FACTOR ...]`` builds
+artifacts from two or more factor specs;
 ``python -m repro serve [--workers-procs N]`` boots the pre-fork front
 end (one worker by default).
 See docs/serving.md for the artifact format, endpoint/wire reference,

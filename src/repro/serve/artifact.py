@@ -1,14 +1,14 @@
-"""Versioned, checksummed on-disk oracle artifacts (schema ``repro.serve/2``).
+"""Versioned, checksummed on-disk oracle artifacts (schema ``repro.serve/3``).
 
 An artifact is a directory holding two files:
 
 * ``oracle.npz`` -- every array the oracle needs: the chain tables of
-  both factors ``M`` and ``B`` (prefixes ``m_``/``b_``: CSR ``indptr``
-  and ``indices``, the vertex vectors ``d``, ``w2``, ``cw4`` and the
-  edge-aligned ``w3``; :class:`~repro.kronecker.multifactor.ChainFactor`)
-  and the right factor's bipartition mask ``part_b``.
-* ``artifact.json`` -- the sidecar: schema tag, assumption flag,
-  product/factor shapes, and a ``sha256:`` **content checksum** over
+  each of its ``k`` factors (prefixes ``f0_`` … ``f{k-1}_``: CSR
+  ``indptr`` and ``indices``, the vertex vectors ``d``, ``w2``, ``cw4``
+  and the edge-aligned ``w3``;
+  :class:`~repro.kronecker.multifactor.ChainFactor`).
+* ``artifact.json`` -- the sidecar: schema tag, product shape, the
+  list of factor shapes, and a ``sha256:`` **content checksum** over
   the arrays (name, dtype, shape, raw bytes -- the
   :func:`repro.parallel.manifest.checksum_arrays` convention, so zip
   container timestamps never matter).
@@ -30,9 +30,9 @@ page-cache-backed, read-only, and **shared** across every process that
 maps the same artifact -- the substrate of the pre-fork server
 (:mod:`repro.serve.prefork`), where N workers serve one mapped oracle
 with flat per-worker memory.  An artifact of another schema (``/1``
-stored coefficient-engine statistics) or with a compressed member is
-refused with an :class:`ArtifactError` that says to repack it with
-``repro pack``.
+stored coefficient-engine statistics, ``/2`` the 2-factor ``m_``/``b_``
+layout) or with a compressed member is refused with an
+:class:`ArtifactError` that says to repack it with ``repro pack``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import Any, Union
 
 import numpy as np
 
-from repro.kronecker.assumptions import Assumption
 from repro.kronecker.multifactor import ChainFactor, KroneckerChain
 from repro.kronecker.oracle import GroundTruthOracle
 from repro.obs import get_tracer
@@ -68,14 +67,12 @@ __all__ = [
 PathLike = Union[str, os.PathLike]
 
 #: Schema tag gating artifact evolution; bump on incompatible layout changes.
-ARTIFACT_SCHEMA = "repro.serve/2"
+ARTIFACT_SCHEMA = "repro.serve/3"
 ORACLE_FILE = "oracle.npz"
 SIDECAR_FILE = "artifact.json"
 
 #: The chain tables stored per factor, in :class:`ChainFactor` field order.
 _FACTOR_TABLES = ("indptr", "indices", "d", "w2", "cw4", "w3")
-#: Array-name prefix per chain factor: the effective left factor, then B.
-_FACTOR_PREFIXES = ("m", "b")
 _REPACK = "repack it with `repro pack`"
 
 
@@ -92,20 +89,17 @@ def _utcnow() -> str:
 
 
 def oracle_arrays(oracle: GroundTruthOracle) -> dict[str, np.ndarray]:
-    """Every array :func:`save_oracle` persists, keyed by artifact name.
-
-    The chain tables of both factors and the right factor's
-    bipartition mask.  The checksum in the sidecar is
+    """Every array :func:`save_oracle` persists, keyed by artifact name:
+    the chain tables of factor ``t`` under the prefix ``f{t}_``.  The
+    checksum in the sidecar is
     :func:`~repro.parallel.manifest.checksum_arrays` over exactly this
     mapping.
     """
-    arrays = {
-        f"{prefix}_{table}": np.asarray(getattr(factor, table))
-        for prefix, factor in zip(_FACTOR_PREFIXES, oracle.chain.factors)
+    return {
+        f"f{t}_{table}": np.asarray(getattr(factor, table))
+        for t, factor in enumerate(oracle.chain.factors)
         for table in _FACTOR_TABLES
     }
-    arrays["part_b"] = np.asarray(oracle.part_b, dtype=bool)
-    return arrays
 
 
 def _factor_from(arrays: dict[str, np.ndarray], prefix: str, n: int, verify: bool) -> ChainFactor:
@@ -158,12 +152,8 @@ def save_oracle(oracle: GroundTruthOracle, out_dir: PathLike) -> Path:
             "created_at": _utcnow(),
             "storage": "npz-stored",
             "checksum": checksum_arrays(arrays),
-            "assumption": oracle.assumption.name,
             "product": {"n": int(oracle.n), "m": int(oracle.m)},
-            "factors": {
-                prefix: {"n": int(f.n), "nnz": int(f.nnz)}
-                for prefix, f in zip(_FACTOR_PREFIXES, oracle.chain.factors)
-            },
+            "factors": [{"n": int(f.n), "nnz": int(f.nnz)} for f in oracle.chain.factors],
             "arrays": sorted(arrays),
             "oracle_bytes": int(npz_path.stat().st_size),
         }
@@ -303,15 +293,10 @@ def load_oracle(
                     f"sidecar records {info.get('checksum')!r}"
                 )
         try:
-            assumption = Assumption[info["assumption"]]
-            shapes = [int(info["factors"][prefix]["n"]) for prefix in _FACTOR_PREFIXES]
+            shapes = [int(factor["n"]) for factor in info["factors"]]
         except KeyError as exc:
             raise ArtifactError(f"artifact sidecar lacks {exc.args[0]!r}") from exc
-        if "part_b" not in arrays:
-            raise ArtifactError("artifact is missing the part_b bipartition mask")
         chain = KroneckerChain(
-            [_factor_from(arrays, prefix, n, verify) for prefix, n in zip(_FACTOR_PREFIXES, shapes)]
+            [_factor_from(arrays, f"f{t}", n, verify) for t, n in enumerate(shapes)]
         )
-        oracle = GroundTruthOracle.__new__(GroundTruthOracle)
-        oracle._setup(chain, arrays["part_b"], assumption)
-    return oracle
+        return GroundTruthOracle(chain)

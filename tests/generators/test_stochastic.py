@@ -16,6 +16,10 @@ from repro.generators import (
 from repro.generators.rmat import rmat_edge_arrays
 from repro.graphs import is_bipartite, is_connected
 
+#: sha256 over the CSR arrays and part masks of 39 seeded
+#: ``scale_free_bipartite_factor`` outputs (see the pinning test).
+SCALE_FREE_BIPARTITE_DIGEST = "d56c26f984b2d458235d86ebdb80285f557ddc2dc18b2032e7a36630bdaa6904"
+
 
 class TestPreferentialAttachment:
     def test_sizes(self):
@@ -68,6 +72,25 @@ class TestScaleFreeFactors:
     def test_bipartite_factor_bad_args(self):
         with pytest.raises(ValueError):
             scale_free_bipartite_factor(5, 1, 2)  # nw < m
+
+    def test_bipartite_factor_seeded_outputs_pinned(self):
+        """Seeded outputs are pinned: the growth loop may get faster, but
+        every seeded factor keeps its exact edges and parts."""
+        import hashlib
+
+        h = hashlib.sha256()
+        cases = 0
+        for nu, nw in ((1, 1), (1, 6), (3, 30), (12, 18), (40, 25)):
+            for m in (1, 2, 3):
+                for seed in (0, 1, 2):
+                    if nw < m:
+                        continue
+                    bg = scale_free_bipartite_factor(nu, nw, m, seed=seed)
+                    for a in (bg.graph.indptr, bg.graph.indices, bg.part):
+                        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+                    cases += 1
+        assert cases == 39
+        assert h.hexdigest() == SCALE_FREE_BIPARTITE_DIGEST
 
 
 class TestPowerlawWeights:

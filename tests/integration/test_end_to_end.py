@@ -75,7 +75,7 @@ class TestUnicodeScaleWorkflow:
     def test_streamed_sample_blocks_match_oracle(self, unicode_product):
         oracle = GroundTruthOracle(unicode_product)
         checked = 0
-        for p, q, dia in stream_edges(unicode_product, attach_ground_truth=True):
+        for p, q, dia in stream_edges(unicode_product.chain, attach_ground_truth=True):
             for pp, qq, dd in list(zip(p.tolist(), q.tolist(), np.asarray(dia).tolist()))[:5]:
                 assert oracle.squares_at_edge(pp, qq) == dd
                 checked += 1

@@ -109,6 +109,21 @@ class TestOracle:
         with pytest.raises(IndexError):
             oracle.squares_at_vertex(bk.n)
 
+    def test_edge_count_on_a_chain_of_looped_factors(self):
+        """``m`` counts each product edge once, as ``Graph.m`` does, on a
+        3-factor chain with loops in two factors; a product self loop
+        needs loops in all three, and that chain is refused."""
+        from repro.kronecker.multifactor import KroneckerChain
+
+        looped = [path_graph(3).with_all_self_loops(), cycle_graph(3).with_all_self_loops()]
+        chain = KroneckerChain.from_graphs([looped[0], star_graph(2), looped[1]])
+        oracle = GroundTruthOracle(chain)
+        C = Graph(chain.materialize())
+        assert not C.has_self_loops
+        assert oracle.m == C.m == chain.nnz // 2
+        with pytest.raises(ValueError, match="self loops"):
+            KroneckerChain.from_graphs([looped[0], star_graph(2).with_all_self_loops(), looped[1]])
+
     def test_memory_footprint_sublinear(self, unicode_product):
         oracle = GroundTruthOracle(unicode_product)
         # factor-sized storage must be far below |E_C|.
@@ -122,22 +137,22 @@ class TestStreaming:
         coo = C.adj.tocoo()
         expected = set(zip(coo.row.tolist(), coo.col.tolist()))
         seen = set()
-        for p, q in stream_edges(bk):
+        for p, q in stream_edges(bk.chain):
             seen.update(zip(p.tolist(), q.tolist()))
         assert seen == expected
 
     def test_stream_entry_count(self, bk):
-        total = sum(p.size for p, q in stream_edges(bk))
+        total = sum(p.size for p, q in stream_edges(bk.chain))
         assert total == bk.materialize().nnz
 
     def test_stream_with_ground_truth(self, bk):
         dia_ref = edge_squares_matrix(bk.materialize())
-        for p, q, dia in stream_edges(bk, attach_ground_truth=True):
+        for p, q, dia in stream_edges(bk.chain, attach_ground_truth=True):
             for pp, qq, dd in zip(p.tolist(), q.tolist(), np.asarray(dia).tolist()):
                 assert dd == dia_ref[pp, qq]
 
     def test_connectivity_audit_connected(self, bk):
-        n_components, edges = streamed_connectivity_audit(bk)
+        n_components, edges = streamed_connectivity_audit(bk.chain)
         assert n_components == 1  # Thms 1-2 certified by streaming
         assert edges == bk.m
 
@@ -149,5 +164,5 @@ class TestStreaming:
         A = path_graph(3)
         B = BipartiteGraph(path_graph(4))
         bk = BipartiteKronecker(A, B, Assumption.NON_BIPARTITE_FACTOR)
-        n_components, _ = streamed_connectivity_audit(bk)
+        n_components, _ = streamed_connectivity_audit(bk.chain)
         assert n_components == 2

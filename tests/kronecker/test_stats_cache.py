@@ -91,9 +91,8 @@ class TestChainTables:
                     tables[name] = value.copy()
                     tables[name].flags.writeable = False
             factors.append(ChainFactor(**tables))
-        got = GroundTruthOracle.__new__(GroundTruthOracle)
-        got._setup(KroneckerChain(factors), bk.B.part, bk.assumption)
-        assert (got.n, got.m, got.n_b) == (bk.n, bk.m, bk.B.graph.n)
+        got = GroundTruthOracle(KroneckerChain(factors))
+        assert (got.n, got.m) == (bk.n, bk.m)
         ps, qs = np.indices((bk.n, bk.n)).reshape(2, -1)
         assert np.array_equal(
             got.squares_at_edges(ps, qs, on_invalid="mask"),

@@ -42,11 +42,11 @@ def test_stream_edges_is_the_chain_stream(attach, data):
     bk = data.draw(products(assumption))
     chain = bk.chain
     want = _flatten(_copied(chain.stream_rows(0, chain.n, attach_ground_truth=attach)))
-    got = _flatten(_copied(stream_edges(bk, attach_ground_truth=attach)))
+    got = _flatten(_copied(stream_edges(chain, attach_ground_truth=attach)))
     # Blocks kept without a copy must equal the copied stream: nothing
     # the stream yields is overwritten by a later block (7-entry blocks
     # make these small products span many).
-    kept = _flatten(list(stream_edges(bk, attach_ground_truth=attach)))
+    kept = _flatten(list(stream_edges(chain, attach_ground_truth=attach)))
     small = _flatten(
         list(chain.stream_rows(0, chain.n, attach_ground_truth=attach, block_entries=7))
     )
@@ -76,7 +76,7 @@ def test_oversized_block_yields_once():
     ):
         directed_edges = bk.M.adj.nnz * bk.B.graph.adj.nnz
         assert directed_edges < STREAM_BLOCK_ENTRIES
-        blocks = list(stream_edges(bk, attach_ground_truth=True))
+        blocks = list(stream_edges(bk.chain, attach_ground_truth=True))
         assert len(blocks) == 1
         p, q, dia = blocks[0]
         assert p.size == q.size == dia.size == directed_edges
@@ -90,7 +90,7 @@ def test_unchunked_stream_yields_fresh_arrays():
     chain = bk.chain
     blocks = list(chain.stream_rows(0, chain.n, attach_ground_truth=True, block_entries=7))
     assert len(blocks) > 1
-    kept = list(stream_edges(bk, attach_ground_truth=True))
+    kept = list(stream_edges(chain, attach_ground_truth=True))
     for got, want in zip(_flatten(kept), _flatten(blocks)):
         np.testing.assert_array_equal(got, want)
     for first, second in zip(blocks, blocks[1:]):
@@ -106,6 +106,6 @@ def test_tiny_right_factor_streams_few_blocks(unicode_like, attach):
     )
     nnz = bk.M.adj.nnz * bk.B.graph.adj.nnz
     assert bk.M.adj.nnz > 1000
-    sizes = [block[0].size for block in stream_edges(bk, attach_ground_truth=attach)]
+    sizes = [block[0].size for block in stream_edges(bk.chain, attach_ground_truth=attach)]
     assert sum(sizes) == nnz
     assert len(sizes) <= math.ceil(nnz / STREAM_BLOCK_ENTRIES) + 2

@@ -150,7 +150,7 @@ class TestRuntimeSwitch:
             oracle = GroundTruthOracle(bk)
             oracle.global_squares()
             oracle.degree(0)
-            streamed = sum(p.size for p, _ in stream_edges(bk))
+            streamed = sum(p.size for p, _ in stream_edges(bk.chain))
             record = build_run_record("lib", tracer=tracer, metrics=metrics)
         counters = record["metrics"]["counters"]
         assert counters["edges_streamed_total"] == streamed == bk.M.nnz * bk.B.graph.nnz

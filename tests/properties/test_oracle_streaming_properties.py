@@ -51,7 +51,7 @@ def test_streaming_covers_product_with_ground_truth(A, B):
     expected = set(zip(coo.row.tolist(), coo.col.tolist()))
     dia = edge_squares_matrix(C)
     seen = set()
-    for p, q, counts in stream_edges(bk, attach_ground_truth=True):
+    for p, q, counts in stream_edges(bk.chain, attach_ground_truth=True):
         for pp, qq, dd in zip(p.tolist(), q.tolist(), np.asarray(counts).tolist()):
             assert dia[pp, qq] == dd
             seen.add((pp, qq))

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graphs import Graph
 from repro.kronecker import GroundTruthOracle
+from repro.kronecker.multifactor import KroneckerChain
 from repro.parallel import manifest
 from repro.serve import (
     ARTIFACT_SCHEMA,
@@ -20,7 +26,9 @@ from repro.serve import (
     oracle_arrays,
     save_oracle,
 )
+from repro.refcheck import brute
 from tests.serve.conftest import product_edges
+from tests.strategies import factor_chains
 
 
 @pytest.mark.parametrize("oracle_fixture", ["oracle_i", "oracle_ii"])
@@ -39,7 +47,6 @@ def test_round_trip_bit_identical(oracle_fixture, tmp_path, request):
     for p, q in zip(ep[:8].tolist(), eq[:8].tolist()):
         if oracle.degree(p) >= 2 and oracle.degree(q) >= 2:
             assert loaded.clustering_at_edge(p, q) == oracle.clustering_at_edge(p, q)
-    assert loaded.assumption is oracle.assumption
 
 
 @pytest.mark.parametrize("product_fixture", ["product_i", "product_ii"])
@@ -53,8 +60,7 @@ def test_mmap_load_bit_identical_to_fresh_oracle(product_fixture, tmp_path, requ
     loaded = load_oracle(out, mmap=True)
     info = artifact_info(out)
     assert (loaded.n, loaded.m) == (bk.n, bk.m) == (info["product"]["n"], info["product"]["m"])
-    assert (loaded.n_b, loaded.assumption) == (bk.B.graph.n, bk.assumption)
-    assert np.array_equal(loaded.part_b, bk.B.part)
+    assert info["factors"] == [{"n": f.n, "nnz": f.nnz} for f in bk.chain.factors]
     ps, qs = np.indices((bk.n, bk.n)).reshape(2, -1)  # every pair, non-edges too
     vs = np.arange(bk.n, dtype=np.int64)
     assert np.array_equal(loaded.degrees(vs), fresh.degrees(vs))
@@ -109,9 +115,9 @@ def test_sidecar_contents(oracle_i, tmp_path):
     assert (out / ORACLE_FILE).stat().st_size == info["oracle_bytes"]
 
 
-#: ``repro pack complete:3 biclique:2x3``'s content checksum, as every
-#: earlier release wrote it.
-PACKED_CHECKSUM = "sha256:7e706aafef6ebdb110c509cedadb11acb018263eb7248b7c3f558994f5366f05"
+#: ``repro pack complete:3 biclique:2x3``'s content checksum under
+#: schema ``repro.serve/3`` (the ``f0_``/``f1_`` arrays).
+PACKED_CHECKSUM = "sha256:f4073a9d23cd4df6dedf9f5fbf629dd98c544f93c3c692e30c63ccdb70fa9d89"
 
 
 #: ``OPENSSL_MIN_BYTES`` settings that put the artifact's column bytes
@@ -138,7 +144,7 @@ def test_checksum_tamper_refused(oracle_i, tmp_path, monkeypatch):
     assert artifact_info(out)["checksum"] == PACKED_CHECKSUM
     with np.load(out / ORACLE_FILE) as data:
         arrays = {key: data[key].copy() for key in data.files}
-    arrays["m_d"][0] += 1
+    arrays["f0_d"][0] += 1
     with open(out / ORACLE_FILE, "wb") as fh:
         np.savez(fh, **arrays)
     for openssl_min in SHA256_SIDES.values():
@@ -180,7 +186,7 @@ def test_kernel_coefficient_tamper_refused(oracle_i, tmp_path):
     out = save_oracle(oracle_i, tmp_path / "art")
     with np.load(out / ORACLE_FILE) as data:
         arrays = {key: data[key].copy() for key in data.files}
-    arrays["m_d"][0] += 1
+    arrays["f0_d"][0] += 1
     with open(out / ORACLE_FILE, "wb") as fh:
         np.savez(fh, **arrays)
     info = json.loads((out / SIDECAR_FILE).read_text())
@@ -190,7 +196,7 @@ def test_kernel_coefficient_tamper_refused(oracle_i, tmp_path):
         load_oracle(out)
 
 
-@pytest.mark.parametrize("member", ["b_indptr", "m_indices", "m_w3", "b_cw4"])
+@pytest.mark.parametrize("member", ["f1_indptr", "f0_indices", "f0_w3", "f1_cw4"])
 def test_malformed_csr_refused(oracle_i, tmp_path, member):
     """Factor tables that cannot describe an n-vertex CSR factor are
     refused at load, even with verification off: nothing else checks
@@ -295,10 +301,10 @@ def test_mmap_checksum_verified_before_serving(oracle_i, tmp_path):
     out = save_oracle(oracle_i, tmp_path / "art")
     from repro.serve.artifact import _npz_member_offsets
 
-    offset, size, stored = _npz_member_offsets(out / ORACLE_FILE)["m_d"]
+    offset, size, stored = _npz_member_offsets(out / ORACLE_FILE)["f0_d"]
     assert stored
     blob = bytearray((out / ORACLE_FILE).read_bytes())
-    blob[offset + size - 1] ^= 0x01  # last byte of the m_d payload
+    blob[offset + size - 1] ^= 0x01  # last byte of the f0_d payload
     (out / ORACLE_FILE).write_bytes(bytes(blob))
     with pytest.raises(ArtifactIntegrityError, match="checksum mismatch"):
         load_oracle(out, mmap=True)
@@ -326,3 +332,59 @@ def test_schema_1_artifact_refused_with_repack_hint(oracle_i, tmp_path):
     (out / SIDECAR_FILE).write_text(json.dumps(info))
     with pytest.raises(ArtifactError, match=r"'repro.serve/1'.*repack it with `repro pack`"):
         load_oracle(out)
+
+
+def test_schema_2_artifact_refused_with_repack_hint(oracle_i, tmp_path):
+    """A ``repro.serve/2`` artifact (the 2-factor ``m_``/``b_`` tables,
+    ``part_b`` and the assumption flag) is refused with the repack
+    remedy, whatever the load mode."""
+    out = save_oracle(oracle_i, tmp_path / "art")
+    with np.load(out / ORACLE_FILE) as data:
+        arrays = {key.replace("f0_", "m_").replace("f1_", "b_"): data[key] for key in data.files}
+    arrays["part_b"] = np.array([False, False, True, True, True])
+    with open(out / ORACLE_FILE, "wb") as fh:
+        np.savez(fh, **arrays)
+    info = json.loads((out / SIDECAR_FILE).read_text())
+    info.update(
+        schema="repro.serve/2",
+        assumption="NON_BIPARTITE_FACTOR",
+        factors={"m": info["factors"][0], "b": info["factors"][1]},
+        checksum=manifest.checksum_arrays(arrays),
+        arrays=sorted(arrays),
+    )
+    (out / SIDECAR_FILE).write_text(json.dumps(info))
+    for mmap in (False, True):
+        with pytest.raises(ArtifactError, match=r"'repro.serve/2'.*repack it with `repro pack`"):
+            load_oracle(out, mmap=mmap)
+
+
+@given(graphs=factor_chains(max_n=3), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_packed_chain_answers_match_brute_force(graphs, data):
+    """For random 2-4-factor chains (loops added to all but one factor
+    at random), a packed and reloaded oracle, mapped or eager, answers
+    degrees, vertex and edge 4-cycles exactly as brute-force counting
+    on the materialized product does; non-edges are masked."""
+    keep = data.draw(st.integers(0, len(graphs) - 1))
+    graphs = [
+        g.with_all_self_loops() if t != keep and data.draw(st.booleans()) else g
+        for t, g in enumerate(graphs)
+    ]
+    chain = KroneckerChain.from_graphs(graphs)
+    C = Graph(chain.materialize())
+    nbrs = brute.neighbor_sets(C)
+    ps, qs = np.indices((C.n, C.n)).reshape(2, -1)
+    want_edges = np.full(ps.size, -1, dtype=np.int64)
+    for (u, v), count in brute.squares_at_edges(C, nbrs).items():
+        want_edges[[u * C.n + v, v * C.n + u]] = count
+    vs = np.arange(C.n, dtype=np.int64)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = save_oracle(GroundTruthOracle(chain), Path(tmp) / "art")
+        for mmap in (False, True):
+            loaded = load_oracle(out, mmap=mmap)
+            assert (loaded.n, loaded.m) == (C.n, C.m)
+            assert len(loaded.chain.factors) == len(graphs)
+            assert np.array_equal(loaded.degrees(vs), brute.degrees(C, nbrs))
+            assert np.array_equal(loaded.squares_at_vertices(vs), brute.squares_at_vertices(C, nbrs))
+            assert np.array_equal(loaded.squares_at_edges(ps, qs, on_invalid="mask"), want_edges)
+            del loaded  # release the mapping before the directory goes

@@ -26,7 +26,8 @@ def test_pack_cli_builds_loadable_artifact(tmp_path, capsys):
     out = tmp_path / "art"
     assert main(["pack", "complete:3", "biclique:2x3", "-o", str(out)]) == 0
     info = artifact_info(out)
-    assert info["assumption"] == "NON_BIPARTITE_FACTOR"
+    assert "assumption" not in info
+    assert info["factors"] == [{"n": 3, "nnz": 6}, {"n": 5, "nnz": 12}]
     oracle = load_oracle(out)
     assert oracle.n == info["product"]["n"]
     err = capsys.readouterr().err
@@ -34,9 +35,38 @@ def test_pack_cli_builds_loadable_artifact(tmp_path, capsys):
 
 
 def test_pack_cli_assumption_ii(tmp_path):
+    """Under 1(ii) the stored left factor is ``M = A + I_A``."""
     out = tmp_path / "art"
     assert main(["pack", "path:3", "biclique:2x2", "--assumption", "ii", "-o", str(out)]) == 0
-    assert artifact_info(out)["assumption"] == "SELF_LOOPS_FACTOR"
+    assert artifact_info(out)["factors"][0] == {"n": 3, "nnz": 4 + 3}
+    assert [f.has_loops for f in load_oracle(out).chain.factors] == [True, False]
+
+
+def test_pack_cli_three_factor_chain(tmp_path, capsys):
+    """Three specs pack the chain as given; the 2-factor flags are refused."""
+    out = tmp_path / "art"
+    assert main(["pack", "complete:3", "path:3", "biclique:2x2", "-o", str(out)]) == 0
+    info = artifact_info(out)
+    assert [f["n"] for f in info["factors"]] == [3, 3, 4]
+    assert info["product"] == {"n": 36, "m": 6 * 4 * 8 // 2}
+    assert len(load_oracle(out, mmap=True).chain.factors) == 3
+    argv = ["pack", "complete:3", "path:3", "biclique:2x2", "-o", str(tmp_path / "b")]
+    assert main(argv + ["--assumption", "ii"]) == 2
+    assert "two factor specs only" in capsys.readouterr().err
+
+
+def test_serve_cli_refuses_a_schema_2_artifact(tmp_path, capsys):
+    """A ``repro.serve/2`` artifact exits 2 with the repack remedy."""
+    out = tmp_path / "art"
+    assert main(["pack", "complete:3", "biclique:2x3", "-o", str(out)]) == 0
+    info = json.loads((out / SIDECAR_FILE).read_text())
+    info["schema"] = "repro.serve/2"
+    (out / SIDECAR_FILE).write_text(json.dumps(info))
+    capsys.readouterr()
+    assert main(["serve", "--artifact", str(out), "--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "'repro.serve/2'" in err and "repack it with `repro pack`" in err
+    assert "Traceback" not in err
 
 
 def test_pack_cli_malformed_spec_exits_2(tmp_path, capsys):
@@ -245,4 +275,4 @@ def test_sidecar_survives_pack_cli(tmp_path):
     out = tmp_path / "art"
     main(["pack", "complete:3", "path:4", "-o", str(out)])
     sidecar = json.loads((out / SIDECAR_FILE).read_text())
-    assert sidecar["schema"] == "repro.serve/2"
+    assert sidecar["schema"] == "repro.serve/3"

@@ -94,7 +94,7 @@ def test_healthz(served):
     status, body = client.get("/healthz")
     assert status == 200
     assert body["status"] == "ok"
-    assert body["artifact"]["schema"] == "repro.serve/2"
+    assert body["artifact"]["schema"] == "repro.serve/3"
     assert body["worker"] == "0"
     assert body["queue_depth"] == 0
 

@@ -79,6 +79,11 @@ class TestStatsCommand:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_three_specs_are_a_usage_error(self, capsys):
+        """Part sizes and the diameter are 2-factor answers."""
+        assert main(["stats", "cycle:5", "path:4", "path:3"]) == 2
+        assert "2-factor product" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_writes_edge_list(self, tmp_path):
@@ -114,6 +119,27 @@ class TestGenerateCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "# repro kronecker product" in out
+
+    def test_three_factor_chain_with_ground_truth(self, tmp_path):
+        """Three specs stream the chain as given, each edge once with its ◇."""
+        out = tmp_path / "c.txt"
+        rc = main(["generate", "cycle:3", "path:3", "star:2", "--ground-truth", "-o", str(out)])
+        assert rc == 0
+        from repro.analytics import edge_squares_matrix
+        from repro.generators import cycle_graph, path_graph, star_graph
+        from tests.shard_referee import kron_graph
+
+        C = kron_graph([cycle_graph(3), path_graph(3), star_graph(2)])
+        dia = edge_squares_matrix(C)
+        rows = [[int(x) for x in line.split()]
+                for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert sorted((u, v) for u, v, _ in rows) == sorted(C.edges())
+        assert all(dia[u, v] == d for u, v, d in rows)
+
+    @pytest.mark.parametrize("argv", [["cycle:3"], ["cycle:3", "path:3", "star:2", "--assumption", "ii"]])
+    def test_factor_list_usage_errors(self, argv, capsys):
+        assert main(["generate", *argv]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestArtifactCommands:

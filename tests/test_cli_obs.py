@@ -32,7 +32,7 @@ class TestMetricsOut:
         written = sum(1 for line in out.read_text().splitlines() if not line.startswith("#"))
         assert counters["generate.edges_written_total"] == written == 18
 
-        assert record["config"]["factor_a"] == "complete:3"
+        assert record["config"]["factors"] == ["complete:3", "path:4"]
         assert record["exit_code"] == 0
 
     def test_generate_ground_truth_records_one_block(self, tmp_path):

@@ -30,10 +30,11 @@ PACKAGES = [
 ]
 
 #: Modules the serving stack never runs; the boot must not import them.
-#: A loaded oracle reads its chain's factor tables (numpy arrays), so the
-#: graph model, the analytics counters, the printed-form referee
-#: (``repro.refcheck``) and scipy stay out too.
+#: A loaded oracle is its chain's factor tables (numpy arrays), so the
+#: Assumption-1 certificate, the graph model, the analytics counters,
+#: the printed-form referee (``repro.refcheck``) and scipy stay out too.
 NOT_SERVED = (
+    "repro.kronecker.assumptions",
     "repro.generators",
     "repro.graphs",
     "repro.analytics",
